@@ -270,8 +270,9 @@ let dist ?pool ~seed ~trials ~k () =
    successors, terminal payoffs — is a pure function of a per-check salt
    via the (deterministic, version-stable on ints) polymorphic hash.
    Chance steps are fair coins, so computed values cannot round above
-   1.0 and the default (0, 1) bounds are FP-admissible (see
-   [Mdp.Solver.set_bounds]); terminal payoffs are k/100 with k <= 100. *)
+   1.0 and the solver's pruning bound of 1 is FP-admissible (see
+   "Interval pruning" in [Mdp.Solver]); terminal payoffs are k/100 with
+   k <= 100. *)
 module Prune_game = struct
   type params = { salt : int; levels : int; width : int; branch : int }
 

@@ -34,26 +34,6 @@ module type GAME = sig
   val pp_move : Format.formatter -> move -> unit
 end
 
-(* The zero-copy counterpart of {!GAME}: one mutable working state that
-   moves mutate in place, with an undo token to restore it before the
-   next sibling. Moves are small-int ids delivered as a bitmask (so
-   enumerating them allocates nothing); chance moves expose their branch
-   count and per-branch probabilities instead of a materialized
-   distribution list. *)
-module type GAME_INPLACE = sig
-  type state
-  type undo
-
-  val moves : state -> int
-  val branches : state -> int -> int
-  val prob : state -> int -> int -> float
-  val checkpoint : state -> undo
-  val apply : state -> move:int -> branch:int -> unit
-  val restore : state -> undo -> unit
-  val terminal_value : state -> float
-  val encode_into : state -> Key.buf -> unit
-end
-
 exception Cyclic
 exception Prune_unsound of string
 
@@ -158,112 +138,172 @@ let effective_budget = function
   | Some b -> if b > 0 then Some b else None
   | None -> !default_memo_budget
 
-(* ---- solver instances (shared by both functors) -----------------------
+(* ---- the admissible value bound ----------------------------------------
 
-   All mutable solver state lives in an instance, so parallel solves can
-   keep per-worker counters separate and merge them afterwards. States
-   are keyed by their canonical [G.encode] bytes: probing hashes a flat
-   short key instead of walking a deep model state with the polymorphic
-   hash (which either stops early and collides, or is told to traverse
-   ~500 nodes per probe). The key is encoded into the instance's
-   reusable [keybuf] and the memo is probed on the (buffer, length)
-   slice — a probe of an already-memoized state allocates nothing at
-   all. Nothing here mentions the game, so [Make] and [Make_inplace]
-   share the machinery. *)
+   Interval pruning needs an a-priori upper bound on every reachable
+   state's value. Game values are probabilities, so [hi = 1] bounds the
+   exact ones; the cuts also need it to bound the COMPUTED values.
+   Terminal payoffs lie in [0, 1] and a max fold returns one of its
+   children's values, so only chance folds could overshoot. With every
+   child <= 1, each term [p *. v] rounds to at most [p] (round-to-nearest
+   is monotone), so a chance value never exceeds the left-to-right float
+   sum of its probabilities. That sum is exactly 1 for the power-of-two
+   coins, and at most 1 for the uniform 1/n iteration choices of ABD^k,
+   VA^k and ghw^k for every n <= 8. It is not for n = 9 or 11, where it
+   rounds to 1 + 2^-52: a game with such a distribution must be checked
+   in audit mode, which re-evaluates every cut and raises
+   [Prune_unsound] on one that changed a value. *)
+let hi = 1.0
 
-type mark = In_progress | Value of float
+(* ---- one memo interface, three backends --------------------------------
 
-type instance = {
-  memo : mark Par.Slice_tbl.t;
+   States are keyed by their canonical [G.encode] bytes: a probe hashes
+   a flat short key instead of walking a deep model state. The key is
+   encoded into the caller's reusable buffer and every backend is probed
+   on the (buffer, length) slice, so only a fresh claim copies the key.
+
+   [probe] is find-or-claim: the resolved value, the owner of a live
+   claim, or a claim installed for the caller, who must later [resolve]
+   its token. [get] reads a resolved value by key, for a caller waiting
+   on another owner's claim. The backends:
+   - the unlocked {!Par.Slice_tbl}, for sequential solves in RAM. Its
+     slots hold the hit variant itself, so a hit returns the stored
+     [`Value v] and allocates nothing; the token is the entry, which
+     [resolve] overwrites in place (no second lookup). Only owner 0 ever
+     claims here, so a live claim reads [`Busy 0];
+   - {!Par.Sharded_tbl}, shared by the workers of a parallel solve;
+   - {!Store.Memo}, the spillable store a memo budget arms, sequential
+     or parallel.
+   A record of closures instead of a functor keeps the recursion
+   single-copy; the indirect call is noise next to the probe it wraps. *)
+
+type 'token probe = [ `Value of float | `Busy of int | `Claimed of 'token ]
+
+type 'token memo = {
+  probe : Key.buf -> owner:int -> 'token probe;
+  resolve : 'token -> float -> unit;
+  get : string -> float option;
+}
+
+type slot = [ `Value of float | `Busy of int ]
+
+let claimed_by_0 : slot = `Busy 0
+
+let ram_memo (tbl : slot Par.Slice_tbl.t) =
+  {
+    probe =
+      (fun b ~owner:_ ->
+        let e =
+          Par.Slice_tbl.probe_slice tbl (Key.data b) ~len:(Key.length b)
+            ~default:claimed_by_0
+        in
+        if Par.Slice_tbl.last_was_new tbl then `Claimed e
+        else (e.value :> slot Par.Slice_tbl.entry probe));
+    resolve = (fun e v -> e.value <- `Value v);
+    get =
+      (fun key ->
+        match Par.Slice_tbl.find_string tbl key with
+        | Some { value = `Value v; _ } -> Some v
+        | _ -> None);
+  }
+
+let sharded_memo (tbl : float Par.Sharded_tbl.t) =
+  {
+    probe =
+      (fun b ~owner ->
+        Par.Sharded_tbl.find_or_claim_slice tbl (Key.data b)
+          ~len:(Key.length b) ~owner);
+    resolve = Par.Sharded_tbl.resolve tbl;
+    get = Par.Sharded_tbl.get tbl;
+  }
+
+let store_memo st =
+  {
+    probe =
+      (fun b ~owner ->
+        Store.Memo.find_or_claim_slice st (Key.data b) ~len:(Key.length b)
+          ~owner);
+    resolve = Store.Memo.resolve st;
+    get = Store.Memo.get st;
+  }
+
+(* ---- work counters -------------------------------------------------------
+
+   One record per participant in a solve: the sequential solver is
+   worker 0, and a parallel solve runs [jobs] fresh ones over a shared
+   backend, merged into the sequential record when the region joins.
+   [wid] is the owner id the participant claims under; [keybuf] its
+   private encode buffer; [hit_tag] the ring event its hits record
+   ([Solver_hit] sequentially, [Claim_hit] in a parallel region); [abort]
+   the region's shared failure flag. Progress ticks fire every
+   [progress_interval] misses — workers use [max_int], so they never
+   fire off the calling domain. [domain] is the runtime domain that ran a
+   worker's steal loop (1:1 per solve — a domain may run several workers'
+   loops, but only one after another). *)
+type counters = {
+  wid : int;
   keybuf : Key.buf;
-  mutable store : Store.Memo.t option;  (* armed by a memo budget *)
+  hit_tag : Obs.Ring.tag;
+  abort : bool Atomic.t;
+  mutable domain : int;
   mutable hits : int;
   mutable misses : int;
-  mutable states : int;  (* states memoized with a final Value *)
+  mutable states : int;  (* states resolved with a final value *)
   mutable max_depth : int;
   mutable prune_cuts : int;  (* subtrees cut by interval pruning *)
+  mutable claim_misses : int;
+  mutable steals : int;
   mutable progress_hook : (progress -> unit) option;
   mutable progress_interval : int;
   mutable solve_start : float;
   mutable solve_base_misses : int;  (* misses when the root call began *)
 }
 
-let make_instance () =
+let make_counters ~wid ~hit_tag ~abort ~progress_interval =
   {
-    memo = Par.Slice_tbl.create ~size:65_536 ();
+    wid;
     keybuf = Key.create ();
-    store = None;
+    hit_tag;
+    abort;
+    domain = -1;
     hits = 0;
     misses = 0;
     states = 0;
     max_depth = 0;
     prune_cuts = 0;
+    claim_misses = 0;
+    steals = 0;
     progress_hook = None;
-    progress_interval = default_progress_interval;
+    progress_interval;
     solve_start = Obs.Span.now_us ();
     solve_base_misses = 0;
   }
 
-(* Arm the spillable backend on an instance. Entries already memoized in
-   RAM migrate into the store (a reused instance keeps its cross-solve
-   memoization through the backend switch); [In_progress] marks cannot
-   exist outside a running solve, so only final values move. Once armed
-   the instance stays on the store until [reset] — mixing backends
-   within one memo would split the key space. *)
-let arm_store i budget =
-  match (i.store, budget) with
-  | None, Some b ->
-      let st = Store.Memo.create ~budget:b () in
-      Par.Slice_tbl.iter i.memo (fun key mark ->
-          match mark with
-          | Value v -> Store.Memo.resolve st key v
-          | In_progress -> ());
-      Par.Slice_tbl.clear i.memo;
-      i.store <- Some st
-  | _ -> ()
+let stats_of c =
+  { states = c.states; memo_hits = c.hits; memo_misses = c.misses;
+    max_depth = c.max_depth }
 
-let stats_of i =
-  { states = i.states; memo_hits = i.hits; memo_misses = i.misses;
-    max_depth = i.max_depth }
-
-let progress_of i =
-  let elapsed_s = (Obs.Span.now_us () -. i.solve_start) /. 1e6 in
+let progress_of c =
+  let elapsed_s = (Obs.Span.now_us () -. c.solve_start) /. 1e6 in
   {
-    stats = stats_of i;
+    stats = stats_of c;
     elapsed_s;
     states_per_sec =
       (if elapsed_s > 0.0 then
-         float_of_int (i.misses - i.solve_base_misses) /. elapsed_s
+         float_of_int (c.misses - c.solve_base_misses) /. elapsed_s
        else 0.0);
   }
 
 (* Progress telemetry: long solves (minutes at k >= 3) otherwise give no
    output until they return. The hook fires from inside the recursion,
    every [interval] newly memoized states — so never after [value] has
-   returned — alongside an info log on the blunting.mdp source. Worker
-   recursions carry no hook, so parallel solves never fire it off the
-   calling domain. *)
-let progress_tick i =
-  if i.misses mod i.progress_interval = 0 then begin
-    let p = progress_of i in
+   returned — alongside an info log on the blunting.mdp source. *)
+let progress_tick c =
+  if c.misses mod c.progress_interval = 0 then begin
+    let p = progress_of c in
     Log.info (fun f -> f "progress: %a" pp_progress p);
-    match i.progress_hook with None -> () | Some hook -> hook p
+    match c.progress_hook with None -> () | Some hook -> hook p
   end
-
-let reset_instance i =
-  Par.Slice_tbl.clear i.memo;
-  (match i.store with Some st -> Store.Memo.close st | None -> ());
-  i.store <- None;
-  i.hits <- 0;
-  i.misses <- 0;
-  i.states <- 0;
-  i.max_depth <- 0;
-  i.prune_cuts <- 0;
-  (* re-arm the per-solve telemetry too: a reused instance must not
-     compute its second solve's states/sec against the first solve's
-     start time or cumulative miss count *)
-  i.solve_start <- Obs.Span.now_us ();
-  i.solve_base_misses <- 0
 
 let publish_delta (before : stats) (after : stats) =
   Obs.Metrics.add M.memo_hits (after.memo_hits - before.memo_hits);
@@ -271,48 +311,60 @@ let publish_delta (before : stats) (after : stats) =
   Obs.Metrics.add M.states (after.states - before.states);
   Obs.Metrics.max_gauge M.depth (float_of_int after.max_depth)
 
+(* Internal unwind used when another worker already failed: the real
+   exception is kept aside and re-raised by [value_par]; workers seeing
+   the abort flag just leave quietly (their claims stay unresolved,
+   which is fine — the whole solve is being thrown away). Without it, a
+   worker spin-waiting on a claim whose owner died (say, of [Cyclic])
+   would wait forever. *)
+exception Abort
+
+let fingerprint b = Par.Slice_tbl.hash_slice (Key.data b) (Key.length b)
+
 module Make (G : GAME) = struct
-  (* The module-level instance behind the historical [value]/[stats] API. *)
-  let default = make_instance ()
+  (* The module-level memo and counters behind the [value]/[stats] API:
+     the in-RAM table, or the store once a memo budget arms it. *)
+  let ram : slot Par.Slice_tbl.t = Par.Slice_tbl.create ~size:65_536 ()
+  let ram_m = ram_memo ram
+  let store : Store.Memo.t option ref = ref None
+
+  let main =
+    make_counters ~wid:0 ~hit_tag:Obs.Ring.Solver_hit
+      ~abort:(Atomic.make false) ~progress_interval:default_progress_interval
 
   let set_progress ?(interval_states = default_progress_interval) hook =
-    default.progress_interval <- max 1 interval_states;
-    default.progress_hook <- hook
+    main.progress_interval <- max 1 interval_states;
+    main.progress_hook <- hook
 
-  let stats () = stats_of default
+  let stats () = stats_of main
 
-  (* ---- admissible value bounds ---------------------------------------
+  (* Arm the spillable backend. Entries already memoized in RAM migrate
+     into the store (a reused solver keeps its cross-solve memoization
+     through the backend switch); claims cannot exist outside a running
+     solve, so only final values move. Once armed the solver stays on
+     the store until [reset] — mixing backends within one memo would
+     split the key space. *)
+  let arm_store budget =
+    match (!store, budget) with
+    | None, Some b ->
+        let st = Store.Memo.create ~budget:b () in
+        Par.Slice_tbl.iter ram (fun key -> function
+          | `Value v -> Store.Memo.resolve st key v
+          | `Busy _ -> ());
+        Par.Slice_tbl.clear ram;
+        store := Some st
+    | _ -> ()
 
-     Interval branch-and-bound needs an a-priori interval [lo, hi]
-     containing every reachable state's value. Game values here are
-     probabilities, so (0, 1) is always admissible; Theorem 4.2 supplies
-     sharper instance bounds for the weakener games (Prob[O_a] below,
-     the blunting bound above). Soundness additionally needs [hi] to
-     bound the COMPUTED (floating-point) values, not just the exact
-     ones: that holds whenever the fold that produces a value cannot
-     round above [hi] — in particular for [hi = 1] with power-of-two
-     chance probabilities (exact scaling, and round-to-nearest is
-     monotone with 1.0 representable), which covers every model game.
-     [prune_audit] re-evaluates every would-be cut and raises
+  (* [prune_audit] re-evaluates every would-be cut and raises
      [Prune_unsound] if the cut would have changed the parent's max —
      the fuzz oracle's mode. *)
-  let bound_lo = ref 0.0
-  let bound_hi = ref 1.0
   let prune_audit = ref false
-
-  let set_bounds ~lo ~hi =
-    if not (lo <= hi) then invalid_arg "Mdp.Solver.set_bounds: need lo <= hi";
-    bound_lo := lo;
-    bound_hi := hi
-
-  let bounds () = (!bound_lo, !bound_hi)
   let set_prune_audit b = prune_audit := b
 
-  (* The expectimax fold over one state's moves, shared verbatim between
-     the sequential recursion and the work-stealing shared-memo recursion
-     so both compute bit-identical values: Float.max over moves starting
-     at -inf, left-to-right [acc +. (p *. v)] over chance branches
-     starting at 0.
+  (* The expectimax fold over one state's moves: Float.max over moves
+     starting at -inf, left-to-right [acc +. (p *. v)] over chance
+     branches starting at 0. Every state of every solve is evaluated by
+     this one fold, so values agree bitwise across engines.
 
      With [prune] two admissible cuts apply, neither of which can change
      the value actually returned (so pruned and unpruned solves agree
@@ -328,7 +380,6 @@ module Make (G : GAME) = struct
        full value. Chance values are transition values, never memoized,
        so returning the partial sum is invisible outside the cut. *)
   let fold_value ~prune ~on_prune ~child depth s ms =
-    let hi = !bound_hi in
     let audit = !prune_audit in
     let chance acc dist =
       let rec full partial = function
@@ -398,156 +449,142 @@ module Make (G : GAME) = struct
     in
     go neg_infinity ms
 
-  (* The hot path. The state is encoded into the instance's reusable
-     buffer and the memo probed on the slice: a hit touches no allocator.
-     A miss installs [In_progress] (copying the key once, inside the
-     table) and later overwrites the SAME entry with the value — entries
-     survive table growth (growth only re-buckets them), so no second
-     lookup. The buffer is dead the moment the probe returns; children
-     clobber it freely.
-
-     With a memo budget armed ([i.store]), the probe goes through
-     {!Store.Memo}'s find-or-claim protocol instead (owner 0; [`Busy 0]
-     is the sequential re-entry, i.e. a cycle). The claim/resolve
-     discipline mirrors the [In_progress]/[Value] overwrite exactly, so
-     hit/miss/state counts — and, the memo holding only fully-evaluated
-     exact values, every computed value — are bit-identical to the
-     in-RAM solve. The unbudgeted path is untouched: one [None] check
-     per probe. *)
-  let rec value_at ~prune i depth s =
-    match i.store with
-    | None -> ram_value ~prune i depth s
-    | Some st -> store_value ~prune i st depth s
-
-  and ram_value ~prune i depth s =
-    if depth > i.max_depth then i.max_depth <- depth;
-    let b = i.keybuf in
+  (* The one recursion, for every engine. The state is encoded into the
+     participant's reusable buffer and the memo probed on the slice: a
+     resolved value is a hit; re-entering one's own claim is a cycle
+     (sequentially every live claim is owner 0's, so there it is the
+     only outcome of [`Busy]); another owner's claim is helped, below;
+     a fresh claim is evaluated by [fold_value] and resolved. The buffer
+     is dead the moment the probe returns — children clobber it freely,
+     so the ring fingerprint of a claim is taken first. Claim, resolve
+     and count happen at the same points for every backend, so hit,
+     miss and state counts and every value are bit-identical across
+     them. *)
+  let rec solve_at ~prune m c depth s =
+    if depth > c.max_depth then c.max_depth <- depth;
+    let b = c.keybuf in
     Key.reset b;
     G.encode_into s b;
-    let e =
-      Par.Slice_tbl.probe_slice i.memo (Key.data b) ~len:(Key.length b)
-        ~default:In_progress
-    in
-    if Par.Slice_tbl.last_was_new i.memo then begin
-      i.misses <- i.misses + 1;
-      (* the enabled () guard keeps the key hash off the disabled path *)
-      if Obs.Ring.enabled () then
-        Obs.Ring.record Obs.Ring.Solver_expand e.Par.Slice_tbl.hash depth;
-      progress_tick i;
-      let v =
-        match G.moves s with
-        | [] ->
-            if Obs.Ring.enabled () then
-              Obs.Ring.record Obs.Ring.Solver_terminal e.Par.Slice_tbl.hash
-                depth;
-            G.terminal_value s
-        | ms ->
-            fold_value ~prune
-              ~on_prune:(fun () ->
-                i.prune_cuts <- i.prune_cuts + 1;
-                if Obs.Ring.enabled () then
-                  Obs.Ring.record Obs.Ring.Solver_prune e.Par.Slice_tbl.hash
-                    depth)
-              ~child:(fun d s' -> value_at ~prune i d s')
-              depth s ms
-      in
-      e.Par.Slice_tbl.value <- Value v;
-      i.states <- i.states + 1;
-      v
-    end
-    else
-      match e.Par.Slice_tbl.value with
-      | Value v ->
-          i.hits <- i.hits + 1;
-          if Obs.Ring.enabled () then
-            Obs.Ring.record Obs.Ring.Solver_hit e.Par.Slice_tbl.hash depth;
-          v
-      | In_progress -> raise Cyclic
-
-  and store_value ~prune i st depth s =
-    if depth > i.max_depth then i.max_depth <- depth;
-    let b = i.keybuf in
-    Key.reset b;
-    G.encode_into s b;
-    match
-      Store.Memo.find_or_claim_slice st (Key.data b) ~len:(Key.length b)
-        ~owner:0
-    with
+    match m.probe b ~owner:c.wid with
     | `Value v ->
-        i.hits <- i.hits + 1;
+        c.hits <- c.hits + 1;
         if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_hit
-            (Par.Slice_tbl.hash_slice (Key.data b) (Key.length b))
-            depth;
+          Obs.Ring.record c.hit_tag (fingerprint b) depth;
         v
-    | `Busy _ -> raise Cyclic
-    | `Claimed key ->
-        i.misses <- i.misses + 1;
+    | `Busy o when o = c.wid -> raise Cyclic
+    | `Busy o ->
+        c.claim_misses <- c.claim_misses + 1;
         if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_expand
-            (Par.Slice_tbl.hash_string key)
-            depth;
-        progress_tick i;
+          Obs.Ring.record Obs.Ring.Claim_miss o depth;
+        (* the await needs the key after the buffer has been clobbered *)
+        help ~prune m c depth s (Key.contents b)
+    | `Claimed token ->
+        c.misses <- c.misses + 1;
+        (* the enabled () guard keeps the key hash off the untraced path *)
+        let h = if Obs.Ring.enabled () then fingerprint b else 0 in
+        if Obs.Ring.enabled () then
+          Obs.Ring.record Obs.Ring.Solver_expand h depth;
+        progress_tick c;
         let v =
           match G.moves s with
           | [] ->
               if Obs.Ring.enabled () then
-                Obs.Ring.record Obs.Ring.Solver_terminal
-                  (Par.Slice_tbl.hash_string key)
-                  depth;
+                Obs.Ring.record Obs.Ring.Solver_terminal h depth;
               G.terminal_value s
           | ms ->
               fold_value ~prune
                 ~on_prune:(fun () ->
-                  i.prune_cuts <- i.prune_cuts + 1;
+                  c.prune_cuts <- c.prune_cuts + 1;
                   if Obs.Ring.enabled () then
-                    Obs.Ring.record Obs.Ring.Solver_prune
-                      (Par.Slice_tbl.hash_string key)
-                      depth)
-                ~child:(fun d s' -> value_at ~prune i d s')
+                    Obs.Ring.record Obs.Ring.Solver_prune h depth)
+                ~child:(fun d s' -> solve_at ~prune m c d s')
                 depth s ms
         in
-        Store.Memo.resolve st key v;
-        i.states <- i.states + 1;
+        m.resolve token v;
+        c.states <- c.states + 1;
         v
 
-  let transition_value i depth = function
-    | G.Det s -> value_at ~prune:false i (depth + 1) s
+  (* Another worker owns the claim on [s]. Evaluate [s]'s children
+     through the shared memo — the claim protocol hands each to exactly
+     one worker, so this is the owner's own pending work, not a
+     duplicate — then wait for the owner's exact value. Note the helper
+     never computes a value for [s] itself: [s]'s value must come from
+     the owner's single [fold_value], or prune-cut folds could disagree
+     with it. *)
+  and help ~prune m c depth s key =
+    (* the whole helping protocol — evaluating the busy state's children
+       plus the await spin — is claim-miss overhead; tag its allocations
+       so the profiler can separate it from first-visit expansion *)
+    let prev_phase = Obs.Memprof.phase () in
+    Obs.Memprof.set_phase (Some Obs.Memprof.Claim_wait);
+    let child s' = ignore (solve_at ~prune m c (depth + 1) s') in
+    List.iter
+      (fun mv ->
+        match G.apply s mv with
+        | G.Det s' -> child s'
+        | G.Chance dist -> List.iter (fun (_, s') -> child s') dist)
+      (G.moves s);
+    let rec await probes =
+      match m.get key with
+      | Some v -> v
+      | None ->
+          if Atomic.get c.abort then raise Abort;
+          (* short spins first: with a core per domain the owner is
+             folding over children that are all resolved now, so the
+             wait is brief. If the value still hasn't appeared after
+             ~256 probes the owner is likely preempted (more domains
+             than cores) — sleep so it can actually run; cpu_relax
+             never releases the core and would burn the owner's whole
+             timeslice. *)
+          if probes < 256 then
+            for _ = 1 to 32 do
+              Domain.cpu_relax ()
+            done
+          else Unix.sleepf 0.0002;
+          await (probes + 1)
+    in
+    let v = await 0 in
+    Obs.Memprof.set_phase prev_phase;
+    v
+
+  (* a sequential solve: worker 0 over the armed backend *)
+  let solve ~prune depth s =
+    match !store with
+    | None -> solve_at ~prune ram_m main depth s
+    | Some st -> solve_at ~prune (store_memo st) main depth s
+
+  let transition_value depth = function
+    | G.Det s -> solve ~prune:false (depth + 1) s
     | G.Chance dist ->
         List.fold_left
-          (fun acc (p, s) -> acc +. (p *. value_at ~prune:false i (depth + 1) s))
+          (fun acc (p, s) -> acc +. (p *. solve ~prune:false (depth + 1) s))
           0.0 dist
 
-  (* The cross-domain telemetry of the most recent [value_par] on this
-     instance. Computed eagerly at the end of the parallel region (the
-     per-worker counters and the shared table's resolved count make it
-     O(workers), unlike the old per-domain-table key walk) and cleared at
-     the start of EVERY root solve — a reused solver must never report a
-     previous run's telemetry after a sequential solve overwrote the
-     work it describes. *)
+  (* The cross-domain telemetry of the most recent [value_par]. Computed
+     eagerly at the end of the parallel region and cleared at the start
+     of EVERY root solve — a reused solver must never report a previous
+     run's telemetry after a sequential solve overwrote the work it
+     describes. *)
   let last_par : par_stats option ref = ref None
 
   let last_par_stats () = !last_par
 
   (* Root-call bracketing: arm the per-solve telemetry baselines, then land
-     the instance deltas in the process-wide registry once, at the end. *)
-  let start_solve i =
+     the counter deltas in the process-wide registry once, at the end. *)
+  let root_call span_name f =
     last_par := None;
-    i.solve_start <- Obs.Span.now_us ();
-    i.solve_base_misses <- i.misses
-
-  let root_call i span_name f =
-    start_solve i;
-    let before = stats_of i in
-    let pruned_before = i.prune_cuts in
+    main.solve_start <- Obs.Span.now_us ();
+    main.solve_base_misses <- main.misses;
+    let before = stats_of main in
+    let pruned_before = main.prune_cuts in
     (* tag allocations in the solve as expansion work for Obs.Memprof;
        the parallel workers refine the tag (steal/claim-wait) themselves *)
     let prev_phase = Obs.Memprof.phase () in
     Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
     let finish () =
       Obs.Memprof.set_phase prev_phase;
-      publish_delta before (stats_of i);
-      Obs.Metrics.add M.pruned (i.prune_cuts - pruned_before)
+      publish_delta before (stats_of main);
+      Obs.Metrics.add M.pruned (main.prune_cuts - pruned_before)
     in
     match Obs.Span.time ~observe:M.solve_seconds span_name f with
     | v, _ ->
@@ -558,21 +595,21 @@ module Make (G : GAME) = struct
         raise e
 
   let value ?memo_budget ?(prune = false) s =
-    arm_store default (effective_budget memo_budget);
-    root_call default "mdp.value" (fun () -> value_at ~prune default 0 s)
+    arm_store (effective_budget memo_budget);
+    root_call "mdp.value" (fun () -> solve ~prune 0 s)
 
   (* Live out-of-core telemetry: cumulative since the store was armed
-     (parallel and sequential budgeted solves share the instance store),
-     [None] while no budget has armed it. *)
-  let store_stats () = Option.map Store.Memo.stats default.store
+     (parallel and sequential budgeted solves share the store), [None]
+     while no budget has armed it. *)
+  let store_stats () = Option.map Store.Memo.stats !store
 
   let best_move s =
     match G.moves s with
     | [] -> None
     | ms ->
-        root_call default "mdp.best_move" @@ fun () ->
+        root_call "mdp.best_move" @@ fun () ->
         let scored =
-          List.map (fun m -> (transition_value default 0 (G.apply s m), m)) ms
+          List.map (fun m -> (transition_value 0 (G.apply s m), m)) ms
         in
         Log.debug (fun f ->
             f "best_move: %d candidates: %a" (List.length scored)
@@ -582,44 +619,51 @@ module Make (G : GAME) = struct
         let best =
           List.fold_left
             (fun (bv, bm) (v, m) -> if v > bv then (v, m) else (bv, bm))
-            (List.hd scored |> fun (v, m) -> (v, m))
-            (List.tl scored)
+            (List.hd scored) (List.tl scored)
         in
         Log.debug (fun f ->
             f "best_move: chose %a (value %.6f)" G.pp_move (snd best) (fst best));
         Some (snd best)
 
-  let explored () = default.states
-  let pruned_subtrees () = default.prune_cuts
+  let explored () = main.states
+  let pruned_subtrees () = main.prune_cuts
 
   let reset () =
     last_par := None;
-    reset_instance default
+    Par.Slice_tbl.clear ram;
+    Option.iter Store.Memo.close !store;
+    store := None;
+    main.hits <- 0;
+    main.misses <- 0;
+    main.states <- 0;
+    main.max_depth <- 0;
+    main.prune_cuts <- 0;
+    (* re-arm the per-solve telemetry too: a reused solver must not
+       compute its second solve's states/sec against the first solve's
+       start time or cumulative miss count *)
+    main.solve_start <- Obs.Span.now_us ();
+    main.solve_base_misses <- 0
 
   (* ---- parallel solving ------------------------------------------------
 
-     Work-stealing over a sharded shared memo. The game tree is expanded
-     a few plies (without evaluating) to a frontier of distinct subtree
-     roots; the frontier-leaf indices are dealt round-robin into one
-     Chase–Lev deque per worker, and [jobs] workers drain their own deque
-     LIFO, stealing the oldest leaf from a victim when empty. Every state
-     evaluation goes through one {!Par.Sharded_tbl} keyed on canonical
-     encode strings: [find_or_claim] guarantees exactly one worker
-     evaluates each state (so, unlike the old per-domain-table scheme,
-     no work is duplicated — [distinct_keys] equals the sequential state
-     count and [duplicated_keys] is 0 by construction), and the claim
-     protocol doubles as cycle detection (re-entering your own claim is
-     exactly the sequential [In_progress] re-entry).
+     Work-stealing over a shared memo. The game tree is expanded a few
+     plies (without evaluating) to a frontier of distinct subtree roots;
+     the frontier-leaf indices are dealt round-robin into one Chase–Lev
+     deque per worker, and [jobs] workers drain their own deque LIFO,
+     stealing the oldest leaf from a victim when empty. Every worker
+     runs [solve_at] over one shared backend whose find-or-claim
+     guarantees exactly one worker evaluates each state (so no work is
+     duplicated — [distinct_keys] equals the sequential state count and
+     [duplicated_keys] is 0 by construction), and the claim protocol
+     doubles as cycle detection (re-entering your own claim is exactly
+     the sequential re-entry).
 
      A worker probing another worker's live claim does not idle: it
-     HELPS, evaluating the claimed state's children through the shared
-     table (the same work the owner needs, each child again claimed by
-     exactly one worker), then spins briefly for the owner's exact
-     value. Waits only ever follow game-DAG edges downward — a worker
-     holding a claim is executing inside that state's subtree, so every
-     wait chain descends strictly and bottoms out at a worker that is
-     not waiting; on a cyclic game some worker re-enters its own claim
-     and [Cyclic] propagates, as sequentially.
+     HELPS (see [help]). Waits only ever follow game-DAG edges downward
+     — a worker holding a claim is executing inside that state's
+     subtree, so every wait chain descends strictly and bottoms out at a
+     worker that is not waiting; on a cyclic game some worker re-enters
+     its own claim and [Cyclic] propagates, as sequentially.
 
      Values are bit-identical to the sequential solve at every job count
      because each state is evaluated exactly once, by [fold_value]'s
@@ -710,149 +754,6 @@ module Make (G : GAME) = struct
     in
     go 2 (-1)
 
-  (* Per-worker counters. A worker is a logical id in [0, jobs); the pool
-     domain that runs its steal loop records its runtime domain id at
-     loop entry (1:1 per solve — a domain may run several workers'
-     loops, but only sequentially, after the previous loop finished). *)
-  type worker = {
-    wid : int;
-    w_buf : Key.buf;  (* per-worker encode buffer: probes allocate nothing *)
-    mutable w_domain : int;
-    mutable w_hits : int;
-    mutable w_misses : int;
-    mutable w_depth : int;
-    mutable w_claim_misses : int;
-    mutable w_steals : int;
-    mutable w_pruned : int;
-  }
-
-  (* Internal unwind used when another worker already failed: the real
-     exception is kept aside and re-raised by [value_par]; workers seeing
-     the abort flag just leave quietly (their claims stay unresolved,
-     which is fine — the whole solve is being thrown away). Without it, a
-     worker spin-waiting on a claim whose owner died (say, of [Cyclic])
-     would wait forever. *)
-  exception Abort
-
-  (* The shared-memo surface the workers run against, abstracted over
-     the two backends implementing the same exactly-once claim protocol:
-     the in-RAM {!Par.Sharded_tbl} and, when a memo budget is armed, the
-     spillable {!Store.Memo}. A record of closures instead of a functor
-     keeps the worker recursion single-copy; the indirect call is noise
-     next to the probe it wraps. *)
-  type shared_memo = {
-    sm_probe :
-      Key.buf ->
-      owner:int ->
-      [ `Value of float | `Busy of int | `Claimed of string ];
-    sm_resolve : string -> float -> unit;
-    sm_get : string -> float option;
-  }
-
-  (* Worker hot path: encode into the worker's private buffer, probe the
-     shared table on the slice. [`Value]/[`Busy] probes allocate nothing;
-     only a fresh claim materializes the key (inside the table, which
-     hands it back — the buffer will be reused by the children before
-     [resolve] needs the key). Ring fingerprints are recomputed from the
-     slice only when tracing is on. *)
-  let rec shared_value ~abort ~prune sm w depth s =
-    if depth > w.w_depth then w.w_depth <- depth;
-    let b = w.w_buf in
-    Key.reset b;
-    G.encode_into s b;
-    match sm.sm_probe b ~owner:w.wid with
-    | `Value v ->
-        w.w_hits <- w.w_hits + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Claim_hit
-            (Par.Slice_tbl.hash_slice (Key.data b) (Key.length b))
-            depth;
-        v
-    | `Busy o when o = w.wid -> raise Cyclic
-    | `Busy o ->
-        w.w_claim_misses <- w.w_claim_misses + 1;
-        if Obs.Ring.enabled () then Obs.Ring.record Obs.Ring.Claim_miss o depth;
-        (* the await needs the key after the buffer has been clobbered *)
-        let key = Key.contents b in
-        help ~abort ~prune sm w depth s key
-    | `Claimed key ->
-        w.w_misses <- w.w_misses + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_expand
-            (Par.Slice_tbl.hash_string key)
-            depth;
-        let v =
-          match G.moves s with
-          | [] ->
-              if Obs.Ring.enabled () then
-                Obs.Ring.record Obs.Ring.Solver_terminal
-                  (Par.Slice_tbl.hash_string key)
-                  depth;
-              G.terminal_value s
-          | ms ->
-              fold_value ~prune
-                ~on_prune:(fun () ->
-                  w.w_pruned <- w.w_pruned + 1;
-                  if Obs.Ring.enabled () then
-                    Obs.Ring.record Obs.Ring.Solver_prune
-                      (Par.Slice_tbl.hash_string key)
-                      depth)
-                ~child:(fun d s' -> shared_value ~abort ~prune sm w d s')
-                depth s ms
-        in
-        sm.sm_resolve key v;
-        v
-
-  (* Another worker owns the claim on [s]. Evaluate [s]'s children
-     through the shared table — the claim protocol hands each to exactly
-     one worker, so this is the owner's own pending work, not a
-     duplicate — then wait for the owner's exact value. Note the helper
-     never computes a value for [s] itself: [s]'s value must come from
-     the owner's single [fold_value], or prune-cut folds could disagree
-     with it. *)
-  and help ~abort ~prune sm w depth s key =
-    (* the whole helping protocol — evaluating the busy state's children
-       plus the await spin — is claim-miss overhead; tag its allocations
-       so the profiler can separate it from first-visit expansion *)
-    let prev_phase = Obs.Memprof.phase () in
-    Obs.Memprof.set_phase (Some Obs.Memprof.Claim_wait);
-    (match G.moves s with
-    | [] -> ()
-    | ms ->
-        List.iter
-          (fun m ->
-            match G.apply s m with
-            | G.Det s' ->
-                ignore (shared_value ~abort ~prune sm w (depth + 1) s')
-            | G.Chance dist ->
-                List.iter
-                  (fun (_, s') ->
-                    ignore (shared_value ~abort ~prune sm w (depth + 1) s'))
-                  dist)
-          ms);
-    let rec await probes =
-      match sm.sm_get key with
-      | Some v -> v
-      | None ->
-          if Atomic.get abort then raise Abort;
-          (* short spins first: with a core per domain the owner is
-             folding over children that are all resolved now, so the
-             wait is brief. If the value still hasn't appeared after
-             ~256 probes the owner is likely preempted (more domains
-             than cores) — sleep so it can actually run; cpu_relax
-             never releases the core and would burn the owner's whole
-             timeslice. *)
-          if probes < 256 then
-            for _ = 1 to 32 do
-              Domain.cpu_relax ()
-            done
-          else Unix.sleepf 0.0002;
-          await (probes + 1)
-    in
-    let v = await 0 in
-    Obs.Memprof.set_phase prev_phase;
-    v
-
   let merge_by_domain workers =
     let tbl : (int, stats) Hashtbl.t = Hashtbl.create 8 in
     Array.iter
@@ -860,24 +761,139 @@ module Make (G : GAME) = struct
         let s =
           Option.value
             ~default:{ states = 0; memo_hits = 0; memo_misses = 0; max_depth = 0 }
-            (Hashtbl.find_opt tbl w.w_domain)
+            (Hashtbl.find_opt tbl w.domain)
         in
-        Hashtbl.replace tbl w.w_domain
+        Hashtbl.replace tbl w.domain
           {
-            states = s.states + w.w_misses;
-            memo_hits = s.memo_hits + w.w_hits;
-            memo_misses = s.memo_misses + w.w_misses;
-            max_depth = max s.max_depth w.w_depth;
+            states = s.states + w.misses;
+            memo_hits = s.memo_hits + w.hits;
+            memo_misses = s.memo_misses + w.misses;
+            max_depth = max s.max_depth w.max_depth;
           })
       workers;
     Hashtbl.fold (fun domain_id stats acc -> { domain_id; stats } :: acc) tbl []
     |> List.sort (fun a b -> compare a.domain_id b.domain_id)
 
+  (* Run [jobs] workers over the shared memo [m] until every frontier
+     leaf is evaluated, merge their counters into [main], and return the
+     leaf values. [distinct ()] is the number of states the region
+     resolved in [m]. *)
+  let run_workers ?pool ~prune ~jobs m ~distinct leaves =
+    let deques = Array.init jobs (fun _ -> Par.Deque.create ()) in
+    Array.iteri (fun i _ -> Par.Deque.push deques.(i mod jobs) i) leaves;
+    let abort = Atomic.make false in
+    let workers =
+      Array.init jobs (fun wid ->
+          make_counters ~wid ~hit_tag:Obs.Ring.Claim_hit ~abort
+            ~progress_interval:max_int)
+    in
+    (* leaf values are published to the caller by the pool region's
+       join; each index is written exactly once (deque items are handed
+       out exactly once), so NaN survives only on a bug *)
+    let values = Array.make (Array.length leaves) Float.nan in
+    let first_error : exn option Atomic.t = Atomic.make None in
+    let eval_leaf w i =
+      Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
+      let s, depth = leaves.(i) in
+      values.(i) <- solve_at ~prune m w depth s
+    in
+    let worker_loop wid =
+      let w = workers.(wid) in
+      w.domain <- (Domain.self () :> int);
+      Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
+      (* drain the local deque LIFO; when empty, sweep the other deques
+         for the oldest leaf. Leaves are only pushed before the region
+         starts, so a sweep seeing every deque [Empty] means no work
+         will ever appear again — but a [Contended] verdict is
+         inconclusive (the CAS lost to another thief), so the sweep
+         restarts after a backoff. *)
+      let rec drain () =
+        match Par.Deque.pop deques.(wid) with
+        | Some i ->
+            eval_leaf w i;
+            drain ()
+        | None ->
+            Obs.Memprof.set_phase (Some Obs.Memprof.Steal);
+            hunt 0 false
+      and hunt k contended =
+        if Atomic.get abort then ()
+        else if k >= jobs - 1 then begin
+          if contended then begin
+            Domain.cpu_relax ();
+            hunt 0 false
+          end
+        end
+        else
+          let victim = (wid + 1 + k) mod jobs in
+          match Par.Deque.steal deques.(victim) with
+          | Par.Deque.Stolen i ->
+              w.steals <- w.steals + 1;
+              if Obs.Ring.enabled () then
+                Obs.Ring.record Obs.Ring.Steal victim i;
+              eval_leaf w i;
+              drain ()
+          | Par.Deque.Contended -> hunt (k + 1) true
+          | Par.Deque.Empty -> hunt (k + 1) contended
+      in
+      (* a worker that fails publishes the exception and trips the abort
+         flag so the others stop waiting on its claims; workers
+         themselves always return normally, and the caller re-raises the
+         first real error after the region joins *)
+      try drain () with
+      | Abort -> ()
+      | e ->
+          ignore (Atomic.compare_and_set first_error None (Some e));
+          Atomic.set abort true
+    in
+    (match pool with
+    | Some pool -> Par.Pool.scatter pool ~n:jobs worker_loop
+    | None ->
+        Par.Pool.with_pool ~jobs (fun pool ->
+            Par.Pool.scatter pool ~n:jobs worker_loop));
+    Option.iter raise (Atomic.get first_error);
+    (* Deterministic merge of the per-worker counters into [main]. With
+       the shared memo every state is evaluated exactly once, so the
+       summed misses equal the distinct-state count and [stats ()]
+       reports the same explored figure as a sequential solve of the
+       same root. *)
+    let distinct = distinct () in
+    let sum f = Array.fold_left (fun a w -> a + f w) 0 workers in
+    let total = sum (fun w -> w.misses) in
+    Array.iter
+      (fun w ->
+        main.hits <- main.hits + w.hits;
+        main.misses <- main.misses + w.misses;
+        main.max_depth <- max main.max_depth w.max_depth;
+        main.prune_cuts <- main.prune_cuts + w.prune_cuts)
+      workers;
+    main.states <- main.states + distinct;
+    let steals = sum (fun w -> w.steals) in
+    let claim_misses = sum (fun w -> w.claim_misses) in
+    Obs.Metrics.add M.steals steals;
+    Obs.Metrics.add M.claim_misses claim_misses;
+    last_par :=
+      Some
+        {
+          domains = merge_by_domain workers;
+          distinct_keys = distinct;
+          (* exactly-once evaluation: no key is ever claimed twice *)
+          duplicated_keys = 0;
+          duplicated_work_pct =
+            (if total = 0 then 0.0
+             else
+               100.0 *. float_of_int (total - distinct) /. float_of_int total);
+          steals;
+          claim_hits = sum (fun w -> w.hits);
+          claim_misses;
+          pruned_subtrees = sum (fun w -> w.prune_cuts);
+        };
+    values
+
   let value_par ?pool ?memo_budget ?(prune = false) ~jobs s =
     if jobs <= 1 then value ?memo_budget ~prune s
     else
-      root_call default "mdp.value_par" @@ fun () ->
-      arm_store default (effective_budget memo_budget);
+      root_call "mdp.value_par" @@ fun () ->
+      arm_store (effective_budget memo_budget);
       let plan, leaves = compile (frontier ~jobs s) in
       let nleaves = Array.length leaves in
       Log.info (fun f -> f "value_par: %d frontier states on %d jobs" nleaves jobs);
@@ -886,17 +902,17 @@ module Make (G : GAME) = struct
         (* Frontier smaller than the worker count: the game is too small
            to occupy the pool, and spawning domains + claim traffic costs
            more than the whole solve (the sub-1x PAR rows on tiny games).
-           Solve sequentially on the calling instance — bit-identical by
-           the same argument as the worker path — and synthesize the
-           telemetry honestly from the instance delta: one domain, one
-           miss per distinct state, nothing stolen or claimed. *)
+           Solve sequentially — bit-identical by the same argument as the
+           worker path — and synthesize the telemetry honestly from the
+           counter delta: one domain, one miss per distinct state,
+           nothing stolen or claimed. *)
         Log.info (fun f ->
             f "value_par: frontier %d < jobs %d, sequential fallback" nleaves
               jobs);
-        let before = stats_of default in
-        let pruned_before = default.prune_cuts in
-        let v = value_at ~prune default 0 s in
-        let after = stats_of default in
+        let before = stats_of main in
+        let pruned_before = main.prune_cuts in
+        let v = solve ~prune 0 s in
+        let after = stats_of main in
         let delta =
           {
             states = after.states - before.states;
@@ -916,418 +932,28 @@ module Make (G : GAME) = struct
               steals = 0;
               claim_hits = 0;
               claim_misses = 0;
-              pruned_subtrees = default.prune_cuts - pruned_before;
+              pruned_subtrees = main.prune_cuts - pruned_before;
             };
         v
       end
-      else begin
-        (* Workers share one exactly-once memo. Unbudgeted solves get a
-           fresh in-RAM [Par.Sharded_tbl], exactly as before; a budgeted
-           solve runs over the instance's persistent spillable store, and
+      else
+        (* Unbudgeted solves share a fresh in-RAM [Par.Sharded_tbl]; a
+           budgeted solve runs over the persistent spillable store, and
            the distinct-state count is the resolved-count delta across
-           the region (the store may carry entries from earlier solves). *)
-        let sm, distinct_after =
-          match default.store with
+           the region (the store may carry entries from earlier
+           solves). *)
+        let values =
+          match !store with
           | Some st ->
               let base = Store.Memo.resolved st in
-              ( {
-                  sm_probe =
-                    (fun b ~owner ->
-                      Store.Memo.find_or_claim_slice st (Key.data b)
-                        ~len:(Key.length b) ~owner);
-                  sm_resolve = Store.Memo.resolve st;
-                  sm_get = Store.Memo.get st;
-                },
-                fun () -> Store.Memo.resolved st - base )
+              run_workers ?pool ~prune ~jobs (store_memo st)
+                ~distinct:(fun () -> Store.Memo.resolved st - base)
+                leaves
           | None ->
-              let tbl : float Par.Sharded_tbl.t = Par.Sharded_tbl.create () in
-              ( {
-                  sm_probe =
-                    (fun b ~owner ->
-                      Par.Sharded_tbl.find_or_claim_slice tbl (Key.data b)
-                        ~len:(Key.length b) ~owner);
-                  sm_resolve = Par.Sharded_tbl.resolve tbl;
-                  sm_get = (fun k -> Par.Sharded_tbl.get tbl k);
-                },
-                fun () -> Par.Sharded_tbl.resolved tbl )
+              let tbl = Par.Sharded_tbl.create () in
+              run_workers ?pool ~prune ~jobs (sharded_memo tbl)
+                ~distinct:(fun () -> Par.Sharded_tbl.resolved tbl)
+                leaves
         in
-        let deques = Array.init jobs (fun _ -> Par.Deque.create ()) in
-        Array.iteri (fun i _ -> Par.Deque.push deques.(i mod jobs) i) leaves;
-        let workers =
-          Array.init jobs (fun wid ->
-              {
-                wid;
-                w_buf = Key.create ();
-                w_domain = -1;
-                w_hits = 0;
-                w_misses = 0;
-                w_depth = 0;
-                w_claim_misses = 0;
-                w_steals = 0;
-                w_pruned = 0;
-              })
-        in
-        (* leaf values are published to the caller by the pool region's
-           join; each index is written exactly once (deque items are
-           handed out exactly once), so NaN survives only on a bug *)
-        let values = Array.make nleaves Float.nan in
-        let abort = Atomic.make false in
-        let first_error : exn option Atomic.t = Atomic.make None in
-        let eval_leaf w i =
-          Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
-          let s, depth = leaves.(i) in
-          values.(i) <- shared_value ~abort ~prune sm w depth s
-        in
-        let worker_loop wid =
-          let w = workers.(wid) in
-          w.w_domain <- (Domain.self () :> int);
-          Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
-          (* drain the local deque LIFO; when empty, sweep the other
-             deques for the oldest leaf. Leaves are only pushed before
-             the region starts, so a sweep seeing every deque [Empty]
-             means no work will ever appear again — but a [Contended]
-             verdict is inconclusive (the CAS lost to another thief),
-             so the sweep restarts after a backoff. *)
-          let rec drain () =
-            match Par.Deque.pop deques.(wid) with
-            | Some i ->
-                eval_leaf w i;
-                drain ()
-            | None ->
-                Obs.Memprof.set_phase (Some Obs.Memprof.Steal);
-                hunt 0 false
-          and hunt k contended =
-            if Atomic.get abort then ()
-            else if k >= jobs - 1 then begin
-              if contended then begin
-                Domain.cpu_relax ();
-                hunt 0 false
-              end
-            end
-            else
-              let victim = (wid + 1 + k) mod jobs in
-              match Par.Deque.steal deques.(victim) with
-              | Par.Deque.Stolen i ->
-                  w.w_steals <- w.w_steals + 1;
-                  if Obs.Ring.enabled () then
-                    Obs.Ring.record Obs.Ring.Steal victim i;
-                  eval_leaf w i;
-                  drain ()
-              | Par.Deque.Contended -> hunt (k + 1) true
-              | Par.Deque.Empty -> hunt (k + 1) contended
-          in
-          (* a worker that fails publishes the exception and trips the
-             abort flag so the others stop waiting on its claims; workers
-             themselves always return normally, and the caller re-raises
-             the first real error after the region joins *)
-          try drain () with
-          | Abort -> ()
-          | e ->
-              ignore (Atomic.compare_and_set first_error None (Some e));
-              Atomic.set abort true
-        in
-        (match pool with
-        | Some pool -> Par.Pool.scatter pool ~n:jobs worker_loop
-        | None ->
-            Par.Pool.with_pool ~jobs (fun pool ->
-                Par.Pool.scatter pool ~n:jobs worker_loop));
-        (match Atomic.get first_error with
-        | Some e -> raise e
-        | None -> ());
-        (* Deterministic merge of the per-worker counters into the calling
-           instance. With the shared memo every state is evaluated exactly
-           once, so the summed misses equal the distinct-state count and
-           [stats ()] reports the same explored figure as a sequential
-           solve of the same root. *)
-        let distinct = distinct_after () in
-        let total = ref 0 in
-        Array.iter
-          (fun w ->
-            total := !total + w.w_misses;
-            default.hits <- default.hits + w.w_hits;
-            default.misses <- default.misses + w.w_misses;
-            default.max_depth <- max default.max_depth w.w_depth;
-            default.prune_cuts <- default.prune_cuts + w.w_pruned)
-          workers;
-        default.states <- default.states + distinct;
-        let steals =
-          Array.fold_left (fun a w -> a + w.w_steals) 0 workers
-        in
-        let claim_hits = Array.fold_left (fun a w -> a + w.w_hits) 0 workers in
-        let claim_misses =
-          Array.fold_left (fun a w -> a + w.w_claim_misses) 0 workers
-        in
-        let pruned_subtrees =
-          Array.fold_left (fun a w -> a + w.w_pruned) 0 workers
-        in
-        Obs.Metrics.add M.steals steals;
-        Obs.Metrics.add M.claim_misses claim_misses;
-        last_par :=
-          Some
-            {
-              domains = merge_by_domain workers;
-              distinct_keys = distinct;
-              (* exactly-once evaluation: no key is ever claimed twice *)
-              duplicated_keys = 0;
-              duplicated_work_pct =
-                (if !total = 0 then 0.0
-                 else
-                   100.0
-                   *. float_of_int (!total - distinct)
-                   /. float_of_int !total);
-              steals;
-              claim_hits;
-              claim_misses;
-              pruned_subtrees;
-            };
         eval_plan values plan
-      end
-end
-
-(* ---- in-place solving ---------------------------------------------------
-
-   The sequential recursion over a GAME_INPLACE: the entire DFS runs on
-   ONE working state. Exploring a child is do-move / recurse / restore —
-   the per-edge state copy of the pure solver (a fresh record tree per
-   [G.apply]) disappears, and with the slice-probing memo the whole
-   expansion loop allocates only the per-expansion move closure and the
-   memo entry of each distinct state.
-
-   Values are bit-identical to [Make] over the pure presentation of the
-   same game provided the two presentations agree move-for-move: same
-   move order (ascending ids here, so the pure [moves] list must be
-   ascending), same branch order and probabilities, and byte-identical
-   [encode_into]. The folds below mirror [fold_value] line for line —
-   Float.max from neg_infinity over moves, left-to-right
-   [partial +. (p *. v)] from 0.0 over chance branches, and the same two
-   interval cuts in the same positions — so induction over the shared
-   acyclic state DAG gives bitwise equality. *)
-module Make_inplace (G : GAME_INPLACE) = struct
-  let default = make_instance ()
-
-  let set_progress ?(interval_states = default_progress_interval) hook =
-    default.progress_interval <- max 1 interval_states;
-    default.progress_hook <- hook
-
-  let stats () = stats_of default
-
-  let bound_lo = ref 0.0
-  let bound_hi = ref 1.0
-  let prune_audit = ref false
-
-  let set_bounds ~lo ~hi =
-    if not (lo <= hi) then
-      invalid_arg "Mdp.Solver.set_bounds: need lo <= hi";
-    bound_lo := lo;
-    bound_hi := hi
-
-  let bounds () = (!bound_lo, !bound_hi)
-  let set_prune_audit b = prune_audit := b
-
-  (* index of the lowest set bit: moves fold in ascending id order *)
-  let rec lowest m i = if m land 1 = 1 then i else lowest (m lsr 1) (i + 1)
-
-  (* same backend dispatch as [Make.value_at]: the budgeted path swaps
-     the [In_progress]/[Value] overwrite for the store's claim/resolve,
-     which is the same exactly-once discipline, so counts and values are
-     bit-identical; the unbudgeted path pays one [None] check *)
-  let rec value_at ~prune i depth s =
-    match i.store with
-    | None -> ram_value ~prune i depth s
-    | Some st -> store_value ~prune i st depth s
-
-  and ram_value ~prune i depth s =
-    if depth > i.max_depth then i.max_depth <- depth;
-    let b = i.keybuf in
-    Key.reset b;
-    G.encode_into s b;
-    let e =
-      Par.Slice_tbl.probe_slice i.memo (Key.data b) ~len:(Key.length b)
-        ~default:In_progress
-    in
-    if Par.Slice_tbl.last_was_new i.memo then begin
-      i.misses <- i.misses + 1;
-      if Obs.Ring.enabled () then
-        Obs.Ring.record Obs.Ring.Solver_expand e.Par.Slice_tbl.hash depth;
-      progress_tick i;
-      let mask = G.moves s in
-      let v =
-        if mask = 0 then begin
-          if Obs.Ring.enabled () then
-            Obs.Ring.record Obs.Ring.Solver_terminal e.Par.Slice_tbl.hash
-              depth;
-          G.terminal_value s
-        end
-        else fold_moves ~prune i depth s mask e.Par.Slice_tbl.hash
-      in
-      e.Par.Slice_tbl.value <- Value v;
-      i.states <- i.states + 1;
-      v
-    end
-    else
-      match e.Par.Slice_tbl.value with
-      | Value v ->
-          i.hits <- i.hits + 1;
-          if Obs.Ring.enabled () then
-            Obs.Ring.record Obs.Ring.Solver_hit e.Par.Slice_tbl.hash depth;
-          v
-      | In_progress -> raise Cyclic
-
-  and store_value ~prune i st depth s =
-    if depth > i.max_depth then i.max_depth <- depth;
-    let b = i.keybuf in
-    Key.reset b;
-    G.encode_into s b;
-    match
-      Store.Memo.find_or_claim_slice st (Key.data b) ~len:(Key.length b)
-        ~owner:0
-    with
-    | `Value v ->
-        i.hits <- i.hits + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_hit
-            (Par.Slice_tbl.hash_slice (Key.data b) (Key.length b))
-            depth;
-        v
-    | `Busy _ -> raise Cyclic
-    | `Claimed key ->
-        i.misses <- i.misses + 1;
-        let h = Par.Slice_tbl.hash_string key in
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_expand h depth;
-        progress_tick i;
-        let mask = G.moves s in
-        let v =
-          if mask = 0 then begin
-            if Obs.Ring.enabled () then
-              Obs.Ring.record Obs.Ring.Solver_terminal h depth;
-            G.terminal_value s
-          end
-          else fold_moves ~prune i depth s mask h
-        in
-        Store.Memo.resolve st key v;
-        i.states <- i.states + 1;
-        v
-
-  (* do-move / recurse / restore: the only state "copy" is the journal
-     entries the move itself writes *)
-  and branch_value ~prune i depth s m j =
-    let u = G.checkpoint s in
-    G.apply s ~move:m ~branch:j;
-    let v = value_at ~prune i (depth + 1) s in
-    G.restore s u;
-    v
-
-  (* mirror of [fold_value]'s [chance]: same fold direction, same cut,
-     same audit re-evaluation *)
-  and chance_value ~prune i depth s m n acc h =
-    let hi = !bound_hi in
-    let audit = !prune_audit in
-    let rec full partial j =
-      if j >= n then partial
-      else
-        let p = G.prob s m j in
-        full (partial +. (p *. branch_value ~prune i depth s m j)) (j + 1)
-    in
-    let upper partial j =
-      let u = ref partial in
-      for l = j to n - 1 do
-        u := !u +. (G.prob s m l *. hi)
-      done;
-      !u
-    in
-    let rec go partial j =
-      if j >= n then partial
-      else if prune && upper partial j <= acc then begin
-        i.prune_cuts <- i.prune_cuts + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_prune h depth;
-        if audit then begin
-          let v = full partial j in
-          if Float.max acc v <> acc then
-            raise
-              (Prune_unsound
-                 (Fmt.str
-                    "chance cut at depth %d: bound %.17g <= acc %.17g but \
-                     full value %.17g beats it"
-                    depth (upper partial j) acc v));
-          v
-        end
-        else partial
-      end
-      else
-        let p = G.prob s m j in
-        go (partial +. (p *. branch_value ~prune i depth s m j)) (j + 1)
-    in
-    go 0.0 0
-
-  and fold_moves ~prune i depth s mask0 h =
-    let hi = !bound_hi in
-    let audit = !prune_audit in
-    let move_value acc m =
-      match G.branches s m with
-      | 0 -> branch_value ~prune i depth s m 0
-      | n -> chance_value ~prune i depth s m n acc h
-    in
-    let rec full acc mask =
-      if mask = 0 then acc
-      else
-        let m = lowest mask 0 in
-        let v = move_value acc m in
-        full (Float.max acc v) (mask land (mask - 1))
-    in
-    let rec go acc mask =
-      if mask = 0 then acc
-      else if prune && acc >= hi then begin
-        i.prune_cuts <- i.prune_cuts + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_prune h depth;
-        if audit then begin
-          let v = full acc mask in
-          if v <> acc then
-            raise
-              (Prune_unsound
-                 (Fmt.str
-                    "max cut at depth %d: acc %.17g >= hi %.17g but full \
-                     fold reaches %.17g"
-                    depth acc hi v));
-          v
-        end
-        else acc
-      end
-      else
-        let m = lowest mask 0 in
-        let v = move_value acc m in
-        go (Float.max acc v) (mask land (mask - 1))
-    in
-    go neg_infinity mask0
-
-  let value ?memo_budget ?(prune = false) s =
-    arm_store default (effective_budget memo_budget);
-    default.solve_start <- Obs.Span.now_us ();
-    default.solve_base_misses <- default.misses;
-    let before = stats_of default in
-    let pruned_before = default.prune_cuts in
-    let prev_phase = Obs.Memprof.phase () in
-    Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
-    let finish () =
-      Obs.Memprof.set_phase prev_phase;
-      publish_delta before (stats_of default);
-      Obs.Metrics.add M.pruned (default.prune_cuts - pruned_before)
-    in
-    match
-      Obs.Span.time ~observe:M.solve_seconds "mdp.value" (fun () ->
-          value_at ~prune default 0 s)
-    with
-    | v, _ ->
-        finish ();
-        v
-    | exception e ->
-        finish ();
-        raise e
-
-  let store_stats () = Option.map Store.Memo.stats default.store
-  let explored () = default.states
-  let pruned_subtrees () = default.prune_cuts
-  let reset () = reset_instance default
 end

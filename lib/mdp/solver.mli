@@ -8,7 +8,14 @@
     probability-weighted average, at terminal states the indicator of the
     bad outcome. This module computes that value by top-down dynamic
     programming with memoization (the model must be acyclic, which holds for
-    terminating programs; a cycle raises [Cyclic]). *)
+    terminating programs; a cycle raises [Cyclic]).
+
+    Every engine — sequential or parallel, pruned or not, in RAM or under
+    a memo budget — runs one recursion over one find-or-claim memo
+    interface, backed by {!Par.Slice_tbl} (sequential, in RAM),
+    {!Par.Sharded_tbl} (parallel, in RAM) or {!Store.Memo} (budgeted).
+    Each state is evaluated once, by the same fold, so values are
+    bit-identical across engines. *)
 
 (** A game model. States must be pure data; memoization keys them by the
     canonical [encode] string. *)
@@ -46,57 +53,6 @@ module type GAME = sig
   val encode_into : state -> Key.buf -> unit
 
   val pp_move : Format.formatter -> move -> unit
-end
-
-(** The zero-copy counterpart of {!GAME}, for {!Make_inplace}: the whole
-    DFS runs on one mutable working state, and exploring a child is
-    do-move / recurse / restore instead of allocating a successor per
-    edge. A game exposes its pure and in-place presentations side by
-    side (e.g. {!Model.Weakener_va} / [Model.Weakener_va_packed]); the
-    solvers produce bit-identical values when the presentations agree
-    move-for-move (see below). *)
-module type GAME_INPLACE = sig
-  (** The single mutable working state. The solver never copies it. *)
-  type state
-
-  (** A restoration token from {!checkpoint} — typically a watermark into
-      an undo journal of (cell, old value) pairs recorded by [apply]. *)
-  type undo
-
-  (** [moves s] is the bitmask of enabled move ids (bit [m] set = move
-      [m] enabled, so at most [Sys.int_size - 1] distinct ids); [0]
-      marks terminal states. The solver folds moves in ascending id
-      order — the pure presentation's [moves] list must be ascending
-      under the same numbering for bit-identical values. *)
-  val moves : state -> int
-
-  (** [branches s m] is [0] if move [m] is deterministic, else the
-      number [n >= 1] of chance branches. Branch order must match the
-      pure presentation's distribution order. *)
-  val branches : state -> int -> int
-
-  (** [prob s m j] is the probability of branch [j] of chance move [m],
-      evaluated on the unmutated parent state. Must equal the pure
-      presentation's probability bitwise (same float expression). *)
-  val prob : state -> int -> int -> float
-
-  val checkpoint : state -> undo
-
-  (** [apply s ~move ~branch] mutates [s] to the successor (deterministic
-      moves take [~branch:0]), recording enough in the journal for
-      {!restore} to rebuild the parent exactly. *)
-  val apply : state -> move:int -> branch:int -> unit
-
-  (** [restore s u] rewinds every mutation made since [checkpoint]
-      returned [u]. Restores must nest LIFO, as the DFS unwinds. *)
-  val restore : state -> undo -> unit
-
-  val terminal_value : state -> float
-
-  (** Same contract as {!GAME.encode_into}: canonical, injective, and
-      byte-identical to the pure presentation's encoding of the same
-      abstract state — the two solvers then memoize identical key sets. *)
-  val encode_into : state -> Key.buf -> unit
 end
 
 exception Cyclic
@@ -207,11 +163,11 @@ val memo_budget : unit -> int option
 module Make (G : GAME) : sig
   (** [value ?prune s] is the optimal (adversary-maximal) probability from
       [s]. With [~prune:true], chance-node children whose interval upper
-      bound (every unevaluated child at the [hi] of [bounds ()]) cannot
-      beat the parent max are cut, and max folds stop once the
-      accumulator reaches [hi] — both cuts are value-exact (the returned
-      value is bit-identical to the unpruned solve; see [set_bounds] for
-      the admissibility requirement), but fewer states are explored, so
+      bound (every unevaluated child at [hi = 1]) cannot beat the parent
+      max are cut, and max folds stop once the accumulator reaches 1 —
+      both cuts are value-exact (the returned value is bit-identical to
+      the unpruned solve; see "Interval pruning" below for the
+      admissibility requirement), but fewer states are explored, so
       [explored ()] may be smaller. Only fully-evaluated state values
       enter the memo, so pruned and unpruned solves may share an
       instance.
@@ -242,7 +198,7 @@ module Make (G : GAME) : sig
       Work counters merge into this instance's [stats]: states/misses
       gain the distinct-state count, hits the shared-memo probe hits.
       Cycle detection is preserved — a worker re-entering its own claim
-      raises [Cyclic], exactly the sequential [In_progress] re-entry.
+      raises [Cyclic], exactly as a sequential solve re-entering a state.
       Progress hooks do not fire from worker domains.
 
       When {!Obs.Ring} tracing is enabled, workers record
@@ -288,24 +244,15 @@ module Make (G : GAME) : sig
 
   (** {2 Interval pruning}
 
-      Branch-and-bound needs an a-priori interval [lo, hi] containing
-      every reachable state's value. Defaults to [(0, 1)] — always
-      admissible for probabilities. Theorem 4.2 gives sharper instance
-      bounds for the weakener games: [Prob\[O_a\]] below and the blunting
-      bound above. Soundness additionally requires [hi] to bound the
-      {e computed} (floating-point) child values, not only the exact
-      ones; this holds for [hi = 1] with power-of-two chance
-      probabilities (every model game), because round-to-nearest is
-      monotone and the products/sums cannot round above a representable
-      1.0. *)
-
-  (** [set_bounds ~lo ~hi] installs the admissible value interval used by
-      [~prune:true] solves. Raises [Invalid_argument] unless [lo <= hi].
-      Instance-global: affects subsequent solves until changed. *)
-  val set_bounds : lo:float -> hi:float -> unit
-
-  (** [bounds ()] is the current [(lo, hi)]. *)
-  val bounds : unit -> float * float
+      The cuts use the a-priori bound [hi = 1] on every state's value.
+      Soundness needs [hi] to bound the {e computed} (floating-point)
+      values, not only the exact ones. Round-to-nearest is monotone, so a
+      chance value never exceeds the left-to-right float sum of its
+      probabilities: exactly 1 for power-of-two coins, and at most 1 for
+      uniform [1/n] choices with [n <= 8] — the iteration choices of
+      ABD^k, VA^k and ghw^k at every [k] solved here. Uniform choices
+      among 9 or 11 outcomes sum to [1 + 2^-52]; check such games with
+      [set_prune_audit]. *)
 
   (** [set_prune_audit true] makes every subsequent pruned solve evaluate
       each would-be cut subtree anyway and raise {!Prune_unsound} if the
@@ -332,38 +279,5 @@ module Make (G : GAME) : sig
       per-solve telemetry baselines (solve start time and the per-solve
       miss base), so a reused instance reports sane [elapsed_s] and
       [states_per_sec] on its next solve. *)
-  val reset : unit -> unit
-end
-
-(** The in-place sequential solver: same memoized expectimax as
-    {!Make.value} — same memo keys, same stats accounting, same
-    [mdp.value] span and [mdp.*] metrics, same progress hooks, same
-    interval-pruning cuts and audit mode — but the recursion explores
-    children by mutate / recurse / undo on the single working state, so
-    an expansion allocates no successor states at all. Values, explored
-    counts and hit/miss sequences are bit-identical to [Make] over the
-    pure presentation of the same game (see {!GAME_INPLACE} for the
-    agreement obligations). There is no parallel entry point: workers
-    would need a working state per domain; use {!Make.value_par} for
-    that. *)
-module Make_inplace (G : GAME_INPLACE) : sig
-  (** [value ?memo_budget ?prune s] — see {!Make.value}. [s] is mutated
-      during the solve and restored (journal-exactly) before
-      returning. *)
-  val value : ?memo_budget:int -> ?prune:bool -> G.state -> float
-
-  val explored : unit -> int
-  val stats : unit -> stats
-
-  (** See {!Make.store_stats}. *)
-  val store_stats : unit -> Store.Memo.stats option
-  val set_bounds : lo:float -> hi:float -> unit
-  val bounds : unit -> float * float
-  val set_prune_audit : bool -> unit
-  val pruned_subtrees : unit -> int
-
-  val set_progress :
-    ?interval_states:int -> (progress -> unit) option -> unit
-
   val reset : unit -> unit
 end

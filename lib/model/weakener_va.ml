@@ -212,40 +212,11 @@ let init ~k : Game.state =
     cread = None;
   }
 
-(* Sequential solves run on the in-place presentation
-   ({!Weakener_va_packed}) — bit-identical values and stats, no per-edge
-   successor allocation. The pure game stays the engine for parallel
-   solves (workers would each need a private working state) and the
-   specification the packed one is tested against. The stats accessors
-   follow whichever engine solved last. *)
-let last_inplace = ref false
-
 let bad_probability ?pool ?memo_budget ?(jobs = 1) ~k () =
-  if jobs <= 1 then begin
-    last_inplace := true;
-    Weakener_va_packed.bad_probability ?memo_budget ~k ()
-  end
-  else begin
-    last_inplace := false;
-    S.value_par ?pool ?memo_budget ~jobs (init ~k)
-  end
+  S.value_par ?pool ?memo_budget ~jobs (init ~k)
 
-let store_stats () =
-  if !last_inplace then Weakener_va_packed.store_stats ()
-  else S.store_stats ()
-
-let explored_states () =
-  if !last_inplace then Weakener_va_packed.explored_states ()
-  else S.explored ()
-
-let reset () =
-  last_inplace := false;
-  S.reset ();
-  Weakener_va_packed.reset ()
-
-let solver_stats () =
-  if !last_inplace then Weakener_va_packed.solver_stats () else S.stats ()
-
-let set_progress ?interval_states hook =
-  S.set_progress ?interval_states hook;
-  Weakener_va_packed.set_progress ?interval_states hook
+let store_stats () = S.store_stats ()
+let explored_states () = S.explored ()
+let reset () = S.reset ()
+let solver_stats () = S.stats ()
+let set_progress = S.set_progress

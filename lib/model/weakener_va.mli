@@ -26,15 +26,12 @@ val init : k:int -> Game.state
     probability that [p2] loops forever with [VA^k] registers. [jobs]
     (default 1) solves the root frontier on that many domains via
     {!Mdp.Solver.Make.value_par}; the value is bit-identical at every job
-    count. Sequential solves ([jobs <= 1]) run on the in-place packed
-    presentation ({!Weakener_va_packed} via
-    {!Mdp.Solver.Make_inplace}) — same value, same stats, no per-edge
-    successor allocation. *)
+    count. *)
 val bad_probability :
   ?pool:Par.Pool.t -> ?memo_budget:int -> ?jobs:int -> k:int -> unit -> float
 
 (** [store_stats ()] — the out-of-core memo's telemetry when a
-    [memo_budget] armed it, from whichever engine solved last. *)
+    [memo_budget] armed it. *)
 val store_stats : unit -> Store.Memo.stats option
 
 val explored_states : unit -> int

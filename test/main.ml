@@ -18,7 +18,6 @@ let () =
       ("model-va", Test_model.va_tests);
       ("adversary", Test_adversary.tests);
       ("par", Test_par.tests);
-      ("solver-inplace", Test_inplace.tests);
       ("solver-par", Test_solver_par.tests);
       ("store", Test_store.tests);
       ("obs", Test_obs.tests);

@@ -54,16 +54,47 @@ let test_par_solver_abd1 () =
         (Abd_solver.value_par ~jobs s))
     [ 2; 4 ]
 
-(* ---- canonical keys agree with structural equality ------------------- *)
+(* ---- canonical keys ------------------------------------------------- *)
 
-(* BFS the reachable states (capped) and require a bijection between
-   structurally distinct states and distinct encode strings: an encode
-   collision between structurally different states would silently merge
-   them in the memo table; a split would only cost speed, but betrays a
-   non-canonical encoder. *)
-let check_encode (type s) (module G : Mdp.Solver.GAME with type state = s)
-    ~(init : s) ~cap name =
-  let by_key : (string, s) Hashtbl.t = Hashtbl.create 1024 in
+(* The five model games, each with a cap on the states a BFS visits. *)
+type game =
+  | Game :
+      (module Mdp.Solver.GAME with type state = 's) * 's * int * string
+      -> game
+
+let games =
+  [
+    Game
+      ( (module Model.Weakener_atomic.Game),
+        Model.Weakener_atomic.init,
+        10_000,
+        "weakener_atomic" );
+    Game
+      ( (module Model.Weakener_abd.Game),
+        Model.Weakener_abd.init ~k:1 (),
+        4_000,
+        "weakener_abd" );
+    Game
+      ( (module Model.Weakener_va.Game),
+        Model.Weakener_va.init ~k:1,
+        4_000,
+        "weakener_va" );
+    Game
+      ( (module Model.Ghw_snapshot_game.Game),
+        Model.Ghw_snapshot_game.init ~k:1,
+        4_000,
+        "ghw_snapshot" );
+    Game
+      ( (module Model.Ghw_multi_game.Game),
+        Model.Ghw_multi_game.init ~k:1,
+        4_000,
+        "ghw_multi" );
+  ]
+
+(* BFS the states reachable from [init], calling [f] on each of the
+   first [cap] distinct ones; returns how many were visited. *)
+let iter_reachable (type s) (module G : Mdp.Solver.GAME with type state = s)
+    ~(init : s) ~cap f =
   let seen : (s, unit) Hashtbl.t = Hashtbl.create 1024 in
   let queue = Queue.create () in
   Queue.add init queue;
@@ -71,15 +102,7 @@ let check_encode (type s) (module G : Mdp.Solver.GAME with type state = s)
     let s = Queue.pop queue in
     if not (Hashtbl.mem seen s) then begin
       Hashtbl.add seen s ();
-      let key = G.encode s in
-      Alcotest.(check string)
-        (Fmt.str "%s: encode is deterministic" name)
-        key (G.encode s);
-      (match Hashtbl.find_opt by_key key with
-      | Some s' ->
-          if s' <> s then
-            Alcotest.failf "%s: encode collision between distinct states" name
-      | None -> Hashtbl.add by_key key s);
+      f s;
       List.iter
         (fun m ->
           match G.apply s m with
@@ -88,31 +111,57 @@ let check_encode (type s) (module G : Mdp.Solver.GAME with type state = s)
         (G.moves s)
     end
   done;
-  Alcotest.(check int)
-    (Fmt.str "%s: one key per distinct state (%d states)" name
-       (Hashtbl.length seen))
-    (Hashtbl.length seen) (Hashtbl.length by_key)
+  Hashtbl.length seen
 
+(* Require a bijection between structurally distinct states and
+   distinct encode strings: an encode collision between structurally
+   different states would silently merge them in the memo table; a
+   split would only cost speed, but betrays a non-canonical encoder. *)
 let test_encode_canonical () =
-  check_encode
-    (module Model.Weakener_atomic.Game)
-    ~init:Model.Weakener_atomic.init ~cap:10_000 "weakener_atomic";
-  check_encode
-    (module Model.Weakener_abd.Game)
-    ~init:(Model.Weakener_abd.init ~k:1 ())
-    ~cap:4_000 "weakener_abd";
-  check_encode
-    (module Model.Weakener_va.Game)
-    ~init:(Model.Weakener_va.init ~k:1)
-    ~cap:4_000 "weakener_va";
-  check_encode
-    (module Model.Ghw_snapshot_game.Game)
-    ~init:(Model.Ghw_snapshot_game.init ~k:1)
-    ~cap:4_000 "ghw_snapshot";
-  check_encode
-    (module Model.Ghw_multi_game.Game)
-    ~init:(Model.Ghw_multi_game.init ~k:1)
-    ~cap:4_000 "ghw_multi"
+  List.iter
+    (fun (Game (g, init, cap, name)) ->
+      let module G = (val g) in
+      let by_key = Hashtbl.create 1024 in
+      let n =
+        iter_reachable (module G) ~init ~cap (fun s ->
+            let key = G.encode s in
+            Alcotest.(check string)
+              (Fmt.str "%s: encode is deterministic" name)
+              key (G.encode s);
+            match Hashtbl.find_opt by_key key with
+            | Some s' ->
+                if s' <> s then
+                  Alcotest.failf "%s: encode collision between distinct states"
+                    name
+            | None -> Hashtbl.add by_key key s)
+      in
+      Alcotest.(check int)
+        (Fmt.str "%s: one key per distinct state (%d states)" name n)
+        n (Hashtbl.length by_key))
+    games
+
+(* The solver probes its memo on a reused buffer slice, so [encode_into]
+   must write exactly [encode]'s bytes through ONE shared buffer across
+   the whole BFS. A stale-cursor or short-reset bug would surface as a
+   prefix/suffix mismatch after the first state whose key is shorter
+   than its predecessor's. *)
+let test_encode_into_reuse () =
+  List.iter
+    (fun (Game (g, init, cap, name)) ->
+      let module G = (val g) in
+      let buf = Mdp.Key.create ~size:8 () in
+      let n =
+        iter_reachable (module G) ~init ~cap (fun s ->
+            Mdp.Key.reset buf;
+            G.encode_into s buf;
+            if not (String.equal (Mdp.Key.contents buf) (G.encode s)) then
+              Alcotest.failf
+                "%s: encode_into under buffer reuse diverged from encode" name)
+      in
+      Alcotest.(check bool)
+        (Fmt.str "%s: visited a real state set" name)
+        true (n > 10))
+    games
 
 (* ---- the pool itself ------------------------------------------------- *)
 
@@ -217,6 +266,8 @@ let tests =
     Alcotest.test_case "value_par = value (ABD^1)" `Slow test_par_solver_abd1;
     Alcotest.test_case "encode agrees with structural equality" `Quick
       test_encode_canonical;
+    Alcotest.test_case "encode_into = encode under buffer reuse" `Quick
+      test_encode_into_reuse;
     Alcotest.test_case "pool map is positional" `Quick test_pool_map_positional;
     Alcotest.test_case "pool re-raises worker exceptions" `Quick
       test_pool_propagates_exception;

@@ -208,82 +208,64 @@ let test_scatter_exactly_once () =
       Par.Pool.scatter pool ~n:5 (fun _ -> incr hit);
       Alcotest.(check int) "jobs=1 runs every index" 5 !hit)
 
-(* ---- determinism battery: value_par = value, prune on/off ------------ *)
-
-(* Fresh solver instances, so this battery cannot interfere with
-   test_par.ml's instances over the same games. *)
-module Atomic_s = Mdp.Solver.Make (Model.Weakener_atomic.Game)
-module Abd_s = Mdp.Solver.Make (Model.Weakener_abd.Game)
-module Va_s = Mdp.Solver.Make (Model.Weakener_va.Game)
-module Ghw_s = Mdp.Solver.Make (Model.Ghw_snapshot_game.Game)
+(* ---- determinism battery: every engine combination ------------------ *)
 
 type 'a harness = {
-  value : ?prune:bool -> 'a -> float;
-  value_par : ?prune:bool -> jobs:int -> 'a -> float;
-  explored : unit -> int;
+  value : ?memo_budget:int -> ?prune:bool -> 'a -> float;
+  value_par : ?memo_budget:int -> ?prune:bool -> jobs:int -> 'a -> float;
+  stats : unit -> Mdp.Solver.stats;
   pruned : unit -> int;
   last : unit -> Mdp.Solver.par_stats option;
+  set_prune_audit : bool -> unit;
   reset : unit -> unit;
 }
 
-let atomic_h =
-  {
-    value = (fun ?prune s -> Atomic_s.value ?prune s);
-    value_par = (fun ?prune ~jobs s -> Atomic_s.value_par ?prune ~jobs s);
-    explored = Atomic_s.explored;
-    pruned = Atomic_s.pruned_subtrees;
-    last = Atomic_s.last_par_stats;
-    reset = Atomic_s.reset;
-  }
+(* Fresh solver instances, so this battery cannot interfere with
+   test_par.ml's instances over the same games. *)
+module Harness (G : Mdp.Solver.GAME) = struct
+  include Mdp.Solver.Make (G)
 
-let abd_h =
-  {
-    value = (fun ?prune s -> Abd_s.value ?prune s);
-    value_par = (fun ?prune ~jobs s -> Abd_s.value_par ?prune ~jobs s);
-    explored = Abd_s.explored;
-    pruned = Abd_s.pruned_subtrees;
-    last = Abd_s.last_par_stats;
-    reset = Abd_s.reset;
-  }
+  let h =
+    {
+      value = (fun ?memo_budget ?prune s -> value ?memo_budget ?prune s);
+      value_par =
+        (fun ?memo_budget ?prune ~jobs s ->
+          value_par ?memo_budget ?prune ~jobs s);
+      stats;
+      pruned = pruned_subtrees;
+      last = last_par_stats;
+      set_prune_audit;
+      reset;
+    }
+end
 
-let va_h =
-  {
-    value = (fun ?prune s -> Va_s.value ?prune s);
-    value_par = (fun ?prune ~jobs s -> Va_s.value_par ?prune ~jobs s);
-    explored = Va_s.explored;
-    pruned = Va_s.pruned_subtrees;
-    last = Va_s.last_par_stats;
-    reset = Va_s.reset;
-  }
+module Atomic_s = Harness (Model.Weakener_atomic.Game)
+module Abd_s = Harness (Model.Weakener_abd.Game)
+module Va_s = Harness (Model.Weakener_va.Game)
+module Ghw_s = Harness (Model.Ghw_snapshot_game.Game)
 
-let ghw_h =
-  {
-    value = (fun ?prune s -> Ghw_s.value ?prune s);
-    value_par = (fun ?prune ~jobs s -> Ghw_s.value_par ?prune ~jobs s);
-    explored = Ghw_s.explored;
-    pruned = Ghw_s.pruned_subtrees;
-    last = Ghw_s.last_par_stats;
-    reset = Ghw_s.reset;
-  }
-
-(* For every job count and prune setting: values bit-identical to the
-   sequential solve. Unpruned parallel solves additionally evaluate each
-   shared-phase state exactly once: summed worker misses equal the
-   table's distinct key count bit-exactly, and no key is ever duplicated
-   — the shared-memo claim protocol's whole point, and the
-   duplicate-share < 5% acceptance bar met at 0. distinct_keys is
-   bounded by the sequential explored count (the root-side plan interior
-   is evaluated by the caller, outside the shared table). *)
-let check_matrix h name init jobs_list =
+(* One memo backend's leg of the matrix: the sequential solve, then
+   [value_par] at each job count with pruning off and on, then a pruned
+   sequential solve. Returns the pruned solve's states and cuts. *)
+let check_leg h name init jobs_list ~seq ~(st_seq : Mdp.Solver.stats)
+    memo_budget =
+  let name =
+    Fmt.str "%s budget=%a" name Fmt.(option ~none:(any "none") int) memo_budget
+  in
+  let n_seq = st_seq.states in
   h.reset ();
-  let seq = h.value init in
-  let n_seq = h.explored () in
+  exact (Fmt.str "%s: seq value" name) seq (h.value ?memo_budget init);
+  let st = h.stats () in
+  Alcotest.(check (list int))
+    (Fmt.str "%s: seq states/hits/misses" name)
+    [ st_seq.states; st_seq.memo_hits; st_seq.memo_misses ]
+    [ st.states; st.memo_hits; st.memo_misses ];
   List.iter
     (fun jobs ->
       List.iter
         (fun prune ->
           h.reset ();
-          let v = h.value_par ~prune ~jobs init in
+          let v = h.value_par ?memo_budget ~prune ~jobs init in
           exact (Fmt.str "%s: value_par jobs=%d prune=%b" name jobs prune) seq v;
           if (not prune) && jobs > 1 then
             match h.last () with
@@ -314,40 +296,98 @@ let check_matrix h name init jobs_list =
     jobs_list;
   (* pruning is sound and monotone sequentially too *)
   h.reset ();
-  let v_pruned = h.value ~prune:true init in
-  exact (Fmt.str "%s: pruned seq value" name) seq v_pruned;
-  let n_pruned = h.explored () in
+  exact (Fmt.str "%s: pruned seq value" name) seq
+    (h.value ?memo_budget ~prune:true init);
+  let n_pruned = (h.stats ()).states in
   Alcotest.(check bool)
     (Fmt.str "%s: pruned explored %d <= unpruned %d" name n_pruned n_seq)
     true (n_pruned <= n_seq);
+  let cuts = h.pruned () in
   h.reset ();
-  (n_seq, n_pruned)
+  (n_pruned, cuts)
+
+(* Every engine combination — sequential or [value_par] at each job
+   count, pruned or not, in RAM or under a memo budget — runs the same
+   recursion and must return the sequential in-RAM value bit for bit.
+   A budget of 1 byte is clamped to the store's 64 KiB floor, so the
+   larger games spill. The budgeted sequential solve keeps the in-RAM
+   solve's states, hits and misses, and the pruned solve's states and
+   cuts agree across backends. Unpruned parallel solves evaluate each
+   shared-phase state exactly once: summed worker misses equal the
+   distinct key count, and no key is ever duplicated. distinct_keys is
+   bounded by the sequential explored count (the root-side plan interior
+   is evaluated by the caller, outside the shared memo). With [~audit]
+   every pruned solve re-evaluates its cuts and raises on one that
+   changed a value. Returns the unpruned sequential stats and the
+   pruned solve's states and cuts. *)
+let check_matrix ?(audit = false) ?(budgets = [ None; Some 1 ]) h name init
+    jobs_list =
+  h.reset ();
+  let seq = h.value init in
+  let st_seq = h.stats () in
+  h.set_prune_audit audit;
+  let legs =
+    Fun.protect
+      ~finally:(fun () -> h.set_prune_audit false)
+      (fun () ->
+        List.map (check_leg h name init jobs_list ~seq ~st_seq) budgets)
+  in
+  let ram = List.hd legs in
+  List.iter
+    (Alcotest.(check (pair int int))
+       (Fmt.str "%s: pruned states and cuts agree across backends" name)
+       ram)
+    legs;
+  (st_seq, ram)
 
 let test_matrix_atomic () =
-  ignore (check_matrix atomic_h "atomic" Model.Weakener_atomic.init [ 1; 2; 4; 8 ])
+  ignore
+    (check_matrix Atomic_s.h "atomic" Model.Weakener_atomic.init [ 1; 2; 4; 8 ])
 
+(* ABD^1's 106k states spill at the 64 KiB floor for tens of seconds at
+   8 jobs, so its budgeted leg runs the store unspilled; test_store.ml
+   spills ABD^1 at jobs 1 and 4. *)
 let test_matrix_abd () =
-  let n_seq, n_pruned =
-    check_matrix abd_h "ABD^1" (Model.Weakener_abd.init ~k:1 ()) [ 2; 4; 8 ]
+  let st_seq, (n_pruned, cuts) =
+    check_matrix ~budgets:[ None; Some (64 lsl 20) ] Abd_s.h "ABD^1"
+      (Model.Weakener_abd.init ~k:1 ())
+      [ 2; 4; 8 ]
   in
   (* ABD^1's value is 1.0, so max cuts must actually fire: pruning
      strictly reduces the explored set here, not just weakly *)
   Alcotest.(check bool)
     (Fmt.str "ABD^1: pruning strictly reduces exploration (%d < %d)" n_pruned
-       n_seq)
-    true (n_pruned < n_seq);
-  Abd_s.reset ();
-  let _ = Abd_s.value ~prune:true (Model.Weakener_abd.init ~k:1 ()) in
-  Alcotest.(check bool)
-    "ABD^1: cuts were taken" true
-    (Abd_s.pruned_subtrees () > 0);
-  Abd_s.reset ()
+       st_seq.states)
+    true
+    (n_pruned < st_seq.states);
+  Alcotest.(check bool) "ABD^1: cuts were taken" true (cuts > 0)
 
 let test_matrix_va () =
-  ignore (check_matrix va_h "VA^1" (Model.Weakener_va.init ~k:1) [ 2; 8 ])
+  ignore (check_matrix Va_s.h "VA^1" (Model.Weakener_va.init ~k:1) [ 2; 8 ])
 
 let test_matrix_ghw () =
-  ignore (check_matrix ghw_h "ghw^1" (Model.Ghw_snapshot_game.init ~k:1) [ 2; 8 ])
+  ignore
+    (check_matrix Ghw_s.h "ghw^1" (Model.Ghw_snapshot_game.init ~k:1) [ 2; 8 ])
+
+(* Chance steps at 1/3, under audit: the iteration choices of VA^3 and
+   ghw^3 are not powers of two, so the cuts' soundness rests on the
+   float sum of three 1/3s not exceeding 1 (see [Mdp.Solver]'s
+   "Interval pruning"). The audit re-checks every cut taken; a plain
+   pruned solve then pins the state and cut counts. *)
+let check_audited h name init ~states ~cuts =
+  let st_seq, _ = check_matrix ~audit:true h name init [ 2; 8 ] in
+  Alcotest.(check int) (name ^ ": states") states st_seq.states;
+  ignore (h.value ~prune:true init);
+  Alcotest.(check int) (name ^ ": cuts") cuts (h.pruned ());
+  h.reset ()
+
+let test_matrix_va3 () =
+  check_audited Va_s.h "VA^3" (Model.Weakener_va.init ~k:3) ~states:15_172
+    ~cuts:270
+
+let test_matrix_ghw3 () =
+  check_audited Ghw_s.h "ghw^3" (Model.Ghw_snapshot_game.init ~k:3)
+    ~states:1_196 ~cuts:37
 
 (* ---- audit mode ------------------------------------------------------ *)
 
@@ -361,15 +401,6 @@ let test_prune_audit_clean () =
   in
   exact "audited pruned value" 0.5 v;
   Atomic_s.reset ()
-
-let test_set_bounds_validation () =
-  (match Atomic_s.set_bounds ~lo:1.0 ~hi:0.0 with
-  | () -> Alcotest.fail "inverted bounds accepted"
-  | exception Invalid_argument _ -> ());
-  Atomic_s.set_bounds ~lo:0.0 ~hi:1.0;
-  let lo, hi = Atomic_s.bounds () in
-  exact "lo" 0.0 lo;
-  exact "hi" 1.0 hi
 
 (* ---- telemetry freshness (the staleness regression) ------------------ *)
 
@@ -439,8 +470,11 @@ let tests =
       test_matrix_abd;
     Alcotest.test_case "matrix: VA^1, jobs 2/8 x prune" `Quick test_matrix_va;
     Alcotest.test_case "matrix: ghw^1, jobs 2/8 x prune" `Quick test_matrix_ghw;
+    Alcotest.test_case "matrix: VA^3 (1/3 chance), audited" `Quick
+      test_matrix_va3;
+    Alcotest.test_case "matrix: ghw^3 (1/3 chance), audited" `Quick
+      test_matrix_ghw3;
     Alcotest.test_case "prune audit mode is clean" `Quick test_prune_audit_clean;
-    Alcotest.test_case "set_bounds validates" `Quick test_set_bounds_validation;
     Alcotest.test_case "par telemetry is never stale" `Quick
       test_par_stats_freshness;
     Alcotest.test_case "par telemetry counter invariants" `Quick
