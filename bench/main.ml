@@ -862,10 +862,9 @@ let par_speedup () =
   add (Fmt.str "exact solve, ABD^%d" solve_k) t_sseq t_spar solve_same;
   (* schema-v3/v4 parallel telemetry: who ran (spawned_domains,
      domain_ids) and what each worker did against the shared memo. The
-     claim protocol evaluates each state exactly once, so the exact
-     duplicate-key figures are 0 by construction (they stay in the
-     document for comparability with pre-rewrite baselines); the v4
-     steal/claim counters show how the work actually moved. *)
+     claim protocol evaluates each state exactly once, so the domains'
+     summed misses equal distinct_keys; the v4 steal/claim counters show
+     how the work actually moved. *)
   let spawned, ids = !domain_info in
   let par_solve_json =
     match Model.Weakener_abd.last_par_stats () with
@@ -890,8 +889,6 @@ let par_speedup () =
                            ])
                        ps.domains) );
                 ("distinct_keys", Obs.Json.Int ps.distinct_keys);
-                ("duplicated_keys", Obs.Json.Int ps.duplicated_keys);
-                ("duplicated_work_pct", Obs.Json.Float ps.duplicated_work_pct);
                 (* schema-v4 work-stealing counters *)
                 ("steals", Obs.Json.Int ps.steals);
                 ("claim_hits", Obs.Json.Int ps.claim_hits);

@@ -21,12 +21,11 @@
 
    --expect-par SECTION (repeatable) asserts the named section carries the
    schema-v3/v4 parallel telemetry: an integer "spawned_domains" >= 1, a
-   non-empty "domain_ids" integer list, and a "par_solve" object with a
-   numeric "duplicated_work_pct", at least one per-domain entry, and the
-   v4 work-stealing counters (steals, claim_hits, claim_misses,
-   pruned_subtrees) — the
-   guard that a multi-job bench run actually published who ran and what
-   each domain's memo table did. *)
+   non-empty "domain_ids" integer list, and a "par_solve" object with at
+   least one per-domain entry, an integer "distinct_keys" and the v4
+   work-stealing counters (steals, claim_hits, claim_misses,
+   pruned_subtrees) — the guard that a multi-job bench run actually
+   published who ran and what each domain's memo table did. *)
 
 let () =
   let expect_no_work = ref []
@@ -136,14 +135,6 @@ let () =
                   | _ -> fail "expected non-empty integer list domain_ids");
                   (match metric "par_solve" with
                   | Some (Obs.Json.Obj _ as ps) ->
-                      (match
-                         Option.bind
-                           (Obs.Json.member "duplicated_work_pct" ps)
-                           Obs.Json.to_number_opt
-                       with
-                      | Some _ -> ()
-                      | None ->
-                          fail "par_solve lacks numeric duplicated_work_pct");
                       (match Obs.Json.member "domains" ps with
                       | Some (Obs.Json.List (_ :: _)) -> ()
                       | _ -> fail "par_solve.domains must be a non-empty list");
@@ -152,8 +143,8 @@ let () =
                           match Obs.Json.member key ps with
                           | Some (Obs.Json.Int n) when n >= 0 -> ()
                           | _ -> fail "par_solve lacks integer %s" key)
-                        [ "steals"; "claim_hits"; "claim_misses";
-                          "pruned_subtrees" ]
+                        [ "distinct_keys"; "steals"; "claim_hits";
+                          "claim_misses"; "pruned_subtrees" ]
                   | _ -> fail "expected par_solve object"))
             !expect_par;
           (if !expect_store then

@@ -8,6 +8,7 @@
      blunting lin-sweep --object abd --trials 50
      blunting trace --registers abd -o weakener.trace.json
      blunting trace analyze ring_dump.json --chrome lanes.json
+     blunting trace analyze --alloc profile.json
      blunting solve -k 1 --jobs 4 --trace-out ring_dump.json
      blunting metrics --workload mc --json
      blunting bench-diff BASELINE.json CURRENT.json
@@ -454,15 +455,28 @@ let trace_cmd =
   in
   (* `blunting trace analyze` — the offline side of the ring-buffer
      tracing: read a dump written by --trace-out (solve or bench) and
-     render the per-domain utilization / hot-state / duplicated-work
-     report, optionally with machine JSON and a Chrome/Perfetto export. *)
+     render the per-domain busy/idle, steal, spill, allocation and
+     adversary-decision report, optionally with machine JSON and a
+     Chrome/Perfetto export. --alloc re-renders a results document's
+     allocation profile instead. *)
   let analyze_cmd =
     let trace_arg =
       Arg.(
-        required
+        value
         & pos 0 (some file) None
         & info [] ~docv:"TRACE"
             ~doc:"Ring dump written by $(b,--trace-out) (blunting-trace/1).")
+    in
+    let alloc_arg =
+      Arg.(
+        value
+        & opt (some file) None
+        & info [ "alloc" ] ~docv:"FILE"
+            ~doc:
+              "Instead of a ring dump, render the $(b,allocation_profile) \
+               block of the results document $(docv) (written by \
+               $(b,--memprof --json) or $(b,blunting profile --json)) as \
+               the named allocation-site table.")
     in
     let json_arg =
       Arg.(
@@ -483,7 +497,8 @@ let trace_cmd =
     let top_arg =
       Arg.(
         value & opt int 10
-        & info [ "top" ] ~docv:"N" ~doc:"Hot states to list (default 10).")
+        & info [ "top" ] ~docv:"N"
+            ~doc:"Allocation sites to list (default 10).")
     in
     let buckets_arg =
       Arg.(
@@ -491,38 +506,72 @@ let trace_cmd =
         & info [ "buckets" ] ~docv:"N"
             ~doc:"Utilization timeline resolution (default 20).")
     in
-    let run () trace json chrome top buckets =
+    let alloc_report ~top path =
+      let fail fmt =
+        Fmt.kstr
+          (fun msg ->
+            Fmt.epr "%s: %s@." path msg;
+            exit 1)
+          fmt
+      in
+      match Obs.Diff.load_file path with
+      | Error e -> fail "%s" e
+      | Ok doc -> (
+          if Obs.Json.member "schema_version" doc = None then
+            fail
+              "not a results document (a ring dump's top allocators are in \
+               the report of `blunting trace analyze %s`)"
+              path;
+          match Obs.Json.member "allocation_profile" doc with
+          | None ->
+              fail
+                "no allocation_profile block — produce one with \
+                 bench/main.exe --memprof --json or blunting profile --json"
+          | Some j -> (
+              match Obs.Memprof.of_json j with
+              | Error e -> fail "%s" e
+              | Ok p -> Fmt.pr "%a@." (Obs.Memprof.pp ~top) p))
+    in
+    let run () trace alloc json chrome top buckets =
       if top < 1 || buckets < 1 then begin
         Fmt.epr "--top and --buckets expect positive integers@.";
         exit 2
       end;
-      match Obs.Ring.load_file trace with
-      | Error e ->
-          Fmt.epr "%s: %s@." trace e;
-          exit 1
-      | Ok dump ->
-          let report = Obs.Trace_analysis.analyze ~top ~buckets dump in
-          Fmt.pr "%a@." Obs.Trace_analysis.pp report;
-          (match json with
-          | Some p ->
-              Obs.Json.write_file p (Obs.Trace_analysis.to_json report);
-              Fmt.pr "report -> %s@." p
-          | None -> ());
-          (match chrome with
-          | Some p ->
-              Obs.Chrome_trace.write_file p (Obs.Ring.chrome_events dump);
-              Fmt.pr "chrome trace -> %s (open at https://ui.perfetto.dev)@." p
-          | None -> ())
+      match (trace, alloc) with
+      | Some _, Some _ | None, None ->
+          Fmt.epr "trace analyze: give either TRACE or --alloc FILE@.";
+          exit 2
+      | None, Some path -> alloc_report ~top path
+      | Some trace, None -> (
+          match Obs.Ring.load_file trace with
+          | Error e ->
+              Fmt.epr "%s: %s@." trace e;
+              exit 1
+          | Ok dump ->
+              let report = Obs.Trace_analysis.analyze ~top ~buckets dump in
+              Fmt.pr "%a@." Obs.Trace_analysis.pp report;
+              (match json with
+              | Some p ->
+                  Obs.Json.write_file p (Obs.Trace_analysis.to_json report);
+                  Fmt.pr "report -> %s@." p
+              | None -> ());
+              match chrome with
+              | Some p ->
+                  Obs.Chrome_trace.write_file p (Obs.Ring.chrome_events dump);
+                  Fmt.pr
+                    "chrome trace -> %s (open at https://ui.perfetto.dev)@." p
+              | None -> ())
     in
     let doc =
-      "Analyze a per-domain ring-buffer trace dump: memo hit rates, hot \
-       states, cross-domain duplicated work, queue depths, adversary \
-       decisions and a utilization timeline."
+      "Analyze a per-domain ring-buffer trace dump: per-domain busy and idle \
+       time, steals, store spills, allocation samples, queue depths, \
+       adversary decisions and a utilization timeline. Memo hit/miss counts \
+       are not traced; every solve prints them exactly."
     in
     Cmd.v (Cmd.info "analyze" ~doc)
       Term.(
-        const run $ verbosity_term $ trace_arg $ json_arg $ chrome_arg
-        $ top_arg $ buckets_arg)
+        const run $ verbosity_term $ trace_arg $ alloc_arg $ json_arg
+        $ chrome_arg $ top_arg $ buckets_arg)
   in
   let doc =
     "Run the weakener once and export the execution as a structured trace \
@@ -791,8 +840,10 @@ let profile_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"PATH"
           ~doc:
-            "Write a results document (schema v5, with the \
-             $(b,allocation_profile) block) to $(docv).")
+            (Fmt.str
+               "Write a results document (schema v%d, with the \
+                $(b,allocation_profile) block) to $(docv)."
+               Obs.Results.schema_version))
   in
   let collapsed_arg =
     Arg.(
@@ -874,7 +925,8 @@ let profile_cmd =
             Obs.Results.row sec ~quantity:("workload " ^ label) ~paper:"n/a"
               ~measured:detail ();
             Obs.Results.write doc ~path;
-            Fmt.pr "results document (schema v5) -> %s@." path
+            Fmt.pr "results document (schema v%d) -> %s@."
+              Obs.Results.schema_version path
         | None -> ())
   in
   let doc =

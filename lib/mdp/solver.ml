@@ -59,8 +59,6 @@ type domain_stats = { domain_id : int; stats : stats }
 type par_stats = {
   domains : domain_stats list;
   distinct_keys : int;
-  duplicated_keys : int;
-  duplicated_work_pct : float;
   steals : int;
   claim_hits : int;
   claim_misses : int;
@@ -69,11 +67,10 @@ type par_stats = {
 
 let pp_par_stats ppf p =
   Fmt.pf ppf
-    "%d domains, %d distinct keys, %d duplicated (%.1f%% of work), %d \
-     steals, %d claim hits / %d claim misses, %d pruned:@,"
-    (List.length p.domains) p.distinct_keys p.duplicated_keys
-    p.duplicated_work_pct p.steals p.claim_hits p.claim_misses
-    p.pruned_subtrees;
+    "%d domains, %d distinct keys, %d steals, %d claim hits / %d claim \
+     misses, %d pruned:@,"
+    (List.length p.domains) p.distinct_keys p.steals p.claim_hits
+    p.claim_misses p.pruned_subtrees;
   List.iter
     (fun d -> Fmt.pf ppf "  domain %d: %a@," d.domain_id pp_stats d.stats)
     p.domains
@@ -233,17 +230,14 @@ let store_memo st =
    worker 0, and a parallel solve runs [jobs] fresh ones over a shared
    backend, merged into the sequential record when the region joins.
    [wid] is the owner id the participant claims under; [keybuf] its
-   private encode buffer; [hit_tag] the ring event its hits record
-   ([Solver_hit] sequentially, [Claim_hit] in a parallel region); [abort]
-   the region's shared failure flag. Progress ticks fire every
-   [progress_interval] misses — workers use [max_int], so they never
-   fire off the calling domain. [domain] is the runtime domain that ran a
-   worker's steal loop (1:1 per solve — a domain may run several workers'
-   loops, but only one after another). *)
+   private encode buffer; [abort] the region's shared failure flag.
+   Progress ticks fire every [progress_interval] misses — workers use
+   [max_int], so they never fire off the calling domain. [domain] is the
+   runtime domain that ran a worker's steal loop (1:1 per solve — a
+   domain may run several workers' loops, but only one after another). *)
 type counters = {
   wid : int;
   keybuf : Key.buf;
-  hit_tag : Obs.Ring.tag;
   abort : bool Atomic.t;
   mutable domain : int;
   mutable hits : int;
@@ -259,11 +253,10 @@ type counters = {
   mutable solve_base_misses : int;  (* misses when the root call began *)
 }
 
-let make_counters ~wid ~hit_tag ~abort ~progress_interval =
+let make_counters ~wid ~abort ~progress_interval =
   {
     wid;
     keybuf = Key.create ();
-    hit_tag;
     abort;
     domain = -1;
     hits = 0;
@@ -319,8 +312,6 @@ let publish_delta (before : stats) (after : stats) =
    would wait forever. *)
 exception Abort
 
-let fingerprint b = Par.Slice_tbl.hash_slice (Key.data b) (Key.length b)
-
 module Make (G : GAME) = struct
   (* The module-level memo and counters behind the [value]/[stats] API:
      the in-RAM table, or the store once a memo budget arms it. *)
@@ -329,8 +320,8 @@ module Make (G : GAME) = struct
   let store : Store.Memo.t option ref = ref None
 
   let main =
-    make_counters ~wid:0 ~hit_tag:Obs.Ring.Solver_hit
-      ~abort:(Atomic.make false) ~progress_interval:default_progress_interval
+    make_counters ~wid:0 ~abort:(Atomic.make false)
+      ~progress_interval:default_progress_interval
 
   let set_progress ?(interval_states = default_progress_interval) hook =
     main.progress_interval <- max 1 interval_states;
@@ -455,11 +446,10 @@ module Make (G : GAME) = struct
      (sequentially every live claim is owner 0's, so there it is the
      only outcome of [`Busy]); another owner's claim is helped, below;
      a fresh claim is evaluated by [fold_value] and resolved. The buffer
-     is dead the moment the probe returns — children clobber it freely,
-     so the ring fingerprint of a claim is taken first. Claim, resolve
-     and count happen at the same points for every backend, so hit,
-     miss and state counts and every value are bit-identical across
-     them. *)
+     is dead the moment the probe returns — children clobber it freely.
+     Claim, resolve and count happen at the same points for every
+     backend, so hit, miss and state counts and every value are
+     bit-identical across them. *)
   let rec solve_at ~prune m c depth s =
     if depth > c.max_depth then c.max_depth <- depth;
     let b = c.keybuf in
@@ -468,35 +458,21 @@ module Make (G : GAME) = struct
     match m.probe b ~owner:c.wid with
     | `Value v ->
         c.hits <- c.hits + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record c.hit_tag (fingerprint b) depth;
         v
     | `Busy o when o = c.wid -> raise Cyclic
-    | `Busy o ->
+    | `Busy _ ->
         c.claim_misses <- c.claim_misses + 1;
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Claim_miss o depth;
         (* the await needs the key after the buffer has been clobbered *)
         help ~prune m c depth s (Key.contents b)
     | `Claimed token ->
         c.misses <- c.misses + 1;
-        (* the enabled () guard keeps the key hash off the untraced path *)
-        let h = if Obs.Ring.enabled () then fingerprint b else 0 in
-        if Obs.Ring.enabled () then
-          Obs.Ring.record Obs.Ring.Solver_expand h depth;
         progress_tick c;
         let v =
           match G.moves s with
-          | [] ->
-              if Obs.Ring.enabled () then
-                Obs.Ring.record Obs.Ring.Solver_terminal h depth;
-              G.terminal_value s
+          | [] -> G.terminal_value s
           | ms ->
               fold_value ~prune
-                ~on_prune:(fun () ->
-                  c.prune_cuts <- c.prune_cuts + 1;
-                  if Obs.Ring.enabled () then
-                    Obs.Ring.record Obs.Ring.Solver_prune h depth)
+                ~on_prune:(fun () -> c.prune_cuts <- c.prune_cuts + 1)
                 ~child:(fun d s' -> solve_at ~prune m c d s')
                 depth s ms
         in
@@ -653,8 +629,8 @@ module Make (G : GAME) = struct
      stealing the oldest leaf from a victim when empty. Every worker
      runs [solve_at] over one shared backend whose find-or-claim
      guarantees exactly one worker evaluates each state (so no work is
-     duplicated — [distinct_keys] equals the sequential state count and
-     [duplicated_keys] is 0 by construction), and the claim protocol
+     duplicated: summed worker misses equal [distinct_keys]), and the
+     claim protocol
      doubles as cycle detection (re-entering your own claim is exactly
      the sequential re-entry).
 
@@ -784,8 +760,7 @@ module Make (G : GAME) = struct
     let abort = Atomic.make false in
     let workers =
       Array.init jobs (fun wid ->
-          make_counters ~wid ~hit_tag:Obs.Ring.Claim_hit ~abort
-            ~progress_interval:max_int)
+          make_counters ~wid ~abort ~progress_interval:max_int)
     in
     (* leaf values are published to the caller by the pool region's
        join; each index is written exactly once (deque items are handed
@@ -828,8 +803,7 @@ module Make (G : GAME) = struct
           match Par.Deque.steal deques.(victim) with
           | Par.Deque.Stolen i ->
               w.steals <- w.steals + 1;
-              if Obs.Ring.enabled () then
-                Obs.Ring.record Obs.Ring.Steal victim i;
+              Obs.Ring.record Obs.Ring.Steal victim i;
               eval_leaf w i;
               drain ()
           | Par.Deque.Contended -> hunt (k + 1) true
@@ -858,7 +832,6 @@ module Make (G : GAME) = struct
        same root. *)
     let distinct = distinct () in
     let sum f = Array.fold_left (fun a w -> a + f w) 0 workers in
-    let total = sum (fun w -> w.misses) in
     Array.iter
       (fun w ->
         main.hits <- main.hits + w.hits;
@@ -876,12 +849,6 @@ module Make (G : GAME) = struct
         {
           domains = merge_by_domain workers;
           distinct_keys = distinct;
-          (* exactly-once evaluation: no key is ever claimed twice *)
-          duplicated_keys = 0;
-          duplicated_work_pct =
-            (if total = 0 then 0.0
-             else
-               100.0 *. float_of_int (total - distinct) /. float_of_int total);
           steals;
           claim_hits = sum (fun w -> w.hits);
           claim_misses;
@@ -927,8 +894,6 @@ module Make (G : GAME) = struct
               domains =
                 [ { domain_id = (Domain.self () :> int); stats = delta } ];
               distinct_keys = delta.memo_misses;
-              duplicated_keys = 0;
-              duplicated_work_pct = 0.0;
               steals = 0;
               claim_hits = 0;
               claim_misses = 0;

@@ -86,28 +86,22 @@ val pp_stats : Format.formatter -> stats -> unit
     id {!Par.Pool.domain_ids} and trace dumps use). Under the shared-memo
     solver a participant's [states] and [memo_misses] both count the
     states it won the claim for and evaluated; [memo_hits] counts its
-    probes answered by an already-resolved entry (recorded as
-    [Claim_hit] in traces). *)
+    probes answered by an already-resolved entry. *)
 type domain_stats = { domain_id : int; stats : stats }
 
 (** Cross-domain telemetry of the most recent [value_par].
     [distinct_keys] is the number of distinct state keys resolved in the
     shared memo — equal to the sequential solve's state count for the
     same root (unpruned). The claim protocol evaluates every key exactly
-    once, so [duplicated_keys] is 0 and [duplicated_work_pct] is 0.0 by
-    construction; the fields remain so results documents can be compared
-    against pre-rewrite baselines, where they measured the work the old
-    private-memo scheme wasted. [steals] counts successful deque steals,
-    [claim_hits]/[claim_misses] the shared-memo probes answered by a
-    resolved value / by another worker's live claim (the helping
-    protocol), and [pruned_subtrees] the interval cuts taken (0 unless
-    [~prune:true]). All exact, unlike the ring-trace estimates of
-    [Obs.Trace_analysis]. *)
+    once, so the domains' summed [memo_misses] equal [distinct_keys].
+    [steals] counts successful deque steals, [claim_hits]/[claim_misses]
+    the shared-memo probes answered by a resolved value / by another
+    worker's live claim (the helping protocol), and [pruned_subtrees] the
+    interval cuts taken (0 unless [~prune:true]). All exact; trace rings
+    carry none of these counts. *)
 type par_stats = {
   domains : domain_stats list;  (** sorted by domain id *)
   distinct_keys : int;
-  duplicated_keys : int;
-  duplicated_work_pct : float;
   steals : int;
   claim_hits : int;
   claim_misses : int;
@@ -201,17 +195,16 @@ module Make (G : GAME) : sig
       raises [Cyclic], exactly as a sequential solve re-entering a state.
       Progress hooks do not fire from worker domains.
 
-      When {!Obs.Ring} tracing is enabled, workers record
-      [Solver_expand] (claim won, evaluation begins), [Claim_hit]
-      (probe answered by a resolved value), [Claim_miss] (probe hit a
-      live claim; helping begins), [Steal] (successful deque steal) and
-      [Solver_prune] (interval cut) events into their domains' rings.
+      When {!Obs.Ring} tracing is enabled, workers record [Steal] events
+      (successful deque steals) into their domains' rings, inside the
+      pool's task slices; memo probes are counted in [last_par_stats],
+      not traced.
 
       With a memo budget armed, the workers share the instance's
       spillable {!Store.Memo} instead of a fresh in-RAM table — same
-      claim protocol, same bit-identical result; [Store_spill],
-      [Store_cache_hit]/[Store_cache_miss] and [Store_evict] events
-      additionally land in the rings. *)
+      claim protocol, same bit-identical result; each sorted run the
+      store writes additionally lands in the rings as a [Store_spill]
+      event. *)
   val value_par :
     ?pool:Par.Pool.t ->
     ?memo_budget:int ->

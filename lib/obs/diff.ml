@@ -60,12 +60,11 @@ let is_soft_key k =
   has "second" || has "time" || has "latency" || has "duration" || has "gc."
   || has "_ns" || has "ns)" || has "words" || has "heap" || has "collection"
   || has "hit_rate" || has "states/s"
-  (* schema-v3/v4 parallel telemetry: per-domain splits, duplicate-key
-     figures and the steal/claim/helping counters depend on how the
-     scheduler interleaved the worker domains, not on the algorithm
-     ("jobs" itself stays a hard key); prune counts move with the
-     evaluation order too *)
-  || has "domain" || has "duplicat" || has "queue" || has "par_solve"
+  (* schema-v3/v4 parallel telemetry: per-domain splits and the
+     steal/claim/helping counters depend on how the scheduler interleaved
+     the worker domains, not on the algorithm ("jobs" itself stays a hard
+     key); prune counts move with the evaluation order too *)
+  || has "domain" || has "queue" || has "par_solve"
   || has "utilization" || has "speedup" || has "steal" || has "claim"
   || has "prune"
   (* out-of-core store telemetry: run/eviction/cache-traffic counts move

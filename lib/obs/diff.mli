@@ -17,9 +17,9 @@
       deterministic and fails hard beyond [value_rtol].
 
     Missing sections or rows degrade to warnings (subset runs via [--only]
-    are routine); new sections and rows are informational. Baselines may be
-    schema v1 while the current run is v2 — both validate, and the version
-    skew is reported as an info finding. *)
+    are routine); new sections and rows are informational. Baseline and
+    current may be any of schema v1–v6 — all validate, and a version skew
+    is reported as an info finding. *)
 
 type severity = Info | Warn | Fail
 
@@ -67,7 +67,7 @@ type report = {
 }
 
 (** [diff ?config ~baseline ~current ()] validates both documents
-    ({!Results.validate}, so v1 and v2 are accepted) and compares them.
+    ({!Results.validate}, so v1–v6 are accepted) and compares them.
     [Error] means a document is unloadable or fails validation — distinct
     from a clean report with [Fail] findings. *)
 val diff : ?config:config -> baseline:Json.t -> current:Json.t -> unit -> (report, string) result

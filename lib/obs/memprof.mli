@@ -105,7 +105,7 @@ val profile : unit -> profile option
 val to_json : profile -> Json.t
 
 (** [of_json j] parses a profile previously rendered by {!to_json} (used
-    by [bench/analyze.exe --alloc] on saved results documents). *)
+    by [blunting trace analyze --alloc] on saved results documents). *)
 val of_json : Json.t -> (profile, string) result
 
 (** [pp ?top ppf p] prints the rollups and the top-[top] (default 20)

@@ -31,10 +31,12 @@
     section [metrics]: ["spawned_domains"] (int), ["domain_ids"] (int
     list) and a ["par_solve"] object — per-domain
     [{"domain", "states", "memo_hits", "memo_misses", "hit_rate"}]
-    entries plus cross-domain ["distinct_keys"], ["duplicated_keys"] and
-    ["duplicated_work_pct"]. v4 added the shared-memo work-stealing
-    counters to the ["par_solve"] object: ["steals"], ["claim_hits"],
-    ["claim_misses"] and ["pruned_subtrees"] (ints). All v3/v4 additions
+    entries plus cross-domain ["distinct_keys"] and two duplicate-work
+    figures, 0 by construction since the claim protocol and no longer
+    written (documents that carry them still validate). v4 added the
+    shared-memo work-stealing counters to the ["par_solve"] object:
+    ["steals"], ["claim_hits"], ["claim_misses"] and ["pruned_subtrees"]
+    (ints). All v3/v4 additions
     live inside the free-form section metrics, so every v4 document is
     structurally valid v2. v5 added an optional top-level
     ["allocation_profile"] object ({!Memprof.to_json}: sampling rate,

@@ -1,8 +1,4 @@
 type tag =
-  | Solver_expand
-  | Solver_hit
-  | Solver_terminal
-  | Solver_prune
   | Pool_task_start
   | Pool_task_stop
   | Pool_idle_start
@@ -17,20 +13,13 @@ type tag =
   | Domain_spawn
   | Domain_stop
   | Steal
-  | Claim_hit
-  | Claim_miss
   | Alloc_sample
   | Store_spill
-  | Store_cache_hit
-  | Store_cache_miss
-  | Store_evict
 
-(* Wire codes are part of the dump format: append only, never renumber. *)
+(* Wire codes are part of the dump format: append only, never renumber.
+   Codes 0-3, 18, 19 and 22-24 belonged to retired per-probe memo events;
+   they stay unassigned so old dumps still load (their events drop). *)
 let tag_code = function
-  | Solver_expand -> 0
-  | Solver_hit -> 1
-  | Solver_terminal -> 2
-  | Solver_prune -> 3
   | Pool_task_start -> 4
   | Pool_task_stop -> 5
   | Pool_idle_start -> 6
@@ -45,30 +34,19 @@ let tag_code = function
   | Domain_spawn -> 15
   | Domain_stop -> 16
   | Steal -> 17
-  | Claim_hit -> 18
-  | Claim_miss -> 19
   | Alloc_sample -> 20
   | Store_spill -> 21
-  | Store_cache_hit -> 22
-  | Store_cache_miss -> 23
-  | Store_evict -> 24
 
 let all_tags =
   [
-    Solver_expand; Solver_hit; Solver_terminal; Solver_prune; Pool_task_start;
-    Pool_task_stop; Pool_idle_start; Pool_idle_stop; Pool_queue_depth;
-    Sim_step; Sim_deliver; Sim_crash; Adv_decision; Gc_minor; Gc_major;
-    Domain_spawn; Domain_stop; Steal; Claim_hit; Claim_miss; Alloc_sample;
-    Store_spill; Store_cache_hit; Store_cache_miss; Store_evict;
+    Pool_task_start; Pool_task_stop; Pool_idle_start; Pool_idle_stop;
+    Pool_queue_depth; Sim_step; Sim_deliver; Sim_crash; Adv_decision; Gc_minor;
+    Gc_major; Domain_spawn; Domain_stop; Steal; Alloc_sample; Store_spill;
   ]
 
 let tag_of_code c = List.find_opt (fun t -> tag_code t = c) all_tags
 
 let tag_name = function
-  | Solver_expand -> "solver_expand"
-  | Solver_hit -> "solver_hit"
-  | Solver_terminal -> "solver_terminal"
-  | Solver_prune -> "solver_prune"
   | Pool_task_start -> "pool_task_start"
   | Pool_task_stop -> "pool_task_stop"
   | Pool_idle_start -> "pool_idle_start"
@@ -83,28 +61,20 @@ let tag_name = function
   | Domain_spawn -> "domain_spawn"
   | Domain_stop -> "domain_stop"
   | Steal -> "steal"
-  | Claim_hit -> "claim_hit"
-  | Claim_miss -> "claim_miss"
   | Alloc_sample -> "alloc_sample"
   | Store_spill -> "store_spill"
-  | Store_cache_hit -> "store_cache_hit"
-  | Store_cache_miss -> "store_cache_miss"
-  | Store_evict -> "store_evict"
 
 (* ---- per-domain rings ------------------------------------------------ *)
 
 (* One event is 4 consecutive [data] slots — tag code, payload a, payload
    b, timestamp in integer µs — so a record touches one cache line
-   instead of four parallel arrays; the instrumented solver competes with
-   its own memo table for cache, and the interleaved layout keeps the
-   tracer's footprint per event minimal. *)
+   instead of four parallel arrays. *)
 type ring = {
   domain : int;
   mask : int;  (* capacity - 1; capacity is a power of two *)
   data : int array;  (* 4 * capacity slots *)
   mutable next : int;  (* total events ever recorded *)
   mutable registered : bool;  (* false after [reset] until the next record *)
-  mutable last_ts : float;  (* clock cache for the solver fast path *)
 }
 
 let enabled_flag = Atomic.make false
@@ -145,7 +115,6 @@ let make_ring () =
       data = Array.make (4 * cap) 0;
       next = 0;
       registered = false;
-      last_ts = 0.0;
     }
   in
   register r;
@@ -153,36 +122,15 @@ let make_ring () =
 
 let ring_key = Domain.DLS.new_key make_ring
 
-(* Solver memo probes fire millions of times per solve and the clock read
-   is the bulk of the record cost, so those tags reuse a cached timestamp
-   refreshed at least every [ts_stride] events (staleness is a few µs —
-   invisible at the analyzer's timeline resolution). Every other tag
-   feeds interval math (task/idle slices, GC phases), so it always reads
-   the clock — and refreshes the cache, keeping per-ring timestamps
-   non-decreasing. *)
-let ts_stride_mask = 63
-
 let record tag a b =
   if Atomic.get enabled_flag then begin
     let r = Domain.DLS.get ring_key in
     if not r.registered then register r;
-    let i = r.next land r.mask in
-    let ts =
-      match tag with
-      | ( Solver_expand | Solver_hit | Solver_terminal | Claim_hit | Claim_miss
-        | Store_cache_hit | Store_cache_miss )
-        when r.next land ts_stride_mask <> 0 ->
-          r.last_ts
-      | _ ->
-          let t = Span.now_us () in
-          r.last_ts <- t;
-          t
-    in
-    let base = 4 * i in
+    let base = 4 * (r.next land r.mask) in
     r.data.(base) <- tag_code tag;
     r.data.(base + 1) <- a;
     r.data.(base + 2) <- b;
-    r.data.(base + 3) <- int_of_float ts;
+    r.data.(base + 3) <- int_of_float (Span.now_us ());
     r.next <- r.next + 1
   end
 
@@ -503,14 +451,6 @@ let chrome_domain_events ~pid d =
       | Adv_decision ->
           instant "adv_decision"
             [ ("enabled", Json.Int e.a); ("chosen", Json.Int e.b) ]
-      | Solver_expand | Solver_hit | Solver_terminal | Solver_prune ->
-          instant (tag_name e.tag)
-            [ ("key", Json.Int e.a); ("depth", Json.Int e.b) ]
-      | Claim_hit ->
-          instant "claim_hit" [ ("key", Json.Int e.a); ("depth", Json.Int e.b) ]
-      | Claim_miss ->
-          instant "claim_miss"
-            [ ("owner", Json.Int e.a); ("depth", Json.Int e.b) ]
       | Steal ->
           instant "steal" [ ("victim", Json.Int e.a); ("item", Json.Int e.b) ]
       | Alloc_sample ->
@@ -519,12 +459,6 @@ let chrome_domain_events ~pid d =
       | Store_spill ->
           instant "store_spill"
             [ ("entries", Json.Int e.a); ("bytes", Json.Int e.b) ]
-      | Store_cache_hit | Store_cache_miss ->
-          instant (tag_name e.tag)
-            [ ("shard", Json.Int e.a); ("block", Json.Int e.b) ]
-      | Store_evict ->
-          instant "store_evict"
-            [ ("shard", Json.Int e.a); ("block", Json.Int e.b) ]
       | Sim_step | Sim_deliver | Sim_crash ->
           instant (tag_name e.tag) [ ("id", Json.Int e.a) ]
       | Domain_spawn | Domain_stop ->

@@ -10,11 +10,17 @@
     timestamp read produces one transient boxed float). When the ring
     wraps, the oldest events are overwritten and counted as dropped.
 
+    The ring holds only events that mark time intervals (pool task and
+    idle slices, GC phases) and rare or decision events (queue depth,
+    domain lifecycle, steals, spills, allocation samples, simulator steps
+    and adversary decisions). Per-probe memo traffic is deliberately not
+    traced: it would evict everything else from the ring, and its counts
+    are kept exactly by [Mdp.Solver.stats]/[last_par_stats] and
+    [Store.Memo.stats], which every solve already reports.
+
     Recording is globally flag-gated ({!set_enabled}); the disabled path
-    is a single atomic load and branch, so permanently-instrumented hot
-    loops ({!Mdp.Solver}, {!Par.Pool}, {!Sim.Runtime}) cost nothing when
-    tracing is off. Callers whose payload computation is itself non-free
-    (hashing a state key) should guard with [if Ring.enabled () then ...].
+    is a single atomic load and branch, so permanently-instrumented loops
+    ({!Par.Pool}, {!Sim.Runtime}) cost nothing when tracing is off.
 
     {!start_runtime_events} additionally subscribes to the OCaml 5
     runtime's own event stream, so GC phases and domain lifecycle land on
@@ -25,14 +31,10 @@
     collected runtime events into one JSON document
     ([{"schema": "blunting-trace/1", ...}]) that {!of_json} reads back —
     the contract between trace capture ([--trace-out]) and the analysis
-    toolchain ({!Trace_analysis}, [blunting trace analyze],
-    [bench/analyze.exe]). [chrome_events] renders the same dump with one
-    Perfetto lane per domain. *)
+    ({!Trace_analysis}, [blunting trace analyze]). [chrome_events]
+    renders the same dump with one Perfetto lane per domain. *)
 
 (** Event tags. Payload conventions ([a], [b]):
-    - solver events: [a] = state-key hash, [b] = recursion depth
-      ([Solver_expand] is a memo miss — evaluation of a new state begins;
-      [Solver_prune] is reserved for the work-stealing solver);
     - pool events: [Pool_task_start]/[stop] bracket one chunk of a
       parallel region ([a] = first index, [b] = one past the last);
       [Pool_idle_start]/[stop] bracket a worker blocking on the queue;
@@ -45,27 +47,16 @@
     - runtime events: [Gc_minor]/[Gc_major] with [a] = 0 (begin) or 1
       (end); [Domain_spawn]/[Domain_stop] from the runtime's lifecycle
       stream;
-    - work-stealing solver events: [Steal] is a successful deque steal
+    - [Steal]: a successful deque steal in the work-stealing solver
       ([a] = victim worker id, [b] = stolen frontier-leaf index);
-      [Claim_hit] is a shared-memo probe that found a resolved value
-      ([a] = state-key hash, [b] = depth); [Claim_miss] is a probe that
-      found another worker's live claim and entered the helping protocol
-      ([a] = the claim's owner worker id, [b] = depth);
     - [Alloc_sample]: a statistical allocation sample from
       {!Obs.Memprof} ([a] = allocation-site hash as in the results
       document's ["allocation_profile"] [site_hash] fields,
       [b] = sampled block size in words);
-    - out-of-core memo store events: [Store_spill] is one sorted run
-      written to a shard's segment file ([a] = entries written,
-      [b] = bytes, header and padding included); [Store_cache_hit]/
-      [Store_cache_miss] are block-cache probes ([a] = shard id,
-      [b] = block index); [Store_evict] is an unpinned block leaving
-      the cache ([a] = shard id, [b] = block index). *)
+    - [Store_spill]: one sorted run of the out-of-core memo written to a
+      shard's segment file ([a] = entries written, [b] = bytes, header
+      and padding included). *)
 type tag =
-  | Solver_expand
-  | Solver_hit
-  | Solver_terminal
-  | Solver_prune
   | Pool_task_start
   | Pool_task_stop
   | Pool_idle_start
@@ -80,13 +71,8 @@ type tag =
   | Domain_spawn
   | Domain_stop
   | Steal
-  | Claim_hit
-  | Claim_miss
   | Alloc_sample
   | Store_spill
-  | Store_cache_hit
-  | Store_cache_miss
-  | Store_evict
 
 (** Stable wire codes for dump files: [tag_code] is injective and
     [tag_of_code (tag_code t) = Some t]. *)
@@ -95,7 +81,7 @@ val tag_code : tag -> int
 val tag_of_code : int -> tag option
 
 (** [tag_name t] is the snake_case name used in dump [tag_names] and
-    reports (e.g. ["solver_hit"]). *)
+    reports (e.g. ["store_spill"]). *)
 val tag_name : tag -> string
 
 (** {1 Recording} *)
@@ -110,14 +96,8 @@ val set_enabled : bool -> unit
     rings keep their size. *)
 val set_capacity : int -> unit
 
-(** [record tag a b] appends an event to the calling domain's ring; a
-    no-op (one atomic load) when disabled. Solver memo-probe tags
-    ([Solver_expand]/[Solver_hit]/[Solver_terminal]/[Claim_hit]/
-    [Claim_miss]/[Store_cache_hit]/[Store_cache_miss]) reuse a cached
-    timestamp refreshed at least every 64 events — they fire millions of
-    times per solve and the clock read dominates the record cost; all
-    other tags (interval and decision events) always read the clock.
-    Timestamps stay non-decreasing within a ring either way. *)
+(** [record tag a b] appends an event, stamped with the clock, to the
+    calling domain's ring; a no-op (one atomic load) when disabled. *)
 val record : tag -> int -> int -> unit
 
 (** [reset ()] discards every ring, all collected runtime events and the
@@ -174,6 +154,6 @@ val load_file : string -> (dump, string) result
 
 (** [chrome_events d] renders the dump as Chrome trace events: pid 0 with
     one named lane per recording domain (task/idle slices, queue-depth
-    counters, instants for solver/simulator events), pid 1 with one lane
+    counters, instants for steal/spill/simulator events), pid 1 with one lane
     per runtime-event ring (GC slices, lifecycle instants). *)
 val chrome_events : dump -> Chrome_trace.event list

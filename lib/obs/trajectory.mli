@@ -12,8 +12,8 @@
 
 type point = { label : string; path : string; doc : Json.t }
 
-(** [of_json ~label ?path doc] validates [doc] ({!Results.validate}; v1 and
-    v2 both accepted) and wraps it as a trajectory point. *)
+(** [of_json ~label ?path doc] validates [doc] ({!Results.validate};
+    v1–v6 accepted) and wraps it as a trajectory point. *)
 val of_json : label:string -> ?path:string -> Json.t -> (point, string) result
 
 (** [load path] reads one document; the label is the filename without the

@@ -10,8 +10,7 @@
 
 (** A binding. [value] is mutable so a caller can probe once and later
     overwrite the same entry in place — no second lookup. [hash] is the
-    table's internal (FNV-1a) hash of [key]; the solver reuses it as a
-    cheap state fingerprint for trace events. *)
+    table's internal (FNV-1a) hash of [key]. *)
 type 'a entry = { hash : int; key : string; mutable value : 'a }
 
 type 'a t

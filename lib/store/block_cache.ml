@@ -26,7 +26,6 @@ type stats = {
 type t = {
   block_size : int;
   capacity : int;
-  shard : int;
   tbl : (int, node) Hashtbl.t;
   mutable head : node option;  (* MRU *)
   mutable tail : node option;  (* LRU *)
@@ -39,11 +38,10 @@ type t = {
   mutable bytes_written : int;
 }
 
-let create ?(block_size = 4096) ?(shard = 0) ~capacity () =
+let create ?(block_size = 4096) ~capacity () =
   {
     block_size = max 64 block_size;
     capacity = max 1 capacity;
-    shard;
     tbl = Hashtbl.create 64;
     head = None;
     tail = None;
@@ -88,9 +86,7 @@ let evict_to_capacity t =
           Hashtbl.remove t.tbl n.idx;
           t.resident <- t.resident - 1;
           t.unpinned <- t.unpinned - 1;
-          t.evictions <- t.evictions + 1;
-          if Obs.Ring.enabled () then
-            Obs.Ring.record Obs.Ring.Store_evict t.shard n.idx
+          t.evictions <- t.evictions + 1
         end;
         go before
   in
@@ -122,14 +118,10 @@ let get_block t fd idx =
   match Hashtbl.find_opt t.tbl idx with
   | Some n ->
       t.hits <- t.hits + 1;
-      if Obs.Ring.enabled () then
-        Obs.Ring.record Obs.Ring.Store_cache_hit t.shard idx;
       touch t n;
       n
   | None ->
       t.misses <- t.misses + 1;
-      if Obs.Ring.enabled () then
-        Obs.Ring.record Obs.Ring.Store_cache_miss t.shard idx;
       fault t fd idx
 
 let pin_node t n =

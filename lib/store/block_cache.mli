@@ -30,8 +30,8 @@ type stats = {
 
 (** [create ?block_size ~capacity ()] — a cache of at most [capacity]
     unpinned blocks (at least 1) of [block_size] bytes (default 4096,
-    minimum 64). [shard] tags the cache's trace events. *)
-val create : ?block_size:int -> ?shard:int -> capacity:int -> unit -> t
+    minimum 64). *)
+val create : ?block_size:int -> capacity:int -> unit -> t
 
 val block_size : t -> int
 

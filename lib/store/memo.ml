@@ -126,8 +126,7 @@ let create ?dir ?(shards = 8) ?(block_size = 4096) ~budget () =
               seg_path =
                 Filename.concat dir (Printf.sprintf "shard-%02d.seg" id);
               cache =
-                Block_cache.create ~block_size ~shard:id
-                  ~capacity:cache_blocks ();
+                Block_cache.create ~block_size ~capacity:cache_blocks ();
               water;
               s_spilled = 0;
               s_runs = 0;
@@ -182,8 +181,7 @@ let spill sh =
   sh.s_runs <- sh.s_runs + 1;
   sh.s_bytes_spilled <- sh.s_bytes_spilled + bytes;
   sh.s_payload <- sh.s_payload + payload;
-  if Obs.Ring.enabled () then
-    Obs.Ring.record Obs.Ring.Store_spill sh.ram_done bytes;
+  Obs.Ring.record Obs.Ring.Store_spill sh.ram_done bytes;
   Log.debug (fun f ->
       f "shard %d: spilled %d entries (%d bytes, %d claims stay)" sh.id
         sh.ram_done bytes

@@ -1,8 +1,8 @@
 (* Tests for the per-domain tracing ring: enable gating, record/dump
    accounting, wrap-around drops, the dump JSON round-trip, the Chrome
    trace export/parse round-trip over a multi-domain dump (lane
-   assignment, per-lane timestamp order), and the trace analyzer on a
-   synthetic dump with known duplicate work. *)
+   assignment, per-lane timestamp order), the trace analyzer on synthetic
+   dumps, and a live traced solve that fits a small ring. *)
 
 (* Every test starts from a clean slate and leaves tracing disabled: the
    suite shares one process with the fuzz and par tests, which also
@@ -20,15 +20,15 @@ let test_disabled_is_noop () =
   Obs.Ring.reset ();
   Obs.Ring.set_enabled false;
   Obs.Ring.record Obs.Ring.Sim_step 1 0;
-  Obs.Ring.record Obs.Ring.Solver_expand 42 1;
+  Obs.Ring.record Obs.Ring.Steal 42 1;
   let d = Obs.Ring.dump () in
   Alcotest.(check int) "nothing recorded" 0 (List.length d.Obs.Ring.domains);
   Alcotest.(check bool) "flag reads false" false (Obs.Ring.enabled ())
 
 let test_record_dump_accounting () =
   with_tracing @@ fun () ->
-  Obs.Ring.record Obs.Ring.Solver_expand 11 1;
-  Obs.Ring.record Obs.Ring.Solver_hit 11 2;
+  Obs.Ring.record Obs.Ring.Steal 11 1;
+  Obs.Ring.record Obs.Ring.Store_spill 11 2;
   Obs.Ring.record Obs.Ring.Adv_decision 4 2;
   Obs.Ring.set_enabled false;
   let d = Obs.Ring.dump () in
@@ -39,7 +39,7 @@ let test_record_dump_accounting () =
       Alcotest.(check int) "dropped" 0 dd.dropped;
       Alcotest.(check (list string))
         "tags in record order"
-        [ "solver_expand"; "solver_hit"; "adv_decision" ]
+        [ "steal"; "store_spill"; "adv_decision" ]
         (List.map (fun (e : Obs.Ring.event) -> Obs.Ring.tag_name e.tag) dd.events);
       Alcotest.(check (list int))
         "payload a preserved" [ 11; 11; 4 ]
@@ -104,7 +104,7 @@ let test_wrap_drops_oldest () =
 
 let test_json_round_trip () =
   with_tracing @@ fun () ->
-  Obs.Ring.record Obs.Ring.Solver_expand 7 1;
+  Obs.Ring.record Obs.Ring.Steal 7 1;
   Obs.Ring.record Obs.Ring.Pool_queue_depth 3 2;
   Obs.Ring.set_enabled false;
   let d = Obs.Ring.dump () in
@@ -121,8 +121,8 @@ let test_json_round_trip () =
 let test_chrome_round_trip_two_domains () =
   with_tracing @@ fun () ->
   Obs.Ring.record Obs.Ring.Pool_task_start 0 10;
-  Obs.Ring.record Obs.Ring.Solver_expand 42 1;
-  Obs.Ring.record Obs.Ring.Solver_hit 42 2;
+  Obs.Ring.record Obs.Ring.Steal 42 1;
+  Obs.Ring.record Obs.Ring.Store_spill 42 2;
   Obs.Ring.record Obs.Ring.Pool_task_stop 0 10;
   let other =
     Domain.join
@@ -169,8 +169,14 @@ let test_chrome_round_trip_two_domains () =
             (List.sort compare ts = ts))
         d.domains
 
-(* The analyzer over a hand-built dump: two domains expand an overlapping
-   key set, one decision event, known busy/idle windows. *)
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
+(* The analyzer over a hand-built dump: a busy domain that steals and
+   spills, an idle domain with one decision event, known busy/idle
+   windows. *)
 let test_analyze_synthetic_dump () =
   let ev tag a b ts_us = { Obs.Ring.tag; a; b; ts_us } in
   let d0 =
@@ -181,9 +187,9 @@ let test_analyze_synthetic_dump () =
       events =
         [
           ev Obs.Ring.Pool_task_start 0 4 0.0;
-          ev Obs.Ring.Solver_expand 101 1 10.0;
-          ev Obs.Ring.Solver_hit 101 2 20.0;
-          ev Obs.Ring.Solver_expand 202 1 30.0;
+          ev Obs.Ring.Steal 1 3 10.0;
+          ev Obs.Ring.Store_spill 40 4096 20.0;
+          ev Obs.Ring.Store_spill 20 2048 30.0;
           ev Obs.Ring.Pool_task_stop 0 4 100.0;
         ];
     }
@@ -191,7 +197,7 @@ let test_analyze_synthetic_dump () =
   let d1 =
     {
       Obs.Ring.domain = 1;
-      recorded = 5;
+      recorded = 4;
       dropped = 0;
       events =
         [
@@ -199,32 +205,28 @@ let test_analyze_synthetic_dump () =
           ev Obs.Ring.Pool_idle_stop 0 0 50.0;
           ev Obs.Ring.Adv_decision 3 1 55.0;
           ev Obs.Ring.Sim_step 1 0 60.0;
-          ev Obs.Ring.Solver_expand 101 1 70.0;
         ];
     }
   in
   let dump = { Obs.Ring.capacity = 1024; domains = [ d0; d1 ]; runtime = [] } in
   let t = Obs.Trace_analysis.analyze ~top:5 ~buckets:4 dump in
-  Alcotest.(check int) "total expansions" 3 t.total_expansions;
-  Alcotest.(check int) "distinct keys" 2 t.distinct_keys;
-  Alcotest.(check int) "key 101 expanded on both domains" 1 t.duplicated_keys;
-  Alcotest.(check (float 1e-9))
-    "duplicated work pct = (3 - 2) / 3" (100.0 /. 3.0) t.duplicated_work_pct;
-  (match t.hot with
-  | (h : Obs.Trace_analysis.hot_state) :: _ ->
-      Alcotest.(check int) "hottest key" 101 h.key_hash;
-      Alcotest.(check int) "its expansions" 2 h.expansions;
-      Alcotest.(check int) "domains touching it" 2 h.domains
-  | [] -> Alcotest.fail "hot-state list is empty");
-  (match List.find_opt (fun (r : Obs.Trace_analysis.domain_report) -> r.domain = 0) t.domains with
+  (match
+     List.find_opt
+       (fun (r : Obs.Trace_analysis.domain_report) -> r.domain = 0)
+       t.domains
+   with
   | Some r ->
-      Alcotest.(check int) "d0 misses" 2 r.solver_misses;
-      Alcotest.(check int) "d0 hits" 1 r.solver_hits;
-      Alcotest.(check (float 1e-9)) "d0 hit rate" (1.0 /. 3.0) r.hit_rate;
+      Alcotest.(check int) "d0 steals" 1 r.steals;
+      Alcotest.(check int) "d0 spill runs" 2 r.spills;
+      Alcotest.(check int) "d0 spill bytes" 6144 r.spill_bytes;
       Alcotest.(check (float 1e-9)) "d0 busy time" 100.0 r.busy_us;
       Alcotest.(check (float 1e-9)) "d0 utilization" 1.0 r.utilization
   | None -> Alcotest.fail "domain 0 missing from report");
-  (match List.find_opt (fun (r : Obs.Trace_analysis.domain_report) -> r.domain = 1) t.domains with
+  (match
+     List.find_opt
+       (fun (r : Obs.Trace_analysis.domain_report) -> r.domain = 1)
+       t.domains
+   with
   | Some r ->
       Alcotest.(check (float 1e-9)) "d1 idle time" 50.0 r.idle_us;
       Alcotest.(check (float 1e-9)) "d1 never busy" 0.0 r.busy_us
@@ -239,13 +241,10 @@ let test_analyze_synthetic_dump () =
   | None -> Alcotest.fail "decision summary missing");
   (* the report renders and exports without tripping over the synthetic data *)
   let rendered = Fmt.str "%a" Obs.Trace_analysis.pp t in
-  let contains ~affix s =
-    let n = String.length affix and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "report mentions duplicated work" true
-    (contains ~affix:"duplicated" rendered);
+  Alcotest.(check bool) "report sums the spill runs" true
+    (contains ~affix:"2 spill runs (6144 B)" rendered);
+  Alcotest.(check bool) "report counts the steal" true
+    (contains ~affix:"work stealing: 1 steal" rendered);
   match Obs.Trace_analysis.to_json t with
   | Obs.Json.Obj _ -> ()
   | _ -> Alcotest.fail "to_json is not an object"
@@ -257,8 +256,6 @@ let test_analyze_synthetic_dump () =
 let test_analyze_empty_dump () =
   let dump = { Obs.Ring.capacity = 1024; domains = []; runtime = [] } in
   let t = Obs.Trace_analysis.analyze ~top:5 ~buckets:4 dump in
-  Alcotest.(check int) "no expansions" 0 t.total_expansions;
-  Alcotest.(check int) "no distinct keys" 0 t.distinct_keys;
   Alcotest.(check int) "no domains" 0 (List.length t.domains);
   Alcotest.(check int) "no allocators" 0 (List.length t.allocators);
   Alcotest.(check bool) "no decision summary" true (t.decisions = None);
@@ -273,15 +270,15 @@ let test_analyze_empty_dump () =
 let test_analyze_disabled_tracing () =
   Obs.Ring.reset ();
   Obs.Ring.set_enabled false;
-  Obs.Ring.record Obs.Ring.Solver_expand 1 1;
+  Obs.Ring.record Obs.Ring.Steal 1 1;
   let d = Obs.Ring.dump () in
   Alcotest.(check int) "nothing recorded while disabled" 0
     (List.length d.domains);
   let t = Obs.Trace_analysis.analyze ~top:5 ~buckets:4 d in
-  Alcotest.(check int) "empty report" 0 t.total_expansions
+  Alcotest.(check int) "empty report" 0 (List.length t.domains)
 
-(* Single-domain dump: duplicated-work accounting must stay zero (nothing
-   can be duplicated across domains) and utilization still computes. *)
+(* Single-domain dump: per-domain counts and utilization compute without
+   a second domain to compare against. *)
 let test_analyze_single_domain () =
   let ev tag a b ts_us = { Obs.Ring.tag; a; b; ts_us } in
   let d0 =
@@ -292,27 +289,25 @@ let test_analyze_single_domain () =
       events =
         [
           ev Obs.Ring.Pool_task_start 0 2 0.0;
-          ev Obs.Ring.Solver_expand 7 1 5.0;
-          ev Obs.Ring.Solver_expand 7 1 10.0;
+          ev Obs.Ring.Steal 7 1 5.0;
+          ev Obs.Ring.Steal 7 2 10.0;
           ev Obs.Ring.Pool_task_stop 0 2 20.0;
         ];
     }
   in
   let dump = { Obs.Ring.capacity = 1024; domains = [ d0 ]; runtime = [] } in
   let t = Obs.Trace_analysis.analyze ~top:5 ~buckets:4 dump in
-  Alcotest.(check int) "both expansions counted" 2 t.total_expansions;
-  Alcotest.(check int) "one distinct key" 1 t.distinct_keys;
-  Alcotest.(check int) "re-expansion on one domain is not cross-domain dup" 0
-    t.duplicated_keys;
   match t.domains with
-  | [ r ] -> Alcotest.(check (float 1e-9)) "busy time" 20.0 r.busy_us
+  | [ r ] ->
+      Alcotest.(check int) "both steals counted" 2 r.steals;
+      Alcotest.(check (float 1e-9)) "busy time" 20.0 r.busy_us
   | ds -> Alcotest.failf "expected 1 domain report, got %d" (List.length ds)
 
 (* Forward compatibility: a dump written by a newer ring with an extra
    event tag must parse — the unknown event is skipped, not an error. *)
 let test_of_json_skips_unknown_tag () =
   with_tracing @@ fun () ->
-  Obs.Ring.record Obs.Ring.Solver_expand 7 1;
+  Obs.Ring.record Obs.Ring.Steal 7 1;
   Obs.Ring.set_enabled false;
   let j = Obs.Ring.to_json (Obs.Ring.dump ()) in
   let unknown = Obs.Json.List [ Obs.Json.Int 99; Obs.Json.Int 1; Obs.Json.Int 2; Obs.Json.Float 3.0 ] in
@@ -346,7 +341,7 @@ let test_of_json_skips_unknown_tag () =
       match d.domains with
       | [ dd ] ->
           Alcotest.(check (list string))
-            "known event kept, unknown skipped" [ "solver_expand" ]
+            "known event kept, unknown skipped" [ "steal" ]
             (List.map
                (fun (e : Obs.Ring.event) -> Obs.Ring.tag_name e.tag)
                dd.events)
@@ -394,13 +389,79 @@ let test_analyze_alloc_samples () =
       Alcotest.(check int) "runner-up present" 1 (List.length rest)
   | [] -> Alcotest.fail "allocator table empty");
   let rendered = Fmt.str "%a" Obs.Trace_analysis.pp t in
-  let contains ~affix s =
-    let n = String.length affix and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "report renders the allocator table" true
-    (contains ~affix:"top allocators" rendered)
+    (contains ~affix:"top allocators" rendered);
+  (* site_a holds 42 of the 50 sampled words *)
+  Alcotest.(check bool) "allocator share column" true
+    (contains ~affix:"words 42 (84.0%)" rendered);
+  Alcotest.(check bool) "hot site flagged" true
+    (contains ~affix:"[>10%]" rendered)
+
+(* ---- a live traced solve --------------------------------------------- *)
+
+module Va = Mdp.Solver.Make (Model.Weakener_va.Game)
+
+(* With memo probes kept out of the ring, a 1024-slot ring holds a whole
+   traced solve of VA^3 (15,172 states): a budgeted sequential solve
+   (1 byte, clamped to the store's 64 KiB floor, so it spills) drops
+   nothing and its spill events match the store's exact run count, and a
+   4-job solve leaves every worker domain's ring whole, with its task
+   slices intact. [set_capacity] only sizes rings created after the
+   call, so the sequential solve runs on a freshly spawned domain; the
+   pool's worker domains are fresh too. *)
+let test_live_traced_solve () =
+  Obs.Ring.reset ();
+  Obs.Ring.set_capacity 1024;
+  Obs.Ring.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Obs.Ring.set_enabled false;
+      Obs.Ring.set_capacity 65536;
+      Obs.Ring.reset ();
+      Va.reset ())
+  @@ fun () ->
+  let init = Model.Weakener_va.init ~k:3 in
+  let sum f (t : Obs.Trace_analysis.t) =
+    List.fold_left (fun a r -> a + f r) 0 t.domains
+  in
+  Va.reset ();
+  ignore (Domain.join (Domain.spawn (fun () -> Va.value ~memo_budget:1 init)));
+  let runs =
+    match Va.store_stats () with
+    | Some s -> s.Store.Memo.spill_runs
+    | None -> Alcotest.fail "the budgeted solve armed no store"
+  in
+  Alcotest.(check bool) "the budgeted solve spilled" true (runs > 0);
+  let t = Obs.Trace_analysis.analyze (Obs.Ring.dump ()) in
+  Alcotest.(check int) "sequential solve drops nothing" 0
+    (sum (fun r -> r.dropped) t);
+  Alcotest.(check int) "trace spills = store spill_runs" runs
+    (sum (fun r -> r.spills) t);
+  Va.reset ();
+  Obs.Ring.reset ();
+  ignore (Va.value_par ~jobs:4 init);
+  let t = Obs.Trace_analysis.analyze (Obs.Ring.dump ()) in
+  List.iter
+    (fun (r : Obs.Trace_analysis.domain_report) ->
+      Alcotest.(check int) (Fmt.str "domain %d drops nothing" r.domain) 0
+        r.dropped)
+    t.domains;
+  match Va.last_par_stats () with
+  | None -> Alcotest.fail "value_par left no telemetry"
+  | Some p ->
+      List.iter
+        (fun (d : Mdp.Solver.domain_stats) ->
+          match
+            List.find_opt
+              (fun (r : Obs.Trace_analysis.domain_report) ->
+                r.domain = d.domain_id)
+              t.domains
+          with
+          | None -> Alcotest.failf "worker domain %d not traced" d.domain_id
+          | Some r ->
+              Alcotest.(check bool)
+                (Fmt.str "worker domain %d busy" d.domain_id)
+                true (r.busy_us > 0.0))
+        p.domains
 
 let tests =
   [
@@ -421,4 +482,6 @@ let tests =
       test_of_json_skips_unknown_tag;
     Alcotest.test_case "analyzer aggregates alloc samples" `Quick
       test_analyze_alloc_samples;
+    Alcotest.test_case "live traced solve fits a 1024-slot ring" `Quick
+      test_live_traced_solve;
   ]

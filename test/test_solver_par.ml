@@ -276,12 +276,6 @@ let check_leg h name init jobs_list ~seq ~(st_seq : Mdp.Solver.stats)
                     "%s: jobs=%d distinct keys %d outside (0, %d] (sequential \
                      state count)"
                     name jobs p.distinct_keys n_seq;
-                Alcotest.(check int)
-                  (Fmt.str "%s: jobs=%d no duplicated keys" name jobs)
-                  0 p.duplicated_keys;
-                exact
-                  (Fmt.str "%s: jobs=%d duplicated work share" name jobs)
-                  0.0 p.duplicated_work_pct;
                 let summed =
                   List.fold_left
                     (fun acc (d : Mdp.Solver.domain_stats) ->
@@ -314,7 +308,7 @@ let check_leg h name init jobs_list ~seq ~(st_seq : Mdp.Solver.stats)
    solve's states, hits and misses, and the pruned solve's states and
    cuts agree across backends. Unpruned parallel solves evaluate each
    shared-phase state exactly once: summed worker misses equal the
-   distinct key count, and no key is ever duplicated. distinct_keys is
+   distinct key count. distinct_keys is
    bounded by the sequential explored count (the root-side plan interior
    is evaluated by the caller, outside the shared memo). With [~audit]
    every pruned solve re-evaluates its cuts and raises on one that
