@@ -178,7 +178,7 @@ let () =
                  if evictions <= 0 then
                    fail
                      "evictions = %d — the block cache never evicted, the \
-                      budget is too generous for a recovery gate"
+                      budget is too generous for a spill gate"
                      evictions);
           Fmt.pr "%s: ok (schema v%d, %d experiment sections)@." path
             Obs.Results.schema_version

@@ -114,26 +114,20 @@ let parse_memo_budget s =
           (Printf.sprintf "invalid size %S (bytes, or a K/M/G suffix)" s)
 
 let default_memo_budget =
-  ref
-    (match Sys.getenv_opt "BLUNTING_MEMO_BUDGET" with
-    | None | Some "" -> None
-    | Some s -> (
-        match parse_memo_budget s with
-        | Ok 0 -> None
-        | Ok n -> Some n
-        | Error e ->
-            Log.warn (fun f -> f "BLUNTING_MEMO_BUDGET ignored: %s" e);
-            None))
-
-let set_default_memo_budget b =
-  default_memo_budget := (match b with Some n when n > 0 -> Some n | _ -> None)
-
-let memo_budget () = !default_memo_budget
+  match Sys.getenv_opt "BLUNTING_MEMO_BUDGET" with
+  | None | Some "" -> None
+  | Some s -> (
+      match parse_memo_budget s with
+      | Ok 0 -> None
+      | Ok n -> Some n
+      | Error e ->
+          Log.warn (fun f -> f "BLUNTING_MEMO_BUDGET ignored: %s" e);
+          None)
 
 (* per-call override beats the process default; <= 0 disables *)
 let effective_budget = function
   | Some b -> if b > 0 then Some b else None
-  | None -> !default_memo_budget
+  | None -> default_memo_budget
 
 (* ---- the admissible value bound ----------------------------------------
 
@@ -331,8 +325,9 @@ module Make (G : GAME) = struct
 
   (* Arm the spillable backend. Entries already memoized in RAM migrate
      into the store (a reused solver keeps its cross-solve memoization
-     through the backend switch); claims cannot exist outside a running
-     solve, so only final values move. Once armed the solver stays on
+     through the backend switch) by the store's own claim-then-resolve
+     protocol; claims cannot exist outside a running solve, so only
+     final values move, and each claim is fresh. Once armed the solver stays on
      the store until [reset] — mixing backends within one memo would
      split the key space. *)
   let arm_store budget =
@@ -340,7 +335,13 @@ module Make (G : GAME) = struct
     | None, Some b ->
         let st = Store.Memo.create ~budget:b () in
         Par.Slice_tbl.iter ram (fun key -> function
-          | `Value v -> Store.Memo.resolve st key v
+          | `Value v -> (
+              match
+                Store.Memo.find_or_claim_slice st (Bytes.unsafe_of_string key)
+                  ~len:(String.length key) ~owner:0
+              with
+              | `Claimed key -> Store.Memo.resolve st key v
+              | `Value _ | `Busy _ -> assert false)
           | `Busy _ -> ());
         Par.Slice_tbl.clear ram;
         store := Some st

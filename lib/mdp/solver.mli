@@ -129,10 +129,11 @@ val log_src : Logs.src
 (** {2 Out-of-core memo budget}
 
     A solve given a memo budget (per-call [?memo_budget], or the
-    process default below) runs its memo through {!Store.Memo}: an
-    exactly-once claim/resolve table whose resolved entries spill to
-    sorted-run segment files once the in-RAM tier passes the budget,
-    probed back through a per-shard LRU block cache. The discipline
+    process default read from [BLUNTING_MEMO_BUDGET] at startup) runs
+    its memo through {!Store.Memo}: an exactly-once claim/resolve
+    table whose resolved entries spill to sorted-run segment files once
+    the in-RAM tier passes the budget, probed back through a per-shard
+    LRU block cache. The discipline
     mirrors the in-RAM memo's exactly, so budgeted solves return
     bit-identical values and identical hit/miss/state counts — only
     peak memory and wall time change. Games that fit in budget never
@@ -144,15 +145,6 @@ val log_src : Logs.src
     (binary) suffix, as accepted by [--memo-budget] and
     [BLUNTING_MEMO_BUDGET]. [Ok 0] means "no budget". *)
 val parse_memo_budget : string -> (int, string) result
-
-(** [set_default_memo_budget b] sets the process-wide default budget
-    applied when a solve passes no [?memo_budget] ([None] or [Some 0]
-    and below disable it). Initialized from [BLUNTING_MEMO_BUDGET] at
-    startup. *)
-val set_default_memo_budget : int option -> unit
-
-(** [memo_budget ()] is the current process-wide default. *)
-val memo_budget : unit -> int option
 
 module Make (G : GAME) : sig
   (** [value ?prune s] is the optimal (adversary-maximal) probability from

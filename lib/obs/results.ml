@@ -211,7 +211,7 @@ let validate_allocation_profile j =
         ]
   | Some _ -> Error "allocation_profile must be an object"
 
-(* v6's optional block: the counters a spill/recovery gate asserts on
+(* v6's optional block: the counters a spill gate asserts on
    must be numbers; extra fields stay legal for forward compatibility. *)
 let validate_store j =
   match field j "store" with

@@ -27,7 +27,6 @@ type shard = {
 type t = {
   dir : string;
   shards : shard array;
-  shard_mask : int;
   budget : int;
   mutable closed : bool;
 }
@@ -53,10 +52,6 @@ type stats = {
    slot variant. Deliberately a little high — the budget is a ceiling,
    not a target. *)
 let entry_overhead = 80
-
-let round_pow2 n =
-  let rec go c = if c >= n then c else go (c * 2) in
-  go 1
 
 (* best-effort cleanup of stray segment directories on exit *)
 let live : t list ref = ref []
@@ -88,26 +83,13 @@ let register t =
 
 let () = at_exit (fun () -> List.iter close !live)
 
-let store_seq = Atomic.make 0
+(* Eight shards, picked by hash bits 17-19; 4 KiB cache blocks. *)
+let nshards = 8
+let block_size = 4096
 
-let create ?dir ?(shards = 8) ?(block_size = 4096) ~budget () =
+let create ~budget () =
   let budget = max 65_536 budget in
-  let nshards = round_pow2 (max 1 shards) in
-  let dir =
-    match dir with
-    | Some d -> d
-    | None ->
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "blunting-store-%d-%d" (Unix.getpid ())
-             (Atomic.fetch_and_add store_seq 1))
-  in
-  (try Unix.mkdir dir 0o700 with
-  | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  | Unix.Unix_error (e, _, _) ->
-      failwith
-        (Printf.sprintf "Store.Memo: cannot create %s: %s" dir
-           (Unix.error_message e)));
+  let dir = Filename.temp_dir "blunting-store-" "" in
   (* half the budget for the RAM tier, half for the block caches *)
   let water = max 4096 (budget / 2 / nshards) in
   let cache_blocks = max 1 (budget / 2 / nshards / block_size) in
@@ -135,7 +117,6 @@ let create ?dir ?(shards = 8) ?(block_size = 4096) ~budget () =
               s_disk_hits = 0;
               s_resolved = 0;
             });
-      shard_mask = nshards - 1;
       budget;
       closed = false;
     }
@@ -147,9 +128,7 @@ let create ?dir ?(shards = 8) ?(block_size = 4096) ~budget () =
   register t;
   t
 
-let shard_count t = Array.length t.shards
-
-let[@inline] shard_of_hash t h = t.shards.((h lsr 17) land t.shard_mask)
+let[@inline] shard_of_hash t h = t.shards.((h lsr 17) land (nshards - 1))
 
 let segment sh =
   match sh.seg with
@@ -197,87 +176,63 @@ let spill sh =
   sh.resident <- !resident;
   sh.ram_done <- 0
 
+(* Every shard operation runs under [Mutex.protect]: a probe or spill
+   that raises (a truncated segment, a failed write) releases the lock,
+   so the other domains of a parallel solve fail too instead of
+   blocking on it. *)
 let find_or_claim_slice t data ~len ~owner =
   let hash = Par.Slice_tbl.hash_slice data len in
   let sh = shard_of_hash t hash in
-  Mutex.lock sh.mutex;
-  let r =
-    match Par.Slice_tbl.find_slice sh.ram data ~len with
-    | Some e -> (
-        match e.Par.Slice_tbl.value with
-        | Done v -> `Value v
-        | Claimed o -> `Busy o)
-    | None -> (
-        let on_disk =
-          match sh.seg with
-          | None -> None
-          | Some seg -> Segment.find seg ~hash ~key:data ~koff:0 ~klen:len
-        in
-        match on_disk with
-        | Some v ->
-            sh.s_disk_hits <- sh.s_disk_hits + 1;
-            `Value v
-        | None ->
-            let e =
-              Par.Slice_tbl.probe_slice sh.ram data ~len
-                ~default:(Claimed owner)
-            in
-            sh.resident <- sh.resident + len + entry_overhead;
-            `Claimed e.Par.Slice_tbl.key)
-  in
-  Mutex.unlock sh.mutex;
-  r
-
-let resolve t key v =
-  let hash = Par.Slice_tbl.hash_string key in
-  let sh = shard_of_hash t hash in
-  Mutex.lock sh.mutex;
-  (match Par.Slice_tbl.find_string sh.ram key with
+  Mutex.protect sh.mutex @@ fun () ->
+  match Par.Slice_tbl.find_slice sh.ram data ~len with
   | Some e -> (
       match e.Par.Slice_tbl.value with
-      | Claimed _ -> e.Par.Slice_tbl.value <- Done v
-      | Done _ ->
-          Mutex.unlock sh.mutex;
-          invalid_arg "Store.Memo.resolve: key already resolved")
-  | None ->
-      (* absent from RAM: either never claimed, or already resolved AND
-         spilled. The disk check keeps the second case a hard error —
-         silently re-inserting would spill a duplicate record, breaking
-         the segment's distinct-keys contract. *)
-      (match sh.seg with
-      | Some seg when Segment.find_string seg ~hash ~key <> None ->
-          Mutex.unlock sh.mutex;
-          invalid_arg "Store.Memo.resolve: key already resolved (spilled)"
-      | _ -> ());
-      (* a resolve may race no one here (claims precede resolves), but
-         mirror Sharded_tbl: resolving an absent key inserts it *)
-      ignore (Par.Slice_tbl.probe_string sh.ram key ~default:(Done v));
-      sh.resident <- sh.resident + String.length key + entry_overhead);
-  sh.ram_done <- sh.ram_done + 1;
-  sh.s_resolved <- sh.s_resolved + 1;
-  if sh.resident > sh.water && sh.ram_done > 0 then spill sh;
-  Mutex.unlock sh.mutex
+      | Done v -> `Value v
+      | Claimed o -> `Busy o)
+  | None -> (
+      let on_disk =
+        match sh.seg with
+        | None -> None
+        | Some seg -> Segment.find seg ~hash ~key:data ~koff:0 ~klen:len
+      in
+      match on_disk with
+      | Some v ->
+          sh.s_disk_hits <- sh.s_disk_hits + 1;
+          `Value v
+      | None ->
+          let e =
+            Par.Slice_tbl.probe_slice sh.ram data ~len ~default:(Claimed owner)
+          in
+          sh.resident <- sh.resident + len + entry_overhead;
+          `Claimed e.Par.Slice_tbl.key)
+
+let resolve t key v =
+  let sh = shard_of_hash t (Par.Slice_tbl.hash_string key) in
+  Mutex.protect sh.mutex @@ fun () ->
+  match Par.Slice_tbl.find_string sh.ram key with
+  | Some ({ Par.Slice_tbl.value = Claimed _; _ } as e) ->
+      e.Par.Slice_tbl.value <- Done v;
+      sh.ram_done <- sh.ram_done + 1;
+      sh.s_resolved <- sh.s_resolved + 1;
+      if sh.resident > sh.water then spill sh
+  | _ -> invalid_arg "Store.Memo.resolve: key is not claimed"
 
 let get t key =
   let hash = Par.Slice_tbl.hash_string key in
   let sh = shard_of_hash t hash in
-  Mutex.lock sh.mutex;
-  let r =
-    match Par.Slice_tbl.find_string sh.ram key with
-    | Some e -> (
-        match e.Par.Slice_tbl.value with Done v -> Some v | Claimed _ -> None)
-    | None -> (
-        match sh.seg with
-        | None -> None
-        | Some seg -> (
-            match Segment.find_string seg ~hash ~key with
-            | Some v ->
-                sh.s_disk_hits <- sh.s_disk_hits + 1;
-                Some v
-            | None -> None))
-  in
-  Mutex.unlock sh.mutex;
-  r
+  Mutex.protect sh.mutex @@ fun () ->
+  match Par.Slice_tbl.find_string sh.ram key with
+  | Some e -> (
+      match e.Par.Slice_tbl.value with Done v -> Some v | Claimed _ -> None)
+  | None -> (
+      match sh.seg with
+      | None -> None
+      | Some seg -> (
+          match Segment.find_string seg ~hash ~key with
+          | Some v ->
+              sh.s_disk_hits <- sh.s_disk_hits + 1;
+              Some v
+          | None -> None))
 
 let resolved t =
   Array.fold_left

@@ -5,10 +5,10 @@
 
     Keys are canonical state encodings (the {!Mdp.Key} byte packing);
     values are floats, stored as IEEE-754 bits so budgeted and in-RAM
-    solves return bit-identical values. Keys hash to one of [shards]
-    independent shards (same FNV routing as {!Par.Slice_tbl}), each a
-    {!Par.Slice_tbl} of live claims and recently resolved values behind
-    its own mutex, plus one segment file.
+    solves return bit-identical values. Keys hash to one of 8
+    independent shards, each a {!Par.Slice_tbl} of live claims and
+    recently resolved values behind its own mutex, plus one segment
+    file.
 
     The exactly-once discipline is {!Par.Sharded_tbl}'s: per key, one
     caller is told [`Claimed] and must {!resolve}; everyone else gets
@@ -25,8 +25,11 @@
     A probe that misses RAM checks the shard's runs newest-first (bloom
     filter, then binary search through the block cache).
 
-    No file is created until the first spill, so an over-provisioned
-    budget costs a pointer check per probe and nothing else. *)
+    Segment files are scratch: each is created fresh ([O_EXCL]) in the
+    store's own temp directory at the shard's first spill, read only by
+    this store, and deleted by {!close}. No file is created until the
+    first spill, so an over-provisioned budget costs a pointer check
+    per probe and nothing else. *)
 
 type t
 
@@ -46,14 +49,13 @@ type stats = {
   resolved : int;  (** total resolved entries (RAM + disk) *)
 }
 
-(** [create ?dir ?shards ?block_size ~budget ()] — a store that starts
-    spilling once its RAM tier estimate exceeds [budget] bytes (clamped
-    to at least 64 KiB). Segment files live under [dir] (default: a
-    fresh directory under the system temp dir, removed on {!close} and
-    at exit). [shards] (default 8) is rounded up to a power of two. *)
-val create : ?dir:string -> ?shards:int -> ?block_size:int -> budget:int -> unit -> t
-
-val shard_count : t -> int
+(** [create ~budget ()] — a store that starts spilling once its RAM
+    tier estimate exceeds [budget] bytes (clamped to at least 64 KiB).
+    Its segment files live in a fresh directory made by
+    [Filename.temp_dir] under [Filename.get_temp_dir_name ()]; raises
+    [Sys_error] if that directory cannot be created. {!close} (run at
+    exit for stores still open) deletes the files and the directory. *)
+val create : budget:int -> unit -> t
 
 (** [find_or_claim_slice t data ~len ~owner] probes the key
     [Bytes.sub_string data 0 len]:
@@ -64,9 +66,10 @@ val shard_count : t -> int
 val find_or_claim_slice :
   t -> Bytes.t -> len:int -> owner:int -> [ `Value of float | `Busy of int | `Claimed of string ]
 
-(** [resolve t key v] publishes the value for a claimed (or absent) key
-    and spills the shard if it is over budget. Raises
-    [Invalid_argument] on a second resolution of the same key. *)
+(** [resolve t key v] publishes the value for [key], which must hold a
+    live claim, and spills the shard if it is over budget. Raises
+    [Invalid_argument] if [key] is not claimed: never probed, or
+    already resolved. *)
 val resolve : t -> string -> float -> unit
 
 (** [get t key] is the resolved value, [None] while absent or claimed. *)

@@ -1,10 +1,7 @@
 (* Sorted-run segment files. See the mli for the on-disk format. *)
 
-let magic = "BLRN"
-let header_size = 16
-
 type run = {
-  r_off : int;  (* file offset of the header *)
+  r_off : int;  (* file offset of the first record *)
   r_count : int;
   r_padded : int;  (* padded key width *)
   r_rsize : int;  (* record size: 18 + r_padded *)
@@ -49,81 +46,16 @@ let bloom_maybe bloom mask h =
   let test i = Bytes.get_uint8 bloom (i lsr 3) land (1 lsl (i land 7)) <> 0 in
   test (h land mask) && test (bloom_mix h land mask)
 
-(* ---- raw file IO (open-path scan only; probes go through the cache) -- *)
-
-let pread_exact fd ~off buf ~len =
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  let rec go k =
-    if k >= len then len
-    else
-      match Unix.read fd buf k (len - k) with 0 -> k | r -> go (k + r)
-  in
-  go 0
-
-(* ---- recovery scan ---------------------------------------------------- *)
-
-let scan_runs fd cache =
-  let file_size = (Unix.fstat fd).Unix.st_size in
-  let bs = Block_cache.block_size cache in
-  let hdr = Bytes.create header_size in
-  let rec go off acc =
-    if off + header_size > file_size then (off, acc)
-    else if pread_exact fd ~off hdr ~len:header_size <> header_size then
-      (off, acc)
-    else if Bytes.sub_string hdr 0 4 <> magic then (off, acc)
-    else
-      let count = Int32.to_int (Bytes.get_int32_le hdr 4) in
-      let padded = Bytes.get_uint16_le hdr 8 in
-      if count <= 0 || padded <= 0 then (off, acc)
-      else
-        let rsize = 18 + padded in
-        let run_end = off + header_size + (count * rsize) in
-        if run_end > file_size then (off, acc)
-        else begin
-          (* complete run: rebuild its bloom from the record hashes *)
-          let mask = bloom_bits count - 1 in
-          let bloom = Bytes.make ((mask + 1) lsr 3) '\000' in
-          let chunk = Bytes.create (max rsize (65536 / rsize * rsize)) in
-          let per = Bytes.length chunk / rsize in
-          let rec fill i =
-            if i < count then begin
-              let n = min per (count - i) in
-              let len = n * rsize in
-              if
-                pread_exact fd
-                  ~off:(off + header_size + (i * rsize))
-                  chunk ~len
-                <> len
-              then failwith "Segment: run shrank during scan";
-              for j = 0 to n - 1 do
-                bloom_set bloom mask
-                  (Int64.to_int (Bytes.get_int64_le chunk (j * rsize)))
-              done;
-              fill (i + n)
-            end
-          in
-          fill 0;
-          let run =
-            { r_off = off; r_count = count; r_padded = padded; r_rsize = rsize;
-              r_bloom = bloom; r_mask = mask }
-          in
-          go (align_up run_end bs) (run :: acc)
-        end
-  in
-  let logical_end, runs_newest_first = go 0 [] in
-  (* anything past the last complete run is a torn append: drop it *)
-  if logical_end < file_size then Unix.ftruncate fd logical_end;
-  (logical_end, runs_newest_first)
-
 let create ~path ~cache =
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o600 in
-  let tsize, truns = scan_runs fd cache in
+  let fd =
+    Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL ] 0o600
+  in
   {
     tpath = path;
     fd;
     cache;
-    tsize;
-    truns;
+    tsize = 0;
+    truns = [];
     scratch = Bytes.create 256;
     closed = false;
   }
@@ -155,16 +87,13 @@ let append_run t entries =
     in
     let rsize = 18 + padded in
     let bs = Block_cache.block_size t.cache in
-    let total = align_up (header_size + (count * rsize)) bs in
+    let total = align_up (count * rsize) bs in
     let buf = Bytes.make total '\000' in
-    Bytes.blit_string magic 0 buf 0 4;
-    Bytes.set_int32_le buf 4 (Int32.of_int count);
-    Bytes.set_uint16_le buf 8 padded;
     let mask = bloom_bits count - 1 in
     let bloom = Bytes.make ((mask + 1) lsr 3) '\000' in
     Array.iteri
       (fun i (h, k, v) ->
-        let off = header_size + (i * rsize) in
+        let off = i * rsize in
         Bytes.set_int64_le buf off (Int64.of_int h);
         Bytes.set_uint16_le buf (off + 8) (String.length k);
         Bytes.blit_string k 0 buf (off + 10) (String.length k);
@@ -192,7 +121,7 @@ let scratch_for t n =
    record through the cache into the scratch buffer; also leaves the
    record bytes in scratch so a match can pull the value out. *)
 let compare_record t run i ~hash ~key ~koff ~klen =
-  let rec_off = run.r_off + header_size + (i * run.r_rsize) in
+  let rec_off = run.r_off + (i * run.r_rsize) in
   let buf = scratch_for t run.r_rsize in
   Block_cache.read t.cache t.fd ~off:rec_off ~len:run.r_rsize ~dst:buf
     ~dst_off:0;
@@ -247,11 +176,6 @@ let find t ~hash ~key ~koff ~klen =
 let find_string t ~hash ~key =
   find t ~hash ~key:(Bytes.unsafe_of_string key) ~koff:0
     ~klen:(String.length key)
-
-let runs t = List.length t.truns
-let entries t = List.fold_left (fun a r -> a + r.r_count) 0 t.truns
-let size t = t.tsize
-let path t = t.tpath
 
 let close t =
   if not t.closed then begin

@@ -1,69 +1,52 @@
-(** One shard's on-disk segment: an append-only log of immutable sorted
-    runs, read through a {!Block_cache}.
+(** One shard's spill file: an append-only sequence of immutable sorted
+    runs, read back through a {!Block_cache}.
 
-    A run is a batch of resolved memo entries written in one append —
-    fixed-size records (the record is the canonical {!Mdp.Key} byte
-    encoding stored verbatim, padded to the run's widest key) sorted by
-    (key hash, key length, key bytes), preceded by a 16-byte header:
+    The file is scratch. One store creates it, writes it, reads it back
+    and deletes it; nothing ever reopens it. So the file holds only
+    records, and each run's offset, record count, key width and bloom
+    filter live in RAM.
+
+    A run is a batch of resolved memo entries written in one append:
+    [count] fixed-size records of [8 + 2 + padded + 8] bytes, sorted by
+    (key hash, key length, key bytes):
 
     {v
-      offset  size  field
-      0       4     magic "BLRN"
-      4       4     record count (u32 LE)
-      8       2     padded key width (u16 LE)
-      10      2     reserved (zero)
-      12      4     reserved (zero)
+      offset       size    field
+      0            8       key hash (i64 LE)
+      8            2       key length (u16 LE)
+      10           padded  key bytes, zero-padded to the run's widest key
+      10 + padded  8       value (IEEE-754 bits, i64 LE)
     v}
 
-    followed by [count] records of [8 + 2 + padded + 8] bytes each —
-    key hash (i64 LE), key length (u16 LE), key bytes zero-padded to the
-    run's width, value (IEEE-754 bits, i64 LE; floats round-trip
-    exactly). Runs start on block boundaries (the gap is zero-filled),
-    so a cached block is immutable forever and recovery arithmetic is
-    offset-only.
+    The key is the canonical {!Mdp.Key} byte encoding, stored verbatim;
+    floats round-trip exactly. Runs start on block boundaries (the gap
+    is zero-filled), so a cached block never changes.
 
-    A probe checks each run newest-first: an in-RAM bloom filter (two
+    A probe checks each run newest-first: the run's bloom filter (two
     probes derived from the stored 64-bit hash) rejects most absent
     keys without touching the file; survivors binary-search the run's
-    records through the block cache.
-
-    Crash recovery is the open path: {!create} scans headers from
-    offset 0, accepts each complete, magic-tagged run (rebuilding its
-    bloom filter from the record hashes) and truncates the file at the
-    first header that is missing, corrupt, or whose run extends past
-    end-of-file — exactly the state a crash mid-append leaves behind.
-    Entries never span runs, so truncation loses only the append in
-    flight. *)
+    records through the block cache. *)
 
 type t
 
-(** [create ~path ~cache] opens (or creates) the segment file at [path]
-    and recovers every complete run already in it. *)
+(** [create ~path ~cache] creates the segment file at [path]. The file
+    must not exist: an existing file raises [Unix.Unix_error EEXIST]. *)
 val create : path:string -> cache:Block_cache.t -> t
 
 (** [append_run t entries] sorts [(hash, key, value)] entries and
-    appends them as one run; returns the bytes appended (header,
-    records and block padding). Keys must be distinct and absent from
-    every earlier run. Empty input appends nothing and returns 0. *)
+    appends them as one run; returns the bytes appended (records and
+    block padding). Keys must be distinct and absent from every earlier
+    run. Empty input appends nothing and returns 0. *)
 val append_run : t -> (int * string * float) array -> int
 
 (** [find t ~hash ~key ~koff ~klen] probes every run, newest first, for
     the key equal to [Bytes.sub key koff klen] (whose hash must be
-    [hash], as computed by {!Par.Slice_tbl.hash_slice}). *)
+    [hash], as computed by {!Par.Slice_tbl.hash_slice}). Raises
+    [Failure] if a record it must read is missing from the file. *)
 val find : t -> hash:int -> key:Bytes.t -> koff:int -> klen:int -> float option
 
 (** [find_string t ~hash ~key] — {!find} on a string key, no copy. *)
 val find_string : t -> hash:int -> key:string -> float option
-
-val runs : t -> int
-
-(** [entries t] — records across all recovered runs. *)
-val entries : t -> int
-
-(** [size t] — current (block-aligned) file size in bytes. *)
-val size : t -> int
-
-val path : t -> string
 
 (** [close t] closes the file descriptor (idempotent). *)
 val close : t -> unit

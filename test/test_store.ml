@@ -1,11 +1,11 @@
 (* The out-of-core store's soundness battery: the segment run format
-   round-trips through close/reopen, crash-truncated tails are recovered
-   away without losing complete runs, the block cache evicts in LRU order
-   and never evicts a pinned block, the memo upholds the exactly-once
-   claim protocol across spills, and — the property the whole engine
-   exists for — budgeted solves are bit-identical to in-RAM solves
-   (values AND distinct-state counts) for every model game at jobs 1
-   and 4. *)
+   round-trips, a segment never opens a file that already exists, a
+   segment truncated under the store fails the next probe loudly, the
+   block cache evicts in LRU order, the memo upholds the exactly-once
+   claim protocol across spills, a budgeted solve with no usable temp
+   dir raises, and — the property the whole engine exists for —
+   budgeted solves are bit-identical to in-RAM solves (values AND
+   distinct-state counts) for every model game at jobs 1 and 4. *)
 
 let exact = Alcotest.(check (float 0.0))
 
@@ -14,19 +14,6 @@ let exact = Alcotest.(check (float 0.0))
 let tiny_budget = 1
 
 (* ---- scratch files --------------------------------------------------- *)
-
-let scratch_counter = ref 0
-
-let scratch_dir () =
-  incr scratch_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "blunting-test-store-%d-%d" (Unix.getpid ())
-         !scratch_counter)
-  in
-  (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
 
 let rm_rf d =
   (try
@@ -37,7 +24,7 @@ let rm_rf d =
   try Unix.rmdir d with Unix.Unix_error _ -> ()
 
 let with_scratch f =
-  let d = scratch_dir () in
+  let d = Filename.temp_dir "blunting-test-store-" "" in
   Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
 
 (* ---- Store.Segment --------------------------------------------------- *)
@@ -61,14 +48,18 @@ let test_segment_roundtrip () =
   let path = Filename.concat dir "seg.blk" in
   let cache = Store.Block_cache.create ~capacity:4 () in
   let seg = Store.Segment.create ~path ~cache in
-  Alcotest.(check int) "fresh segment has no runs" 0 (Store.Segment.runs seg);
-  let run1 = Array.init 100 entry in
-  let b1 = Store.Segment.append_run seg run1 in
-  Alcotest.(check bool) "append reports bytes" true (b1 > 0);
-  let run2 = Array.init 50 (fun i -> entry (100 + i)) in
-  let _ = Store.Segment.append_run seg run2 in
-  Alcotest.(check int) "two runs" 2 (Store.Segment.runs seg);
-  Alcotest.(check int) "entries across runs" 150 (Store.Segment.entries seg);
+  let b1 = Store.Segment.append_run seg (Array.init 100 entry) in
+  let b2 =
+    Store.Segment.append_run seg (Array.init 50 (fun i -> entry (100 + i)))
+  in
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) "append reports bytes" true (b > 0);
+      Alcotest.(check int) "runs are block-aligned" 0 (b mod 4096))
+    [ b1; b2 ];
+  Alcotest.(check int)
+    "the file holds exactly the appended bytes" (b1 + b2)
+    (Unix.stat path).Unix.st_size;
   probe_all seg 150;
   let absent = "no-such-key" in
   Alcotest.(check (option (float 0.0)))
@@ -79,57 +70,45 @@ let test_segment_roundtrip () =
   Alcotest.(check int)
     "empty run appends nothing" 0
     (Store.Segment.append_run seg [||]);
-  let size = Store.Segment.size seg in
-  Store.Segment.close seg;
-  (* reopen: recovery must find both complete runs byte-for-byte *)
-  let cache2 = Store.Block_cache.create ~capacity:4 () in
-  let seg2 = Store.Segment.create ~path ~cache:cache2 in
-  Alcotest.(check int) "runs recovered" 2 (Store.Segment.runs seg2);
-  Alcotest.(check int) "entries recovered" 150 (Store.Segment.entries seg2);
-  Alcotest.(check int) "size recovered" size (Store.Segment.size seg2);
-  probe_all seg2 150;
-  Store.Segment.delete seg2;
+  Store.Segment.delete seg;
   Alcotest.(check bool) "delete removes the file" false (Sys.file_exists path)
 
-(* Crash mid-append: whatever tail a crash leaves — a partial header, a
-   corrupt magic, or a header whose run extends past end-of-file — reopen
-   truncates it and keeps every complete run. *)
-let test_segment_recovery () =
-  let crash_tail tail =
-    with_scratch @@ fun dir ->
-    let path = Filename.concat dir "seg.blk" in
-    let cache = Store.Block_cache.create ~capacity:4 () in
-    let seg = Store.Segment.create ~path ~cache in
-    let _ = Store.Segment.append_run seg (Array.init 100 entry) in
-    let size = Store.Segment.size seg in
-    Store.Segment.close seg;
-    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o600 in
-    let n = Unix.write_substring fd tail 0 (String.length tail) in
-    Alcotest.(check int) "tail written" (String.length tail) n;
-    Unix.close fd;
-    let cache2 = Store.Block_cache.create ~capacity:4 () in
-    let seg2 = Store.Segment.create ~path ~cache:cache2 in
-    Alcotest.(check int) "complete run survives" 1 (Store.Segment.runs seg2);
-    Alcotest.(check int) "entries survive" 100 (Store.Segment.entries seg2);
-    Alcotest.(check int) "tail truncated away" size (Store.Segment.size seg2);
-    probe_all seg2 100;
-    (* the recovered segment must accept appends again *)
-    let _ = Store.Segment.append_run seg2 [| entry 100 |] in
-    probe_all seg2 101;
-    Store.Segment.close seg2
+(* Segments are scratch: a file left at the path — by a killed process
+   whose pid was reused, say — must never be read back as memo
+   entries. *)
+let test_segment_create_exclusive () =
+  with_scratch @@ fun dir ->
+  let path = Filename.concat dir "seg.blk" in
+  let create () =
+    Store.Segment.create ~path ~cache:(Store.Block_cache.create ~capacity:4 ())
   in
-  crash_tail "BLRN\x08";
-  (* header cut mid-write *)
-  crash_tail "GARBAGEGARBAGEGARBAGE";
-  (* corrupt magic *)
-  (* valid header promising 10_000 records the crash never wrote *)
-  let b = Buffer.create 32 in
-  Buffer.add_string b "BLRN";
-  Buffer.add_int32_le b 10_000l;
-  Buffer.add_uint16_le b 16;
-  Buffer.add_string b (String.make 6 '\x00');
-  Buffer.add_string b "only-a-few-record-bytes";
-  crash_tail (Buffer.contents b)
+  let stale = create () in
+  let _ = Store.Segment.append_run stale (Array.init 100 entry) in
+  Store.Segment.close stale;
+  match create () with
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  | seg ->
+      Store.Segment.close seg;
+      Alcotest.fail "create opened an existing segment file"
+
+(* A segment file truncated under an open segment: every probe of a
+   stored key must raise, never answer [None] or a value. *)
+let test_segment_truncated () =
+  with_scratch @@ fun dir ->
+  let path = Filename.concat dir "seg.blk" in
+  let cache = Store.Block_cache.create ~capacity:4 () in
+  let seg = Store.Segment.create ~path ~cache in
+  Fun.protect ~finally:(fun () -> Store.Segment.delete seg) @@ fun () ->
+  let n = 100 in
+  let _ = Store.Segment.append_run seg (Array.init n entry) in
+  Unix.truncate path 0;
+  for i = 0 to n - 1 do
+    let h, key, _ = entry i in
+    match Store.Segment.find_string seg ~hash:h ~key with
+    | exception Failure _ -> ()
+    | Some v -> Alcotest.failf "probe %s returned %g after truncation" key v
+    | None -> Alcotest.failf "probe %s returned None after truncation" key
+  done
 
 (* ---- Store.Block_cache ----------------------------------------------- *)
 
@@ -137,7 +116,7 @@ let test_block_cache_lru () =
   with_scratch @@ fun dir ->
   let bs = 64 in
   let path = Filename.concat dir "blocks.bin" in
-  let nblocks = 6 in
+  let nblocks = 3 in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o600 in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   for i = 0 to nblocks - 1 do
@@ -147,55 +126,35 @@ let test_block_cache_lru () =
   done;
   let c = Store.Block_cache.create ~block_size:bs ~capacity:2 () in
   let buf = Bytes.create bs in
-  let read_block i =
+  (* read block [i] and demand a hit or a miss, judged by [stats] alone *)
+  let read_block ~hit i =
+    let before = Store.Block_cache.stats c in
     Store.Block_cache.read c fd ~off:(i * bs) ~len:bs ~dst:buf ~dst_off:0;
     Alcotest.(check char)
       (Printf.sprintf "block %d content" i)
       (Char.chr (Char.code 'a' + i))
-      (Bytes.get buf 0)
+      (Bytes.get buf 0);
+    let after = Store.Block_cache.stats c in
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "block %d %s" i (if hit then "hit" else "miss"))
+      (if hit then (1, 0) else (0, 1))
+      ( after.Store.Block_cache.hits - before.Store.Block_cache.hits,
+        after.Store.Block_cache.misses - before.Store.Block_cache.misses )
   in
-  read_block 0;
-  read_block 1;
-  Alcotest.(check (list int))
-    "MRU order after 0,1" [ 1; 0 ]
-    (Store.Block_cache.cached_blocks c);
-  read_block 0;
-  Alcotest.(check (list int))
-    "re-read refreshes recency" [ 0; 1 ]
-    (Store.Block_cache.cached_blocks c);
-  read_block 2;
+  read_block ~hit:false 0;
+  read_block ~hit:false 1;
+  read_block ~hit:true 0;
   (* capacity 2: the LRU block (1) goes, not the refreshed one (0) *)
-  Alcotest.(check (list int))
-    "LRU evicted" [ 2; 0 ]
-    (Store.Block_cache.cached_blocks c);
-  Alcotest.(check bool) "1 gone" false (Store.Block_cache.cached c 1);
+  read_block ~hit:false 2;
+  read_block ~hit:true 0;
+  read_block ~hit:false 1;
   let s = Store.Block_cache.stats c in
-  Alcotest.(check int) "one eviction so far" 1 s.Store.Block_cache.evictions;
-  Alcotest.(check int) "one hit (the re-read)" 1 s.Store.Block_cache.hits;
-  Alcotest.(check int) "three misses" 3 s.Store.Block_cache.misses;
+  Alcotest.(check int) "two evictions" 2 s.Store.Block_cache.evictions;
   Alcotest.(check int)
-    "miss bytes came from the file" (3 * bs)
+    "miss bytes came from the file" (4 * bs)
     s.Store.Block_cache.bytes_read;
-  (* pinned blocks survive any amount of cache pressure *)
-  Store.Block_cache.pin c 2;
-  read_block 3;
-  read_block 4;
-  read_block 5;
-  Alcotest.(check bool) "pinned block still resident" true
-    (Store.Block_cache.cached c 2);
-  Store.Block_cache.unpin c 2;
-  read_block 3;
-  read_block 4;
-  read_block 5;
-  Alcotest.(check bool) "unpinned block evictable again" false
-    (Store.Block_cache.cached c 2);
-  Alcotest.check_raises "pin of a non-resident block" Not_found (fun () ->
-      Store.Block_cache.pin c 2);
-  (* block 5 is resident (just read) but unpinned *)
-  (match Store.Block_cache.unpin c 5 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "unpin of an unpinned block must raise");
-  (* a read spanning several blocks reassembles the file bytes *)
+  (* a read spanning more blocks than the capacity reassembles the file
+     bytes *)
   let span = Bytes.create (2 * bs) in
   Store.Block_cache.read c fd ~off:(bs / 2) ~len:(2 * bs) ~dst:span ~dst_off:0;
   Alcotest.(check char) "span start" 'a' (Bytes.get span (bs / 2 - 1));
@@ -251,19 +210,61 @@ let test_memo_exactly_once_across_spills () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "double resolve must raise"
 
-let test_memo_stats_shape () =
-  let st = Store.Memo.create ~budget:tiny_budget () in
-  Fun.protect ~finally:(fun () -> Store.Memo.close st) @@ fun () ->
-  for i = 0 to 2_000 do
+(* Claim and resolve keys 0 .. n-1 in a fresh store. *)
+let fill st n =
+  for i = 0 to n - 1 do
     let key = memo_key i in
     match
-      Store.Memo.find_or_claim_slice st
-        (Bytes.of_string key)
+      Store.Memo.find_or_claim_slice st (Bytes.of_string key)
         ~len:(String.length key) ~owner:0
     with
     | `Claimed key -> Store.Memo.resolve st key (memo_val i)
     | _ -> Alcotest.fail "fresh key"
+  done
+
+(* Truncate every segment file under a live store: each probe of a
+   spilled key must answer its true value (from a cached block) or raise
+   [Failure], probes keep working after one raises, and the store still
+   closes. A shard lock left held by a raising probe would turn the next
+   probe on that shard into a lock error or a hang. *)
+let test_memo_truncated_segments () =
+  with_scratch @@ fun dir ->
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name dir;
+  let st =
+    Fun.protect
+      ~finally:(fun () -> Filename.set_temp_dir_name saved)
+      (fun () -> Store.Memo.create ~budget:tiny_budget ())
+  in
+  Fun.protect ~finally:(fun () -> Store.Memo.close st) @@ fun () ->
+  let n = 2_000 in
+  fill st n;
+  Alcotest.(check bool)
+    "the budget forced spilling" true
+    ((Store.Memo.stats st).Store.Memo.spill_runs > 0);
+  let rec truncate_segments d =
+    Array.iter
+      (fun f ->
+        let f = Filename.concat d f in
+        if Sys.is_directory f then truncate_segments f
+        else if Filename.check_suffix f ".seg" then Unix.truncate f 0)
+      (Sys.readdir d)
+  in
+  truncate_segments dir;
+  let raised = ref 0 in
+  for i = 0 to n - 1 do
+    match Store.Memo.get st (memo_key i) with
+    | exception Failure _ -> incr raised
+    | Some v -> exact "a probe that answers answers right" (memo_val i) v
+    | None -> Alcotest.failf "key %d answered None after truncation" i
   done;
+  Alcotest.(check bool) "probes into the truncated files raised" true
+    (!raised > 0)
+
+let test_memo_stats_shape () =
+  let st = Store.Memo.create ~budget:tiny_budget () in
+  Fun.protect ~finally:(fun () -> Store.Memo.close st) @@ fun () ->
+  fill st 2_001;
   let s = Store.Memo.stats st in
   Alcotest.(check bool)
     "write amplification >= 1 once spilled" true
@@ -366,6 +367,21 @@ let test_full_stats_identical_seq () =
   Alcotest.(check int) "max depth" st_ram.Mdp.Solver.max_depth
     st_sp.Mdp.Solver.max_depth
 
+(* No usable temp dir: the budgeted solve must raise, not fall back to
+   RAM or return a value. *)
+let test_missing_temp_dir () =
+  with_scratch @@ fun dir ->
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name (Filename.concat dir "missing");
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      Model.Weakener_abd.reset ())
+  @@ fun () ->
+  match Model.Weakener_abd.bad_probability ~memo_budget:tiny_budget ~k:1 () with
+  | exception Sys_error _ -> ()
+  | v -> Alcotest.failf "budgeted solve returned %g with no temp dir" v
+
 let test_budget_parse () =
   let ok s = function
     | exp -> (
@@ -387,16 +403,20 @@ let test_budget_parse () =
 
 let tests =
   [
-    Alcotest.test_case "segment round-trip through reopen" `Quick
-      test_segment_roundtrip;
-    Alcotest.test_case "segment crash-tail recovery" `Quick
-      test_segment_recovery;
-    Alcotest.test_case "block cache LRU order and pinning" `Quick
-      test_block_cache_lru;
+    Alcotest.test_case "segment round-trip" `Quick test_segment_roundtrip;
+    Alcotest.test_case "segment create refuses an existing file" `Quick
+      test_segment_create_exclusive;
+    Alcotest.test_case "segment truncated under a probe raises" `Quick
+      test_segment_truncated;
+    Alcotest.test_case "block cache LRU order" `Quick test_block_cache_lru;
     Alcotest.test_case "memo exactly-once across spills" `Quick
       test_memo_exactly_once_across_spills;
     Alcotest.test_case "memo stats shape" `Quick test_memo_stats_shape;
+    Alcotest.test_case "memo probes of truncated segments raise" `Quick
+      test_memo_truncated_segments;
     Alcotest.test_case "memo budget parsing" `Quick test_budget_parse;
+    Alcotest.test_case "budgeted solve without a temp dir raises" `Quick
+      test_missing_temp_dir;
     Alcotest.test_case "all games bit-identical when spilled (jobs 1)" `Quick
       (test_games_deterministic ~jobs:1);
     Alcotest.test_case "all games bit-identical when spilled (jobs 4)" `Slow
