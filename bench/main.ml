@@ -1,28 +1,25 @@
 (* The experiment harness: regenerates every quantitative claim of the
    paper (there are no machine-run tables in the original — the
    "evaluation" is Figure 1 and the Appendix A case-study numbers, plus the
-   Theorem 4.2 bound), one section per experiment of DESIGN.md's index,
-   followed by Bechamel micro-benchmarks of the simulator.
+   Theorem 4.2 bound), one section per experiment of DESIGN.md's index.
+   It reports values, state counts and bounds; the wall times it prints
+   are single-run context, and perf/ is what judges time.
 
-     dune exec bench/main.exe                    # all experiments + micro-benches
+     dune exec bench/main.exe                    # all experiments
      dune exec bench/main.exe -- --json out.json # also write the results document
      dune exec bench/main.exe -- --only E1,E4    # run a subset
-     dune exec bench/main.exe -- --baseline BENCH_X.json  # diff after the run
      dune exec bench/main.exe -- --progress      # live solver telemetry
      dune exec bench/main.exe -- --verbosity info
      dune exec bench/main.exe -- --jobs 4        # parallel MC + solver frontier
      BLUNTING_KMAX=3 dune exec bench/main.exe    # cap the exact solver's k
-   BLUNTING_JOBS=4 dune exec bench/main.exe    # default for --jobs
-     BLUNTING_SKIP_BECHAMEL=1 dune exec bench/main.exe
+     BLUNTING_JOBS=4 dune exec bench/main.exe    # default for --jobs
 
    The --json document follows the Obs.Results schema (see
    lib/obs/results.mli and EXPERIMENTS.md): per-section paper-vs-measured
    rows, section metrics (solver statistics, Monte-Carlo tallies, counter
    and GC deltas scoped to the section), the process-wide Obs.Metrics
-   snapshot and the span log. --baseline diffs the freshly produced
-   document against a saved BENCH_*.json in-process (Obs.Diff) and exits
-   non-zero on hard regressions — paper-value drift, or baseline drift on
-   a deterministic quantity. *)
+   snapshot and the span log. `blunting bench-diff BASELINE CURRENT`
+   compares it against a committed BENCH_*.json. *)
 
 open Util
 
@@ -30,48 +27,33 @@ open Util
 
 type options = {
   json_path : string option;
-  baseline_path : string option;
   trace_out : string option;
   only : string list option;  (* uppercased section ids *)
   progress : bool;
   jobs : int;
-  memprof : bool;
-  memprof_rate : float;
-  memprof_collapsed : string option;
   memo_budget : int option;
-  mutable skip_bechamel : bool;
 }
 
 let options =
   let json_path = ref None
-  and baseline_path = ref None
   and trace_out = ref None
   and only = ref None
-  and memprof = ref false
-  and memprof_rate = ref 1e-4
-  and memprof_collapsed = ref None
   and progress = ref false
   (* default 1, not the core count: every deterministic quantity is
      bit-identical at any job count, but the per-domain solver stats land
      in the results document and would drift against single-job baselines *)
   and jobs = ref (Option.value (Par.Pool.env_jobs ()) ~default:1)
-  and memo_budget = ref None
-  and skip_bechamel = ref false in
+  and memo_budget = ref None in
   let usage () =
     Fmt.epr
-      "usage: main.exe [--json PATH] [--baseline PATH] [--trace-out PATH] \
-       [--only E1,E2,...] [--progress] [--jobs N] [--memo-budget BYTES] \
-       [--memprof] [--memprof-rate R] [--memprof-collapsed PATH] \
-       [--skip-bechamel] [--verbosity LEVEL]@.";
+      "usage: main.exe [--json PATH] [--trace-out PATH] [--only E1,E2,...] \
+       [--progress] [--jobs N] [--memo-budget BYTES] [--verbosity LEVEL]@.";
     exit 2
   in
   let rec parse = function
     | [] -> ()
     | "--json" :: path :: rest ->
         json_path := Some path;
-        parse rest
-    | "--baseline" :: path :: rest ->
-        baseline_path := Some path;
         parse rest
     | "--trace-out" :: path :: rest ->
         trace_out := Some path;
@@ -102,22 +84,6 @@ let options =
             Fmt.epr "--memo-budget: %s@." e;
             exit 2);
         parse rest
-    | "--memprof" :: rest ->
-        memprof := true;
-        parse rest
-    | "--memprof-rate" :: rr :: rest ->
-        (match float_of_string_opt rr with
-        | Some f when f > 0.0 && f <= 1.0 -> memprof_rate := f
-        | _ ->
-            Fmt.epr "--memprof-rate expects a probability in (0, 1]@.";
-            exit 2);
-        parse rest
-    | "--memprof-collapsed" :: p :: rest ->
-        memprof_collapsed := Some p;
-        parse rest
-    | "--skip-bechamel" :: rest ->
-        skip_bechamel := true;
-        parse rest
     | "--verbosity" :: v :: rest ->
         (match Obs.Log.set_verbosity v with
         | Ok () -> ()
@@ -130,19 +96,13 @@ let options =
         usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if Sys.getenv_opt "BLUNTING_SKIP_BECHAMEL" <> None then skip_bechamel := true;
   {
     json_path = !json_path;
-    baseline_path = !baseline_path;
     trace_out = !trace_out;
     only = !only;
     progress = !progress;
     jobs = !jobs;
-    memprof = !memprof;
-    memprof_rate = !memprof_rate;
-    memprof_collapsed = !memprof_collapsed;
     memo_budget = !memo_budget;
-    skip_bechamel = !skip_bechamel;
   }
 
 (* One shared domain pool for the whole bench run, installed (and always
@@ -798,8 +758,9 @@ let e11_va_weakener () =
      sufficient for a program to be weakened.@."
 
 (* Sequential vs parallel wall clock for the two engine entry points.
-   The values are asserted bit-identical — the speedup rows are the only
-   machine-dependent part, and their metric names are soft diff keys. *)
+   The values are asserted bit-identical — the timings are the only
+   machine-dependent part: bench-diff does not compare them, and only the
+   opt-in --min-speedup gate reads the solve timings. *)
 let par_speedup () =
   let jobs = if options.jobs > 1 then options.jobs else Par.Pool.default_jobs () in
   let r =
@@ -900,6 +861,9 @@ let par_speedup () =
   Report.metrics r
     ([
        ("jobs", Obs.Json.Int jobs);
+       (* lets bench-diff --min-speedup refuse an oversubscribed run *)
+       ( "recommended_domain_count",
+         Obs.Json.Int (Domain.recommended_domain_count ()) );
        ("spawned_domains", Obs.Json.Int spawned);
        ("domain_ids", Obs.Json.List (List.map (fun i -> Obs.Json.Int i) ids));
        ("mc_seq_seconds", Obs.Json.Float t_mseq);
@@ -925,11 +889,11 @@ let par_speedup () =
 (* Out-of-core memo: the same E3-class solve twice, in-RAM and under a
    deliberately tiny memo budget that forces spilling and block-cache
    eviction. The claim/resolve protocol makes the spilled solve's value
-   and distinct-state count bit-identical to the in-RAM one — the two
-   comparison rows below assert exactly that, and the CI spill gate
-   diffs them against the committed baseline. The store's cumulative
-   telemetry lands both in this section's metrics (prefixed store_, all
-   soft diff keys — spill counts and cache traffic are budget- and
+   and distinct-state count bit-identical to the in-RAM one — the
+   comparison rows below assert exactly that as paper-vs-measured rows,
+   which bench-diff fails on. The store's cumulative telemetry lands both
+   in this section's metrics (prefixed store_, none compared by
+   bench-diff — spill counts and cache traffic are budget- and
    schedule-dependent) and as the document's top-level v6 "store" block
    that `schema_check --expect-store` validates. *)
 
@@ -1020,107 +984,6 @@ let store_spill () =
   Report.finish r;
   Fmt.pr "@.  store: %a@." Store.Memo.pp_stats ss
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the substrate *)
-
-let bechamel () =
-  let r =
-    Report.section ~id:"BENCH" ~title:"Micro-benchmarks (Bechamel)"
-      ~headers:[ "benchmark"; "time/run" ] ()
-  in
-  let open Bechamel in
-  let open Toolkit in
-  let run_weakener k () =
-    let config =
-      if k = 0 then Programs.Weakener.abd_config ()
-      else Programs.Weakener.abd_k_config ~k
-    in
-    let rt =
-      Sim.Runtime.create ~trace_level:Sim.Trace.History config
-        (Sim.Runtime.Gen (Rng.of_int 3))
-    in
-    match
-      Sim.Runtime.run rt ~max_steps:2_000_000 Adversary.Schedulers.eager_delivery
-    with
-    | Sim.Runtime.Completed -> ()
-    | _ -> failwith "bench run failed"
-  in
-  let lin_check () =
-    let t =
-      run_random_config ~seed:5
-        (rw_config (Objects.Abd.make ~name:"R" ~n:3 ~init:(Value.int 0)))
-    in
-    ignore
-      (Lin.Check.check
-         (History.Spec.register ~init:(Value.int 0))
-         (Sim.Runtime.history t))
-  in
-  let snapshot_run () =
-    let obj = Objects.Afek_snapshot.make ~name:"S" ~n:3 ~init:(Value.int 0) in
-    let open Sim.Proc.Syntax in
-    let program ~self =
-      let* _ =
-        Sim.Obj_impl.call obj ~self ~tag:"u" ~meth:"update"
-          ~arg:(Value.pair (Value.int self) (Value.int self))
-      in
-      let* _ = Sim.Obj_impl.call obj ~self ~tag:"s" ~meth:"scan" ~arg:Value.unit in
-      Sim.Proc.return ()
-    in
-    let config =
-      {
-        Sim.Runtime.n = 3;
-        objects = [ obj ];
-        program;
-        enable_crashes = false;
-        max_crashes = 0;
-      }
-    in
-    let rt =
-      Sim.Runtime.create ~trace_level:Sim.Trace.History config
-        (Sim.Runtime.Gen (Rng.of_int 4))
-    in
-    match Sim.Runtime.run rt ~max_steps:500_000 Adversary.Schedulers.eager_delivery with
-    | Sim.Runtime.Completed -> ()
-    | _ -> failwith "snapshot bench failed"
-  in
-  let tests =
-    [
-      Test.make ~name:"weakener/ABD (E8 latency)" (Staged.stage (run_weakener 0));
-      Test.make ~name:"weakener/ABD^2" (Staged.stage (run_weakener 2));
-      Test.make ~name:"weakener/ABD^4" (Staged.stage (run_weakener 4));
-      Test.make ~name:"weakener/ABD^8" (Staged.stage (run_weakener 8));
-      Test.make ~name:"linearizability check (12 ops)" (Staged.stage lin_check);
-      Test.make ~name:"Afek snapshot workload" (Staged.stage snapshot_run);
-    ]
-  in
-  let benchmark test =
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-    Benchmark.all cfg Instance.[ monotonic_clock ] test
-  in
-  let analyze raw =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark (Test.make_grouped ~name:"g" [ test ])) in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ ns ] ->
-              let pretty =
-                if ns > 1e6 then Fmt.str "%.2f ms" (ns /. 1e6)
-                else if ns > 1e3 then Fmt.str "%.2f us" (ns /. 1e3)
-                else Fmt.str "%.0f ns" ns
-              in
-              Report.table_row r [ name; pretty ];
-              Report.metrics r [ (name, Obs.Json.Float ns) ]
-          | _ -> Report.table_row r [ name; "?" ])
-        results)
-    tests;
-  Report.finish r
-
 let () =
   Fmt.pr
     "Blunting an Adversary Against Randomized Concurrent Programs@.\
@@ -1154,13 +1017,6 @@ let () =
       ("STORE", store_spill);
     ]
   in
-  (* Start profiling before the shared pool exists: Gc.Memprof covers the
-     starting domain plus domains spawned after [start], so this is what
-     lets the worker domains' allocations be sampled and attributed. *)
-  (if options.memprof then
-     match Obs.Memprof.start ~sampling_rate:options.memprof_rate () with
-     | Ok () -> ()
-     | Error e -> Fmt.epr "memprof: %s (running unprofiled)@." e);
   (* All sections share one pool (installed in [pool]); with_pool joins
      its domains even if a section raises mid-run. *)
   let run_sections () =
@@ -1171,7 +1027,6 @@ let () =
         pool := Some p;
         Fun.protect ~finally:(fun () -> pool := None) run_sections)
   else run_sections ();
-  if (not options.skip_bechamel) && runs "BENCH" then bechamel ();
   (match options.trace_out with
   | Some path ->
       Obs.Ring.set_enabled false;
@@ -1185,37 +1040,7 @@ let () =
       Fmt.pr "@.trace: %d events across %d domain ring(s) -> %s@." events
         (List.length d.domains) path
   | None -> ());
-  (* stop before the results document renders: Report.write_json picks up
-     the allocation_profile block from the live Memprof aggregation *)
-  (if options.memprof && Obs.Memprof.running () then begin
-     Obs.Memprof.stop ();
-     (match Obs.Memprof.profile () with
-     | Some p -> Fmt.pr "@.%a@." (Obs.Memprof.pp ~top:10) p
-     | None -> ());
-     match options.memprof_collapsed with
-     | Some path ->
-         Obs.Memprof.write_collapsed path;
-         Fmt.pr "collapsed stacks -> %s@." path
-     | None -> ()
-   end);
   (match options.json_path with
   | Some path -> Report.write_json ~path
-  | None -> ());
-  (match options.baseline_path with
-  | Some path -> (
-      match Obs.Diff.load_file path with
-      | Error e ->
-          Fmt.epr "baseline: %s@." e;
-          exit 2
-      | Ok baseline -> (
-          Fmt.pr "@.=== DIFF  against baseline %s@.@." path;
-          match Obs.Diff.diff ~baseline ~current:(Report.doc_json ()) () with
-          | Error e ->
-              Fmt.epr "diff: %s@." e;
-              exit 2
-          | Ok report ->
-              Obs.Diff.pp_report Fmt.stdout report;
-              let rc = Obs.Diff.exit_code report in
-              if rc <> 0 then exit rc))
   | None -> ());
   Fmt.pr "@.done.@."

@@ -112,8 +112,6 @@ let finish t =
     ];
   if not (Table.is_empty t.table) then Table.print t.table
 
-let doc_json () = Obs.Results.to_json doc
-
 let write_json ~path =
   (try Obs.Results.write doc ~path
    with Sys_error e ->

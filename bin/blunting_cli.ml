@@ -8,14 +8,11 @@
      blunting lin-sweep --object abd --trials 50
      blunting trace --registers abd -o weakener.trace.json
      blunting trace analyze ring_dump.json --chrome lanes.json
-     blunting trace analyze --alloc profile.json
      blunting solve -k 1 --jobs 4 --trace-out ring_dump.json
      blunting metrics --workload mc --json
      blunting bench-diff BASELINE.json CURRENT.json
      blunting fuzz --seed 42 --budget 10000 --jobs 4
      blunting fuzz --replay test/corpus/fuzz-lin-s7-i0.json
-     blunting profile solve -k 1 --jobs 4 --collapsed solve.folded
-     blunting solve -k 1 --memprof --memprof-rate 1e-3
 
    Every subcommand accepts --verbosity LEVEL (quiet|app|error|warning|
    info|debug) to surface the structured logs of the blunting.sim,
@@ -142,23 +139,8 @@ let solve_cmd =
              task/idle slices, GC) during the solve and write the dump to \
              $(docv); analyze it with $(b,blunting trace analyze).")
   in
-  let memprof_arg =
-    Arg.(
-      value & flag
-      & info [ "memprof" ]
-          ~doc:
-            "Sample allocations during the solve with $(b,Gc.Memprof) \
-             (OCaml >= 5.3; prints a warning and solves unprofiled \
-             otherwise) and print the allocation-site summary afterwards.")
-  in
-  let memprof_rate_arg =
-    Arg.(
-      value & opt float 1e-4
-      & info [ "memprof-rate" ] ~docv:"R"
-          ~doc:"Per-word sampling probability for $(b,--memprof).")
-  in
-  let run () k atomic servers abd_c prune progress trace_out memprof
-      memprof_rate jobs memo_budget =
+  let run () k atomic servers abd_c prune progress trace_out jobs memo_budget
+      =
     if progress then
       Model.Weakener_abd.set_progress
         (Some (fun p -> Fmt.epr "  [mdp] %a@." Mdp.Solver.pp_progress p));
@@ -169,12 +151,6 @@ let solve_cmd =
         | Ok () -> ()
         | Error e -> Fmt.epr "trace: runtime events unavailable (%s)@." e)
     | None -> ());
-    (* must start before the solver's pool spawns its worker domains:
-       Gc.Memprof only covers domains created after [start] *)
-    (if memprof then
-       match Obs.Memprof.start ~sampling_rate:memprof_rate () with
-       | Ok () -> ()
-       | Error e -> Fmt.epr "memprof: %s (solving unprofiled)@." e);
     if atomic then begin
       let v = Model.Weakener_atomic.bad_probability ?memo_budget () in
       Fmt.pr "weakener with atomic registers:@.";
@@ -202,12 +178,6 @@ let solve_cmd =
       | Some ps -> Fmt.pr "  %a@." Mdp.Solver.pp_par_stats ps
       | None -> ()
     end;
-    (if memprof && Obs.Memprof.running () then begin
-       Obs.Memprof.stop ();
-       match Obs.Memprof.profile () with
-       | Some p -> Fmt.pr "%a@." (Obs.Memprof.pp ~top:10) p
-       | None -> ()
-     end);
     match trace_out with
     | Some path ->
         Obs.Ring.set_enabled false;
@@ -219,8 +189,7 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc)
     Term.(
       const run $ verbosity_term $ k_arg $ atomic_arg $ servers_arg $ abd_c_arg
-      $ prune_arg $ progress_arg $ trace_out_arg $ memprof_arg
-      $ memprof_rate_arg $ jobs_term $ memo_budget_term)
+      $ prune_arg $ progress_arg $ trace_out_arg $ jobs_term $ memo_budget_term)
 
 (* ---- figure1 -------------------------------------------------------- *)
 
@@ -455,28 +424,15 @@ let trace_cmd =
   in
   (* `blunting trace analyze` — the offline side of the ring-buffer
      tracing: read a dump written by --trace-out (solve or bench) and
-     render the per-domain busy/idle, steal, spill, allocation and
-     adversary-decision report, optionally with machine JSON and a
-     Chrome/Perfetto export. --alloc re-renders a results document's
-     allocation profile instead. *)
+     render the per-domain busy/idle, steal, spill and adversary-decision
+     report, optionally with machine JSON and a Chrome/Perfetto export. *)
   let analyze_cmd =
     let trace_arg =
       Arg.(
-        value
+        required
         & pos 0 (some file) None
         & info [] ~docv:"TRACE"
             ~doc:"Ring dump written by $(b,--trace-out) (blunting-trace/1).")
-    in
-    let alloc_arg =
-      Arg.(
-        value
-        & opt (some file) None
-        & info [ "alloc" ] ~docv:"FILE"
-            ~doc:
-              "Instead of a ring dump, render the $(b,allocation_profile) \
-               block of the results document $(docv) (written by \
-               $(b,--memprof --json) or $(b,blunting profile --json)) as \
-               the named allocation-site table.")
     in
     let json_arg =
       Arg.(
@@ -494,84 +450,45 @@ let trace_cmd =
               "Also export the dump as a Chrome/Perfetto trace with one lane \
                per domain to $(docv).")
     in
-    let top_arg =
-      Arg.(
-        value & opt int 10
-        & info [ "top" ] ~docv:"N"
-            ~doc:"Allocation sites to list (default 10).")
-    in
     let buckets_arg =
       Arg.(
         value & opt int 20
         & info [ "buckets" ] ~docv:"N"
             ~doc:"Utilization timeline resolution (default 20).")
     in
-    let alloc_report ~top path =
-      let fail fmt =
-        Fmt.kstr
-          (fun msg ->
-            Fmt.epr "%s: %s@." path msg;
-            exit 1)
-          fmt
-      in
-      match Obs.Diff.load_file path with
-      | Error e -> fail "%s" e
-      | Ok doc -> (
-          if Obs.Json.member "schema_version" doc = None then
-            fail
-              "not a results document (a ring dump's top allocators are in \
-               the report of `blunting trace analyze %s`)"
-              path;
-          match Obs.Json.member "allocation_profile" doc with
-          | None ->
-              fail
-                "no allocation_profile block — produce one with \
-                 bench/main.exe --memprof --json or blunting profile --json"
-          | Some j -> (
-              match Obs.Memprof.of_json j with
-              | Error e -> fail "%s" e
-              | Ok p -> Fmt.pr "%a@." (Obs.Memprof.pp ~top) p))
-    in
-    let run () trace alloc json chrome top buckets =
-      if top < 1 || buckets < 1 then begin
-        Fmt.epr "--top and --buckets expect positive integers@.";
+    let run () trace json chrome buckets =
+      if buckets < 1 then begin
+        Fmt.epr "--buckets expects a positive integer@.";
         exit 2
       end;
-      match (trace, alloc) with
-      | Some _, Some _ | None, None ->
-          Fmt.epr "trace analyze: give either TRACE or --alloc FILE@.";
-          exit 2
-      | None, Some path -> alloc_report ~top path
-      | Some trace, None -> (
-          match Obs.Ring.load_file trace with
-          | Error e ->
-              Fmt.epr "%s: %s@." trace e;
-              exit 1
-          | Ok dump ->
-              let report = Obs.Trace_analysis.analyze ~top ~buckets dump in
-              Fmt.pr "%a@." Obs.Trace_analysis.pp report;
-              (match json with
-              | Some p ->
-                  Obs.Json.write_file p (Obs.Trace_analysis.to_json report);
-                  Fmt.pr "report -> %s@." p
-              | None -> ());
-              match chrome with
-              | Some p ->
-                  Obs.Chrome_trace.write_file p (Obs.Ring.chrome_events dump);
-                  Fmt.pr
-                    "chrome trace -> %s (open at https://ui.perfetto.dev)@." p
-              | None -> ())
+      match Obs.Ring.load_file trace with
+      | Error e ->
+          Fmt.epr "%s: %s@." trace e;
+          exit 1
+      | Ok dump -> (
+          let report = Obs.Trace_analysis.analyze ~buckets dump in
+          Fmt.pr "%a@." Obs.Trace_analysis.pp report;
+          (match json with
+          | Some p ->
+              Obs.Json.write_file p (Obs.Trace_analysis.to_json report);
+              Fmt.pr "report -> %s@." p
+          | None -> ());
+          match chrome with
+          | Some p ->
+              Obs.Chrome_trace.write_file p (Obs.Ring.chrome_events dump);
+              Fmt.pr "chrome trace -> %s (open at https://ui.perfetto.dev)@." p
+          | None -> ())
     in
     let doc =
       "Analyze a per-domain ring-buffer trace dump: per-domain busy and idle \
-       time, steals, store spills, allocation samples, queue depths, \
-       adversary decisions and a utilization timeline. Memo hit/miss counts \
-       are not traced; every solve prints them exactly."
+       time, steals, store spills, queue depths, adversary decisions and a \
+       utilization timeline. Memo hit/miss counts are not traced; every \
+       solve prints them exactly."
     in
     Cmd.v (Cmd.info "analyze" ~doc)
       Term.(
-        const run $ verbosity_term $ trace_arg $ alloc_arg $ json_arg
-        $ chrome_arg $ top_arg $ buckets_arg)
+        const run $ verbosity_term $ trace_arg $ json_arg $ chrome_arg
+        $ buckets_arg)
   in
   let doc =
     "Run the weakener once and export the execution as a structured trace \
@@ -647,16 +564,6 @@ let bench_diff_cmd =
       & info [ "value-rtol" ] ~docv:"F"
           ~doc:"Relative tolerance for deterministic measured values (hard failure).")
   in
-  let time_rtol_arg =
-    Arg.(
-      value
-      & opt float Obs.Diff.default_config.time_rtol
-      & info [ "time-rtol" ] ~docv:"F"
-          ~doc:"Relative tolerance for timing/resource values (warning only).")
-  in
-  let no_spans_arg =
-    Arg.(value & flag & info [ "no-spans" ] ~doc:"Skip span-duration comparison.")
-  in
   let min_speedup_arg =
     Arg.(
       value
@@ -664,8 +571,9 @@ let bench_diff_cmd =
       & info [ "min-speedup" ] ~docv:"F"
           ~doc:
             "Require CURRENT's PAR section to show a sequential/parallel \
-             solve-time ratio of at least $(docv) (hard failure below, or \
-             when the PAR timings are missing).")
+             solve-time ratio of at least $(docv) (hard failure below, \
+             when the PAR timings are missing, or when the run used more \
+             jobs than the host's recommended domain count).")
   in
   let max_alloc_ratio_arg =
     Arg.(
@@ -678,18 +586,8 @@ let bench_diff_cmd =
              $(docv) times the baseline's (hard failure past the ceiling, \
              or when no section pair carries GC data).")
   in
-  let run () baseline current paper_tol value_rtol time_rtol no_spans min_speedup
-      max_alloc_ratio =
-    let config =
-      {
-        Obs.Diff.paper_tol;
-        value_rtol;
-        time_rtol;
-        compare_spans = not no_spans;
-        min_speedup;
-        max_alloc_ratio;
-      }
-    in
+  let run () baseline current paper_tol value_rtol min_speedup max_alloc_ratio =
+    let config = { Obs.Diff.paper_tol; value_rtol; min_speedup; max_alloc_ratio } in
     match Obs.Diff.run_files ~config ~baseline ~current Fmt.stdout with
     | Ok rc -> exit rc
     | Error e ->
@@ -698,15 +596,14 @@ let bench_diff_cmd =
   in
   let doc =
     "Diff two bench results documents: paper-vs-measured drift in CURRENT is \
-     a hard failure, CURRENT-vs-BASELINE drift fails hard on deterministic \
-     quantities and warns on timing/GC. Exits 1 on hard failures, 2 on \
-     unreadable or schema-invalid input."
+     a hard failure, and so is CURRENT-vs-BASELINE drift on a deterministic \
+     quantity; timing and GC figures are not compared. Exits 1 on hard \
+     failures, 2 on unreadable or schema-invalid input."
   in
   Cmd.v (Cmd.info "bench-diff" ~doc)
     Term.(
       const run $ verbosity_term $ baseline_arg $ current_arg $ paper_tol_arg
-      $ value_rtol_arg $ time_rtol_arg $ no_spans_arg $ min_speedup_arg
-      $ max_alloc_ratio_arg)
+      $ value_rtol_arg $ min_speedup_arg $ max_alloc_ratio_arg)
 
 (* ---- fuzz ----------------------------------------------------------- *)
 
@@ -795,151 +692,6 @@ let fuzz_cmd =
       const run $ verbosity_term $ seed_arg $ budget_arg $ corpus_arg
       $ replay_arg $ planted_arg $ dist_trials_arg $ jobs_term)
 
-(* ---- profile --------------------------------------------------------- *)
-
-let profile_cmd =
-  let workload_arg =
-    let w =
-      Arg.enum [ ("solve", `Solve); ("estimate", `Estimate); ("fuzz", `Fuzz) ]
-    in
-    Arg.(
-      required
-      & pos 0 (some w) None
-      & info [] ~docv:"solve|estimate|fuzz"
-          ~doc:
-            "Workload to run under the profiler: the exact ABD$(b,^k) solve, \
-             a Monte-Carlo estimate, or a fuzzing session.")
-  in
-  let k_arg =
-    Arg.(value & opt int 1 & info [ "k" ] ~doc:"Preamble iterations for the solve workload." ~docv:"K")
-  in
-  let rate_arg =
-    Arg.(
-      value & opt float 1e-4
-      & info [ "rate" ] ~docv:"R"
-          ~doc:"Per-word sampling probability (default 1e-4).")
-  in
-  let stacks_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "stacks" ] ~docv:"N"
-          ~doc:"Backtrace frames captured per sample (default 32).")
-  in
-  let trials_arg =
-    Arg.(value & opt int 2000 & info [ "trials" ] ~doc:"Trials for the estimate workload.")
-  in
-  let budget_arg =
-    Arg.(value & opt int 500 & info [ "budget" ] ~doc:"Iterations for the fuzz workload.")
-  in
-  let top_arg =
-    Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc:"Allocation sites to list (default 20).")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:
-            (Fmt.str
-               "Write a results document (schema v%d, with the \
-                $(b,allocation_profile) block) to $(docv)."
-               Obs.Results.schema_version))
-  in
-  let collapsed_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "collapsed" ] ~docv:"PATH"
-          ~doc:
-            "Write collapsed stacks to $(docv) for flamegraph.pl or \
-             speedscope.")
-  in
-  let run () workload k rate stacks trials budget top json collapsed jobs =
-    (* the profiler must be live before the pool spawns worker domains:
-       Gc.Memprof covers the starting domain plus domains created after
-       [start], so this ordering is what makes per-domain attribution
-       cover the whole solve *)
-    (match Obs.Memprof.start ~sampling_rate:rate ~callstack_size:stacks () with
-    | Ok () -> ()
-    | Error e ->
-        Fmt.epr "blunting profile: %s@." e;
-        exit 3);
-    let label, detail =
-      match workload with
-      | `Solve ->
-          let v, secs =
-            Obs.Span.time
-              (Fmt.str "profile.solve k=%d" k)
-              (fun () -> Model.Weakener_abd.bad_probability ~k ~jobs ())
-          in
-          ("solve", Fmt.str "Prob[bad] = %.6f (%.2fs)" v secs)
-      | `Estimate ->
-          let r, secs =
-            Obs.Span.time
-              (Fmt.str "profile.estimate trials=%d" trials)
-              (fun () ->
-                Adversary.Monte_carlo.estimate ~jobs ~trials ~seed:42
-                  ~scheduler:Adversary.Schedulers.uniform
-                  ~bad:Programs.Weakener.bad Programs.Weakener.abd_config)
-          in
-          ("estimate", Fmt.str "bad = %a (%.2fs)" Adversary.Monte_carlo.pp r secs)
-      | `Fuzz -> (
-          match Fuzz.Engine.parse_budget (string_of_int budget) with
-          | Error e ->
-              Fmt.epr "%s@." e;
-              exit 2
-          | Ok b ->
-              let summary, secs =
-                Obs.Span.time
-                  (Fmt.str "profile.fuzz budget=%d" budget)
-                  (fun () ->
-                    Fuzz.Engine.run ~jobs ~planted:false ~dist_trials:100
-                      ~seed:42 ~budget:b ())
-              in
-              let failed = Fuzz.Engine.has_failures summary in
-              ( "fuzz",
-                Fmt.str "%s (%.2fs)"
-                  (if failed then "failures found" else "no failures")
-                  secs ))
-    in
-    Obs.Memprof.stop ();
-    match Obs.Memprof.profile () with
-    | None ->
-        Fmt.epr "blunting profile: no profile collected@.";
-        exit 1
-    | Some p ->
-        Fmt.pr "profiled workload %s: %s@.@." label detail;
-        Fmt.pr "%a@." (Obs.Memprof.pp ~top) p;
-        (match collapsed with
-        | Some path ->
-            Obs.Memprof.write_collapsed path;
-            Fmt.pr "collapsed stacks -> %s (feed to flamegraph.pl or speedscope)@." path
-        | None -> ());
-        (match json with
-        | Some path ->
-            let doc = Obs.Results.create ~generated_by:"blunting profile" () in
-            let sec =
-              Obs.Results.section doc ~id:"PROFILE"
-                ~title:"Allocation profiling workload"
-            in
-            Obs.Results.row sec ~quantity:("workload " ^ label) ~paper:"n/a"
-              ~measured:detail ();
-            Obs.Results.write doc ~path;
-            Fmt.pr "results document (schema v%d) -> %s@."
-              Obs.Results.schema_version path
-        | None -> ())
-  in
-  let doc =
-    "Run a workload under the $(b,Gc.Memprof) allocation-site profiler and \
-     report where the sampled words were allocated — per site, per bench \
-     section, per solver phase and per domain. Needs OCaml >= 5.3; exits 3 \
-     with an explanation on earlier compilers."
-  in
-  Cmd.v (Cmd.info "profile" ~doc)
-    Term.(
-      const run $ verbosity_term $ workload_arg $ k_arg $ rate_arg $ stacks_arg
-      $ trials_arg $ budget_arg $ top_arg $ json_arg $ collapsed_arg $ jobs_term)
-
 (* ---- main ----------------------------------------------------------- *)
 
 let () =
@@ -962,5 +714,4 @@ let () =
             metrics_cmd;
             bench_diff_cmd;
             fuzz_cmd;
-            profile_cmd;
           ]))

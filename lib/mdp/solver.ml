@@ -489,11 +489,6 @@ module Make (G : GAME) = struct
      the owner's single [fold_value], or prune-cut folds could disagree
      with it. *)
   and help ~prune m c depth s key =
-    (* the whole helping protocol — evaluating the busy state's children
-       plus the await spin — is claim-miss overhead; tag its allocations
-       so the profiler can separate it from first-visit expansion *)
-    let prev_phase = Obs.Memprof.phase () in
-    Obs.Memprof.set_phase (Some Obs.Memprof.Claim_wait);
     let child s' = ignore (solve_at ~prune m c (depth + 1) s') in
     List.iter
       (fun mv ->
@@ -520,9 +515,7 @@ module Make (G : GAME) = struct
           else Unix.sleepf 0.0002;
           await (probes + 1)
     in
-    let v = await 0 in
-    Obs.Memprof.set_phase prev_phase;
-    v
+    await 0
 
   (* a sequential solve: worker 0 over the armed backend *)
   let solve ~prune depth s =
@@ -554,12 +547,7 @@ module Make (G : GAME) = struct
     main.solve_base_misses <- main.misses;
     let before = stats_of main in
     let pruned_before = main.prune_cuts in
-    (* tag allocations in the solve as expansion work for Obs.Memprof;
-       the parallel workers refine the tag (steal/claim-wait) themselves *)
-    let prev_phase = Obs.Memprof.phase () in
-    Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
     let finish () =
-      Obs.Memprof.set_phase prev_phase;
       publish_delta before (stats_of main);
       Obs.Metrics.add M.pruned (main.prune_cuts - pruned_before)
     in
@@ -769,14 +757,12 @@ module Make (G : GAME) = struct
     let values = Array.make (Array.length leaves) Float.nan in
     let first_error : exn option Atomic.t = Atomic.make None in
     let eval_leaf w i =
-      Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
       let s, depth = leaves.(i) in
       values.(i) <- solve_at ~prune m w depth s
     in
     let worker_loop wid =
       let w = workers.(wid) in
       w.domain <- (Domain.self () :> int);
-      Obs.Memprof.set_phase (Some Obs.Memprof.Expand);
       (* drain the local deque LIFO; when empty, sweep the other deques
          for the oldest leaf. Leaves are only pushed before the region
          starts, so a sweep seeing every deque [Empty] means no work
@@ -788,9 +774,7 @@ module Make (G : GAME) = struct
         | Some i ->
             eval_leaf w i;
             drain ()
-        | None ->
-            Obs.Memprof.set_phase (Some Obs.Memprof.Steal);
-            hunt 0 false
+        | None -> hunt 0 false
       and hunt k contended =
         if Atomic.get abort then ()
         else if k >= jobs - 1 then begin

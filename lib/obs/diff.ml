@@ -13,8 +13,6 @@ type finding = {
 type config = {
   paper_tol : float;
   value_rtol : float;
-  time_rtol : float;
-  compare_spans : bool;
   min_speedup : float option;
   max_alloc_ratio : float option;
 }
@@ -25,9 +23,6 @@ let default_config =
        experiments; 1e-6 absorbs only float printing noise *)
     paper_tol = 1e-6;
     value_rtol = 1e-9;
-    (* wall-clock and GC figures legitimately move with machine load *)
-    time_rtol = 0.5;
-    compare_spans = true;
     min_speedup = None;
     max_alloc_ratio = None;
   }
@@ -37,7 +32,6 @@ type report = {
   sections_compared : int;
   rows_compared : int;
   metrics_compared : int;
-  spans_compared : int;
 }
 
 let failures r = List.filter (fun f -> f.severity = Fail) r.findings
@@ -47,10 +41,12 @@ let exit_code r = if failures r = [] then 0 else 1
 
 let ( let* ) = Result.bind
 
-(* Resource and timing figures drift with the machine, not the algorithm:
-   flag them softly and generously. Everything else in a results document
-   is deterministic (seeded RNGs, exact game values) and diffs tightly. *)
-let is_soft_key k =
+(* Resource and timing figures move with the machine, not the algorithm,
+   so they are not compared at all: perf/ is what judges time, and the
+   opt-in gates below read the few that matter. Everything else in a
+   results document is deterministic (seeded RNGs, exact game values) and
+   diffs tightly. *)
+let machine_dependent k =
   let k = String.lowercase_ascii k in
   let has needle =
     let nl = String.length needle and kl = String.length k in
@@ -123,30 +119,6 @@ let metrics_of section =
         kvs
   | _ -> []
 
-(* Spans aggregated by name: (count, total seconds). Individual spans are
-   not comparable across runs (names repeat per solve), totals are. *)
-let spans_of doc =
-  match Json.member "spans" doc with
-  | Some (Json.List l) ->
-      let tbl = Hashtbl.create 16 in
-      let order = ref [] in
-      List.iter
-        (fun s ->
-          match
-            ( Option.bind (Json.member "name" s) Json.to_string_opt,
-              Option.bind (Json.member "dur_us" s) number )
-          with
-          | Some name, Some dur ->
-              (match Hashtbl.find_opt tbl name with
-              | None ->
-                  order := name :: !order;
-                  Hashtbl.replace tbl name (1, dur /. 1e6)
-              | Some (n, total) -> Hashtbl.replace tbl name (n + 1, total +. (dur /. 1e6)))
-          | _ -> ())
-        l;
-      List.rev_map (fun name -> (name, Hashtbl.find tbl name)) !order
-  | _ -> []
-
 (* ---- the comparison -------------------------------------------------- *)
 
 let paper_findings cfg ~section_id rows =
@@ -174,20 +146,17 @@ let paper_findings cfg ~section_id rows =
     rows
 
 let drift_finding cfg ~section ~subject ~from ~to_ =
-  let soft = is_soft_key subject in
-  let tol = if soft then cfg.time_rtol else cfg.value_rtol in
   let d = rel_drift ~from ~to_ in
-  if d > tol then
+  if d > cfg.value_rtol then
     Some
       {
-        severity = (if soft then Warn else Fail);
+        severity = Fail;
         section;
         subject;
         detail =
-          Fmt.str "%a -> %a (drift %.2f%% > %s tolerance %.2f%%)" pp_num from
+          Fmt.str "%a -> %a (drift %.2f%% > tolerance %.2f%%)" pp_num from
             pp_num to_ (100.0 *. d)
-            (if soft then "soft" else "hard")
-            (100.0 *. tol);
+            (100.0 *. cfg.value_rtol);
       }
   else None
 
@@ -206,6 +175,7 @@ let compare_rows cfg ~section_id base cur =
               subject = quantity;
               detail = "row present in baseline but missing in current run";
             }
+      | Some _ when machine_dependent quantity -> ()
       | Some crow -> (
           incr compared;
           match
@@ -241,7 +211,9 @@ let compare_metrics cfg ~section_id base cur =
     List.filter_map
       (fun (key, from) ->
         match List.assoc_opt key cur with
-        | Some to_ when Float.is_finite from && Float.is_finite to_ ->
+        | Some to_
+          when Float.is_finite from && Float.is_finite to_
+               && not (machine_dependent key) ->
             incr compared;
             drift_finding cfg ~section:(Some section_id) ~subject:("metrics." ^ key)
               ~from ~to_
@@ -250,78 +222,54 @@ let compare_metrics cfg ~section_id base cur =
   in
   (!compared, findings)
 
-let compare_spans cfg base cur =
-  let base = spans_of base and cur = spans_of cur in
-  let compared = ref 0 in
-  let findings =
-    List.filter_map
-      (fun (name, (_, from)) ->
-        match List.assoc_opt name cur with
-        | None ->
-            Some
-              {
-                severity = Info;
-                section = None;
-                subject = "span " ^ name;
-                detail = "present in baseline, absent in current run";
-              }
-        | Some (_, to_) ->
-            incr compared;
-            if rel_drift ~from ~to_ > cfg.time_rtol then
-              Some
-                {
-                  severity = Warn;
-                  section = None;
-                  subject = "span " ^ name;
-                  detail =
-                    Fmt.str "total %.3fs -> %.3fs (drift %.0f%% > %.0f%%)" from
-                      to_
-                      (100.0 *. rel_drift ~from ~to_)
-                      (100.0 *. cfg.time_rtol);
-                }
-            else None)
-      base
-  in
-  (!compared, findings)
-
 (* The --min-speedup gate judges only the CURRENT document: parallel wall
    time is machine-bound so baselines have nothing to add, and the check
    must fail loudly (not soften to a Warn) when the PAR section or its
    timing metrics are missing — a gated CI leg that silently skipped
-   would defeat its purpose. *)
+   would defeat its purpose. A run with more jobs than the host's
+   recommended domain count measures oversubscription, not the solver,
+   so it fails too, as does a run that did not record that count. *)
 let speedup_findings cfg csec =
   match cfg.min_speedup with
   | None -> []
-  | Some floor ->
+  | Some floor -> (
       let fail detail =
         [ { severity = Fail; section = Some "PAR"; subject = "solve_speedup"; detail } ]
       in
-      (match List.assoc_opt "PAR" csec with
+      match List.assoc_opt "PAR" csec with
       | None -> fail "min-speedup check requested but current run has no PAR section"
       | Some s -> (
           let metrics = metrics_of s in
-          match
-            ( List.assoc_opt "solve_seq_seconds" metrics,
-              List.assoc_opt "solve_par_seconds" metrics )
-          with
-          | Some seq, Some par when Float.is_finite seq && Float.is_finite par && par > 0.0 ->
-              let speedup = seq /. par in
-              if speedup < floor then
-                fail
-                  (Fmt.str
-                     "parallel solve %.3fs vs sequential %.3fs: %.2fx < required %.2fx"
-                     par seq speedup floor)
-              else
-                [
-                  {
-                    severity = Info;
-                    section = Some "PAR";
-                    subject = "solve_speedup";
-                    detail =
-                      Fmt.str "%.2fx (seq %.3fs / par %.3fs) >= required %.2fx"
-                        speedup seq par floor;
-                  };
-                ]
+          let metric k = List.assoc_opt k metrics in
+          match (metric "solve_seq_seconds", metric "solve_par_seconds") with
+          | Some seq, Some par when Float.is_finite seq && Float.is_finite par && par > 0.0
+            -> (
+              match (metric "jobs", metric "recommended_domain_count") with
+              | Some jobs, Some domains when domains >= jobs ->
+                  let speedup = seq /. par in
+                  if speedup < floor then
+                    fail
+                      (Fmt.str
+                         "parallel solve %.3fs vs sequential %.3fs: %.2fx < required %.2fx"
+                         par seq speedup floor)
+                  else
+                    [
+                      {
+                        severity = Info;
+                        section = Some "PAR";
+                        subject = "solve_speedup";
+                        detail =
+                          Fmt.str "%.2fx (seq %.3fs / par %.3fs) >= required %.2fx"
+                            speedup seq par floor;
+                      };
+                    ]
+              | jobs, domains ->
+                  let show = function Some v -> Fmt.str "%a" pp_num v | None -> "none" in
+                  fail
+                    (Fmt.str
+                       "PAR ran %s jobs on a host with recommended_domain_count %s \
+                        — an oversubscribed run cannot show a speedup"
+                       (show jobs) (show domains)))
           | _ ->
               fail
                 "min-speedup check requested but PAR metrics lack \
@@ -330,10 +278,9 @@ let speedup_findings cfg csec =
 (* The --max-alloc-ratio gate compares allocation pressure section by
    section against the BASELINE: minor words normalized per simulator
    step when the section counted steps (so trial-count changes don't
-   masquerade as allocation changes — the same normalization the
-   trajectory's derived gc.minor_words_per_step series uses), raw minor
-   words otherwise. Allocation counts are deterministic per workload on
-   a given compiler, unlike wall time, so a hard gate is sound here.
+   masquerade as allocation changes), raw minor words otherwise.
+   Allocation counts are deterministic per workload on a given
+   compiler, unlike wall time, so a hard gate is sound here.
    Like --min-speedup, the check fails loudly when it finds nothing to
    compare: a gated CI leg that silently skipped would defeat its
    purpose. Sections present only in the CURRENT document (added after
@@ -439,62 +386,6 @@ let alloc_findings cfg bsec csec =
         ]
       else findings @ new_section_findings
 
-(* Per-row speedup surfacing, always on: every "*_speedup_timing" metric
-   in the CURRENT document's PAR section lands in the human summary —
-   Info at >= 1.0x, a soft Warn below it (a parallel row silently slower
-   than sequential, like the 0.19x ABD^2 solve the 2026-08-08-par4
-   baseline carried). Never a Fail: the hard floor stays opt-in via
-   --min-speedup above. *)
-let speedup_suffix = "_speedup_timing"
-
-let par_row_findings csec =
-  match List.assoc_opt "PAR" csec with
-  | None -> []
-  | Some s ->
-      List.filter_map
-        (fun (k, v) ->
-          let klen = String.length k and slen = String.length speedup_suffix in
-          if klen > slen && String.sub k (klen - slen) slen = speedup_suffix
-          then
-            let row = String.sub k 0 (klen - slen) in
-            if not (Float.is_finite v) then None
-            else if v < 1.0 then
-              Some
-                {
-                  severity = Warn;
-                  section = Some "PAR";
-                  subject = "speedup " ^ row;
-                  detail =
-                    Fmt.str "%.2fx — parallel %s row slower than sequential" v
-                      row;
-                }
-            else
-              Some
-                {
-                  severity = Info;
-                  section = Some "PAR";
-                  subject = "speedup " ^ row;
-                  detail = Fmt.str "%.2fx" v;
-                }
-          else None)
-        (metrics_of s)
-
-let schema_note baseline current =
-  let version doc =
-    Option.bind (Json.member "schema_version" doc) Json.to_int_opt
-  in
-  match (version baseline, version current) with
-  | Some a, Some b when a <> b ->
-      [
-        {
-          severity = Info;
-          section = None;
-          subject = "schema_version";
-          detail = Fmt.str "baseline v%d vs current v%d (both accepted)" a b;
-        };
-      ]
-  | _ -> []
-
 let diff ?(config = default_config) ~baseline ~current () =
   let* () =
     Result.map_error (fun e -> "baseline: " ^ e) (Results.validate baseline)
@@ -503,7 +394,7 @@ let diff ?(config = default_config) ~baseline ~current () =
     Result.map_error (fun e -> "current: " ^ e) (Results.validate current)
   in
   let bsec = sections_of baseline and csec = sections_of current in
-  let findings = ref (schema_note baseline current) in
+  let findings = ref [] in
   let add fs = findings := !findings @ fs in
   let sections = ref 0 and rows = ref 0 and metrics = ref 0 in
   (* the current document's own paper-vs-measured agreement: the hard gate *)
@@ -512,7 +403,6 @@ let diff ?(config = default_config) ~baseline ~current () =
     csec;
   add (speedup_findings config csec);
   add (alloc_findings config bsec csec);
-  add (par_row_findings csec);
   List.iter
     (fun (id, bs) ->
       match List.assoc_opt id csec with
@@ -550,10 +440,6 @@ let diff ?(config = default_config) ~baseline ~current () =
             };
           ])
     csec;
-  let spans_compared, span_findings =
-    if config.compare_spans then compare_spans config baseline current else (0, [])
-  in
-  add span_findings;
   Ok
     {
       findings =
@@ -563,7 +449,6 @@ let diff ?(config = default_config) ~baseline ~current () =
       sections_compared = !sections;
       rows_compared = !rows;
       metrics_compared = !metrics;
-      spans_compared;
     }
 
 (* ---- rendering ------------------------------------------------------- *)
@@ -571,9 +456,8 @@ let diff ?(config = default_config) ~baseline ~current () =
 let pp_report ppf r =
   let count sev = List.length (List.filter (fun f -> f.severity = sev) r.findings) in
   Fmt.pf ppf
-    "compared %d sections (%d rows, %d metrics, %d span groups): %d fail, %d \
-     warn, %d info@,"
-    r.sections_compared r.rows_compared r.metrics_compared r.spans_compared
+    "compared %d sections (%d rows, %d metrics): %d fail, %d warn, %d info@,"
+    r.sections_compared r.rows_compared r.metrics_compared
     (count Fail) (count Warn) (count Info);
   if r.findings <> [] then begin
     let w_sev = 4 in

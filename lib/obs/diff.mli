@@ -1,48 +1,48 @@
 (** Regression detection between two {!Results} documents.
 
-    The repo's quantitative ground truth is its [BENCH_*.json] trajectory;
-    this module is the consume side: it compares a current results document
-    against a committed baseline and reports drift as typed findings.
+    This module is the consume side of the committed [BENCH_*.json]
+    baselines: it compares a current results document against one and
+    reports drift as typed findings. It compares only deterministic
+    quantities; time is judged by [perf/compare.exe].
 
     Two kinds of comparison run in one pass:
     - {b paper drift} (hard): within the {e current} document, every row
       carrying both [paper_value] and [measured_value] must agree to an
       absolute tolerance. All experiments here are deterministic (exact
       game values, seeded Monte-Carlo), so any drift is a real regression.
-    - {b run-vs-baseline drift}: measured row values, per-section metrics
-      (solver states, memo hit rate, GC profile, counter deltas) and
-      span-duration totals compare under relative thresholds. Timing- and
-      resource-shaped keys (seconds, latency, gc, heap, ...) get the
-      generous [time_rtol] and at most a [Warn]; everything else is
-      deterministic and fails hard beyond [value_rtol].
+    - {b run-vs-baseline drift} (hard): measured row values and
+      per-section metrics (values, state counts, counter deltas) must
+      agree to the relative [value_rtol]. Machine-dependent keys —
+      seconds, GC and heap figures, hit rates, per-domain and scheduling
+      counters, store traffic — are not compared.
 
-    Missing sections or rows degrade to warnings (subset runs via [--only]
-    are routine); new sections and rows are informational. Baseline and
-    current may be any of schema v1–v6 — all validate, and a version skew
-    is reported as an info finding. *)
+    Two opt-in hard gates read the machine-dependent figures that matter:
+    [min_speedup] and [max_alloc_ratio]. Missing sections or rows degrade
+    to warnings (subset runs via [--only] are routine); new sections and
+    rows are informational. Both documents must be schema v5 or v6. *)
 
 type severity = Info | Warn | Fail
 
 type finding = {
   severity : severity;
   section : string option;  (** experiment id, [None] for document-level *)
-  subject : string;  (** row quantity, metric key, span name, ... *)
+  subject : string;  (** row quantity, metric key, ... *)
   detail : string;
 }
 
 type config = {
   paper_tol : float;  (** absolute, paper-vs-measured (default 1e-6) *)
   value_rtol : float;  (** relative, deterministic values (default 1e-9) *)
-  time_rtol : float;  (** relative, timing/resource values (default 0.5) *)
-  compare_spans : bool;  (** compare per-name span-duration totals *)
   min_speedup : float option;
       (** when set, the {e current} document's PAR section must show
           [solve_seq_seconds / solve_par_seconds >= f] — a hard [Fail]
           below the floor, and a hard [Fail] if the PAR section or either
           timing metric is missing (a speedup gate that silently skipped
-          would defeat its purpose). Default [None] (no check): parallel
-          wall time is machine-bound, so the gate is opt-in for CI legs
-          that know their runner's core count. *)
+          would defeat its purpose), or if the section's
+          [recommended_domain_count] is absent or below its [jobs] (an
+          oversubscribed run measures the host). Default [None] (no
+          check): parallel wall time is machine-bound, so the gate is
+          opt-in for CI legs that know their runner's core count. *)
   max_alloc_ratio : float option;
       (** when set, every section present in both documents with a
           [gc.minor_words] metric must show
@@ -63,11 +63,10 @@ type report = {
   sections_compared : int;
   rows_compared : int;
   metrics_compared : int;
-  spans_compared : int;
 }
 
 (** [diff ?config ~baseline ~current ()] validates both documents
-    ({!Results.validate}, so v1–v6 are accepted) and compares them.
+    ({!Results.validate}) and compares them.
     [Error] means a document is unloadable or fails validation — distinct
     from a clean report with [Fail] findings. *)
 val diff : ?config:config -> baseline:Json.t -> current:Json.t -> unit -> (report, string) result

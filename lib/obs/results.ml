@@ -1,14 +1,9 @@
 let schema_version = 6
 
-(* v1 documents (no per-span "gc", no histogram percentiles), v2
-   documents (no PAR per-domain telemetry), v3 documents (no
-   work-stealing counters), v4 documents (no allocation profile) and v5
-   documents (no out-of-core store telemetry) remain valid: older
-   BENCH_*.json baselines must stay loadable by the differ. v3/v4 only
-   add optional section-metric fields, v5 only an optional top-level
-   "allocation_profile" block and v6 only an optional top-level "store"
-   block, so the validator body is shared. *)
-let accepted_versions = [ 1; 2; 3; 4; 5; 6 ]
+(* v5 documents (no out-of-core store telemetry) remain valid: the
+   committed BENCH_*.json baselines are v5 and v6. v6 only adds an
+   optional top-level "store" block, so the validator body is shared. *)
+let accepted_versions = [ 5; 6 ]
 
 type row = {
   quantity : string;
@@ -71,20 +66,12 @@ let span_to_json (s : Span.span) =
 (* v6: the out-of-core memo's telemetry, set by whoever ran a budgeted
    solve (this module cannot depend on the store library — the store
    records into [Ring], so the dependency runs the other way). Absent
-   from purely in-RAM runs, keeping their documents structurally
-   identical to v5. *)
+   from purely in-RAM runs. *)
 let store_block : Json.t option ref = ref None
 let set_store_block j = store_block := Some j
 
 let to_json t =
   Gc_stats.publish_gauges ();
-  (* v5: present only when a Memprof session ran, so unprofiled documents
-     stay structurally identical to v4. *)
-  let allocation_profile =
-    match Memprof.profile () with
-    | Some p -> [ ("allocation_profile", Memprof.to_json p) ]
-    | None -> []
-  in
   let store =
     match !store_block with Some s -> [ ("store", s) ] | None -> []
   in
@@ -97,7 +84,7 @@ let to_json t =
        ("metrics", Metrics.snapshot ());
        ("spans", Json.List (List.map span_to_json (Span.spans ())));
      ]
-    @ allocation_profile @ store)
+    @ store)
 
 let write t ~path = Json.write_file path (to_json t)
 
@@ -188,28 +175,10 @@ let validate_span i s =
       (match Option.bind (field s "dur_us") Json.to_number_opt with
       | Some _ -> Ok ()
       | None -> Error (ctx ^ ".dur_us must be a number"));
-      (* "gc" is new in v2; optional so v1 spans stay valid *)
       (match field s "gc" with
       | None | Some (Json.Obj _) -> Ok ()
       | Some _ -> Error (ctx ^ ".gc must be an object"));
     ]
-
-(* v5's optional block; checked lightly (the site list shape plus the
-   sampling rate) so future profile fields stay backward compatible. *)
-let validate_allocation_profile j =
-  match field j "allocation_profile" with
-  | None -> Ok ()
-  | Some (Json.Obj _ as a) ->
-      let ctx = "allocation_profile" in
-      check_all
-        [
-          (match Option.bind (field a "sampling_rate") Json.to_number_opt with
-          | Some _ -> Ok ()
-          | None -> Error (ctx ^ ".sampling_rate must be a number"));
-          check_list a ~ctx "sites" (fun i s ->
-              check_string s ~ctx:(Printf.sprintf "%s.sites[%d]" ctx i) "site");
-        ]
-  | Some _ -> Error "allocation_profile must be an object"
 
 (* v6's optional block: the counters a spill gate asserts on
    must be numbers; extra fields stay legal for forward compatibility. *)
@@ -249,7 +218,6 @@ let validate j =
       let* metrics = need "metrics (object)" (field j "metrics") in
       let* () = validate_metrics_snapshot metrics in
       let* () = check_list j ~ctx:"document" "spans" validate_span in
-      let* () = validate_allocation_profile j in
       let* () = validate_store j in
       Ok ()
   | _ -> Error "document must be a JSON object"

@@ -2,8 +2,8 @@
 
     The bench harness compares paper-claimed values against measured ones
     (EXPERIMENTS.md, sections E1–E11); this module gives those comparisons
-    a stable JSON schema so each bench run can land as a [BENCH_*.json]
-    trajectory point. The document carries, per experiment section, the
+    a stable JSON schema so a bench run can be committed as a
+    [BENCH_*.json] baseline. The document carries, per experiment section, the
     (quantity, paper, measured) rows — with optional numeric fields when
     the cell has a canonical number — plus free-form section metrics (e.g.
     solver statistics), and globally the {!Metrics} snapshot and the
@@ -24,37 +24,25 @@
       "spans": [ { "name": "...", "start_us": <number>, "dur_us": <number>,
                    "gc"?: { "minor_words": .., "major_words": .., ... } } ] }
     v}
-    Version history: v2 added the per-span ["gc"] objects ({!Gc_stats}),
-    [p50]/[p90]/[p99] percentile fields inside histogram snapshots, and
-    [null] as the rendering of non-finite numeric fields. v3 added the
-    parallel-engine telemetry the bench PAR section publishes in its
-    section [metrics]: ["spawned_domains"] (int), ["domain_ids"] (int
-    list) and a ["par_solve"] object — per-domain
-    [{"domain", "states", "memo_hits", "memo_misses", "hit_rate"}]
-    entries plus cross-domain ["distinct_keys"] and two duplicate-work
-    figures, 0 by construction since the claim protocol and no longer
-    written (documents that carry them still validate). v4 added the
-    shared-memo work-stealing counters to the ["par_solve"] object:
-    ["steals"], ["claim_hits"], ["claim_misses"] and ["pruned_subtrees"]
-    (ints). All v3/v4 additions
-    live inside the free-form section metrics, so every v4 document is
-    structurally valid v2. v5 added an optional top-level
-    ["allocation_profile"] object ({!Memprof.to_json}: sampling rate,
-    sampled/estimated word counts, the allocation-site table with
-    per-section/per-phase/per-domain rollups), emitted only when an
-    {!Memprof} session ran during the producing process. v6 added an
-    optional top-level ["store"] object — the out-of-core memo's
-    telemetry ([budget_bytes], [spilled_entries], [spill_runs],
-    [bytes_spilled], [evictions], [cache_hits]/[cache_misses]/
-    [cache_hit_rate], [read_amplification], [write_amplification],
-    [disk_hits], all numbers), installed via [set_store_block] by
-    whichever harness ran a budgeted solve. [validate] accepts v1–v6
-    documents — saved baselines must stay loadable — and is shared by
-    the smoke schema checker, the differ and the test suite, so the
-    schema cannot silently drift from its validator. *)
+    Version history: the schema grew from v1 by optional additions only.
+    v2 added the per-span ["gc"] objects ({!Gc_stats}), histogram
+    percentiles and [null] for non-finite numbers; v3 and v4 added the
+    PAR section's parallel telemetry ([spawned_domains], [domain_ids], a
+    [par_solve] object with per-domain and work-stealing counters) inside
+    the free-form section metrics; v5 added an optional allocation
+    profile, since retired (a document that carries one still validates;
+    the block is ignored). v6 added an optional top-level ["store"]
+    object — the out-of-core memo's telemetry ([budget_bytes],
+    [spilled_entries], [spill_runs], [bytes_spilled], [evictions],
+    [cache_hits]/[cache_misses]/[cache_hit_rate], [read_amplification],
+    [write_amplification], [disk_hits], all numbers), installed via
+    [set_store_block] by whichever harness ran a budgeted solve.
+    [validate] accepts v5 and v6, the versions of the committed
+    baselines, and is shared by the smoke schema checker, the differ and
+    the test suite, so the schema cannot silently drift from its
+    validator. *)
 
-(** The version written by [to_json]; [validate] also accepts earlier
-    versions (see [accepted_versions] in the implementation). *)
+(** The version written by [to_json]; [validate] also accepts v5. *)
 val schema_version : int
 
 type t

@@ -13,12 +13,12 @@ type tag =
   | Domain_spawn
   | Domain_stop
   | Steal
-  | Alloc_sample
   | Store_spill
 
 (* Wire codes are part of the dump format: append only, never renumber.
-   Codes 0-3, 18, 19 and 22-24 belonged to retired per-probe memo events;
-   they stay unassigned so old dumps still load (their events drop). *)
+   Codes 0-3, 18, 19 and 22-24 belonged to retired per-probe memo events
+   and code 20 to retired allocation samples; they stay unassigned so old
+   dumps still load (their events drop). *)
 let tag_code = function
   | Pool_task_start -> 4
   | Pool_task_stop -> 5
@@ -34,14 +34,13 @@ let tag_code = function
   | Domain_spawn -> 15
   | Domain_stop -> 16
   | Steal -> 17
-  | Alloc_sample -> 20
   | Store_spill -> 21
 
 let all_tags =
   [
     Pool_task_start; Pool_task_stop; Pool_idle_start; Pool_idle_stop;
     Pool_queue_depth; Sim_step; Sim_deliver; Sim_crash; Adv_decision; Gc_minor;
-    Gc_major; Domain_spawn; Domain_stop; Steal; Alloc_sample; Store_spill;
+    Gc_major; Domain_spawn; Domain_stop; Steal; Store_spill;
   ]
 
 let tag_of_code c = List.find_opt (fun t -> tag_code t = c) all_tags
@@ -61,7 +60,6 @@ let tag_name = function
   | Domain_spawn -> "domain_spawn"
   | Domain_stop -> "domain_stop"
   | Steal -> "steal"
-  | Alloc_sample -> "alloc_sample"
   | Store_spill -> "store_spill"
 
 (* ---- per-domain rings ------------------------------------------------ *)
@@ -453,9 +451,6 @@ let chrome_domain_events ~pid d =
             [ ("enabled", Json.Int e.a); ("chosen", Json.Int e.b) ]
       | Steal ->
           instant "steal" [ ("victim", Json.Int e.a); ("item", Json.Int e.b) ]
-      | Alloc_sample ->
-          instant "alloc_sample"
-            [ ("site", Json.Int e.a); ("words", Json.Int e.b) ]
       | Store_spill ->
           instant "store_spill"
             [ ("entries", Json.Int e.a); ("bytes", Json.Int e.b) ]

@@ -12,8 +12,8 @@
 
     The ring holds only events that mark time intervals (pool task and
     idle slices, GC phases) and rare or decision events (queue depth,
-    domain lifecycle, steals, spills, allocation samples, simulator steps
-    and adversary decisions). Per-probe memo traffic is deliberately not
+    domain lifecycle, steals, spills, simulator steps and adversary
+    decisions). Per-probe memo traffic is deliberately not
     traced: it would evict everything else from the ring, and its counts
     are kept exactly by [Mdp.Solver.stats]/[last_par_stats] and
     [Store.Memo.stats], which every solve already reports.
@@ -49,10 +49,6 @@
       stream;
     - [Steal]: a successful deque steal in the work-stealing solver
       ([a] = victim worker id, [b] = stolen frontier-leaf index);
-    - [Alloc_sample]: a statistical allocation sample from
-      {!Obs.Memprof} ([a] = allocation-site hash as in the results
-      document's ["allocation_profile"] [site_hash] fields,
-      [b] = sampled block size in words);
     - [Store_spill]: one sorted run of the out-of-core memo written to a
       shard's segment file ([a] = entries written, [b] = bytes, header
       and padding included). *)
@@ -71,11 +67,12 @@ type tag =
   | Domain_spawn
   | Domain_stop
   | Steal
-  | Alloc_sample
   | Store_spill
 
 (** Stable wire codes for dump files: [tag_code] is injective and
-    [tag_of_code (tag_code t) = Some t]. *)
+    [tag_of_code (tag_code t) = Some t]. The codes of retired tags (0–3,
+    18–20 and 22–24) stay unassigned, so dumps that hold them still load
+    with those events dropped. *)
 val tag_code : tag -> int
 
 val tag_of_code : int -> tag option

@@ -4,26 +4,10 @@ let epoch = Unix.gettimeofday ()
 let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
 let log : span list ref = ref []
 
-(* Stack of span names currently inside [time], innermost first. Only the
-   domain running [time] mutates it; the Atomic gives concurrent readers
-   (the Memprof sample callback, on any domain) a consistent snapshot. *)
-let sections : string list Atomic.t = Atomic.make []
-
-let current () =
-  match Atomic.get sections with [] -> None | name :: _ -> Some name
-
 let time ?observe name f =
   let gc0 = Gc_stats.sample () in
   let start_us = now_us () in
-  Atomic.set sections (name :: Atomic.get sections);
-  let v =
-    Fun.protect
-      ~finally:(fun () ->
-        match Atomic.get sections with
-        | [] -> ()
-        | _ :: rest -> Atomic.set sections rest)
-      f
-  in
+  let v = f () in
   let dur_us = now_us () -. start_us in
   let gc = Gc_stats.delta gc0 (Gc_stats.sample ()) in
   log := { name; start_us; dur_us; gc } :: !log;

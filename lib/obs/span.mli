@@ -27,12 +27,6 @@ val now_us : unit -> float
     return. *)
 val time : ?observe:Metrics.histogram -> string -> (unit -> 'a) -> 'a * float
 
-(** [current ()] is the name of the innermost span currently inside
-    {!time} (the enclosing bench section), if any. Readable from any
-    domain; {!Memprof} uses it to attribute allocation samples to the
-    section in flight. *)
-val current : unit -> string option
-
 (** [spans ()] lists completed spans in completion order. *)
 val spans : unit -> span list
 

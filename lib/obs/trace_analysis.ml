@@ -5,14 +5,10 @@ type domain_report = {
   steals : int;
   spills : int;
   spill_bytes : int;
-  alloc_samples : int;
-  alloc_words : int;
   busy_us : float;
   idle_us : float;
   utilization : float;
 }
-
-type alloc_site = { site_hash : int; samples : int; words : int; alloc_domains : int }
 
 type decision_summary = {
   decisions : int;
@@ -29,22 +25,11 @@ type t = {
   t0_us : float;
   t1_us : float;
   domains : domain_report list;
-  allocators : alloc_site list;
   queue_depths : (int * int) list;
   decisions : decision_summary option;
   timeline_buckets : int;
   timeline : (int * float array) list;
 }
-
-(* Per-allocation-site accumulator (site hash = the [Alloc_sample] [a]
-   payload, joinable with the results document's [site_hash] fields). *)
-type alloc_acc = {
-  mutable al_samples : int;
-  mutable al_words : int;
-  mutable al_domains : int list;
-}
-
-let add_domain d ds = if List.mem d ds then ds else d :: ds
 
 (* Sum the durations of (start, stop) slice pairs among a domain's events,
    also feeding per-bucket busy time. Slices have no reason to nest, but a
@@ -82,7 +67,7 @@ let slice_time ~t0 ~t1 ~buckets ~bucket_acc ~start_tag ~stop_tag events =
   if !depth > 0 then credit !opened t1;
   !total
 
-let analyze ?(top = 10) ?(buckets = 20) (d : Ring.dump) =
+let analyze ?(buckets = 20) (d : Ring.dump) =
   let all_events =
     List.concat_map (fun (dd : Ring.domain_dump) -> dd.events) (d.domains @ d.runtime)
   in
@@ -95,15 +80,6 @@ let analyze ?(top = 10) ?(buckets = 20) (d : Ring.dump) =
   let t0 = if Float.is_finite t0 then t0 else 0.0 in
   let t1 = if Float.is_finite t1 then t1 else 0.0 in
   let queue : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let allocs : (int, alloc_acc) Hashtbl.t = Hashtbl.create 64 in
-  let alloc h =
-    match Hashtbl.find_opt allocs h with
-    | Some a -> a
-    | None ->
-        let a = { al_samples = 0; al_words = 0; al_domains = [] } in
-        Hashtbl.add allocs h a;
-        a
-  in
   let dec_count = ref 0
   and dec_forced = ref 0
   and dec_min = ref max_int
@@ -118,7 +94,6 @@ let analyze ?(top = 10) ?(buckets = 20) (d : Ring.dump) =
       (fun (dd : Ring.domain_dump) ->
         let steals = ref 0 in
         let spills = ref 0 and spill_bytes = ref 0 in
-        let a_samples = ref 0 and a_words = ref 0 in
         let pending_decision = ref false in
         List.iter
           (fun (e : Ring.event) ->
@@ -128,13 +103,6 @@ let analyze ?(top = 10) ?(buckets = 20) (d : Ring.dump) =
                 (* [a] = entries in the run, [b] = run bytes on disk *)
                 incr spills;
                 spill_bytes := !spill_bytes + e.b
-            | Ring.Alloc_sample ->
-                incr a_samples;
-                a_words := !a_words + e.b;
-                let a = alloc e.a in
-                a.al_samples <- a.al_samples + 1;
-                a.al_words <- a.al_words + e.b;
-                a.al_domains <- add_domain dd.domain a.al_domains
             | Ring.Pool_queue_depth ->
                 Hashtbl.replace queue e.a
                   (1 + Option.value ~default:0 (Hashtbl.find_opt queue e.a))
@@ -174,8 +142,6 @@ let analyze ?(top = 10) ?(buckets = 20) (d : Ring.dump) =
           steals = !steals;
           spills = !spills;
           spill_bytes = !spill_bytes;
-          alloc_samples = !a_samples;
-          alloc_words = !a_words;
           busy_us;
           idle_us;
           utilization =
@@ -183,24 +149,10 @@ let analyze ?(top = 10) ?(buckets = 20) (d : Ring.dump) =
         })
       d.domains
   in
-  let allocators =
-    Hashtbl.fold
-      (fun h a acc ->
-        { site_hash = h; samples = a.al_samples; words = a.al_words;
-          alloc_domains = List.length a.al_domains }
-        :: acc)
-      allocs []
-    |> List.sort (fun (x : alloc_site) (y : alloc_site) ->
-           match compare (y.words, y.samples) (x.words, x.samples) with
-           | 0 -> compare x.site_hash y.site_hash
-           | c -> c)
-    |> List.filteri (fun i _ -> i < top)
-  in
   {
     t0_us = t0;
     t1_us = t1;
     domains = reports;
-    allocators;
     queue_depths =
       Hashtbl.fold (fun d c acc -> (d, c) :: acc) queue []
       |> List.sort (fun (a, _) (b, _) -> compare a b);
@@ -233,9 +185,6 @@ let spark fractions =
 
 let plural n ~one ~many = if n = 1 then one else many
 
-(* A site holding more than this share of the sampled words is flagged. *)
-let hot_share_pct = 10.0
-
 let pp ppf t =
   let span_s = (t.t1_us -. t.t0_us) /. 1e6 in
   let sum f = List.fold_left (fun a d -> a + f d) 0 t.domains in
@@ -248,14 +197,13 @@ let pp ppf t =
     (sum (fun d -> d.dropped))
     span_s;
   if t.domains <> [] then begin
-    Fmt.pf ppf "@,%-8s %9s %9s %8s %8s %7s %10s@," "domain" "events" "dropped"
-      "busy(s)" "idle(s)" "util" "alloc(w)";
+    Fmt.pf ppf "@,%-8s %9s %9s %8s %8s %7s@," "domain" "events" "dropped"
+      "busy(s)" "idle(s)" "util";
     List.iter
       (fun d ->
-        Fmt.pf ppf "%-8d %9d %9d %8.3f %8.3f %6.1f%% %10d@," d.domain d.events
+        Fmt.pf ppf "%-8d %9d %9d %8.3f %8.3f %6.1f%%@," d.domain d.events
           d.dropped (d.busy_us /. 1e6) (d.idle_us /. 1e6)
-          (100.0 *. d.utilization)
-          d.alloc_words)
+          (100.0 *. d.utilization))
       t.domains;
     let steals = sum (fun d -> d.steals) in
     if steals > 0 then
@@ -265,23 +213,7 @@ let pp ppf t =
     if spills > 0 then
       Fmt.pf ppf "@,out-of-core store: %d spill run%s (%d B)@," spills
         (plural spills ~one:"" ~many:"s")
-        (sum (fun d -> d.spill_bytes));
-    let a_samples = sum (fun d -> d.alloc_samples)
-    and a_words = sum (fun d -> d.alloc_words) in
-    if a_samples > 0 then begin
-      Fmt.pf ppf "@,allocation: %d sample%s, %d sampled words@," a_samples
-        (plural a_samples ~one:"" ~many:"s")
-        a_words;
-      Fmt.pf ppf "top allocators (by sampled words):@,";
-      List.iter
-        (fun s ->
-          let share = 100.0 *. float_of_int s.words /. float_of_int a_words in
-          Fmt.pf ppf
-            "  site %08x  words %d (%.1f%%)  samples %d  domains %d%s@,"
-            s.site_hash s.words share s.samples s.alloc_domains
-            (if share > hot_share_pct then "  [>10%]" else ""))
-        t.allocators
-    end
+        (sum (fun d -> d.spill_bytes))
   end;
   if t.queue_depths <> [] then begin
     Fmt.pf ppf "@,queue depth samples:@,";
@@ -323,20 +255,9 @@ let to_json t =
         ("steals", Json.Int d.steals);
         ("spills", Json.Int d.spills);
         ("spill_bytes", Json.Int d.spill_bytes);
-        ("alloc_samples", Json.Int d.alloc_samples);
-        ("alloc_words", Json.Int d.alloc_words);
         ("busy_us", Json.Float d.busy_us);
         ("idle_us", Json.Float d.idle_us);
         ("utilization", Json.Float d.utilization);
-      ]
-  in
-  let alloc_json s =
-    Json.Obj
-      [
-        ("site_hash", Json.Int s.site_hash);
-        ("samples", Json.Int s.samples);
-        ("words", Json.Int s.words);
-        ("domains", Json.Int s.alloc_domains);
       ]
   in
   Json.Obj
@@ -344,7 +265,6 @@ let to_json t =
        ("t0_us", Json.Float t.t0_us);
        ("t1_us", Json.Float t.t1_us);
        ("domains", Json.List (List.map domain_json t.domains));
-       ("allocators", Json.List (List.map alloc_json t.allocators));
        ( "queue_depths",
          Json.Obj
            (List.map

@@ -2,8 +2,8 @@
 
     Consumes a {!Ring.dump} (from [--trace-out] / [Ring.dump]) and answers
     what the timeline shows: how busy and idle each domain was, where the
-    work-stealing solver stole, when the out-of-core store spilled, which
-    sites allocated, and what the adversary's schedule actually did.
+    work-stealing solver stole, when the out-of-core store spilled, and
+    what the adversary's schedule actually did.
     Rendered either as a human report ({!pp}) or machine JSON
     ({!to_json}) — the payloads of [blunting trace analyze].
 
@@ -19,22 +19,9 @@ type domain_report = {
   steals : int;  (** successful deque steals ([Steal]) *)
   spills : int;  (** out-of-core sorted runs written ([Store_spill]) *)
   spill_bytes : int;  (** bytes those runs occupy on disk *)
-  alloc_samples : int;  (** {!Obs.Memprof} samples ([Alloc_sample]) *)
-  alloc_words : int;  (** sampled allocation words on this domain *)
   busy_us : float;  (** total time inside pool task slices *)
   idle_us : float;  (** total time inside pool idle slices *)
   utilization : float;  (** busy / trace duration, 0 without tasks *)
-}
-
-(** One aggregated allocation site from [Alloc_sample] events. The hash
-    is the one carried in the results document's ["allocation_profile"]
-    [site_hash] fields, so trace timelines and named profile tables
-    join. *)
-type alloc_site = {
-  site_hash : int;
-  samples : int;
-  words : int;  (** sampled words *)
-  alloc_domains : int;  (** distinct domains that sampled the site *)
 }
 
 (** Attribution of adversary decisions recorded by the simulator's run
@@ -55,7 +42,6 @@ type t = {
   t0_us : float;  (** earliest event timestamp *)
   t1_us : float;
   domains : domain_report list;  (** by domain id *)
-  allocators : alloc_site list;  (** top-N by sampled words *)
   queue_depths : (int * int) list;  (** depth -> samples, ascending *)
   decisions : decision_summary option;  (** None without [Adv_decision]s *)
   timeline_buckets : int;
@@ -63,12 +49,9 @@ type t = {
       (** per domain: busy fraction per time bucket *)
 }
 
-(** [analyze ?top ?buckets d] computes the report; [top] (default 10)
-    bounds the allocator list, [buckets] (default 20) the
-    utilization timeline's resolution. *)
-val analyze : ?top:int -> ?buckets:int -> Ring.dump -> t
+(** [analyze ?buckets d] computes the report; [buckets] (default 20) is
+    the utilization timeline's resolution. *)
+val analyze : ?buckets:int -> Ring.dump -> t
 
-(** [pp] renders the report; its allocator table gives each site's share
-    of all sampled words and flags sites above 10%. *)
 val pp : Format.formatter -> t -> unit
 val to_json : t -> Json.t

@@ -33,9 +33,6 @@ let worker_loop t =
       let task = Queue.pop t.queue in
       Mutex.unlock t.mutex;
       task ();
-      (* a task's leftover Memprof phase tag must not leak into the next
-         (unrelated) task or the idle wait *)
-      Obs.Memprof.set_phase None;
       loop ()
     end
   in

@@ -507,14 +507,7 @@ let run t ~max_steps choose =
           step t e;
           go (remaining - 1)
   in
-  (* tag the simulation loop's allocations for Obs.Memprof; restore on
-     the way out so a solver-driven run doesn't clobber its Expand tag *)
-  let prev_phase = Obs.Memprof.phase () in
-  Obs.Memprof.set_phase (Some Obs.Memprof.Sim_run);
-  let result =
-    Fun.protect ~finally:(fun () -> Obs.Memprof.set_phase prev_phase) (fun () ->
-        go max_steps)
-  in
+  let result = go max_steps in
   Log.info (fun m ->
       m "run %a after %d steps (%d msgs)" pp_run_result result
         (Trace.count_steps t.trace)
@@ -541,12 +534,7 @@ let run_guided t ~max_steps guide =
               step t e;
               go (remaining - 1))
   in
-  let prev_phase = Obs.Memprof.phase () in
-  Obs.Memprof.set_phase (Some Obs.Memprof.Sim_run);
-  let result =
-    Fun.protect ~finally:(fun () -> Obs.Memprof.set_phase prev_phase) (fun () ->
-        go max_steps)
-  in
+  let result = go max_steps in
   Log.info (fun m ->
       m "guided run %s after %d steps"
         (match result with

@@ -22,7 +22,6 @@ let () =
       ("store", Test_store.tests);
       ("obs", Test_obs.tests);
       ("obs-ring", Test_ring.tests);
-      ("obs-memprof", Test_memprof.tests);
       ("obs-diff", Test_diff.tests);
       ("programs", Test_programs.tests);
       ("programs-benor", Test_programs.ben_or_tests);
