@@ -151,17 +151,27 @@ let solve_cmd =
         | Ok () -> ()
         | Error e -> Fmt.epr "trace: runtime events unavailable (%s)@." e)
     | None -> ());
+    let timed f =
+      let t0 = Obs.Span.now_us () in
+      let v = f () in
+      (v, (Obs.Span.now_us () -. t0) /. 1e6)
+    in
     if atomic then begin
-      let v = Model.Weakener_atomic.bad_probability ?memo_budget () in
+      let v, wall_s =
+        timed (fun () -> Model.Weakener_atomic.bad_probability ?memo_budget ())
+      in
       Fmt.pr "weakener with atomic registers:@.";
       Fmt.pr "  adversary-optimal Prob[p2 loops forever] = %.6f@." v;
       Fmt.pr "  guaranteed termination probability      = %.6f@." (1.0 -. v);
+      Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s)
+        (Model.Weakener_atomic.solver_stats ());
       pp_store_stats_opt Fmt.stdout (Model.Weakener_atomic.store_stats ())
     end
     else begin
-      let v =
-        Model.Weakener_abd.bad_probability ?memo_budget ~atomic_c:(not abd_c)
-          ~servers ~jobs ~prune ~k ()
+      let v, wall_s =
+        timed (fun () ->
+            Model.Weakener_abd.bad_probability ?memo_budget ~atomic_c:(not abd_c)
+              ~servers ~jobs ~prune ~k ())
       in
       let st = Model.Weakener_abd.solver_stats () in
       Fmt.pr "weakener with ABD^%d registers (%d replicas%s):@." k servers
@@ -171,6 +181,7 @@ let solve_cmd =
       Fmt.pr "  Theorem 4.2 upper bound on the former   = %.6f@."
         (Core.Bound.weakener_instance ~k);
       Fmt.pr "  solver: %a@." Mdp.Solver.pp_stats st;
+      Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s) st;
       if prune then
         Fmt.pr "  pruned subtrees: %d@." (Model.Weakener_abd.pruned_subtrees ());
       pp_store_stats_opt Fmt.stdout (Model.Weakener_abd.store_stats ());

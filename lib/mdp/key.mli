@@ -17,7 +17,7 @@
     the solver keeps one buffer per instance (and per worker in the
     parallel solve), [reset]s it before each probe, and hands the
     [(data, length)] slice straight to the memo table — a probe of an
-    already-memoized state allocates nothing. [run] recovers the old
+    already-memoized state copies no key. [run] recovers the old
     string-returning behavior for cold paths. *)
 
 (** A reusable byte buffer: an append cursor over a growable byte array.
@@ -38,6 +38,23 @@ val length : buf -> int
     meaningful, and they are valid only until the next [reset]/append —
     callers that keep the key must copy ([contents]). *)
 val data : buf -> Bytes.t
+
+(** [reserve b n] makes room for [n] more bytes past [length b], so that
+    [data b] (read after this call) has at least [length b + n] bytes.
+
+    [reserve], [data] and [set_length] are for a hand-written encoder on
+    the solver's hot path: it reserves an upper bound on its key's
+    length, writes the same bytes the combinators below would into
+    [data b] with writers local to its own module, then publishes the
+    new end with [set_length]. The point is to avoid calls: under
+    dune's default (dev) profile every module is compiled with
+    [-opaque], so each combinator call is an indirect call that is never
+    inlined, and a key of a few dozen fields makes dozens of them. *)
+val reserve : buf -> int -> unit
+
+(** [set_length b n] sets the written length to [n], which must not
+    exceed the backing array ([Invalid_argument] otherwise). *)
+val set_length : buf -> int -> unit
 
 (** [int b v] appends an integer: one byte for [-120 <= v <= 134]
     (every value this repo's models store), nine bytes otherwise. *)

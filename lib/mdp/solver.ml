@@ -54,6 +54,17 @@ let pp_stats ppf s =
     (100.0 *. hit_rate s)
     s.max_depth
 
+let pp_summary ~wall_s ppf s =
+  let peak_mb =
+    float_of_int ((Gc.quick_stat ()).top_heap_words * (Sys.word_size / 8))
+    /. 1048576.0
+  in
+  Fmt.pf ppf "summary: %d states, %.0f states/s, %.1f%% hit rate, %.1f MB peak heap"
+    s.states
+    (if wall_s > 0.0 then float_of_int s.states /. wall_s else 0.0)
+    (100.0 *. hit_rate s)
+    peak_mb
+
 type domain_stats = { domain_id : int; stats : stats }
 
 type par_stats = {
@@ -157,12 +168,14 @@ let hi = 1.0
    claim, or a claim installed for the caller, who must later [resolve]
    its token. [get] reads a resolved value by key, for a caller waiting
    on another owner's claim. The backends:
-   - the unlocked {!Par.Slice_tbl}, for sequential solves in RAM. Its
-     slots hold the hit variant itself, so a hit returns the stored
-     [`Value v] and allocates nothing; the token is the entry, which
-     [resolve] overwrites in place (no second lookup). Only owner 0 ever
-     claims here, so a live claim reads [`Busy 0];
-   - {!Par.Sharded_tbl}, shared by the workers of a parallel solve;
+   - the unlocked {!Par.Memo_tbl}, for sequential solves in RAM: a flat
+     table whose values are unboxed floats, so a hit allocates only its
+     [`Value v] result (5 words; [G.apply] allocates ~80 per call). The
+     token is the binding's ordinal, which [resolve] writes in place (no
+     second lookup). Only owner 0 ever claims here, so a live claim
+     reads [`Busy 0];
+   - {!Par.Sharded_tbl}, the same table sharded behind mutexes, shared
+     by the workers of a parallel solve;
    - {!Store.Memo}, the spillable store a memo budget arms, sequential
      or parallel.
    A record of closures instead of a functor keeps the recursion
@@ -176,29 +189,33 @@ type 'token memo = {
   get : string -> float option;
 }
 
-type slot = [ `Value of float | `Busy of int ]
-
-let claimed_by_0 : slot = `Busy 0
-
-let ram_memo (tbl : slot Par.Slice_tbl.t) =
+let ram_memo tbl =
   {
     probe =
-      (fun b ~owner:_ ->
-        let e =
-          Par.Slice_tbl.probe_slice tbl (Key.data b) ~len:(Key.length b)
-            ~default:claimed_by_0
+      (fun b ~owner ->
+        let ord =
+          Par.Memo_tbl.find_or_claim tbl (Key.data b) ~len:(Key.length b) ~owner
         in
-        if Par.Slice_tbl.last_was_new tbl then `Claimed e
-        else (e.value :> slot Par.Slice_tbl.entry probe));
-    resolve = (fun e v -> e.value <- `Value v);
+        if Par.Memo_tbl.last_was_new tbl then `Claimed ord
+        else
+          match Par.Memo_tbl.owner tbl ord with
+          | -1 -> `Value (Par.Memo_tbl.value tbl ord)
+          | o -> `Busy o);
+    resolve = Par.Memo_tbl.resolve tbl;
     get =
       (fun key ->
-        match Par.Slice_tbl.find_string tbl key with
-        | Some { value = `Value v; _ } -> Some v
-        | _ -> None);
+        match
+          Par.Memo_tbl.find tbl (Bytes.unsafe_of_string key)
+            ~len:(String.length key)
+        with
+        | -1 -> None
+        | ord ->
+            if Par.Memo_tbl.owner tbl ord < 0 then
+              Some (Par.Memo_tbl.value tbl ord)
+            else None);
   }
 
-let sharded_memo (tbl : float Par.Sharded_tbl.t) =
+let sharded_memo tbl =
   {
     probe =
       (fun b ~owner ->
@@ -308,8 +325,11 @@ exception Abort
 
 module Make (G : GAME) = struct
   (* The module-level memo and counters behind the [value]/[stats] API:
-     the in-RAM table, or the store once a memo budget arms it. *)
-  let ram : slot Par.Slice_tbl.t = Par.Slice_tbl.create ~size:65_536 ()
+     the in-RAM table, or the store once a memo budget arms it. The table
+     starts small (1,024 index slots) and doubles as it fills: every
+     functor application pays its creation at program start, and most
+     processes never solve with most of their games. *)
+  let ram = Par.Memo_tbl.create ()
   let ram_m = ram_memo ram
   let store : Store.Memo.t option ref = ref None
 
@@ -334,16 +354,14 @@ module Make (G : GAME) = struct
     match (!store, budget) with
     | None, Some b ->
         let st = Store.Memo.create ~budget:b () in
-        Par.Slice_tbl.iter ram (fun key -> function
-          | `Value v -> (
-              match
-                Store.Memo.find_or_claim_slice st (Bytes.unsafe_of_string key)
-                  ~len:(String.length key) ~owner:0
-              with
-              | `Claimed key -> Store.Memo.resolve st key v
-              | `Value _ | `Busy _ -> assert false)
-          | `Busy _ -> ());
-        Par.Slice_tbl.clear ram;
+        Par.Memo_tbl.iter_resolved ram (fun key v ->
+            match
+              Store.Memo.find_or_claim_slice st (Bytes.unsafe_of_string key)
+                ~len:(String.length key) ~owner:0
+            with
+            | `Claimed key -> Store.Memo.resolve st key v
+            | `Value _ | `Busy _ -> assert false);
+        Par.Memo_tbl.clear ram;
         store := Some st
     | _ -> ()
 
@@ -595,7 +613,7 @@ module Make (G : GAME) = struct
 
   let reset () =
     last_par := None;
-    Par.Slice_tbl.clear ram;
+    Par.Memo_tbl.clear ram;
     Option.iter Store.Memo.close !store;
     store := None;
     main.hits <- 0;

@@ -12,7 +12,7 @@
 
     Every engine — sequential or parallel, pruned or not, in RAM or under
     a memo budget — runs one recursion over one find-or-claim memo
-    interface, backed by {!Par.Slice_tbl} (sequential, in RAM),
+    interface, backed by {!Par.Memo_tbl} (sequential, in RAM),
     {!Par.Sharded_tbl} (parallel, in RAM) or {!Store.Memo} (budgeted).
     Each state is evaluated once, by the same fold, so values are
     bit-identical across engines. *)
@@ -47,7 +47,7 @@ module type GAME = sig
   (** [encode_into s b] appends exactly the bytes of [encode s] to [b]
       (callers [Key.reset] first). The solver's hot path probes the memo
       table with the buffer slice directly, so a probe of an
-      already-memoized state allocates nothing; [encode] stays as the
+      already-memoized state copies no key; [encode] stays as the
       cold-path/compatibility form and the two must agree byte-for-byte
       ([encode s = Key.run (encode_into s)]). *)
   val encode_into : state -> Key.buf -> unit
@@ -81,6 +81,13 @@ type stats = {
 val hit_rate : stats -> float
 
 val pp_stats : Format.formatter -> stats -> unit
+
+(** [pp_summary ~wall_s ppf s] is the one-line summary a root solve
+    prints: [s.states], states per second over [wall_s], the memo hit
+    rate and the process's peak major heap so far (the GC's high-water
+    mark as of its last major cycle, so 0.0 before the first), as in
+    [summary: 106263 states, 152000 states/s, 74.2% hit rate, 61.3 MB peak heap]. *)
+val pp_summary : wall_s:float -> Format.formatter -> stats -> unit
 
 (** One parallel participant's work, keyed by its runtime domain id (the
     id {!Par.Pool.domain_ids} and trace dumps use). Under the shared-memo

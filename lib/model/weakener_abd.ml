@@ -352,74 +352,142 @@ module Game = struct
     | _ -> 0.0
 
   (* Canonical key: every field once, in declaration order; variants carry
-     a tag byte. Injective by Mdp.Key's construction. The solver hashes
-     and compares this flat ~100-byte string on each memo probe instead of
-     traversing the whole nested state. *)
-  (* The helpers take the buffer as an argument (instead of closing over
-     it) so [encode_into] allocates no closures: on the solver's hot path
-     it runs once per memo probe. *)
-  let enc_obj b = function RO -> Mdp.Key.int b 0 | CO -> Mdp.Key.int b 1
+     a tag byte. The bytes are exactly those of the [Mdp.Key] combinators
+     (ints as [Mdp.Key.int], options as a presence byte then the payload,
+     lists length-prefixed), so the key is injective by that module's
+     construction. The solver hashes and compares this flat ~80-byte
+     string on each memo probe instead of traversing the nested state.
 
-  let enc_vts b (v, (t, p)) =
-    Mdp.Key.int b v;
-    Mdp.Key.int b t;
-    Mdp.Key.int b p
+     The writers below are module-local and thread a write position
+     through one reserved byte array: [encode_into] runs once per memo
+     probe, and under separate compilation with [-opaque] every call
+     into [Mdp.Key] is an indirect call that is never inlined — ~60 of
+     them per key. [bound] over-approximates the key's length from the
+     state's list lengths (9 bytes per int, the widest form), so no
+     write can run past the reservation; the writes are bounds-checked
+     all the same. *)
+  let int_max = 9
+  let vts_max = 3 * int_max
 
-  let enc_iter b (it : iter_st) =
-    Mdp.Key.list b Mdp.Key.bool it.queried;
-    Mdp.Key.int b it.got;
-    enc_vts b it.best
+  let phase_max = function
+    | Query { results; cur; _ } ->
+        (3 * int_max)
+        + (List.length results * vts_max)
+        + int_max + List.length cur.queried + int_max + vts_max
+    | Choose { results } -> (2 * int_max) + (List.length results * vts_max)
+    | Waiting _ -> (2 * int_max) + vts_max
 
-  let enc_phase b = function
+  let pstate_max (p : pstate) =
+    (2 * int_max) + 1
+    + (match p.op with None -> 0 | Some o -> (4 * int_max) + phase_max o.phase)
+    + (List.length p.reads * int_max)
+
+  let bound s =
+    let p0, p1, p2 = s.procs in
+    (5 * int_max) + 3
+    + ((List.length s.servers_r + List.length s.servers_c) * vts_max)
+    + pstate_max p0 + pstate_max p1 + pstate_max p2
+    + int_max
+    + (List.length s.upd_out * (vts_max + (4 * int_max)))
+    + (3 * int_max) + 1
+
+  let[@inline] w_u8 d p v =
+    Bytes.set d p (Char.unsafe_chr v);
+    p + 1
+
+  let w_wide d p v =
+    Bytes.set d p '\xff';
+    Bytes.set_int64_le d (p + 1) (Int64.of_int v);
+    p + 9
+
+  let[@inline] w_int d p v =
+    if v >= -120 && v <= 134 then w_u8 d p (v + 120) else w_wide d p v
+
+  let[@inline] w_bool d p v = w_u8 d p (if v then 1 else 0)
+  let[@inline] w_obj d p = function RO -> w_int d p 0 | CO -> w_int d p 1
+
+  let[@inline] w_vts d p ((v, (t, q)) : vts) =
+    let p = w_int d p v in
+    let p = w_int d p t in
+    w_int d p q
+
+  let rec w_vts_items d p = function
+    | [] -> p
+    | x :: tl -> w_vts_items d (w_vts d p x) tl
+
+  let w_vts_list d p l = w_vts_items d (w_int d p (List.length l)) l
+
+  let rec w_bool_items d p = function
+    | [] -> p
+    | x :: tl -> w_bool_items d (w_bool d p x) tl
+
+  let rec w_int_items d p = function
+    | [] -> p
+    | x :: tl -> w_int_items d (w_int d p x) tl
+
+  let w_phase d p = function
     | Query { idx; results; cur } ->
-        Mdp.Key.int b 0;
-        Mdp.Key.int b idx;
-        Mdp.Key.list b enc_vts results;
-        enc_iter b cur
-    | Choose { results } ->
-        Mdp.Key.int b 1;
-        Mdp.Key.list b enc_vts results
+        let p = w_int d p 0 in
+        let p = w_int d p idx in
+        let p = w_vts_list d p results in
+        let p = w_int d p (List.length cur.queried) in
+        let p = w_bool_items d p cur.queried in
+        let p = w_int d p cur.got in
+        w_vts d p cur.best
+    | Choose { results } -> w_vts_list d (w_int d p 1) results
     | Waiting { payload; acks } ->
-        Mdp.Key.int b 2;
-        enc_vts b payload;
-        Mdp.Key.int b acks
+        let p = w_int d p 2 in
+        let p = w_vts d p payload in
+        w_int d p acks
 
-  let enc_op b (o : op_st) =
-    enc_obj b o.obj;
-    (match o.kind with
-    | KRead -> Mdp.Key.int b 0
-    | KWrite v ->
-        Mdp.Key.int b 1;
-        Mdp.Key.int b v);
-    Mdp.Key.int b o.opseq;
-    enc_phase b o.phase
+  let w_pstate d p (ps : pstate) =
+    let p = w_int d p ps.pc in
+    let p =
+      match ps.op with
+      | None -> w_u8 d p 0
+      | Some o ->
+          let p = w_u8 d p 1 in
+          let p = w_obj d p o.obj in
+          let p =
+            match o.kind with
+            | KRead -> w_int d p 0
+            | KWrite v -> w_int d (w_int d p 1) v
+          in
+          let p = w_int d p o.opseq in
+          w_phase d p o.phase
+    in
+    w_int_items d (w_int d p (List.length ps.reads)) ps.reads
 
-  let enc_upd b (m : upd_msg) =
-    enc_obj b m.obj;
-    enc_vts b m.payload;
-    Mdp.Key.int b m.dest;
-    let p, seq = m.origin in
-    Mdp.Key.int b p;
-    Mdp.Key.int b seq
-
-  let enc_pstate b (p : pstate) =
-    Mdp.Key.int b p.pc;
-    Mdp.Key.option b enc_op p.op;
-    Mdp.Key.list b Mdp.Key.int p.reads
+  let rec w_upd_items d p = function
+    | [] -> p
+    | (m : upd_msg) :: tl ->
+        let p = w_obj d p m.obj in
+        let p = w_vts d p m.payload in
+        let p = w_int d p m.dest in
+        let o, seq = m.origin in
+        let p = w_int d p o in
+        w_upd_items d (w_int d p seq) tl
 
   let encode_into (s : state) b =
-    Mdp.Key.int b s.k;
-    Mdp.Key.int b s.ns;
-    Mdp.Key.bool b s.atomic_c;
-    Mdp.Key.list b enc_vts s.servers_r;
-    Mdp.Key.list b enc_vts s.servers_c;
-    enc_pstate b (Tri.get s.procs 0);
-    enc_pstate b (Tri.get s.procs 1);
-    enc_pstate b (Tri.get s.procs 2);
-    Mdp.Key.list b enc_upd s.upd_out;
-    Mdp.Key.int b s.coin;
-    Mdp.Key.int b s.creg;
-    Mdp.Key.option b Mdp.Key.int s.cread
+    Mdp.Key.reserve b (bound s);
+    let d = Mdp.Key.data b in
+    let p = Mdp.Key.length b in
+    let p = w_int d p s.k in
+    let p = w_int d p s.ns in
+    let p = w_bool d p s.atomic_c in
+    let p = w_vts_list d p s.servers_r in
+    let p = w_vts_list d p s.servers_c in
+    let p0, p1, p2 = s.procs in
+    let p = w_pstate d p p0 in
+    let p = w_pstate d p p1 in
+    let p = w_pstate d p p2 in
+    let p = w_upd_items d (w_int d p (List.length s.upd_out)) s.upd_out in
+    let p = w_int d p s.coin in
+    let p = w_int d p s.creg in
+    let p =
+      match s.cread with None -> w_u8 d p 0 | Some c -> w_int d (w_u8 d p 1) c
+    in
+    Mdp.Key.set_length b p
 
   let encode (s : state) = Mdp.Key.run (encode_into s)
 

@@ -85,3 +85,4 @@ let init : Game.state =
 let bad_probability ?memo_budget () = S.value ?memo_budget init
 let store_stats () = S.store_stats ()
 let explored_states () = S.explored ()
+let solver_stats () = S.stats ()

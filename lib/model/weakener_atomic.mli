@@ -48,3 +48,7 @@ val store_stats : unit -> Store.Memo.stats option
 
 (** [explored_states ()] after solving. *)
 val explored_states : unit -> int
+
+(** [solver_stats ()] — the solver's work counters since the process
+    started. *)
+val solver_stats : unit -> Mdp.Solver.stats

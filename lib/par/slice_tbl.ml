@@ -1,16 +1,16 @@
 (* A string-keyed hash table that can be probed with a (bytes, length)
-   slice without materializing the key. The solver's memo probe is the
-   hottest operation in the repo: a state is encoded into a reusable
-   buffer, and looking it up must not allocate. [Hashtbl] cannot do this
+   slice without materializing the key. The out-of-core store's RAM
+   tier probes it on every memo probe of a budgeted solve: a state is
+   encoded into a reusable buffer, and looking it up must not allocate. [Hashtbl] cannot do this
    — [Hashtbl.find_opt tbl (Bytes.sub_string buf 0 len)] copies the key
    on every probe, hit or miss. Here the probe hashes the slice in
    place, walks one chain comparing bytes, and copies the key out
    exactly once: when the slice is genuinely new.
 
    Entries are exposed (with a mutable [value] field) so callers can
-   read-modify-write a binding from a single probe — the solver probes
-   once with an [In_progress] default and later overwrites the same
-   entry with the computed value, where a [Hashtbl] would pay a second
+   read-modify-write a binding from a single probe — the store probes
+   once with a claim as the default and later overwrites the same entry
+   with the computed value, where a [Hashtbl] would pay a second
    hash + chain walk for the [replace]. *)
 
 type 'a entry = { hash : int; key : string; mutable value : 'a }

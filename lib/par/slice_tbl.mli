@@ -1,12 +1,16 @@
-(** A string-keyed hash table probeable by a [(bytes, length)] slice.
+(** A string-keyed hash table probeable by a [(bytes, length)] slice,
+    with polymorphic values held in mutable entry records.
 
-    Built for the solver's memo probe — the single hottest operation in
-    the repo. A state is encoded into a reusable {!Mdp.Key.buf}; probing
-    with the buffer slice hashes in place, walks one chain comparing
-    bytes, and only copies the key out to an owned string when the slice
-    is genuinely new. A probe of an already-present key allocates
-    nothing. Not thread-safe — callers shard and lock (see
-    {!Sharded_tbl}) or keep one table per domain. *)
+    The RAM tier of {!Store.Memo}: a probe hashes the slice in place
+    (FNV-1a, the hash the store's spilled records carry), walks one
+    chain comparing bytes, and only copies the key out to an owned
+    string when the slice is genuinely new. A probe of an
+    already-present key allocates nothing. The solver's own RAM memo is
+    the flat, float-valued {!Memo_tbl}, which {!Sharded_tbl} shards too;
+    this table stays for the store, whose entries hold a claim-or-value
+    variant and whose segment format and counters are pinned by its
+    gate. Not thread-safe — callers shard and lock, or keep one table
+    per domain. *)
 
 (** A binding. [value] is mutable so a caller can probe once and later
     overwrite the same entry in place — no second lookup. [hash] is the

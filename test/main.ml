@@ -26,4 +26,5 @@ let () =
       ("programs", Test_programs.tests);
       ("programs-benor", Test_programs.ben_or_tests);
       ("fuzz", Test_fuzz.tests);
+      ("cli", Test_cli.tests);
     ]

@@ -75,6 +75,11 @@ let games =
         4_000,
         "weakener_abd" );
     Game
+      ( (module Model.Weakener_abd.Game),
+        Model.Weakener_abd.init ~k:1 ~servers:5 ~atomic_c:false (),
+        4_000,
+        "weakener_abd, 5 servers, C as ABD" );
+    Game
       ( (module Model.Weakener_va.Game),
         Model.Weakener_va.init ~k:1,
         4_000,
@@ -162,6 +167,36 @@ let test_encode_into_reuse () =
         (Fmt.str "%s: visited a real state set" name)
         true (n > 10))
     games
+
+(* The ABD key bytes are pinned: committed baselines and fuzz corpora
+   hold keys, and a faster writer must not change one byte. The digest
+   covers the concatenated [encode] keys of the first 4,000 BFS states;
+   it was recorded with the combinator writer the current one replaced. *)
+let test_abd_key_digest () =
+  List.iter
+    (fun (k, servers, atomic_c, expected) ->
+      let keys = Buffer.create (1 lsl 20) in
+      let n =
+        iter_reachable
+          (module Model.Weakener_abd.Game)
+          ~init:(Model.Weakener_abd.init ~k ~servers ~atomic_c ())
+          ~cap:4_000
+          (fun s -> Buffer.add_string keys (Model.Weakener_abd.Game.encode s))
+      in
+      let name =
+        Fmt.str "ABD^%d, %d servers, C %s" k servers
+          (if atomic_c then "atomic" else "as ABD")
+      in
+      Alcotest.(check int) (name ^ ": 4,000 states") 4_000 n;
+      Alcotest.(check string)
+        (name ^ ": MD5 of the keys")
+        expected
+        (Digest.to_hex (Digest.string (Buffer.contents keys))))
+    [
+      (1, 3, true, "f0ddcd3f432ac54ac011940307308698");
+      (1, 5, false, "774cf96e00a43586cc7439456da66e64");
+      (2, 3, false, "a376198e8be43860584947a065a885cc");
+    ]
 
 (* ---- the pool itself ------------------------------------------------- *)
 
@@ -264,6 +299,7 @@ let tests =
       test_encode_canonical;
     Alcotest.test_case "encode_into = encode under buffer reuse" `Quick
       test_encode_into_reuse;
+    Alcotest.test_case "ABD key bytes are pinned" `Quick test_abd_key_digest;
     Alcotest.test_case "pool map is positional" `Quick test_pool_map_positional;
     Alcotest.test_case "pool re-raises worker exceptions" `Quick
       test_pool_propagates_exception;

@@ -114,10 +114,121 @@ let test_deque_steal_stress () =
       if i <> x then Alcotest.failf "item %d returned %d times or reordered" i (x - i))
     all
 
+(* ---- Par.Memo_tbl ---------------------------------------------------- *)
+
+let memo_claim t key ~owner =
+  Par.Memo_tbl.find_or_claim t (Bytes.unsafe_of_string key)
+    ~len:(String.length key) ~owner
+
+let memo_find t key =
+  Par.Memo_tbl.find t (Bytes.unsafe_of_string key) ~len:(String.length key)
+
+let test_memo_claim_protocol () =
+  let t = Par.Memo_tbl.create () in
+  let ord = memo_claim t "k" ~owner:3 in
+  Alcotest.(check bool) "first probe claims" true (Par.Memo_tbl.last_was_new t);
+  Alcotest.(check int) "claimant recorded" 3 (Par.Memo_tbl.owner t ord);
+  Alcotest.(check int) "re-probe finds the claim" ord (memo_claim t "k" ~owner:5);
+  Alcotest.(check bool) "re-probe does not claim" false
+    (Par.Memo_tbl.last_was_new t);
+  Alcotest.(check int) "other owner sees the claimant (Busy 3)" 3
+    (Par.Memo_tbl.owner t ord);
+  Alcotest.(check int) "length counts claims" 1 (Par.Memo_tbl.length t);
+  Alcotest.(check int) "resolved excludes claims" 0 (Par.Memo_tbl.resolved t);
+  Par.Memo_tbl.resolve t ord 0.25;
+  Alcotest.(check int) "resolved has no owner" (-1) (Par.Memo_tbl.owner t ord);
+  Alcotest.(check (float 0.0)) "value" 0.25 (Par.Memo_tbl.value t ord);
+  Alcotest.(check int) "resolved" 1 (Par.Memo_tbl.resolved t);
+  Alcotest.(check string) "key copied out" "k" (Par.Memo_tbl.key t ord);
+  Alcotest.(check int) "absent key" (-1) (memo_find t "j");
+  (match Par.Memo_tbl.resolve t ord 0.5 with
+  | () -> Alcotest.fail "double resolve must raise"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check (float 0.0)) "first value kept" 0.25 (Par.Memo_tbl.value t ord);
+  let seen = ref [] in
+  Par.Memo_tbl.iter_resolved t (fun k v -> seen := (k, v) :: !seen);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "iter_resolved" [ ("k", 0.25) ] !seen
+
+(* Claims hand out ordinals 0, 1, 2, ... that the solver holds as
+   tokens while the index doubles under it, from 16 slots to 4M. *)
+let test_memo_growth () =
+  let t = Par.Memo_tbl.create ~size:8 () in
+  let n = 2_000_000 in
+  let key i = "key:" ^ string_of_int i in
+  for i = 0 to n - 1 do
+    let ord = memo_claim t (key i) ~owner:0 in
+    if ord <> i || not (Par.Memo_tbl.last_was_new t) then
+      Alcotest.failf "claim %d got ordinal %d" i ord
+  done;
+  for i = 0 to n - 1 do
+    Par.Memo_tbl.resolve t i (float_of_int i)
+  done;
+  Alcotest.(check int) "length" n (Par.Memo_tbl.length t);
+  Alcotest.(check int) "resolved" n (Par.Memo_tbl.resolved t);
+  for i = 0 to n - 1 do
+    let ord = memo_find t (key i) in
+    if ord <> i || Par.Memo_tbl.value t ord <> float_of_int i then
+      Alcotest.failf "key %d found at %d" i ord
+  done;
+  Alcotest.(check string) "early ordinal's key" (key 17) (Par.Memo_tbl.key t 17)
+
+(* Keys that end exactly at a 1 MiB chunk boundary, and keys that would
+   straddle one and so start the next chunk, are stored whole. *)
+let test_memo_chunk_boundary () =
+  let chunk = 1 lsl 20 in
+  List.iter
+    (fun len ->
+      let t = Par.Memo_tbl.create () in
+      let key i =
+        let b = Bytes.make len (Char.chr (i land 0xff)) in
+        Bytes.set_int32_le b 0 (Int32.of_int i);
+        Bytes.unsafe_to_string b
+      in
+      let n = (3 * chunk / len) + 7 in
+      for i = 0 to n - 1 do
+        ignore (memo_claim t (key i) ~owner:0)
+      done;
+      for i = 0 to n - 1 do
+        let ord = memo_find t (key i) in
+        if ord <> i then Alcotest.failf "len %d: key %d found at %d" len i ord;
+        if not (String.equal (Par.Memo_tbl.key t ord) (key i)) then
+          Alcotest.failf "len %d: key %d corrupted" len i
+      done)
+    [ 1024; 1000; 65_535 ]
+
+let test_memo_key_limit () =
+  let t = Par.Memo_tbl.create () in
+  let ok = String.make Par.Memo_tbl.max_key_length 'x' in
+  ignore (memo_claim t ok ~owner:0);
+  Alcotest.(check int) "longest key stored" 0 (memo_find t ok);
+  Alcotest.(check string) "longest key intact" ok (Par.Memo_tbl.key t 0);
+  match memo_claim t (ok ^ "x") ~owner:0 with
+  | _ -> Alcotest.fail "a 64 KiB key must raise, not be truncated"
+  | exception Invalid_argument _ ->
+      Alcotest.(check int) "nothing claimed" 1 (Par.Memo_tbl.length t)
+
+let test_memo_clear () =
+  let t = Par.Memo_tbl.create ~size:16 () in
+  for i = 0 to 99 do
+    let ord = memo_claim t (string_of_int i) ~owner:0 in
+    Par.Memo_tbl.resolve t ord 1.0
+  done;
+  Par.Memo_tbl.clear t;
+  Alcotest.(check int) "empty" 0 (Par.Memo_tbl.length t);
+  Alcotest.(check int) "none resolved" 0 (Par.Memo_tbl.resolved t);
+  Alcotest.(check int) "old key gone" (-1) (memo_find t "42");
+  let ord = memo_claim t "42" ~owner:1 in
+  Alcotest.(check int) "ordinals restart" 0 ord;
+  Alcotest.(check bool) "fresh claim" true (Par.Memo_tbl.last_was_new t);
+  Alcotest.(check int) "claimed, not resolved" 1 (Par.Memo_tbl.owner t ord);
+  Par.Memo_tbl.resolve t ord 2.0;
+  Alcotest.(check (float 0.0)) "reused value" 2.0 (Par.Memo_tbl.value t ord)
+
 (* ---- Par.Sharded_tbl ------------------------------------------------- *)
 
 let test_tbl_claim_protocol () =
-  let t : int Par.Sharded_tbl.t = Par.Sharded_tbl.create () in
+  let t = Par.Sharded_tbl.create () in
   (match Par.Sharded_tbl.find_or_claim t "k" ~owner:0 with
   | `Claimed -> ()
   | _ -> Alcotest.fail "first probe must claim");
@@ -127,45 +238,45 @@ let test_tbl_claim_protocol () =
   (match Par.Sharded_tbl.find_or_claim t "k" ~owner:1 with
   | `Busy 0 -> ()
   | _ -> Alcotest.fail "other owner must see the claimant's id");
-  Alcotest.(check (option int)) "claimed is not resolved" None
+  Alcotest.(check (option (float 0.0))) "claimed is not resolved" None
     (Par.Sharded_tbl.get t "k");
   Alcotest.(check int) "length counts claims" 1 (Par.Sharded_tbl.length t);
   Alcotest.(check int) "resolved excludes claims" 0 (Par.Sharded_tbl.resolved t);
-  Par.Sharded_tbl.resolve t "k" 42;
+  Par.Sharded_tbl.resolve t "k" 42.0;
   (match Par.Sharded_tbl.find_or_claim t "k" ~owner:1 with
-  | `Value 42 -> ()
+  | `Value 42.0 -> ()
   | _ -> Alcotest.fail "post-resolve probe must return the value");
-  Alcotest.(check (option int)) "get after resolve" (Some 42)
+  Alcotest.(check (option (float 0.0))) "get after resolve" (Some 42.0)
     (Par.Sharded_tbl.get t "k");
   Alcotest.(check int) "resolved" 1 (Par.Sharded_tbl.resolved t);
   let collected = ref [] in
   Par.Sharded_tbl.iter_resolved t (fun k v -> collected := (k, v) :: !collected);
-  Alcotest.(check (list (pair string int)))
-    "iter_resolved sees the binding" [ ("k", 42) ] !collected
+  Alcotest.(check (list (pair string (float 0.0))))
+    "iter_resolved sees the binding" [ ("k", 42.0) ] !collected
 
 let test_tbl_double_resolve () =
-  let t : int Par.Sharded_tbl.t = Par.Sharded_tbl.create () in
+  let t = Par.Sharded_tbl.create () in
   ignore (Par.Sharded_tbl.find_or_claim t "k" ~owner:0);
-  Par.Sharded_tbl.resolve t "k" 1;
-  match Par.Sharded_tbl.resolve t "k" 2 with
+  Par.Sharded_tbl.resolve t "k" 1.0;
+  match Par.Sharded_tbl.resolve t "k" 2.0 with
   | () -> Alcotest.fail "double resolve must raise"
   | exception Invalid_argument _ -> ()
 
 let test_tbl_shard_rounding () =
   Alcotest.(check int) "default shards" 128
-    (Par.Sharded_tbl.shard_count (Par.Sharded_tbl.create () : int Par.Sharded_tbl.t));
+    (Par.Sharded_tbl.shard_count (Par.Sharded_tbl.create ()));
   Alcotest.(check int) "rounded up to a power of two" 128
     (Par.Sharded_tbl.shard_count
-       (Par.Sharded_tbl.create ~shards:100 () : int Par.Sharded_tbl.t));
+       (Par.Sharded_tbl.create ~shards:100 ()));
   Alcotest.(check int) "one shard accepted" 1
     (Par.Sharded_tbl.shard_count
-       (Par.Sharded_tbl.create ~shards:1 () : int Par.Sharded_tbl.t))
+       (Par.Sharded_tbl.create ~shards:1 ()))
 
 (* Four domains race find_or_claim over the same key set, each visiting
    the keys in a different order: every key must be claimed by exactly
    one domain, and the claim sets must partition the key space. *)
 let test_tbl_concurrent_claims () =
-  let t : int Par.Sharded_tbl.t = Par.Sharded_tbl.create () in
+  let t = Par.Sharded_tbl.create () in
   let nkeys = 2_000 in
   let keys = Array.init nkeys (fun i -> "key:" ^ string_of_int i) in
   let claim_worker wid =
@@ -176,7 +287,7 @@ let test_tbl_concurrent_claims () =
       let i = ((j * ((2 * wid) + 1)) + (wid * 37)) mod nkeys in
       match Par.Sharded_tbl.find_or_claim t keys.(i) ~owner:wid with
       | `Claimed ->
-          Par.Sharded_tbl.resolve t keys.(i) wid;
+          Par.Sharded_tbl.resolve t keys.(i) (float_of_int wid);
           mine := i :: !mine
       | `Busy _ | `Value _ -> ()
     done;
@@ -448,6 +559,14 @@ let tests =
     Alcotest.test_case "deque: growth conserves items" `Quick test_deque_growth;
     Alcotest.test_case "deque: concurrent steal conservation" `Quick
       test_deque_steal_stress;
+    Alcotest.test_case "memo_tbl: claim protocol" `Quick test_memo_claim_protocol;
+    Alcotest.test_case "memo_tbl: ordinals stable across growth" `Quick
+      test_memo_growth;
+    Alcotest.test_case "memo_tbl: keys at chunk boundaries" `Quick
+      test_memo_chunk_boundary;
+    Alcotest.test_case "memo_tbl: over-long key raises" `Quick
+      test_memo_key_limit;
+    Alcotest.test_case "memo_tbl: clear then reuse" `Quick test_memo_clear;
     Alcotest.test_case "sharded_tbl: claim protocol" `Quick
       test_tbl_claim_protocol;
     Alcotest.test_case "sharded_tbl: double resolve raises" `Quick
