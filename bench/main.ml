@@ -789,6 +789,7 @@ let par_speedup () =
     time "PAR solve seq" (fun () ->
         Model.Weakener_abd.bad_probability ~k:solve_k ())
   in
+  let seq_states = Model.Weakener_abd.explored_states () in
   Model.Weakener_abd.reset ();
   (* domain identity is only observable while the pool is alive, so it is
      captured inside the region (negligible next to the solve itself) *)
@@ -821,6 +822,18 @@ let par_speedup () =
   in
   add "Monte-Carlo, 4000 trials" t_mseq t_mpar mc_same;
   add (Fmt.str "exact solve, ABD^%d" solve_k) t_sseq t_spar solve_same;
+  (* schedule-independent: the shared memo ends up holding exactly the
+     states the sequential solve memoized *)
+  (match Model.Weakener_abd.last_par_stats () with
+  | Some ps ->
+      let same = ps.distinct_keys = seq_states in
+      Report.json_row r
+        ~quantity:"parallel distinct states = sequential states"
+        ~paper:"equal at every job count" ~paper_value:1.0
+        ~measured_value:(if same then 1.0 else 0.0)
+        ~measured:(Fmt.str "%b (%d vs %d)" same ps.distinct_keys seq_states)
+        ()
+  | None -> ());
   (* schema-v3/v4 parallel telemetry: who ran (spawned_domains,
      domain_ids) and what each worker did against the shared memo. The
      claim protocol evaluates each state exactly once, so the domains'

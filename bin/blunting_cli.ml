@@ -58,9 +58,7 @@ let jobs_term =
            Results are bit-identical at every job count.")
 
 (* Shared --memo-budget flag: a byte count with an optional K/M/G
-   suffix. BLUNTING_MEMO_BUDGET sets the process default (read by the
-   solver at startup); the flag overrides it, 0 disables. Budgeted
-   solves spill resolved memo entries to temporary segment files once
+   suffix; 0 disables. Budgeted solves spill resolved memo entries to temporary segment files once
    RAM passes the budget — values and state counts are bit-identical,
    only peak memory and wall time change. *)
 let memo_budget_term =
@@ -81,7 +79,7 @@ let memo_budget_term =
            e.g. $(b,64M)); resolved states past the budget spill to \
            temporary segment files and are probed back through a block \
            cache. Values are bit-identical to the in-RAM solve. Default: \
-           $(b,BLUNTING_MEMO_BUDGET), else unbounded; $(b,0) disables.")
+           unbounded; $(b,0) disables.")
 
 let pp_store_stats_opt ppf = function
   | Some st -> Fmt.pf ppf "  store: %a@." Store.Memo.pp_stats st

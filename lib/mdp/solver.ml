@@ -98,13 +98,11 @@ let default_progress_interval = 50_000
 
 (* ---- out-of-core memo budget ------------------------------------------
 
-   The switch for the third memo backend: when a budget is armed, solves
-   route their memo through {!Store.Memo} — an in-RAM tier that spills
-   resolved entries to sorted-run segment files once its byte estimate
-   passes the budget. [None] (the default) keeps the plain in-RAM
-   tables and costs nothing. The process-wide default comes from
-   [BLUNTING_MEMO_BUDGET]; per-solve [?memo_budget] arguments override
-   it. *)
+   The switch for the third memo backend: a solve given a budget routes
+   its memo through {!Store.Memo} — an in-RAM tier that spills resolved
+   entries to sorted-run segment files once its byte estimate passes the
+   budget. No budget (the default) keeps the plain in-RAM tables and
+   costs nothing. *)
 
 let parse_memo_budget s =
   let s = String.trim s in
@@ -123,22 +121,6 @@ let parse_memo_budget s =
     | _ ->
         Error
           (Printf.sprintf "invalid size %S (bytes, or a K/M/G suffix)" s)
-
-let default_memo_budget =
-  match Sys.getenv_opt "BLUNTING_MEMO_BUDGET" with
-  | None | Some "" -> None
-  | Some s -> (
-      match parse_memo_budget s with
-      | Ok 0 -> None
-      | Ok n -> Some n
-      | Error e ->
-          Log.warn (fun f -> f "BLUNTING_MEMO_BUDGET ignored: %s" e);
-          None)
-
-(* per-call override beats the process default; <= 0 disables *)
-let effective_budget = function
-  | Some b -> if b > 0 then Some b else None
-  | None -> default_memo_budget
 
 (* ---- the admissible value bound ----------------------------------------
 
@@ -172,10 +154,10 @@ let hi = 1.0
      table whose values are unboxed floats, so a hit allocates only its
      [`Value v] result (5 words; [G.apply] allocates ~80 per call). The
      token is the binding's ordinal, which [resolve] writes in place (no
-     second lookup). Only owner 0 ever claims here, so a live claim
-     reads [`Busy 0];
+     second lookup). One participant claims here, so every live claim
+     is its own;
    - {!Par.Sharded_tbl}, the same table sharded behind mutexes, shared
-     by the workers of a parallel solve;
+     by the workers of a parallel solve; its token is also an ordinal;
    - {!Store.Memo}, the spillable store a memo budget arms, sequential
      or parallel.
    A record of closures instead of a functor keeps the recursion
@@ -349,10 +331,10 @@ module Make (G : GAME) = struct
      protocol; claims cannot exist outside a running solve, so only
      final values move, and each claim is fresh. Once armed the solver stays on
      the store until [reset] — mixing backends within one memo would
-     split the key space. *)
+     split the key space. A budget <= 0 arms nothing. *)
   let arm_store budget =
     match (!store, budget) with
-    | None, Some b ->
+    | None, Some b when b > 0 ->
         let st = Store.Memo.create ~budget:b () in
         Par.Memo_tbl.iter_resolved ram (fun key v ->
             match
@@ -541,13 +523,6 @@ module Make (G : GAME) = struct
     | None -> solve_at ~prune ram_m main depth s
     | Some st -> solve_at ~prune (store_memo st) main depth s
 
-  let transition_value depth = function
-    | G.Det s -> solve ~prune:false (depth + 1) s
-    | G.Chance dist ->
-        List.fold_left
-          (fun acc (p, s) -> acc +. (p *. solve ~prune:false (depth + 1) s))
-          0.0 dist
-
   (* The cross-domain telemetry of the most recent [value_par]. Computed
      eagerly at the end of the parallel region and cleared at the start
      of EVERY root solve — a reused solver must never report a previous
@@ -578,7 +553,7 @@ module Make (G : GAME) = struct
         raise e
 
   let value ?memo_budget ?(prune = false) s =
-    arm_store (effective_budget memo_budget);
+    arm_store memo_budget;
     root_call "mdp.value" (fun () -> solve ~prune 0 s)
 
   (* Live out-of-core telemetry: cumulative since the store was armed
@@ -591,9 +566,13 @@ module Make (G : GAME) = struct
     | [] -> None
     | ms ->
         root_call "mdp.best_move" @@ fun () ->
-        let scored =
-          List.map (fun m -> (transition_value 0 (G.apply s m), m)) ms
+        (* a one-move fold is that move's transition value *)
+        let score m =
+          fold_value ~prune:false ~on_prune:ignore
+            ~child:(fun d s' -> solve ~prune:false d s')
+            0 s [ m ]
         in
+        let scored = List.map (fun m -> (score m, m)) ms in
         Log.debug (fun f ->
             f "best_move: %d candidates: %a" (List.length scored)
               (Fmt.list ~sep:Fmt.comma (fun ppf (v, m) ->
@@ -629,17 +608,19 @@ module Make (G : GAME) = struct
 
   (* ---- parallel solving ------------------------------------------------
 
-     Work-stealing over a shared memo. The game tree is expanded a few
-     plies (without evaluating) to a frontier of distinct subtree roots;
-     the frontier-leaf indices are dealt round-robin into one Chase–Lev
-     deque per worker, and [jobs] workers drain their own deque LIFO,
-     stealing the oldest leaf from a victim when empty. Every worker
-     runs [solve_at] over one shared backend whose find-or-claim
-     guarantees exactly one worker evaluates each state (so no work is
-     duplicated: summed worker misses equal [distinct_keys]), and the
-     claim protocol
-     doubles as cycle detection (re-entering your own claim is exactly
-     the sequential re-entry).
+     Work-stealing over a shared memo. [frontier] walks the game a few
+     plies down (without evaluating) and collects the distinct states at
+     the cut; they are dealt round-robin into one Chase–Lev deque per
+     worker, and [jobs] workers drain their own deque LIFO, stealing the
+     oldest state from a victim when empty. Every worker runs [solve_at]
+     over one shared backend whose find-or-claim guarantees exactly one
+     worker evaluates each state (so no work is duplicated: summed worker
+     misses equal the states resolved), and the claim protocol doubles as
+     cycle detection (re-entering your own claim is exactly the
+     sequential re-entry). Once the region joins, a root pass — [solve_at]
+     from the root on the calling domain, over the same memo — finds
+     every frontier state resolved and folds the plies above them, so the
+     memo ends up holding exactly the states a sequential solve holds.
 
      A worker probing another worker's live claim does not idle: it
      HELPS (see [help]). Waits only ever follow game-DAG edges downward
@@ -653,87 +634,39 @@ module Make (G : GAME) = struct
      sequential arithmetic, from child values that are themselves unique;
      induction over the (acyclic) state graph closes the argument. *)
 
-  type pre =
-    | R_term of float
-    | R_state of G.state * int  (* frontier state at its tree depth *)
-    | R_max of pre list
-    | R_exp of (float * pre) list
-
-  type plan =
-    | P_term of float
-    | P_leaf of int  (* index into the frontier array *)
-    | P_max of plan list
-    | P_exp of (float * plan) list
-
-  let rec expand depth limit s =
-    match G.moves s with
-    | [] -> R_term (G.terminal_value s)
-    | ms ->
-        if depth >= limit then R_state (s, depth)
-        else
-          R_max
-            (List.map
-               (fun m ->
-                 match G.apply s m with
-                 | G.Det s' -> expand (depth + 1) limit s'
-                 | G.Chance dist ->
-                     R_exp
-                       (List.map
-                          (fun (p, s') -> (p, expand (depth + 1) limit s'))
-                          dist))
-               ms)
-
-  let rec count_states = function
-    | R_term _ -> 0
-    | R_state _ -> 1
-    | R_max ps -> List.fold_left (fun a p -> a + count_states p) 0 ps
-    | R_exp dist -> List.fold_left (fun a (_, p) -> a + count_states p) 0 dist
-
-  (* Deduplicate frontier states by canonical key (several paths reach the
-     same state) and compile the prefix into an index-based plan. *)
-  let compile pre =
-    let index : (string, int) Hashtbl.t = Hashtbl.create 256 in
-    let leaves = ref [] in
-    let n = ref 0 in
-    let rec go = function
-      | R_term v -> P_term v
-      | R_state (s, depth) ->
+  (* The distinct non-terminal states [limit] plies below [s], in
+     first-visit order, and the number of paths reaching them. *)
+  let frontier_at limit s =
+    let seen = Hashtbl.create 64 and leaves = ref [] and paths = ref 0 in
+    let rec walk depth s =
+      match G.moves s with
+      | [] -> ()
+      | _ when depth >= limit ->
+          incr paths;
           let key = G.encode s in
-          let i =
-            match Hashtbl.find_opt index key with
-            | Some i -> i
-            | None ->
-                let i = !n in
-                Hashtbl.add index key i;
-                leaves := (s, depth) :: !leaves;
-                incr n;
-                i
-          in
-          P_leaf i
-      | R_max ps -> P_max (List.map go ps)
-      | R_exp dist -> P_exp (List.map (fun (p, q) -> (p, go q)) dist)
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.add seen key ();
+            leaves := s :: !leaves
+          end
+      | ms ->
+          List.iter
+            (fun m ->
+              match G.apply s m with
+              | G.Det s' -> walk (depth + 1) s'
+              | G.Chance dist ->
+                  List.iter (fun (_, s') -> walk (depth + 1) s') dist)
+            ms
     in
-    let plan = go pre in
-    (plan, Array.of_list (List.rev !leaves))
+    walk 0 s;
+    (!paths, Array.of_list (List.rev !leaves))
 
-  let rec eval_plan values = function
-    | P_term v -> v
-    | P_leaf i -> values.(i)
-    | P_max ps ->
-        List.fold_left (fun acc p -> Float.max acc (eval_plan values p)) neg_infinity ps
-    | P_exp dist ->
-        List.fold_left
-          (fun acc (p, pl) -> acc +. (p *. eval_plan values pl))
-          0.0 dist
-
+  (* Deepen until the frontier offers real parallel slack, stops
+     growing, or lies 16 plies down. Returns its depth and states. *)
   let frontier ~jobs s =
-    (* deepen until the frontier offers real parallel slack (or stops
-       growing — tiny games go sequential via the plan alone) *)
-    let target = jobs * 8 in
     let rec go limit prev =
-      let pre = expand 0 limit s in
-      let c = count_states pre in
-      if c >= target || c <= prev || limit >= 16 then pre else go (limit + 2) c
+      let paths, leaves = frontier_at limit s in
+      if paths >= jobs * 8 || paths <= prev || limit >= 16 then (limit, leaves)
+      else go (limit + 2) paths
     in
     go 2 (-1)
 
@@ -758,10 +691,8 @@ module Make (G : GAME) = struct
     |> List.sort (fun a b -> compare a.domain_id b.domain_id)
 
   (* Run [jobs] workers over the shared memo [m] until every frontier
-     leaf is evaluated, merge their counters into [main], and return the
-     leaf values. [distinct ()] is the number of states the region
-     resolved in [m]. *)
-  let run_workers ?pool ~prune ~jobs m ~distinct leaves =
+     state (at tree depth [depth]) is resolved; returns their counters. *)
+  let run_workers ?pool ~prune ~jobs m depth leaves =
     let deques = Array.init jobs (fun _ -> Par.Deque.create ()) in
     Array.iteri (fun i _ -> Par.Deque.push deques.(i mod jobs) i) leaves;
     let abort = Atomic.make false in
@@ -769,15 +700,8 @@ module Make (G : GAME) = struct
       Array.init jobs (fun wid ->
           make_counters ~wid ~abort ~progress_interval:max_int)
     in
-    (* leaf values are published to the caller by the pool region's
-       join; each index is written exactly once (deque items are handed
-       out exactly once), so NaN survives only on a bug *)
-    let values = Array.make (Array.length leaves) Float.nan in
     let first_error : exn option Atomic.t = Atomic.make None in
-    let eval_leaf w i =
-      let s, depth = leaves.(i) in
-      values.(i) <- solve_at ~prune m w depth s
-    in
+    let eval_leaf w i = ignore (solve_at ~prune m w depth leaves.(i)) in
     let worker_loop wid =
       let w = workers.(wid) in
       w.domain <- (Domain.self () :> int);
@@ -828,20 +752,33 @@ module Make (G : GAME) = struct
         Par.Pool.with_pool ~jobs (fun pool ->
             Par.Pool.scatter pool ~n:jobs worker_loop));
     Option.iter raise (Atomic.get first_error);
-    (* Deterministic merge of the per-worker counters into [main]. With
-       the shared memo every state is evaluated exactly once, so the
-       summed misses equal the distinct-state count and [stats ()]
-       reports the same explored figure as a sequential solve of the
-       same root. *)
+    workers
+
+  (* The region (when there is one), then the root pass, over [m]; then a
+     deterministic merge of every participant's counters into [main].
+     Each state is evaluated exactly once, so the summed misses equal
+     [distinct ()], the states the solve resolved in [m], and [stats ()]
+     reports the explored figure of a sequential solve of the same root. *)
+  let solve_par ?pool ~prune ~jobs m ~distinct ~region depth leaves s =
+    let workers =
+      if region then run_workers ?pool ~prune ~jobs m depth leaves else [||]
+    in
+    let top =
+      make_counters ~wid:jobs ~abort:(Atomic.make false)
+        ~progress_interval:max_int
+    in
+    top.domain <- (Domain.self () :> int);
+    let v = solve_at ~prune m top 0 s in
+    let all = Array.append workers [| top |] in
     let distinct = distinct () in
-    let sum f = Array.fold_left (fun a w -> a + f w) 0 workers in
+    let sum f = Array.fold_left (fun a w -> a + f w) 0 all in
     Array.iter
       (fun w ->
         main.hits <- main.hits + w.hits;
         main.misses <- main.misses + w.misses;
         main.max_depth <- max main.max_depth w.max_depth;
         main.prune_cuts <- main.prune_cuts + w.prune_cuts)
-      workers;
+      all;
     main.states <- main.states + distinct;
     let steals = sum (fun w -> w.steals) in
     let claim_misses = sum (fun w -> w.claim_misses) in
@@ -850,78 +787,42 @@ module Make (G : GAME) = struct
     last_par :=
       Some
         {
-          domains = merge_by_domain workers;
+          domains = merge_by_domain all;
           distinct_keys = distinct;
           steals;
           claim_hits = sum (fun w -> w.hits);
           claim_misses;
           pruned_subtrees = sum (fun w -> w.prune_cuts);
         };
-    values
+    v
 
+  (* A budgeted solve runs over the instance's persistent store, where
+     the region's states are the resolved-count delta. Otherwise the memo
+     is fresh: a [Par.Sharded_tbl] for the workers, or — when the
+     frontier has fewer states than [jobs], so a region would cost more
+     in domains and claim traffic than the whole solve — no region and a
+     plain [Par.Memo_tbl] for the root pass alone. *)
   let value_par ?pool ?memo_budget ?(prune = false) ~jobs s =
     if jobs <= 1 then value ?memo_budget ~prune s
     else
       root_call "mdp.value_par" @@ fun () ->
-      arm_store (effective_budget memo_budget);
-      let plan, leaves = compile (frontier ~jobs s) in
-      let nleaves = Array.length leaves in
-      Log.info (fun f -> f "value_par: %d frontier states on %d jobs" nleaves jobs);
-      if nleaves = 0 then eval_plan [||] plan
-      else if nleaves < jobs then begin
-        (* Frontier smaller than the worker count: the game is too small
-           to occupy the pool, and spawning domains + claim traffic costs
-           more than the whole solve (the sub-1x PAR rows on tiny games).
-           Solve sequentially — bit-identical by the same argument as the
-           worker path — and synthesize the telemetry honestly from the
-           counter delta: one domain, one miss per distinct state,
-           nothing stolen or claimed. *)
-        Log.info (fun f ->
-            f "value_par: frontier %d < jobs %d, sequential fallback" nleaves
-              jobs);
-        let before = stats_of main in
-        let pruned_before = main.prune_cuts in
-        let v = solve ~prune 0 s in
-        let after = stats_of main in
-        let delta =
-          {
-            states = after.states - before.states;
-            memo_hits = after.memo_hits - before.memo_hits;
-            memo_misses = after.memo_misses - before.memo_misses;
-            max_depth = after.max_depth;
-          }
-        in
-        last_par :=
-          Some
-            {
-              domains =
-                [ { domain_id = (Domain.self () :> int); stats = delta } ];
-              distinct_keys = delta.memo_misses;
-              steals = 0;
-              claim_hits = 0;
-              claim_misses = 0;
-              pruned_subtrees = main.prune_cuts - pruned_before;
-            };
-        v
-      end
-      else
-        (* Unbudgeted solves share a fresh in-RAM [Par.Sharded_tbl]; a
-           budgeted solve runs over the persistent spillable store, and
-           the distinct-state count is the resolved-count delta across
-           the region (the store may carry entries from earlier
-           solves). *)
-        let values =
-          match !store with
-          | Some st ->
-              let base = Store.Memo.resolved st in
-              run_workers ?pool ~prune ~jobs (store_memo st)
-                ~distinct:(fun () -> Store.Memo.resolved st - base)
-                leaves
-          | None ->
-              let tbl = Par.Sharded_tbl.create () in
-              run_workers ?pool ~prune ~jobs (sharded_memo tbl)
-                ~distinct:(fun () -> Par.Sharded_tbl.resolved tbl)
-                leaves
-        in
-        eval_plan values plan
+      arm_store memo_budget;
+      let depth, leaves = frontier ~jobs s in
+      let region = Array.length leaves >= jobs in
+      Log.info (fun f ->
+          f "value_par: %d frontier states on %d jobs" (Array.length leaves)
+            jobs);
+      let run m distinct =
+        solve_par ?pool ~prune ~jobs m ~distinct ~region depth leaves s
+      in
+      match !store with
+      | Some st ->
+          let base = Store.Memo.resolved st in
+          run (store_memo st) (fun () -> Store.Memo.resolved st - base)
+      | None when region ->
+          let tbl = Par.Sharded_tbl.create () in
+          run (sharded_memo tbl) (fun () -> Par.Sharded_tbl.resolved tbl)
+      | None ->
+          let tbl = Par.Memo_tbl.create () in
+          run (ram_memo tbl) (fun () -> Par.Memo_tbl.resolved tbl)
 end

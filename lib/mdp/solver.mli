@@ -12,8 +12,9 @@
 
     Every engine — sequential or parallel, pruned or not, in RAM or under
     a memo budget — runs one recursion over one find-or-claim memo
-    interface, backed by {!Par.Memo_tbl} (sequential, in RAM),
-    {!Par.Sharded_tbl} (parallel, in RAM) or {!Store.Memo} (budgeted).
+    interface, backed by {!Par.Memo_tbl} (one participant, in RAM),
+    {!Par.Sharded_tbl} (parallel workers, in RAM) or {!Store.Memo}
+    (budgeted).
     Each state is evaluated once, by the same fold, so values are
     bit-identical across engines. *)
 
@@ -96,11 +97,14 @@ val pp_summary : wall_s:float -> Format.formatter -> stats -> unit
     probes answered by an already-resolved entry. *)
 type domain_stats = { domain_id : int; stats : stats }
 
-(** Cross-domain telemetry of the most recent [value_par].
-    [distinct_keys] is the number of distinct state keys resolved in the
-    shared memo — equal to the sequential solve's state count for the
-    same root (unpruned). The claim protocol evaluates every key exactly
-    once, so the domains' summed [memo_misses] equal [distinct_keys].
+(** Cross-domain telemetry of the most recent [value_par]. Its
+    participants are the workers and the root pass (on the calling
+    domain; merged into that domain's entry when it also ran a worker).
+    [distinct_keys] is the number of distinct state keys the solve
+    resolved in its memo — equal to the sequential solve's state count
+    for the same root (unpruned). The claim protocol evaluates every key
+    exactly once, so the domains' summed [memo_misses] equal
+    [distinct_keys].
     [steals] counts successful deque steals, [claim_hits]/[claim_misses]
     the shared-memo probes answered by a resolved value / by another
     worker's live claim (the helping protocol), and [pruned_subtrees] the
@@ -135,9 +139,8 @@ val log_src : Logs.src
 
 (** {2 Out-of-core memo budget}
 
-    A solve given a memo budget (per-call [?memo_budget], or the
-    process default read from [BLUNTING_MEMO_BUDGET] at startup) runs
-    its memo through {!Store.Memo}: an exactly-once claim/resolve
+    A solve given a memo budget ([?memo_budget] > 0) runs its memo
+    through {!Store.Memo}: an exactly-once claim/resolve
     table whose resolved entries spill to sorted-run segment files once
     the in-RAM tier passes the budget, probed back through a per-shard
     LRU block cache. The discipline
@@ -149,8 +152,8 @@ val log_src : Logs.src
     in-RAM table — until its [reset]. *)
 
 (** [parse_memo_budget s] parses a byte count with an optional K/M/G
-    (binary) suffix, as accepted by [--memo-budget] and
-    [BLUNTING_MEMO_BUDGET]. [Ok 0] means "no budget". *)
+    (binary) suffix, as accepted by [--memo-budget]. [Ok 0] means "no
+    budget". *)
 val parse_memo_budget : string -> (int, string) result
 
 module Make (G : GAME) : sig
@@ -165,23 +168,28 @@ module Make (G : GAME) : sig
       enter the memo, so pruned and unpruned solves may share an
       instance.
 
-      [?memo_budget] (or the process default) runs the memo
-      out-of-core — see the "Out-of-core memo budget" section above;
+      [?memo_budget] runs the memo out-of-core — see the "Out-of-core memo budget" section above;
       values and counts stay bit-identical. *)
   val value : ?memo_budget:int -> ?prune:bool -> G.state -> float
 
   (** [value_par ?pool ?prune ~jobs s] is [value s] computed by [jobs]
       cooperating workers over one shared sharded memo
-      ({!Par.Sharded_tbl}): the game tree is expanded a few plies to a
-      frontier of distinct subtree roots dealt into per-worker
-      work-stealing deques ({!Par.Deque}); each worker drains its own
-      deque and steals from the others when empty. Every state evaluation
-      claims its key in the shared table first, so each state is
-      evaluated by exactly one worker — no duplicated work — and a worker
-      probing another's live claim helps by evaluating that state's
-      children before waiting for the owner's value. The result is
-      bit-identical to [value s] at every job count, and (unpruned) the
-      summed worker evaluations equal the sequential solve's state count.
+      ({!Par.Sharded_tbl}): the game is walked a few plies down to a
+      frontier of distinct states, dealt into per-worker work-stealing
+      deques ({!Par.Deque}); each worker drains its own deque and steals
+      from the others when empty. Every state evaluation claims its key
+      in the shared table first, so each state is evaluated by exactly
+      one worker — no duplicated work — and a worker probing another's
+      live claim helps by evaluating that state's children before waiting
+      for the owner's value. When the workers are done, a root pass on
+      the calling domain runs the sequential recursion from [s] over the
+      same memo: the frontier states are hits, and it evaluates only the
+      states above them. The result is bit-identical to [value s] at
+      every job count, and (unpruned) the memo ends up holding exactly
+      the sequential solve's states.
+
+      A game whose frontier has fewer distinct states than [jobs] runs no
+      workers: the root pass alone solves it, on a fresh {!Par.Memo_tbl}.
       [jobs <= 1] is exactly [value ?prune s]. With [pool] the caller's
       pool is reused ([pool] must have at least [jobs] slots to run all
       workers concurrently; fewer slots still terminate — a participant
@@ -190,17 +198,18 @@ module Make (G : GAME) : sig
 
       Work counters merge into this instance's [stats]: states/misses
       gain the distinct-state count, hits the shared-memo probe hits.
-      Cycle detection is preserved — a worker re-entering its own claim
-      raises [Cyclic], exactly as a sequential solve re-entering a state.
-      Progress hooks do not fire from worker domains.
+      Cycle detection is preserved — a worker or the root pass
+      re-entering its own claim raises [Cyclic], exactly as a sequential
+      solve re-entering a state. Progress hooks do not fire during
+      [value_par].
 
       When {!Obs.Ring} tracing is enabled, workers record [Steal] events
       (successful deque steals) into their domains' rings, inside the
       pool's task slices; memo probes are counted in [last_par_stats],
       not traced.
 
-      With a memo budget armed, the workers share the instance's
-      spillable {!Store.Memo} instead of a fresh in-RAM table — same
+      With a memo budget armed, the workers and the root pass share the
+      instance's spillable {!Store.Memo} instead of a fresh in-RAM table — same
       claim protocol, same bit-identical result; each sorted run the
       store writes additionally lands in the rings as a [Store_spill]
       event. *)

@@ -47,7 +47,7 @@ val init : ?atomic_c:bool -> ?servers:int -> k:k -> unit -> Game.state
     at every job count. [prune] (default [false]) enables the Theorem 4.2
     interval branch-and-bound cuts ({!Mdp.Solver.Make.value}'s [~prune]);
     the value is unchanged, the explored set only shrinks.
-    [memo_budget] (or [BLUNTING_MEMO_BUDGET]) caps the memo's RAM,
+    [memo_budget] caps the memo's RAM,
     spilling resolved states to disk past it — values and counts stay
     bit-identical (see the solver's out-of-core section). *)
 val bad_probability :

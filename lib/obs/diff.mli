@@ -14,7 +14,9 @@
       per-section metrics (values, state counts, counter deltas) must
       agree to the relative [value_rtol]. Machine-dependent keys —
       seconds, GC and heap figures, hit rates, per-domain and scheduling
-      counters, store traffic — are not compared.
+      counters, store traffic — are not compared, nor is the PAR
+      section's [counters.mdp.memo_hits], which the parallel solve's
+      helping makes schedule-dependent.
 
     Two opt-in hard gates read the machine-dependent figures that matter:
     [min_speedup] and [max_alloc_ratio]. Missing sections or rows degrade

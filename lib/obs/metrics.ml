@@ -8,11 +8,14 @@ type hist = {
 }
 
 type metric =
-  | Counter of int ref
+  | Counter of int Atomic.t
   | Gauge of float ref
   | Hist of hist
 
-type counter = int ref
+(* Counters are bumped from every domain (parallel Monte-Carlo trials
+   step the simulator on pool workers); gauges and histograms are
+   written by the calling domain only. *)
+type counter = int Atomic.t
 type gauge = float ref
 type histogram = hist
 
@@ -33,13 +36,13 @@ let counter ?(help = "") name =
         (Printf.sprintf "Obs.Metrics: %S already registered as a %s" name
            (kind_name metric))
   | None ->
-      let c = ref 0 in
+      let c = Atomic.make 0 in
       Hashtbl.replace registry name { metric = Counter c; help };
       c
 
-let incr c = Stdlib.incr c
-let add c n = c := !c + n
-let counter_value c = !c
+let incr c = Atomic.incr c
+let add c n = ignore (Atomic.fetch_and_add c n)
+let counter_value c = Atomic.get c
 
 let gauge ?(help = "") name =
   match Hashtbl.find_opt registry name with
@@ -168,7 +171,7 @@ let histogram_summary h =
 
 let find_counter name =
   match Hashtbl.find_opt registry name with
-  | Some { metric = Counter c; _ } -> Some !c
+  | Some { metric = Counter c; _ } -> Some (Atomic.get c)
   | _ -> None
 
 let sorted_entries () =
@@ -177,14 +180,18 @@ let sorted_entries () =
 
 let counters () =
   List.filter_map
-    (function name, { metric = Counter c; _ } -> Some (name, !c) | _ -> None)
+    (function
+      | name, { metric = Counter c; _ } -> Some (name, Atomic.get c)
+      | _ -> None)
     (sorted_entries ())
 
 let snapshot () =
   let entries = sorted_entries () in
   let counters =
     List.filter_map
-      (function name, { metric = Counter c; _ } -> Some (name, Json.Int !c) | _ -> None)
+      (function
+        | name, { metric = Counter c; _ } -> Some (name, Json.Int (Atomic.get c))
+        | _ -> None)
       entries
   in
   let gauges =
@@ -237,7 +244,7 @@ let reset () =
   Hashtbl.iter
     (fun _ { metric; _ } ->
       match metric with
-      | Counter c -> c := 0
+      | Counter c -> Atomic.set c 0
       | Gauge g -> g := 0.0
       | Hist h ->
           Array.fill h.counts 0 (Array.length h.counts) 0;
@@ -257,7 +264,7 @@ let pp ppf () =
   List.iter
     (fun (name, { metric; _ }) ->
       match metric with
-      | Counter c -> Fmt.pf ppf "%s  %d@," (pad name) !c
+      | Counter c -> Fmt.pf ppf "%s  %d@," (pad name) (Atomic.get c)
       | Gauge g -> Fmt.pf ppf "%s  %g@," (pad name) !g
       | Hist h ->
           if h.count = 0 then Fmt.pf ppf "%s  (no observations)@," (pad name)

@@ -16,7 +16,8 @@ type counter
 type gauge
 type histogram
 
-(** {1 Counters} — monotonically increasing integer values. *)
+(** {1 Counters} — monotonically increasing integer values, atomic: any
+    domain may bump them without losing an increment. *)
 
 (** [counter ?help name] registers (or retrieves) the counter [name].
     Raises [Invalid_argument] if [name] is already a gauge or histogram. *)

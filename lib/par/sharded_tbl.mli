@@ -1,72 +1,50 @@
 (** A sharded concurrent [float]-valued table with a find-or-claim
-    protocol.
+    protocol: the shared memo of a parallel solve.
 
-    Keys hash to one of [shard_count] independent shards, each a
-    {!Memo_tbl} behind its own mutex — the bucket-ownership idiom:
-    because a key belongs to exactly one shard, per-key operations never
-    take more than one lock, critical sections are a few instructions,
-    and [n] domains contend only when their keys collide on a shard.
+    Keys hash to one of 128 independent shards, each a {!Memo_tbl} behind
+    its own mutex — the bucket-ownership idiom: a key belongs to exactly
+    one shard, so per-key operations take one lock, critical sections are
+    a few instructions, and domains contend only when their keys collide
+    on a shard.
 
-    The claim protocol turns the table into a computation cache with an
-    exactly-once guarantee. A binding is either claimed by an owner (some
-    caller is computing the value) or resolved to a value.
-    {!find_or_claim} atomically returns the finished value, reports the
-    claim's owner, or installs a claim for the caller — so across any
-    number of domains, exactly one caller is told [`Claimed] per key and
-    computes it; everyone else either reads the value or knows who to
-    wait for. The work-stealing solver keys this table by canonical
-    game-state encodings: one domain evaluates each state, the rest share
-    the result. *)
+    A binding is either claimed by an owner (some caller is computing the
+    value) or resolved to a value. {!find_or_claim_slice} atomically
+    returns the finished value, reports the claim's owner, or installs a
+    claim for the caller: across any number of domains exactly one caller
+    is told [`Claimed] per key and computes it; everyone else reads the
+    value or knows whom to wait for. *)
 
 type t
 
-(** [create ?shards ()] makes an empty table with [shards] (default 128,
-    rounded up to a power of two) independent shards. *)
-val create : ?shards:int -> unit -> t
+(** [create ()] makes an empty table. *)
+val create : unit -> t
 
-val shard_count : t -> int
+(** A claim token: the binding's {!Memo_tbl} ordinal in its shard, with
+    the shard index packed into the low bits. *)
+type token
 
-type claim = [ `Value of float | `Busy of int | `Claimed ]
-type slice_claim = [ `Value of float | `Busy of int | `Claimed of string ]
-
-(** [find_or_claim t key ~owner] atomically probes [key]:
+(** [find_or_claim_slice t data ~len ~owner] atomically probes the key
+    [Bytes.sub_string data 0 len], without materializing it:
     - [`Value v] — the key is resolved; [v] is shared.
-    - [`Busy o] — claimed by owner-id [o] and not yet resolved. [o] is
-      whatever id the claimant passed; callers use it to detect
-      self-re-entry (a cycle) vs. another domain to help or wait for.
-    - [`Claimed] — the claim was installed for this caller, which must
-      eventually {!resolve} the key.
+    - [`Busy o] — claimed by owner-id [o] and not yet resolved. Callers
+      use [o] to tell self-re-entry (a cycle) from another domain to help
+      or wait for.
+    - [`Claimed tok] — the claim was installed for this caller, which
+      must eventually {!resolve} [tok].
 
-    Owner ids must be [>= 0]. *)
-val find_or_claim : t -> string -> owner:int -> claim
+    Raises [Invalid_argument] on a fresh claim with [owner < 0] or a key
+    longer than {!Memo_tbl.max_key_length}. *)
+val find_or_claim_slice :
+  t -> Bytes.t -> len:int -> owner:int -> [ `Value of float | `Busy of int | `Claimed of token ]
 
-(** [find_or_claim_slice t data ~len ~owner] is {!find_or_claim} keyed by
-    the slice [Bytes.sub_string data 0 len] — without materializing it.
-    The hot path for solver workers probing with a reusable encode
-    buffer: only a fresh claim copies the key, out to an owned string
-    returned as [`Claimed key], so the claimant can {!resolve} it after
-    the buffer has been reused. *)
-val find_or_claim_slice : t -> Bytes.t -> len:int -> owner:int -> slice_claim
-
-(** [resolve t key v] publishes the value for a claimed (or absent) key.
-    Raises [Invalid_argument] if the key is already resolved — a second
+(** [resolve t tok v] publishes [v] as the claimed binding's value, in
+    place. Raises [Invalid_argument] if it is already resolved — a second
     resolution would mean two domains computed the same key, the bug the
     claim protocol exists to rule out. *)
-val resolve : t -> string -> float -> unit
+val resolve : t -> token -> float -> unit
 
 (** [get t key] is the resolved value, [None] while absent or claimed. *)
 val get : t -> string -> float option
 
-(** [get_slice t data ~len] is {!get} keyed by the slice. *)
-val get_slice : t -> Bytes.t -> len:int -> float option
-
-(** [length t] counts all bindings (claimed and resolved); exact when
-    quiescent, a racy snapshot under concurrency. *)
-val length : t -> int
-
-(** [resolved t] counts resolved bindings only. *)
+(** [resolved t] counts resolved bindings; exact when quiescent. *)
 val resolved : t -> int
-
-(** [iter_resolved t f] applies [f] to every resolved binding. Each shard
-    is snapshotted under its lock, then [f] runs outside it. *)
-val iter_resolved : t -> (string -> float -> unit) -> unit

@@ -66,6 +66,35 @@ let test_measured_drift_fails_hard () =
   Alcotest.(check int) "deterministic drift is Fail" 1 (count Obs.Diff.Fail r);
   Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r)
 
+(* PAR's memo hits move with the worker schedule; its misses and every
+   other section's hits stay hard. *)
+let test_par_memo_hits_not_compared () =
+  let doc ~id ~hits ~misses =
+    make_doc ~id
+      ~metrics:
+        [ ("counters.mdp.memo_hits", hits); ("counters.mdp.memo_misses", misses) ]
+      ()
+  in
+  let r =
+    run_diff ~baseline:(doc ~id:"PAR" ~hits:2_624_828.0 ~misses:637_840.0)
+      ~current:(doc ~id:"PAR" ~hits:2_804_192.0 ~misses:637_840.0)
+      ()
+  in
+  Alcotest.(check int) "PAR hits drift is no finding" 0 (List.length r.findings);
+  Alcotest.(check int) "only PAR misses compared" 1 r.metrics_compared;
+  let r =
+    run_diff ~baseline:(doc ~id:"PAR" ~hits:1.0 ~misses:637_840.0)
+      ~current:(doc ~id:"PAR" ~hits:1.0 ~misses:637_796.0)
+      ()
+  in
+  Alcotest.(check int) "PAR misses drift fails" 1 (count Obs.Diff.Fail r);
+  let r =
+    run_diff ~baseline:(doc ~id:"E5" ~hits:10.0 ~misses:5.0)
+      ~current:(doc ~id:"E5" ~hits:11.0 ~misses:5.0)
+      ()
+  in
+  Alcotest.(check int) "hits drift elsewhere fails" 1 (count Obs.Diff.Fail r)
+
 let test_timing_keys_not_compared () =
   (* a 10x wall-time change is no finding at all: perf/ judges time *)
   let doc ~seconds ~states =
@@ -397,6 +426,8 @@ let tests =
       test_measured_drift_fails_hard;
     Alcotest.test_case "diff: timing keys are not compared" `Quick
       test_timing_keys_not_compared;
+    Alcotest.test_case "diff: PAR memo hits are not compared" `Quick
+      test_par_memo_hits_not_compared;
     Alcotest.test_case "diff: missing/new sections" `Quick test_missing_section_warns;
     Alcotest.test_case "diff: added/removed rows" `Quick test_row_set_changes;
     Alcotest.test_case "diff: invalid documents rejected" `Quick

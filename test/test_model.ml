@@ -54,6 +54,12 @@ let test_solver_detects_cycle () =
   Alcotest.check_raises "cycle" Mdp.Solver.Cyclic (fun () ->
       ignore (CyclicSolver.value Cyclic.A))
 
+(* The parallel solve's root pass claims the states above its frontier
+   too, so it re-enters its own claim on the cycle. *)
+let test_solver_par_detects_cycle () =
+  Alcotest.check_raises "cycle" Mdp.Solver.Cyclic (fun () ->
+      ignore (CyclicSolver.value_par ~jobs:2 Cyclic.A))
+
 (* A depth-2 max/chance alternation with a suboptimal trap. *)
 module Depth2 = struct
   type state = Root | Mid of int | Leaf of float
@@ -130,6 +136,8 @@ let tests =
   [
     Alcotest.test_case "solver: toy chance game" `Quick test_solver_toy;
     Alcotest.test_case "solver: cycle detection" `Quick test_solver_detects_cycle;
+    Alcotest.test_case "solver: value_par cycle detection" `Quick
+      test_solver_par_detects_cycle;
     Alcotest.test_case "solver: depth-2 alternation" `Quick test_solver_depth2;
     Alcotest.test_case "A.1: atomic weakener = 1/2" `Quick test_atomic_weakener_half;
     Alcotest.test_case "A.2: ABD^1 = 1" `Slow test_abd1_wins_always;

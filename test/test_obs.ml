@@ -24,6 +24,31 @@ let test_counter_semantics () =
     (Invalid_argument "Obs.Metrics: \"test.obs.c1\" already registered as a counter")
     (fun () -> ignore (Obs.Metrics.gauge "test.obs.c1"))
 
+(* Counters are bumped from pool workers (the simulator's [sim.*] under
+   parallel Monte-Carlo): no increment may be lost. *)
+let test_counter_across_domains () =
+  let c = Obs.Metrics.counter "test.obs.c_domains" in
+  let before = Obs.Metrics.counter_value c in
+  let bump () =
+    for _ = 1 to 100_000 do
+      Obs.Metrics.incr c
+    done
+  in
+  let others = List.init 3 (fun _ -> Domain.spawn bump) in
+  bump ();
+  List.iter Domain.join others;
+  Alcotest.(check int) "4 x 100k increments" 400_000
+    (Obs.Metrics.counter_value c - before);
+  let runs () = Option.value ~default:0 (Obs.Metrics.find_counter "sim.runs") in
+  let before = runs () in
+  let trials = 500 in
+  ignore
+    (Adversary.Monte_carlo.estimate ~jobs:4 ~trials ~seed:7
+       ~scheduler:Adversary.Schedulers.uniform ~bad:Programs.Weakener.bad
+       Programs.Weakener.atomic_config);
+  Alcotest.(check int) "4-job Monte-Carlo counts every run" trials
+    (runs () - before)
+
 let test_gauge_semantics () =
   let g = Obs.Metrics.gauge "test.obs.g1" in
   Obs.Metrics.set_gauge g 3.0;
@@ -459,6 +484,8 @@ let test_log_levels () =
 let tests =
   [
     Alcotest.test_case "metrics: counter semantics" `Quick test_counter_semantics;
+    Alcotest.test_case "metrics: counters exact across domains" `Quick
+      test_counter_across_domains;
     Alcotest.test_case "metrics: gauge semantics" `Quick test_gauge_semantics;
     Alcotest.test_case "metrics: histogram semantics" `Quick test_histogram_semantics;
     Alcotest.test_case "metrics: histogram percentiles" `Quick

@@ -261,9 +261,8 @@ let test_last_par_stats () =
       Alcotest.(check bool)
         "distinct <= total evaluated" true
         (p.distinct_keys <= summed && p.distinct_keys > 0);
-      Alcotest.(check bool)
-        "worker tables cover no more than the reachable set" true
-        (p.distinct_keys <= seq_states);
+      Alcotest.(check int)
+        "distinct keys = sequential states" seq_states p.distinct_keys;
       Alcotest.(check int)
         "each distinct key evaluated once" p.distinct_keys summed);
   (* reset discards the retained tables along with the memo *)

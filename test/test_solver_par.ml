@@ -227,50 +227,47 @@ let test_memo_clear () =
 
 (* ---- Par.Sharded_tbl ------------------------------------------------- *)
 
+let tbl_claim t key ~owner =
+  Par.Sharded_tbl.find_or_claim_slice t (Bytes.unsafe_of_string key)
+    ~len:(String.length key) ~owner
+
 let test_tbl_claim_protocol () =
   let t = Par.Sharded_tbl.create () in
-  (match Par.Sharded_tbl.find_or_claim t "k" ~owner:0 with
-  | `Claimed -> ()
-  | _ -> Alcotest.fail "first probe must claim");
-  (match Par.Sharded_tbl.find_or_claim t "k" ~owner:0 with
+  let tok =
+    match tbl_claim t "k" ~owner:0 with
+    | `Claimed tok -> tok
+    | _ -> Alcotest.fail "first probe must claim"
+  in
+  (match tbl_claim t "k" ~owner:0 with
   | `Busy 0 -> ()  (* self re-entry: what the solver maps to Cyclic *)
   | _ -> Alcotest.fail "self re-probe must report own claim");
-  (match Par.Sharded_tbl.find_or_claim t "k" ~owner:1 with
+  (match tbl_claim t "k" ~owner:1 with
   | `Busy 0 -> ()
   | _ -> Alcotest.fail "other owner must see the claimant's id");
   Alcotest.(check (option (float 0.0))) "claimed is not resolved" None
     (Par.Sharded_tbl.get t "k");
-  Alcotest.(check int) "length counts claims" 1 (Par.Sharded_tbl.length t);
   Alcotest.(check int) "resolved excludes claims" 0 (Par.Sharded_tbl.resolved t);
-  Par.Sharded_tbl.resolve t "k" 42.0;
-  (match Par.Sharded_tbl.find_or_claim t "k" ~owner:1 with
+  Par.Sharded_tbl.resolve t tok 42.0;
+  (match tbl_claim t "k" ~owner:1 with
   | `Value 42.0 -> ()
   | _ -> Alcotest.fail "post-resolve probe must return the value");
   Alcotest.(check (option (float 0.0))) "get after resolve" (Some 42.0)
     (Par.Sharded_tbl.get t "k");
-  Alcotest.(check int) "resolved" 1 (Par.Sharded_tbl.resolved t);
-  let collected = ref [] in
-  Par.Sharded_tbl.iter_resolved t (fun k v -> collected := (k, v) :: !collected);
-  Alcotest.(check (list (pair string (float 0.0))))
-    "iter_resolved sees the binding" [ ("k", 42.0) ] !collected
+  Alcotest.(check (option (float 0.0))) "absent key" None
+    (Par.Sharded_tbl.get t "j");
+  Alcotest.(check int) "resolved" 1 (Par.Sharded_tbl.resolved t)
 
 let test_tbl_double_resolve () =
   let t = Par.Sharded_tbl.create () in
-  ignore (Par.Sharded_tbl.find_or_claim t "k" ~owner:0);
-  Par.Sharded_tbl.resolve t "k" 1.0;
-  match Par.Sharded_tbl.resolve t "k" 2.0 with
-  | () -> Alcotest.fail "double resolve must raise"
-  | exception Invalid_argument _ -> ()
-
-let test_tbl_shard_rounding () =
-  Alcotest.(check int) "default shards" 128
-    (Par.Sharded_tbl.shard_count (Par.Sharded_tbl.create ()));
-  Alcotest.(check int) "rounded up to a power of two" 128
-    (Par.Sharded_tbl.shard_count
-       (Par.Sharded_tbl.create ~shards:100 ()));
-  Alcotest.(check int) "one shard accepted" 1
-    (Par.Sharded_tbl.shard_count
-       (Par.Sharded_tbl.create ~shards:1 ()))
+  match tbl_claim t "k" ~owner:0 with
+  | `Claimed tok -> (
+      Par.Sharded_tbl.resolve t tok 1.0;
+      match Par.Sharded_tbl.resolve t tok 2.0 with
+      | () -> Alcotest.fail "double resolve must raise"
+      | exception Invalid_argument _ ->
+          Alcotest.(check (option (float 0.0))) "first value kept" (Some 1.0)
+            (Par.Sharded_tbl.get t "k"))
+  | _ -> Alcotest.fail "first probe must claim"
 
 (* Four domains race find_or_claim over the same key set, each visiting
    the keys in a different order: every key must be claimed by exactly
@@ -285,21 +282,30 @@ let test_tbl_concurrent_claims () =
       (* odd stride, coprime with the even key count: a full permutation,
          different per worker *)
       let i = ((j * ((2 * wid) + 1)) + (wid * 37)) mod nkeys in
-      match Par.Sharded_tbl.find_or_claim t keys.(i) ~owner:wid with
-      | `Claimed ->
-          Par.Sharded_tbl.resolve t keys.(i) (float_of_int wid);
+      match tbl_claim t keys.(i) ~owner:wid with
+      | `Claimed tok ->
+          Par.Sharded_tbl.resolve t tok (float_of_int wid);
           mine := i :: !mine
       | `Busy _ | `Value _ -> ()
     done;
     !mine
   in
   let others = List.init 3 (fun k -> Domain.spawn (fun () -> claim_worker (k + 1))) in
-  let mine = claim_worker 0 in
-  let all = mine @ List.concat_map Domain.join others in
+  let by_wid = claim_worker 0 :: List.map Domain.join others in
+  let all = List.concat by_wid in
   Alcotest.(check int) "every key claimed exactly once" nkeys (List.length all);
   Alcotest.(check int) "claim sets disjoint" nkeys
     (List.length (List.sort_uniq compare all));
-  Alcotest.(check int) "every key resolved" nkeys (Par.Sharded_tbl.resolved t)
+  Alcotest.(check int) "every key resolved" nkeys (Par.Sharded_tbl.resolved t);
+  (* each token resolved its own key's binding *)
+  List.iteri
+    (fun wid mine ->
+      List.iter
+        (fun i ->
+          if Par.Sharded_tbl.get t keys.(i) <> Some (float_of_int wid) then
+            Alcotest.failf "key %d: not resolved by its claimant %d" i wid)
+        mine)
+    by_wid
 
 (* ---- Par.Pool.scatter ------------------------------------------------ *)
 
@@ -382,11 +388,10 @@ let check_leg h name init jobs_list ~seq ~(st_seq : Mdp.Solver.stats)
             match h.last () with
             | None -> Alcotest.failf "%s: jobs=%d left no telemetry" name jobs
             | Some p ->
-                if p.distinct_keys <= 0 || p.distinct_keys > n_seq then
-                  Alcotest.failf
-                    "%s: jobs=%d distinct keys %d outside (0, %d] (sequential \
-                     state count)"
-                    name jobs p.distinct_keys n_seq;
+                Alcotest.(check int)
+                  (Fmt.str "%s: jobs=%d distinct keys = sequential states" name
+                     jobs)
+                  n_seq p.distinct_keys;
                 let summed =
                   List.fold_left
                     (fun acc (d : Mdp.Solver.domain_stats) ->
@@ -418,10 +423,8 @@ let check_leg h name init jobs_list ~seq ~(st_seq : Mdp.Solver.stats)
    larger games spill. The budgeted sequential solve keeps the in-RAM
    solve's states, hits and misses, and the pruned solve's states and
    cuts agree across backends. Unpruned parallel solves evaluate each
-   shared-phase state exactly once: summed worker misses equal the
-   distinct key count. distinct_keys is
-   bounded by the sequential explored count (the root-side plan interior
-   is evaluated by the caller, outside the shared memo). With [~audit]
+   state exactly once: the distinct key count equals the sequential
+   state count, and summed participant misses equal it. With [~audit]
    every pruned solve re-evaluates its cuts and raises on one that
    changed a value. Returns the unpruned sequential stats and the
    pruned solve's states and cuts. *)
@@ -571,8 +574,6 @@ let tests =
       test_tbl_claim_protocol;
     Alcotest.test_case "sharded_tbl: double resolve raises" `Quick
       test_tbl_double_resolve;
-    Alcotest.test_case "sharded_tbl: shard count rounding" `Quick
-      test_tbl_shard_rounding;
     Alcotest.test_case "sharded_tbl: concurrent claims partition" `Quick
       test_tbl_concurrent_claims;
     Alcotest.test_case "pool scatter runs each index once" `Quick
