@@ -16,10 +16,10 @@
 
    The --json document follows the Obs.Results schema (see
    lib/obs/results.mli and EXPERIMENTS.md): per-section paper-vs-measured
-   rows, section metrics (solver statistics, Monte-Carlo tallies, counter
-   and GC deltas scoped to the section), the process-wide Obs.Metrics
-   snapshot and the span log. `blunting bench-diff BASELINE CURRENT`
-   compares it against a committed BENCH_*.json. *)
+   rows and section metrics (solver statistics, Monte-Carlo tallies, and
+   the counter deltas and exact minor words allocated by the section).
+   `blunting bench-diff BASELINE CURRENT` compares it against a committed
+   BENCH_*.json. *)
 
 open Util
 
@@ -116,7 +116,11 @@ let runs id =
   | None -> true
   | Some ids -> List.mem (String.uppercase_ascii id) ids
 
-let time label f = Obs.Span.time label f
+(* [time f] is [f ()] with its wall time in seconds. *)
+let time f =
+  let t0 = Obs.Span.now_us () in
+  let v = f () in
+  (v, (Obs.Span.now_us () -. t0) /. 1e6)
 
 let kmax =
   match Sys.getenv_opt "BLUNTING_KMAX" with
@@ -132,9 +136,9 @@ let stats_delta (b : Mdp.Solver.stats) (a : Mdp.Solver.stats) : Mdp.Solver.stats
     max_depth = a.max_depth;
   }
 
-let timed_solve label f =
+let timed_solve f =
   let before = Model.Weakener_abd.solver_stats () in
-  let v, dt = time label f in
+  let v, dt = time f in
   let after = Model.Weakener_abd.solver_stats () in
   (v, dt, stats_delta before after)
 
@@ -144,7 +148,7 @@ let pp_hit_rate ppf s = Fmt.pf ppf "%.1f%%" (100.0 *. Mdp.Solver.hit_rate s)
 
 let e1_atomic () =
   let r = Report.section ~id:"E1" ~title:"Appendix A.1 — weakener with atomic registers" () in
-  let v, dt = time "E1 solve atomic" Model.Weakener_atomic.bad_probability in
+  let v, dt = time Model.Weakener_atomic.bad_probability in
   let mc =
     Adversary.Monte_carlo.estimate ?pool:!pool ~jobs:options.jobs ~trials:2_000 ~seed:101
       ~scheduler:Adversary.Schedulers.uniform ~bad:Programs.Weakener.bad
@@ -172,7 +176,7 @@ let e2_abd () =
   Model.Weakener_abd.reset ();
   let wins = Adversary.Figure1.always_wins () in
   let v, dt, st =
-    timed_solve "E2 solve ABD k=1" (fun () ->
+    timed_solve (fun () ->
         Model.Weakener_abd.bad_probability ?pool:!pool ~jobs:options.jobs ~k:1 ())
   in
   Report.row r ~quantity:"Figure 1 adversary vs simulated ABD"
@@ -184,7 +188,7 @@ let e2_abd () =
     ~measured:(Fmt.str "%.6f (%.2fs, %d states)" v dt st.states)
     ();
   let vc, dtc, stc =
-    timed_solve "E2 solve ABD k=1, C as ABD" (fun () ->
+    timed_solve (fun () ->
         Model.Weakener_abd.bad_probability ~atomic_c:false ~k:1 ())
   in
   Report.row r ~quantity:"same, with C also implemented as ABD"
@@ -239,7 +243,7 @@ let e3_abd2 () =
   let r = Report.section ~id:"E3" ~title:"Appendix A.3 — weakener with ABD^2" () in
   Model.Weakener_abd.reset ();
   let v, dt, st =
-    timed_solve "E3 solve ABD k=2" (fun () ->
+    timed_solve (fun () ->
         Model.Weakener_abd.bad_probability ?pool:!pool ~jobs:options.jobs ~k:2 ())
   in
   let generic = Core.Bound.weakener_instance ~k:2 in
@@ -258,7 +262,7 @@ let e3_abd2 () =
     ~measured:(Fmt.str "%.6f" (1.0 -. v))
     ();
   let vc, dtc, stc =
-    timed_solve "E3 solve ABD k=2, C as ABD" (fun () ->
+    timed_solve (fun () ->
         Model.Weakener_abd.bad_probability ~atomic_c:false ~k:2 ())
   in
   Report.row r ~quantity:"same, with C also implemented as ABD^2"
@@ -341,7 +345,7 @@ let e5_convergence () =
   Model.Weakener_abd.reset ();
   for k = 1 to kmax do
     let v, dt, st =
-      timed_solve (Fmt.str "E5 solve ABD k=%d" k) (fun () ->
+      timed_solve (fun () ->
           Model.Weakener_abd.bad_probability ?pool:!pool ~jobs:options.jobs ~k ())
     in
     let law = (float_of_int (k * k) +. 1.0) /. (2.0 *. float_of_int (k * k)) in
@@ -378,7 +382,7 @@ let e5_convergence () =
   if Sys.getenv_opt "BLUNTING_SERVERS5" <> None then begin
     Fmt.pr "@.Replica-count robustness (BLUNTING_SERVERS5 set; ~4 min):@.";
     let v, dt =
-      time "E5 solve 5 replicas" (fun () ->
+      time (fun () ->
           Model.Weakener_abd.bad_probability ~servers:5 ~k:1 ())
     in
     Fmt.pr "  5 replicas, k = 1: exact Prob[bad] = %.6f (%.0fs) — the@." v dt;
@@ -773,11 +777,11 @@ let par_speedup () =
       ~scheduler:Adversary.Schedulers.uniform ~bad:Programs.Weakener.bad
       Programs.Weakener.atomic_config
   in
-  let mc_seq, t_mseq = time "PAR mc seq" (fun () -> mc 1) in
+  let mc_seq, t_mseq = time (fun () -> mc 1) in
   (* The parallel legs run on their own [with_pool]-scoped pool: this
      section may use more domains than the session-wide --jobs pool. *)
   let mc_par, t_mpar =
-    time "PAR mc par" (fun () ->
+    time (fun () ->
         Par.Pool.with_pool ~jobs (fun pool -> mc ~pool jobs))
   in
   let mc_same = mc_seq = mc_par in
@@ -786,7 +790,7 @@ let par_speedup () =
   let solve_k = min 2 kmax in
   Model.Weakener_abd.reset ();
   let v_seq, t_sseq =
-    time "PAR solve seq" (fun () ->
+    time (fun () ->
         Model.Weakener_abd.bad_probability ~k:solve_k ())
   in
   let seq_states = Model.Weakener_abd.explored_states () in
@@ -795,7 +799,7 @@ let par_speedup () =
      captured inside the region (negligible next to the solve itself) *)
   let domain_info = ref (0, []) in
   let v_par, t_spar =
-    time "PAR solve par" (fun () ->
+    time (fun () ->
         Par.Pool.with_pool ~jobs (fun pool ->
             let v = Model.Weakener_abd.bad_probability ~pool ~jobs ~k:solve_k () in
             domain_info := (Par.Pool.spawned_domains (), Par.Pool.domain_ids pool);
@@ -907,7 +911,7 @@ let par_speedup () =
    which bench-diff fails on. The store's cumulative telemetry lands both
    in this section's metrics (prefixed store_, none compared by
    bench-diff — spill counts and cache traffic are budget- and
-   schedule-dependent) and as the document's top-level v6 "store" block
+   schedule-dependent) and as the document's top-level "store" block
    that `schema_check --expect-store` validates. *)
 
 let store_spill () =
@@ -924,13 +928,13 @@ let store_spill () =
   in
   Model.Weakener_abd.reset ();
   let v_ram, t_ram, st_ram =
-    timed_solve "STORE solve in-RAM" (fun () ->
+    timed_solve (fun () ->
         Model.Weakener_abd.bad_probability ?pool:!pool ~jobs:options.jobs
           ~k:solve_k ())
   in
   Model.Weakener_abd.reset ();
   let v_sp, t_sp, st_sp =
-    timed_solve "STORE solve spilled" (fun () ->
+    timed_solve (fun () ->
         Model.Weakener_abd.bad_probability ?pool:!pool ~jobs:options.jobs
           ~memo_budget:budget ~k:solve_k ())
   in

@@ -8,9 +8,12 @@
    publish their machine-readable content via [metrics] instead.
 
    [section] additionally snapshots the process-wide counter registry and
-   the GC state, and [finish] lands the deltas in the section's metrics —
-   so a section's "counters"/"gc" objects describe that section's work,
-   not cumulative totals since process start. *)
+   the domain's allocated minor words, and [finish] lands the deltas in
+   the section's metrics — so a section's "counters"/"gc" objects
+   describe that section's work, not cumulative totals since process
+   start. [Gc.minor_words] is exact (it counts the live minor-heap
+   pointer), unlike [Gc.quick_stat]'s [minor_words], which advances only
+   at a minor collection. *)
 
 open Util
 
@@ -20,7 +23,7 @@ type t = {
   table : Table.t;
   section : Obs.Results.section;
   counters0 : (string * int) list;
-  gc0 : Obs.Gc_stats.sample;
+  minor_words0 : float;
 }
 
 let section ?(headers = [ "quantity"; "paper"; "measured" ]) ~id ~title () =
@@ -29,7 +32,7 @@ let section ?(headers = [ "quantity"; "paper"; "measured" ]) ~id ~title () =
     table = Table.create headers;
     section = Obs.Results.section doc ~id ~title;
     counters0 = Obs.Metrics.counters ();
-    gc0 = Obs.Gc_stats.sample ();
+    minor_words0 = Gc.minor_words ();
   }
 
 (* A comparison row: stdout table + JSON. *)
@@ -56,7 +59,7 @@ let solver_stats_json (s : Mdp.Solver.stats) =
     ("solver_max_depth", Obs.Json.Int s.max_depth);
   ]
 
-(* The v6 "store" block: rendered here (obs cannot depend on the store
+(* The "store" block: rendered here (obs cannot depend on the store
    library) and handed to the document via [Obs.Results.set_store_block]. *)
 let store_json (s : Store.Memo.stats) =
   Obs.Json.Obj
@@ -108,7 +111,9 @@ let finish t =
   Obs.Results.add_section_metrics t.section
     [
       ( "gc",
-        Obs.Gc_stats.to_json (Obs.Gc_stats.delta t.gc0 (Obs.Gc_stats.sample ())) );
+        Obs.Json.Obj
+          [ ("minor_words", Obs.Json.Float (Gc.minor_words () -. t.minor_words0)) ]
+      );
     ];
   if not (Table.is_empty t.table) then Table.print t.table
 

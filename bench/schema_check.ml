@@ -13,7 +13,7 @@
    a cumulative implementation would leak earlier sections' simulator and
    solver counters into a pure-math section like E4.
 
-   --expect-store asserts the document carries the schema-v6 top-level
+   --expect-store asserts the document carries the top-level
    "store" object and that its counters prove the run really exercised
    the out-of-core path: spilled_entries > 0 and evictions > 0. This is
    the teeth of the CI spill gate — a budget generous enough to keep

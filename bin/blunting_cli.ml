@@ -538,8 +538,8 @@ let metrics_cmd =
     else Fmt.pr "%a@." Obs.Metrics.pp ()
   in
   let doc =
-    "Run a workload and dump the process-wide metrics registry (counters, \
-     gauges, histograms)."
+    "Run a workload and dump the process-wide metrics registry: every \
+     counter's value."
   in
   Cmd.v (Cmd.info "metrics" ~doc)
     Term.(const run $ verbosity_term $ workload_arg $ k_arg $ trials_arg $ json_arg)

@@ -11,7 +11,6 @@ module M = struct
   let bad = counter ~help:"trials with the bad outcome" "mc.bad_outcomes"
   let deadlocks = counter ~help:"trials ending deadlocked" "mc.deadlocks"
   let step_limited = counter ~help:"trials hitting the step limit" "mc.step_limited"
-  let trial_steps = histogram ~help:"per-trial simulated step count" "mc.trial_steps"
 end
 
 type result = {
@@ -28,25 +27,24 @@ type result = {
    functions of (seed, index): both RNG streams are derived from the pair,
    so any domain can run any trial and the merged tallies cannot depend on
    the schedule. *)
-type trial = { outcome : Sim.Runtime.run_result; steps : int; is_bad : bool }
+type trial = { outcome : Sim.Runtime.run_result; is_bad : bool }
 
 let run_trial ~max_steps ~seed ~scheduler ~bad mk_config i =
   let sched_rng = Rng.stream ~seed ~index:(2 * i) in
   let tape_rng = Rng.stream ~seed ~index:((2 * i) + 1) in
-  (* trials only read the outcome and the step count — a History-level
-     trace skips allocating the per-event entries on the hot loop *)
+  (* trials only read the outcome — a History-level trace skips
+     allocating the per-event entries on the hot loop *)
   let t =
     Sim.Runtime.create ~trace_level:Sim.Trace.History (mk_config ())
       (Sim.Runtime.Gen tape_rng)
   in
   let outcome = Sim.Runtime.run t ~max_steps (scheduler sched_rng) in
-  let steps = Sim.Trace.count_steps (Sim.Runtime.trace t) in
   let is_bad =
     match outcome with
     | Sim.Runtime.Completed -> bad (Sim.Runtime.outcome t)
     | Sim.Runtime.Deadlocked | Sim.Runtime.Step_limit_reached -> false
   in
-  { outcome; steps; is_bad }
+  { outcome; is_bad }
 
 let estimate ?(max_steps = 1_000_000) ?pool ?(jobs = 1) ~trials ~seed
     ~scheduler ~bad mk_config =
@@ -66,7 +64,6 @@ let estimate ?(max_steps = 1_000_000) ?pool ?(jobs = 1) ~trials ~seed
   Array.iteri
     (fun i r ->
       Obs.Metrics.incr M.trials;
-      Obs.Metrics.observe M.trial_steps (float_of_int r.steps);
       (match r.outcome with
       | Sim.Runtime.Completed ->
           if r.is_bad then begin

@@ -12,8 +12,6 @@ module M = struct
   let memo_hits = counter ~help:"memo-table hits" "mdp.memo_hits"
   let memo_misses = counter ~help:"states evaluated (memo misses)" "mdp.memo_misses"
   let states = counter ~help:"distinct states memoized" "mdp.states_explored"
-  let depth = gauge ~help:"deepest recursion seen" "mdp.max_depth"
-  let solve_seconds = histogram ~help:"value() wall time per root solve" "mdp.solve_seconds"
   let pruned = counter ~help:"subtrees cut by interval pruning" "mdp.pruned_subtrees"
   let steals = counter ~help:"work-stealing deque steals" "mdp.steals"
   let claim_misses = counter ~help:"shared-memo probes that hit a live claim" "mdp.claim_misses"
@@ -294,8 +292,7 @@ let progress_tick c =
 let publish_delta (before : stats) (after : stats) =
   Obs.Metrics.add M.memo_hits (after.memo_hits - before.memo_hits);
   Obs.Metrics.add M.memo_misses (after.memo_misses - before.memo_misses);
-  Obs.Metrics.add M.states (after.states - before.states);
-  Obs.Metrics.max_gauge M.depth (float_of_int after.max_depth)
+  Obs.Metrics.add M.states (after.states - before.states)
 
 (* Internal unwind used when another worker already failed: the real
    exception is kept aside and re-raised by [value_par]; workers seeing
@@ -534,7 +531,7 @@ module Make (G : GAME) = struct
 
   (* Root-call bracketing: arm the per-solve telemetry baselines, then land
      the counter deltas in the process-wide registry once, at the end. *)
-  let root_call span_name f =
+  let root_call f =
     last_par := None;
     main.solve_start <- Obs.Span.now_us ();
     main.solve_base_misses <- main.misses;
@@ -544,17 +541,11 @@ module Make (G : GAME) = struct
       publish_delta before (stats_of main);
       Obs.Metrics.add M.pruned (main.prune_cuts - pruned_before)
     in
-    match Obs.Span.time ~observe:M.solve_seconds span_name f with
-    | v, _ ->
-        finish ();
-        v
-    | exception e ->
-        finish ();
-        raise e
+    Fun.protect ~finally:finish f
 
   let value ?memo_budget ?(prune = false) s =
     arm_store memo_budget;
-    root_call "mdp.value" (fun () -> solve ~prune 0 s)
+    root_call (fun () -> solve ~prune 0 s)
 
   (* Live out-of-core telemetry: cumulative since the store was armed
      (parallel and sequential budgeted solves share the store), [None]
@@ -565,7 +556,7 @@ module Make (G : GAME) = struct
     match G.moves s with
     | [] -> None
     | ms ->
-        root_call "mdp.best_move" @@ fun () ->
+        root_call @@ fun () ->
         (* a one-move fold is that move's transition value *)
         let score m =
           fold_value ~prune:false ~on_prune:ignore
@@ -805,7 +796,7 @@ module Make (G : GAME) = struct
   let value_par ?pool ?memo_budget ?(prune = false) ~jobs s =
     if jobs <= 1 then value ?memo_budget ~prune s
     else
-      root_call "mdp.value_par" @@ fun () ->
+      root_call @@ fun () ->
       arm_store memo_budget;
       let depth, leaves = frontier ~jobs s in
       let region = Array.length leaves >= jobs in

@@ -69,8 +69,7 @@ exception Prune_unsound of string
     recursion reached. Aggregates across all instances also land in
     [Obs.Metrics] under the [mdp.] prefix — published at the end of each
     root solve from the calling domain, so parallel workers never touch
-    the registry — and every root [value] call records an [mdp.value]
-    span (its wall time feeds the [mdp.solve_seconds] histogram). *)
+    the registry. *)
 type stats = {
   states : int;
   memo_hits : int;

@@ -21,7 +21,7 @@
     Two opt-in hard gates read the machine-dependent figures that matter:
     [min_speedup] and [max_alloc_ratio]. Missing sections or rows degrade
     to warnings (subset runs via [--only] are routine); new sections and
-    rows are informational. Both documents must be schema v5 or v6. *)
+    rows are informational. Both documents must be schema v7. *)
 
 type severity = Info | Warn | Fail
 

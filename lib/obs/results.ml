@@ -1,9 +1,4 @@
-let schema_version = 6
-
-(* v5 documents (no out-of-core store telemetry) remain valid: the
-   committed BENCH_*.json baselines are v5 and v6. v6 only adds an
-   optional top-level "store" block, so the validator body is shared. *)
-let accepted_versions = [ 5; 6 ]
+let schema_version = 7
 
 type row = {
   quantity : string;
@@ -54,16 +49,7 @@ let section_to_json s =
       ("metrics", Json.Obj (List.rev s.metrics));
     ]
 
-let span_to_json (s : Span.span) =
-  Json.Obj
-    [
-      ("name", Json.String s.name);
-      ("start_us", Json.Float s.start_us);
-      ("dur_us", Json.Float s.dur_us);
-      ("gc", Gc_stats.to_json s.gc);
-    ]
-
-(* v6: the out-of-core memo's telemetry, set by whoever ran a budgeted
+(* The out-of-core memo's telemetry, set by whoever ran a budgeted
    solve (this module cannot depend on the store library — the store
    records into [Ring], so the dependency runs the other way). Absent
    from purely in-RAM runs. *)
@@ -71,7 +57,6 @@ let store_block : Json.t option ref = ref None
 let set_store_block j = store_block := Some j
 
 let to_json t =
-  Gc_stats.publish_gauges ();
   let store =
     match !store_block with Some s -> [ ("store", s) ] | None -> []
   in
@@ -81,8 +66,6 @@ let to_json t =
        ("generated_by", Json.String t.generated_by);
        ("generated_at_unix", Json.Float (Unix.time ()));
        ("experiments", Json.List (List.rev_map section_to_json t.sections));
-       ("metrics", Metrics.snapshot ());
-       ("spans", Json.List (List.map span_to_json (Span.spans ())));
      ]
     @ store)
 
@@ -156,31 +139,7 @@ let validate_experiment i e =
       check_obj e ~ctx "metrics";
     ]
 
-let validate_metrics_snapshot j =
-  check_all
-    [
-      check_obj j ~ctx:"metrics" "counters";
-      check_obj j ~ctx:"metrics" "gauges";
-      check_obj j ~ctx:"metrics" "histograms";
-    ]
-
-let validate_span i s =
-  let ctx = Printf.sprintf "spans[%d]" i in
-  check_all
-    [
-      check_string s ~ctx "name";
-      (match Option.bind (field s "start_us") Json.to_number_opt with
-      | Some _ -> Ok ()
-      | None -> Error (ctx ^ ".start_us must be a number"));
-      (match Option.bind (field s "dur_us") Json.to_number_opt with
-      | Some _ -> Ok ()
-      | None -> Error (ctx ^ ".dur_us must be a number"));
-      (match field s "gc" with
-      | None | Some (Json.Obj _) -> Ok ()
-      | Some _ -> Error (ctx ^ ".gc must be an object"));
-    ]
-
-(* v6's optional block: the counters a spill gate asserts on
+(* The optional store block: the counters a spill gate asserts on
    must be numbers; extra fields stay legal for forward compatibility. *)
 let validate_store j =
   match field j "store" with
@@ -207,17 +166,14 @@ let validate j =
           (Option.bind (field j "schema_version") Json.to_int_opt)
       in
       let* () =
-        if List.mem v accepted_versions then Ok ()
+        if v = schema_version then Ok ()
         else
           Error
-            (Printf.sprintf "unsupported schema_version %d (accept %s)" v
-               (String.concat ", " (List.map string_of_int accepted_versions)))
+            (Printf.sprintf "unsupported schema_version %d (accept %d)" v
+               schema_version)
       in
       let* () = check_string j ~ctx:"document" "generated_by" in
       let* () = check_list j ~ctx:"document" "experiments" validate_experiment in
-      let* metrics = need "metrics (object)" (field j "metrics") in
-      let* () = validate_metrics_snapshot metrics in
-      let* () = check_list j ~ctx:"document" "spans" validate_span in
       let* () = validate_store j in
       Ok ()
   | _ -> Error "document must be a JSON object"

@@ -5,13 +5,13 @@
     a stable JSON schema so a bench run can be committed as a
     [BENCH_*.json] baseline. The document carries, per experiment section, the
     (quantity, paper, measured) rows — with optional numeric fields when
-    the cell has a canonical number — plus free-form section metrics (e.g.
-    solver statistics), and globally the {!Metrics} snapshot and the
-    {!Span} phase timings of the producing run.
+    the cell has a canonical number — plus free-form section metrics
+    (solver statistics, the section's counter and GC deltas), and
+    optionally the out-of-core store's telemetry.
 
     Schema (version {!schema_version}):
     {v
-    { "schema_version": 6,
+    { "schema_version": 7,
       "generated_by": "<tool>",
       "generated_at_unix": <float>,
       "experiments": [
@@ -20,29 +20,28 @@
                       "paper_value"?: <number|null>,
                       "measured_value"?: <number|null> } ],
           "metrics": { ... } } ],
-      "metrics": { "counters": {..}, "gauges": {..}, "histograms": {..} },
-      "spans": [ { "name": "...", "start_us": <number>, "dur_us": <number>,
-                   "gc"?: { "minor_words": .., "major_words": .., ... } } ] }
+      "store"?: { "budget_bytes": <number>, "spill_runs": <number>, ... } }
     v}
-    Version history: the schema grew from v1 by optional additions only.
-    v2 added the per-span ["gc"] objects ({!Gc_stats}), histogram
-    percentiles and [null] for non-finite numbers; v3 and v4 added the
-    PAR section's parallel telemetry ([spawned_domains], [domain_ids], a
-    [par_solve] object with per-domain and work-stealing counters) inside
-    the free-form section metrics; v5 added an optional allocation
-    profile, since retired (a document that carries one still validates;
-    the block is ignored). v6 added an optional top-level ["store"]
-    object — the out-of-core memo's telemetry ([budget_bytes],
-    [spilled_entries], [spill_runs], [bytes_spilled], [evictions],
-    [cache_hits]/[cache_misses]/[cache_hit_rate], [read_amplification],
-    [write_amplification], [disk_hits], all numbers), installed via
-    [set_store_block] by whichever harness ran a budgeted solve.
-    [validate] accepts v5 and v6, the versions of the committed
-    baselines, and is shared by the smoke schema checker, the differ and
-    the test suite, so the schema cannot silently drift from its
-    validator. *)
+    Version history: v2 added [null] for non-finite numbers; v3 and v4
+    added the PAR section's parallel telemetry ([spawned_domains],
+    [domain_ids], a [par_solve] object with per-domain and work-stealing
+    counters) inside the free-form section metrics; v6 added the optional
+    top-level ["store"] object — the out-of-core memo's telemetry
+    ([budget_bytes], [spilled_entries], [spill_runs], [bytes_spilled],
+    [evictions], [cache_hits]/[cache_misses]/[cache_hit_rate],
+    [read_amplification], [write_amplification], [disk_hits], all
+    numbers), installed via [set_store_block] by whichever harness ran a
+    budgeted solve. v7 dropped the top-level registry snapshot
+    (["metrics"]: counters, gauges, histograms) and the span log
+    (["spans"]), which no reader used; the per-section counter deltas
+    and each section's ["gc"] object (now just its exact
+    ["minor_words"]) stay in the section metrics.
+    [validate] accepts v7 only and is shared by the smoke schema checker,
+    the differ and the test suite, so the schema cannot silently drift
+    from its validator. *)
 
-(** The version written by [to_json]; [validate] also accepts v5. *)
+(** The version written by [to_json], and the only one [validate]
+    accepts. *)
 val schema_version : int
 
 type t
@@ -72,14 +71,13 @@ val row :
     stats, trial counts, ...) into the section's [metrics] object. *)
 val add_section_metrics : section -> (string * Json.t) list -> unit
 
-(** [set_store_block j] installs the v6 out-of-core store telemetry
-    object, included in every subsequent [to_json]. Process-global, like
-    the {!Metrics} snapshot: the store library cannot be depended on
-    from here, so the producer hands the rendered block over. *)
+(** [set_store_block j] installs the out-of-core store telemetry
+    object, included in every subsequent [to_json]. Process-global: the
+    store library cannot be depended on from here, so the producer hands
+    the rendered block over. *)
 val set_store_block : Json.t -> unit
 
-(** [to_json t] renders the document, snapshotting {!Metrics} and {!Span}
-    at call time. *)
+(** [to_json t] renders the document. *)
 val to_json : t -> Json.t
 
 val write : t -> path:string -> unit

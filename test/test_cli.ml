@@ -1,14 +1,18 @@
-(* The [blunting] executable's output, read the way a user reads it. *)
+(* The [blunting] executable's and the bench harness's output, read the
+   way a user reads it. *)
 
-let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/blunting_cli.exe"
+let built path = Filename.concat (Filename.dirname Sys.executable_name) path
+let cli = built "../bin/blunting_cli.exe"
+let bench = built "../bench/main.exe"
 
-(* Run the CLI with [args]; its standard output, line by line. *)
-let run args =
+(* Run [exe] (default the CLI) with [args]; its standard output, line by
+   line. *)
+let run ?(exe = cli) args =
   let out = Filename.temp_file "blunting_cli" ".out" in
   Fun.protect
     ~finally:(fun () -> Sys.remove out)
     (fun () ->
-      let code = Sys.command (Filename.quote_command cli args ~stdout:out) in
+      let code = Sys.command (Filename.quote_command exe args ~stdout:out) in
       Alcotest.(check int) (String.concat " " args ^ ": exit 0") 0 code;
       In_channel.with_open_text out In_channel.input_all
       |> String.split_on_char '\n' |> List.map String.trim)
@@ -52,5 +56,59 @@ let test_solve_summary () =
     (Model.Weakener_atomic.explored_states ())
     states
 
+let parse_json what text =
+  match Obs.Json.of_string text with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s is not JSON: %s" what e
+
+(* The value at a path of object keys. *)
+let at path j =
+  List.fold_left (fun j k -> Option.bind j (Obs.Json.member k)) (Some j) path
+
+let int_at path j = Option.bind (at path j) Obs.Json.to_int_opt
+
+(* The registry holds counters only, so the snapshot's one key is
+   [counters]. *)
+let test_metrics_counters_only () =
+  let j =
+    parse_json "metrics --json"
+      (String.concat "\n" (run [ "metrics"; "--workload"; "solve"; "-k"; "1"; "--json" ]))
+  in
+  (match j with
+  | Obs.Json.Obj fields ->
+      Alcotest.(check (list string)) "only key" [ "counters" ] (List.map fst fields)
+  | _ -> Alcotest.fail "metrics --json did not print an object");
+  Alcotest.(check (option int)) "ABD^1 states explored" (Some 106_263)
+    (int_at [ "counters"; "mdp.states_explored" ] j)
+
+(* A section's [gc.minor_words] is the exact allocation inside it: a
+   [Gc.quick_stat] delta would read 0 for a section that runs between two
+   minor collections, as E8 does when run alone. *)
+let test_bench_section_allocation () =
+  let path = Filename.temp_file "blunting_bench" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      ignore (run ~exe:bench [ "--only"; "E8"; "--json"; path ]);
+      let doc = parse_json path (In_channel.with_open_text path In_channel.input_all) in
+      let e8 =
+        match Option.bind (Obs.Json.member "experiments" doc) Obs.Json.to_list_opt with
+        | Some [ e ] -> e
+        | _ -> Alcotest.fail "expected exactly the E8 section"
+      in
+      Alcotest.(check (option int)) "E8 sim.steps" (Some 2_142)
+        (int_at [ "metrics"; "counters"; "sim.steps" ] e8);
+      match
+        Option.bind (at [ "metrics"; "gc"; "minor_words" ] e8) Obs.Json.to_number_opt
+      with
+      | Some words -> Alcotest.(check bool) "E8 minor words > 0" true (words > 0.0)
+      | None -> Alcotest.fail "E8 has no numeric gc.minor_words")
+
 let tests =
-  [ Alcotest.test_case "solve prints a one-line summary" `Quick test_solve_summary ]
+  [
+    Alcotest.test_case "solve prints a one-line summary" `Quick test_solve_summary;
+    Alcotest.test_case "metrics --json prints counters only" `Quick
+      test_metrics_counters_only;
+    Alcotest.test_case "bench section minor words are exact" `Quick
+      test_bench_section_allocation;
+  ]

@@ -1,6 +1,6 @@
 (* Tests for the regression-diff layer: Obs.Diff severity policy,
-   tolerances and opt-in gates, schema-version handling (v5 baselines
-   against v6 runs), the committed baselines, and Obs.Gc_stats deltas. *)
+   tolerances and opt-in gates, invalid documents, and the committed
+   baselines. *)
 
 (* Build a results document programmatically; [rows] are
    (quantity, paper_value option, measured_value) triples and [metrics]
@@ -175,29 +175,6 @@ let test_invalid_documents_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "null current accepted"
 
-let with_version v doc =
-  Obs.Json.(
-    match doc with
-    | Obj fields ->
-        Obj
-          (List.map
-             (function "schema_version", _ -> ("schema_version", Int v) | kv -> kv)
-             fields)
-    | _ -> Alcotest.fail "doc is not an object")
-
-let test_v5_baseline_against_v6 () =
-  (* the smoke rule diffs a fresh v6 run against the committed v5
-     baseline: the version skew alone is no finding *)
-  let v6 = make_doc ~rows:[ ("exact value", Some 0.5, 0.5) ] () in
-  let v5 = with_version 5 v6 in
-  (match Obs.Results.validate v5 with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "v5 document rejected by validator: %s" e);
-  let r = run_diff ~baseline:v5 ~current:v6 () in
-  Alcotest.(check int) "no findings across versions" 0 (List.length r.findings);
-  Alcotest.(check int) "rows compared" 1 r.rows_compared;
-  Alcotest.(check int) "exit 0" 0 (Obs.Diff.exit_code r)
-
 let test_nested_metrics_and_report_render () =
   (* nested gc/counters objects compare per leaf, and the renderer names
      hard failures *)
@@ -354,35 +331,6 @@ let test_max_alloc_ratio_gate () =
   | fs -> Alcotest.failf "expected 1 alloc finding, got %d" (List.length fs));
   Alcotest.(check int) "exit 1 on missing data" 1 (Obs.Diff.exit_code r)
 
-(* ---- Obs.Gc_stats ---------------------------------------------------- *)
-
-let test_gc_stats_measure () =
-  let (), d = Obs.Gc_stats.measure (fun () -> ignore (Sys.opaque_identity (List.init 10_000 (fun i -> i)))) in
-  Alcotest.(check bool) "allocation observed" true (Obs.Gc_stats.allocated_words d > 0.0);
-  Alcotest.(check bool) "minor words grew" true (d.minor_words > 0.0);
-  Alcotest.(check bool) "collections monotone" true
-    (d.minor_collections >= 0 && d.major_collections >= 0 && d.compactions >= 0);
-  Alcotest.(check bool) "heap high-water positive" true (d.top_heap_words > 0);
-  (* the JSON form parses back and carries every field *)
-  match Obs.Json.of_string (Obs.Json.to_string (Obs.Gc_stats.to_json d)) with
-  | Error e -> Alcotest.failf "gc json: %s" e
-  | Ok j ->
-      List.iter
-        (fun k ->
-          match Obs.Json.member k j with
-          | Some _ -> ()
-          | None -> Alcotest.failf "gc json missing %S" k)
-        [
-          "minor_words";
-          "promoted_words";
-          "major_words";
-          "allocated_words";
-          "minor_collections";
-          "major_collections";
-          "compactions";
-          "top_heap_words";
-        ]
-
 (* ---- committed baselines ------------------------------------------ *)
 
 (* Every committed BENCH_*.json (the dune rule copies them next to the
@@ -432,13 +380,10 @@ let tests =
     Alcotest.test_case "diff: added/removed rows" `Quick test_row_set_changes;
     Alcotest.test_case "diff: invalid documents rejected" `Quick
       test_invalid_documents_rejected;
-    Alcotest.test_case "diff: v5 baseline vs v6 current" `Quick
-      test_v5_baseline_against_v6;
     Alcotest.test_case "diff: nested metrics, rendering" `Quick
       test_nested_metrics_and_report_render;
     Alcotest.test_case "diff: min-speedup gate" `Quick test_min_speedup_gate;
     Alcotest.test_case "diff: max-alloc-ratio gate" `Quick test_max_alloc_ratio_gate;
     Alcotest.test_case "diff: committed baselines load and self-diff" `Quick
       test_committed_baselines;
-    Alcotest.test_case "gc-stats: measure and serialize" `Quick test_gc_stats_measure;
   ]

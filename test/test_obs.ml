@@ -18,11 +18,7 @@ let test_counter_semantics () =
   Alcotest.(check int) "same cell" (before + 6) (Obs.Metrics.counter_value c);
   Alcotest.(check (option int))
     "find_counter sees it" (Some (before + 6))
-    (Obs.Metrics.find_counter "test.obs.c1");
-  (* a name cannot change kind *)
-  Alcotest.check_raises "kind clash"
-    (Invalid_argument "Obs.Metrics: \"test.obs.c1\" already registered as a counter")
-    (fun () -> ignore (Obs.Metrics.gauge "test.obs.c1"))
+    (Obs.Metrics.find_counter "test.obs.c1")
 
 (* Counters are bumped from pool workers (the simulator's [sim.*] under
    parallel Monte-Carlo): no increment may be lost. *)
@@ -49,87 +45,18 @@ let test_counter_across_domains () =
   Alcotest.(check int) "4-job Monte-Carlo counts every run" trials
     (runs () - before)
 
-let test_gauge_semantics () =
-  let g = Obs.Metrics.gauge "test.obs.g1" in
-  Obs.Metrics.set_gauge g 3.0;
-  Obs.Metrics.max_gauge g 1.0;
-  Alcotest.(check (float 0.0)) "max keeps high-water" 3.0 (Obs.Metrics.gauge_value g);
-  Obs.Metrics.max_gauge g 7.5;
-  Alcotest.(check (float 0.0)) "max raises" 7.5 (Obs.Metrics.gauge_value g)
-
-let test_histogram_semantics () =
-  let h = Obs.Metrics.histogram ~buckets:[ 1.0; 10.0; 100.0 ] "test.obs.h1" in
-  List.iter (Obs.Metrics.observe h) [ 0.5; 5.0; 50.0; 500.0; 2.0 ];
-  let s = Obs.Metrics.histogram_summary h in
-  Alcotest.(check int) "count" 5 s.count;
-  Alcotest.(check (float 1e-9)) "sum" 557.5 s.sum;
-  Alcotest.(check (float 0.0)) "min" 0.5 s.min;
-  Alcotest.(check (float 0.0)) "max" 500.0 s.max;
-  (* cumulative counts over the non-empty buckets, +inf last *)
-  List.iter
-    (fun (ub, expect) ->
-      match List.assoc_opt ub s.buckets with
-      | Some n -> Alcotest.(check int) (Fmt.str "bucket <= %g" ub) expect n
-      | None -> Alcotest.failf "bucket %g missing" ub)
-    [ (1.0, 1); (10.0, 3); (100.0, 4); (infinity, 5) ]
-
-let test_histogram_percentiles () =
-  let h = Obs.Metrics.histogram ~buckets:[ 1.0; 10.0; 100.0 ] "test.obs.h2" in
-  (* empty histogram: percentiles are nan, and the snapshot renders them
-     (via the JSON printer's non-finite rule) as null *)
-  let s0 = Obs.Metrics.histogram_summary h in
-  Alcotest.(check bool) "empty p50 is nan" true (Float.is_nan s0.p50);
-  List.iter (Obs.Metrics.observe h) [ 0.5; 5.0; 50.0; 500.0; 2.0 ];
-  let s = Obs.Metrics.histogram_summary h in
-  (* counts per bucket: <=1 -> 1, <=10 -> 2, <=100 -> 1, overflow -> 1.
-     p50: rank 2.5 interpolates inside (1, 10]: 1 + 9 * 1.5/2 = 7.75.
-     p90/p99: rank 4.5/4.95 inside the overflow bucket (100, vmax=500]. *)
-  Alcotest.(check (float 1e-9)) "p50 interpolated" 7.75 s.p50;
-  Alcotest.(check (float 1e-9)) "p90 in overflow bucket" 300.0 s.p90;
-  Alcotest.(check (float 1e-9)) "p99 in overflow bucket" 480.0 s.p99;
-  (* one observation: every percentile collapses to it (clamped to min/max) *)
-  let h1 = Obs.Metrics.histogram ~buckets:[ 1.0; 10.0 ] "test.obs.h3" in
-  Obs.Metrics.observe h1 3.0;
-  let s1 = Obs.Metrics.histogram_summary h1 in
-  List.iter
-    (fun (name, v) -> Alcotest.(check (float 1e-9)) name 3.0 v)
-    [ ("single p50", s1.p50); ("single p90", s1.p90); ("single p99", s1.p99) ];
-  (* percentiles are monotone in q and bounded by the observed range *)
-  Alcotest.(check bool) "p50 <= p90 <= p99" true (s.p50 <= s.p90 && s.p90 <= s.p99);
-  Alcotest.(check bool) "within [min, max]" true (s.min <= s.p50 && s.p99 <= s.max)
-
-(* Regression: one observation must report itself as every percentile
-   even when it lands in the overflow bucket or exactly on a bucket
-   bound, where the interpolation path (rather than the min/max clamp)
-   used to be the only thing producing the answer. *)
-let test_histogram_single_sample () =
-  List.iter
-    (fun v ->
-      let name = Fmt.str "test.obs.single_%h" v in
-      let h = Obs.Metrics.histogram ~buckets:[ 1.0; 10.0 ] name in
-      Obs.Metrics.observe h v;
-      let s = Obs.Metrics.histogram_summary h in
-      Alcotest.(check int) "count" 1 s.count;
-      List.iter
-        (fun (which, got) ->
-          Alcotest.(check (float 0.0)) (Fmt.str "%s of single %g" which v) v got)
-        [ ("p50", s.p50); ("p90", s.p90); ("p99", s.p99); ("min", s.min); ("max", s.max) ])
-    [ 0.37 (* interior *); 10.0 (* exact bound *); 250.0 (* overflow bucket *) ]
-
-let test_snapshot_shape_and_reset () =
-  let c = Obs.Metrics.counter "test.obs.reset_me" in
+(* The snapshot is the counters object alone, holding every counter's
+   current value. *)
+let test_snapshot_shape () =
+  let c = Obs.Metrics.counter "test.obs.snapshot_me" in
   Obs.Metrics.add c 41;
-  (match Obs.Metrics.snapshot () with
-  | Obs.Json.Obj fields ->
-      List.iter
-        (fun k ->
-          match List.assoc_opt k fields with
-          | Some (Obs.Json.Obj _) -> ()
-          | _ -> Alcotest.failf "snapshot missing object %S" k)
-        [ "counters"; "gauges"; "histograms" ]
-  | _ -> Alcotest.fail "snapshot is not an object");
-  Obs.Metrics.reset ();
-  Alcotest.(check int) "reset zeroes" 0 (Obs.Metrics.counter_value c)
+  match Obs.Metrics.snapshot () with
+  | Obs.Json.Obj [ ("counters", (Obs.Json.Obj _ as counters)) ] ->
+      Alcotest.(check (option int))
+        "counter value" (Some (Obs.Metrics.counter_value c))
+        (Option.bind (Obs.Json.member "test.obs.snapshot_me" counters)
+           Obs.Json.to_int_opt)
+  | _ -> Alcotest.fail "snapshot is not {\"counters\": {..}}"
 
 (* ---- json ----------------------------------------------------------- *)
 
@@ -285,26 +212,6 @@ let test_trace_accessors_cached () =
   in
   Alcotest.(check int) "count_messages = #Sent" sent (Sim.Trace.count_messages tr)
 
-(* ---- spans ---------------------------------------------------------- *)
-
-let test_spans () =
-  Obs.Span.reset ();
-  let v, dt = Obs.Span.time "test.span" (fun () -> 6 * 7) in
-  Alcotest.(check int) "result passed through" 42 v;
-  Alcotest.(check bool) "duration non-negative" true (dt >= 0.0);
-  (match Obs.Span.spans () with
-  | [ s ] ->
-      Alcotest.(check string) "span name" "test.span" s.Obs.Span.name;
-      Alcotest.(check bool) "span duration" true (s.Obs.Span.dur_us >= 0.0)
-  | l -> Alcotest.failf "expected 1 span, got %d" (List.length l));
-  Alcotest.(check int) "one chrome slice" 1
-    (List.length
-       (List.filter
-          (fun (e : Obs.Chrome_trace.event) ->
-            match e.phase with Obs.Chrome_trace.Complete _ -> true | _ -> false)
-          (Obs.Span.chrome_events ())));
-  Obs.Span.reset ()
-
 (* ---- solver stats --------------------------------------------------- *)
 
 (* A tiny acyclic game: countdown from n, two moves per state (one
@@ -421,11 +328,11 @@ let test_results_schema () =
       Obs.Json.Null;
     ]
 
-(* The committed BENCH_*.json baselines are v5 and v6, so exactly those
-   two versions validate: older documents and unknown future versions
-   are rejected. *)
-let test_schema_version_compat () =
-  Alcotest.(check int) "current schema version" 6 Obs.Results.schema_version;
+(* Only v7 validates: the committed BENCH_*.json baselines are v7, and
+   older documents (which still carry the top-level registry snapshot and
+   span log) and unknown future versions are rejected. *)
+let test_schema_version_v7_only () =
+  Alcotest.(check int) "current schema version" 7 Obs.Results.schema_version;
   let minimal_doc v =
     Obs.Json.Obj
       [
@@ -442,28 +349,25 @@ let test_schema_version_compat () =
                   ("metrics", Obs.Json.Obj []);
                 ];
             ] );
-        ( "metrics",
-          Obs.Json.Obj
-            [
-              ("counters", Obs.Json.Obj []);
-              ("gauges", Obs.Json.Obj []);
-              ("histograms", Obs.Json.Obj []);
-            ] );
-        ("spans", Obs.Json.List []);
       ]
   in
-  List.iter
-    (fun v ->
-      match Obs.Results.validate (minimal_doc v) with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "v%d document rejected: %s" v e)
-    [ 5; 6 ];
+  (match Obs.Results.validate (minimal_doc 7) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "v7 document rejected: %s" e);
   List.iter
     (fun v ->
       match Obs.Results.validate (minimal_doc v) with
       | Ok () -> Alcotest.failf "v%d document accepted" v
       | Error _ -> ())
-    [ 1; 2; 3; 4; 999 ]
+    [ 5; 6; 999 ];
+  (* the emitter writes neither of the retired top-level keys *)
+  let doc = Obs.Results.create ~generated_by:"test suite" () in
+  ignore (Obs.Results.section doc ~id:"E1" ~title:"keys");
+  let json = Obs.Results.to_json doc in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " absent") true (Obs.Json.member k json = None))
+    [ "metrics"; "spans" ]
 
 (* ---- log levels ----------------------------------------------------- *)
 
@@ -486,14 +390,7 @@ let tests =
     Alcotest.test_case "metrics: counter semantics" `Quick test_counter_semantics;
     Alcotest.test_case "metrics: counters exact across domains" `Quick
       test_counter_across_domains;
-    Alcotest.test_case "metrics: gauge semantics" `Quick test_gauge_semantics;
-    Alcotest.test_case "metrics: histogram semantics" `Quick test_histogram_semantics;
-    Alcotest.test_case "metrics: histogram percentiles" `Quick
-      test_histogram_percentiles;
-    Alcotest.test_case "metrics: single-sample percentiles" `Quick
-      test_histogram_single_sample;
-    Alcotest.test_case "metrics: snapshot shape, reset" `Quick
-      test_snapshot_shape_and_reset;
+    Alcotest.test_case "metrics: snapshot shape" `Quick test_snapshot_shape;
     Alcotest.test_case "json: round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "json: parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json: non-finite floats render null" `Quick
@@ -501,11 +398,10 @@ let tests =
     Alcotest.test_case "trace export: JSONL round-trip" `Quick test_jsonl_round_trip;
     Alcotest.test_case "trace export: Chrome trace" `Quick test_chrome_round_trip;
     Alcotest.test_case "trace: cached accessors" `Quick test_trace_accessors_cached;
-    Alcotest.test_case "spans: timing and export" `Quick test_spans;
     Alcotest.test_case "solver: memo-hit statistics" `Quick
       test_solver_stats_memoization;
     Alcotest.test_case "solver: progress hook" `Quick test_solver_progress_hook;
     Alcotest.test_case "results: schema round-trip" `Quick test_results_schema;
-    Alcotest.test_case "results: only v5 and v6 valid" `Quick test_schema_version_compat;
+    Alcotest.test_case "results: only v7 valid" `Quick test_schema_version_v7_only;
     Alcotest.test_case "log: verbosity levels" `Quick test_log_levels;
   ]
