@@ -285,7 +285,10 @@ let e3_abd2 () =
       ("solve_seconds_k2_abd_c", Obs.Json.Float dtc);
       ("solver_max_depth", Obs.Json.Int st.max_depth);
     ];
-  Report.finish r
+  Report.finish r;
+  (* the same one-line summary [blunting solve] prints *)
+  Fmt.pr "@.  k=2: %a@." (Mdp.Solver.pp_summary ~wall_s:dt) st;
+  Fmt.pr "  k=2, C as ABD: %a@." (Mdp.Solver.pp_summary ~wall_s:dtc) stc
 
 let e4_bound_table () =
   let r =
@@ -343,11 +346,13 @@ let e5_convergence () =
   Fmt.pr "Exact adversary-optimal values (memoized expectimax over the@.";
   Fmt.pr "message-level game); the paper proves convergence to 1/2.@.@.";
   Model.Weakener_abd.reset ();
+  let summaries = ref [] in
   for k = 1 to kmax do
     let v, dt, st =
       timed_solve (fun () ->
           Model.Weakener_abd.bad_probability ?pool:!pool ~jobs:options.jobs ~k ())
     in
+    summaries := (k, dt, st) :: !summaries;
     let law = (float_of_int (k * k) +. 1.0) /. (2.0 *. float_of_int (k * k)) in
     Report.table_row r
       [
@@ -376,6 +381,12 @@ let e5_convergence () =
   Report.metrics r
     (Report.solver_stats_json (Model.Weakener_abd.solver_stats ()));
   Report.finish r;
+  (* the same one-line summary [blunting solve] prints, per k *)
+  Fmt.pr "@.";
+  List.iter
+    (fun (k, dt, st) ->
+      Fmt.pr "  k=%d: %a@." k (Mdp.Solver.pp_summary ~wall_s:dt) st)
+    (List.rev !summaries);
   Fmt.pr
     "@.The exact optimum follows (k^2+1)/(2k^2) on this instance — strictly@.\
      inside the paper's worst-case bound and converging to the atomic 1/2.@.";
@@ -841,8 +852,8 @@ let par_speedup () =
   (* schema-v3/v4 parallel telemetry: who ran (spawned_domains,
      domain_ids) and what each worker did against the shared memo. The
      claim protocol evaluates each state exactly once, so the domains'
-     summed misses equal distinct_keys; the v4 steal/claim counters show
-     how the work actually moved. *)
+     summed misses equal distinct_keys; the v4 claim counters show how
+     often workers met each other's claims. *)
   let spawned, ids = !domain_info in
   let par_solve_json =
     match Model.Weakener_abd.last_par_stats () with
@@ -867,8 +878,7 @@ let par_speedup () =
                            ])
                        ps.domains) );
                 ("distinct_keys", Obs.Json.Int ps.distinct_keys);
-                (* schema-v4 work-stealing counters *)
-                ("steals", Obs.Json.Int ps.steals);
+                (* schema-v4 claim counters *)
                 ("claim_hits", Obs.Json.Int ps.claim_hits);
                 ("claim_misses", Obs.Json.Int ps.claim_misses);
                 ("pruned_subtrees", Obs.Json.Int ps.pruned_subtrees);

@@ -23,9 +23,9 @@
    schema-v3/v4 parallel telemetry: an integer "spawned_domains" >= 1, a
    non-empty "domain_ids" integer list, and a "par_solve" object with at
    least one per-domain entry, an integer "distinct_keys" and the v4
-   work-stealing counters (steals, claim_hits, claim_misses,
-   pruned_subtrees) — the guard that a multi-job bench run actually
-   published who ran and what each domain's memo table did. *)
+   claim counters (claim_hits, claim_misses, pruned_subtrees) — the
+   guard that a multi-job bench run actually published who ran and what
+   each domain's memo table did. *)
 
 let () =
   let expect_no_work = ref []
@@ -58,15 +58,9 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let path = match !path with Some p -> p | None -> usage () in
-  let contents =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Obs.Json.of_string contents with
+  match Obs.Json.read_file path with
   | Error e ->
-      Fmt.epr "%s: JSON parse error: %s@." path e;
+      Fmt.epr "%s@." e;
       exit 1
   | Ok json -> (
       match Obs.Results.validate json with
@@ -143,8 +137,8 @@ let () =
                           match Obs.Json.member key ps with
                           | Some (Obs.Json.Int n) when n >= 0 -> ()
                           | _ -> fail "par_solve lacks integer %s" key)
-                        [ "distinct_keys"; "steals"; "claim_hits";
-                          "claim_misses"; "pruned_subtrees" ]
+                        [ "distinct_keys"; "claim_hits"; "claim_misses";
+                          "pruned_subtrees" ]
                   | _ -> fail "expected par_solve object"))
             !expect_par;
           (if !expect_store then

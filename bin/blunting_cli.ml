@@ -433,7 +433,7 @@ let trace_cmd =
   in
   (* `blunting trace analyze` — the offline side of the ring-buffer
      tracing: read a dump written by --trace-out (solve or bench) and
-     render the per-domain busy/idle, steal, spill and adversary-decision
+     render the per-domain busy/idle, spill and adversary-decision
      report, optionally with machine JSON and a Chrome/Perfetto export. *)
   let analyze_cmd =
     let trace_arg =
@@ -490,7 +490,7 @@ let trace_cmd =
     in
     let doc =
       "Analyze a per-domain ring-buffer trace dump: per-domain busy and idle \
-       time, steals, store spills, queue depths, adversary decisions and a \
+       time, store spills, queue depths, adversary decisions and a \
        utilization timeline. Memo hit/miss counts are not traced; every \
        solve prints them exactly."
     in

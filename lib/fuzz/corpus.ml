@@ -83,14 +83,8 @@ let write ~dir t =
   path
 
 let read path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents -> Result.bind (Obs.Json.of_string contents) of_json
+  Result.bind (Obs.Json.read_file path) (fun j ->
+      Result.map_error (fun e -> path ^ ": " ^ e) (of_json j))
 
 let pp ppf t =
   Fmt.pf ppf "%s oracle, seed %d, iter %d, %a, %d-step schedule, expect %s"

@@ -34,5 +34,6 @@ val filename : t -> string
     its canonical name and returns the path. *)
 val write : dir:string -> t -> string
 
+(** [read path] loads one entry; errors name the file. *)
 val read : string -> (t, string) result
 val pp : Format.formatter -> t -> unit

@@ -271,6 +271,4 @@ let replay_entry (e : Corpus.t) =
            e oracle_line attribution)
 
 let replay_file path =
-  match Corpus.read path with
-  | Error e -> Error (Fmt.str "%s: %s" path e)
-  | Ok entry -> replay_entry entry
+  Result.bind (Corpus.read path) replay_entry

@@ -315,9 +315,9 @@ module Prune_solver = Mdp.Solver.Make (Prune_game)
 (* Pruned solves must agree with unpruned ones bitwise while exploring no
    more states; audit mode re-evaluates every cut subtree and raises
    [Prune_unsound] if a cut would have changed a value; and pruning must
-   compose with the work-stealing parallel solve. The RNG stream uses its
-   own seed family so it can never collide with the per-iteration stream
-   indices (4i .. 4i+3) of the same session seed. *)
+   compose with the parallel solve. The RNG stream uses its own seed
+   family so it can never collide with the per-iteration stream indices
+   (4i .. 4i+3) of the same session seed. *)
 let prune_vs_exact ?(configs = 4) ~seed () =
   let rng = Rng.stream ~seed:(seed + 7_777_777) ~index:0 in
   let fail detail =

@@ -23,7 +23,7 @@
       exploring no more states, every cut survives audit-mode
       re-evaluation (each pruned subtree's interval really excluded the
       max — [Mdp.Solver.Prune_unsound] otherwise), and pruning composes
-      with the work-stealing parallel solve.
+      with the parallel solve.
 
     Every per-case execution is a pure function of [(seed, iter, case)]:
     the scheduler RNG, the random tape and the generated case all derive

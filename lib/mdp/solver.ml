@@ -13,7 +13,6 @@ module M = struct
   let memo_misses = counter ~help:"states evaluated (memo misses)" "mdp.memo_misses"
   let states = counter ~help:"distinct states memoized" "mdp.states_explored"
   let pruned = counter ~help:"subtrees cut by interval pruning" "mdp.pruned_subtrees"
-  let steals = counter ~help:"work-stealing deque steals" "mdp.steals"
   let claim_misses = counter ~help:"shared-memo probes that hit a live claim" "mdp.claim_misses"
 end
 
@@ -68,7 +67,6 @@ type domain_stats = { domain_id : int; stats : stats }
 type par_stats = {
   domains : domain_stats list;
   distinct_keys : int;
-  steals : int;
   claim_hits : int;
   claim_misses : int;
   pruned_subtrees : int;
@@ -76,9 +74,9 @@ type par_stats = {
 
 let pp_par_stats ppf p =
   Fmt.pf ppf
-    "%d domains, %d distinct keys, %d steals, %d claim hits / %d claim \
-     misses, %d pruned:@,"
-    (List.length p.domains) p.distinct_keys p.steals p.claim_hits
+    "%d domains, %d distinct keys, %d claim hits / %d claim misses, %d \
+     pruned:@,"
+    (List.length p.domains) p.distinct_keys p.claim_hits
     p.claim_misses p.pruned_subtrees;
   List.iter
     (fun d -> Fmt.pf ppf "  domain %d: %a@," d.domain_id pp_stats d.stats)
@@ -224,7 +222,7 @@ let store_memo st =
    private encode buffer; [abort] the region's shared failure flag.
    Progress ticks fire every [progress_interval] misses — workers use
    [max_int], so they never fire off the calling domain. [domain] is the
-   runtime domain that ran a worker's steal loop (1:1 per solve — a
+   runtime domain that ran a worker's loop (1:1 per solve — a
    domain may run several workers' loops, but only one after another). *)
 type counters = {
   wid : int;
@@ -237,7 +235,6 @@ type counters = {
   mutable max_depth : int;
   mutable prune_cuts : int;  (* subtrees cut by interval pruning *)
   mutable claim_misses : int;
-  mutable steals : int;
   mutable progress_hook : (progress -> unit) option;
   mutable progress_interval : int;
   mutable solve_start : float;
@@ -256,7 +253,6 @@ let make_counters ~wid ~abort ~progress_interval =
     max_depth = 0;
     prune_cuts = 0;
     claim_misses = 0;
-    steals = 0;
     progress_hook = None;
     progress_interval;
     solve_start = Obs.Span.now_us ();
@@ -599,11 +595,10 @@ module Make (G : GAME) = struct
 
   (* ---- parallel solving ------------------------------------------------
 
-     Work-stealing over a shared memo. [frontier] walks the game a few
+     One work cursor over a shared memo. [frontier] walks the game a few
      plies down (without evaluating) and collects the distinct states at
-     the cut; they are dealt round-robin into one Chase–Lev deque per
-     worker, and [jobs] workers drain their own deque LIFO, stealing the
-     oldest state from a victim when empty. Every worker runs [solve_at]
+     the cut; [jobs] workers take them one at a time from a shared atomic
+     cursor, in descending first-visit order. Every worker runs [solve_at]
      over one shared backend whose find-or-claim guarantees exactly one
      worker evaluates each state (so no work is duplicated: summed worker
      misses equal the states resolved), and the claim protocol doubles as
@@ -684,54 +679,36 @@ module Make (G : GAME) = struct
   (* Run [jobs] workers over the shared memo [m] until every frontier
      state (at tree depth [depth]) is resolved; returns their counters. *)
   let run_workers ?pool ~prune ~jobs m depth leaves =
-    let deques = Array.init jobs (fun _ -> Par.Deque.create ()) in
-    Array.iteri (fun i _ -> Par.Deque.push deques.(i mod jobs) i) leaves;
+    let n = Array.length leaves in
+    let next = Atomic.make 0 in
     let abort = Atomic.make false in
     let workers =
       Array.init jobs (fun wid ->
           make_counters ~wid ~abort ~progress_interval:max_int)
     in
     let first_error : exn option Atomic.t = Atomic.make None in
-    let eval_leaf w i = ignore (solve_at ~prune m w depth leaves.(i)) in
     let worker_loop wid =
       let w = workers.(wid) in
       w.domain <- (Domain.self () :> int);
-      (* drain the local deque LIFO; when empty, sweep the other deques
-         for the oldest leaf. Leaves are only pushed before the region
-         starts, so a sweep seeing every deque [Empty] means no work
-         will ever appear again — but a [Contended] verdict is
-         inconclusive (the CAS lost to another thief), so the sweep
-         restarts after a backoff. *)
-      let rec drain () =
-        match Par.Deque.pop deques.(wid) with
-        | Some i ->
-            eval_leaf w i;
-            drain ()
-        | None -> hunt 0 false
-      and hunt k contended =
-        if Atomic.get abort then ()
-        else if k >= jobs - 1 then begin
-          if contended then begin
-            Domain.cpu_relax ();
-            hunt 0 false
+      (* take leaves from the shared cursor, last-visited first: the
+         frontier is fixed before the region opens, so a cursor past
+         [n] means no work will ever appear again. The order is
+         measured, not derived: ascending doubled the claim misses and
+         cost about 40% more wall time at k=2 (DESIGN.md section 8) *)
+      let rec go () =
+        if not (Atomic.get abort) then begin
+          let k = Atomic.fetch_and_add next 1 in
+          if k < n then begin
+            ignore (solve_at ~prune m w depth leaves.(n - 1 - k));
+            go ()
           end
         end
-        else
-          let victim = (wid + 1 + k) mod jobs in
-          match Par.Deque.steal deques.(victim) with
-          | Par.Deque.Stolen i ->
-              w.steals <- w.steals + 1;
-              Obs.Ring.record Obs.Ring.Steal victim i;
-              eval_leaf w i;
-              drain ()
-          | Par.Deque.Contended -> hunt (k + 1) true
-          | Par.Deque.Empty -> hunt (k + 1) contended
       in
       (* a worker that fails publishes the exception and trips the abort
          flag so the others stop waiting on its claims; workers
          themselves always return normally, and the caller re-raises the
          first real error after the region joins *)
-      try drain () with
+      try go () with
       | Abort -> ()
       | e ->
           ignore (Atomic.compare_and_set first_error None (Some e));
@@ -771,16 +748,13 @@ module Make (G : GAME) = struct
         main.prune_cuts <- main.prune_cuts + w.prune_cuts)
       all;
     main.states <- main.states + distinct;
-    let steals = sum (fun w -> w.steals) in
     let claim_misses = sum (fun w -> w.claim_misses) in
-    Obs.Metrics.add M.steals steals;
     Obs.Metrics.add M.claim_misses claim_misses;
     last_par :=
       Some
         {
           domains = merge_by_domain all;
           distinct_keys = distinct;
-          steals;
           claim_hits = sum (fun w -> w.hits);
           claim_misses;
           pruned_subtrees = sum (fun w -> w.prune_cuts);

@@ -104,15 +104,13 @@ type domain_stats = { domain_id : int; stats : stats }
     for the same root (unpruned). The claim protocol evaluates every key
     exactly once, so the domains' summed [memo_misses] equal
     [distinct_keys].
-    [steals] counts successful deque steals, [claim_hits]/[claim_misses]
-    the shared-memo probes answered by a resolved value / by another
-    worker's live claim (the helping protocol), and [pruned_subtrees] the
-    interval cuts taken (0 unless [~prune:true]). All exact; trace rings
-    carry none of these counts. *)
+    [claim_hits]/[claim_misses] count the shared-memo probes answered by
+    a resolved value / by another worker's live claim (the helping
+    protocol), and [pruned_subtrees] the interval cuts taken (0 unless
+    [~prune:true]). All exact; trace rings carry none of these counts. *)
 type par_stats = {
   domains : domain_stats list;  (** sorted by domain id *)
   distinct_keys : int;
-  steals : int;
   claim_hits : int;
   claim_misses : int;
   pruned_subtrees : int;
@@ -174,13 +172,13 @@ module Make (G : GAME) : sig
   (** [value_par ?pool ?prune ~jobs s] is [value s] computed by [jobs]
       cooperating workers over one shared sharded memo
       ({!Par.Sharded_tbl}): the game is walked a few plies down to a
-      frontier of distinct states, dealt into per-worker work-stealing
-      deques ({!Par.Deque}); each worker drains its own deque and steals
-      from the others when empty. Every state evaluation claims its key
-      in the shared table first, so each state is evaluated by exactly
-      one worker — no duplicated work — and a worker probing another's
-      live claim helps by evaluating that state's children before waiting
-      for the owner's value. When the workers are done, a root pass on
+      frontier of distinct states, which the workers take one at a time
+      from a shared atomic cursor (last-visited first) until it runs
+      out. Every state evaluation claims its key in the shared table
+      first, so each state is evaluated by exactly one worker — no
+      duplicated work — and a worker probing another's live claim helps
+      by evaluating that state's children before waiting for the owner's
+      value. When the workers are done, a root pass on
       the calling domain runs the sequential recursion from [s] over the
       same memo: the frontier states are hits, and it evaluates only the
       states above them. The result is bit-identical to [value s] at
@@ -202,10 +200,9 @@ module Make (G : GAME) : sig
       solve re-entering a state. Progress hooks do not fire during
       [value_par].
 
-      When {!Obs.Ring} tracing is enabled, workers record [Steal] events
-      (successful deque steals) into their domains' rings, inside the
-      pool's task slices; memo probes are counted in [last_par_stats],
-      not traced.
+      When {!Obs.Ring} tracing is enabled, each worker loop shows as one
+      pool task slice in its domain's ring; memo probes are counted in
+      [last_par_stats], not traced.
 
       With a memo budget armed, the workers and the root pass share the
       instance's spillable {!Store.Memo} instead of a fresh in-RAM table — same

@@ -91,7 +91,7 @@ val store_stats : unit -> Store.Memo.stats option
 (** [last_par_stats ()] is the per-domain and cross-domain telemetry of
     the most recent parallel [bad_probability] (see
     {!Mdp.Solver.Make.last_par_stats}): per-domain memo hits and misses,
-    the distinct-state count and the steal/claim counters the bench PAR
+    the distinct-state count and the claim counters the bench PAR
     section publishes. *)
 val last_par_stats : unit -> Mdp.Solver.par_stats option
 

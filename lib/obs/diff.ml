@@ -57,11 +57,11 @@ let machine_dependent k =
   || has "_ns" || has "ns)" || has "words" || has "heap" || has "collection"
   || has "hit_rate" || has "states/s"
   (* schema-v3/v4 parallel telemetry: per-domain splits and the
-     steal/claim/helping counters depend on how the scheduler interleaved
+     claim/helping counters depend on how the scheduler interleaved
      the worker domains, not on the algorithm ("jobs" itself stays a hard
      key); prune counts move with the evaluation order too *)
   || has "domain" || has "queue" || has "par_solve"
-  || has "utilization" || has "speedup" || has "steal" || has "claim"
+  || has "utilization" || has "speedup" || has "claim"
   || has "prune"
   (* out-of-core store telemetry: run/eviction/cache-traffic counts move
      with the budget and, under jobs > 1, with the worker schedule; the
@@ -497,22 +497,11 @@ let pp_report ppf r =
 
 (* ---- file plumbing --------------------------------------------------- *)
 
-let load_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents ->
-      Result.map_error (fun e -> path ^ ": " ^ e) (Json.of_string contents)
-
 let run_files ?config ~baseline ~current ppf =
-  match load_file baseline with
+  match Json.read_file baseline with
   | Error e -> Error e
   | Ok b -> (
-      match load_file current with
+      match Json.read_file current with
       | Error e -> Error e
       | Ok c -> (
           match diff ?config ~baseline:b ~current:c () with

@@ -82,9 +82,6 @@ val exit_code : report -> int
     OK/REGRESSION verdict. *)
 val pp_report : Format.formatter -> report -> unit
 
-(** [load_file path] reads and parses one JSON document. *)
-val load_file : string -> (Json.t, string) result
-
 (** [run_files ?config ~baseline ~current ppf] loads both paths, diffs,
     prints the report to [ppf] and returns the intended process exit code;
     [Error] for load/validation problems (callers conventionally exit 2). *)

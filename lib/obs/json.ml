@@ -276,6 +276,16 @@ let of_string s =
       else Ok v
   | exception Parse_error msg -> Error msg
 
+let read_file path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | exception Sys_error e -> Error e
+  | contents -> Result.map_error (fun e -> path ^ ": " ^ e) (of_string contents)
+
 (* ---- accessors ------------------------------------------------------ *)
 
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None

@@ -34,6 +34,11 @@ val write_file : string -> t -> unit
 (** [of_string s] parses one JSON value (surrounding whitespace allowed). *)
 val of_string : string -> (t, string) result
 
+(** [read_file path] reads the whole file and parses it with [of_string].
+    Errors name the file: the [Sys_error] text when it cannot be read,
+    ["PATH: "] and the parse error otherwise. *)
+val read_file : string -> (t, string) result
+
 (** {1 Accessors} *)
 
 (** [member key t] is the value bound to [key] when [t] is an object. *)

@@ -24,7 +24,7 @@
     v}
     Version history: v2 added [null] for non-finite numbers; v3 and v4
     added the PAR section's parallel telemetry ([spawned_domains],
-    [domain_ids], a [par_solve] object with per-domain and work-stealing
+    [domain_ids], a [par_solve] object with per-domain and claim
     counters) inside the free-form section metrics; v6 added the optional
     top-level ["store"] object — the out-of-core memo's telemetry
     ([budget_bytes], [spilled_entries], [spill_runs], [bytes_spilled],

@@ -12,13 +12,13 @@ type tag =
   | Gc_major
   | Domain_spawn
   | Domain_stop
-  | Steal
   | Store_spill
 
 (* Wire codes are part of the dump format: append only, never renumber.
-   Codes 0-3, 18, 19 and 22-24 belonged to retired per-probe memo events
-   and code 20 to retired allocation samples; they stay unassigned so old
-   dumps still load (their events drop). *)
+   Codes 0-3, 18, 19 and 22-24 belonged to retired per-probe memo events,
+   code 17 to retired work-stealing steals and code 20 to retired
+   allocation samples; they stay unassigned so old dumps still load
+   (their events drop). *)
 let tag_code = function
   | Pool_task_start -> 4
   | Pool_task_stop -> 5
@@ -33,14 +33,13 @@ let tag_code = function
   | Gc_major -> 14
   | Domain_spawn -> 15
   | Domain_stop -> 16
-  | Steal -> 17
   | Store_spill -> 21
 
 let all_tags =
   [
     Pool_task_start; Pool_task_stop; Pool_idle_start; Pool_idle_stop;
     Pool_queue_depth; Sim_step; Sim_deliver; Sim_crash; Adv_decision; Gc_minor;
-    Gc_major; Domain_spawn; Domain_stop; Steal; Store_spill;
+    Gc_major; Domain_spawn; Domain_stop; Store_spill;
   ]
 
 let tag_of_code c = List.find_opt (fun t -> tag_code t = c) all_tags
@@ -59,7 +58,6 @@ let tag_name = function
   | Gc_major -> "gc_major"
   | Domain_spawn -> "domain_spawn"
   | Domain_stop -> "domain_stop"
-  | Steal -> "steal"
   | Store_spill -> "store_spill"
 
 (* ---- per-domain rings ------------------------------------------------ *)
@@ -400,16 +398,8 @@ let of_json j =
 let write_file path d = Json.write_file path (to_json d)
 
 let load_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents ->
-      let* j = Result.map_error (fun e -> path ^ ": " ^ e) (Json.of_string contents) in
-      Result.map_error (fun e -> path ^ ": " ^ e) (of_json j)
+  let* j = Json.read_file path in
+  Result.map_error (fun e -> path ^ ": " ^ e) (of_json j)
 
 (* ---- Chrome export --------------------------------------------------- *)
 
@@ -449,8 +439,6 @@ let chrome_domain_events ~pid d =
       | Adv_decision ->
           instant "adv_decision"
             [ ("enabled", Json.Int e.a); ("chosen", Json.Int e.b) ]
-      | Steal ->
-          instant "steal" [ ("victim", Json.Int e.a); ("item", Json.Int e.b) ]
       | Store_spill ->
           instant "store_spill"
             [ ("entries", Json.Int e.a); ("bytes", Json.Int e.b) ]

@@ -12,7 +12,7 @@
 
     The ring holds only events that mark time intervals (pool task and
     idle slices, GC phases) and rare or decision events (queue depth,
-    domain lifecycle, steals, spills, simulator steps and adversary
+    domain lifecycle, spills, simulator steps and adversary
     decisions). Per-probe memo traffic is deliberately not
     traced: it would evict everything else from the ring, and its counts
     are kept exactly by [Mdp.Solver.stats]/[last_par_stats] and
@@ -47,8 +47,6 @@
     - runtime events: [Gc_minor]/[Gc_major] with [a] = 0 (begin) or 1
       (end); [Domain_spawn]/[Domain_stop] from the runtime's lifecycle
       stream;
-    - [Steal]: a successful deque steal in the work-stealing solver
-      ([a] = victim worker id, [b] = stolen frontier-leaf index);
     - [Store_spill]: one sorted run of the out-of-core memo written to a
       shard's segment file ([a] = entries written, [b] = bytes, header
       and padding included). *)
@@ -66,12 +64,11 @@ type tag =
   | Gc_major
   | Domain_spawn
   | Domain_stop
-  | Steal
   | Store_spill
 
 (** Stable wire codes for dump files: [tag_code] is injective and
     [tag_of_code (tag_code t) = Some t]. The codes of retired tags (0–3,
-    18–20 and 22–24) stay unassigned, so dumps that hold them still load
+    17–20 and 22–24) stay unassigned, so dumps that hold them still load
     with those events dropped. *)
 val tag_code : tag -> int
 
@@ -151,6 +148,6 @@ val load_file : string -> (dump, string) result
 
 (** [chrome_events d] renders the dump as Chrome trace events: pid 0 with
     one named lane per recording domain (task/idle slices, queue-depth
-    counters, instants for steal/spill/simulator events), pid 1 with one lane
+    counters, instants for spill/simulator events), pid 1 with one lane
     per runtime-event ring (GC slices, lifecycle instants). *)
 val chrome_events : dump -> Chrome_trace.event list

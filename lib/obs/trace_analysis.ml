@@ -2,7 +2,6 @@ type domain_report = {
   domain : int;
   events : int;
   dropped : int;
-  steals : int;
   spills : int;
   spill_bytes : int;
   busy_us : float;
@@ -92,13 +91,11 @@ let analyze ?(buckets = 20) (d : Ring.dump) =
   let reports =
     List.map
       (fun (dd : Ring.domain_dump) ->
-        let steals = ref 0 in
         let spills = ref 0 and spill_bytes = ref 0 in
         let pending_decision = ref false in
         List.iter
           (fun (e : Ring.event) ->
             match e.tag with
-            | Ring.Steal -> incr steals
             | Ring.Store_spill ->
                 (* [a] = entries in the run, [b] = run bytes on disk *)
                 incr spills;
@@ -139,7 +136,6 @@ let analyze ?(buckets = 20) (d : Ring.dump) =
           domain = dd.domain;
           events = List.length dd.events;
           dropped = dd.dropped;
-          steals = !steals;
           spills = !spills;
           spill_bytes = !spill_bytes;
           busy_us;
@@ -205,10 +201,6 @@ let pp ppf t =
           d.dropped (d.busy_us /. 1e6) (d.idle_us /. 1e6)
           (100.0 *. d.utilization))
       t.domains;
-    let steals = sum (fun d -> d.steals) in
-    if steals > 0 then
-      Fmt.pf ppf "@,work stealing: %d steal%s@," steals
-        (plural steals ~one:"" ~many:"s");
     let spills = sum (fun d -> d.spills) in
     if spills > 0 then
       Fmt.pf ppf "@,out-of-core store: %d spill run%s (%d B)@," spills
@@ -252,7 +244,6 @@ let to_json t =
         ("domain", Json.Int d.domain);
         ("events", Json.Int d.events);
         ("dropped", Json.Int d.dropped);
-        ("steals", Json.Int d.steals);
         ("spills", Json.Int d.spills);
         ("spill_bytes", Json.Int d.spill_bytes);
         ("busy_us", Json.Float d.busy_us);

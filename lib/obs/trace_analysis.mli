@@ -1,9 +1,9 @@
 (** Analysis of ring-buffer trace dumps.
 
     Consumes a {!Ring.dump} (from [--trace-out] / [Ring.dump]) and answers
-    what the timeline shows: how busy and idle each domain was, where the
-    work-stealing solver stole, when the out-of-core store spilled, and
-    what the adversary's schedule actually did.
+    what the timeline shows: how busy and idle each domain was, when the
+    out-of-core store spilled, and what the adversary's schedule actually
+    did.
     Rendered either as a human report ({!pp}) or machine JSON
     ({!to_json}) — the payloads of [blunting trace analyze].
 
@@ -16,7 +16,6 @@ type domain_report = {
   domain : int;
   events : int;  (** retained events *)
   dropped : int;
-  steals : int;  (** successful deque steals ([Steal]) *)
   spills : int;  (** out-of-core sorted runs written ([Store_spill]) *)
   spill_bytes : int;  (** bytes those runs occupy on disk *)
   busy_us : float;  (** total time inside pool task slices *)

@@ -123,50 +123,58 @@ let chunk_loop r =
   if r.active = 0 then Condition.broadcast r.done_cond;
   Mutex.unlock r.done_mutex
 
+let check_args name t n =
+  if n < 0 then invalid_arg ("Par.Pool." ^ name ^ ": negative size");
+  if t.stopping then invalid_arg ("Par.Pool." ^ name ^ ": pool is shut down")
+
+(* Run a region over indices [first, Array.length results) on
+   [participants] domains, the caller included: enqueue one chunk loop
+   per extra participant, run one here, wait for the region to quiesce,
+   then re-raise the first exception any participant hit. *)
+let run_region t ~participants ~chunk ~first results f =
+  let r =
+    {
+      n = Array.length results;
+      chunk;
+      next = Atomic.make first;
+      results;
+      f;
+      done_mutex = Mutex.create ();
+      done_cond = Condition.create ();
+      active = participants;
+      error = None;
+    }
+  in
+  Mutex.lock t.mutex;
+  for _ = 2 to participants do
+    Queue.add (fun () -> chunk_loop r) t.queue
+  done;
+  Obs.Ring.record Obs.Ring.Pool_queue_depth (Queue.length t.queue) participants;
+  Condition.broadcast t.work;
+  Mutex.unlock t.mutex;
+  chunk_loop r;
+  Mutex.lock r.done_mutex;
+  while r.active > 0 do
+    Condition.wait r.done_cond r.done_mutex
+  done;
+  let error = r.error in
+  Mutex.unlock r.done_mutex;
+  Option.iter raise error
+
 let map t ~n f =
-  if n < 0 then invalid_arg "Par.Pool.map: negative size";
-  if t.stopping then invalid_arg "Par.Pool.map: pool is shut down";
+  check_args "map" t n;
   if n = 0 then [||]
   else if t.jobs = 1 || n = 1 then Array.init n f
   else begin
-    let first = f 0 in
-    let results = Array.make n first in
+    (* index 0 is computed inline to seed the result array *)
+    let results = Array.make n (f 0) in
     (* hand out several chunks per participant to absorb imbalance without
        paying cursor contention on every index *)
     let participants = min t.jobs n in
     let chunk = max 1 (n / (participants * 4)) in
-    let r =
-      {
-        n;
-        chunk;
-        next = Atomic.make 1 (* index 0 already computed *);
-        results;
-        f;
-        done_mutex = Mutex.create ();
-        done_cond = Condition.create ();
-        active = participants;
-        error = None;
-      }
-    in
-    Mutex.lock t.mutex;
-    for _ = 2 to participants do
-      Queue.add (fun () -> chunk_loop r) t.queue
-    done;
-    Obs.Ring.record Obs.Ring.Pool_queue_depth (Queue.length t.queue) participants;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mutex;
-    chunk_loop r;
-    Mutex.lock r.done_mutex;
-    while r.active > 0 do
-      Condition.wait r.done_cond r.done_mutex
-    done;
-    let error = r.error in
-    Mutex.unlock r.done_mutex;
-    (match error with Some e -> raise e | None -> ());
+    run_region t ~participants ~chunk ~first:1 results f;
     results
   end
-
-let iter t ~n f = ignore (map t ~n (fun i : unit -> f i))
 
 (* Unlike [map], no index is evaluated inline before the region opens:
    [map] computes [f 0] on the caller to seed the result array, which is
@@ -176,44 +184,14 @@ let iter t ~n f = ignore (map t ~n (fun i : unit -> f i))
    region, so all [min jobs n] participants run concurrently from the
    start. Chunk size is pinned to 1: each index is one long-lived task. *)
 let scatter t ~n (f : int -> unit) =
-  if n < 0 then invalid_arg "Par.Pool.scatter: negative size";
-  if t.stopping then invalid_arg "Par.Pool.scatter: pool is shut down";
-  if n = 0 then ()
-  else if t.jobs = 1 || n = 1 then
+  check_args "scatter" t n;
+  if t.jobs = 1 || n <= 1 then
     for i = 0 to n - 1 do
       f i
     done
-  else begin
-    let participants = min t.jobs n in
-    let r =
-      {
-        n;
-        chunk = 1;
-        next = Atomic.make 0;
-        results = Array.make n ();
-        f;
-        done_mutex = Mutex.create ();
-        done_cond = Condition.create ();
-        active = participants;
-        error = None;
-      }
-    in
-    Mutex.lock t.mutex;
-    for _ = 2 to participants do
-      Queue.add (fun () -> chunk_loop r) t.queue
-    done;
-    Obs.Ring.record Obs.Ring.Pool_queue_depth (Queue.length t.queue) participants;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mutex;
-    chunk_loop r;
-    Mutex.lock r.done_mutex;
-    while r.active > 0 do
-      Condition.wait r.done_cond r.done_mutex
-    done;
-    let error = r.error in
-    Mutex.unlock r.done_mutex;
-    match error with Some e -> raise e | None -> ()
-  end
+  else
+    run_region t ~participants:(min t.jobs n) ~chunk:1 ~first:0
+      (Array.make n ()) f
 
 let env_jobs () =
   match Sys.getenv_opt "BLUNTING_JOBS" with

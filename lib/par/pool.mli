@@ -65,18 +65,16 @@ val domain_ids : t -> int list
     region quiesces); remaining indices may or may not have run. *)
 val map : t -> n:int -> (int -> 'a) -> 'a array
 
-(** [iter t ~n f] is [map] without results. *)
-val iter : t -> n:int -> (int -> unit) -> unit
-
 (** [scatter t ~n f] runs [f 0 .. f (n-1)] across the pool with no index
     evaluated before the region opens — unlike [map], which computes
     [f 0] inline on the caller to seed its result array. Use it when the
     indices are long-running cooperative loops (the solver's per-worker
-    steal loops) rather than small data-parallel items: under [map], the
-    first loop would run to completion before any worker started. Each
-    index is handed out exactly once; [min (jobs t) n] participants run
-    concurrently (the caller included), and a participant finishing one
-    index may pick up another. Exceptions propagate as in [map]. *)
+    loops over its shared frontier cursor) rather than small
+    data-parallel items: under [map], the first loop would run to
+    completion before any worker started. Each index is handed out
+    exactly once; [min (jobs t) n] participants run concurrently (the
+    caller included), and a participant finishing one index may pick up
+    another. Exceptions propagate as in [map]. *)
 val scatter : t -> n:int -> (int -> unit) -> unit
 
 (** The concurrency used when a [--jobs] flag or explicit argument does

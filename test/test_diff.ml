@@ -356,7 +356,7 @@ let test_committed_baselines () =
     ];
   List.iter
     (fun f ->
-      match Obs.Diff.load_file (Filename.concat dir f) with
+      match Obs.Json.read_file (Filename.concat dir f) with
       | Error e -> Alcotest.failf "%s: %s" f e
       | Ok doc ->
           (match Obs.Results.validate doc with

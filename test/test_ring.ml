@@ -20,14 +20,14 @@ let test_disabled_is_noop () =
   Obs.Ring.reset ();
   Obs.Ring.set_enabled false;
   Obs.Ring.record Obs.Ring.Sim_step 1 0;
-  Obs.Ring.record Obs.Ring.Steal 42 1;
+  Obs.Ring.record Obs.Ring.Store_spill 42 1;
   let d = Obs.Ring.dump () in
   Alcotest.(check int) "nothing recorded" 0 (List.length d.Obs.Ring.domains);
   Alcotest.(check bool) "flag reads false" false (Obs.Ring.enabled ())
 
 let test_record_dump_accounting () =
   with_tracing @@ fun () ->
-  Obs.Ring.record Obs.Ring.Steal 11 1;
+  Obs.Ring.record Obs.Ring.Pool_queue_depth 11 1;
   Obs.Ring.record Obs.Ring.Store_spill 11 2;
   Obs.Ring.record Obs.Ring.Adv_decision 4 2;
   Obs.Ring.set_enabled false;
@@ -39,7 +39,7 @@ let test_record_dump_accounting () =
       Alcotest.(check int) "dropped" 0 dd.dropped;
       Alcotest.(check (list string))
         "tags in record order"
-        [ "steal"; "store_spill"; "adv_decision" ]
+        [ "pool_queue_depth"; "store_spill"; "adv_decision" ]
         (List.map (fun (e : Obs.Ring.event) -> Obs.Ring.tag_name e.tag) dd.events);
       Alcotest.(check (list int))
         "payload a preserved" [ 11; 11; 4 ]
@@ -104,7 +104,7 @@ let test_wrap_drops_oldest () =
 
 let test_json_round_trip () =
   with_tracing @@ fun () ->
-  Obs.Ring.record Obs.Ring.Steal 7 1;
+  Obs.Ring.record Obs.Ring.Store_spill 7 1;
   Obs.Ring.record Obs.Ring.Pool_queue_depth 3 2;
   Obs.Ring.set_enabled false;
   let d = Obs.Ring.dump () in
@@ -121,7 +121,7 @@ let test_json_round_trip () =
 let test_chrome_round_trip_two_domains () =
   with_tracing @@ fun () ->
   Obs.Ring.record Obs.Ring.Pool_task_start 0 10;
-  Obs.Ring.record Obs.Ring.Steal 42 1;
+  Obs.Ring.record Obs.Ring.Pool_queue_depth 42 1;
   Obs.Ring.record Obs.Ring.Store_spill 42 2;
   Obs.Ring.record Obs.Ring.Pool_task_stop 0 10;
   let other =
@@ -174,8 +174,8 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   go 0
 
-(* The analyzer over a hand-built dump: a busy domain that steals and
-   spills, an idle domain with one decision event, known busy/idle
+(* The analyzer over a hand-built dump: a busy domain that samples the
+   queue and spills, an idle domain with one decision event, known busy/idle
    windows. *)
 let test_analyze_synthetic_dump () =
   let ev tag a b ts_us = { Obs.Ring.tag; a; b; ts_us } in
@@ -187,7 +187,7 @@ let test_analyze_synthetic_dump () =
       events =
         [
           ev Obs.Ring.Pool_task_start 0 4 0.0;
-          ev Obs.Ring.Steal 1 3 10.0;
+          ev Obs.Ring.Pool_queue_depth 1 3 10.0;
           ev Obs.Ring.Store_spill 40 4096 20.0;
           ev Obs.Ring.Store_spill 20 2048 30.0;
           ev Obs.Ring.Pool_task_stop 0 4 100.0;
@@ -216,7 +216,6 @@ let test_analyze_synthetic_dump () =
        t.domains
    with
   | Some r ->
-      Alcotest.(check int) "d0 steals" 1 r.steals;
       Alcotest.(check int) "d0 spill runs" 2 r.spills;
       Alcotest.(check int) "d0 spill bytes" 6144 r.spill_bytes;
       Alcotest.(check (float 1e-9)) "d0 busy time" 100.0 r.busy_us;
@@ -231,6 +230,8 @@ let test_analyze_synthetic_dump () =
       Alcotest.(check (float 1e-9)) "d1 idle time" 50.0 r.idle_us;
       Alcotest.(check (float 1e-9)) "d1 never busy" 0.0 r.busy_us
   | None -> Alcotest.fail "domain 1 missing from report");
+  Alcotest.(check (list (pair int int)))
+    "one depth-1 queue sample" [ (1, 1) ] t.queue_depths;
   (match t.decisions with
   | Some (s : Obs.Trace_analysis.decision_summary) ->
       Alcotest.(check int) "one decision" 1 s.decisions;
@@ -243,8 +244,8 @@ let test_analyze_synthetic_dump () =
   let rendered = Fmt.str "%a" Obs.Trace_analysis.pp t in
   Alcotest.(check bool) "report sums the spill runs" true
     (contains ~affix:"2 spill runs (6144 B)" rendered);
-  Alcotest.(check bool) "report counts the steal" true
-    (contains ~affix:"work stealing: 1 steal" rendered);
+  Alcotest.(check bool) "report counts the queue sample" true
+    (contains ~affix:"depth  1: 1 sample" rendered);
   match Obs.Trace_analysis.to_json t with
   | Obs.Json.Obj _ -> ()
   | _ -> Alcotest.fail "to_json is not an object"
@@ -269,7 +270,7 @@ let test_analyze_empty_dump () =
 let test_analyze_disabled_tracing () =
   Obs.Ring.reset ();
   Obs.Ring.set_enabled false;
-  Obs.Ring.record Obs.Ring.Steal 1 1;
+  Obs.Ring.record Obs.Ring.Store_spill 1 1;
   let d = Obs.Ring.dump () in
   Alcotest.(check int) "nothing recorded while disabled" 0
     (List.length d.domains);
@@ -288,8 +289,8 @@ let test_analyze_single_domain () =
       events =
         [
           ev Obs.Ring.Pool_task_start 0 2 0.0;
-          ev Obs.Ring.Steal 7 1 5.0;
-          ev Obs.Ring.Steal 7 2 10.0;
+          ev Obs.Ring.Store_spill 7 1 5.0;
+          ev Obs.Ring.Store_spill 7 2 10.0;
           ev Obs.Ring.Pool_task_stop 0 2 20.0;
         ];
     }
@@ -298,17 +299,18 @@ let test_analyze_single_domain () =
   let t = Obs.Trace_analysis.analyze ~buckets:4 dump in
   match t.domains with
   | [ r ] ->
-      Alcotest.(check int) "both steals counted" 2 r.steals;
+      Alcotest.(check int) "both spill runs counted" 2 r.spills;
+      Alcotest.(check int) "spill bytes summed" 3 r.spill_bytes;
       Alcotest.(check (float 1e-9)) "busy time" 20.0 r.busy_us
   | ds -> Alcotest.failf "expected 1 domain report, got %d" (List.length ds)
 
 (* Compatibility both ways: a dump written by a newer ring with an extra
    event tag, or by an older one with a retired tag (wire code 20 held
-   allocation samples), must parse — the unknown event is skipped, not an
-   error. *)
+   allocation samples, code 17 work-stealing steals), must parse — the
+   unknown event is skipped, not an error. *)
 let skips_code code =
   with_tracing @@ fun () ->
-  Obs.Ring.record Obs.Ring.Steal 7 1;
+  Obs.Ring.record Obs.Ring.Store_spill 7 1;
   Obs.Ring.set_enabled false;
   let j = Obs.Ring.to_json (Obs.Ring.dump ()) in
   let unknown = Obs.Json.List [ Obs.Json.Int code; Obs.Json.Int 1; Obs.Json.Int 2; Obs.Json.Float 3.0 ] in
@@ -342,13 +344,13 @@ let skips_code code =
       match d.domains with
       | [ dd ] ->
           Alcotest.(check (list string))
-            "known event kept, unknown skipped" [ "steal" ]
+            "known event kept, unknown skipped" [ "store_spill" ]
             (List.map
                (fun (e : Obs.Ring.event) -> Obs.Ring.tag_name e.tag)
                dd.events)
       | ds -> Alcotest.failf "expected 1 domain, got %d" (List.length ds))
 
-let test_of_json_skips_unknown_tag () = List.iter skips_code [ 99; 20 ]
+let test_of_json_skips_unknown_tag () = List.iter skips_code [ 99; 20; 17 ]
 
 (* ---- a live traced solve --------------------------------------------- *)
 

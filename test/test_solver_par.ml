@@ -1,118 +1,10 @@
-(* The work-stealing solver's soundness battery: the Chase–Lev deque and
-   the sharded claim table uphold their exactly-once contracts under
-   concurrency, value_par is bit-identical to the sequential solve at
+(* The parallel solver's soundness battery: the claim tables uphold
+   their exactly-once contracts under concurrency, value_par is bit-identical to the sequential solve at
    every job count with and without pruning, pruning only ever shrinks
    the explored set while preserving values, and the parallel telemetry
    is fresh (never describes work an intervening solve overwrote). *)
 
 let exact = Alcotest.(check (float 0.0))
-
-(* ---- Par.Deque ------------------------------------------------------- *)
-
-let test_deque_orders () =
-  let q = Par.Deque.create () in
-  Alcotest.(check bool) "fresh deque empty" true (Par.Deque.is_empty q);
-  Alcotest.(check (option int)) "pop on empty" None (Par.Deque.pop q);
-  for i = 1 to 10 do
-    Par.Deque.push q i
-  done;
-  Alcotest.(check int) "length" 10 (Par.Deque.length q);
-  (* owner end is LIFO: freshly pushed (hot) work first *)
-  for i = 10 downto 1 do
-    Alcotest.(check (option int)) "pop is LIFO" (Some i) (Par.Deque.pop q)
-  done;
-  Alcotest.(check (option int)) "drained" None (Par.Deque.pop q);
-  (* thief end is FIFO: the oldest (largest) subtree first *)
-  for i = 1 to 10 do
-    Par.Deque.push q i
-  done;
-  for i = 1 to 10 do
-    match Par.Deque.steal q with
-    | Par.Deque.Stolen x -> Alcotest.(check int) "steal is FIFO" i x
-    | _ -> Alcotest.fail "steal on non-empty deque"
-  done;
-  match Par.Deque.steal q with
-  | Par.Deque.Empty -> ()
-  | _ -> Alcotest.fail "steal on drained deque"
-
-let test_deque_interleaved () =
-  let q = Par.Deque.create () in
-  Par.Deque.push q 1;
-  Par.Deque.push q 2;
-  Alcotest.(check (option int)) "pop newest" (Some 2) (Par.Deque.pop q);
-  Par.Deque.push q 3;
-  Alcotest.(check (option int)) "pop newest again" (Some 3) (Par.Deque.pop q);
-  Alcotest.(check (option int)) "pop oldest" (Some 1) (Par.Deque.pop q);
-  Alcotest.(check (option int)) "empty" None (Par.Deque.pop q)
-
-let test_deque_growth () =
-  let q = Par.Deque.create ~capacity:4 () in
-  let c0 = Par.Deque.capacity q in
-  Alcotest.(check bool) "minimum capacity" true (c0 >= 4);
-  let n = 1_000 in
-  for i = 0 to n - 1 do
-    Par.Deque.push q i
-  done;
-  Alcotest.(check bool)
-    "capacity grew to hold the items" true
-    (Par.Deque.capacity q >= n);
-  Alcotest.(check int) "nothing lost across growth" n (Par.Deque.length q);
-  let seen = Array.make n false in
-  for _ = 1 to n do
-    match Par.Deque.pop q with
-    | Some x -> seen.(x) <- true
-    | None -> Alcotest.fail "premature empty"
-  done;
-  Alcotest.(check bool)
-    "every pushed item came back" true
-    (Array.for_all Fun.id seen)
-
-(* Conservation under concurrent stealing: the owner pushes (and
-   sometimes pops) while three thieves steal; afterwards, every pushed
-   item must have been returned exactly once across all four ends. *)
-let test_deque_steal_stress () =
-  let q = Par.Deque.create () in
-  let n = 20_000 in
-  let finished = Atomic.make false in
-  let stealer () =
-    let rec go acc =
-      match Par.Deque.steal q with
-      | Par.Deque.Stolen x -> go (x :: acc)
-      | Par.Deque.Contended -> go acc
-      | Par.Deque.Empty ->
-          if Atomic.get finished then acc
-          else begin
-            Domain.cpu_relax ();
-            go acc
-          end
-    in
-    go []
-  in
-  let thieves = List.init 3 (fun _ -> Domain.spawn stealer) in
-  let popped = ref [] in
-  for i = 0 to n - 1 do
-    Par.Deque.push q i;
-    if i mod 3 = 0 then
-      match Par.Deque.pop q with
-      | Some x -> popped := x :: !popped
-      | None -> ()
-  done;
-  let rec drain () =
-    match Par.Deque.pop q with
-    | Some x ->
-        popped := x :: !popped;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set finished true;
-  let stolen = List.concat_map Domain.join thieves in
-  let all = List.sort compare (!popped @ stolen) in
-  Alcotest.(check int) "item count conserved" n (List.length all);
-  List.iteri
-    (fun i x ->
-      if i <> x then Alcotest.failf "item %d returned %d times or reordered" i (x - i))
-    all
 
 (* ---- Par.Memo_tbl ---------------------------------------------------- *)
 
@@ -534,7 +426,7 @@ let test_par_stats_freshness () =
     "reset clears telemetry" true
     (Atomic_s.last_par_stats () = None)
 
-(* steal/claim counters are schedule-dependent, but their invariants are
+(* claim counters are schedule-dependent, but their invariants are
    not: non-negative, and claim hits equal the summed domain hits *)
 let test_par_stats_counters () =
   Atomic_s.reset ();
@@ -542,7 +434,6 @@ let test_par_stats_counters () =
   (match Atomic_s.last_par_stats () with
   | None -> Alcotest.fail "no telemetry"
   | Some p ->
-      Alcotest.(check bool) "steals >= 0" true (p.steals >= 0);
       Alcotest.(check bool) "claim_misses >= 0" true (p.claim_misses >= 0);
       Alcotest.(check int) "no cuts without ~prune" 0 p.pruned_subtrees;
       let summed_hits =
@@ -554,14 +445,111 @@ let test_par_stats_counters () =
         p.claim_hits);
   Atomic_s.reset ()
 
+(* ---- a worker failing inside a parallel region ---------------------- *)
+
+(* Sixteen frontier leaves two plies below the root (enough paths that
+   [value_par ~jobs:2] stops deepening there and opens a region), each of
+   which can either stop at [End n] or go on to the one [Shared] state
+   every leaf reaches. [Shared] leads to [Bad]. While [armed], the first
+   [apply] on [Bad] waits until a second worker is helping it (or a few
+   seconds pass), then raises [Boom]; the helper's own [apply] on [Bad]
+   succeeds, so it ends up waiting on the dead owner's claim and must
+   leave through the abort flag. *)
+module Failing = struct
+  type state = Root | Mid of int | Leaf of int | End of int | Shared | Bad | Done
+  type move = Pick of int | Go | Stop
+
+  type transition = Det of state | Chance of (float * state) list
+
+  exception Boom
+
+  let armed = Atomic.make false
+  let fired = Atomic.make false
+  let helped = Atomic.make false
+
+  let moves = function
+    | Root | Mid _ -> List.init 4 (fun i -> Pick i)
+    | Leaf _ -> [ Go; Stop ]
+    | Shared | Bad -> [ Go ]
+    | End _ | Done -> []
+
+  let apply s m =
+    match (s, m) with
+    | Root, Pick i -> Det (Mid i)
+    | Mid i, Pick j -> Det (Leaf ((4 * i) + j))
+    | Leaf _, Go -> Det Shared
+    | Leaf n, Stop -> Det (End n)
+    | Shared, Go -> Det Bad
+    | Bad, Go ->
+        if Atomic.get armed && Atomic.compare_and_set fired false true then begin
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while (not (Atomic.get helped)) && Unix.gettimeofday () < deadline do
+            Domain.cpu_relax ()
+          done;
+          raise Boom
+        end
+        else begin
+          if Atomic.get armed then Atomic.set helped true;
+          Det Done
+        end
+    | _ -> invalid_arg "Failing.apply"
+
+  let terminal_value = function
+    | End n -> float_of_int n /. 32.0
+    | Done -> 0.75
+    | _ -> 0.0
+
+  let encode = function
+    | Root -> "r"
+    | Mid i -> "m" ^ string_of_int i
+    | Leaf n -> "l" ^ string_of_int n
+    | End n -> "e" ^ string_of_int n
+    | Shared -> "s"
+    | Bad -> "b"
+    | Done -> "d"
+
+  let encode_into s b = Mdp.Key.raw b (encode s)
+  let pp_move ppf _ = Fmt.string ppf "move"
+end
+
+module Failing_s = Mdp.Solver.Make (Failing)
+
+let test_worker_failure () =
+  Failing_s.reset ();
+  let seq = Failing_s.value Failing.Root in
+  let seq_states = Failing_s.explored () in
+  exact "sequential value" 0.75 seq;
+  Failing_s.reset ();
+  Atomic.set Failing.fired false;
+  Atomic.set Failing.helped false;
+  Atomic.set Failing.armed true;
+  let raised =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set Failing.armed false)
+      (fun () ->
+        match Failing_s.value_par ~jobs:2 Failing.Root with
+        | _ -> None
+        | exception e -> Some e)
+  in
+  Alcotest.(check bool) "the worker's exception is re-raised" true
+    (raised = Some Failing.Boom);
+  Alcotest.(check bool) "a second worker was helping the failed state" true
+    (Atomic.get Failing.helped);
+  Alcotest.(check int) "every worker domain joined" 0
+    (Par.Pool.spawned_domains ());
+  Alcotest.(check bool) "no telemetry from the failed solve" true
+    (Failing_s.last_par_stats () = None);
+  Failing_s.reset ();
+  exact "value_par after reset" seq (Failing_s.value_par ~jobs:2 Failing.Root);
+  (match Failing_s.last_par_stats () with
+  | Some p ->
+      Alcotest.(check int) "distinct keys = sequential states" seq_states
+        p.distinct_keys
+  | None -> Alcotest.fail "the re-solve opened no parallel region");
+  Failing_s.reset ()
+
 let tests =
   [
-    Alcotest.test_case "deque: LIFO pop, FIFO steal" `Quick test_deque_orders;
-    Alcotest.test_case "deque: interleaved push/pop" `Quick
-      test_deque_interleaved;
-    Alcotest.test_case "deque: growth conserves items" `Quick test_deque_growth;
-    Alcotest.test_case "deque: concurrent steal conservation" `Quick
-      test_deque_steal_stress;
     Alcotest.test_case "memo_tbl: claim protocol" `Quick test_memo_claim_protocol;
     Alcotest.test_case "memo_tbl: ordinals stable across growth" `Quick
       test_memo_growth;
@@ -593,4 +581,6 @@ let tests =
       test_par_stats_freshness;
     Alcotest.test_case "par telemetry counter invariants" `Quick
       test_par_stats_counters;
+    Alcotest.test_case "worker failure in a region re-raises and recovers"
+      `Quick test_worker_failure;
   ]
