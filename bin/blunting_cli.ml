@@ -122,10 +122,11 @@ let solve_cmd =
       value & flag
       & info [ "prune" ]
           ~doc:
-            "Enable Theorem 4.2 interval branch-and-bound pruning on the ABD \
-             solve: subtrees that provably cannot change a max or expectation \
-             node's value are cut. The reported probability is bit-identical; \
-             only the explored state count shrinks.")
+            "Cut subtrees against the a-priori upper bound 1 on every game \
+             value: a max node stops once a child reaches 1, and a chance \
+             node stops once its remaining branches could not lift the sum \
+             even if each were worth 1. The reported probability is \
+             bit-identical; only the explored state count shrinks.")
   in
   let trace_out_arg =
     Arg.(
@@ -133,9 +134,10 @@ let solve_cmd =
       & opt (some string) None
       & info [ "trace-out" ] ~docv:"PATH"
           ~doc:
-            "Record per-domain ring-buffer events (solver memo probes, pool \
-             task/idle slices, GC) during the solve and write the dump to \
-             $(docv); analyze it with $(b,blunting trace analyze).")
+            "Record per-domain ring-buffer events (pool task/idle slices, \
+             domain lifetimes, GC cycles, store spills) during the solve and \
+             write the dump to $(docv); analyze it with \
+             $(b,blunting trace analyze).")
   in
   let run () k atomic servers abd_c prune progress trace_out jobs memo_budget
       =
@@ -689,10 +691,11 @@ let fuzz_cmd =
             exit (if Fuzz.Engine.has_failures summary then 1 else 0))
   in
   let doc =
-    "Fuzz the simulator against its four oracles: per-object \
+    "Fuzz the simulator against its five oracles: per-object \
      linearizability of every generated history, lockstep conformance with \
      the weakener game model, ABD-vs-ABD$(b,^k) outcome-distribution \
-     compatibility (Theorem 4.1) and seq-vs-par identity. Failures are \
+     compatibility (Theorem 4.1), seq-vs-par identity and pruning \
+     soundness on random layered games. Failures are \
      shrunk to a minimal schedule prefix and written as replayable corpus \
      files. Exits 1 if any oracle failed."
   in

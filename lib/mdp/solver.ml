@@ -147,11 +147,14 @@ let hi = 1.0
    its token. [get] reads a resolved value by key, for a caller waiting
    on another owner's claim. The backends:
    - the unlocked {!Par.Memo_tbl}, for sequential solves in RAM: a flat
-     table whose values are unboxed floats, so a hit allocates only its
-     [`Value v] result (5 words; [G.apply] allocates ~80 per call). The
-     token is the binding's ordinal, which [resolve] writes in place (no
-     second lookup). One participant claims here, so every live claim
-     is its own;
+     table whose values sit unboxed in an 8-byte arena cell in front of
+     their key, so a hit allocates only its [`Value v] result (5 words;
+     [G.apply] allocates ~80 per call). A binding costs 24 bytes of
+     arrays per slot of capacity (index and location words) plus that
+     cell, where per-ordinal hash, value and owner arrays made it 48.
+     The token is the binding's ordinal, which [resolve] writes in place
+     (no second lookup). One participant claims here, so every live
+     claim is its own;
    - {!Par.Sharded_tbl}, the same table sharded behind mutexes, shared
      by the workers of a parallel solve; its token is also an ordinal;
    - {!Store.Memo}, the spillable store a memo budget arms, sequential

@@ -1,49 +1,60 @@
 (* A flat claim table. A chained table like [Slice_tbl] keeps one heap
    record per binding (plus a list cell, an owned key string and a boxed
    value), so every probe chases three pointers and every major GC scans
-   ~10 words per state. Here a binding
-   is an ordinal into four dense arrays, the index is a bare [int array]
-   probed linearly, and keys sit back to back in an append-only arena:
-   the only pointers the GC sees are the arrays and the arena chunks.
-   An arena offset is [chunk lsl 20 lor position]: chunks hold at most
-   1 MiB.
+   ~10 words per state. Here a binding costs one index slot, one word of
+   the per-ordinal [locs] array and a record in an append-only arena of
+   byte chunks: an 8-byte cell followed by the key. The only pointers
+   the GC sees are the two arrays and the arena chunks.
 
-   Claim state lives in [owners] (the claimant, or -1 once resolved), not
-   in the value: no float is reserved as a "claimed" sentinel. *)
+   - An index slot is [hash32 lsl 31 lor (ordinal + 1)] (0 = empty), with
+     [hash32] the low 32 bits of the key's hash. A probe rejects a
+     foreign slot on those bits without touching its binding, and growth
+     rehashes from the index alone.
+   - A [locs] word is [offset lsl 17 lor length lsl 1 lor resolved]:
+     the arena offset of the record ([chunk lsl 20 lor position]; chunks
+     hold at most 1 MiB), the key length, and whether the binding is
+     resolved.
+   - The cell holds the claimant while the binding is claimed and
+     [Int64.bits_of_float v] once it is resolved. Claim state is the
+     resolved bit, not the value: no float is reserved as a "claimed"
+     sentinel. *)
 
 let chunk_bits = 20
 let chunk_bytes = 1 lsl chunk_bits
 let pos_mask = chunk_bytes - 1
 let max_key_length = (1 lsl 16) - 1
+let cell_bytes = 8
+let ord_bits = 31
+let ord_mask = (1 lsl ord_bits) - 1  (* ordinal + 1 is at most this *)
+let hash_mask = (1 lsl 32) - 1
+let max_slots = 1 lsl 32  (* hash32 picks the slot: no more to pick *)
 
 type t = {
-  mutable index : int array;  (* 0 = empty, else ordinal + 1 *)
+  mutable index : int array;  (* 0 = empty, else hash32 lsl 31 lor ord + 1 *)
   mutable mask : int;  (* Array.length index - 1; a power of two *)
-  mutable hashes : int array;  (* per ordinal, as are the next three *)
-  mutable locs : int array;  (* arena offset lsl 16 lor key length *)
-  mutable values : float array;
-  mutable owners : int array;  (* claimant, or -1 once resolved *)
+  mutable locs : int array;  (* per ordinal: offset, key length, resolved *)
   mutable count : int;
   mutable resolved : int;
   mutable chunks : Bytes.t array;  (* the arena; [nchunks] allocated *)
   mutable nchunks : int;
-  mutable fill : int;  (* arena offset of the next key *)
+  mutable fill : int;  (* arena offset of the next record *)
   mutable fresh : bool;  (* did the last find_or_claim claim? *)
 }
 
 let rec pow2_at_least c n = if c >= n then c else pow2_at_least (c * 2) n
 
-(* The index has twice as many slots as the per-ordinal arrays have
-   room for, and both double together when those fill: load <= 1/2. *)
+(* The index has twice as many slots as [locs] has room for, and both
+   double together when [locs] fills: load <= 1/2. *)
 let create ?(size = 512) () =
+  if size > max_slots / 2 then
+    invalid_arg
+      (Printf.sprintf "Par.Memo_tbl.create: size %d (index at most 2^32 slots)"
+         size);
   let cap = pow2_at_least 16 size in
   {
     index = Array.make (2 * cap) 0;
     mask = (2 * cap) - 1;
-    hashes = Array.make cap 0;
     locs = Array.make cap 0;
-    values = Array.make cap 0.0;
-    owners = Array.make cap 0;
     count = 0;
     resolved = 0;
     chunks = [||];
@@ -96,10 +107,11 @@ let hash_slice data len =
 
 (* ---- the arena -------------------------------------------------------- *)
 
-let[@inline] loc_len loc = loc land max_key_length
+let[@inline] loc_len loc = (loc lsr 1) land max_key_length
+let[@inline] loc_resolved loc = loc land 1 = 1
 let[@inline] loc_chunk t loc =
-  Array.unsafe_get t.chunks (loc lsr (16 + chunk_bits))
-let[@inline] loc_pos loc = (loc lsr 16) land pos_mask
+  Array.unsafe_get t.chunks (loc lsr (17 + chunk_bits))
+let[@inline] loc_cell loc = (loc lsr 17) land pos_mask
 
 (* Word-wise equality of a stored key with a slice of the same length;
    the [int64] annotations keep the loads unboxed. *)
@@ -116,11 +128,12 @@ and bytes_eq chunk pos data len i =
 
 let[@inline] matches t ord data len =
   let loc = Array.unsafe_get t.locs ord in
-  loc_len loc = len && words_eq (loc_chunk t loc) (loc_pos loc) data len 0
+  loc_len loc = len
+  && words_eq (loc_chunk t loc) (loc_cell loc + cell_bytes) data len 0
 
 (* Chunks double from 4 KiB up to 1 MiB, so a small table (a shard of
    [Sharded_tbl], a test game's memo) does not pin a megabyte. A chunk
-   is at least as long as the key that opens it. *)
+   is at least as long as the record that opens it. *)
 let chunk_size c = if c >= 8 then chunk_bytes else 4096 lsl c
 
 let add_chunk t size =
@@ -133,75 +146,78 @@ let add_chunk t size =
   t.chunks.(c) <- Bytes.create size;
   t.nchunks <- c + 1
 
-(* The arena offset for a [len]-byte key, from chunk [c] at [pos] on. A
-   key that does not fit the rest of a chunk starts the next one, so no
-   key straddles two, and chunks are only appended: no stored key ever
-   moves. (After [clear], kept chunks are refilled the same way.) *)
-let rec place t c pos len =
+(* The arena offset for an [n]-byte record, from chunk [c] at [pos] on.
+   A record that does not fit the rest of a chunk starts the next one,
+   so none straddles two, and chunks are only appended: no stored key
+   ever moves. (After [clear], kept chunks are refilled the same way.) *)
+let rec place t c pos n =
   if c = t.nchunks then begin
-    add_chunk t (max len (chunk_size c));
+    add_chunk t (max n (chunk_size c));
     c lsl chunk_bits
   end
-  else if pos + len <= Bytes.length t.chunks.(c) then (c lsl chunk_bits) lor pos
-  else place t (c + 1) 0 len
+  else if pos + n <= Bytes.length t.chunks.(c) then (c lsl chunk_bits) lor pos
+  else place t (c + 1) 0 n
 
-let store_key t data len =
-  let off = place t (t.fill lsr chunk_bits) (t.fill land pos_mask) len in
-  Bytes.blit data 0 t.chunks.(off lsr chunk_bits) (off land pos_mask) len;
-  t.fill <- off + len;
-  (off lsl 16) lor len
+(* Appends the record (cell = [owner], then the key) and returns its
+   [locs] word, unresolved. *)
+let store_record t data len owner =
+  let n = cell_bytes + len in
+  let off = place t (t.fill lsr chunk_bits) (t.fill land pos_mask) n in
+  let chunk = t.chunks.(off lsr chunk_bits) and pos = off land pos_mask in
+  Bytes.set_int64_le chunk pos (Int64.of_int owner);
+  Bytes.blit data 0 chunk (pos + cell_bytes) len;
+  t.fill <- off + n;
+  (off lsl 17) lor (len lsl 1)
 
 (* ---- growth ----------------------------------------------------------- *)
 
-let extend a cap zero =
-  let b = Array.make cap zero in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
 let grow t =
-  let cap = 2 * Array.length t.hashes in
-  t.hashes <- extend t.hashes cap 0;
-  t.locs <- extend t.locs cap 0;
-  t.values <- extend t.values cap 0.0;
-  t.owners <- extend t.owners cap 0;
+  let cap = 2 * Array.length t.locs in
+  let locs = Array.make cap 0 in
+  Array.blit t.locs 0 locs 0 t.count;
+  t.locs <- locs;
   let mask = (2 * cap) - 1 in
   let index = Array.make (2 * cap) 0 in
-  for ord = 0 to t.count - 1 do
-    let i = ref (t.hashes.(ord) land mask) in
-    while index.(!i) <> 0 do
-      i := (!i + 1) land mask
-    done;
-    index.(!i) <- ord + 1
+  let old = t.index in
+  for j = 0 to Array.length old - 1 do
+    let s = old.(j) in
+    if s <> 0 then begin
+      let i = ref ((s lsr ord_bits) land mask) in
+      while index.(!i) <> 0 do
+        i := (!i + 1) land mask
+      done;
+      index.(!i) <- s
+    end
   done;
   t.index <- index;
   t.mask <- mask
 
 (* ---- probes ----------------------------------------------------------- *)
 
-let claim t i hash data len owner =
+let claim t i tag data len owner =
   if owner < 0 then invalid_arg "Par.Memo_tbl.find_or_claim: negative owner";
   let ord = t.count in
-  t.hashes.(ord) <- hash;
-  t.locs.(ord) <- store_key t data len;
-  t.owners.(ord) <- owner;
-  t.index.(i) <- ord + 1;
+  if ord >= ord_mask then
+    invalid_arg "Par.Memo_tbl.find_or_claim: table full (2^31 - 1 bindings)";
+  t.locs.(ord) <- store_record t data len owner;
+  t.index.(i) <- (tag lsl ord_bits) lor (ord + 1);
   t.count <- ord + 1;
   t.fresh <- true;
-  if t.count = Array.length t.hashes then grow t;
+  if t.count = Array.length t.locs then grow t;
   ord
 
 (* Slot walks as top-level fully-applied recursions: an inner closure
-   would allocate on every probe. *)
-let rec claim_walk t hash data len owner i =
+   would allocate on every probe. [tag] is the key's hash32. *)
+let rec claim_walk t tag data len owner i =
   let s = Array.unsafe_get t.index i in
-  if s = 0 then claim t i hash data len owner
+  if s = 0 then claim t i tag data len owner
   else
-    let ord = s - 1 in
-    if Array.unsafe_get t.hashes ord = hash && matches t ord data len then begin
+    let ord = (s land ord_mask) - 1 in
+    if s lsr ord_bits = tag && matches t ord data len then begin
       t.fresh <- false;
       ord
     end
-    else claim_walk t hash data len owner ((i + 1) land t.mask)
+    else claim_walk t tag data len owner ((i + 1) land t.mask)
 
 let check_len len =
   if len > max_key_length then
@@ -211,22 +227,25 @@ let check_len len =
 
 let find_or_claim_hashed t ~hash data ~len ~owner =
   check_len len;
-  claim_walk t hash data len owner (hash land t.mask)
+  let tag = hash land hash_mask in
+  claim_walk t tag data len owner (tag land t.mask)
 
 let find_or_claim t data ~len ~owner =
   find_or_claim_hashed t ~hash:(hash_slice data len) data ~len ~owner
 
-let rec find_walk t hash data len i =
+let rec find_walk t tag data len i =
   let s = Array.unsafe_get t.index i in
   if s = 0 then -1
   else
-    let ord = s - 1 in
-    if Array.unsafe_get t.hashes ord = hash && matches t ord data len then ord
-    else find_walk t hash data len ((i + 1) land t.mask)
+    let ord = (s land ord_mask) - 1 in
+    if s lsr ord_bits = tag && matches t ord data len then ord
+    else find_walk t tag data len ((i + 1) land t.mask)
 
 let find_hashed t ~hash data ~len =
   if len > max_key_length then -1
-  else find_walk t hash data len (hash land t.mask)
+  else
+    let tag = hash land hash_mask in
+    find_walk t tag data len (tag land t.mask)
 
 let find t data ~len = find_hashed t ~hash:(hash_slice data len) data ~len
 
@@ -236,28 +255,32 @@ let[@inline] check_ord t ord fn =
   if ord < 0 || ord >= t.count then
     invalid_arg (Printf.sprintf "Par.Memo_tbl.%s: no binding %d" fn ord)
 
+let[@inline] cell t loc = Bytes.get_int64_le (loc_chunk t loc) (loc_cell loc)
+
 let owner t ord =
   check_ord t ord "owner";
-  Array.unsafe_get t.owners ord
+  let loc = Array.unsafe_get t.locs ord in
+  if loc_resolved loc then -1 else Int64.to_int (cell t loc)
 
 let value t ord =
   check_ord t ord "value";
-  Array.unsafe_get t.values ord
+  Int64.float_of_bits (cell t (Array.unsafe_get t.locs ord))
 
 let resolve t ord v =
   check_ord t ord "resolve";
-  if t.owners.(ord) < 0 then
+  let loc = t.locs.(ord) in
+  if loc_resolved loc then
     invalid_arg "Par.Memo_tbl.resolve: binding already resolved";
-  t.values.(ord) <- v;
-  t.owners.(ord) <- -1;
+  Bytes.set_int64_le (loc_chunk t loc) (loc_cell loc) (Int64.bits_of_float v);
+  t.locs.(ord) <- loc lor 1;
   t.resolved <- t.resolved + 1
 
 let key t ord =
   check_ord t ord "key";
   let loc = t.locs.(ord) in
-  Bytes.sub_string (loc_chunk t loc) (loc_pos loc) (loc_len loc)
+  Bytes.sub_string (loc_chunk t loc) (loc_cell loc + cell_bytes) (loc_len loc)
 
 let iter_resolved t f =
   for ord = 0 to t.count - 1 do
-    if t.owners.(ord) < 0 then f (key t ord) t.values.(ord)
+    if loc_resolved t.locs.(ord) then f (key t ord) (value t ord)
   done

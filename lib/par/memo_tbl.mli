@@ -3,13 +3,19 @@
     The solver's RAM memo: every state probe of a sequential in-RAM solve
     lands here, and the shards of {!Sharded_tbl} are instances of it. A
     probe hashes a [(bytes, length)] slice in place, 8 bytes per step,
-    and walks a linear-probing [int array] index comparing hashes, then
-    key bytes. Bindings live in dense per-ordinal arrays (hash, arena
-    location, unboxed [float] value, owner), so a resolved value is never
-    boxed and the GC has no per-binding block to scan. A key is copied
-    once, on a fresh claim, into an append-only arena of chunks (4 KiB,
-    doubling to 1 MiB; a key never straddles two); a probe of a present
-    key allocates nothing.
+    and walks a linear-probing [int array] index whose slots carry 32
+    hash bits beside the ordinal, so a foreign slot is rejected without
+    touching its binding and growth rehashes from the index alone. A key
+    is copied once, on a fresh claim, into an append-only arena of chunks
+    (4 KiB, doubling to 1 MiB; a record never straddles two), behind an
+    8-byte cell that holds the claimant and then the value's bits. A
+    probe of a present key allocates nothing, a resolved value is never
+    boxed, and the GC has no per-binding block to scan.
+
+    Cost per binding slot of capacity: two index words (load <= 1/2) and
+    one location word (arena offset, key length, resolved bit), 24 bytes
+    of arrays, where per-ordinal hash, location, value and owner arrays
+    cost 48; per binding, the arena holds the key plus its 8-byte cell.
 
     A binding is identified by its {e ordinal}: [0, 1, 2, ...] in claim
     order. Ordinals are the claim tokens — they stay valid while the
@@ -21,7 +27,9 @@
 type t
 
 (** [create ?size ()] makes an empty table with room for about [size]
-    (default 512) bindings before the index first grows. *)
+    (default 512) bindings before the index first grows. Raises
+    [Invalid_argument] if the index would exceed 2{^32} slots
+    ([size > 2{^31}]). *)
 val create : ?size:int -> unit -> t
 
 (** [max_key_length] is the longest key accepted (65,535 bytes). *)
@@ -32,7 +40,8 @@ val max_key_length : int
     one for [owner] (copying the key) and {!last_was_new} becomes
     [true]. The binding's state is then read with {!owner} and {!value}.
     Raises [Invalid_argument] if [len > max_key_length] or, on a fresh
-    claim, if [owner < 0]. *)
+    claim, if [owner < 0] or the table already holds 2{^31} - 1
+    bindings. *)
 val find_or_claim : t -> Bytes.t -> len:int -> owner:int -> int
 
 (** [last_was_new t] is [true] iff the most recent {!find_or_claim}

@@ -65,8 +65,9 @@ let test_memo_growth () =
   done;
   Alcotest.(check string) "early ordinal's key" (key 17) (Par.Memo_tbl.key t 17)
 
-(* Keys that end exactly at a 1 MiB chunk boundary, and keys that would
-   straddle one and so start the next chunk, are stored whole. *)
+(* Records (an 8-byte cell, then the key) that end exactly at a chunk
+   boundary (1016-byte keys), and records that would straddle one and so
+   start the next chunk, are stored whole. *)
 let test_memo_chunk_boundary () =
   let chunk = 1 lsl 20 in
   List.iter
@@ -87,7 +88,7 @@ let test_memo_chunk_boundary () =
         if not (String.equal (Par.Memo_tbl.key t ord) (key i)) then
           Alcotest.failf "len %d: key %d corrupted" len i
       done)
-    [ 1024; 1000; 65_535 ]
+    [ 1016; 1024; 1000; 65_535 ]
 
 let test_memo_key_limit () =
   let t = Par.Memo_tbl.create () in
@@ -97,8 +98,11 @@ let test_memo_key_limit () =
   Alcotest.(check string) "longest key intact" ok (Par.Memo_tbl.key t 0);
   match memo_claim t (ok ^ "x") ~owner:0 with
   | _ -> Alcotest.fail "a 64 KiB key must raise, not be truncated"
-  | exception Invalid_argument _ ->
-      Alcotest.(check int) "nothing claimed" 1 (Par.Memo_tbl.length t)
+  | exception Invalid_argument _ -> (
+      Alcotest.(check int) "nothing claimed" 1 (Par.Memo_tbl.length t);
+      match Par.Memo_tbl.create ~size:((1 lsl 31) + 1) () with
+      | _ -> Alcotest.fail "an index over 2^32 slots must raise"
+      | exception Invalid_argument _ -> ())
 
 let test_memo_clear () =
   let t = Par.Memo_tbl.create ~size:16 () in
@@ -116,6 +120,70 @@ let test_memo_clear () =
   Alcotest.(check int) "claimed, not resolved" 1 (Par.Memo_tbl.owner t ord);
   Par.Memo_tbl.resolve t ord 2.0;
   Alcotest.(check (float 0.0)) "reused value" 2.0 (Par.Memo_tbl.value t ord)
+
+(* A binding costs one index slot, one [locs] word and an 8-byte cell in
+   front of its key: at 100,000 resolved 16-byte keys the whole table
+   (index at load 0.38, arena chunks included) stays under 8.5 words a
+   binding. Four per-ordinal arrays cost 10.5. *)
+let test_memo_footprint () =
+  let t = Par.Memo_tbl.create () in
+  let n = 100_000 in
+  let b = Bytes.make 16 'k' in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le b 0 (Int64.of_int i);
+    let ord = Par.Memo_tbl.find_or_claim t b ~len:16 ~owner:0 in
+    Par.Memo_tbl.resolve t ord 0.5
+  done;
+  let per = float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int n in
+  if per > 8.5 then Alcotest.failf "%.2f words per binding (at most 8.5)" per
+
+(* The claimant lives in the binding's arena cell, which growth does not
+   move: live claims keep their owners while the index doubles twice
+   (16 -> 32 -> 64 bindings of room). *)
+let test_memo_owners_across_growth () =
+  let t = Par.Memo_tbl.create ~size:16 () in
+  let owners = [| 0; 7; 1000 |] in
+  let name i = "claim" ^ string_of_int i in
+  let claimed = Array.mapi (fun i o -> memo_claim t (name i) ~owner:o) owners in
+  for i = 0 to 39 do
+    let ord = memo_claim t ("fill" ^ string_of_int i) ~owner:1 in
+    Par.Memo_tbl.resolve t ord 1.0
+  done;
+  Array.iteri
+    (fun i o ->
+      Alcotest.(check int) "ordinal kept" claimed.(i)
+        (memo_claim t (name i) ~owner:5);
+      Alcotest.(check bool) "still claimed" false (Par.Memo_tbl.last_was_new t);
+      Alcotest.(check int) "owner kept" o (Par.Memo_tbl.owner t claimed.(i)))
+    owners
+
+let test_memo_iter_skips_claims () =
+  let t = Par.Memo_tbl.create ~size:16 () in
+  for i = 0 to 99 do
+    let ord = memo_claim t (string_of_int i) ~owner:i in
+    if i mod 3 <> 0 then Par.Memo_tbl.resolve t ord (float_of_int i)
+  done;
+  let seen = ref [] in
+  Par.Memo_tbl.iter_resolved t (fun k v -> seen := (k, v) :: !seen);
+  let expected =
+    List.filter_map
+      (fun i ->
+        if i mod 3 <> 0 then Some (string_of_int i, float_of_int i) else None)
+      (List.init 100 Fun.id)
+  in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "resolved bindings only, in claim order" expected (List.rev !seen)
+
+(* Values round-trip through their 64 bits, so no float is a sentinel. *)
+let test_memo_value_bits () =
+  let t = Par.Memo_tbl.create () in
+  List.iteri
+    (fun i v ->
+      let ord = memo_claim t (string_of_int i) ~owner:0 in
+      Par.Memo_tbl.resolve t ord v;
+      Alcotest.(check int64) (Printf.sprintf "%h" v) (Int64.bits_of_float v)
+        (Int64.bits_of_float (Par.Memo_tbl.value t ord)))
+    [ -0.0; 1.0 /. 3.0; Float.min_float *. epsilon_float; Float.nan ]
 
 (* ---- Par.Sharded_tbl ------------------------------------------------- *)
 
@@ -558,6 +626,14 @@ let tests =
     Alcotest.test_case "memo_tbl: over-long key raises" `Quick
       test_memo_key_limit;
     Alcotest.test_case "memo_tbl: clear then reuse" `Quick test_memo_clear;
+    Alcotest.test_case "memo_tbl: at most 8.5 words per binding" `Quick
+      test_memo_footprint;
+    Alcotest.test_case "memo_tbl: live owners survive growth" `Quick
+      test_memo_owners_across_growth;
+    Alcotest.test_case "memo_tbl: iter_resolved skips claims" `Quick
+      test_memo_iter_skips_claims;
+    Alcotest.test_case "memo_tbl: values are bit-exact" `Quick
+      test_memo_value_bits;
     Alcotest.test_case "sharded_tbl: claim protocol" `Quick
       test_tbl_claim_protocol;
     Alcotest.test_case "sharded_tbl: double resolve raises" `Quick
