@@ -1020,13 +1020,6 @@ let () =
     Model.Weakener_abd.set_progress hook;
     Model.Weakener_va.set_progress hook
   end;
-  (match options.trace_out with
-  | Some _ -> (
-      Obs.Ring.set_enabled true;
-      match Obs.Ring.start_runtime_events () with
-      | Ok () -> ()
-      | Error e -> Fmt.epr "trace: runtime events unavailable (%s)@." e)
-  | None -> ());
   let sections =
     [
       ("E1", e1_atomic);
@@ -1047,18 +1040,16 @@ let () =
   (* All sections share one pool (installed in [pool]); with_pool joins
      its domains even if a section raises mid-run. *)
   let run_sections () =
-    List.iter (fun (id, f) -> if runs id then f ()) sections
+    let run () = List.iter (fun (id, f) -> if runs id then f ()) sections in
+    if options.jobs > 1 then
+      Par.Pool.with_pool ~jobs:options.jobs (fun p ->
+          pool := Some p;
+          Fun.protect ~finally:(fun () -> pool := None) run)
+    else run ()
   in
-  if options.jobs > 1 then
-    Par.Pool.with_pool ~jobs:options.jobs (fun p ->
-        pool := Some p;
-        Fun.protect ~finally:(fun () -> pool := None) run_sections)
-  else run_sections ();
   (match options.trace_out with
   | Some path ->
-      Obs.Ring.set_enabled false;
-      let d = Obs.Ring.dump () in
-      Obs.Ring.write_file path d;
+      let (), d = Obs.Ring.capture path run_sections in
       let events =
         List.fold_left (fun acc (dd : Obs.Ring.domain_dump) ->
             acc + List.length dd.events)
@@ -1066,7 +1057,7 @@ let () =
       in
       Fmt.pr "@.trace: %d events across %d domain ring(s) -> %s@." events
         (List.length d.domains) path
-  | None -> ());
+  | None -> run_sections ());
   (match options.json_path with
   | Some path -> Report.write_json ~path
   | None -> ());

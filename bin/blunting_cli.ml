@@ -134,67 +134,61 @@ let solve_cmd =
       & opt (some string) None
       & info [ "trace-out" ] ~docv:"PATH"
           ~doc:
-            "Record per-domain ring-buffer events (pool task/idle slices, \
-             domain lifetimes, GC cycles, store spills) during the solve and \
-             write the dump to $(docv); analyze it with \
-             $(b,blunting trace analyze).")
+            "Record the solve's parallel timeline (pool task/idle slices, \
+             domain lifetimes, GC cycles, store spills), with runtime events \
+             on the same clock, and write the dump to $(docv); analyze it \
+             with $(b,blunting trace analyze).")
   in
   let run () k atomic servers abd_c prune progress trace_out jobs memo_budget
       =
     if progress then
       Model.Weakener_abd.set_progress
         (Some (fun p -> Fmt.epr "  [mdp] %a@." Mdp.Solver.pp_progress p));
-    (match trace_out with
-    | Some _ -> (
-        Obs.Ring.set_enabled true;
-        match Obs.Ring.start_runtime_events () with
-        | Ok () -> ()
-        | Error e -> Fmt.epr "trace: runtime events unavailable (%s)@." e)
-    | None -> ());
     let timed f =
       let t0 = Obs.Span.now_us () in
       let v = f () in
       (v, (Obs.Span.now_us () -. t0) /. 1e6)
     in
-    if atomic then begin
-      let v, wall_s =
-        timed (fun () -> Model.Weakener_atomic.bad_probability ?memo_budget ())
-      in
-      Fmt.pr "weakener with atomic registers:@.";
-      Fmt.pr "  adversary-optimal Prob[p2 loops forever] = %.6f@." v;
-      Fmt.pr "  guaranteed termination probability      = %.6f@." (1.0 -. v);
-      Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s)
-        (Model.Weakener_atomic.solver_stats ());
-      pp_store_stats_opt Fmt.stdout (Model.Weakener_atomic.store_stats ())
-    end
-    else begin
-      let v, wall_s =
-        timed (fun () ->
-            Model.Weakener_abd.bad_probability ?memo_budget ~atomic_c:(not abd_c)
-              ~servers ~jobs ~prune ~k ())
-      in
-      let st = Model.Weakener_abd.solver_stats () in
-      Fmt.pr "weakener with ABD^%d registers (%d replicas%s):@." k servers
-        (if abd_c then ", C as ABD too" else "");
-      Fmt.pr "  adversary-optimal Prob[p2 loops forever] = %.6f@." v;
-      Fmt.pr "  guaranteed termination probability      = %.6f@." (1.0 -. v);
-      Fmt.pr "  Theorem 4.2 upper bound on the former   = %.6f@."
-        (Core.Bound.weakener_instance ~k);
-      Fmt.pr "  solver: %a@." Mdp.Solver.pp_stats st;
-      Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s) st;
-      if prune then
-        Fmt.pr "  pruned subtrees: %d@." (Model.Weakener_abd.pruned_subtrees ());
-      pp_store_stats_opt Fmt.stdout (Model.Weakener_abd.store_stats ());
-      match Model.Weakener_abd.last_par_stats () with
-      | Some ps -> Fmt.pr "  %a@." Mdp.Solver.pp_par_stats ps
-      | None -> ()
-    end;
+    let solve () =
+      if atomic then begin
+        let v, wall_s =
+          timed (fun () -> Model.Weakener_atomic.bad_probability ?memo_budget ())
+        in
+        Fmt.pr "weakener with atomic registers:@.";
+        Fmt.pr "  adversary-optimal Prob[p2 loops forever] = %.6f@." v;
+        Fmt.pr "  guaranteed termination probability      = %.6f@." (1.0 -. v);
+        Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s)
+          (Model.Weakener_atomic.solver_stats ());
+        pp_store_stats_opt Fmt.stdout (Model.Weakener_atomic.store_stats ())
+      end
+      else begin
+        let v, wall_s =
+          timed (fun () ->
+              Model.Weakener_abd.bad_probability ?memo_budget ~atomic_c:(not abd_c)
+                ~servers ~jobs ~prune ~k ())
+        in
+        let st = Model.Weakener_abd.solver_stats () in
+        Fmt.pr "weakener with ABD^%d registers (%d replicas%s):@." k servers
+          (if abd_c then ", C as ABD too" else "");
+        Fmt.pr "  adversary-optimal Prob[p2 loops forever] = %.6f@." v;
+        Fmt.pr "  guaranteed termination probability      = %.6f@." (1.0 -. v);
+        Fmt.pr "  Theorem 4.2 upper bound on the former   = %.6f@."
+          (Core.Bound.weakener_instance ~k);
+        Fmt.pr "  solver: %a@." Mdp.Solver.pp_stats st;
+        Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s) st;
+        if prune then
+          Fmt.pr "  pruned subtrees: %d@." (Model.Weakener_abd.pruned_subtrees ());
+        pp_store_stats_opt Fmt.stdout (Model.Weakener_abd.store_stats ());
+        match Model.Weakener_abd.last_par_stats () with
+        | Some ps -> Fmt.pr "  %a@." Mdp.Solver.pp_par_stats ps
+        | None -> ()
+      end
+    in
     match trace_out with
     | Some path ->
-        Obs.Ring.set_enabled false;
-        Obs.Ring.write_file path (Obs.Ring.dump ());
+        ignore (Obs.Ring.capture path solve);
         Fmt.pr "  trace dump -> %s@." path
-    | None -> ()
+    | None -> solve ()
   in
   let doc = "Solve the exact adversary-vs-coin game of the weakener program." in
   Cmd.v (Cmd.info "solve" ~doc)
@@ -492,9 +486,10 @@ let trace_cmd =
     in
     let doc =
       "Analyze a per-domain ring-buffer trace dump: per-domain busy and idle \
-       time, store spills, queue depths, adversary decisions and a \
-       utilization timeline. Memo hit/miss counts are not traced; every \
-       solve prints them exactly."
+       time, store spills, runtime events kept and lost, and a utilization \
+       timeline. Memo hit/miss counts and adversary decisions are not \
+       traced; every solve prints the former exactly, and $(b,fuzz \
+       --replay) attributes the latter."
     in
     Cmd.v (Cmd.info "analyze" ~doc)
       Term.(

@@ -194,60 +194,67 @@ let run ?(jobs = 1) ?corpus_dir ?(planted = false) ?(dist_trials = 400)
 
 (* ---- corpus replay --------------------------------------------------- *)
 
-(* The replay runs with {!Obs.Ring} tracing enabled so the verdict can be
-   attributed: the Ok/Error message names the oracle and its diagnostic,
-   and summarizes what the adversary chose at each decision point of the
-   (shrunk) schedule — enabled-set sizes and the step/deliver/crash split
-   come from the [Adv_decision]/[Sim_*] events the runtime records. *)
+(* Attribution of a replayed schedule: the enabled-set size of every
+   decision and the kind of event chosen, as seen by the replay guide. *)
+let pp_decisions ppf ds =
+  let n = List.length ds in
+  let sizes = List.map fst ds in
+  let count p = List.length (List.filter p ds) in
+  let chosen kind = count (fun (_, e) -> kind e) in
+  let plural n one many = if n = 1 then one else many in
+  let steps = chosen (function Sim.Runtime.Step _ -> true | _ -> false)
+  and delivers = chosen (function Sim.Runtime.Deliver _ -> true | _ -> false)
+  and crashes = chosen (function Sim.Runtime.Crash _ -> true | _ -> false) in
+  Fmt.pf ppf
+    "adversary decisions: %d (%d forced), enabled set %d..%d (mean %.1f); \
+     chosen: %d step%s, %d deliver%s, %d crash%s"
+    n
+    (count (fun (size, _) -> size <= 1))
+    (List.fold_left min max_int sizes)
+    (List.fold_left max 0 sizes)
+    (float_of_int (List.fold_left ( + ) 0 sizes) /. float_of_int n)
+    steps (plural steps "" "s") delivers
+    (plural delivers "y" "ies")
+    crashes
+    (plural crashes "" "es")
+
+(* The Ok/Error message names the oracle and its diagnostic; a [lin]
+   entry, the one schedule replay, also summarizes what the adversary
+   chose at each decision point of the (shrunk) schedule. *)
 let replay_entry (e : Corpus.t) =
-  Obs.Ring.reset ();
-  Obs.Ring.set_enabled true;
+  let decisions = ref [] in
+  let observe evs chosen = decisions := (List.length evs, chosen) :: !decisions in
   let failure_detail =
-    Fun.protect
-      ~finally:(fun () -> Obs.Ring.set_enabled false)
-      (fun () ->
-        match (e.oracle, e.case) with
-        | "lin", Some case -> (
-            match
-              Oracle.lin_check case
-                (Oracle.replay ~seed:e.seed ~iter:e.iter case e.schedule)
-            with
-            | Ok () -> None
-            | Error detail -> Some detail)
-        | "model", _ ->
-            Option.map
-              (fun (f : Oracle.failure) -> f.detail)
-              (Oracle.model_lockstep ~seed:e.seed ~iter:e.iter)
-        | "dist", _ ->
-            Option.map
-              (fun (f : Oracle.failure) -> f.detail)
-              (Oracle.dist ~seed:e.seed ~trials:400 ~k:2 ())
-        | "par", _ ->
-            Option.map
-              (fun (f : Oracle.failure) -> f.detail)
-              (Oracle.par_identity ~seed:e.seed ~trials:200 ())
-        | "prune", _ ->
-            Option.map
-              (fun (f : Oracle.failure) -> f.detail)
-              (Oracle.prune_vs_exact ~seed:e.seed ())
-        | oracle, _ ->
-            Fmt.failwith "corpus entry with unknown oracle %S" oracle)
+    match (e.oracle, e.case) with
+    | "lin", Some case -> (
+        match
+          Oracle.lin_check case
+            (Oracle.replay ~observe ~seed:e.seed ~iter:e.iter case e.schedule)
+        with
+        | Ok () -> None
+        | Error detail -> Some detail)
+    | "model", _ ->
+        Option.map
+          (fun (f : Oracle.failure) -> f.detail)
+          (Oracle.model_lockstep ~seed:e.seed ~iter:e.iter)
+    | "dist", _ ->
+        Option.map
+          (fun (f : Oracle.failure) -> f.detail)
+          (Oracle.dist ~seed:e.seed ~trials:400 ~k:2 ())
+    | "par", _ ->
+        Option.map
+          (fun (f : Oracle.failure) -> f.detail)
+          (Oracle.par_identity ~seed:e.seed ~trials:200 ())
+    | "prune", _ ->
+        Option.map
+          (fun (f : Oracle.failure) -> f.detail)
+          (Oracle.prune_vs_exact ~seed:e.seed ())
+    | oracle, _ -> Fmt.failwith "corpus entry with unknown oracle %S" oracle
   in
   let attribution =
-    let t = Obs.Trace_analysis.analyze (Obs.Ring.dump ()) in
-    match t.decisions with
-    | Some (s : Obs.Trace_analysis.decision_summary) when s.decisions > 0 ->
-        Fmt.str
-          "\n  adversary decisions: %d (%d forced), enabled set %d..%d (mean \
-           %.1f); chosen: %d step%s, %d deliver%s, %d crash%s"
-          s.decisions s.forced s.min_enabled s.max_enabled s.mean_enabled
-          s.steps
-          (if s.steps = 1 then "" else "s")
-          s.delivers
-          (if s.delivers = 1 then "y" else "ies")
-          s.crashes
-          (if s.crashes = 1 then "" else "es")
-    | _ -> ""
+    match !decisions with
+    | [] -> ""
+    | ds -> Fmt.str "\n  %a" pp_decisions ds
   in
   let oracle_line =
     match failure_detail with

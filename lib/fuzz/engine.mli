@@ -61,9 +61,10 @@ val run :
 (** [replay_file path] re-executes a corpus entry and evaluates its
     oracle. [Ok message] when the recorded expectation (fail or pass) is
     met, [Error message] when the verdict flipped or the file is
-    unreadable. The replay runs under {!Obs.Ring} tracing (enabled for
-    its duration, restored to disabled after), so the message names the
-    failing oracle with its diagnostic and attributes the adversary's
-    decisions along the (shrunk) schedule — decision count, enabled-set
-    size range and the step/deliver/crash split. *)
+    unreadable. The message names the failing oracle with its
+    diagnostic. For a [lin] entry, a schedule replay, it also attributes
+    the adversary's decisions along the (shrunk) schedule — decision
+    count, enabled-set size range and the step/deliver/crash split — from
+    what the replay guide saw; [model], [par], [dist] and [prune] entries
+    replay no schedule and carry no attribution. *)
 val replay_file : string -> (string, string) result

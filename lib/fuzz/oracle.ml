@@ -50,7 +50,7 @@ let run_recorded ~seed ~iter case =
           m "fuzz case %a: run %a" Case.pp case Sim.Runtime.pp_run_result r));
   (t, Array.of_list (List.rev !recorded))
 
-let replay ~seed ~iter case codes =
+let replay ?(observe = fun _ _ -> ()) ~seed ~iter case codes =
   let t =
     Sim.Runtime.create (Case.config case)
       (Sim.Runtime.Gen (tape_stream ~seed ~iter))
@@ -61,7 +61,9 @@ let replay ~seed ~iter case codes =
     else begin
       let code = codes.(!pos) in
       incr pos;
-      Some (List.nth evs (abs code mod List.length evs))
+      let e = List.nth evs (abs code mod List.length evs) in
+      observe evs e;
+      Some e
     end
   in
   ignore (Sim.Runtime.run_guided t ~max_steps:(Array.length codes) guide);
@@ -264,15 +266,15 @@ let dist ?pool ~seed ~trials ~k () =
 (* ---- oracle 5: pruning soundness ------------------------------------ *)
 
 (* A synthetic layered-DAG game family for exercising the solver's
-   interval pruning far outside the hand-written models: states are
-   (level, id) pairs, every transition goes to level + 1 (acyclic by
-   construction), and the whole shape — fan-out, chance placement,
-   successors, terminal payoffs — is a pure function of a per-check salt
-   via the (deterministic, version-stable on ints) polymorphic hash.
-   Chance steps are fair coins, so computed values cannot round above
-   1.0 and the solver's pruning bound of 1 is FP-admissible (see
-   "Interval pruning" in [Mdp.Solver]); terminal payoffs are k/100 with
-   k <= 100. *)
+   cutoffs against the bound 1 far outside the hand-written models:
+   states are (level, id) pairs, every transition goes to level + 1
+   (acyclic by construction), and the whole shape — fan-out, chance
+   placement, successors, terminal payoffs — is a pure function of a
+   per-check salt via the (deterministic, version-stable on ints)
+   polymorphic hash. Chance steps are fair coins, so computed values
+   cannot round above 1.0 and the solver's pruning bound of 1 is
+   FP-admissible (see "Cutoffs against the bound 1" in [Mdp.Solver]);
+   terminal payoffs are k/100 with k <= 100. *)
 module Prune_game = struct
   type params = { salt : int; levels : int; width : int; branch : int }
 

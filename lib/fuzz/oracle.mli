@@ -19,11 +19,11 @@
     - {b par} (per session): Monte-Carlo tallies and exact solver values
       are bit-identical at [--jobs 1] and [--jobs 4] ({!Par.Pool}).
     - {b prune} (per session): on randomly generated layered-DAG games,
-      interval-pruned solves return bitwise the exact optimal value while
-      exploring no more states, every cut survives audit-mode
-      re-evaluation (each pruned subtree's interval really excluded the
-      max — [Mdp.Solver.Prune_unsound] otherwise), and pruning composes
-      with the parallel solve.
+      solves with the cutoffs against the a-priori bound 1 return bitwise
+      the exact optimal value while exploring no more states, every
+      cutoff survives audit-mode re-evaluation (the cut subtree really
+      could not change the max — [Mdp.Solver.Prune_unsound] otherwise),
+      and the cutoffs compose with the parallel solve.
 
     Every per-case execution is a pure function of [(seed, iter, case)]:
     the scheduler RNG, the random tape and the generated case all derive
@@ -57,8 +57,15 @@ val run_recorded :
 
 (** [replay ~seed ~iter case codes] re-executes exactly the schedule
     prefix [codes] (same RNG streams as [run_recorded]) and returns the
-    runtime for inspection. *)
-val replay : seed:int -> iter:int -> Case.t -> int array -> Sim.Runtime.t
+    runtime for inspection. [observe evs e] (default: nothing) sees every
+    decision along the way: the enabled set [evs] and the chosen [e]. *)
+val replay :
+  ?observe:(Sim.Runtime.event list -> Sim.Runtime.event -> unit) ->
+  seed:int ->
+  iter:int ->
+  Case.t ->
+  int array ->
+  Sim.Runtime.t
 
 (** {1 Oracles} *)
 

@@ -12,7 +12,9 @@ module M = struct
   let memo_hits = counter ~help:"memo-table hits" "mdp.memo_hits"
   let memo_misses = counter ~help:"states evaluated (memo misses)" "mdp.memo_misses"
   let states = counter ~help:"distinct states memoized" "mdp.states_explored"
-  let pruned = counter ~help:"subtrees cut by interval pruning" "mdp.pruned_subtrees"
+  let pruned =
+    counter ~help:"subtrees cut off against the a-priori bound 1"
+      "mdp.pruned_subtrees"
   let claim_misses = counter ~help:"shared-memo probes that hit a live claim" "mdp.claim_misses"
 end
 
@@ -120,7 +122,7 @@ let parse_memo_budget s =
 
 (* ---- the admissible value bound ----------------------------------------
 
-   Interval pruning needs an a-priori upper bound on every reachable
+   The [~prune] cutoffs need an a-priori upper bound on every reachable
    state's value. Game values are probabilities, so [hi = 1] bounds the
    exact ones; the cuts also need it to bound the COMPUTED values.
    Terminal payoffs lie in [0, 1] and a max fold returns one of its
@@ -236,7 +238,7 @@ type counters = {
   mutable misses : int;
   mutable states : int;  (* states resolved with a final value *)
   mutable max_depth : int;
-  mutable prune_cuts : int;  (* subtrees cut by interval pruning *)
+  mutable prune_cuts : int;  (* subtrees cut off against the bound 1 *)
   mutable claim_misses : int;
   mutable progress_hook : (progress -> unit) option;
   mutable progress_interval : int;

@@ -58,8 +58,8 @@ end
 
 exception Cyclic
 
-(** Raised (only) in prune-audit mode when an interval cut would have
-    changed a computed value — see [set_prune_audit]. The payload pins the
+(** Raised (only) in prune-audit mode when a cutoff against the bound 1
+    would have changed a computed value — see [set_prune_audit]. The payload pins the
     offending cut: kind, depth, the bound that justified the cut and the
     full value that beat it. *)
 exception Prune_unsound of string
@@ -106,8 +106,8 @@ type domain_stats = { domain_id : int; stats : stats }
     [distinct_keys].
     [claim_hits]/[claim_misses] count the shared-memo probes answered by
     a resolved value / by another worker's live claim (the helping
-    protocol), and [pruned_subtrees] the interval cuts taken (0 unless
-    [~prune:true]). All exact; trace rings carry none of these counts. *)
+    protocol), and [pruned_subtrees] the cutoffs against the bound 1
+    taken (0 unless [~prune:true]). All exact; trace rings carry none of these counts. *)
 type par_stats = {
   domains : domain_stats list;  (** sorted by domain id *)
   distinct_keys : int;
@@ -155,12 +155,13 @@ val parse_memo_budget : string -> (int, string) result
 
 module Make (G : GAME) : sig
   (** [value ?prune s] is the optimal (adversary-maximal) probability from
-      [s]. With [~prune:true], chance-node children whose interval upper
-      bound (every unevaluated child at [hi = 1]) cannot beat the parent
-      max are cut, and max folds stop once the accumulator reaches 1 —
-      both cuts are value-exact (the returned value is bit-identical to
-      the unpruned solve; see "Interval pruning" below for the
-      admissibility requirement), but fewer states are explored, so
+      [s]. With [~prune:true], two cutoffs against the a-priori bound 1 on
+      every value apply: a chance fold stops once its partial sum plus 1
+      for every unevaluated branch cannot beat the parent max, and a max
+      fold stops once the accumulator reaches 1. Both are value-exact
+      (the returned value is bit-identical to the unpruned solve; see
+      "Cutoffs against the bound 1" below for the admissibility
+      requirement), but fewer states are explored, so
       [explored ()] may be smaller. Only fully-evaluated state values
       enter the memo, so pruned and unpruned solves may share an
       instance.
@@ -239,7 +240,7 @@ module Make (G : GAME) : sig
       budget armed it — [None] while the instance is purely in-RAM. *)
   val store_stats : unit -> Store.Memo.stats option
 
-  (** {2 Interval pruning}
+  (** {2 Cutoffs against the bound 1}
 
       The cuts use the a-priori bound [hi = 1] on every state's value.
       Soundness needs [hi] to bound the {e computed} (floating-point)
@@ -259,7 +260,7 @@ module Make (G : GAME) : sig
       the cuts that fired. Default off. *)
   val set_prune_audit : bool -> unit
 
-  (** [pruned_subtrees ()] is the number of interval cuts taken since the
+  (** [pruned_subtrees ()] is the number of cutoffs taken since the
       last [reset] (sequential and parallel solves combined). *)
   val pruned_subtrees : unit -> int
 

@@ -44,9 +44,10 @@ val init : ?atomic_c:bool -> ?servers:int -> k:k -> unit -> Game.state
     Exponential in [k]; practical for [k <= 4] (atomic [C]) and [k <= 2]
     (ABD [C]). [jobs] (default 1) solves the root frontier on that many
     domains via {!Mdp.Solver.Make.value_par}; the value is bit-identical
-    at every job count. [prune] (default [false]) enables the Theorem 4.2
-    interval branch-and-bound cuts ({!Mdp.Solver.Make.value}'s [~prune]);
-    the value is unchanged, the explored set only shrinks.
+    at every job count. [prune] (default [false]) enables the cutoffs
+    against the a-priori bound 1 on every game value
+    ({!Mdp.Solver.Make.value}'s [~prune]); the value is unchanged, the
+    explored set only shrinks.
     [memo_budget] caps the memo's RAM,
     spilling resolved states to disk past it — values and counts stay
     bit-identical (see the solver's out-of-core section). *)
@@ -69,7 +70,7 @@ val best_move : Game.state -> Game.move option
 (** [explored_states ()] is the cumulative number of memoized states. *)
 val explored_states : unit -> int
 
-(** [pruned_subtrees ()] is the number of branch-and-bound cuts taken
+(** [pruned_subtrees ()] is the number of cutoffs against the bound 1 taken
     since the last [reset] (0 unless [bad_probability ~prune:true]). *)
 val pruned_subtrees : unit -> int
 

@@ -3,7 +3,6 @@ type phase =
   | End
   | Complete of float
   | Instant
-  | Counter
   | Metadata
 
 type event = {
@@ -34,7 +33,6 @@ let ph_string = function
   | End -> "E"
   | Complete _ -> "X"
   | Instant -> "i"
-  | Counter -> "C"
   | Metadata -> "M"
 
 let event_to_json e =
@@ -89,7 +87,6 @@ let of_json j =
           | Some d -> Ok (Complete d)
           | None -> Error (Printf.sprintf "traceEvents[%d]: X without dur" i))
       | "i" -> Ok Instant
-      | "C" -> Ok Counter
       | "M" -> Ok Metadata
       | ph -> Error (Printf.sprintf "traceEvents[%d]: unknown phase %S" i ph)
     in

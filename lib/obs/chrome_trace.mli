@@ -5,7 +5,7 @@
     standard [{"traceEvents": [...]}] document that Perfetto and Chrome's
     legacy viewer load directly. Only the phases this repo emits are
     modelled: complete slices ([X]), begin/end pairs ([B]/[E]), instants
-    ([I]), counters ([C]) and metadata ([M], used to name process/thread
+    ([I]) and metadata ([M], used to name process/thread
     lanes). Timestamps are in microseconds, per the format. *)
 
 type phase =
@@ -13,7 +13,6 @@ type phase =
   | End  (** "E" — closes the innermost open slice *)
   | Complete of float  (** "X" with the given duration (µs) *)
   | Instant  (** "i" — a zero-duration marker (thread scope) *)
-  | Counter  (** "C" — [args] hold the sampled series values *)
   | Metadata  (** "M" — e.g. [process_name] / [thread_name] *)
 
 type event = {

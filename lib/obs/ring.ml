@@ -3,11 +3,6 @@ type tag =
   | Pool_task_stop
   | Pool_idle_start
   | Pool_idle_stop
-  | Pool_queue_depth
-  | Sim_step
-  | Sim_deliver
-  | Sim_crash
-  | Adv_decision
   | Gc_minor
   | Gc_major
   | Domain_spawn
@@ -16,19 +11,15 @@ type tag =
 
 (* Wire codes are part of the dump format: append only, never renumber.
    Codes 0-3, 18, 19 and 22-24 belonged to retired per-probe memo events,
-   code 17 to retired work-stealing steals and code 20 to retired
-   allocation samples; they stay unassigned so old dumps still load
-   (their events drop). *)
+   code 8 to retired queue-depth samples, codes 9-12 to retired simulator
+   steps and adversary decisions, code 17 to retired work-stealing steals
+   and code 20 to retired allocation samples; they stay unassigned so old
+   dumps still load (their events drop). *)
 let tag_code = function
   | Pool_task_start -> 4
   | Pool_task_stop -> 5
   | Pool_idle_start -> 6
   | Pool_idle_stop -> 7
-  | Pool_queue_depth -> 8
-  | Sim_step -> 9
-  | Sim_deliver -> 10
-  | Sim_crash -> 11
-  | Adv_decision -> 12
   | Gc_minor -> 13
   | Gc_major -> 14
   | Domain_spawn -> 15
@@ -37,8 +28,7 @@ let tag_code = function
 
 let all_tags =
   [
-    Pool_task_start; Pool_task_stop; Pool_idle_start; Pool_idle_stop;
-    Pool_queue_depth; Sim_step; Sim_deliver; Sim_crash; Adv_decision; Gc_minor;
+    Pool_task_start; Pool_task_stop; Pool_idle_start; Pool_idle_stop; Gc_minor;
     Gc_major; Domain_spawn; Domain_stop; Store_spill;
   ]
 
@@ -49,11 +39,6 @@ let tag_name = function
   | Pool_task_stop -> "pool_task_stop"
   | Pool_idle_start -> "pool_idle_start"
   | Pool_idle_stop -> "pool_idle_stop"
-  | Pool_queue_depth -> "pool_queue_depth"
-  | Sim_step -> "sim_step"
-  | Sim_deliver -> "sim_deliver"
-  | Sim_crash -> "sim_crash"
-  | Adv_decision -> "adv_decision"
   | Gc_minor -> "gc_minor"
   | Gc_major -> "gc_major"
   | Domain_spawn -> "domain_spawn"
@@ -134,37 +119,43 @@ let record tag a b =
 
 (* Runtime events arrive outside the ring discipline (they are drained in
    bulk from the runtime's own ring files), so they go to plain growable
-   per-ring-id buffers, newest first. *)
-type rt_event = { rt_tag : tag; rt_a : int; rt_ts_us : float }
+   per-ring-id lanes, newest first, stamped on the runtime's clock in µs;
+   [dump] maps them onto [Span.now_us]. [lost] counts the events the
+   runtime overwrote before a poll read them. *)
+type rt_event = { rt_tag : tag; rt_a : int; rt_raw_us : float }
+type rt_lane = { mutable rt_events : rt_event list; mutable lost : int }
 
-let rt_buffers : (int, rt_event list ref) Hashtbl.t = Hashtbl.create 8
+let rt_lanes : (int, rt_lane) Hashtbl.t = Hashtbl.create 8
 let rt_cursor : Runtime_events.cursor option ref = ref None
 
-(* Offset mapping the runtime's monotonic-ns clock onto [Span.now_us],
-   fixed at the first polled event. The first poll's drain latency bounds
-   the alignment error; lanes render correctly regardless. *)
-let rt_offset_us : float option ref = ref None
+(* Offset from the runtime's clock to [Span.now_us], fixed once per
+   process by [start_runtime_events]; [reset] keeps it. *)
+let rt_offset_us = ref 0.0
 
-let rt_buffer ring_id =
-  match Hashtbl.find_opt rt_buffers ring_id with
-  | Some b -> b
+let rt_lane ring_id =
+  match Hashtbl.find_opt rt_lanes ring_id with
+  | Some l -> l
   | None ->
-      let b = ref [] in
-      Hashtbl.replace rt_buffers ring_id b;
-      b
+      let l = { rt_events = []; lost = 0 } in
+      Hashtbl.replace rt_lanes ring_id l;
+      l
 
-let rt_add ring_id tag a raw_ts =
-  let raw_us = Int64.to_float (Runtime_events.Timestamp.to_int64 raw_ts) /. 1e3 in
-  let offset =
-    match !rt_offset_us with
-    | Some o -> o
-    | None ->
-        let o = raw_us -. Span.now_us () in
-        rt_offset_us := Some o;
-        o
-  in
-  let b = rt_buffer ring_id in
-  b := { rt_tag = tag; rt_a = a; rt_ts_us = raw_us -. offset } :: !b
+let raw_us ts = Int64.to_float (Runtime_events.Timestamp.to_int64 ts) /. 1e3
+
+let rt_add ring_id tag a ts =
+  let l = rt_lane ring_id in
+  l.rt_events <- { rt_tag = tag; rt_a = a; rt_raw_us = raw_us ts } :: l.rt_events
+
+(* The clock calibration: one unit user event, written between two
+   [Span.now_us] reads, so its runtime timestamp falls in that window. *)
+type Runtime_events.User.tag += Clock_calibration
+
+let calibration =
+  lazy
+    (Runtime_events.User.register "blunting.clock_calibration"
+       Clock_calibration Runtime_events.Type.unit)
+
+let calibration_raw_us : float option ref = ref None
 
 let rt_callbacks =
   lazy
@@ -191,7 +182,24 @@ let rt_callbacks =
            rt_add ring_id Domain_stop (Option.value arg ~default:0) ts
        | _ -> ()
      in
-     Runtime_events.Callbacks.create ~runtime_begin ~runtime_end ~lifecycle ())
+     let lost_events ring_id n =
+       let l = rt_lane ring_id in
+       l.lost <- l.lost + n
+     in
+     let user _ring_id ts ev () =
+       match Runtime_events.User.tag ev with
+       | Clock_calibration -> calibration_raw_us := Some (raw_us ts)
+       | _ -> ()
+     in
+     Runtime_events.Callbacks.create ~runtime_begin ~runtime_end ~lifecycle
+       ~lost_events ()
+     |> Runtime_events.Callbacks.add_user_event Runtime_events.Type.unit user)
+
+let poll cursor =
+  try ignore (Runtime_events.read_poll cursor (Lazy.force rt_callbacks) None)
+  with _ -> ()
+
+let poll_runtime_events () = Option.iter poll !rt_cursor
 
 let start_runtime_events () =
   match !rt_cursor with
@@ -199,16 +207,20 @@ let start_runtime_events () =
   | None -> (
       try
         Runtime_events.start ();
-        rt_cursor := Some (Runtime_events.create_cursor None);
-        Ok ()
+        let cursor = Runtime_events.create_cursor None in
+        let before = Span.now_us () in
+        Runtime_events.User.write (Lazy.force calibration) ();
+        let after = Span.now_us () in
+        poll cursor;
+        match !calibration_raw_us with
+        | Some raw ->
+            rt_offset_us := raw -. ((before +. after) /. 2.0);
+            rt_cursor := Some cursor;
+            Ok ()
+        | None ->
+            Runtime_events.free_cursor cursor;
+            Error "the clock calibration event was not read back"
       with e -> Error (Printexc.to_string e))
-
-let poll_runtime_events () =
-  match !rt_cursor with
-  | None -> 0
-  | Some cursor -> (
-      try Runtime_events.read_poll cursor (Lazy.force rt_callbacks) None
-      with _ -> 0)
 
 (* ---- dumping --------------------------------------------------------- *)
 
@@ -260,7 +272,7 @@ let dump () =
     Mutex.unlock registry_mutex;
     rs
   in
-  ignore (poll_runtime_events ());
+  poll_runtime_events ();
   let domains =
     List.filter (fun r -> r.next > 0) rings
     |> List.map dump_ring
@@ -268,16 +280,24 @@ let dump () =
   in
   let runtime =
     Hashtbl.fold
-      (fun ring_id buf acc ->
+      (fun ring_id l acc ->
         let events =
           List.rev_map
-            (fun e -> { tag = e.rt_tag; a = e.rt_a; b = 0; ts_us = e.rt_ts_us })
-            !buf
+            (fun e ->
+              {
+                tag = e.rt_tag;
+                a = e.rt_a;
+                b = 0;
+                ts_us = e.rt_raw_us -. !rt_offset_us;
+              })
+            l.rt_events
         in
         let n = List.length events in
-        if n = 0 then acc
-        else { domain = ring_id; recorded = n; dropped = 0; events } :: acc)
-      rt_buffers []
+        if n = 0 && l.lost = 0 then acc
+        else
+          { domain = ring_id; recorded = n + l.lost; dropped = l.lost; events }
+          :: acc)
+      rt_lanes []
     |> List.sort (fun a b -> compare a.domain b.domain)
   in
   { capacity = Atomic.get capacity_req; domains; runtime }
@@ -296,8 +316,9 @@ let reset () =
       r.next <- 0;
       r.registered <- false)
     rs;
-  Hashtbl.reset rt_buffers;
-  rt_offset_us := None
+  (* pending runtime events predate the reset: drain them and drop them *)
+  poll_runtime_events ();
+  Hashtbl.reset rt_lanes
 
 (* ---- JSON ------------------------------------------------------------ *)
 
@@ -401,6 +422,17 @@ let load_file path =
   let* j = Json.read_file path in
   Result.map_error (fun e -> path ^ ": " ^ e) (of_json j)
 
+let capture path f =
+  (match start_runtime_events () with
+  | Ok () -> ()
+  | Error e -> Fmt.epr "trace: runtime events unavailable (%s)@." e);
+  reset ();
+  set_enabled true;
+  let v = Fun.protect ~finally:(fun () -> set_enabled false) f in
+  let d = dump () in
+  write_file path d;
+  (v, d)
+
 (* ---- Chrome export --------------------------------------------------- *)
 
 let app_pid = 0
@@ -426,24 +458,14 @@ let chrome_domain_events ~pid d =
           Some (ev ~cat:"pool" ~name:"idle" ~ts:e.ts_us Chrome_trace.Begin)
       | Pool_idle_stop ->
           Some (ev ~cat:"pool" ~name:"idle" ~ts:e.ts_us Chrome_trace.End)
-      | Pool_queue_depth ->
-          Some
-            (ev ~cat:"pool"
-               ~args:[ ("depth", Json.Int e.a) ]
-               ~name:"queue_depth" ~ts:e.ts_us Chrome_trace.Counter)
       | Gc_minor | Gc_major ->
           let name = tag_name e.tag in
           Some
             (ev ~cat:"gc" ~name ~ts:e.ts_us
                (if e.a = 0 then Chrome_trace.Begin else Chrome_trace.End))
-      | Adv_decision ->
-          instant "adv_decision"
-            [ ("enabled", Json.Int e.a); ("chosen", Json.Int e.b) ]
       | Store_spill ->
           instant "store_spill"
             [ ("entries", Json.Int e.a); ("bytes", Json.Int e.b) ]
-      | Sim_step | Sim_deliver | Sim_crash ->
-          instant (tag_name e.tag) [ ("id", Json.Int e.a) ]
       | Domain_spawn | Domain_stop ->
           instant (tag_name e.tag) [ ("domain", Json.Int e.a) ])
     d.events

@@ -1,4 +1,4 @@
-(** Per-domain structured event tracing.
+(** Per-domain structured event tracing: the parallel timeline.
 
     Each domain that records gets its own fixed-capacity ring buffer
     (created lazily through domain-local storage and registered globally),
@@ -10,40 +10,34 @@
     timestamp read produces one transient boxed float). When the ring
     wraps, the oldest events are overwritten and counted as dropped.
 
-    The ring holds only events that mark time intervals (pool task and
-    idle slices, GC phases) and rare or decision events (queue depth,
-    domain lifecycle, spills, simulator steps and adversary
-    decisions). Per-probe memo traffic is deliberately not
-    traced: it would evict everything else from the ring, and its counts
-    are kept exactly by [Mdp.Solver.stats]/[last_par_stats] and
-    [Store.Memo.stats], which every solve already reports.
+    The ring holds only what places time on the parallel timeline: pool
+    task and idle slices, GC phases, domain lifecycle and store spills —
+    9 tags. Per-probe memo traffic and per-step simulator events are
+    deliberately not traced: they would evict everything else from the
+    ring, and their counts are kept exactly by [Mdp.Solver.stats] /
+    [last_par_stats], [Store.Memo.stats] and the [sim.*] counters.
 
     Recording is globally flag-gated ({!set_enabled}); the disabled path
-    is a single atomic load and branch, so permanently-instrumented loops
-    ({!Par.Pool}, {!Sim.Runtime}) cost nothing when tracing is off.
+    is a single atomic load and branch, so the permanently-instrumented
+    pool loops ({!Par.Pool}) cost nothing when tracing is off.
 
     {!start_runtime_events} additionally subscribes to the OCaml 5
     runtime's own event stream, so GC phases and domain lifecycle land on
-    the same timeline as the application events; {!poll_runtime_events}
-    drains them (call it after the traced region, from one domain).
+    the same timeline as the application events. It calibrates the
+    runtime's clock against {!Span.now_us} once, when it starts.
 
     Dumps ({!dump}, {!to_json}) merge every registered ring plus the
     collected runtime events into one JSON document
     ([{"schema": "blunting-trace/1", ...}]) that {!of_json} reads back —
-    the contract between trace capture ([--trace-out]) and the analysis
-    ({!Trace_analysis}, [blunting trace analyze]). [chrome_events]
-    renders the same dump with one Perfetto lane per domain. *)
+    the contract between trace capture ({!capture}, [--trace-out]) and
+    the analysis ({!Trace_analysis}, [blunting trace analyze]).
+    [chrome_events] renders the same dump with one Perfetto lane per
+    domain. *)
 
 (** Event tags. Payload conventions ([a], [b]):
     - pool events: [Pool_task_start]/[stop] bracket one chunk of a
       parallel region ([a] = first index, [b] = one past the last);
       [Pool_idle_start]/[stop] bracket a worker blocking on the queue;
-      [Pool_queue_depth] samples the task queue ([a] = depth,
-      [b] = participants);
-    - simulator events: [a] = process id ([Sim_step], [Sim_crash]) or
-      message id ([Sim_deliver]);
-    - [Adv_decision]: a scheduler chose from the enabled set
-      ([a] = enabled-set size, [b] = index of the chosen event);
     - runtime events: [Gc_minor]/[Gc_major] with [a] = 0 (begin) or 1
       (end); [Domain_spawn]/[Domain_stop] from the runtime's lifecycle
       stream;
@@ -55,11 +49,6 @@ type tag =
   | Pool_task_stop
   | Pool_idle_start
   | Pool_idle_stop
-  | Pool_queue_depth
-  | Sim_step
-  | Sim_deliver
-  | Sim_crash
-  | Adv_decision
   | Gc_minor
   | Gc_major
   | Domain_spawn
@@ -68,7 +57,7 @@ type tag =
 
 (** Stable wire codes for dump files: [tag_code] is injective and
     [tag_of_code (tag_code t) = Some t]. The codes of retired tags (0–3,
-    17–20 and 22–24) stay unassigned, so dumps that hold them still load
+    8–12, 17–20 and 22–24) stay unassigned, so dumps that hold them still load
     with those events dropped. *)
 val tag_code : tag -> int
 
@@ -94,25 +83,23 @@ val set_capacity : int -> unit
     calling domain's ring; a no-op (one atomic load) when disabled. *)
 val record : tag -> int -> int -> unit
 
-(** [reset ()] discards every ring, all collected runtime events and the
-    drop counts; recording state and capacity are kept. *)
+(** [reset ()] discards every ring, all collected and pending runtime
+    events and the drop counts; recording state, capacity and the
+    runtime clock calibration are kept. *)
 val reset : unit -> unit
 
 (** {1 Runtime events} *)
 
-(** [start_runtime_events ()] starts the OCaml runtime's event stream and
-    opens a cursor on it; [Error] if the runtime refuses (already started
-    with a consumer, unsupported platform). Safe to call once per
-    process. *)
+(** [start_runtime_events ()] starts the OCaml runtime's event stream
+    (GC phase begin/end, domain spawn/terminate) and opens a cursor on
+    it; [Error] if the runtime refuses (already started with a consumer,
+    unsupported platform). It writes one runtime user event between two
+    {!Span.now_us} reads and reads it back at once: that pair fixes the
+    offset between the runtime's clock and [Span.now_us] for the whole
+    process, to within half the write's duration. Safe to call more than
+    once; only the first call starts and calibrates. Collected events
+    are drained into the dump by {!dump}. *)
 val start_runtime_events : unit -> (unit, string) result
-
-(** [poll_runtime_events ()] drains pending runtime events (GC phase
-    begin/end, domain spawn/terminate) into the trace; returns how many
-    were consumed, 0 when the stream was never started. Timestamps are
-    mapped onto the {!Span.now_us} clock with an offset taken at the
-    first poll — alignment is approximate (sub-millisecond), good enough
-    for lane rendering. *)
-val poll_runtime_events : unit -> int
 
 (** {1 Dumping} *)
 
@@ -121,7 +108,9 @@ type event = { tag : tag; a : int; b : int; ts_us : float }
 type domain_dump = {
   domain : int;  (** the recording domain's id *)
   recorded : int;  (** events ever recorded (>= retained) *)
-  dropped : int;  (** overwritten by ring wrap-around *)
+  dropped : int;
+      (** overwritten by ring wrap-around (runtime lanes: events the
+          runtime overwrote before they were read) *)
   events : event list;  (** retained events, oldest first *)
 }
 
@@ -146,8 +135,15 @@ val of_json : Json.t -> (dump, string) result
 val write_file : string -> dump -> unit
 val load_file : string -> (dump, string) result
 
+(** [capture path f] runs [f] as one traced region: it starts runtime
+    events (printing a warning to stderr if they are unavailable),
+    {!reset}s, enables recording, runs [f], disables recording, dumps
+    and writes the dump to [path]. Returns [f]'s result and the dump.
+    If [f] raises, recording is disabled and nothing is written. *)
+val capture : string -> (unit -> 'a) -> 'a * dump
+
 (** [chrome_events d] renders the dump as Chrome trace events: pid 0 with
-    one named lane per recording domain (task/idle slices, queue-depth
-    counters, instants for spill/simulator events), pid 1 with one lane
-    per runtime-event ring (GC slices, lifecycle instants). *)
+    one named lane per recording domain (task/idle slices, spill
+    instants), pid 1 with one lane per runtime-event ring (GC slices,
+    lifecycle instants). *)
 val chrome_events : dump -> Chrome_trace.event list

@@ -9,23 +9,12 @@ type domain_report = {
   utilization : float;
 }
 
-type decision_summary = {
-  decisions : int;
-  forced : int;
-  min_enabled : int;
-  max_enabled : int;
-  mean_enabled : float;
-  steps : int;
-  delivers : int;
-  crashes : int;
-}
-
 type t = {
   t0_us : float;
   t1_us : float;
   domains : domain_report list;
-  queue_depths : (int * int) list;
-  decisions : decision_summary option;
+  runtime_events : int;
+  runtime_dropped : int;
   timeline_buckets : int;
   timeline : (int * float array) list;
 }
@@ -78,47 +67,18 @@ let analyze ?(buckets = 20) (d : Ring.dump) =
   in
   let t0 = if Float.is_finite t0 then t0 else 0.0 in
   let t1 = if Float.is_finite t1 then t1 else 0.0 in
-  let queue : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let dec_count = ref 0
-  and dec_forced = ref 0
-  and dec_min = ref max_int
-  and dec_max = ref 0
-  and dec_sum = ref 0
-  and dec_steps = ref 0
-  and dec_delivers = ref 0
-  and dec_crashes = ref 0 in
   let timeline = ref [] in
   let reports =
     List.map
       (fun (dd : Ring.domain_dump) ->
         let spills = ref 0 and spill_bytes = ref 0 in
-        let pending_decision = ref false in
         List.iter
           (fun (e : Ring.event) ->
-            match e.tag with
-            | Ring.Store_spill ->
-                (* [a] = entries in the run, [b] = run bytes on disk *)
-                incr spills;
-                spill_bytes := !spill_bytes + e.b
-            | Ring.Pool_queue_depth ->
-                Hashtbl.replace queue e.a
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt queue e.a))
-            | Ring.Adv_decision ->
-                incr dec_count;
-                if e.a <= 1 then incr dec_forced;
-                dec_min := min !dec_min e.a;
-                dec_max := max !dec_max e.a;
-                dec_sum := !dec_sum + e.a;
-                pending_decision := true
-            | Ring.Sim_step | Ring.Sim_deliver | Ring.Sim_crash ->
-                if !pending_decision then begin
-                  pending_decision := false;
-                  match e.tag with
-                  | Ring.Sim_step -> incr dec_steps
-                  | Ring.Sim_deliver -> incr dec_delivers
-                  | _ -> incr dec_crashes
-                end
-            | _ -> ())
+            if e.tag = Ring.Store_spill then begin
+              (* [a] = entries in the run, [b] = run bytes on disk *)
+              incr spills;
+              spill_bytes := !spill_bytes + e.b
+            end)
           dd.events;
         let bucket_acc = Array.make buckets 0.0 in
         let busy_us =
@@ -149,23 +109,12 @@ let analyze ?(buckets = 20) (d : Ring.dump) =
     t0_us = t0;
     t1_us = t1;
     domains = reports;
-    queue_depths =
-      Hashtbl.fold (fun d c acc -> (d, c) :: acc) queue []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
-    decisions =
-      (if !dec_count = 0 then None
-       else
-         Some
-           {
-             decisions = !dec_count;
-             forced = !dec_forced;
-             min_enabled = !dec_min;
-             max_enabled = !dec_max;
-             mean_enabled = float_of_int !dec_sum /. float_of_int !dec_count;
-             steps = !dec_steps;
-             delivers = !dec_delivers;
-             crashes = !dec_crashes;
-           });
+    runtime_events =
+      List.fold_left
+        (fun n (dd : Ring.domain_dump) -> n + List.length dd.events)
+        0 d.runtime;
+    runtime_dropped =
+      List.fold_left (fun n (dd : Ring.domain_dump) -> n + dd.dropped) 0 d.runtime;
     timeline_buckets = buckets;
     timeline = List.sort (fun (a, _) (b, _) -> compare a b) !timeline;
   }
@@ -192,6 +141,9 @@ let pp ppf t =
     (plural ndomains ~one:"" ~many:"s")
     (sum (fun d -> d.dropped))
     span_s;
+  if t.runtime_events + t.runtime_dropped > 0 then
+    Fmt.pf ppf "runtime: %d events, %d lost before they were read@,"
+      t.runtime_events t.runtime_dropped;
   if t.domains <> [] then begin
     Fmt.pf ppf "@,%-8s %9s %9s %8s %8s %7s@," "domain" "events" "dropped"
       "busy(s)" "idle(s)" "util";
@@ -207,26 +159,6 @@ let pp ppf t =
         (plural spills ~one:"" ~many:"s")
         (sum (fun d -> d.spill_bytes))
   end;
-  if t.queue_depths <> [] then begin
-    Fmt.pf ppf "@,queue depth samples:@,";
-    List.iter
-      (fun (d, c) ->
-        Fmt.pf ppf "  depth %2d: %d sample%s@," d c
-          (plural c ~one:"" ~many:"s"))
-      t.queue_depths
-  end;
-  (match t.decisions with
-  | None -> ()
-  | Some s ->
-      Fmt.pf ppf
-        "@,adversary decisions: %d (%d forced), enabled set %d..%d (mean \
-         %.1f)@,  chosen: %d step%s, %d deliver%s, %d crash%s@,"
-        s.decisions s.forced s.min_enabled s.max_enabled s.mean_enabled s.steps
-        (plural s.steps ~one:"" ~many:"s")
-        s.delivers
-        (plural s.delivers ~one:"y" ~many:"ies")
-        s.crashes
-        (plural s.crashes ~one:"" ~many:"es"));
   if t.timeline <> [] then begin
     Fmt.pf ppf "@,utilization timeline (%d buckets of %.3fs):@,"
       t.timeline_buckets
@@ -252,15 +184,12 @@ let to_json t =
       ]
   in
   Json.Obj
-    ([
-       ("t0_us", Json.Float t.t0_us);
+    [
+      ("t0_us", Json.Float t.t0_us);
        ("t1_us", Json.Float t.t1_us);
        ("domains", Json.List (List.map domain_json t.domains));
-       ( "queue_depths",
-         Json.Obj
-           (List.map
-              (fun (d, c) -> (string_of_int d, Json.Int c))
-              t.queue_depths) );
+       ("runtime_events", Json.Int t.runtime_events);
+       ("runtime_dropped", Json.Int t.runtime_dropped);
        ( "timeline",
          Json.Obj
            (List.map
@@ -269,22 +198,4 @@ let to_json t =
                   Json.List
                     (Array.to_list (Array.map (fun f -> Json.Float f) fracs)) ))
               t.timeline) );
-     ]
-    @
-    match t.decisions with
-    | None -> []
-    | Some s ->
-        [
-          ( "decisions",
-            Json.Obj
-              [
-                ("count", Json.Int s.decisions);
-                ("forced", Json.Int s.forced);
-                ("min_enabled", Json.Int s.min_enabled);
-                ("max_enabled", Json.Int s.max_enabled);
-                ("mean_enabled", Json.Float s.mean_enabled);
-                ("steps", Json.Int s.steps);
-                ("delivers", Json.Int s.delivers);
-                ("crashes", Json.Int s.crashes);
-              ] );
-        ])
+    ]

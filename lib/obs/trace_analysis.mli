@@ -1,16 +1,18 @@
 (** Analysis of ring-buffer trace dumps.
 
-    Consumes a {!Ring.dump} (from [--trace-out] / [Ring.dump]) and answers
-    what the timeline shows: how busy and idle each domain was, when the
-    out-of-core store spilled, and what the adversary's schedule actually
-    did.
+    Consumes a {!Ring.dump} (from [--trace-out] / [Ring.capture]) and
+    answers what the parallel timeline shows: how busy and idle each
+    domain was, when the out-of-core store spilled, and how many runtime
+    (GC and lifecycle) events the dump kept and lost.
     Rendered either as a human report ({!pp}) or machine JSON
     ({!to_json}) — the payloads of [blunting trace analyze].
 
     Memo traffic (hits, misses, claims, block-cache probes, evictions) is
     not in the ring; its exact counts are [Mdp.Solver.stats],
     [last_par_stats] and [Store.Memo.stats], printed by every solve and
-    stored in the results document. *)
+    stored in the results document. Adversary decisions are not in the
+    ring either: [blunting fuzz --replay] attributes them from the
+    replayed schedule itself. *)
 
 type domain_report = {
   domain : int;
@@ -23,26 +25,12 @@ type domain_report = {
   utilization : float;  (** busy / trace duration, 0 without tasks *)
 }
 
-(** Attribution of adversary decisions recorded by the simulator's run
-    loop: every [Adv_decision] event, with the enabled-set sizes the
-    scheduler chose from and the kinds of the chosen events. *)
-type decision_summary = {
-  decisions : int;
-  forced : int;  (** decisions with a single enabled event *)
-  min_enabled : int;
-  max_enabled : int;
-  mean_enabled : float;
-  steps : int;  (** chosen [Sim_step] events *)
-  delivers : int;
-  crashes : int;
-}
-
 type t = {
   t0_us : float;  (** earliest event timestamp *)
   t1_us : float;
   domains : domain_report list;  (** by domain id *)
-  queue_depths : (int * int) list;  (** depth -> samples, ascending *)
-  decisions : decision_summary option;  (** None without [Adv_decision]s *)
+  runtime_events : int;  (** retained runtime events, all lanes *)
+  runtime_dropped : int;  (** runtime events lost before a poll read them *)
   timeline_buckets : int;
   timeline : (int * float array) list;
       (** per domain: busy fraction per time bucket *)

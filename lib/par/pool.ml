@@ -149,7 +149,6 @@ let run_region t ~participants ~chunk ~first results f =
   for _ = 2 to participants do
     Queue.add (fun () -> chunk_loop r) t.queue
   done;
-  Obs.Ring.record Obs.Ring.Pool_queue_depth (Queue.length t.queue) participants;
   Condition.broadcast t.work;
   Mutex.unlock t.mutex;
   chunk_loop r;

@@ -18,11 +18,10 @@
     domains or nested inside a running region.
 
     When {!Obs.Ring} tracing is enabled, workers record task slices (one
-    per chunk grabbed from the region cursor), idle slices (blocking on
-    the task queue) and task-queue depth samples into their per-domain
-    rings — the raw material for the per-domain utilization timeline of
-    [blunting trace analyze]. Disabled, the hooks are single atomic
-    loads. *)
+    per chunk grabbed from the region cursor) and idle slices (blocking
+    on the task queue) into their per-domain rings — the raw material for
+    the per-domain utilization timeline of [blunting trace analyze].
+    Disabled, the hooks are single atomic loads. *)
 
 type t
 

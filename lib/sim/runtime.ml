@@ -450,10 +450,6 @@ let pp_event ppf = function
 
 let step t e =
   Obs.Metrics.incr M.steps;
-  (match e with
-  | Step p -> Obs.Ring.record Obs.Ring.Sim_step p 0
-  | Deliver id -> Obs.Ring.record Obs.Ring.Sim_deliver id 0
-  | Crash p -> Obs.Ring.record Obs.Ring.Sim_crash p 0);
   Log.debug (fun m -> m "%a" pp_event e);
   match e with
   | Step p -> step_process t p
@@ -480,19 +476,6 @@ let pp_run_result ppf = function
   | Deadlocked -> Fmt.string ppf "deadlocked"
   | Step_limit_reached -> Fmt.string ppf "step limit reached"
 
-(* Every scheduler decision funnels through the run loops, so adversary
-   attribution is recorded centrally: the enabled-set size the scheduler
-   chose from and the index it picked, whichever [Adversary.Schedulers]
-   policy (or recorded code replay) is driving. *)
-let record_decision evs e =
-  if Obs.Ring.enabled () then begin
-    let rec index i = function
-      | [] -> -1
-      | x :: rest -> if x = e then i else index (i + 1) rest
-    in
-    Obs.Ring.record Obs.Ring.Adv_decision (List.length evs) (index 0 evs)
-  end
-
 let run t ~max_steps choose =
   Obs.Metrics.incr M.runs;
   let rec go remaining =
@@ -502,9 +485,7 @@ let run t ~max_steps choose =
       match enabled t with
       | [] -> Deadlocked
       | evs ->
-          let e = choose t evs in
-          record_decision evs e;
-          step t e;
+          step t (choose t evs);
           go (remaining - 1)
   in
   let result = go max_steps in
@@ -530,7 +511,6 @@ let run_guided t ~max_steps guide =
           match guide t evs with
           | None -> Guide_stopped
           | Some e ->
-              record_decision evs e;
               step t e;
               go (remaining - 1))
   in

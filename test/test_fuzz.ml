@@ -235,6 +235,25 @@ let test_dist_oracle_healthy () =
 
 let corpus_dir = "corpus"
 
+(* The adversary-decision line each committed entry's replay prints:
+   schedule replays ([lin]) attribute the decisions their guide saw;
+   the other oracles replay no schedule and print none. *)
+let expected_attribution = function
+  | "fuzz-lin-s7-i464.json" ->
+      Some
+        "adversary decisions: 120 (0 forced), enabled set 3..11 (mean 7.6); \
+         chosen: 63 steps, 57 deliveries, 0 crashes"
+  | "fuzz-lin-s7-i728.json" ->
+      Some
+        "adversary decisions: 115 (0 forced), enabled set 3..12 (mean 7.9); \
+         chosen: 63 steps, 52 deliveries, 0 crashes"
+  | _ -> None
+
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
 let test_replay_committed_corpus () =
   let files =
     Sys.readdir corpus_dir |> Array.to_list
@@ -245,8 +264,19 @@ let test_replay_committed_corpus () =
   List.iter
     (fun f ->
       match Fuzz.Engine.replay_file (Filename.concat corpus_dir f) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "%s: %s" f e)
+      | Error e -> Alcotest.failf "%s: %s" f e
+      | Ok msg -> (
+          match expected_attribution f with
+          | Some line ->
+              Alcotest.(check bool)
+                (Fmt.str "%s attributes its decisions" f)
+                true
+                (contains ~affix:("\n  " ^ line) msg)
+          | None ->
+              Alcotest.(check bool)
+                (Fmt.str "%s prints no attribution" f)
+                false
+                (contains ~affix:"adversary decisions" msg)))
     files
 
 let tests =

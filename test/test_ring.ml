@@ -2,7 +2,8 @@
    accounting, wrap-around drops, the dump JSON round-trip, the Chrome
    trace export/parse round-trip over a multi-domain dump (lane
    assignment, per-lane timestamp order), the trace analyzer on synthetic
-   dumps, and a live traced solve that fits a small ring. *)
+   dumps, a live traced solve that fits a small ring, and captures whose
+   runtime events sit on the ring's clock and report what they lose. *)
 
 (* Every test starts from a clean slate and leaves tracing disabled: the
    suite shares one process with the fuzz and par tests, which also
@@ -19,7 +20,7 @@ let with_tracing f =
 let test_disabled_is_noop () =
   Obs.Ring.reset ();
   Obs.Ring.set_enabled false;
-  Obs.Ring.record Obs.Ring.Sim_step 1 0;
+  Obs.Ring.record Obs.Ring.Pool_task_start 1 0;
   Obs.Ring.record Obs.Ring.Store_spill 42 1;
   let d = Obs.Ring.dump () in
   Alcotest.(check int) "nothing recorded" 0 (List.length d.Obs.Ring.domains);
@@ -27,9 +28,9 @@ let test_disabled_is_noop () =
 
 let test_record_dump_accounting () =
   with_tracing @@ fun () ->
-  Obs.Ring.record Obs.Ring.Pool_queue_depth 11 1;
+  Obs.Ring.record Obs.Ring.Pool_task_start 11 1;
   Obs.Ring.record Obs.Ring.Store_spill 11 2;
-  Obs.Ring.record Obs.Ring.Adv_decision 4 2;
+  Obs.Ring.record Obs.Ring.Pool_task_stop 4 2;
   Obs.Ring.set_enabled false;
   let d = Obs.Ring.dump () in
   match d.domains with
@@ -39,7 +40,7 @@ let test_record_dump_accounting () =
       Alcotest.(check int) "dropped" 0 dd.dropped;
       Alcotest.(check (list string))
         "tags in record order"
-        [ "pool_queue_depth"; "store_spill"; "adv_decision" ]
+        [ "pool_task_start"; "store_spill"; "pool_task_stop" ]
         (List.map (fun (e : Obs.Ring.event) -> Obs.Ring.tag_name e.tag) dd.events);
       Alcotest.(check (list int))
         "payload a preserved" [ 11; 11; 4 ]
@@ -52,15 +53,15 @@ let test_record_dump_accounting () =
    in dumps taken after the reset (the ring re-registers on record). *)
 let test_survives_reset () =
   with_tracing @@ fun () ->
-  Obs.Ring.record Obs.Ring.Sim_step 1 0;
+  Obs.Ring.record Obs.Ring.Pool_idle_start 1 0;
   Obs.Ring.reset ();
-  Obs.Ring.record Obs.Ring.Sim_crash 2 0;
+  Obs.Ring.record Obs.Ring.Store_spill 2 0;
   let d = Obs.Ring.dump () in
   match d.domains with
   | [ dd ] ->
       Alcotest.(check int) "only the post-reset event" 1 dd.recorded;
       Alcotest.(check (list string))
-        "pre-reset event gone" [ "sim_crash" ]
+        "pre-reset event gone" [ "store_spill" ]
         (List.map (fun (e : Obs.Ring.event) -> Obs.Ring.tag_name e.tag) dd.events)
   | ds -> Alcotest.failf "expected 1 domain dump, got %d" (List.length ds)
 
@@ -81,7 +82,7 @@ let test_wrap_drops_oldest () =
     Domain.join
       (Domain.spawn (fun () ->
            for i = 1 to total do
-             Obs.Ring.record Obs.Ring.Sim_step i 0
+             Obs.Ring.record Obs.Ring.Store_spill i 0
            done;
            (Domain.self () :> int)))
   in
@@ -105,7 +106,7 @@ let test_wrap_drops_oldest () =
 let test_json_round_trip () =
   with_tracing @@ fun () ->
   Obs.Ring.record Obs.Ring.Store_spill 7 1;
-  Obs.Ring.record Obs.Ring.Pool_queue_depth 3 2;
+  Obs.Ring.record Obs.Ring.Pool_task_start 3 2;
   Obs.Ring.set_enabled false;
   let d = Obs.Ring.dump () in
   match Obs.Ring.of_json (Obs.Ring.to_json d) with
@@ -121,7 +122,6 @@ let test_json_round_trip () =
 let test_chrome_round_trip_two_domains () =
   with_tracing @@ fun () ->
   Obs.Ring.record Obs.Ring.Pool_task_start 0 10;
-  Obs.Ring.record Obs.Ring.Pool_queue_depth 42 1;
   Obs.Ring.record Obs.Ring.Store_spill 42 2;
   Obs.Ring.record Obs.Ring.Pool_task_stop 0 10;
   let other =
@@ -129,7 +129,7 @@ let test_chrome_round_trip_two_domains () =
       (Domain.spawn (fun () ->
            Obs.Ring.record Obs.Ring.Pool_idle_start 0 0;
            Obs.Ring.record Obs.Ring.Pool_idle_stop 0 0;
-           Obs.Ring.record Obs.Ring.Sim_deliver 3 0;
+           Obs.Ring.record Obs.Ring.Store_spill 3 0;
            (Domain.self () :> int)))
   in
   Obs.Ring.set_enabled false;
@@ -174,20 +174,18 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   go 0
 
-(* The analyzer over a hand-built dump: a busy domain that samples the
-   queue and spills, an idle domain with one decision event, known busy/idle
-   windows. *)
+(* The analyzer over a hand-built dump: a busy domain that spills, an
+   idle domain, known busy/idle windows. *)
 let test_analyze_synthetic_dump () =
   let ev tag a b ts_us = { Obs.Ring.tag; a; b; ts_us } in
   let d0 =
     {
       Obs.Ring.domain = 0;
-      recorded = 5;
+      recorded = 4;
       dropped = 0;
       events =
         [
           ev Obs.Ring.Pool_task_start 0 4 0.0;
-          ev Obs.Ring.Pool_queue_depth 1 3 10.0;
           ev Obs.Ring.Store_spill 40 4096 20.0;
           ev Obs.Ring.Store_spill 20 2048 30.0;
           ev Obs.Ring.Pool_task_stop 0 4 100.0;
@@ -197,14 +195,12 @@ let test_analyze_synthetic_dump () =
   let d1 =
     {
       Obs.Ring.domain = 1;
-      recorded = 4;
+      recorded = 2;
       dropped = 0;
       events =
         [
           ev Obs.Ring.Pool_idle_start 0 0 0.0;
           ev Obs.Ring.Pool_idle_stop 0 0 50.0;
-          ev Obs.Ring.Adv_decision 3 1 55.0;
-          ev Obs.Ring.Sim_step 1 0 60.0;
         ];
     }
   in
@@ -230,22 +226,10 @@ let test_analyze_synthetic_dump () =
       Alcotest.(check (float 1e-9)) "d1 idle time" 50.0 r.idle_us;
       Alcotest.(check (float 1e-9)) "d1 never busy" 0.0 r.busy_us
   | None -> Alcotest.fail "domain 1 missing from report");
-  Alcotest.(check (list (pair int int)))
-    "one depth-1 queue sample" [ (1, 1) ] t.queue_depths;
-  (match t.decisions with
-  | Some (s : Obs.Trace_analysis.decision_summary) ->
-      Alcotest.(check int) "one decision" 1 s.decisions;
-      Alcotest.(check int) "none forced" 0 s.forced;
-      Alcotest.(check int) "enabled-set size" 3 s.min_enabled;
-      Alcotest.(check int) "step chosen" 1 s.steps;
-      Alcotest.(check int) "no deliveries" 0 s.delivers
-  | None -> Alcotest.fail "decision summary missing");
   (* the report renders and exports without tripping over the synthetic data *)
   let rendered = Fmt.str "%a" Obs.Trace_analysis.pp t in
   Alcotest.(check bool) "report sums the spill runs" true
     (contains ~affix:"2 spill runs (6144 B)" rendered);
-  Alcotest.(check bool) "report counts the queue sample" true
-    (contains ~affix:"depth  1: 1 sample" rendered);
   match Obs.Trace_analysis.to_json t with
   | Obs.Json.Obj _ -> ()
   | _ -> Alcotest.fail "to_json is not an object"
@@ -258,7 +242,6 @@ let test_analyze_empty_dump () =
   let dump = { Obs.Ring.capacity = 1024; domains = []; runtime = [] } in
   let t = Obs.Trace_analysis.analyze ~buckets:4 dump in
   Alcotest.(check int) "no domains" 0 (List.length t.domains);
-  Alcotest.(check bool) "no decision summary" true (t.decisions = None);
   ignore (Fmt.str "%a" Obs.Trace_analysis.pp t);
   match Obs.Trace_analysis.to_json t with
   | Obs.Json.Obj _ -> ()
@@ -305,9 +288,10 @@ let test_analyze_single_domain () =
   | ds -> Alcotest.failf "expected 1 domain report, got %d" (List.length ds)
 
 (* Compatibility both ways: a dump written by a newer ring with an extra
-   event tag, or by an older one with a retired tag (wire code 20 held
-   allocation samples, code 17 work-stealing steals), must parse — the
-   unknown event is skipped, not an error. *)
+   event tag, or by an older one with a retired tag (wire code 8 held
+   queue-depth samples, codes 9-12 simulator steps and adversary
+   decisions, code 17 work-stealing steals, code 20 allocation samples),
+   must parse — the unknown event is skipped, not an error. *)
 let skips_code code =
   with_tracing @@ fun () ->
   Obs.Ring.record Obs.Ring.Store_spill 7 1;
@@ -350,7 +334,8 @@ let skips_code code =
                dd.events)
       | ds -> Alcotest.failf "expected 1 domain, got %d" (List.length ds))
 
-let test_of_json_skips_unknown_tag () = List.iter skips_code [ 99; 20; 17 ]
+let test_of_json_skips_unknown_tag () =
+  List.iter skips_code [ 99; 20; 17; 8; 9; 10; 11; 12 ]
 
 (* ---- a live traced solve --------------------------------------------- *)
 
@@ -363,7 +348,9 @@ module Va = Mdp.Solver.Make (Model.Weakener_va.Game)
    4-job solve leaves every worker domain's ring whole, with its task
    slices intact. [set_capacity] only sizes rings created after the
    call, so the sequential solve runs on a freshly spawned domain; the
-   pool's worker domains are fresh too. *)
+   pool's worker domains are fresh too. A traced Monte-Carlo run of the
+   ABD weakener records nothing at all: simulator steps and adversary
+   decisions are not timeline events. *)
 let test_live_traced_solve () =
   Obs.Ring.reset ();
   Obs.Ring.set_capacity 1024;
@@ -378,6 +365,14 @@ let test_live_traced_solve () =
   let sum f (t : Obs.Trace_analysis.t) =
     List.fold_left (fun a r -> a + f r) 0 t.domains
   in
+  let mc =
+    Adversary.Monte_carlo.estimate ~trials:300 ~seed:11
+      ~scheduler:Adversary.Schedulers.uniform ~bad:Programs.Weakener.bad
+      Programs.Weakener.abd_config
+  in
+  Alcotest.(check int) "every Monte-Carlo trial ran" 300 mc.trials;
+  Alcotest.(check int) "a traced Monte-Carlo run records nothing" 0
+    (List.length (Obs.Ring.dump ()).domains);
   Va.reset ();
   ignore (Domain.join (Domain.spawn (fun () -> Va.value ~memo_budget:1 init)));
   let runs =
@@ -418,6 +413,91 @@ let test_live_traced_solve () =
                 true (r.busy_us > 0.0))
         p.domains
 
+(* ---- capture and the runtime-event clock ---------------------------- *)
+
+let with_capture f =
+  let path = Filename.temp_file "ring-capture" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      Obs.Ring.reset ())
+    (fun () -> f path)
+
+(* Runtime events share the ring's clock: [start_runtime_events]
+   calibrates the runtime's clock once, so every GC and lifecycle event of
+   a captured 2-job solve lies between the clock reads that bracket the
+   capture, and the minor collections that stop the workers fall inside
+   their task slices. [slack_us] covers the two clock sources (the
+   runtime's monotonic clock, [Span]'s wall clock) drifting apart by a
+   few ppm; an offset taken at dump time is off by the whole solve. *)
+let test_runtime_events_on_ring_clock () =
+  with_capture @@ fun path ->
+  Fun.protect ~finally:Va.reset @@ fun () ->
+  Va.reset ();
+  let slack_us = 50.0 in
+  let t_start = Obs.Span.now_us () in
+  let v, d =
+    Obs.Ring.capture path (fun () ->
+        Va.value_par ~jobs:2 (Model.Weakener_va.init ~k:3))
+  in
+  let t_dump = Obs.Span.now_us () in
+  Alcotest.(check bool) "capture leaves recording off" false (Obs.Ring.enabled ());
+  Alcotest.(check (float 0.0)) "value as the sequential solve"
+    (Model.Weakener_va.bad_probability ~k:3 ()) v;
+  (match Obs.Ring.load_file path with
+  | Ok d' -> Alcotest.(check bool) "the written dump loads back" true (d = d')
+  | Error e -> Alcotest.failf "capture wrote an unloadable dump: %s" e);
+  let rt =
+    List.concat_map (fun (dd : Obs.Ring.domain_dump) -> dd.events) d.runtime
+  in
+  Alcotest.(check bool) "runtime events captured" true (rt <> []);
+  List.iter
+    (fun (e : Obs.Ring.event) ->
+      if e.ts_us < t_start -. slack_us || e.ts_us > t_dump +. slack_us then
+        Alcotest.failf "%s at %.1f us lies outside the capture [%.1f, %.1f]"
+          (Obs.Ring.tag_name e.tag) e.ts_us t_start t_dump)
+    rt;
+  let slices =
+    List.concat_map
+      (fun (dd : Obs.Ring.domain_dump) ->
+        let _, acc =
+          List.fold_left
+            (fun (opened, acc) (e : Obs.Ring.event) ->
+              match (e.tag, opened) with
+              | Obs.Ring.Pool_task_start, _ -> (Some e.ts_us, acc)
+              | Obs.Ring.Pool_task_stop, Some lo -> (None, (lo, e.ts_us) :: acc)
+              | _ -> (opened, acc))
+            (None, []) dd.events
+        in
+        acc)
+      d.domains
+  in
+  Alcotest.(check bool) "the workers ran task slices" true (slices <> []);
+  let in_slice (e : Obs.Ring.event) =
+    e.tag = Obs.Ring.Gc_minor && e.a = 0
+    && List.exists (fun (lo, hi) -> lo <= e.ts_us && e.ts_us <= hi) slices
+  in
+  Alcotest.(check bool) "a minor GC falls inside a pool task slice" true
+    (List.exists in_slice rt)
+
+(* The runtime overwrites events no poll has read yet; its lane reports
+   them as dropped. 50,000 forced minor collections overrun the
+   per-domain runtime ring between capture start and dump. *)
+let test_runtime_lane_reports_lost_events () =
+  with_capture @@ fun path ->
+  let (), d =
+    Obs.Ring.capture path (fun () ->
+        for _ = 1 to 50_000 do
+          Gc.minor ()
+        done)
+  in
+  let lost =
+    List.fold_left (fun n (dd : Obs.Ring.domain_dump) -> n + dd.dropped) 0 d.runtime
+  in
+  Alcotest.(check bool) "the runtime lane counts lost events" true (lost > 0);
+  let t = Obs.Trace_analysis.analyze d in
+  Alcotest.(check int) "the analysis reports them" lost t.runtime_dropped
+
 let tests =
   [
     Alcotest.test_case "disabled record is a no-op" `Quick test_disabled_is_noop;
@@ -437,4 +517,8 @@ let tests =
       test_of_json_skips_unknown_tag;
     Alcotest.test_case "live traced solve fits a 1024-slot ring" `Quick
       test_live_traced_solve;
+    Alcotest.test_case "runtime events share the ring clock" `Quick
+      test_runtime_events_on_ring_clock;
+    Alcotest.test_case "runtime lanes report lost events" `Quick
+      test_runtime_lane_reports_lost_events;
   ]
