@@ -31,7 +31,6 @@ type options = {
   only : string list option;  (* uppercased section ids *)
   progress : bool;
   jobs : int;
-  memo_budget : int option;
 }
 
 let options =
@@ -39,15 +38,15 @@ let options =
   and trace_out = ref None
   and only = ref None
   and progress = ref false
-  (* default 1, not the core count: every deterministic quantity is
-     bit-identical at any job count, but the per-domain solver stats land
-     in the results document and would drift against single-job baselines *)
-  and jobs = ref (Option.value (Par.Pool.env_jobs ()) ~default:1)
-  and memo_budget = ref None in
+  (* default 1, not the core count: every value and state count is
+     bit-identical at any job count, but a parallel solve's memo-hit
+     counters move with the worker schedule and would drift against
+     single-job baselines *)
+  and jobs = ref (Option.value (Par.Pool.env_jobs ()) ~default:1) in
   let usage () =
     Fmt.epr
       "usage: main.exe [--json PATH] [--trace-out PATH] [--only E1,E2,...] \
-       [--progress] [--jobs N] [--memo-budget BYTES] [--verbosity LEVEL]@.";
+       [--progress] [--jobs N] [--verbosity LEVEL]@.";
     exit 2
   in
   let rec parse = function
@@ -76,14 +75,6 @@ let options =
             Fmt.epr "--jobs expects a positive integer@.";
             exit 2);
         parse rest
-    | "--memo-budget" :: b :: rest ->
-        (match Mdp.Solver.parse_memo_budget b with
-        | Ok n when n > 0 -> memo_budget := Some n
-        | Ok _ -> memo_budget := None
-        | Error e ->
-            Fmt.epr "--memo-budget: %s@." e;
-            exit 2);
-        parse rest
     | "--verbosity" :: v :: rest ->
         (match Obs.Log.set_verbosity v with
         | Ok () -> ()
@@ -102,7 +93,6 @@ let options =
     only = !only;
     progress = !progress;
     jobs = !jobs;
-    memo_budget = !memo_budget;
   }
 
 (* One shared domain pool for the whole bench run, installed (and always
@@ -205,8 +195,6 @@ let e2_abd () =
   Report.metrics r
     (Report.solver_stats_json (Model.Weakener_abd.solver_stats ())
     @ [
-        ("solve_seconds_k1", Obs.Json.Float dt);
-        ("solve_seconds_k1_abd_c", Obs.Json.Float dtc);
         ("states_k1", Obs.Json.Int st.states);
         ("states_k1_abd_c", Obs.Json.Int stc.states);
       ]);
@@ -280,9 +268,6 @@ let e3_abd2 () =
     [
       ("states_k2", Obs.Json.Int st.states);
       ("states_k2_abd_c", Obs.Json.Int stc.states);
-      ("solver_hit_rate_k2", Obs.Json.Float (Mdp.Solver.hit_rate st));
-      ("solve_seconds_k2", Obs.Json.Float dt);
-      ("solve_seconds_k2_abd_c", Obs.Json.Float dtc);
       ("solver_max_depth", Obs.Json.Int st.max_depth);
     ];
   Report.finish r;
@@ -371,12 +356,7 @@ let e5_convergence () =
       ~paper_value:law ~measured_value:v
       ~measured:(Fmt.str "%.6f" v)
       ();
-    Report.metrics r
-      [
-        (Fmt.str "states_k%d" k, Obs.Json.Int st.states);
-        (Fmt.str "solver_hit_rate_k%d" k, Obs.Json.Float (Mdp.Solver.hit_rate st));
-        (Fmt.str "solve_seconds_k%d" k, Obs.Json.Float dt);
-      ]
+    Report.metrics r [ (Fmt.str "states_k%d" k, Obs.Json.Int st.states) ]
   done;
   Report.metrics r
     (Report.solver_stats_json (Model.Weakener_abd.solver_stats ()));
@@ -775,9 +755,11 @@ let e11_va_weakener () =
 (* Sequential vs parallel wall clock for the two engine entry points.
    The values are asserted bit-identical — the timings are the only
    machine-dependent part: bench-diff does not compare them, and only the
-   opt-in --min-speedup gate reads the solve timings. *)
+   opt-in --min-speedup gate reads the solve timings. The section runs at
+   --jobs when that is above 1 and at 2 otherwise, so its deterministic
+   quantities do not depend on the host's core count. *)
 let par_speedup () =
-  let jobs = if options.jobs > 1 then options.jobs else Par.Pool.default_jobs () in
+  let jobs = if options.jobs > 1 then options.jobs else 2 in
   let r =
     Report.section ~id:"PAR"
       ~title:(Fmt.str "Parallel engine — sequential vs %d jobs" jobs)
@@ -806,14 +788,14 @@ let par_speedup () =
   in
   let seq_states = Model.Weakener_abd.explored_states () in
   Model.Weakener_abd.reset ();
-  (* domain identity is only observable while the pool is alive, so it is
-     captured inside the region (negligible next to the solve itself) *)
-  let domain_info = ref (0, []) in
+  (* worker domains are only observable while the pool is alive, so they
+     are counted inside the region *)
+  let spawned = ref 0 in
   let v_par, t_spar =
     time (fun () ->
         Par.Pool.with_pool ~jobs (fun pool ->
             let v = Model.Weakener_abd.bad_probability ~pool ~jobs ~k:solve_k () in
-            domain_info := (Par.Pool.spawned_domains (), Par.Pool.domain_ids pool);
+            spawned := Par.Pool.spawned_domains ();
             v))
   in
   let solve_same = Float.equal v_seq v_par in
@@ -837,74 +819,38 @@ let par_speedup () =
   in
   add "Monte-Carlo, 4000 trials" t_mseq t_mpar mc_same;
   add (Fmt.str "exact solve, ABD^%d" solve_k) t_sseq t_spar solve_same;
+  let ps = Model.Weakener_abd.last_par_stats () in
+  let flag b = if b then 1.0 else 0.0 in
+  (* the solve really ran on worker domains: a sequential fallback would
+     make the rows above compare the sequential solve with itself *)
+  let domains = match ps with Some ps -> List.length ps.domains | None -> 0 in
+  let ran_par = ps <> None && !spawned >= 1 && domains > 0 in
+  Report.json_row r ~quantity:"parallel solve ran on worker domains"
+    ~paper:"par stats present, >= 1 spawned domain" ~paper_value:1.0
+    ~measured_value:(flag ran_par)
+    ~measured:
+      (Fmt.str "%b (%d spawned, %d reporting)" ran_par !spawned domains)
+    ();
   (* schedule-independent: the shared memo ends up holding exactly the
      states the sequential solve memoized *)
-  (match Model.Weakener_abd.last_par_stats () with
-  | Some ps ->
-      let same = ps.distinct_keys = seq_states in
-      Report.json_row r
-        ~quantity:"parallel distinct states = sequential states"
-        ~paper:"equal at every job count" ~paper_value:1.0
-        ~measured_value:(if same then 1.0 else 0.0)
-        ~measured:(Fmt.str "%b (%d vs %d)" same ps.distinct_keys seq_states)
-        ()
-  | None -> ());
-  (* schema-v3/v4 parallel telemetry: who ran (spawned_domains,
-     domain_ids) and what each worker did against the shared memo. The
-     claim protocol evaluates each state exactly once, so the domains'
-     summed misses equal distinct_keys; the v4 claim counters show how
-     often workers met each other's claims. *)
-  let spawned, ids = !domain_info in
-  let par_solve_json =
-    match Model.Weakener_abd.last_par_stats () with
-    | None -> []
-    | Some (ps : Mdp.Solver.par_stats) ->
-        [
-          ( "par_solve",
-            Obs.Json.Obj
-              [
-                ( "domains",
-                  Obs.Json.List
-                    (List.map
-                       (fun (d : Mdp.Solver.domain_stats) ->
-                         Obs.Json.Obj
-                           [
-                             ("domain", Obs.Json.Int d.domain_id);
-                             ("states", Obs.Json.Int d.stats.states);
-                             ("memo_hits", Obs.Json.Int d.stats.memo_hits);
-                             ("memo_misses", Obs.Json.Int d.stats.memo_misses);
-                             ( "hit_rate",
-                               Obs.Json.Float (Mdp.Solver.hit_rate d.stats) );
-                           ])
-                       ps.domains) );
-                ("distinct_keys", Obs.Json.Int ps.distinct_keys);
-                (* schema-v4 claim counters *)
-                ("claim_hits", Obs.Json.Int ps.claim_hits);
-                ("claim_misses", Obs.Json.Int ps.claim_misses);
-                ("pruned_subtrees", Obs.Json.Int ps.pruned_subtrees);
-              ] );
-        ]
-  in
+  let distinct = match ps with Some ps -> ps.distinct_keys | None -> 0 in
+  let same = distinct = seq_states in
+  Report.json_row r ~quantity:"parallel distinct states = sequential states"
+    ~paper:"equal at every job count" ~paper_value:1.0
+    ~measured_value:(flag same)
+    ~measured:(Fmt.str "%b (%d vs %d)" same distinct seq_states)
+    ();
   Report.metrics r
-    ([
-       ("jobs", Obs.Json.Int jobs);
-       (* lets bench-diff --min-speedup refuse an oversubscribed run *)
-       ( "recommended_domain_count",
-         Obs.Json.Int (Domain.recommended_domain_count ()) );
-       ("spawned_domains", Obs.Json.Int spawned);
-       ("domain_ids", Obs.Json.List (List.map (fun i -> Obs.Json.Int i) ids));
-       ("mc_seq_seconds", Obs.Json.Float t_mseq);
-       ("mc_par_seconds", Obs.Json.Float t_mpar);
-       ("mc_speedup_timing", Obs.Json.Float (speedup t_mseq t_mpar));
-       ("solve_k", Obs.Json.Int solve_k);
-       ("solve_seq_seconds", Obs.Json.Float t_sseq);
-       ("solve_par_seconds", Obs.Json.Float t_spar);
-       ("solve_speedup_timing", Obs.Json.Float (speedup t_sseq t_spar));
-     ]
-    @ par_solve_json);
-  (match Model.Weakener_abd.last_par_stats () with
-  | Some ps -> Fmt.pr "@.  %a@." Mdp.Solver.pp_par_stats ps
-  | None -> ());
+    [
+      ("jobs", Obs.Json.Int jobs);
+      (* lets bench-diff --min-speedup refuse an oversubscribed run *)
+      ( "recommended_domain_count",
+        Obs.Json.Int (Domain.recommended_domain_count ()) );
+      ("solve_k", Obs.Json.Int solve_k);
+      ("solve_seq_seconds", Obs.Json.Float t_sseq);
+      ("solve_par_seconds", Obs.Json.Float t_spar);
+    ];
+  Option.iter (Fmt.pr "@.  %a@." Mdp.Solver.pp_par_stats) ps;
   Report.finish r;
   Fmt.pr
     "@.(Speedup depends on the machine's core count — %d domain%s available@.\
@@ -918,16 +864,16 @@ let par_speedup () =
    eviction. The claim/resolve protocol makes the spilled solve's value
    and distinct-state count bit-identical to the in-RAM one — the
    comparison rows below assert exactly that as paper-vs-measured rows,
-   which bench-diff fails on. The store's cumulative telemetry lands both
-   in this section's metrics (prefixed store_, none compared by
-   bench-diff — spill counts and cache traffic are budget- and
-   schedule-dependent) and as the document's top-level "store" block
-   that `schema_check --expect-store` validates. *)
+   which bench-diff fails on; a third row fails when the budget did not
+   force both a spill and an eviction, which would leave the first two
+   vacuous. The store's telemetry is printed, not written to the
+   document: spill counts and cache traffic move with the budget and
+   the worker schedule, and no gate reads them. *)
 
 let store_spill () =
   (* small enough that even the BLUNTING_KMAX=1 smoke solve (~106k
-     states, ~9 MB resident) spills heavily; --memo-budget overrides *)
-  let budget = Option.value options.memo_budget ~default:(1 lsl 20) in
+     states, ~9 MB resident) spills heavily *)
+  let budget = 1 lsl 20 in
   let solve_k = min 2 kmax in
   let r =
     Report.section ~id:"STORE"
@@ -988,24 +934,7 @@ let store_spill () =
         (Store.Memo.read_amplification ss)
         (Store.Memo.write_amplification ss);
     ];
-  Report.metrics r
-    [
-      ("states", Obs.Json.Int st_sp.Mdp.Solver.states);
-      ("store_budget_bytes", Obs.Json.Int budget);
-      ("store_spilled_entries", Obs.Json.Int ss.Store.Memo.spilled_entries);
-      ("store_spill_runs", Obs.Json.Int ss.Store.Memo.spill_runs);
-      ("store_bytes_spilled", Obs.Json.Int ss.Store.Memo.bytes_spilled);
-      ("store_evictions", Obs.Json.Int ss.Store.Memo.evictions);
-      ("store_disk_hits", Obs.Json.Int ss.Store.Memo.disk_hits);
-      ("store_cache_hit_rate", Obs.Json.Float (Store.Memo.cache_hit_rate ss));
-      ( "store_read_amplification",
-        Obs.Json.Float (Store.Memo.read_amplification ss) );
-      ( "store_write_amplification",
-        Obs.Json.Float (Store.Memo.write_amplification ss) );
-      ("solve_seconds_ram", Obs.Json.Float t_ram);
-      ("solve_seconds_spilled", Obs.Json.Float t_sp);
-    ];
-  Report.set_store_block ss;
+  Report.metrics r [ ("states", Obs.Json.Int st_sp.Mdp.Solver.states) ];
   (* release the segment files before the next section *)
   Model.Weakener_abd.reset ();
   Report.finish r;

@@ -55,34 +55,8 @@ let solver_stats_json (s : Mdp.Solver.stats) =
     ("solver_states", Obs.Json.Int s.states);
     ("solver_memo_hits", Obs.Json.Int s.memo_hits);
     ("solver_memo_misses", Obs.Json.Int s.memo_misses);
-    ("solver_hit_rate", Obs.Json.Float (Mdp.Solver.hit_rate s));
     ("solver_max_depth", Obs.Json.Int s.max_depth);
   ]
-
-(* The "store" block: rendered here (obs cannot depend on the store
-   library) and handed to the document via [Obs.Results.set_store_block]. *)
-let store_json (s : Store.Memo.stats) =
-  Obs.Json.Obj
-    [
-      ("budget_bytes", Obs.Json.Int s.budget_bytes);
-      ("resident_bytes", Obs.Json.Int s.resident_bytes);
-      ("spilled_entries", Obs.Json.Int s.spilled_entries);
-      ("spill_runs", Obs.Json.Int s.spill_runs);
-      ("bytes_spilled", Obs.Json.Int s.bytes_spilled);
-      ("payload_bytes", Obs.Json.Int s.payload_bytes);
-      ("evictions", Obs.Json.Int s.evictions);
-      ("cache_hits", Obs.Json.Int s.cache_hits);
-      ("cache_misses", Obs.Json.Int s.cache_misses);
-      ("cache_hit_rate", Obs.Json.Float (Store.Memo.cache_hit_rate s));
-      ("bytes_read", Obs.Json.Int s.bytes_read);
-      ("bytes_written", Obs.Json.Int s.bytes_written);
-      ("read_amplification", Obs.Json.Float (Store.Memo.read_amplification s));
-      ("write_amplification", Obs.Json.Float (Store.Memo.write_amplification s));
-      ("disk_hits", Obs.Json.Int s.disk_hits);
-      ("resolved", Obs.Json.Int s.resolved);
-    ]
-
-let set_store_block s = Obs.Results.set_store_block (store_json s)
 
 let mc_json (r : Adversary.Monte_carlo.result) =
   [

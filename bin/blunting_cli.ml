@@ -556,20 +556,6 @@ let bench_diff_cmd =
       & pos 1 (some file) None
       & info [] ~docv:"CURRENT" ~doc:"Current results document to compare.")
   in
-  let paper_tol_arg =
-    Arg.(
-      value
-      & opt float Obs.Diff.default_config.paper_tol
-      & info [ "paper-tol" ] ~docv:"F"
-          ~doc:"Absolute tolerance for paper-vs-measured rows (hard failure).")
-  in
-  let value_rtol_arg =
-    Arg.(
-      value
-      & opt float Obs.Diff.default_config.value_rtol
-      & info [ "value-rtol" ] ~docv:"F"
-          ~doc:"Relative tolerance for deterministic measured values (hard failure).")
-  in
   let min_speedup_arg =
     Arg.(
       value
@@ -592,8 +578,8 @@ let bench_diff_cmd =
              $(docv) times the baseline's (hard failure past the ceiling, \
              or when no section pair carries GC data).")
   in
-  let run () baseline current paper_tol value_rtol min_speedup max_alloc_ratio =
-    let config = { Obs.Diff.paper_tol; value_rtol; min_speedup; max_alloc_ratio } in
+  let run () baseline current min_speedup max_alloc_ratio =
+    let config = { Obs.Diff.min_speedup; max_alloc_ratio } in
     match Obs.Diff.run_files ~config ~baseline ~current Fmt.stdout with
     | Ok rc -> exit rc
     | Error e ->
@@ -603,13 +589,14 @@ let bench_diff_cmd =
   let doc =
     "Diff two bench results documents: paper-vs-measured drift in CURRENT is \
      a hard failure, and so is CURRENT-vs-BASELINE drift on a deterministic \
-     quantity; timing and GC figures are not compared. Exits 1 on hard \
-     failures, 2 on unreadable or schema-invalid input."
+     quantity; a fixed list of timing, GC and schedule-dependent figures \
+     is not compared. Exits 1 on hard failures, 2 on unreadable or \
+     schema-invalid input."
   in
   Cmd.v (Cmd.info "bench-diff" ~doc)
     Term.(
-      const run $ verbosity_term $ baseline_arg $ current_arg $ paper_tol_arg
-      $ value_rtol_arg $ min_speedup_arg $ max_alloc_ratio_arg)
+      const run $ verbosity_term $ baseline_arg $ current_arg $ min_speedup_arg
+      $ max_alloc_ratio_arg)
 
 (* ---- fuzz ----------------------------------------------------------- *)
 

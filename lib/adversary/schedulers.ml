@@ -34,19 +34,6 @@ let eager_delivery _t evs =
 let prefer_process p fallback t evs =
   if List.mem (Runtime.Step p) evs then Runtime.Step p else fallback t evs
 
-let of_codes ?fallback codes =
-  let pos = ref 0 in
-  fun t evs ->
-    if !pos >= Array.length codes then
-      match fallback with
-      | Some f -> f t evs
-      | None -> List.hd evs
-    else begin
-      let code = codes.(!pos) in
-      incr pos;
-      List.nth evs (abs code mod List.length evs)
-    end
-
 let lazy_delivery rng _t evs =
   let steps = List.filter (function Runtime.Step _ -> true | _ -> false) evs in
   let pool = if steps = [] then evs else steps in

@@ -22,16 +22,6 @@ val eager_delivery : t
     defers to [fallback] — a starvation-style adversary building block. *)
 val prefer_process : int -> t -> t
 
-(** [of_codes codes] replays a schedule of {e choice codes}: the i-th
-    event is [List.nth evs (codes.(i) mod length evs)]. Because each code
-    is reduced modulo the number of currently enabled events, {e every}
-    integer array is a valid schedule for every configuration — the
-    property the fuzzer's shrinker relies on (deleting or truncating
-    codes always yields a runnable schedule). After the array is
-    exhausted the scheduler defers to [fallback] (default: the first
-    enabled event). Stateful; create one per run. *)
-val of_codes : ?fallback:t -> int array -> t
-
 (** [lazy_delivery rng] steps a uniformly chosen runnable process and
     delivers a message only when every process is blocked — the
     delivery-procrastinating adversary style that starves update phases
@@ -41,7 +31,8 @@ val lazy_delivery : Util.Rng.t -> t
 
 (** [recording policy rng recorded] drives [policy rng] and prepends the
     chosen event's index among the enabled events to [recorded] (newest
-    first) — the recorded reversed list replayed through {!of_codes}
-    reproduces the run regardless of which policy generated it.
+    first) — the recorded reversed list replayed as choice codes (each
+    taken modulo the number of enabled events, as [Fuzz.Oracle.replay]
+    does) reproduces the run regardless of which policy generated it.
     Stateful; create one per run. *)
 val recording : (Util.Rng.t -> t) -> Util.Rng.t -> int list ref -> t

@@ -3,7 +3,7 @@
     A case is the non-schedule half of an execution: which program runs,
     over which object implementation, with how many processes and which
     transformation parameter [k]. The schedule half is a choice-code array
-    ({!Adversary.Schedulers.of_codes}); together with the engine seed and
+    (replayed by {!Oracle.replay}); together with the engine seed and
     iteration index they reproduce an execution exactly, which is what
     makes every fuzz failure replayable from [(seed, case, schedule)]
     alone. *)

@@ -28,10 +28,6 @@ let parse_budget s =
         | Some n when n >= 0 -> Ok (Iterations n)
         | _ -> Error (Fmt.str "invalid budget %S" s))
 
-let pp_budget ppf = function
-  | Iterations n -> Fmt.pf ppf "%d iterations" n
-  | Seconds sec -> Fmt.pf ppf "%gs" sec
-
 type summary = {
   seed : int;
   iterations : int;

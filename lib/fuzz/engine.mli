@@ -20,8 +20,6 @@ type budget = Iterations of int | Seconds of float
     (["300s"], ["5m"]). *)
 val parse_budget : string -> (budget, string) result
 
-val pp_budget : Format.formatter -> budget -> unit
-
 type summary = {
   seed : int;
   iterations : int;  (** cases generated and executed *)

@@ -1,7 +1,7 @@
 (** Greedy schedule shrinking.
 
     Failing schedules are arrays of choice codes (interpreted modulo the
-    number of enabled events, {!Adversary.Schedulers.of_codes}), so every
+    number of enabled events, {!Oracle.replay}), so every
     sub-array of a schedule is itself a valid schedule — deletion and
     truncation never produce an unrunnable input. The shrinker exploits
     this: starting from a failing schedule it greedily (1) truncates to

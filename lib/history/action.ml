@@ -23,4 +23,3 @@ let pp ppf = function
 let inv = function Call c -> c.inv | Ret r -> r.inv
 let proc = function Call c -> c.proc | Ret r -> r.proc
 let obj_name = function Call c -> c.obj_name | Ret r -> r.obj_name
-let is_call = function Call _ -> true | Ret _ -> false

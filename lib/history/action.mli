@@ -30,6 +30,3 @@ val proc : t -> int
 
 (** [obj_name a] is the object the action belongs to. *)
 val obj_name : t -> string
-
-(** [is_call a] holds for call actions. *)
-val is_call : t -> bool

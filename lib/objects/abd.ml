@@ -131,9 +131,6 @@ let sw_split ~name ~n ~writer : Transform.split =
 let make_single_writer ~name ~n ~writer ~init =
   make_with (Transform.base_invoke (sw_split ~name ~n ~writer)) ~name ~init
 
-let make_single_writer_k ~k ~name ~n ~writer ~init =
-  make_with (Transform.iterated_invoke ~k (sw_split ~name ~n ~writer)) ~name ~init
-
 let make_no_writeback ~name ~n ~init =
   let broken : Transform.split =
     let base = split ~name ~n in

@@ -46,10 +46,6 @@ val make_k : k:int -> name:string -> n:int -> init:Util.Value.t -> Sim.Obj_impl.
 val make_single_writer :
   name:string -> n:int -> writer:int -> init:Util.Value.t -> Sim.Obj_impl.t
 
-(** Transformed single-writer variant. *)
-val make_single_writer_k :
-  k:int -> name:string -> n:int -> writer:int -> init:Util.Value.t -> Sim.Obj_impl.t
-
 (** Negative control: ABD with the reader's write-back (line 23 of
     Algorithm 3) removed. The result is {e regular} but not linearizable —
     two sequential reads can observe a concurrent write in new-then-old

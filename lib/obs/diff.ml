@@ -10,22 +10,15 @@ type finding = {
   detail : string;
 }
 
-type config = {
-  paper_tol : float;
-  value_rtol : float;
-  min_speedup : float option;
-  max_alloc_ratio : float option;
-}
+type config = { min_speedup : float option; max_alloc_ratio : float option }
 
-let default_config =
-  {
-    (* paper-vs-measured agreement is exact on this repo's deterministic
-       experiments; 1e-6 absorbs only float printing noise *)
-    paper_tol = 1e-6;
-    value_rtol = 1e-9;
-    min_speedup = None;
-    max_alloc_ratio = None;
-  }
+let default_config = { min_speedup = None; max_alloc_ratio = None }
+
+(* Every experiment here is deterministic: [abs_tol] (paper vs
+   measured) absorbs only float printing noise, [rel_tol] (run vs
+   baseline) a last-digit difference. *)
+let abs_tol = 1e-6
+let rel_tol = 1e-9
 
 type report = {
   findings : finding list;
@@ -41,40 +34,31 @@ let exit_code r = if failures r = [] then 0 else 1
 
 let ( let* ) = Result.bind
 
-(* Resource and timing figures move with the machine, not the algorithm,
-   so they are not compared at all: perf/ is what judges time, and the
-   opt-in gates below read the few that matter. Everything else in a
-   results document is deterministic (seeded RNGs, exact game values) and
-   diffs tightly. *)
-let machine_dependent k =
-  let k = String.lowercase_ascii k in
-  let has needle =
-    let nl = String.length needle and kl = String.length k in
-    let rec go i = i + nl <= kl && (String.sub k i nl = needle || go (i + 1)) in
-    go 0
-  in
-  has "second" || has "time" || has "latency" || has "duration" || has "gc."
-  || has "_ns" || has "ns)" || has "words" || has "heap" || has "collection"
-  || has "hit_rate" || has "states/s"
-  (* schema-v3/v4 parallel telemetry: per-domain splits and the
-     claim/helping counters depend on how the scheduler interleaved
-     the worker domains, not on the algorithm ("jobs" itself stays a hard
-     key); prune counts move with the evaluation order too *)
-  || has "domain" || has "queue" || has "par_solve"
-  || has "utilization" || has "speedup" || has "claim"
-  || has "prune"
-  (* out-of-core store telemetry: run/eviction/cache-traffic counts move
-     with the budget and, under jobs > 1, with the worker schedule; the
-     solved values and distinct-state counts stay hard keys *)
-  || has "spill" || has "evict" || has "amplification" || has "disk_hit"
-  || has "cache" || has "budget"
+(* The metrics not compared against the baseline, with the section
+   they are exempt in ([None]: every section). Everything else in a
+   results document is deterministic (seeded RNGs, exact game values)
+   and diffs tightly, so a new machine-dependent metric fails loudly
+   until it is added here. The first four are the figures the opt-in
+   gates below read: allocation and parallel wall time move with the
+   compiler and the machine. The last two move with the worker schedule
+   of PAR's parallel solve: a worker that finds another's live claim
+   helps by probing that state's children, so its memo hits and claim
+   misses vary from run to run, while its memo misses, one per state,
+   do not. *)
+let exempt_keys =
+  [
+    (None, "gc.minor_words");
+    (Some "PAR", "solve_seq_seconds");
+    (Some "PAR", "solve_par_seconds");
+    (Some "PAR", "recommended_domain_count");
+    (Some "PAR", "counters.mdp.memo_hits");
+    (Some "PAR", "counters.mdp.claim_misses");
+  ]
 
-(* A key the worker schedule moves in one section only. In PAR a worker
-   that finds another's live claim helps by probing that state's
-   children, so the section's memo hits vary from run to run; its
-   misses, one per state, do not, and stay hard. *)
-let schedule_dependent ~section_id key =
-  section_id = "PAR" && key = "counters.mdp.memo_hits"
+let exempt ~section_id key =
+  List.exists
+    (fun (sec, k) -> k = key && (sec = None || sec = Some section_id))
+    exempt_keys
 
 let rel_drift ~from ~to_ =
   if from = to_ then 0.0
@@ -128,7 +112,7 @@ let metrics_of section =
 
 (* ---- the comparison -------------------------------------------------- *)
 
-let paper_findings cfg ~section_id rows =
+let paper_findings ~section_id rows =
   List.filter_map
     (fun (quantity, r) ->
       match
@@ -137,7 +121,7 @@ let paper_findings cfg ~section_id rows =
       with
       | Some pv, Some mv
         when Float.is_finite pv && Float.is_finite mv
-             && abs_float (mv -. pv) > cfg.paper_tol ->
+             && abs_float (mv -. pv) > abs_tol ->
           Some
             {
               severity = Fail;
@@ -147,14 +131,14 @@ let paper_findings cfg ~section_id rows =
                 Fmt.str "measured %a drifted from paper %a (|Δ| = %.3g > tol %.3g)"
                   pp_num mv pp_num pv
                   (abs_float (mv -. pv))
-                  cfg.paper_tol;
+                  abs_tol;
             }
       | _ -> None)
     rows
 
-let drift_finding cfg ~section ~subject ~from ~to_ =
+let drift_finding ~section ~subject ~from ~to_ =
   let d = rel_drift ~from ~to_ in
-  if d > cfg.value_rtol then
+  if d > rel_tol then
     Some
       {
         severity = Fail;
@@ -163,11 +147,11 @@ let drift_finding cfg ~section ~subject ~from ~to_ =
         detail =
           Fmt.str "%a -> %a (drift %.2f%% > tolerance %.2f%%)" pp_num from
             pp_num to_ (100.0 *. d)
-            (100.0 *. cfg.value_rtol);
+            (100.0 *. rel_tol);
       }
   else None
 
-let compare_rows cfg ~section_id base cur =
+let compare_rows ~section_id base cur =
   let compared = ref 0 in
   let findings = ref [] in
   let emit f = findings := f :: !findings in
@@ -182,7 +166,6 @@ let compare_rows cfg ~section_id base cur =
               subject = quantity;
               detail = "row present in baseline but missing in current run";
             }
-      | Some _ when machine_dependent quantity -> ()
       | Some crow -> (
           incr compared;
           match
@@ -192,7 +175,7 @@ let compare_rows cfg ~section_id base cur =
           | Some from, Some to_ when Float.is_finite from && Float.is_finite to_
             -> (
               match
-                drift_finding cfg ~section:(Some section_id) ~subject:quantity
+                drift_finding ~section:(Some section_id) ~subject:quantity
                   ~from ~to_
               with
               | Some f -> emit f
@@ -212,20 +195,27 @@ let compare_rows cfg ~section_id base cur =
     cur;
   (!compared, List.rev !findings)
 
-let compare_metrics cfg ~section_id base cur =
+let compare_metrics ~section_id base cur =
   let compared = ref 0 in
   let findings =
     List.filter_map
       (fun (key, from) ->
+        let subject = "metrics." ^ key in
         match List.assoc_opt key cur with
+        | None ->
+            Some
+              {
+                severity = Warn;
+                section = Some section_id;
+                subject;
+                detail = "metric present in baseline but missing in current run";
+              }
         | Some to_
           when Float.is_finite from && Float.is_finite to_
-               && not (machine_dependent key)
-               && not (schedule_dependent ~section_id key) ->
+               && not (exempt ~section_id key) ->
             incr compared;
-            drift_finding cfg ~section:(Some section_id) ~subject:("metrics." ^ key)
-              ~from ~to_
-        | _ -> None)
+            drift_finding ~section:(Some section_id) ~subject ~from ~to_
+        | Some _ -> None)
       base
   in
   (!compared, findings)
@@ -407,7 +397,7 @@ let diff ?(config = default_config) ~baseline ~current () =
   let sections = ref 0 and rows = ref 0 and metrics = ref 0 in
   (* the current document's own paper-vs-measured agreement: the hard gate *)
   List.iter
-    (fun (id, s) -> add (paper_findings config ~section_id:id (rows_of s)))
+    (fun (id, s) -> add (paper_findings ~section_id:id (rows_of s)))
     csec;
   add (speedup_findings config csec);
   add (alloc_findings config bsec csec);
@@ -426,11 +416,11 @@ let diff ?(config = default_config) ~baseline ~current () =
             ]
       | Some cs ->
           incr sections;
-          let n, fs = compare_rows config ~section_id:id (rows_of bs) (rows_of cs) in
+          let n, fs = compare_rows ~section_id:id (rows_of bs) (rows_of cs) in
           rows := !rows + n;
           add fs;
           let n, fs =
-            compare_metrics config ~section_id:id (metrics_of bs) (metrics_of cs)
+            compare_metrics ~section_id:id (metrics_of bs) (metrics_of cs)
           in
           metrics := !metrics + n;
           add fs)

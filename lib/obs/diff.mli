@@ -10,18 +10,20 @@
       carrying both [paper_value] and [measured_value] must agree to an
       absolute tolerance. All experiments here are deterministic (exact
       game values, seeded Monte-Carlo), so any drift is a real regression.
-    - {b run-vs-baseline drift} (hard): measured row values and
-      per-section metrics (values, state counts, counter deltas) must
-      agree to the relative [value_rtol]. Machine-dependent keys —
-      seconds, GC and heap figures, hit rates, per-domain and scheduling
-      counters, store traffic — are not compared, nor is the PAR
-      section's [counters.mdp.memo_hits], which the parallel solve's
-      helping makes schedule-dependent.
+    - {b run-vs-baseline drift} (hard): every measured row value and
+      every per-section metric (values, state counts, counter deltas)
+      must agree to a relative 1e-9, except an explicit list of
+      machine- and schedule-dependent keys: [gc.minor_words], PAR's
+      [solve_seq_seconds], [solve_par_seconds] and
+      [recommended_domain_count], which only the gates below read, and
+      PAR's [counters.mdp.memo_hits] and [counters.mdp.claim_misses],
+      which the parallel solve's helping makes schedule-dependent.
 
     Two opt-in hard gates read the machine-dependent figures that matter:
-    [min_speedup] and [max_alloc_ratio]. Missing sections or rows degrade
-    to warnings (subset runs via [--only] are routine); new sections and
-    rows are informational. Both documents must be schema v7. *)
+    [min_speedup] and [max_alloc_ratio]. Missing sections, rows or
+    metrics degrade to warnings (subset runs via [--only] are routine);
+    new sections and rows are informational. Both documents must be
+    schema v8. *)
 
 type severity = Info | Warn | Fail
 
@@ -33,8 +35,6 @@ type finding = {
 }
 
 type config = {
-  paper_tol : float;  (** absolute, paper-vs-measured (default 1e-6) *)
-  value_rtol : float;  (** relative, deterministic values (default 1e-9) *)
   min_speedup : float option;
       (** when set, the {e current} document's PAR section must show
           [solve_seq_seconds / solve_par_seconds >= f] — a hard [Fail]

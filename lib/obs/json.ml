@@ -291,7 +291,6 @@ let read_file path =
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 let to_list_opt = function List l -> Some l | _ -> None
 let to_int_opt = function Int n -> Some n | _ -> None
-let to_float_opt = function Float f -> Some f | _ -> None
 
 let to_number_opt = function
   | Int n -> Some (float_of_int n)

@@ -48,7 +48,6 @@ val member : string -> t -> t option
 val to_list_opt : t -> t list option
 
 val to_int_opt : t -> int option
-val to_float_opt : t -> float option
 
 (** [to_number_opt] accepts both [Int] and [Float]. *)
 val to_number_opt : t -> float option

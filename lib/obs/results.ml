@@ -1,4 +1,4 @@
-let schema_version = 7
+let schema_version = 8
 
 type row = {
   quantity : string;
@@ -49,25 +49,14 @@ let section_to_json s =
       ("metrics", Json.Obj (List.rev s.metrics));
     ]
 
-(* The out-of-core memo's telemetry, set by whoever ran a budgeted
-   solve (this module cannot depend on the store library — the store
-   records into [Ring], so the dependency runs the other way). Absent
-   from purely in-RAM runs. *)
-let store_block : Json.t option ref = ref None
-let set_store_block j = store_block := Some j
-
 let to_json t =
-  let store =
-    match !store_block with Some s -> [ ("store", s) ] | None -> []
-  in
   Json.Obj
-    ([
-       ("schema_version", Json.Int schema_version);
-       ("generated_by", Json.String t.generated_by);
-       ("generated_at_unix", Json.Float (Unix.time ()));
-       ("experiments", Json.List (List.rev_map section_to_json t.sections));
-     ]
-    @ store)
+    [
+      ("schema_version", Json.Int schema_version);
+      ("generated_by", Json.String t.generated_by);
+      ("generated_at_unix", Json.Float (Unix.time ()));
+      ("experiments", Json.List (List.rev_map section_to_json t.sections));
+    ]
 
 let write t ~path = Json.write_file path (to_json t)
 
@@ -139,25 +128,6 @@ let validate_experiment i e =
       check_obj e ~ctx "metrics";
     ]
 
-(* The optional store block: the counters a spill gate asserts on
-   must be numbers; extra fields stay legal for forward compatibility. *)
-let validate_store j =
-  match field j "store" with
-  | None -> Ok ()
-  | Some (Json.Obj _ as s) ->
-      check_all
-        (List.map
-           (fun name ->
-             match Option.bind (field s name) Json.to_number_opt with
-             | Some _ -> Ok ()
-             | None -> Error (Printf.sprintf "store.%s must be a number" name))
-           [
-             "budget_bytes"; "spilled_entries"; "spill_runs"; "bytes_spilled";
-             "evictions"; "cache_hits"; "cache_misses"; "cache_hit_rate";
-             "read_amplification"; "write_amplification"; "disk_hits";
-           ])
-  | Some _ -> Error "store must be an object"
-
 let validate j =
   match j with
   | Json.Obj _ ->
@@ -173,7 +143,5 @@ let validate j =
                schema_version)
       in
       let* () = check_string j ~ctx:"document" "generated_by" in
-      let* () = check_list j ~ctx:"document" "experiments" validate_experiment in
-      let* () = validate_store j in
-      Ok ()
+      check_list j ~ctx:"document" "experiments" validate_experiment
   | _ -> Error "document must be a JSON object"

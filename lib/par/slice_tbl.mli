@@ -44,7 +44,6 @@ val last_was_new : 'a t -> bool
 val find_slice : 'a t -> Bytes.t -> len:int -> 'a entry option
 val find_string : 'a t -> string -> 'a entry option
 val iter : 'a t -> (string -> 'a -> unit) -> unit
-val fold : 'a t -> (string -> 'a -> 'b -> 'b) -> 'b -> 'b
 
 (** The FNV-1a fold used internally, exposed so a sharded wrapper can
     route a slice and its materialized string to the same shard. The two

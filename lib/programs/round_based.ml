@@ -7,25 +7,8 @@ open Sim.Proc.Syntax
    published, so if all round-r votes agree, every process that completes
    round r observes the same agreement and decides consistently. *)
 
-let plain_suffix = "!plain"
-
-let fallback_invoke ~k split ~self ~meth ~arg =
-  let l = String.length plain_suffix in
-  if
-    String.length meth > l
-    && String.sub meth (String.length meth - l) l = plain_suffix
-  then
-    Objects.Transform.base_invoke split ~self
-      ~meth:(String.sub meth 0 (String.length meth - l))
-      ~arg
-  else Objects.Transform.iterated_invoke ~k split ~self ~meth ~arg
-
-let reg_name i = Fmt.str "F%d" i
-
-let make_reg ~k ~n i : Obj_impl.t =
-  let name = reg_name i in
-  let base = Objects.Abd.make_k ~k ~name ~n ~init:(Value.list []) in
-  { base with invoke = fallback_invoke ~k (Objects.Abd.split ~name ~n) }
+let make_reg ~k ~n i =
+  Core.Round_based.abd ~k ~name:(Fmt.str "F%d" i) ~n ~init:(Value.list [])
 
 let vote_of history r =
   match history with
@@ -41,7 +24,7 @@ let vote_of history r =
 let config ~n ~rounds_before_fallback ~max_rounds ~k : Runtime.config =
   let regs = List.init n (make_reg ~k ~n) in
   let meth base round =
-    if round < rounds_before_fallback then base else base ^ plain_suffix
+    if round < rounds_before_fallback then base else Core.Round_based.plain base
   in
   let program ~self =
     let own = List.nth regs self in

@@ -81,21 +81,35 @@ let test_metrics_counters_only () =
   Alcotest.(check (option int)) "ABD^1 states explored" (Some 106_263)
     (int_at [ "counters"; "mdp.states_explored" ] j)
 
-(* A section's [gc.minor_words] is the exact allocation inside it: a
-   [Gc.quick_stat] delta would read 0 for a section that runs between two
-   minor collections, as E8 does when run alone. *)
+(* A section's metrics describe that section's work alone. Its
+   [gc.minor_words] is the exact allocation inside it: a [Gc.quick_stat]
+   delta would read 0 for a section that runs between two minor
+   collections, as E8 does. Its counters are deltas: E4 is pure math, so
+   counters accumulated since process start would leak E1's simulator
+   and solver work into it. *)
 let test_bench_section_allocation () =
   let path = Filename.temp_file "blunting_bench" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      ignore (run ~exe:bench [ "--only"; "E8"; "--json"; path ]);
+      ignore (run ~exe:bench [ "--only"; "E1,E4,E8"; "--json"; path ]);
       let doc = parse_json path (In_channel.with_open_text path In_channel.input_all) in
-      let e8 =
+      let section id =
         match Option.bind (Obs.Json.member "experiments" doc) Obs.Json.to_list_opt with
-        | Some [ e ] -> e
-        | _ -> Alcotest.fail "expected exactly the E8 section"
+        | Some sections -> (
+            match
+              List.find_opt
+                (fun s -> Option.bind (at [ "id" ] s) Obs.Json.to_string_opt = Some id)
+                sections
+            with
+            | Some s -> s
+            | None -> Alcotest.failf "no %s section" id)
+        | None -> Alcotest.fail "no experiments"
       in
+      (match at [ "metrics"; "counters" ] (section "E4") with
+      | None -> ()
+      | Some c -> Alcotest.failf "E4 has counter deltas %s" (Obs.Json.to_string c));
+      let e8 = section "E8" in
       Alcotest.(check (option int)) "E8 sim.steps" (Some 2_142)
         (int_at [ "metrics"; "counters"; "sim.steps" ] e8);
       match

@@ -41,8 +41,9 @@ let test_self_diff_clean () =
   Alcotest.(check int) "no findings" 0 (List.length r.findings);
   Alcotest.(check int) "exit 0" 0 (Obs.Diff.exit_code r);
   Alcotest.(check int) "rows compared" 2 r.rows_compared;
-  (* solve_seconds_k1 is a timing key and is not compared *)
-  Alcotest.(check int) "metrics compared" 1 r.metrics_compared;
+  (* only the explicit list is exempt, so a timing key named like
+     solve_seconds_k1 is compared too *)
+  Alcotest.(check int) "metrics compared" 2 r.metrics_compared;
   Alcotest.(check int) "sections compared" 1 r.sections_compared
 
 let test_paper_drift_fails () =
@@ -54,10 +55,7 @@ let test_paper_drift_fails () =
   (* ... and tolerance is respected on both sides of the edge *)
   let within = make_doc ~rows:[ ("exact value", Some 0.5, 0.5 +. 5e-7) ] () in
   let r = run_diff ~baseline:within ~current:within () in
-  Alcotest.(check int) "within tolerance" 0 (count Obs.Diff.Fail r);
-  let custom = { Obs.Diff.default_config with paper_tol = 1e-3 } in
-  let r = run_diff ~config:custom ~baseline:bad ~current:bad () in
-  Alcotest.(check int) "widened tolerance passes" 0 (count Obs.Diff.Fail r)
+  Alcotest.(check int) "within tolerance" 0 (count Obs.Diff.Fail r)
 
 let test_measured_drift_fails_hard () =
   let baseline = make_doc ~rows:[ ("exact value", None, 0.625) ] () in
@@ -66,39 +64,45 @@ let test_measured_drift_fails_hard () =
   Alcotest.(check int) "deterministic drift is Fail" 1 (count Obs.Diff.Fail r);
   Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r)
 
-(* PAR's memo hits move with the worker schedule; its misses and every
-   other section's hits stay hard. *)
+(* PAR's memo hits and claim misses move with the worker schedule; its
+   memo misses and every other section's hits stay hard. *)
 let test_par_memo_hits_not_compared () =
-  let doc ~id ~hits ~misses =
+  let doc ?(claim_misses = 0.0) ~id ~hits ~misses () =
     make_doc ~id
       ~metrics:
-        [ ("counters.mdp.memo_hits", hits); ("counters.mdp.memo_misses", misses) ]
+        [
+          ("counters.mdp.memo_hits", hits);
+          ("counters.mdp.memo_misses", misses);
+          ("counters.mdp.claim_misses", claim_misses);
+        ]
       ()
   in
   let r =
-    run_diff ~baseline:(doc ~id:"PAR" ~hits:2_624_828.0 ~misses:637_840.0)
-      ~current:(doc ~id:"PAR" ~hits:2_804_192.0 ~misses:637_840.0)
+    run_diff ~baseline:(doc ~id:"PAR" ~hits:2_624_828.0 ~misses:637_840.0 ())
+      ~current:
+        (doc ~claim_misses:41.0 ~id:"PAR" ~hits:2_804_192.0 ~misses:637_840.0 ())
       ()
   in
   Alcotest.(check int) "PAR hits drift is no finding" 0 (List.length r.findings);
-  Alcotest.(check int) "only PAR misses compared" 1 r.metrics_compared;
+  Alcotest.(check int) "only PAR memo misses compared" 1 r.metrics_compared;
   let r =
-    run_diff ~baseline:(doc ~id:"PAR" ~hits:1.0 ~misses:637_840.0)
-      ~current:(doc ~id:"PAR" ~hits:1.0 ~misses:637_796.0)
+    run_diff ~baseline:(doc ~id:"PAR" ~hits:1.0 ~misses:637_840.0 ())
+      ~current:(doc ~id:"PAR" ~hits:1.0 ~misses:637_796.0 ())
       ()
   in
   Alcotest.(check int) "PAR misses drift fails" 1 (count Obs.Diff.Fail r);
   let r =
-    run_diff ~baseline:(doc ~id:"E5" ~hits:10.0 ~misses:5.0)
-      ~current:(doc ~id:"E5" ~hits:11.0 ~misses:5.0)
+    run_diff ~baseline:(doc ~id:"E5" ~hits:10.0 ~misses:5.0 ())
+      ~current:(doc ~id:"E5" ~hits:11.0 ~misses:5.0 ())
       ()
   in
   Alcotest.(check int) "hits drift elsewhere fails" 1 (count Obs.Diff.Fail r)
 
 let test_timing_keys_not_compared () =
-  (* a 10x wall-time change is no finding at all: perf/ judges time *)
+  (* a 10x change in a gate's wall time is no finding at all: perf/ judges
+     time *)
   let doc ~seconds ~states =
-    make_doc ~metrics:[ ("solve_seconds_k2", seconds); ("states", states) ] ()
+    make_doc ~id:"PAR" ~metrics:[ ("solve_seq_seconds", seconds); ("states", states) ] ()
   in
   let baseline = doc ~seconds:1.0 ~states:1000.0 in
   let r = run_diff ~baseline ~current:(doc ~seconds:10.0 ~states:1000.0) () in
@@ -112,7 +116,12 @@ let test_timing_keys_not_compared () =
       Alcotest.(check string) "the hard key fails" "metrics.states" f.subject;
       Alcotest.(check bool) "as a Fail" true (f.severity = Obs.Diff.Fail)
   | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
-  Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r)
+  Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r);
+  (* the exemption is by exact key, not by name: a timing key off the
+     list fails loudly instead of slipping past *)
+  let doc seconds = make_doc ~id:"PAR" ~metrics:[ ("mc_seq_seconds", seconds) ] () in
+  let r = run_diff ~baseline:(doc 1.0) ~current:(doc 10.0) () in
+  Alcotest.(check int) "unlisted timing key fails" 1 (count Obs.Diff.Fail r)
 
 let test_missing_section_warns () =
   let baseline =
@@ -161,6 +170,20 @@ let test_row_set_changes () =
     (subjects Obs.Diff.Warn);
   Alcotest.(check (list string)) "added row informs" [ "added" ]
     (subjects Obs.Diff.Info);
+  Alcotest.(check int) "still exit 0" 0 (Obs.Diff.exit_code r)
+
+(* A metric the current run no longer writes warns, as a missing row
+   does; a metric the baseline never had is not compared. *)
+let test_missing_metric_warns () =
+  let baseline = make_doc ~metrics:[ ("states", 10.0); ("removed", 2.0) ] () in
+  let current = make_doc ~metrics:[ ("states", 10.0); ("added", 3.0) ] () in
+  let r = run_diff ~baseline ~current () in
+  (match r.findings with
+  | [ f ] ->
+      Alcotest.(check string) "names the metric" "metrics.removed" f.subject;
+      Alcotest.(check bool) "as a Warn" true (f.severity = Obs.Diff.Warn)
+  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
+  Alcotest.(check int) "one metric compared" 1 r.metrics_compared;
   Alcotest.(check int) "still exit 0" 0 (Obs.Diff.exit_code r)
 
 let test_invalid_documents_rejected () =
@@ -378,6 +401,7 @@ let tests =
       test_par_memo_hits_not_compared;
     Alcotest.test_case "diff: missing/new sections" `Quick test_missing_section_warns;
     Alcotest.test_case "diff: added/removed rows" `Quick test_row_set_changes;
+    Alcotest.test_case "diff: missing metrics warn" `Quick test_missing_metric_warns;
     Alcotest.test_case "diff: invalid documents rejected" `Quick
       test_invalid_documents_rejected;
     Alcotest.test_case "diff: nested metrics, rendering" `Quick

@@ -328,11 +328,12 @@ let test_results_schema () =
       Obs.Json.Null;
     ]
 
-(* Only v7 validates: the committed BENCH_*.json baselines are v7, and
-   older documents (which still carry the top-level registry snapshot and
-   span log) and unknown future versions are rejected. *)
-let test_schema_version_v7_only () =
-  Alcotest.(check int) "current schema version" 7 Obs.Results.schema_version;
+(* Only v8 validates: the committed BENCH_*.json baselines are v8, and
+   older documents (which may still carry the top-level registry
+   snapshot, span log or store block) and unknown future versions are
+   rejected. *)
+let test_schema_version_v8_only () =
+  Alcotest.(check int) "current schema version" 8 Obs.Results.schema_version;
   let minimal_doc v =
     Obs.Json.Obj
       [
@@ -351,23 +352,23 @@ let test_schema_version_v7_only () =
             ] );
       ]
   in
-  (match Obs.Results.validate (minimal_doc 7) with
+  (match Obs.Results.validate (minimal_doc 8) with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "v7 document rejected: %s" e);
+  | Error e -> Alcotest.failf "v8 document rejected: %s" e);
   List.iter
     (fun v ->
       match Obs.Results.validate (minimal_doc v) with
       | Ok () -> Alcotest.failf "v%d document accepted" v
       | Error _ -> ())
-    [ 5; 6; 999 ];
-  (* the emitter writes neither of the retired top-level keys *)
+    [ 5; 6; 7; 999 ];
+  (* the emitter writes none of the retired top-level keys *)
   let doc = Obs.Results.create ~generated_by:"test suite" () in
   ignore (Obs.Results.section doc ~id:"E1" ~title:"keys");
   let json = Obs.Results.to_json doc in
   List.iter
     (fun k ->
       Alcotest.(check bool) (k ^ " absent") true (Obs.Json.member k json = None))
-    [ "metrics"; "spans" ]
+    [ "metrics"; "spans"; "store" ]
 
 (* ---- log levels ----------------------------------------------------- *)
 
@@ -402,6 +403,6 @@ let tests =
       test_solver_stats_memoization;
     Alcotest.test_case "solver: progress hook" `Quick test_solver_progress_hook;
     Alcotest.test_case "results: schema round-trip" `Quick test_results_schema;
-    Alcotest.test_case "results: only v7 valid" `Quick test_schema_version_v7_only;
+    Alcotest.test_case "results: only v8 valid" `Quick test_schema_version_v8_only;
     Alcotest.test_case "log: verbosity levels" `Quick test_log_levels;
   ]
