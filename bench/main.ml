@@ -10,9 +10,16 @@
      dune exec bench/main.exe -- --only E1,E4    # run a subset
      dune exec bench/main.exe -- --progress      # live solver telemetry
      dune exec bench/main.exe -- --verbosity info
-     dune exec bench/main.exe -- --jobs 4        # parallel MC + solver frontier
+     dune exec bench/main.exe -- --jobs 4        # parallel Monte-Carlo; PAR at 4 jobs
      BLUNTING_KMAX=3 dune exec bench/main.exe    # cap the exact solver's k
      BLUNTING_JOBS=4 dune exec bench/main.exe    # default for --jobs
+
+   Every exact solve outside PAR runs sequentially at any --jobs: a
+   parallel solve's values and state counts are bit-identical, but its
+   memo-hit counters move with the worker schedule, and the document
+   compares them against single-job baselines. --jobs parallelises the
+   Monte-Carlo sections, whose tallies are bit-identical at any job
+   count, and sets PAR's job count.
 
    The --json document follows the Obs.Results schema (see
    lib/obs/results.mli and EXPERIMENTS.md): per-section paper-vs-measured
@@ -38,10 +45,8 @@ let options =
   and trace_out = ref None
   and only = ref None
   and progress = ref false
-  (* default 1, not the core count: every value and state count is
-     bit-identical at any job count, but a parallel solve's memo-hit
-     counters move with the worker schedule and would drift against
-     single-job baselines *)
+  (* default 1, not the core count: see the header on what --jobs runs
+     in parallel *)
   and jobs = ref (Option.value (Par.Pool.env_jobs ()) ~default:1) in
   let usage () =
     Fmt.epr
@@ -167,7 +172,7 @@ let e2_abd () =
   let wins = Adversary.Figure1.always_wins () in
   let v, dt, st =
     timed_solve (fun () ->
-        Model.Weakener_abd.bad_probability ?pool:!pool ~jobs:options.jobs ~k:1 ())
+        Model.Weakener_abd.bad_probability ~k:1 ())
   in
   Report.row r ~quantity:"Figure 1 adversary vs simulated ABD"
     ~paper:"wins for both coin values"
@@ -232,7 +237,7 @@ let e3_abd2 () =
   Model.Weakener_abd.reset ();
   let v, dt, st =
     timed_solve (fun () ->
-        Model.Weakener_abd.bad_probability ?pool:!pool ~jobs:options.jobs ~k:2 ())
+        Model.Weakener_abd.bad_probability ~k:2 ())
   in
   let generic = Core.Bound.weakener_instance ~k:2 in
   Report.row r ~quantity:"generic bound on Prob[p2 loops] (Thm 4.2)" ~paper:"7/8 = 0.875"
@@ -335,7 +340,7 @@ let e5_convergence () =
   for k = 1 to kmax do
     let v, dt, st =
       timed_solve (fun () ->
-          Model.Weakener_abd.bad_probability ?pool:!pool ~jobs:options.jobs ~k ())
+          Model.Weakener_abd.bad_probability ~k ())
     in
     summaries := (k, dt, st) :: !summaries;
     let law = (float_of_int (k * k) +. 1.0) /. (2.0 *. float_of_int (k * k)) in
@@ -697,7 +702,7 @@ let e10_snapshot_game () =
       add
         (Fmt.str "Afek et al., Snapshot^%d" k)
         ~paper:"1/2 (negative result: no amplification)"
-        (Model.Ghw_snapshot_game.afek_bad_probability ?pool:!pool ~jobs:options.jobs ~k ()))
+        (Model.Ghw_snapshot_game.afek_bad_probability ~k ()))
     [ 1; 2; 4 ];
   Report.finish r;
   Fmt.pr
@@ -713,7 +718,7 @@ let e10_snapshot_game () =
     (fun k ->
       Table.add_row t2
         [ Fmt.str "Afek et al., Snapshot^%d" k;
-          Fmt.str "%.6f" (Model.Ghw_multi_game.afek_bad_probability ?pool:!pool ~jobs:options.jobs ~k ()) ])
+          Fmt.str "%.6f" (Model.Ghw_multi_game.afek_bad_probability ~k ()) ])
     [ 1; 2 ];
   Table.print t2;
   Fmt.pr
@@ -732,7 +737,7 @@ let e11_va_weakener () =
   in
   List.iter
     (fun k ->
-      let v = Model.Weakener_va.bad_probability ?pool:!pool ~jobs:options.jobs ~k () in
+      let v = Model.Weakener_va.bad_probability ~k () in
       let law = (float_of_int (k * k) +. 1.0) /. (2.0 *. float_of_int (k * k)) in
       Report.table_row r
         [ string_of_int k; Fmt.str "%.6f" v; Fmt.str "%.6f" law ];
@@ -885,14 +890,12 @@ let store_spill () =
   Model.Weakener_abd.reset ();
   let v_ram, t_ram, st_ram =
     timed_solve (fun () ->
-        Model.Weakener_abd.bad_probability ?pool:!pool ~jobs:options.jobs
-          ~k:solve_k ())
+        Model.Weakener_abd.bad_probability ~k:solve_k ())
   in
   Model.Weakener_abd.reset ();
   let v_sp, t_sp, st_sp =
     timed_solve (fun () ->
-        Model.Weakener_abd.bad_probability ?pool:!pool ~jobs:options.jobs
-          ~memo_budget:budget ~k:solve_k ())
+        Model.Weakener_abd.bad_probability ~memo_budget:budget ~k:solve_k ())
   in
   let ss =
     match Model.Weakener_abd.store_stats () with

@@ -7,9 +7,12 @@
    The buffer is a bare (bytes, len) pair rather than Stdlib.Buffer: the
    solver probes the memo table with the (data, len) slice directly, so a
    probe of an already-seen state builds no key — no Buffer record, no
-   [contents] copy, no string. The byte layout written here is
-   byte-for-byte the layout the Stdlib.Buffer version produced, so keys
-   recorded in committed baselines and fuzz corpora stay valid. *)
+   [contents] copy, no string.
+
+   A key is a state's identity in the memo: test_par pins the ABD game's
+   key bytes, so a layout change that would merge or split states fails
+   there. [Model.Weakener_abd]'s state is those bytes, appended with
+   [raw]. *)
 
 type buf = { mutable data : Bytes.t; mutable len : int }
 
@@ -29,13 +32,6 @@ let grow b need =
 
 let[@inline] ensure b extra =
   if b.len + extra > Bytes.length b.data then grow b (b.len + extra)
-
-let reserve b n = ensure b n
-
-let set_length b n =
-  if n < 0 || n > Bytes.length b.data then
-    invalid_arg "Mdp.Key.set_length: beyond the buffer's capacity";
-  b.len <- n
 
 let[@inline] add_u8 b v =
   ensure b 1;

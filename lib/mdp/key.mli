@@ -39,23 +39,6 @@ val length : buf -> int
     callers that keep the key must copy ([contents]). *)
 val data : buf -> Bytes.t
 
-(** [reserve b n] makes room for [n] more bytes past [length b], so that
-    [data b] (read after this call) has at least [length b + n] bytes.
-
-    [reserve], [data] and [set_length] are for a hand-written encoder on
-    the solver's hot path: it reserves an upper bound on its key's
-    length, writes the same bytes the combinators below would into
-    [data b] with writers local to its own module, then publishes the
-    new end with [set_length]. The point is to avoid calls: under
-    dune's default (dev) profile every module is compiled with
-    [-opaque], so each combinator call is an indirect call that is never
-    inlined, and a key of a few dozen fields makes dozens of them. *)
-val reserve : buf -> int -> unit
-
-(** [set_length b n] sets the written length to [n], which must not
-    exceed the backing array ([Invalid_argument] otherwise). *)
-val set_length : buf -> int -> unit
-
 (** [int b v] appends an integer: one byte for [-120 <= v <= 134]
     (every value this repo's models store), nine bytes otherwise. *)
 val int : buf -> int -> unit
@@ -70,9 +53,10 @@ val option : buf -> (buf -> 'a -> unit) -> 'a option -> unit
     each other), then each element. *)
 val list : buf -> (buf -> 'a -> unit) -> 'a list -> unit
 
-(** [raw b s] appends the bytes of [s] verbatim. For encoders that
-    already produce a canonical string (test games, derived encoders) —
-    the caller is responsible for injectivity of the composition. *)
+(** [raw b s] appends the bytes of [s] verbatim. For states that already
+    are a canonical string (the packed ABD game, test games, derived
+    encoders) — the caller is responsible for injectivity of the
+    composition. *)
 val raw : buf -> string -> unit
 
 (** [contents b] copies the written slice out as an owned string. *)

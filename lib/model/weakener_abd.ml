@@ -23,49 +23,17 @@ type k = int
    straggler updates, and they do change server state. *)
 
 module Game = struct
-  (* Values: -1 encodes ⊥. Timestamps are (integer, process id) pairs with
-     lexicographic order; (0, 0) is the initial timestamp. *)
-  type ts = int * int
-  type vts = int * ts
+  (* A state is the packed byte string laid out in the interface: its own
+     memo key, so [encode] is the identity and a memo probe blits it. The
+     model reads fields by offset, found by one scan of the length bytes
+     from the front; [apply] builds each child with one [Bytes.create],
+     blits of the parent's unchanged runs and a few byte edits.
 
-  (* The two shared registers; [CO] is modelled either atomically or as a
-     second, independent ABD^k instance, per [atomic_c]. *)
-  type obj_id = RO | CO
-
-  type iter_st = {
-    queried : bool list;  (* query to server s already delivered *)
-    got : int;  (* replies folded in (= number of delivered queries) *)
-    best : vts;  (* largest-timestamp reply so far *)
-  }
-
-  type phase =
-    | Query of { idx : int; results : vts list; cur : iter_st }
-        (* [results] is kept sorted: only the multiset feeds the uniform
-           choice, so the order carries no information *)
-    | Choose of { results : vts list }  (* the object random step is next *)
-    | Waiting of { payload : vts; acks : int }  (* update sent, awaiting acks *)
-
-  type opkind = KWrite of int | KRead
-
-  type op_st = { obj : obj_id; kind : opkind; opseq : int; phase : phase }
-
-  type upd_msg = { obj : obj_id; payload : vts; dest : int; origin : int * int }
-
-  type pstate = { pc : int; op : op_st option; reads : int list }
-
-  type state = {
-    k : int;
-    ns : int;  (* number of replicas; the 3 program processes are servers
-                  0-2, any further servers are pure replicas *)
-    atomic_c : bool;
-    servers_r : vts list;
-    servers_c : vts list;
-    procs : pstate Tri.t;
-    upd_out : upd_msg list;  (* canonically sorted *)
-    coin : int;
-    creg : int;  (* atomic-C register *)
-    cread : int option;  (* p2's C read result *)
-  }
+     Values: -1 encodes ⊥. Timestamps are (integer, process id) pairs
+     with lexicographic order; (0, 0) is the initial timestamp. Registers
+     are numbered 0 ([R]) and 1 ([C]; atomic or a second ABD^k instance,
+     per [atomic_c]). *)
+  type state = string
 
   type move =
     | Client of int  (* process p performs its next client step *)
@@ -74,422 +42,438 @@ module Game = struct
 
   type transition = Det of state | Chance of (float * state) list
 
-  (* Monomorphic comparisons. These agree with polymorphic [compare] on
-     every pair (ints compare numerically, constant constructors by
-     declaration order, tuples/records lexicographically field by field)
-     — so every sort below produces the order [List.sort compare] did,
-     and the canonical encodings are unchanged — but they compile to int
-     compares instead of calls into the generic comparison runtime,
-     which dominated the solver's expansion profile. *)
-  let[@inline] cmp_int (a : int) (b : int) =
-    if a < b then -1 else if a > b then 1 else 0
+  (* ---- bytes ---- *)
 
-  let ts_lt ((a1, a2) : ts) ((b1, b2) : ts) = a1 < b1 || (a1 = b1 && a2 < b2)
+  (* Lengths, counters and values are stored as [v + 120]; bools and
+     option tags as 0/1. The code is monotone, so comparing bytes
+     compares values: two timestamps compare as their (ts, pid) bytes, a
+     (value, ts, pid) triple and a 7-byte update record as [compare] on
+     their fields. States are only ever read through [Bytes.unsafe_of_string]
+     views and never written after they are frozen. *)
+  let[@inline] u8 d i = Char.code (Bytes.get d i)
+  let[@inline] get d i = u8 d i - 120
 
-  let cmp_vts ((v1, (t1, p1)) : vts) ((v2, (t2, p2)) : vts) =
-    if v1 <> v2 then cmp_int v1 v2
-    else if t1 <> t2 then cmp_int t1 t2
-    else cmp_int p1 p2
+  let out_of_range v =
+    invalid_arg
+      (Printf.sprintf
+         "Weakener_abd: value %d outside the one-byte range -120..134" v)
 
-  let bot_vts : vts = (-1, (-1, -1))
-  let quorum s = (s.ns / 2) + 1
-  let server_indices s = List.init s.ns Fun.id
+  let[@inline] set b i v =
+    if v < -120 || v > 134 then out_of_range v;
+    Bytes.set b i (Char.unsafe_chr (v + 120))
 
-  let fresh_iter s =
-    { queried = List.init s.ns (fun _ -> false); got = 0; best = bot_vts }
+  let rec cmp_bytes a i b j n =
+    if n = 0 then 0
+    else
+      let c = u8 a i - u8 b j in
+      if c <> 0 then c else cmp_bytes a (i + 1) b (j + 1) (n - 1)
 
-  let nth = List.nth
-  let set_nth l i v = List.mapi (fun j x -> if j = i then v else x) l
-  let servers_of s = function RO -> s.servers_r | CO -> s.servers_c
+  (* the timestamp of the triple at [i] in [a] is below that at [j] in [b] *)
+  let ts_lt a i b j =
+    let ta = u8 a (i + 1) and tb = u8 b (j + 1) in
+    ta < tb || (ta = tb && u8 a (i + 2) < u8 b (j + 2))
 
-  let set_servers s obj v =
-    match obj with RO -> { s with servers_r = v } | CO -> { s with servers_c = v }
+  (* ---- layout ---- *)
+
+  let[@inline] ns d = get d 1
+  let[@inline] quorum d = (ns d / 2) + 1
+
+  (* server [srv]'s triple in register [obj]'s column *)
+  let[@inline] server d obj srv =
+    (if obj = 0 then 4 else 5 + (3 * ns d)) + (3 * srv)
+
+  let[@inline] first_proc d = 5 + (6 * ns d)
+
+  (* In a process block at [o] holding an op: its opseq byte. The phase
+     tag follows it. *)
+  let[@inline] opseq_at d o = if get d (o + 3) = 0 then o + 4 else o + 5
+
+  (* In a Query phase at [ph]: the [queried] length byte, followed by the
+     [ns] bools, [got] and [best]. *)
+  let[@inline] cur_at d ph = ph + 3 + (3 * get d (ph + 2))
+
+  let phase_end d ph =
+    match get d ph with
+    | 0 -> cur_at d ph + ns d + 5
+    | 1 -> ph + 2 + (3 * get d (ph + 1))
+    | _ -> ph + 5
+
+  let reads_at d o =
+    if u8 d (o + 1) = 0 then o + 2 else phase_end d (opseq_at d o + 1)
+
+  let proc_end d o =
+    let r = reads_at d o in
+    r + 1 + get d r
+
+  let[@inline] proc o0 o1 o2 p = if p = 0 then o0 else if p = 1 then o1 else o2
 
   (* ---- normalization: prune inert update messages ---- *)
 
-  let origin_waiting s (p, opseq) =
-    match (Tri.get s.procs p).op with
-    | Some { opseq = o; phase = Waiting { acks; _ }; _ } ->
-        o = opseq && acks < quorum s
-    | _ -> false
+  let origin_waiting d o opseq =
+    u8 d (o + 1) = 1
+    &&
+    let q = opseq_at d o in
+    get d q = opseq && get d (q + 1) = 2 && get d (q + 5) < quorum d
 
-  (* Field-by-field in declaration order, first difference wins — exactly
-     polymorphic [compare] on [upd_msg]. *)
-  let cmp_upd (a : upd_msg) (b : upd_msg) =
-    let c =
-      match (a.obj, b.obj) with
-      | RO, RO | CO, CO -> 0
-      | RO, CO -> -1
-      | CO, RO -> 1
-    in
-    if c <> 0 then c
-    else
-      let c = cmp_vts a.payload b.payload in
-      if c <> 0 then c
-      else
-        let c = cmp_int a.dest b.dest in
-        if c <> 0 then c
-        else
-          let ap, as_ = a.origin and bp, bs = b.origin in
-          let c = cmp_int ap bp in
-          if c <> 0 then c else cmp_int as_ bs
+  (* The record at [i] in [src] still matters in the child [b]: its
+     destination's timestamp is below its payload's, or its operation
+     still waits for acks. *)
+  let live b ~o0 ~o1 ~o2 src i =
+    ts_lt b (server b (get src i) (get src (i + 4))) src (i + 1)
+    || origin_waiting b (proc o0 o1 o2 (get src (i + 5))) (get src (i + 6))
 
-  let normalize s =
-    let upd_out =
-      List.filter
-        (fun (m : upd_msg) ->
-          let server_ts = snd (nth (servers_of s m.obj) m.dest) in
-          ts_lt server_ts (snd m.payload) || origin_waiting s m.origin)
-        s.upd_out
-      |> List.sort cmp_upd
-    in
-    { s with upd_out }
+  (* Writes the child's update list at [w] in [b] and returns its end: the
+     parent's sorted records at [u] in [d] but the [skip]-th (-1: none),
+     merged with the [nx] sorted records of [x], minus those the child
+     makes inert. The child's servers and processes precede the list in
+     [b] and are already written; its processes start at [o0], [o1] and
+     [o2]. *)
+  let write_updates b w ~o0 ~o1 ~o2 d u ~skip x nx =
+    let n = get d u in
+    let i = ref 0 and j = ref 0 and at = ref (w + 1) and kept = ref 0 in
+    while !i < n || !j < nx do
+      if !i = skip then incr i
+      else begin
+        let old =
+          !j >= nx
+          || (!i < n && cmp_bytes d (u + 1 + (7 * !i)) x (7 * !j) 7 <= 0)
+        in
+        let src = if old then d else x in
+        let r = if old then u + 1 + (7 * !i) else 7 * !j in
+        if old then incr i else incr j;
+        if live b ~o0 ~o1 ~o2 src r then begin
+          (* two overlapping 4-byte moves: no call into the runtime *)
+          Bytes.set_int32_ne b !at (Bytes.get_int32_ne src r);
+          Bytes.set_int32_ne b (!at + 3) (Bytes.get_int32_ne src (r + 3));
+          at := !at + 7;
+          incr kept
+        end
+      end
+    done;
+    set b w !kept;
+    !at
+
+  let[@inline] tail_at d u = u + 1 + (7 * get d u)
+
+  let copy_tail b w d t =
+    let n = Bytes.length d - t in
+    Bytes.blit d t b w n;
+    w + n
+
+  let freeze b len =
+    if len = Bytes.length b then Bytes.unsafe_to_string b
+    else Bytes.sub_string b 0 len
 
   (* ---- enabled moves ---- *)
 
-  let client_enabled s p =
-    let ps = Tri.get s.procs p in
-    match ps.op with
-    | Some { phase = Query { cur; _ }; _ } -> cur.got >= quorum s
-    | Some { phase = Choose _; _ } -> true
-    | Some { phase = Waiting { acks; _ }; _ } -> acks >= quorum s
-    | None -> (
-        match (p, ps.pc) with
-        | 0, 0 -> true
-        | 1, (0 | 1 | 2) -> true
-        | 2, (0 | 1 | 2) -> true
-        | _ -> false)
+  let client_enabled d o p =
+    if u8 d (o + 1) = 0 then
+      let pc = get d o in
+      if p = 0 then pc = 0 else pc <= 2
+    else
+      let ph = opseq_at d o + 1 in
+      match get d ph with
+      | 0 -> get d (cur_at d ph + ns d + 1) >= quorum d
+      | 1 -> true
+      | _ -> get d (ph + 4) >= quorum d
 
   (* The bad outcome is already impossible when a completed read of p2
      mismatches the (known) coin: the game value from here is 0 whatever the
      adversary does, so such states are terminal. This prunes roughly half
      of the tree below every "wrong" read. *)
-  let outcome_impossible s =
-    s.coin >= 0
+  let outcome_impossible d o2 t =
+    let coin = get d t in
+    coin >= 0
     &&
-    match (Tri.get s.procs 2).reads with
-    | u1 :: rest ->
-        u1 <> s.coin || (match rest with u2 :: _ -> u2 <> 1 - s.coin | [] -> false)
-    | [] -> false
+    let r = reads_at d o2 in
+    let n = get d r in
+    n >= 1 && (get d (r + 1) <> coin || (n >= 2 && get d (r + 2) <> 1 - coin))
 
+  (* Clients, then query deliveries (by process, then server), then
+     updates; built back to front. *)
   let moves s =
+    let d = Bytes.unsafe_of_string s in
+    let ns = ns d in
+    let o0 = first_proc d in
+    let o1 = proc_end d o0 in
+    let o2 = proc_end d o1 in
+    let u = proc_end d o2 in
     (* once p2 finished, the outcome is fixed: treat as terminal *)
-    if (Tri.get s.procs 2).pc >= 3 then []
-    else if outcome_impossible s then []
+    if get d o2 >= 3 || outcome_impossible d o2 (tail_at d u) then []
     else begin
-      let clients =
-        List.filter_map
-          (fun p -> if client_enabled s p then Some (Client p) else None)
-          Tri.indices
-      in
-      let queries =
-        List.concat_map
-          (fun p ->
-            match (Tri.get s.procs p).op with
-            | Some { phase = Query { cur; _ }; _ } when cur.got < quorum s ->
-                List.filter_map
-                  (fun srv ->
-                    if not (nth cur.queried srv) then Some (DQuery (p, srv))
-                    else None)
-                  (server_indices s)
-            | _ -> [])
-          Tri.indices
-      in
-      let updates = List.mapi (fun i _ -> DUpdate i) s.upd_out in
-      clients @ queries @ updates
+      let acc = ref [] in
+      for i = get d u - 1 downto 0 do
+        acc := DUpdate i :: !acc
+      done;
+      for p = 2 downto 0 do
+        let o = proc o0 o1 o2 p in
+        if u8 d (o + 1) = 1 then begin
+          let ph = opseq_at d o + 1 in
+          if get d ph = 0 then begin
+            let c = cur_at d ph in
+            if get d (c + ns + 1) < quorum d then
+              for srv = ns - 1 downto 0 do
+                if u8 d (c + 1 + srv) = 0 then acc := DQuery (p, srv) :: !acc
+              done
+          end
+        end
+      done;
+      for p = 2 downto 0 do
+        if client_enabled d (proc o0 o1 o2 p) p then acc := Client p :: !acc
+      done;
+      !acc
     end
 
   (* ---- applying moves ---- *)
 
-  let with_proc s p ps = { s with procs = Tri.set s.procs p ps }
+  (* A fresh query accumulator at [w]: no server queried, no reply, ⊥. *)
+  let fresh_cur b w ns =
+    set b w ns;
+    Bytes.fill b (w + 1) ns '\000';
+    set b (w + ns + 1) 0;
+    Bytes.fill b (w + ns + 2) 3 '\119' (* ⊥ = (-1, -1, -1) *)
 
-  let set_op s p op =
-    let ps = Tri.get s.procs p in
-    with_proc s p { ps with op }
+  (* Process block at [o] (no op) starts an op on register [obj]: a read,
+     or a write of [v] when [write], in its first query phase. *)
+  let start_op s d o ~obj ~write ~v ~opseq =
+    let ns = ns d in
+    let w = if write then o + 5 else o + 4 in
+    let shift = w - o + ns + 7 in
+    let b = Bytes.create (String.length s + shift) in
+    Bytes.blit d 0 b 0 (o + 1);
+    Bytes.set b (o + 1) '\001';
+    set b (o + 2) obj;
+    if write then begin
+      set b (o + 3) 1;
+      set b (o + 4) v
+    end
+    else set b (o + 3) 0;
+    set b w opseq;
+    set b (w + 1) 0;
+    set b (w + 2) 0;
+    set b (w + 3) 0;
+    fresh_cur b (w + 4) ns;
+    Bytes.blit d (o + 2) b (o + 2 + shift) (String.length s - o - 2);
+    Bytes.unsafe_to_string b
 
-  let start_op s p obj kind opseq =
-    set_op s p
-      (Some
-         {
-           obj;
-           kind;
-           opseq;
-           phase = Query { idx = 0; results = []; cur = fresh_iter s };
-         })
+  (* The phase's best reply joins the sorted results; then the next query
+     phase, or the random choice after the k-th. *)
+  let advance_query s d o =
+    let ns = ns d in
+    let ph = opseq_at d o + 1 in
+    let idx = get d (ph + 1) and n = get d (ph + 2) in
+    let c = cur_at d ph in
+    let best = c + ns + 2 and pe = c + ns + 5 in
+    let more = idx + 1 < get d 0 in
+    let shift = if more then 3 else 2 + (3 * (n + 1)) - (pe - ph) in
+    let b = Bytes.create (String.length s + shift) in
+    Bytes.blit d 0 b 0 ph;
+    let w =
+      if more then begin
+        set b ph 0;
+        set b (ph + 1) (idx + 1);
+        set b (ph + 2) (n + 1);
+        ph + 3
+      end
+      else begin
+        set b ph 1;
+        set b (ph + 1) (n + 1);
+        ph + 2
+      end
+    in
+    let res = ph + 3 in
+    let rec place i =
+      if i < n && cmp_bytes d (res + (3 * i)) d best 3 <= 0 then place (i + 1)
+      else i
+    in
+    let at = place 0 in
+    Bytes.blit d res b w (3 * at);
+    Bytes.blit d best b (w + (3 * at)) 3;
+    Bytes.blit d (res + (3 * at)) b (w + (3 * at) + 3) (3 * (n - at));
+    if more then fresh_cur b (w + (3 * (n + 1))) ns;
+    Bytes.blit d pe b (pe + shift) (String.length s - pe);
+    Bytes.unsafe_to_string b
 
-  let advance_query s p =
-    let ps = Tri.get s.procs p in
-    match ps.op with
-    | Some ({ phase = Query { idx; results; cur }; _ } as o) ->
-        let results = List.sort cmp_vts (cur.best :: results) in
-        let phase =
-          if idx + 1 < s.k then
-            Query { idx = idx + 1; results; cur = fresh_iter s }
-          else Choose { results }
-        in
-        set_op s p (Some { o with phase })
-    | _ -> assert false
+  (* The object random step: each recorded result, uniformly, becomes the
+     payload (a read's value, or a write's value at the next timestamp)
+     broadcast to every server. *)
+  let choose_iteration s d ~o0 ~o1 ~o2 ~u p =
+    let ns = ns d in
+    let o = proc o0 o1 o2 p in
+    let q = opseq_at d o in
+    let ph = q + 1 in
+    let n = get d (ph + 1) in
+    let pe = ph + 2 + (3 * n) in
+    let shift = 5 - (pe - ph) in
+    let write = get d (o + 3) = 1 in
+    let t = tail_at d u in
+    let x = Bytes.create (7 * ns) in
+    let outcome i =
+      let chosen = ph + 2 + (3 * i) in
+      let b = Bytes.create (String.length s + shift + (7 * ns)) in
+      Bytes.blit d 0 b 0 ph;
+      set b ph 2;
+      if write then begin
+        Bytes.set b (ph + 1) (Bytes.get d (o + 4));
+        set b (ph + 2) (get d (chosen + 1) + 1);
+        set b (ph + 3) p
+      end
+      else Bytes.blit d chosen b (ph + 1) 3;
+      set b (ph + 4) 0;
+      Bytes.blit d pe b (pe + shift) (u - pe);
+      for dest = 0 to ns - 1 do
+        let r = 7 * dest in
+        Bytes.set x r (Bytes.get d (o + 2));
+        Bytes.blit b (ph + 1) x (r + 1) 3;
+        set x (r + 4) dest;
+        set x (r + 5) p;
+        Bytes.set x (r + 6) (Bytes.get d q)
+      done;
+      let o1 = if p < 1 then o1 + shift else o1
+      and o2 = if p < 2 then o2 + shift else o2 in
+      let w = write_updates b (u + shift) ~o0 ~o1 ~o2 d u ~skip:(-1) x ns in
+      freeze b (copy_tail b w d t)
+    in
+    let pr = 1.0 /. float_of_int n in
+    Chance (List.init n (fun i -> (pr, outcome i)))
 
-  let choose_iteration s p =
-    let ps = Tri.get s.procs p in
-    match ps.op with
-    | Some ({ phase = Choose { results }; _ } as o) ->
-        let outcomes =
-          List.map
-            (fun chosen ->
-              let payload =
-                match o.kind with
-                | KRead -> chosen
-                | KWrite v ->
-                    let t, _ = snd chosen in
-                    (v, (t + 1, p))
-              in
-              let upd_out =
-                List.map
-                  (fun dest -> { obj = o.obj; payload; dest; origin = (p, o.opseq) })
-                  (server_indices s)
-                @ s.upd_out
-              in
-              normalize
-                (set_op
-                   { s with upd_out }
-                   p
-                   (Some { o with phase = Waiting { payload; acks = 0 } })))
-            results
-        in
-        let pr = 1.0 /. float_of_int (List.length results) in
-        Chance (List.map (fun st -> (pr, st)) outcomes)
-    | _ -> assert false
+  (* The op's acks reached quorum: a read of [R] records its value, a
+     read of [C] sets [cread]; the process moves to its next step. *)
+  let complete_op s d ~o0 ~o1 ~o2 ~u p =
+    let o = proc o0 o1 o2 p in
+    let ph = opseq_at d o + 1 in
+    let v = get d (ph + 1) in
+    let read = get d (o + 3) = 0 in
+    let push = read && get d (o + 2) = 0 and cread = read && get d (o + 2) = 1 in
+    let r = ph + 5 in
+    let nr = get d r in
+    let pe = r + 1 + nr in
+    let t = tail_at d u in
+    let shift = 3 + nr + Bool.to_int push - (pe - o) in
+    let b = Bytes.create (String.length s + shift + Bool.to_int cread) in
+    Bytes.blit d 0 b 0 o;
+    set b o (get d o + 1);
+    Bytes.set b (o + 1) '\000';
+    set b (o + 2) (nr + Bool.to_int push);
+    Bytes.blit d (r + 1) b (o + 3) nr;
+    if push then set b (o + 3 + nr) v;
+    Bytes.blit d pe b (pe + shift) (u - pe);
+    let o1 = if p < 1 then o1 + shift else o1
+    and o2 = if p < 2 then o2 + shift else o2 in
+    let w = write_updates b (u + shift) ~o0 ~o1 ~o2 d u ~skip:(-1) Bytes.empty 0 in
+    if cread then begin
+      assert (u8 d (t + 2) = 0);
+      Bytes.blit d t b w 2;
+      Bytes.set b (w + 2) '\001';
+      set b (w + 3) v;
+      freeze b (w + 4)
+    end
+    else freeze b (copy_tail b w d t)
 
-  let complete_op s p =
-    let ps = Tri.get s.procs p in
-    match ps.op with
-    | Some { obj; kind; phase = Waiting { payload; _ }; _ } ->
-        let s =
-          match (obj, kind) with
-          | RO, KRead ->
-              with_proc s p { ps with reads = ps.reads @ [ fst payload ] }
-          | CO, KRead -> { s with cread = Some (fst payload) }
-          | (RO | CO), KWrite _ -> s
-        in
-        let ps = Tri.get s.procs p in
-        normalize (with_proc s p { ps with pc = ps.pc + 1; op = None })
-    | _ -> assert false
+  (* A same-length copy of [s] with the process at [o] at [pc]. *)
+  let with_pc s o pc =
+    let b = Bytes.of_string s in
+    set b o pc;
+    b
 
-  let client_step s p =
-    let ps = Tri.get s.procs p in
-    match ps.op with
-    | Some { phase = Query _; _ } -> Det (advance_query s p)
-    | Some { phase = Choose _; _ } -> choose_iteration s p
-    | Some { phase = Waiting _; _ } -> Det (complete_op s p)
-    | None -> (
-        match (p, ps.pc) with
-        | 0, 0 -> Det (start_op s p RO (KWrite 0) 0)
-        | 1, 0 -> Det (start_op s p RO (KWrite 1) 0)
-        | 1, 1 ->
-            let flip v = with_proc { s with coin = v } 1 { ps with pc = 2 } in
-            Chance [ (0.5, flip 0); (0.5, flip 1) ]
-        | 1, 2 ->
-            if s.atomic_c then
-              Det (with_proc { s with creg = s.coin } 1 { ps with pc = 3 })
-            else Det (start_op s p CO (KWrite s.coin) 2)
-        | 2, 0 -> Det (start_op s p RO KRead 0)
-        | 2, 1 -> Det (start_op s p RO KRead 1)
-        | 2, 2 ->
-            if s.atomic_c then
-              Det (with_proc { s with cread = Some s.creg } 2 { ps with pc = 3 })
-            else Det (start_op s p CO KRead 2)
-        | _ -> assert false)
+  let client_step s d ~o0 ~o1 ~o2 ~u p =
+    let o = proc o0 o1 o2 p in
+    if u8 d (o + 1) = 1 then
+      match get d (opseq_at d o + 1) with
+      | 0 -> Det (advance_query s d o)
+      | 1 -> choose_iteration s d ~o0 ~o1 ~o2 ~u p
+      | _ -> Det (complete_op s d ~o0 ~o1 ~o2 ~u p)
+    else
+      let t = tail_at d u and atomic_c = u8 d 2 = 1 in
+      match (p, get d o) with
+      | 0, 0 -> Det (start_op s d o ~obj:0 ~write:true ~v:0 ~opseq:0)
+      | 1, 0 -> Det (start_op s d o ~obj:0 ~write:true ~v:1 ~opseq:0)
+      | 1, 1 ->
+          let flip v =
+            let b = with_pc s o 2 in
+            set b t v;
+            Bytes.unsafe_to_string b
+          in
+          Chance [ (0.5, flip 0); (0.5, flip 1) ]
+      | 1, 2 ->
+          if atomic_c then begin
+            let b = with_pc s o 3 in
+            Bytes.set b (t + 1) (Bytes.get d t);
+            Det (Bytes.unsafe_to_string b)
+          end
+          else Det (start_op s d o ~obj:1 ~write:true ~v:(get d t) ~opseq:2)
+      | 2, 0 -> Det (start_op s d o ~obj:0 ~write:false ~v:0 ~opseq:0)
+      | 2, 1 -> Det (start_op s d o ~obj:0 ~write:false ~v:0 ~opseq:1)
+      | 2, 2 ->
+          if atomic_c then begin
+            (* cread goes from None (the last byte) to Some creg *)
+            assert (t + 3 = String.length s);
+            let b = Bytes.extend d 0 1 in
+            set b o 3;
+            Bytes.set b (t + 2) '\001';
+            Bytes.set b (t + 3) (Bytes.get d (t + 1));
+            Det (Bytes.unsafe_to_string b)
+          end
+          else Det (start_op s d o ~obj:1 ~write:false ~v:0 ~opseq:2)
+      | _ -> assert false
+
+  (* fused: freeze the server's pair and fold it into the client's
+     accumulator in one indivisible event *)
+  let deliver_query s d o srv =
+    let ns = ns d in
+    let c = cur_at d (opseq_at d o + 1) in
+    let got = c + ns + 1 and best = c + ns + 2 in
+    let reply = server d (get d (o + 2)) srv in
+    let b = Bytes.of_string s in
+    Bytes.set b (c + 1 + srv) '\001';
+    set b got (get d got + 1);
+    if ts_lt d best d reply then Bytes.blit d reply b best 3;
+    Bytes.unsafe_to_string b
+
+  let deliver_update s d ~o0 ~o1 ~o2 ~u i =
+    let m = u + 1 + (7 * i) in
+    let b = Bytes.create (String.length s - 7) in
+    Bytes.blit d 0 b 0 u;
+    let srv = server d (get d m) (get d (m + 4)) in
+    if ts_lt d srv d (m + 1) then Bytes.blit d (m + 1) b srv 3;
+    (* fused ack *)
+    let o = proc o0 o1 o2 (get d (m + 5)) in
+    if origin_waiting d o (get d (m + 6)) then begin
+      let acks = opseq_at d o + 5 in
+      set b acks (get d acks + 1)
+    end;
+    let w = write_updates b u ~o0 ~o1 ~o2 d u ~skip:i Bytes.empty 0 in
+    freeze b (copy_tail b w d (tail_at d u))
 
   let apply s move =
+    let d = Bytes.unsafe_of_string s in
+    let o0 = first_proc d in
+    let o1 = proc_end d o0 in
+    let o2 = proc_end d o1 in
+    let u = proc_end d o2 in
     match move with
-    | Client p -> client_step s p
-    | DQuery (p, srv) ->
-        (* fused: freeze the server's pair and fold it into the client's
-           accumulator in one indivisible event *)
-        let ps = Tri.get s.procs p in
-        (match ps.op with
-        | Some ({ phase = Query q; _ } as o) ->
-            let reply = nth (servers_of s o.obj) srv in
-            let cur = q.cur in
-            let best =
-              if ts_lt (snd cur.best) (snd reply) then reply else cur.best
-            in
-            let cur =
-              { queried = set_nth cur.queried srv true; got = cur.got + 1; best }
-            in
-            Det (set_op s p (Some { o with phase = Query { q with cur } }))
-        | _ -> assert false)
-    | DUpdate i ->
-        let m = List.nth s.upd_out i in
-        let upd_out = List.filteri (fun j _ -> j <> i) s.upd_out in
-        let s =
-          let servers = servers_of s m.obj in
-          let cur = nth servers m.dest in
-          if ts_lt (snd cur) (snd m.payload) then
-            set_servers s m.obj (set_nth servers m.dest m.payload)
-          else s
-        in
-        let s = { s with upd_out } in
-        (* fused ack *)
-        let s =
-          let p, opseq = m.origin in
-          let ps = Tri.get s.procs p in
-          match ps.op with
-          | Some ({ opseq = o; phase = Waiting w; _ } as op)
-            when o = opseq && w.acks < quorum s ->
-              set_op s p (Some { op with phase = Waiting { w with acks = w.acks + 1 } })
-          | _ -> s
-        in
-        Det (normalize s)
+    | Client p -> client_step s d ~o0 ~o1 ~o2 ~u p
+    | DQuery (p, srv) -> Det (deliver_query s d (proc o0 o1 o2 p) srv)
+    | DUpdate i -> Det (deliver_update s d ~o0 ~o1 ~o2 ~u i)
 
   let terminal_value s =
-    match s.cread with
-    | Some c when c = 0 || c = 1 -> (
-        match (Tri.get s.procs 2).reads with
-        | [ u1; u2 ] -> if u1 = c && u2 = 1 - c then 1.0 else 0.0
-        | _ -> 0.0)
-    | _ -> 0.0
+    let d = Bytes.unsafe_of_string s in
+    let o2 = proc_end d (proc_end d (first_proc d)) in
+    let t = tail_at d (proc_end d o2) in
+    if u8 d (t + 2) = 0 then 0.0
+    else
+      let c = get d (t + 3) in
+      let r = reads_at d o2 in
+      if
+        (c = 0 || c = 1)
+        && get d r = 2
+        && get d (r + 1) = c
+        && get d (r + 2) = 1 - c
+      then 1.0
+      else 0.0
 
-  (* Canonical key: every field once, in declaration order; variants carry
-     a tag byte. The bytes are exactly those of the [Mdp.Key] combinators
-     (ints as [Mdp.Key.int], options as a presence byte then the payload,
-     lists length-prefixed), so the key is injective by that module's
-     construction. The solver hashes and compares this flat ~80-byte
-     string on each memo probe instead of traversing the nested state.
-
-     The writers below are module-local and thread a write position
-     through one reserved byte array: [encode_into] runs once per memo
-     probe, and under separate compilation with [-opaque] every call
-     into [Mdp.Key] is an indirect call that is never inlined — ~60 of
-     them per key. [bound] over-approximates the key's length from the
-     state's list lengths (9 bytes per int, the widest form), so no
-     write can run past the reservation; the writes are bounds-checked
-     all the same. *)
-  let int_max = 9
-  let vts_max = 3 * int_max
-
-  let phase_max = function
-    | Query { results; cur; _ } ->
-        (3 * int_max)
-        + (List.length results * vts_max)
-        + int_max + List.length cur.queried + int_max + vts_max
-    | Choose { results } -> (2 * int_max) + (List.length results * vts_max)
-    | Waiting _ -> (2 * int_max) + vts_max
-
-  let pstate_max (p : pstate) =
-    (2 * int_max) + 1
-    + (match p.op with None -> 0 | Some o -> (4 * int_max) + phase_max o.phase)
-    + (List.length p.reads * int_max)
-
-  let bound s =
-    let p0, p1, p2 = s.procs in
-    (5 * int_max) + 3
-    + ((List.length s.servers_r + List.length s.servers_c) * vts_max)
-    + pstate_max p0 + pstate_max p1 + pstate_max p2
-    + int_max
-    + (List.length s.upd_out * (vts_max + (4 * int_max)))
-    + (3 * int_max) + 1
-
-  let[@inline] w_u8 d p v =
-    Bytes.set d p (Char.unsafe_chr v);
-    p + 1
-
-  let w_wide d p v =
-    Bytes.set d p '\xff';
-    Bytes.set_int64_le d (p + 1) (Int64.of_int v);
-    p + 9
-
-  let[@inline] w_int d p v =
-    if v >= -120 && v <= 134 then w_u8 d p (v + 120) else w_wide d p v
-
-  let[@inline] w_bool d p v = w_u8 d p (if v then 1 else 0)
-  let[@inline] w_obj d p = function RO -> w_int d p 0 | CO -> w_int d p 1
-
-  let[@inline] w_vts d p ((v, (t, q)) : vts) =
-    let p = w_int d p v in
-    let p = w_int d p t in
-    w_int d p q
-
-  let rec w_vts_items d p = function
-    | [] -> p
-    | x :: tl -> w_vts_items d (w_vts d p x) tl
-
-  let w_vts_list d p l = w_vts_items d (w_int d p (List.length l)) l
-
-  let rec w_bool_items d p = function
-    | [] -> p
-    | x :: tl -> w_bool_items d (w_bool d p x) tl
-
-  let rec w_int_items d p = function
-    | [] -> p
-    | x :: tl -> w_int_items d (w_int d p x) tl
-
-  let w_phase d p = function
-    | Query { idx; results; cur } ->
-        let p = w_int d p 0 in
-        let p = w_int d p idx in
-        let p = w_vts_list d p results in
-        let p = w_int d p (List.length cur.queried) in
-        let p = w_bool_items d p cur.queried in
-        let p = w_int d p cur.got in
-        w_vts d p cur.best
-    | Choose { results } -> w_vts_list d (w_int d p 1) results
-    | Waiting { payload; acks } ->
-        let p = w_int d p 2 in
-        let p = w_vts d p payload in
-        w_int d p acks
-
-  let w_pstate d p (ps : pstate) =
-    let p = w_int d p ps.pc in
-    let p =
-      match ps.op with
-      | None -> w_u8 d p 0
-      | Some o ->
-          let p = w_u8 d p 1 in
-          let p = w_obj d p o.obj in
-          let p =
-            match o.kind with
-            | KRead -> w_int d p 0
-            | KWrite v -> w_int d (w_int d p 1) v
-          in
-          let p = w_int d p o.opseq in
-          w_phase d p o.phase
-    in
-    w_int_items d (w_int d p (List.length ps.reads)) ps.reads
-
-  let rec w_upd_items d p = function
-    | [] -> p
-    | (m : upd_msg) :: tl ->
-        let p = w_obj d p m.obj in
-        let p = w_vts d p m.payload in
-        let p = w_int d p m.dest in
-        let o, seq = m.origin in
-        let p = w_int d p o in
-        w_upd_items d (w_int d p seq) tl
-
-  let encode_into (s : state) b =
-    Mdp.Key.reserve b (bound s);
-    let d = Mdp.Key.data b in
-    let p = Mdp.Key.length b in
-    let p = w_int d p s.k in
-    let p = w_int d p s.ns in
-    let p = w_bool d p s.atomic_c in
-    let p = w_vts_list d p s.servers_r in
-    let p = w_vts_list d p s.servers_c in
-    let p0, p1, p2 = s.procs in
-    let p = w_pstate d p p0 in
-    let p = w_pstate d p p1 in
-    let p = w_pstate d p p2 in
-    let p = w_upd_items d (w_int d p (List.length s.upd_out)) s.upd_out in
-    let p = w_int d p s.coin in
-    let p = w_int d p s.creg in
-    let p =
-      match s.cread with None -> w_u8 d p 0 | Some c -> w_int d (w_u8 d p 1) c
-    in
-    Mdp.Key.set_length b p
-
-  let encode (s : state) = Mdp.Key.run (encode_into s)
+  let encode s = s
+  let encode_into s b = Mdp.Key.raw b s
 
   let pp_move ppf = function
     | Client p -> Fmt.pf ppf "client(p%d)" p
@@ -502,18 +486,32 @@ module S = Mdp.Solver.Make (Game)
 let init ?(atomic_c = true) ?(servers = 3) ~k () : Game.state =
   if k < 1 then invalid_arg "Weakener_abd.init: k >= 1 required";
   if servers < 3 then invalid_arg "Weakener_abd.init: at least 3 servers";
-  {
-    k;
-    ns = servers;
-    atomic_c;
-    servers_r = List.init servers (fun _ -> (-1, (0, 0)));
-    servers_c = List.init servers (fun _ -> (-1, (0, 0)));
-    procs = Tri.make { Game.pc = 0; op = None; reads = [] };
-    upd_out = [];
-    coin = -1;
-    creg = -1;
-    cread = None;
-  }
+  let open Game in
+  let ns = servers in
+  let b = Bytes.create (5 + (6 * ns) + 13) in
+  set b 0 k;
+  set b 1 ns;
+  Bytes.set b 2 (if atomic_c then '\001' else '\000');
+  List.iter
+    (fun col ->
+      set b col ns;
+      for srv = 0 to ns - 1 do
+        set b (col + 1 + (3 * srv)) (-1);
+        set b (col + 2 + (3 * srv)) 0;
+        set b (col + 3 + (3 * srv)) 0
+      done)
+    [ 3; 4 + (3 * ns) ];
+  let o = 5 + (6 * ns) in
+  for p = 0 to 2 do
+    set b (o + (3 * p)) 0;
+    Bytes.set b (o + (3 * p) + 1) '\000';
+    set b (o + (3 * p) + 2) 0
+  done;
+  set b (o + 9) 0;
+  set b (o + 10) (-1);
+  set b (o + 11) (-1);
+  Bytes.set b (o + 12) '\000';
+  Bytes.unsafe_to_string b
 
 let bad_probability ?pool ?memo_budget ?(atomic_c = true) ?(servers = 3)
     ?(jobs = 1) ?(prune = false) ~k () =

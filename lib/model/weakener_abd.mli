@@ -24,7 +24,45 @@
     - [k = 2]: at most 5/8 by the paper's refined analysis (A.3.2), at
       least [1 - 7/8 = 1/8]-complement by the generic bound; the solver
       gives the exact value;
-    - as [k] grows the value approaches the atomic 1/2 (Theorem 4.2). *)
+    - as [k] grows the value approaches the atomic 1/2 (Theorem 4.2).
+
+    {2 State layout}
+
+    A state is an immutable string that is also its memo key:
+    [Game.encode] is the identity and [Game.encode_into] one blit. Every
+    field is one byte. An integer [v] (a count, a length, a value, a
+    timestamp part) is the byte [v + 120], so it must lie in
+    [-120 .. 134]; {!init} and [Game.apply] raise [Invalid_argument]
+    on any value outside that range. A bool or an option's presence tag
+    is [0]/[1]; a list is its length, then its items. A triple is
+    (value, ts, pid), where [-1] is ⊥. In order:
+
+    {v
+    k  ns  atomic_c
+    R's servers: ns, then ns triples
+    C's servers: ns, then ns triples
+    p0, p1, p2, each:
+      pc, op tag; if 1: register (0 R, 1 C), kind (0 read | 1 write, value),
+        opseq, phase:
+          0 Query   idx, results (length, sorted triples),
+                    queried (ns, then ns bools), got, best triple
+          1 Choose  results (length, sorted triples)
+          2 Waiting payload triple, acks
+      reads (length, values)
+    in-transit updates: count, then sorted 7-byte records
+      (register, payload triple, dest, origin pid, origin opseq)
+    coin  creg  cread (tag, then the value if 1)
+    v}
+
+    Each field is what the [Mdp.Key] combinators write for it ([int],
+    [bool], [option]'s tag, [list]'s length prefix), in a fixed order,
+    so the layout is injective by that module's construction; the test
+    suite pins its bytes. The code is monotone in the value, so
+    comparing bytes orders triples and update records as [compare] on
+    their fields: the sorted lists stay sorted under a byte-wise merge.
+    No reachable state needs more than one byte: over all 803,390
+    ABD{^3} states and all 471,166 ABD{^1} states with [C] as ABD, the
+    largest value any field holds is 11. *)
 
 type k = int
 
@@ -36,14 +74,17 @@ module Game : Mdp.Solver.GAME
     reduction, the latter validates it. [servers] (default 3, minimum 3) is
     the number of ABD replicas: the three program processes are servers
     0-2, any further servers are pure replicas, and quorums are majorities
-    of [servers]. Requires [k >= 1]. *)
+    of [servers]. Requires [k >= 1]; raises [Invalid_argument] when [k] or
+    [servers] exceeds 134 (see the state layout). *)
 val init : ?atomic_c:bool -> ?servers:int -> k:k -> unit -> Game.state
 
 (** [bad_probability ?atomic_c ?jobs ~k ()] solves the game for [ABD^k]:
     the exact adversary-optimal probability that [p2] loops forever.
-    Exponential in [k]; practical for [k <= 4] (atomic [C]) and [k <= 2]
-    (ABD [C]). [jobs] (default 1) solves the root frontier on that many
-    domains via {!Mdp.Solver.Make.value_par}; the value is bit-identical
+    Exponential in [k]: in RAM on one domain of a 2-vCPU host, ABD{^5}
+    (3,331,745 states) solves in about 10 s and C-as-ABD{^3} (4,610,294
+    states) in about 16 s (EXPERIMENTS.md, "Packed ABD state").
+    [jobs] (default 1) solves the root frontier on that many domains via
+    {!Mdp.Solver.Make.value_par}; the value is bit-identical
     at every job count. [prune] (default [false]) enables the cutoffs
     against the a-priori bound 1 on every game value
     ({!Mdp.Solver.Make.value}'s [~prune]); the value is unchanged, the

@@ -107,7 +107,9 @@ let test_abd1_wins_always () =
 let test_abd2_is_five_eighths () =
   (* Appendix A.3.2 proves bad <= 5/8; the exact game value shows the
      refined analysis is tight *)
-  feq "ABD^2 = 5/8" 0.625 (Model.Weakener_abd.bad_probability ~k:2 ())
+  Model.Weakener_abd.reset ();
+  feq "ABD^2 = 5/8" 0.625 (Model.Weakener_abd.bad_probability ~k:2 ());
+  Alcotest.(check int) "ABD^2 states" 318_920 (Model.Weakener_abd.explored_states ())
 
 let test_abd_within_paper_bounds () =
   List.iter
@@ -130,7 +132,9 @@ let test_abd_monotone_k () =
 
 let test_abd3_formula () =
   (* the machine-derived exact law for this instance: (k^2 + 1) / (2 k^2) *)
-  feq "ABD^3 = 5/9" (5.0 /. 9.0) (Model.Weakener_abd.bad_probability ~k:3 ())
+  Model.Weakener_abd.reset ();
+  feq "ABD^3 = 5/9" (5.0 /. 9.0) (Model.Weakener_abd.bad_probability ~k:3 ());
+  Alcotest.(check int) "ABD^3 states" 803_390 (Model.Weakener_abd.explored_states ())
 
 let tests =
   [
@@ -152,7 +156,11 @@ let tests =
 (* The atomic-C substitution, validated: modelling C as a second ABD^k
    instance leaves the exact values unchanged. *)
 let test_abd_c_substitution_k1 () =
-  feq "k=1, C as ABD" 1.0 (Model.Weakener_abd.bad_probability ~atomic_c:false ~k:1 ())
+  Model.Weakener_abd.reset ();
+  feq "k=1, C as ABD" 1.0 (Model.Weakener_abd.bad_probability ~atomic_c:false ~k:1 ());
+  Alcotest.(check int)
+    "C-as-ABD^1 states" 471_166
+    (Model.Weakener_abd.explored_states ())
 
 let test_abd_c_substitution_k2 () =
   feq "k=2, C as ABD" 0.625
@@ -182,12 +190,20 @@ let test_model_playout_invariants () =
     play (Model.Weakener_abd.init ~k:2 ()) 0
   done
 
+(* Every field is one byte, so a game whose values leave -120..134 is
+   refused up front rather than keyed in a wider form. *)
+let test_abd_init_range () =
+  Alcotest.check_raises "135 servers" (Invalid_argument
+    "Weakener_abd: value 135 outside the one-byte range -120..134")
+    (fun () -> ignore (Model.Weakener_abd.init ~servers:135 ~k:1 ()))
+
 let more_tests =
   [
     Alcotest.test_case "substitution: C as ABD, k=1" `Slow test_abd_c_substitution_k1;
     Alcotest.test_case "substitution: C as ABD, k=2 (tight 5/8)" `Slow
       test_abd_c_substitution_k2;
     Alcotest.test_case "model playout invariants" `Quick test_model_playout_invariants;
+    Alcotest.test_case "init refuses values past one byte" `Quick test_abd_init_range;
   ]
 
 (* ---- the snapshot weakener game (Programs.Ghw_snapshot, exact) ---- *)

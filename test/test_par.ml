@@ -168,10 +168,12 @@ let test_encode_into_reuse () =
         true (n > 10))
     games
 
-(* The ABD key bytes are pinned: committed baselines and fuzz corpora
-   hold keys, and a faster writer must not change one byte. The digest
-   covers the concatenated [encode] keys of the first 4,000 BFS states;
-   it was recorded with the combinator writer the current one replaced. *)
+(* The ABD key bytes are pinned. A key is a state's identity in the
+   memo, so a new state representation or writer must not change one
+   byte: a changed layout could merge states the solver must tell apart.
+   The digest covers the concatenated [encode] keys of the first 4,000
+   BFS states; it was recorded with the [Mdp.Key] combinator writer,
+   before the ABD state became its own packed key. *)
 let test_abd_key_digest () =
   List.iter
     (fun (k, servers, atomic_c, expected) ->
@@ -197,6 +199,57 @@ let test_abd_key_digest () =
       (1, 5, false, "774cf96e00a43586cc7439456da66e64");
       (2, 3, false, "a376198e8be43860584947a065a885cc");
     ]
+
+(* The whole ABD^1 transition relation is pinned, not just its states:
+   for every reachable state, in BFS order, the stream holds the state's
+   key and then, for each move in [moves] order, each successor's
+   probability (as [%h]) and key. Any change to a move's order, a
+   successor's bytes, a chance branch's order or its probability changes
+   the digest. The stream runs to hundreds of MB, so the digest is MD5
+   folded over it in chunks cut at the first state boundary past 1 MiB
+   ([d' = MD5 (d ^ chunk)], from the MD5 of the empty string). *)
+let transition_digest ~atomic_c =
+  let module G = Model.Weakener_abd.Game in
+  let seen = Hashtbl.create (1 lsl 16) in
+  let queue = Queue.create () in
+  let chunk = Buffer.create (1 lsl 21) in
+  let digest = ref (Digest.string "") in
+  let flush () =
+    digest := Digest.string (!digest ^ Buffer.contents chunk);
+    Buffer.clear chunk
+  in
+  let visit s =
+    let key = G.encode s in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      Queue.add s queue
+    end;
+    key
+  in
+  let succ pr s =
+    Buffer.add_string chunk (Printf.sprintf "%h" pr);
+    Buffer.add_string chunk (visit s)
+  in
+  ignore (visit (Model.Weakener_abd.init ~atomic_c ~k:1 ()));
+  while not (Queue.is_empty queue) do
+    let s = Queue.pop queue in
+    Buffer.add_string chunk (G.encode s);
+    List.iter
+      (fun m ->
+        match G.apply s m with
+        | G.Det s' -> succ 1.0 s'
+        | G.Chance dist -> List.iter (fun (pr, s') -> succ pr s') dist)
+      (G.moves s);
+    if Buffer.length chunk >= 1 lsl 20 then flush ()
+  done;
+  flush ();
+  (Hashtbl.length seen, Digest.to_hex !digest)
+
+let check_transitions ~atomic_c ~states ~expected () =
+  let name = if atomic_c then "ABD^1, C atomic" else "ABD^1, C as ABD" in
+  let n, d = transition_digest ~atomic_c in
+  Alcotest.(check int) (name ^ ": reachable states") states n;
+  Alcotest.(check string) (name ^ ": MD5 of the transition stream") expected d
 
 (* ---- the pool itself ------------------------------------------------- *)
 
@@ -299,6 +352,12 @@ let tests =
     Alcotest.test_case "encode_into = encode under buffer reuse" `Quick
       test_encode_into_reuse;
     Alcotest.test_case "ABD key bytes are pinned" `Quick test_abd_key_digest;
+    Alcotest.test_case "ABD^1 transitions are pinned (C atomic)" `Quick
+      (check_transitions ~atomic_c:true ~states:106_263
+         ~expected:"f6dad1b5c84a90f09d0c0ea8116802d8");
+    Alcotest.test_case "ABD^1 transitions are pinned (C as ABD)" `Slow
+      (check_transitions ~atomic_c:false ~states:471_166
+         ~expected:"bee36fe5c4f05857097f7f100cde6c36");
     Alcotest.test_case "pool map is positional" `Quick test_pool_map_positional;
     Alcotest.test_case "pool re-raises worker exceptions" `Quick
       test_pool_propagates_exception;
