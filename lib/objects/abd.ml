@@ -4,65 +4,104 @@ open Sim.Proc.Syntax
 
 let quorum n = (n / 2) + 1
 
-(* Server role (lines 11-12 and 18-20 of Algorithm 3). State: Pair (val, ts). *)
+(* The message tags, built once: equality on bodies is structural, so
+   sharing one value per tag is invisible to every reader. *)
+let reply_tag = Value.str "reply"
+let ack_tag = Value.str "ack"
+
+(* [Value.ts_compare] without its tuples; other shapes fall back to it
+   (and its [Type_error]) *)
+let ts_compare a b =
+  match (a, b) with
+  | Value.(Pair (Int n1, Int i1), Pair (Int n2, Int i2)) ->
+      if n1 <> n2 then Int.compare n1 n2 else Int.compare i1 i2
+  | _ -> Value.ts_compare a b
+
+(* Server role (lines 11-12 and 18-20 of Algorithm 3). State: Pair (val, ts).
+   Bodies are matched by constructor; a malformed state or body goes
+   through the [Value] destructors, which raise [Type_error]. *)
 let handler ~self:_ ~state ~src ~body : Obj_impl.handler_result option =
-  let v, ts = Value.to_pair state in
-  match Message.tag_of body with
-  | "query" ->
-      let sn = Message.payload_of body in
-      Some { state; out = [ (src, Message.tagged "reply" (Value.triple v ts sn)) ] }
-  | "update" ->
-      let nv, nts, sn = Value.to_triple (Message.payload_of body) in
-      let state' =
-        if Value.ts_compare nts ts > 0 then Value.pair nv nts else state
-      in
-      Some { state = state'; out = [ (src, Message.tagged "ack" sn) ] }
-  | _ -> None (* replies and acks are client messages *)
+  match (state, body) with
+  | Value.(Pair (v, ts), Pair (Str tag, payload)) -> (
+      match tag with
+      | "query" ->
+          let reply = Value.Pair (reply_tag, Value.triple v ts payload) in
+          Some { state; out = [ (src, reply) ] }
+      | "update" -> (
+          match payload with
+          | Value.Pair (nv, Value.Pair (nts, sn)) ->
+              let state' =
+                if ts_compare nts ts > 0 then Value.Pair (nv, nts) else state
+              in
+              Some { state = state'; out = [ (src, Value.Pair (ack_tag, sn)) ] }
+          | _ ->
+              ignore (Value.to_triple payload);
+              None)
+      | _ -> None (* replies and acks are client messages *))
+  | _ ->
+      ignore (Value.to_pair state);
+      ignore (Message.tag_of body);
+      None
+
+(* A reply to query [sn] of object [name]: [Pair ("reply", (v, ts, sn))].
+   Well-formed bodies are matched by constructor; anything else takes the
+   checked path, which raises [Type_error] on a malformed reply. *)
+let is_reply ~name sn (m : Message.t) =
+  String.equal m.obj_name name
+  &&
+  match m.body with
+  | Value.(Pair (Str "reply", Pair (_, Pair (_, Int sn')))) -> sn' = sn
+  | Value.(Pair (Str tag, _)) when not (String.equal tag "reply") -> false
+  | body ->
+      Message.tag_of body = "reply"
+      &&
+      let _, _, sn' = Value.to_triple (Message.payload_of body) in
+      Value.to_int sn' = sn
+
+(* An ack of update [sn] of object [name]: [Pair ("ack", sn)]. *)
+let is_ack ~name sn (m : Message.t) =
+  String.equal m.obj_name name
+  &&
+  match m.body with
+  | Value.(Pair (Str "ack", Int sn')) -> sn' = sn
+  | Value.(Pair (Str tag, _)) when not (String.equal tag "ack") -> false
+  | body -> Message.tag_of body = "ack" && Value.to_int (Message.payload_of body) = sn
 
 (* Lines 5-10: broadcast a query, await a majority of matching replies, and
    return the (value, timestamp) pair with the largest timestamp. *)
 let query_phase ~name ~n =
+  let descr = name ^ ".reply" in
   let* sn = Proc.fresh in
   let* () =
     Proc.broadcast (Message.make ~obj_name:name (Message.tagged "query" (Value.int sn)))
   in
-  let matches (m : Message.t) =
-    m.obj_name = name
-    && Message.tag_of m.body = "reply"
-    &&
-    let _, _, sn' = Value.to_triple (Message.payload_of m.body) in
-    Value.to_int sn' = sn
-  in
-  let rec collect count best =
-    if count >= quorum n then Proc.return best
+  let matches = is_reply ~name sn in
+  let rec collect count bv bts =
+    if count >= quorum n then Proc.return (Value.pair bv bts)
     else
-      let* m = Proc.recv ~descr:(name ^ ".reply") matches in
-      let v, ts, _ = Value.to_triple (Message.payload_of m.body) in
-      let best' =
-        let _, bts = Value.to_pair best in
-        if Value.ts_compare ts bts > 0 then Value.pair v ts else best
-      in
-      collect (count + 1) best'
+      let* m = Proc.recv ~descr matches in
+      match m.body with
+      | Value.(Pair (_, Pair (v, Pair (ts, _)))) ->
+          if ts_compare ts bts > 0 then collect (count + 1) v ts
+          else collect (count + 1) bv bts
+      | _ -> assert false (* [matches] admits only this shape *)
   in
-  collect 0 (Value.pair Value.none (Value.ts (-1) (-1)))
+  collect 0 Value.none (Value.ts (-1) (-1))
 
 (* Lines 13-16: broadcast the update and await a majority of acks. *)
 let update_phase ~name ~n v ts =
+  let descr = name ^ ".ack" in
   let* sn = Proc.fresh in
   let* () =
     Proc.broadcast
       (Message.make ~obj_name:name
          (Message.tagged "update" (Value.triple v ts (Value.int sn))))
   in
-  let matches (m : Message.t) =
-    m.obj_name = name
-    && Message.tag_of m.body = "ack"
-    && Value.to_int (Message.payload_of m.body) = sn
-  in
+  let matches = is_ack ~name sn in
   let rec collect count =
     if count >= quorum n then Proc.return ()
     else
-      let* _ = Proc.recv ~descr:(name ^ ".ack") matches in
+      let* _ = Proc.recv ~descr matches in
       collect (count + 1)
   in
   collect 0

@@ -20,12 +20,13 @@ type _ op =
       -> int op
   | Ret_marker : { inv : int; value : Util.Value.t } -> unit op
 
-type 'a t = Ret : 'a -> 'a t | Op : 'b op * ('b -> 'a t) -> 'a t
+type 'a t =
+  | Ret : 'a -> 'a t
+  | Op : 'b op * ('b -> 'a t) -> 'a t
+  | Bind : 'b t * ('b -> 'a t) -> 'a t
 
 let return x = Ret x
-
-let rec bind : type a b. a t -> (a -> b t) -> b t =
- fun m f -> match m with Ret x -> f x | Op (op, k) -> Op (op, fun b -> bind (k b) f)
+let bind m f = match m with Ret x -> f x | Op _ | Bind _ -> Bind (m, f)
 
 let map f m = bind m (fun x -> Ret (f x))
 

@@ -9,7 +9,18 @@
 
     Local computation lives inside the continuations and is invisible to the
     scheduler, matching the paper's step granularity (shared-object accesses,
-    sends/receives, and random samplings are the visible steps). *)
+    sends/receives, and random samplings are the visible steps).
+
+    A sequence of binds is a tree of [Bind] nodes, not a chain of
+    re-wrapped [Op]s: the runtime keeps each process's pending
+    continuations on a stack, so a step costs the same at any call depth.
+
+    [Recv] predicates must be pure: their answer on a message may depend
+    only on that message (and on values fixed when the predicate was
+    built). The runtime caches which processes can receive: it tests a
+    predicate once per message when the message lands in the mailbox, and
+    scans the mailbox once when the [Recv] becomes the process's next
+    operation — not on every step. *)
 
 type rand_kind =
   | Program_random  (** a [random(V)] instruction of the program itself *)
@@ -21,7 +32,8 @@ type _ op =
   | Send : int * Message.t -> unit op
   | Recv : string * (Message.t -> bool) -> Message.t op
       (** consume the oldest matching mailbox message; blocks while none
-          matches. The string describes what is awaited, for traces. *)
+          matches. The string describes what is awaited, for traces. The
+          predicate must be pure (see above). *)
   | Read_reg : Base_reg.id -> Util.Value.t op
   | Write_reg : Base_reg.id * Util.Value.t -> unit op
   | Rmw_reg : Base_reg.id * (Util.Value.t -> Util.Value.t * Util.Value.t) -> Util.Value.t op
@@ -44,9 +56,18 @@ type _ op =
       -> int op  (** records a call action; returns the invocation id *)
   | Ret_marker : { inv : int; value : Util.Value.t } -> unit op
 
-type 'a t = Ret : 'a -> 'a t | Op : 'b op * ('b -> 'a t) -> 'a t
+type 'a t =
+  | Ret : 'a -> 'a t
+  | Op : 'b op * ('b -> 'a t) -> 'a t
+  | Bind : 'b t * ('b -> 'a t) -> 'a t
+      (** [m] then the continuation: {!bind}'s node, so binding is O(1)
+          and the runtime, not each enclosing [bind], threads the
+          continuations (see {!Runtime}'s continuation stack) *)
 
 val return : 'a -> 'a t
+
+(** [bind m f] is [f x] when [m] is [Ret x], else one [Bind] node: it
+    never walks or re-wraps [m]. *)
 val bind : 'a t -> ('a -> 'b t) -> 'b t
 val map : ('a -> 'b) -> 'a t -> 'b t
 

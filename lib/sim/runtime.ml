@@ -4,6 +4,11 @@ let log_src = Logs.Src.create "blunting.sim" ~doc:"Simulator runtime events"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* Per-step debug lines are guarded: the message closure would otherwise
+   be allocated on every step, logged or not. *)
+let debug_on () =
+  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
+
 (* Process-wide instrumentation (see lib/obs): counters aggregate across
    every runtime instance created in the process; per-run figures come from
    the trace ([Trace.count_steps] etc.), these feed the registry snapshot. *)
@@ -36,14 +41,35 @@ type event = Step of int | Deliver of int | Crash of int
 
 type in_transit = { msg_id : int; src : int; dst : int; msg : Message.t }
 
-type pstatus = Active of unit Proc.t | Terminated | Crashed_p
+(* A process's pending continuations, innermost first: a type-aligned
+   stack. [Push (f, s)] awaits an ['a], runs [f] on it and hands the
+   resulting code's value to [s]; [Done] is the top level. *)
+type (_, _) kont =
+  | Done : ('a, 'a) kont
+  | Push : ('a -> 'b Proc.t) * ('b, 'c) kont -> ('a, 'c) kont
+
+(* [Active (op, k, s)]: the next step resolves [op], feeds its result to
+   [k] and the code [k] returns to the stack [s]. [At_ret]: the program
+   has returned; its next step terminates it. *)
+type pstatus =
+  | Active : 'b Proc.op * ('b -> 'c Proc.t) * ('c, unit) kont -> pstatus
+  | At_ret
+  | Terminated
+  | Crashed_p
+
+(* Run [m] down to its next operation. Local computation (continuations
+   returning, binds opening) happens here; each [Bind] pushes one frame
+   and each [Ret] pops one, so the cost does not grow with call depth. *)
+let rec settle : type a. a Proc.t -> (a, unit) kont -> pstatus =
+ fun m s ->
+  match m with
+  | Proc.Op (op, k) -> Active (op, k, s)
+  | Proc.Bind (m, f) -> settle m (Push (f, s))
+  | Proc.Ret x -> ( match s with Done -> At_ret | Push (f, s) -> settle (f x) s)
 
 (* A mailbox, flattened: ids and messages in parallel arrays, ARRIVAL
-   order ascending. The old representation (a newest-first list ref)
-   forced a List.rev allocation on every oldest-first read — and the
-   enabled-set computation reads every blocked process's mailbox on
-   every single step. Scans here touch no allocator; removal is a
-   blit. *)
+   order ascending, so an oldest-first scan touches no allocator and
+   removal is a blit. *)
 type mbox = {
   mutable mb_ids : int array;
   mutable mb_msgs : Message.t array;
@@ -59,6 +85,12 @@ type t = {
      status array's boxed payloads *)
   mutable active : int;
   mutable crashed : int;
+  (* bit p: p is active and its next operation can run now (it is not a
+     [Recv] without a matching mailbox message). Kept up to date where it
+     can change — p's own step, a message landing in p's mailbox, p
+     terminating or crashing — so [enabled] reads it instead of running
+     every blocked process's predicate over its mailbox. *)
+  mutable ready : int;
   mailboxes : mbox array;
   (* the in-transit multiset, flattened likewise: SEND order ascending,
      so the enabled scan needs no reversal. Delivery removes by blit. *)
@@ -73,8 +105,11 @@ type t = {
   step_evs : event array;
   crash_evs : event array;
   mutable deliver_evs : event array;  (* indexed by msg id *)
-  servers : (string * int, Value.t) Hashtbl.t;
-  inv_objs : (int, string) Hashtbl.t;  (* inv id -> obj name, for returns *)
+  objs : Obj_impl.t array;  (* [config.objects], by ordinal *)
+  (* [servers.(o).(p)]: object [o]'s server state at process [p]; [||]
+     for an object without a server role *)
+  servers : Value.t array array;
+  mutable inv_objs : string array;  (* inv id -> obj name, for returns *)
   inv_stacks : int list array;
   trace : Trace.t;
   mutable next_msg : int;
@@ -88,6 +123,22 @@ type t = {
 (* slot filler for vacated message cells, so removal drops the reference *)
 let no_msg = Message.make ~obj_name:"" Value.unit
 
+(* [p]'s ready bit, recomputed from its status: at creation and after
+   p's own step (the only places a [Recv] becomes p's next operation),
+   by one scan of the mailbox *)
+let refresh_ready t p =
+  let ready =
+    match t.procs.(p) with
+    | Active (Proc.Recv (_, pred), _, _) ->
+        let mb = t.mailboxes.(p) in
+        let rec scan i = i < mb.mb_len && (pred mb.mb_msgs.(i) || scan (i + 1)) in
+        scan 0
+    | Active _ | At_ret -> true
+    | Terminated | Crashed_p -> false
+  in
+  if ready then t.ready <- t.ready lor (1 lsl p)
+  else t.ready <- t.ready land lnot (1 lsl p)
+
 let create ?trace_level config rand =
   if config.n > Sys.int_size - 2 then
     Fmt.invalid_arg "Runtime.create: n = %d exceeds the bitset width" config.n;
@@ -95,44 +146,51 @@ let create ?trace_level config rand =
     Base_reg.create_store
       (List.concat_map (fun (o : Obj_impl.t) -> o.registers ~n:config.n) config.objects)
   in
-  let servers = Hashtbl.create 16 in
-  List.iter
-    (fun (o : Obj_impl.t) ->
-      match o.init_server with
-      | None -> ()
-      | Some init ->
-          for p = 0 to config.n - 1 do
-            Hashtbl.replace servers (o.name, p) (init ~n:config.n ~self:p)
-          done)
-    config.objects;
-  {
-    config;
-    store;
-    procs = Array.init config.n (fun p -> Active (config.program ~self:p));
-    active = (1 lsl config.n) - 1;
-    crashed = 0;
-    mailboxes =
-      Array.init config.n (fun _ ->
-          { mb_ids = Array.make 8 0; mb_msgs = Array.make 8 no_msg; mb_len = 0 });
-    tr_ids = Array.make 16 0;
-    tr_dst = Array.make 16 0;
-    tr_src = Array.make 16 0;
-    tr_msg = Array.make 16 no_msg;
-    tr_len = 0;
-    step_evs = Array.init config.n (fun p -> Step p);
-    crash_evs = Array.init config.n (fun p -> Crash p);
-    deliver_evs = Array.make 16 (Deliver 0);
-    servers;
-    inv_objs = Hashtbl.create 64;
-    inv_stacks = Array.make config.n [];
-    trace = Trace.create ?level:trace_level ();
-    next_msg = 0;
-    next_inv = 0;
-    next_nonce = 0;
-    rand_pos = 0;
-    crashes = 0;
-    rand;
-  }
+  let objs = Array.of_list config.objects in
+  let servers =
+    Array.map
+      (fun (o : Obj_impl.t) ->
+        match o.init_server with
+        | None -> [||]
+        | Some init -> Array.init config.n (fun p -> init ~n:config.n ~self:p))
+      objs
+  in
+  let t =
+    {
+      config;
+      store;
+      procs = Array.init config.n (fun p -> settle (config.program ~self:p) Done);
+      active = (1 lsl config.n) - 1;
+      crashed = 0;
+      ready = 0;
+      mailboxes =
+        Array.init config.n (fun _ ->
+            { mb_ids = Array.make 8 0; mb_msgs = Array.make 8 no_msg; mb_len = 0 });
+      tr_ids = Array.make 16 0;
+      tr_dst = Array.make 16 0;
+      tr_src = Array.make 16 0;
+      tr_msg = Array.make 16 no_msg;
+      tr_len = 0;
+      step_evs = Array.init config.n (fun p -> Step p);
+      crash_evs = Array.init config.n (fun p -> Crash p);
+      deliver_evs = Array.make 16 (Deliver 0);
+      objs;
+      servers;
+      inv_objs = Array.make 16 "";
+      inv_stacks = Array.make config.n [];
+      trace = Trace.create ?level:trace_level ();
+      next_msg = 0;
+      next_inv = 0;
+      next_nonce = 0;
+      rand_pos = 0;
+      crashes = 0;
+      rand;
+    }
+  in
+  for p = 0 to config.n - 1 do
+    refresh_ready t p
+  done;
+  t
 
 let n t = t.config.n
 let trace t = t.trace
@@ -166,32 +224,30 @@ let is_crashed t p = t.crashed land (1 lsl p) <> 0
 let current_inv t p = match t.inv_stacks.(p) with [] -> None | i :: _ -> Some i
 let read_register t rid = Base_reg.read t.store rid ~reader:(-1)
 
-let server_state t ~obj_name ~proc = Hashtbl.find_opt t.servers (obj_name, proc)
 let random_results t = Trace.random_draws t.trace
 
-let find_obj t name =
-  match List.find_opt (fun (o : Obj_impl.t) -> o.name = name) t.config.objects with
-  | Some o -> o
-  | None -> Fmt.invalid_arg "unknown object %s" name
-
-let mailbox_has_match t p pred =
-  let mb = t.mailboxes.(p) in
-  let rec go i = i < mb.mb_len && (pred mb.mb_msgs.(i) || go (i + 1)) in
+(* the ordinal of the object named [name], or -1 *)
+let obj_index t name =
+  let rec go i =
+    if i = Array.length t.objs then -1
+    else if String.equal t.objs.(i).Obj_impl.name name then i
+    else go (i + 1)
+  in
   go 0
 
-let head_op_blocked t p =
-  match t.procs.(p) with
-  | Active (Proc.Op (Proc.Recv (_, pred), _)) -> not (mailbox_has_match t p pred)
-  | Active _ | Terminated | Crashed_p -> false
+let server_state t ~obj_name ~proc =
+  let o = obj_index t obj_name in
+  if o < 0 || proc < 0 || proc >= Array.length t.servers.(o) then None
+  else Some t.servers.(o).(proc)
 
-let blocked = head_op_blocked
+let blocked t p = t.active land lnot t.ready land (1 lsl p) <> 0
 
 let next_op_descr t p =
   match t.procs.(p) with
   | Terminated -> "terminated"
   | Crashed_p -> "crashed"
-  | Active (Proc.Ret ()) -> "ret"
-  | Active (Proc.Op (op, _)) -> (
+  | At_ret -> "ret"
+  | Active (op, _, _) -> (
       match op with
       | Proc.Broadcast m -> "broadcast:" ^ m.obj_name
       | Proc.Send (_, m) -> "send:" ^ m.obj_name
@@ -207,9 +263,9 @@ let next_op_descr t p =
       | Proc.Ret_marker _ -> "ret_marker")
 
 (* The enabled set, rebuilt every step of every run: steps in process
-   order, then delivers in send order, then crashes in process order —
-   exactly the old list-pipeline's order, built back to front from the
-   bitsets and flat arrays so the only allocation is the result's cons
+   order, then delivers in send order, then crashes in process order,
+   built back to front. It reads only the bitsets and the in-transit
+   array — no predicate runs here — and allocates only the result's cons
    cells (the event values themselves are interned). *)
 let enabled t =
   let acc = ref [] in
@@ -222,8 +278,7 @@ let enabled t =
       acc := t.deliver_evs.(t.tr_ids.(i)) :: !acc
   done;
   for p = t.config.n - 1 downto 0 do
-    if t.active land (1 lsl p) <> 0 && not (head_op_blocked t p) then
-      acc := t.step_evs.(p) :: !acc
+    if t.ready land (1 lsl p) <> 0 then acc := t.step_evs.(p) :: !acc
   done;
   !acc
 
@@ -295,20 +350,25 @@ let deliver t msg_id =
   Array.blit t.tr_msg (i + 1) t.tr_msg i tail;
   t.tr_len <- t.tr_len - 1;
   t.tr_msg.(t.tr_len) <- no_msg;
-  let obj = find_obj t msg.Message.obj_name in
+  let o = obj_index t msg.Message.obj_name in
+  if o < 0 then Fmt.invalid_arg "unknown object %s" msg.Message.obj_name;
+  let obj = t.objs.(o) in
   let handled =
-    match (obj.on_message, obj.init_server) with
-    | Some handler, Some _ -> (
-        let state = Hashtbl.find t.servers (obj.name, dst) in
-        match handler ~self:dst ~state ~src ~body:msg.Message.body with
+    match obj.on_message with
+    | Some handler when Array.length t.servers.(o) > 0 -> (
+        let states = t.servers.(o) in
+        match handler ~self:dst ~state:states.(dst) ~src ~body:msg.Message.body with
         | Some { state = state'; out } ->
-            Hashtbl.replace t.servers (obj.name, dst) state';
-            List.iter
-              (fun (dst', body) ->
-                ignore
-                  (enqueue_message t ~src:dst ~dst:dst'
-                     (Message.make ~obj_name:obj.name body)))
-              out;
+            states.(dst) <- state';
+            let rec send = function
+              | [] -> ()
+              | (dst', body) :: rest ->
+                  ignore
+                    (enqueue_message t ~src:dst ~dst:dst'
+                       (Message.make ~obj_name:obj.name body));
+                  send rest
+            in
+            send out;
             true
         | None -> false)
     | _ -> false
@@ -321,74 +381,79 @@ let deliver t msg_id =
     end;
     mb.mb_ids.(mb.mb_len) <- msg_id;
     mb.mb_msgs.(mb.mb_len) <- msg;
-    mb.mb_len <- mb.mb_len + 1
+    mb.mb_len <- mb.mb_len + 1;
+    (* the one new message is the only thing that can unblock [dst] *)
+    if t.ready land (1 lsl dst) = 0 then
+      match t.procs.(dst) with
+      | Active (Proc.Recv (_, pred), _, _) when pred msg ->
+          t.ready <- t.ready lor (1 lsl dst)
+      | _ -> ()
   end;
   Obs.Metrics.incr M.messages_delivered;
   if Trace.full t.trace then
     Trace.add t.trace (Trace.Delivered { msg_id; src; dst; msg; handled })
   else Trace.bump t.trace
 
-(* consume the OLDEST matching message: arrival order ascending, so the
-   first match wins and removal is a blit *)
-let consume_matching t p pred =
+(* the index of the OLDEST matching message, or -1: arrival order
+   ascending, so the first match wins *)
+let find_matching t p pred =
   let mb = t.mailboxes.(p) in
   let rec find i =
     if i >= mb.mb_len then -1 else if pred mb.mb_msgs.(i) then i else find (i + 1)
   in
-  let i = find 0 in
-  if i < 0 then None
-  else begin
-    let id = mb.mb_ids.(i) and m = mb.mb_msgs.(i) in
-    let tail = mb.mb_len - i - 1 in
-    Array.blit mb.mb_ids (i + 1) mb.mb_ids i tail;
-    Array.blit mb.mb_msgs (i + 1) mb.mb_msgs i tail;
-    mb.mb_len <- mb.mb_len - 1;
-    mb.mb_msgs.(mb.mb_len) <- no_msg;
-    Some (id, m)
-  end
+  find 0
+
+let remove_mail mb i =
+  let tail = mb.mb_len - i - 1 in
+  Array.blit mb.mb_ids (i + 1) mb.mb_ids i tail;
+  Array.blit mb.mb_msgs (i + 1) mb.mb_msgs i tail;
+  mb.mb_len <- mb.mb_len - 1;
+  mb.mb_msgs.(mb.mb_len) <- no_msg
 
 let step_process t p =
-  match t.procs.(p) with
+  (match t.procs.(p) with
   | Terminated | Crashed_p -> raise (Not_enabled (Step p))
-  | Active (Proc.Ret ()) ->
+  | At_ret ->
       t.procs.(p) <- Terminated;
       t.active <- t.active land lnot (1 lsl p)
-  | Active (Proc.Op (op, k)) ->
-      let continue : type a. a -> (a -> unit Proc.t) -> unit =
-       fun v k -> t.procs.(p) <- Active (k v)
-      in
-      let inv = current_inv t p in
-      (match op with
+  | Active (op, k, s) -> (
+      let continue v = t.procs.(p) <- settle (k v) s in
+      match op with
       | Proc.Broadcast msg ->
           for dst = 0 to t.config.n - 1 do
             ignore (enqueue_message t ~src:p ~dst msg)
           done;
-          continue () k
+          continue ()
       | Proc.Send (dst, msg) ->
           ignore (enqueue_message t ~src:p ~dst msg);
-          continue () k
-      | Proc.Recv (_descr, pred) -> (
-          match consume_matching t p pred with
-          | None -> raise (Not_enabled (Step p))
-          | Some (msg_id, msg) ->
-              if Trace.full t.trace then
-                Trace.add t.trace (Trace.Received { msg_id; proc = p; msg; inv })
-              else Trace.bump t.trace;
-              continue msg k)
+          continue ()
+      | Proc.Recv (_descr, pred) ->
+          let i = find_matching t p pred in
+          if i < 0 then raise (Not_enabled (Step p));
+          let mb = t.mailboxes.(p) in
+          let msg_id = mb.mb_ids.(i) and msg = mb.mb_msgs.(i) in
+          remove_mail mb i;
+          if Trace.full t.trace then
+            Trace.add t.trace
+              (Trace.Received { msg_id; proc = p; msg; inv = current_inv t p })
+          else Trace.bump t.trace;
+          continue msg
       | Proc.Read_reg r ->
           let value = Base_reg.read t.store r ~reader:p in
           Obs.Metrics.incr M.reg_reads;
           if Trace.full t.trace then
-            Trace.add t.trace (Trace.Reg_read { proc = p; reg = r; value; inv })
+            Trace.add t.trace
+              (Trace.Reg_read { proc = p; reg = r; value; inv = current_inv t p })
           else Trace.bump t.trace;
-          continue value k
+          continue value
       | Proc.Write_reg (r, value) ->
           Base_reg.write t.store r ~writer:p value;
           Obs.Metrics.incr M.reg_writes;
           if Trace.full t.trace then
-            Trace.add t.trace (Trace.Reg_write { proc = p; reg = r; value; inv })
+            Trace.add t.trace
+              (Trace.Reg_write { proc = p; reg = r; value; inv = current_inv t p })
           else Trace.bump t.trace;
-          continue () k
+          continue ()
       | Proc.Rmw_reg (r, f) ->
           let cur = Base_reg.read t.store r ~reader:p in
           let stored, result = f cur in
@@ -396,52 +461,60 @@ let step_process t p =
           Obs.Metrics.incr M.reg_writes;
           if Trace.full t.trace then
             Trace.add t.trace
-              (Trace.Reg_write { proc = p; reg = r; value = stored; inv })
+              (Trace.Reg_write
+                 { proc = p; reg = r; value = stored; inv = current_inv t p })
           else Trace.bump t.trace;
-          continue result k
+          continue result
       | Proc.Random (bound, kind) ->
           let result = draw_random t bound in
           Obs.Metrics.incr M.coin_flips;
-          Log.debug (fun m ->
-              m "p%d %s-random(%d) = %d" p
-                (match kind with
-                | Proc.Program_random -> "program"
-                | Proc.Object_random -> "object")
-                bound result);
+          if debug_on () then
+            Log.debug (fun m ->
+                m "p%d %s-random(%d) = %d" p
+                  (match kind with
+                  | Proc.Program_random -> "program"
+                  | Proc.Object_random -> "object")
+                  bound result);
           if Trace.full t.trace then
             Trace.add t.trace
-              (Trace.Randomized { proc = p; kind; bound; result; inv })
+              (Trace.Randomized
+                 { proc = p; kind; bound; result; inv = current_inv t p })
           else Trace.bump t.trace;
-          continue result k
+          continue result
       | Proc.Fresh ->
           let v = t.next_nonce in
           t.next_nonce <- v + 1;
-          continue v k
+          continue v
       | Proc.Label name ->
-          Trace.add t.trace (Trace.Labeled { proc = p; name; inv });
-          continue () k
+          Trace.add t.trace (Trace.Labeled { proc = p; name; inv = current_inv t p });
+          continue ()
       | Proc.Note (name, value) ->
-          Trace.add t.trace (Trace.Noted { proc = p; name; value; inv });
-          continue () k
+          Trace.add t.trace
+            (Trace.Noted { proc = p; name; value; inv = current_inv t p });
+          continue ()
       | Proc.Call_marker { obj_name; meth; arg; tag } ->
           let i = t.next_inv in
           t.next_inv <- i + 1;
           t.inv_stacks.(p) <- i :: t.inv_stacks.(p);
-          Hashtbl.replace t.inv_objs i obj_name;
+          if i = Array.length t.inv_objs then begin
+            let a = Array.make (2 * i) "" in
+            Array.blit t.inv_objs 0 a 0 i;
+            t.inv_objs <- a
+          end;
+          t.inv_objs.(i) <- obj_name;
           Trace.add t.trace
             (Trace.Action
                (History.Action.Call { obj_name; meth; arg; inv = i; proc = p; tag }));
-          continue i k
+          continue i
       | Proc.Ret_marker { inv = i; value } ->
           (match t.inv_stacks.(p) with
           | top :: rest when top = i -> t.inv_stacks.(p) <- rest
           | _ -> Fmt.invalid_arg "Ret_marker: invocation %d not open at p%d" i p);
-          let obj_name =
-            Option.value ~default:"?" (Hashtbl.find_opt t.inv_objs i)
-          in
+          let obj_name = t.inv_objs.(i) in
           Trace.add t.trace
             (Trace.Action (History.Action.Ret { inv = i; value; proc = p; obj_name }));
-          continue () k)
+          continue ()));
+  refresh_ready t p
 
 let pp_event ppf = function
   | Step p -> Fmt.pf ppf "step(p%d)" p
@@ -450,7 +523,7 @@ let pp_event ppf = function
 
 let step t e =
   Obs.Metrics.incr M.steps;
-  Log.debug (fun m -> m "%a" pp_event e);
+  if debug_on () then Log.debug (fun m -> m "%a" pp_event e);
   match e with
   | Step p -> step_process t p
   | Deliver id -> deliver t id
@@ -458,9 +531,10 @@ let step t e =
       if (not t.config.enable_crashes) || t.crashes >= t.config.max_crashes then
         raise (Not_enabled e);
       (match t.procs.(p) with
-      | Active _ ->
+      | Active _ | At_ret ->
           t.procs.(p) <- Crashed_p;
           t.active <- t.active land lnot (1 lsl p);
+          t.ready <- t.ready land lnot (1 lsl p);
           t.crashed <- t.crashed lor (1 lsl p);
           t.crashes <- t.crashes + 1;
           Obs.Metrics.incr M.crashes;

@@ -93,7 +93,9 @@ val is_active : t -> int -> bool
 val is_crashed : t -> int -> bool
 
 (** [blocked t p] holds when [p] is active but its next operation is a [Recv]
-    with no matching mailbox message. *)
+    with no matching mailbox message. It is a bit test: the runtime keeps
+    each process's readiness current as messages land and steps run
+    (which is why [Recv] predicates must be pure, see {!Proc}). *)
 val blocked : t -> int -> bool
 
 (** [current_inv t p] is the innermost open invocation of process [p]. *)
@@ -104,7 +106,8 @@ val current_inv : t -> int -> int option
 val read_register : t -> Base_reg.id -> Util.Value.t
 
 (** [server_state t ~obj_name ~proc] is the server state of [obj_name] at
-    process [proc], if that object has a server role. *)
+    process [proc]; [None] when that object has no server role, or no
+    object has that name. *)
 val server_state : t -> obj_name:string -> proc:int -> Util.Value.t option
 
 (** [random_results t] lists results of the random steps taken so far. *)

@@ -45,9 +45,11 @@ val bool : t -> bool
 (** [float t] draws uniformly from [0, 1). *)
 val float : t -> float
 
-(** [pick t xs] draws a uniformly random element of the non-empty list in
-    one traversal (always consuming exactly one 64-bit draw when no
-    rejection occurs, regardless of the list's length). *)
+(** [pick t xs] draws a uniformly random element of the non-empty list:
+    [List.nth xs (int t (List.length xs))], so it walks the list about
+    one and a half times and allocates nothing. A singleton still
+    consumes one 64-bit draw, so the stream advances as for longer
+    lists. *)
 val pick : t -> 'a list -> 'a
 
 (** [shuffle t xs] is a uniformly random permutation of [xs]. *)

@@ -300,6 +300,124 @@ let test_trace_history_level () =
   in
   Alcotest.(check (list string)) "outcomes agree" (bindings tf) (bindings th)
 
+(* The simulator's scheduling decisions, pinned. 200 seeded uniform
+   trials of each configuration below; every step's enabled list, its
+   [blocked] bits and the chosen event go into an MD5 (chained per trial:
+   [d' = MD5 (d ^ trial)]), with each trial's end and the total
+   [sim.steps]. A runtime change that moves any enabled set, its order,
+   a [blocked] answer or a random draw moves the digest. The Full and
+   History trace levels must give the same decisions. *)
+let decision_cases () =
+  let case c = ((fun () -> Fuzz.Case.config c), Fuzz.Case.max_steps c) in
+  [
+    ("ABD^1 weakener", ((fun () -> Programs.Weakener.abd_k_config ~k:1), 1_000_000));
+    ("ABD^2 weakener", ((fun () -> Programs.Weakener.abd_k_config ~k:2), 1_000_000));
+    ("VA registers", case (Fuzz.Case.Registers { impl = Fuzz.Case.Va_k 2; n = 3 }));
+    ("Israeli-Li registers", case (Fuzz.Case.Registers { impl = Fuzz.Case.Il; n = 3 }));
+    ("Afek snapshot", case (Fuzz.Case.Snapshots { k = 1; n = 3 }));
+    ( "Ben-Or with crashes",
+      ( (fun () -> Programs.Ben_or.config ~n:3 ~f:1 ~inputs:[ 0; 1; 1 ] ~max_rounds:4),
+        100_000 ) );
+  ]
+
+let decision_digest ~level =
+  let steps = Obs.Metrics.counter "sim.steps" in
+  let s0 = Obs.Metrics.counter_value steps in
+  let digest = ref (Digest.string "") and chosen = ref 0 in
+  let buf = Buffer.create 4096 in
+  let add_event = function
+    | Runtime.Step p -> Buffer.add_char buf 's'; Buffer.add_string buf (string_of_int p)
+    | Runtime.Deliver m -> Buffer.add_char buf 'd'; Buffer.add_string buf (string_of_int m)
+    | Runtime.Crash p -> Buffer.add_char buf 'c'; Buffer.add_string buf (string_of_int p)
+  in
+  List.iter
+    (fun (_, (mk, max_steps)) ->
+      for i = 0 to 199 do
+        Buffer.clear buf;
+        let t =
+          Runtime.create ~trace_level:level (mk ())
+            (Runtime.Gen (Rng.stream ~seed:2026 ~index:((2 * i) + 1)))
+        in
+        let pick = Adversary.Schedulers.uniform (Rng.stream ~seed:2026 ~index:(2 * i)) in
+        let choose t evs =
+          List.iter add_event evs;
+          Buffer.add_char buf '|';
+          for p = 0 to Runtime.n t - 1 do
+            Buffer.add_char buf (if Runtime.blocked t p then 'b' else '-')
+          done;
+          let e = pick t evs in
+          add_event e;
+          Buffer.add_char buf ';';
+          incr chosen;
+          e
+        in
+        Buffer.add_string buf
+          (Fmt.str "%a" Runtime.pp_run_result (Runtime.run t ~max_steps choose));
+        digest := Digest.string (!digest ^ Buffer.contents buf)
+      done)
+    (decision_cases ());
+  let total = Obs.Metrics.counter_value steps - s0 in
+  Alcotest.(check int) "sim.steps counts the chosen events" !chosen total;
+  (Digest.to_hex !digest, total)
+
+let test_decisions_pinned () =
+  let full = decision_digest ~level:Trace.Full in
+  let history = decision_digest ~level:Trace.History in
+  Alcotest.(check (pair string int)) "Full and History agree" full history;
+  Alcotest.(check (pair string int)) "pinned digest and sim.steps"
+    ("5b033c53111d4595daad994bf5e6fd8e", 140_347) full
+
+(* Allocation guard, of the same form as memo_tbl's words-per-binding
+   test: 500 ABD^2 weakener trials at History level (the Monte-Carlo
+   path) must allocate at most 80 minor words per simulator step. *)
+let test_words_per_step () =
+  let steps = Obs.Metrics.counter "sim.steps" in
+  let s0 = Obs.Metrics.counter_value steps in
+  let w0 = Gc.minor_words () in
+  let r =
+    Adversary.Monte_carlo.estimate ~jobs:1 ~trials:500 ~seed:1
+      ~scheduler:Adversary.Schedulers.uniform ~bad:Programs.Weakener.bad
+      (fun () -> Programs.Weakener.abd_k_config ~k:2)
+  in
+  let words = Gc.minor_words () -. w0 in
+  let n = Obs.Metrics.counter_value steps - s0 in
+  Alcotest.(check int) "all trials complete" 0 (r.Adversary.Monte_carlo.deadlocks + r.step_limited);
+  let per = words /. float_of_int n in
+  if per > 80.0 then Alcotest.failf "%.1f words per step (at most 80)" per
+
+(* [server_state] reads each replica of an ABD object: after a run that
+   delivers every message eagerly, all three servers hold the last
+   write's [Pair (v, ts)], and process i writes the value i. Objects
+   without a server role, and unknown names, read [None]. *)
+let test_server_state () =
+  let abd = Objects.Abd.make ~name:"X" ~n:3 ~init:Value.none in
+  let reg = Objects.Atomic_register.make ~name:"Y" ~init:Value.none in
+  let program ~self =
+    let* _ = Obj_impl.call abd ~self ~tag:"w" ~meth:"write" ~arg:(Value.int self) in
+    let* _ = Obj_impl.call reg ~self ~tag:"y" ~meth:"write" ~arg:(Value.int self) in
+    Proc.return ()
+  in
+  let config =
+    { Runtime.n = 3; objects = [ abd; reg ]; program; enable_crashes = false;
+      max_crashes = 0 }
+  in
+  let t = Runtime.create config (Runtime.Gen (Rng.of_int 3)) in
+  (match Runtime.run t ~max_steps:10_000 Adversary.Schedulers.eager_delivery with
+  | Runtime.Completed -> ()
+  | _ -> Alcotest.fail "ABD run did not complete");
+  let states = List.init 3 (fun proc -> Runtime.server_state t ~obj_name:"X" ~proc) in
+  (match states with
+  | Some (Value.Pair (v, (Value.Pair (Value.Int _, Value.Int w) as ts))) :: _ ->
+      Alcotest.check value "the writer's value" (Value.int w) v;
+      List.iter
+        (fun s -> Alcotest.(check (option value)) "every server" (Some (Value.pair v ts)) s)
+        states
+  | _ -> Alcotest.fail "server 0 holds no Pair (v, ts)");
+  Alcotest.(check (option value)) "atomic register has no server" None
+    (Runtime.server_state t ~obj_name:"Y" ~proc:0);
+  Alcotest.(check (option value)) "unknown object" None
+    (Runtime.server_state t ~obj_name:"Z" ~proc:0)
+
 let value_roundtrip () =
   Alcotest.check value "none/some" (Value.some (Value.int 3)) (Value.some (Value.int 3));
   Alcotest.(check (option value)) "to_option none" None (Value.to_option Value.none);
@@ -321,4 +439,7 @@ let tests =
     Alcotest.test_case "outcome extraction" `Quick test_outcome_extraction;
     Alcotest.test_case "trace History level" `Quick test_trace_history_level;
     Alcotest.test_case "value option roundtrip" `Quick value_roundtrip;
+    Alcotest.test_case "scheduling decisions pinned" `Quick test_decisions_pinned;
+    Alcotest.test_case "sim: at most 80 words per step" `Quick test_words_per_step;
+    Alcotest.test_case "server_state reads ABD replicas" `Quick test_server_state;
   ]
