@@ -14,12 +14,9 @@
      BLUNTING_KMAX=3 dune exec bench/main.exe    # cap the exact solver's k
      BLUNTING_JOBS=4 dune exec bench/main.exe    # default for --jobs
 
-   Every exact solve outside PAR runs sequentially at any --jobs: a
-   parallel solve's values and state counts are bit-identical, but its
-   memo-hit counters move with the worker schedule, and the document
-   compares them against single-job baselines. --jobs parallelises the
-   Monte-Carlo sections, whose tallies are bit-identical at any job
-   count, and sets PAR's job count.
+   Exact solves are sequential. --jobs parallelises the Monte-Carlo
+   sections, whose tallies are bit-identical at any job count, and sets
+   PAR's job count.
 
    The --json document follows the Obs.Results schema (see
    lib/obs/results.mli and EXPERIMENTS.md): per-section paper-vs-measured
@@ -757,17 +754,17 @@ let e11_va_weakener () =
      coin. Not being strongly linearizable (VA is not) is necessary but not@.\
      sufficient for a program to be weakened.@."
 
-(* Sequential vs parallel wall clock for the two engine entry points.
-   The values are asserted bit-identical — the timings are the only
-   machine-dependent part: bench-diff does not compare them, and only the
-   opt-in --min-speedup gate reads the solve timings. The section runs at
-   --jobs when that is above 1 and at 2 otherwise, so its deterministic
-   quantities do not depend on the host's core count. *)
+(* Sequential vs parallel Monte-Carlo. The tallies are asserted
+   bit-identical and the parallel leg is asserted to have run on worker
+   domains; the timings are single-run context that bench-diff does not
+   compare. The section runs at --jobs when that is above 1 and at 2
+   otherwise, so its deterministic quantities do not depend on the host's
+   core count. *)
 let par_speedup () =
   let jobs = if options.jobs > 1 then options.jobs else 2 in
   let r =
     Report.section ~id:"PAR"
-      ~title:(Fmt.str "Parallel engine — sequential vs %d jobs" jobs)
+      ~title:(Fmt.str "Monte-Carlo, sequential vs %d jobs" jobs)
       ~headers:[ "workload"; "seq"; "par"; "speedup"; "identical" ] ()
   in
   let mc ?pool j =
@@ -775,87 +772,46 @@ let par_speedup () =
       ~scheduler:Adversary.Schedulers.uniform ~bad:Programs.Weakener.bad
       Programs.Weakener.atomic_config
   in
-  let mc_seq, t_mseq = time (fun () -> mc 1) in
-  (* The parallel legs run on their own [with_pool]-scoped pool: this
-     section may use more domains than the session-wide --jobs pool. *)
-  let mc_par, t_mpar =
-    time (fun () ->
-        Par.Pool.with_pool ~jobs (fun pool -> mc ~pool jobs))
-  in
-  let mc_same = mc_seq = mc_par in
-  (* ABD^min(2,kmax): deep enough for real frontier fan-out, yet a
-     BLUNTING_KMAX=1 smoke run stays fast *)
-  let solve_k = min 2 kmax in
-  Model.Weakener_abd.reset ();
-  let v_seq, t_sseq =
-    time (fun () ->
-        Model.Weakener_abd.bad_probability ~k:solve_k ())
-  in
-  let seq_states = Model.Weakener_abd.explored_states () in
-  Model.Weakener_abd.reset ();
-  (* worker domains are only observable while the pool is alive, so they
-     are counted inside the region *)
+  let seq, t_seq = time (fun () -> mc 1) in
+  (* The parallel leg runs on its own [with_pool]-scoped pool: this
+     section may use more domains than the session-wide --jobs pool.
+     Worker domains are only observable while the pool is alive, so they
+     are counted inside it. *)
   let spawned = ref 0 in
-  let v_par, t_spar =
+  let par, t_par =
     time (fun () ->
         Par.Pool.with_pool ~jobs (fun pool ->
-            let v = Model.Weakener_abd.bad_probability ~pool ~jobs ~k:solve_k () in
+            let r = mc ~pool jobs in
             spawned := Par.Pool.spawned_domains ();
-            v))
+            r))
   in
-  let solve_same = Float.equal v_seq v_par in
-  let speedup seq par = if par > 0.0 then seq /. par else 1.0 in
-  let add name seq par same =
-    Report.table_row r
-      [
-        name;
-        Fmt.str "%.2fs" seq;
-        Fmt.str "%.2fs" par;
-        Fmt.str "%.2fx" (speedup seq par);
-        string_of_bool same;
-      ];
-    Report.json_row r
-      ~quantity:(Fmt.str "%s: parallel result identical to sequential" name)
-      ~paper:"bit-identical at every job count"
-      ~paper_value:1.0
-      ~measured_value:(if same then 1.0 else 0.0)
-      ~measured:(Fmt.str "%b (%.2fs -> %.2fs, %.2fx)" same seq par (speedup seq par))
-      ()
-  in
-  add "Monte-Carlo, 4000 trials" t_mseq t_mpar mc_same;
-  add (Fmt.str "exact solve, ABD^%d" solve_k) t_sseq t_spar solve_same;
-  let ps = Model.Weakener_abd.last_par_stats () in
-  let flag b = if b then 1.0 else 0.0 in
-  (* the solve really ran on worker domains: a sequential fallback would
-     make the rows above compare the sequential solve with itself *)
-  let domains = match ps with Some ps -> List.length ps.domains | None -> 0 in
-  let ran_par = ps <> None && !spawned >= 1 && domains > 0 in
-  Report.json_row r ~quantity:"parallel solve ran on worker domains"
-    ~paper:"par stats present, >= 1 spawned domain" ~paper_value:1.0
-    ~measured_value:(flag ran_par)
-    ~measured:
-      (Fmt.str "%b (%d spawned, %d reporting)" ran_par !spawned domains)
-    ();
-  (* schedule-independent: the shared memo ends up holding exactly the
-     states the sequential solve memoized *)
-  let distinct = match ps with Some ps -> ps.distinct_keys | None -> 0 in
-  let same = distinct = seq_states in
-  Report.json_row r ~quantity:"parallel distinct states = sequential states"
-    ~paper:"equal at every job count" ~paper_value:1.0
-    ~measured_value:(flag same)
-    ~measured:(Fmt.str "%b (%d vs %d)" same distinct seq_states)
-    ();
-  Report.metrics r
+  let same = seq = par in
+  let speedup = if t_par > 0.0 then t_seq /. t_par else 1.0 in
+  let name = "Monte-Carlo, 4000 trials" in
+  Report.table_row r
     [
-      ("jobs", Obs.Json.Int jobs);
-      (* lets bench-diff --min-speedup refuse an oversubscribed run *)
-      ( "recommended_domain_count",
-        Obs.Json.Int (Domain.recommended_domain_count ()) );
-      ("solve_k", Obs.Json.Int solve_k);
-      ("solve_seq_seconds", Obs.Json.Float t_sseq);
-      ("solve_par_seconds", Obs.Json.Float t_spar);
+      name;
+      Fmt.str "%.2fs" t_seq;
+      Fmt.str "%.2fs" t_par;
+      Fmt.str "%.2fx" speedup;
+      string_of_bool same;
     ];
-  Option.iter (Fmt.pr "@.  %a@." Mdp.Solver.pp_par_stats) ps;
+  let flag b = if b then 1.0 else 0.0 in
+  Report.json_row r
+    ~quantity:(name ^ ": parallel result identical to sequential")
+    ~paper:"bit-identical at every job count" ~paper_value:1.0
+    ~measured_value:(flag same)
+    ~measured:(Fmt.str "%b (%.2fs -> %.2fs, %.2fx)" same t_seq t_par speedup)
+    ();
+  (* without worker domains the row above would compare the sequential
+     estimate with itself *)
+  let ran_par = !spawned >= 1 in
+  Report.json_row r ~quantity:"Monte-Carlo ran on worker domains"
+    ~paper:">= 1 spawned domain" ~paper_value:1.0
+    ~measured_value:(flag ran_par)
+    ~measured:(Fmt.str "%b (%d spawned)" ran_par !spawned)
+    ();
+  Report.metrics r [ ("jobs", Obs.Json.Int jobs) ];
   Report.finish r;
   Fmt.pr
     "@.(Speedup depends on the machine's core count — %d domain%s available@.\

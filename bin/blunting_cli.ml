@@ -8,7 +8,7 @@
      blunting lin-sweep --object abd --trials 50
      blunting trace --registers abd -o weakener.trace.json
      blunting trace analyze ring_dump.json --chrome lanes.json
-     blunting solve -k 1 --jobs 4 --trace-out ring_dump.json
+     blunting solve -k 1 --memo-budget 1M --trace-out ring_dump.json
      blunting metrics --workload mc --json
      blunting bench-diff BASELINE.json CURRENT.json
      blunting fuzz --seed 42 --budget 10000 --jobs 4
@@ -44,14 +44,24 @@ let verbosity_term =
   in
   Term.(const setup $ arg)
 
-(* Shared --jobs flag: BLUNTING_JOBS sets the default, 1 otherwise. The
-   solved values and Monte-Carlo tallies are bit-identical at every job
-   count; only wall time (and the solver's work counters, which count
-   per-domain) change. *)
+(* Shared --jobs flag of the Monte-Carlo and fuzz commands: BLUNTING_JOBS
+   sets the default, 1 otherwise. Tallies and oracle verdicts are
+   bit-identical at every job count; only wall time changes. A count
+   below 1 is a usage error. *)
 let jobs_term =
+  let positive =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some j when j >= 1 -> Ok j
+          | _ ->
+              Error
+                (`Msg (Printf.sprintf "expected a positive integer, got %S" s))),
+        Fmt.int )
+  in
   Arg.(
     value
-    & opt int (Option.value (Par.Pool.env_jobs ()) ~default:1)
+    & opt positive (Option.value (Par.Pool.env_jobs ()) ~default:1)
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Run on $(docv) domains (default: $(b,BLUNTING_JOBS) or 1). \
@@ -134,13 +144,12 @@ let solve_cmd =
       & opt (some string) None
       & info [ "trace-out" ] ~docv:"PATH"
           ~doc:
-            "Record the solve's parallel timeline (pool task/idle slices, \
-             domain lifetimes, GC cycles, store spills), with runtime events \
-             on the same clock, and write the dump to $(docv); analyze it \
-             with $(b,blunting trace analyze).")
+            "Record the solve's timeline (GC cycles from runtime events, \
+             and store spills under $(b,--memo-budget)) on one clock and \
+             write the dump to $(docv); analyze it with $(b,blunting trace \
+             analyze).")
   in
-  let run () k atomic servers abd_c prune progress trace_out jobs memo_budget
-      =
+  let run () k atomic servers abd_c prune progress trace_out memo_budget =
     if progress then
       Model.Weakener_abd.set_progress
         (Some (fun p -> Fmt.epr "  [mdp] %a@." Mdp.Solver.pp_progress p));
@@ -165,7 +174,7 @@ let solve_cmd =
         let v, wall_s =
           timed (fun () ->
               Model.Weakener_abd.bad_probability ?memo_budget ~atomic_c:(not abd_c)
-                ~servers ~jobs ~prune ~k ())
+                ~servers ~prune ~k ())
         in
         let st = Model.Weakener_abd.solver_stats () in
         Fmt.pr "weakener with ABD^%d registers (%d replicas%s):@." k servers
@@ -178,10 +187,7 @@ let solve_cmd =
         Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s) st;
         if prune then
           Fmt.pr "  pruned subtrees: %d@." (Model.Weakener_abd.pruned_subtrees ());
-        pp_store_stats_opt Fmt.stdout (Model.Weakener_abd.store_stats ());
-        match Model.Weakener_abd.last_par_stats () with
-        | Some ps -> Fmt.pr "  %a@." Mdp.Solver.pp_par_stats ps
-        | None -> ()
+        pp_store_stats_opt Fmt.stdout (Model.Weakener_abd.store_stats ())
       end
     in
     match trace_out with
@@ -194,7 +200,7 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc)
     Term.(
       const run $ verbosity_term $ k_arg $ atomic_arg $ servers_arg $ abd_c_arg
-      $ prune_arg $ progress_arg $ trace_out_arg $ jobs_term $ memo_budget_term)
+      $ prune_arg $ progress_arg $ trace_out_arg $ memo_budget_term)
 
 (* ---- figure1 -------------------------------------------------------- *)
 
@@ -360,17 +366,17 @@ let ghw_cmd =
   let k_arg =
     Arg.(value & opt int 1 & info [ "k" ] ~doc:"Preamble iterations for Snapshot^k.")
   in
-  let run () k jobs memo_budget =
+  let run () k memo_budget =
     Fmt.pr "snapshot weakener, adversary-optimal Prob[bad]:@.";
     Fmt.pr "  atomic snapshot:  %.6f@."
       (Model.Ghw_snapshot_game.atomic_bad_probability ());
     Fmt.pr "  Afek snapshot^%d:  %.6f@." k
-      (Model.Ghw_snapshot_game.afek_bad_probability ?memo_budget ~jobs ~k ());
+      (Model.Ghw_snapshot_game.afek_bad_probability ?memo_budget ~k ());
     pp_store_stats_opt Fmt.stdout (Model.Ghw_snapshot_game.store_stats ())
   in
   let doc = "Solve the exact snapshot-weakener game (atomic vs Afek^k)." in
   Cmd.v (Cmd.info "ghw" ~doc)
-    Term.(const run $ verbosity_term $ k_arg $ jobs_term $ memo_budget_term)
+    Term.(const run $ verbosity_term $ k_arg $ memo_budget_term)
 
 (* ---- trace ---------------------------------------------------------- *)
 
@@ -556,17 +562,6 @@ let bench_diff_cmd =
       & pos 1 (some file) None
       & info [] ~docv:"CURRENT" ~doc:"Current results document to compare.")
   in
-  let min_speedup_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-speedup" ] ~docv:"F"
-          ~doc:
-            "Require CURRENT's PAR section to show a sequential/parallel \
-             solve-time ratio of at least $(docv) (hard failure below, \
-             when the PAR timings are missing, or when the run used more \
-             jobs than the host's recommended domain count).")
-  in
   let max_alloc_ratio_arg =
     Arg.(
       value
@@ -578,8 +573,8 @@ let bench_diff_cmd =
              $(docv) times the baseline's (hard failure past the ceiling, \
              or when no section pair carries GC data).")
   in
-  let run () baseline current min_speedup max_alloc_ratio =
-    let config = { Obs.Diff.min_speedup; max_alloc_ratio } in
+  let run () baseline current max_alloc_ratio =
+    let config = { Obs.Diff.max_alloc_ratio } in
     match Obs.Diff.run_files ~config ~baseline ~current Fmt.stdout with
     | Ok rc -> exit rc
     | Error e ->
@@ -595,7 +590,7 @@ let bench_diff_cmd =
   in
   Cmd.v (Cmd.info "bench-diff" ~doc)
     Term.(
-      const run $ verbosity_term $ baseline_arg $ current_arg $ min_speedup_arg
+      const run $ verbosity_term $ baseline_arg $ current_arg
       $ max_alloc_ratio_arg)
 
 (* ---- fuzz ----------------------------------------------------------- *)
@@ -676,8 +671,8 @@ let fuzz_cmd =
     "Fuzz the simulator against its five oracles: per-object \
      linearizability of every generated history, lockstep conformance with \
      the weakener game model, ABD-vs-ABD$(b,^k) outcome-distribution \
-     compatibility (Theorem 4.1), seq-vs-par identity and pruning \
-     soundness on random layered games. Failures are \
+     compatibility (Theorem 4.1), Monte-Carlo tally identity at 1 vs 4 \
+     jobs and pruning soundness on random layered games. Failures are \
      shrunk to a minimal schedule prefix and written as replayable corpus \
      files. Exits 1 if any oracle failed."
   in

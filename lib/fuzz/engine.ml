@@ -145,8 +145,9 @@ let run ?(jobs = 1) ?corpus_dir ?(planted = false) ?(dist_trials = 400)
   (* Session oracles: distribution compatibility (Theorem 4.1),
      seq-vs-par identity and pruning soundness. Run on the calling
      domain, after the sweep, so the first's Monte-Carlo batches can
-     reuse the pool; the latter two spawn private pools, keeping their
-     verdicts (and the printed summary) independent of --jobs. *)
+     reuse the pool; the par oracle spawns a private pool and the prune
+     oracle runs on the calling domain, keeping their verdicts (and the
+     printed summary) independent of --jobs. *)
   let dist_failure = Oracle.dist ~pool ~seed ~trials:dist_trials ~k:2 () in
   let par_failure = Oracle.par_identity ~seed ~trials:200 () in
   let prune_failure = Oracle.prune_vs_exact ~seed () in

@@ -316,10 +316,9 @@ module Prune_solver = Mdp.Solver.Make (Prune_game)
 
 (* Pruned solves must agree with unpruned ones bitwise while exploring no
    more states; audit mode re-evaluates every cut subtree and raises
-   [Prune_unsound] if a cut would have changed a value; and pruning must
-   compose with the parallel solve. The RNG stream uses its own seed
-   family so it can never collide with the per-iteration stream indices
-   (4i .. 4i+3) of the same session seed. *)
+   [Prune_unsound] if a cut would have changed a value. The RNG stream
+   uses its own seed family so it can never collide with the
+   per-iteration stream indices (4i .. 4i+3) of the same session seed. *)
 let prune_vs_exact ?(configs = 4) ~seed () =
   let rng = Rng.stream ~seed:(seed + 7_777_777) ~index:0 in
   let fail detail =
@@ -374,24 +373,12 @@ let prune_vs_exact ?(configs = 4) ~seed () =
       match audit_result with
       | Error detail -> ctx ("audit: " ^ detail)
       | Ok v_audit ->
+          Prune_solver.reset ();
           if v_audit <> v_plain then
             ctx
               (Fmt.str "audited pruned value %.17g differs from exact %.17g"
                  v_audit v_plain)
-          else begin
-            Prune_solver.reset ();
-            let v_par =
-              Par.Pool.with_pool ~jobs:2 (fun pool ->
-                  Prune_solver.value_par ~pool ~prune:true ~jobs:2 root)
-            in
-            Prune_solver.reset ();
-            if v_par <> v_plain then
-              ctx
-                (Fmt.str
-                   "parallel pruned value %.17g differs from exact %.17g"
-                   v_par v_plain)
-            else None
-          end
+          else None
     end
   in
   let rec go n = if n >= configs then None else
@@ -420,18 +407,4 @@ let par_identity ~seed ~trials () =
     fail
       (Fmt.str "Monte-Carlo tallies differ at jobs 1 vs 4: %a vs %a"
          Adversary.Monte_carlo.pp seq Adversary.Monte_carlo.pp par)
-  else begin
-    Model.Weakener_va.reset ();
-    let v_seq = Model.Weakener_va.bad_probability ~k:1 () in
-    Model.Weakener_va.reset ();
-    let v_par =
-      Par.Pool.with_pool ~jobs:4 (fun pool ->
-          Model.Weakener_va.bad_probability ~pool ~jobs:4 ~k:1 ())
-    in
-    Model.Weakener_va.reset ();
-    if v_seq <> v_par then
-      fail
-        (Fmt.str "VA^1 solver value differs at jobs 1 vs 4: %.17g vs %.17g"
-           v_seq v_par)
-    else None
-  end
+  else None

@@ -16,14 +16,13 @@
       the weakener over ABD vs ABD^k under the same scheduler class are
       statistically compatible (Theorem 4.1 as a property test; Wilson
       intervals from {!Util.Stats}).
-    - {b par} (per session): Monte-Carlo tallies and exact solver values
-      are bit-identical at [--jobs 1] and [--jobs 4] ({!Par.Pool}).
+    - {b par} (per session): Monte-Carlo tallies are bit-identical at
+      [--jobs 1] and [--jobs 4] ({!Par.Pool}).
     - {b prune} (per session): on randomly generated layered-DAG games,
       solves with the cutoffs against the a-priori bound 1 return bitwise
       the exact optimal value while exploring no more states, every
       cutoff survives audit-mode re-evaluation (the cut subtree really
-      could not change the max — [Mdp.Solver.Prune_unsound] otherwise),
-      and the cutoffs compose with the parallel solve.
+      could not change the max — [Mdp.Solver.Prune_unsound] otherwise).
 
     Every per-case execution is a pure function of [(seed, iter, case)]:
     the scheduler RNG, the random tape and the generated case all derive
@@ -88,15 +87,14 @@ val model_lockstep : seed:int -> iter:int -> failure option
 val dist : ?pool:Par.Pool.t -> seed:int -> trials:int -> k:int -> unit -> failure option
 
 (** [par_identity ~seed ~trials ()] checks seq-vs-par identity of
-    Monte-Carlo tallies and of the exact VA^1 solver value at jobs 1
-    vs 4. Spawns (and always joins) its own 4-domain pool. *)
+    Monte-Carlo tallies at jobs 1 vs 4. Spawns (and always joins) its own
+    4-domain pool. *)
 val par_identity : seed:int -> trials:int -> unit -> failure option
 
 (** [prune_vs_exact ?configs ~seed ()] checks pruning soundness on
     [configs] (default 4) randomly shaped layered-DAG games: pruned vs
-    unpruned value identity, explored-state monotonicity, audit-mode
-    cleanliness, and pruned parallel identity (own 2-domain pool). Runs
-    entirely on the calling domain (plus its private pool), with an RNG
+    unpruned value identity, explored-state monotonicity and audit-mode
+    cleanliness. Runs entirely on the calling domain, with an RNG
     stream from a seed family disjoint from the per-iteration streams, so
     its verdict is independent of the session's [--jobs]. *)
 val prune_vs_exact : ?configs:int -> seed:int -> unit -> failure option

@@ -14,11 +14,10 @@
     instead of traversing deep algebraic states on every probe.
 
     Encoders write into a reusable {!buf} ({!Solver.GAME.encode_into}):
-    the solver keeps one buffer per instance (and per worker in the
-    parallel solve), [reset]s it before each probe, and hands the
-    [(data, length)] slice straight to the memo table — a probe of an
-    already-memoized state copies no key. [run] recovers the old
-    string-returning behavior for cold paths. *)
+    the solver keeps one buffer per instance, [reset]s it before each
+    probe, and hands the [(data, length)] slice straight to the memo
+    table — a probe of an already-memoized state copies no key. [run]
+    recovers the old string-returning behavior for cold paths. *)
 
 (** A reusable byte buffer: an append cursor over a growable byte array.
     Not thread-safe — use one per domain. *)

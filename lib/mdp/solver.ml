@@ -4,8 +4,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* Aggregate, process-wide instrumentation across every solver instance;
    per-instance figures come from [stats ()]. Updated only at the end of a
-   root solve (never from the recursion, never from worker domains), so
-   the registry needs no synchronization and the hot loop pays nothing. *)
+   root solve (never from the recursion), so the hot loop pays nothing. *)
 module M = struct
   open Obs.Metrics
 
@@ -15,7 +14,6 @@ module M = struct
   let pruned =
     counter ~help:"subtrees cut off against the a-priori bound 1"
       "mdp.pruned_subtrees"
-  let claim_misses = counter ~help:"shared-memo probes that hit a live claim" "mdp.claim_misses"
 end
 
 module type GAME = sig
@@ -64,26 +62,6 @@ let pp_summary ~wall_s ppf s =
     (100.0 *. hit_rate s)
     peak_mb
 
-type domain_stats = { domain_id : int; stats : stats }
-
-type par_stats = {
-  domains : domain_stats list;
-  distinct_keys : int;
-  claim_hits : int;
-  claim_misses : int;
-  pruned_subtrees : int;
-}
-
-let pp_par_stats ppf p =
-  Fmt.pf ppf
-    "%d domains, %d distinct keys, %d claim hits / %d claim misses, %d \
-     pruned:@,"
-    (List.length p.domains) p.distinct_keys p.claim_hits
-    p.claim_misses p.pruned_subtrees;
-  List.iter
-    (fun d -> Fmt.pf ppf "  domain %d: %a@," d.domain_id pp_stats d.stats)
-    p.domains
-
 type progress = { stats : stats; elapsed_s : float; states_per_sec : float }
 
 let pp_progress ppf p =
@@ -96,7 +74,7 @@ let default_progress_interval = 50_000
 
 (* ---- out-of-core memo budget ------------------------------------------
 
-   The switch for the third memo backend: a solve given a budget routes
+   The switch for the second memo backend: a solve given a budget routes
    its memo through {!Store.Memo} — an in-RAM tier that spills resolved
    entries to sorted-run segment files once its byte estimate passes the
    budget. No budget (the default) keeps the plain in-RAM tables and
@@ -115,7 +93,7 @@ let parse_memo_budget s =
       | _ -> (1, len)
     in
     match int_of_string_opt (String.sub s 0 ndigits) with
-    | Some n when n >= 0 -> Ok (n * mult)
+    | Some n when n >= 0 && n <= max_int / mult -> Ok (n * mult)
     | _ ->
         Error
           (Printf.sprintf "invalid size %S (bytes, or a K/M/G suffix)" s)
@@ -137,7 +115,7 @@ let parse_memo_budget s =
    [Prune_unsound] on one that changed a value. *)
 let hi = 1.0
 
-(* ---- one memo interface, three backends --------------------------------
+(* ---- one memo interface, two backends ----------------------------------
 
    States are keyed by their canonical [G.encode] bytes: a probe hashes
    a flat short key instead of walking a deep model state. The key is
@@ -146,8 +124,7 @@ let hi = 1.0
 
    [probe] is find-or-claim: the resolved value, the owner of a live
    claim, or a claim installed for the caller, who must later [resolve]
-   its token. [get] reads a resolved value by key, for a caller waiting
-   on another owner's claim. The backends:
+   its token. The backends:
    - the unlocked {!Par.Memo_tbl}, for sequential solves in RAM: a flat
      table whose values sit unboxed in an 8-byte arena cell in front of
      their key, so a hit allocates only its [`Value v] result (5 words;
@@ -155,12 +132,9 @@ let hi = 1.0
      arrays per slot of capacity (index and location words) plus that
      cell, where per-ordinal hash, value and owner arrays made it 48.
      The token is the binding's ordinal, which [resolve] writes in place
-     (no second lookup). One participant claims here, so every live
-     claim is its own;
-   - {!Par.Sharded_tbl}, the same table sharded behind mutexes, shared
-     by the workers of a parallel solve; its token is also an ordinal;
-   - {!Store.Memo}, the spillable store a memo budget arms, sequential
-     or parallel.
+     (no second lookup);
+   - {!Store.Memo}, the spillable store a memo budget arms.
+   One participant claims, so every live claim is its own.
    A record of closures instead of a functor keeps the recursion
    single-copy; the indirect call is noise next to the probe it wraps. *)
 
@@ -169,7 +143,6 @@ type 'token probe = [ `Value of float | `Busy of int | `Claimed of 'token ]
 type 'token memo = {
   probe : Key.buf -> owner:int -> 'token probe;
   resolve : 'token -> float -> unit;
-  get : string -> float option;
 }
 
 let ram_memo tbl =
@@ -185,27 +158,6 @@ let ram_memo tbl =
           | -1 -> `Value (Par.Memo_tbl.value tbl ord)
           | o -> `Busy o);
     resolve = Par.Memo_tbl.resolve tbl;
-    get =
-      (fun key ->
-        match
-          Par.Memo_tbl.find tbl (Bytes.unsafe_of_string key)
-            ~len:(String.length key)
-        with
-        | -1 -> None
-        | ord ->
-            if Par.Memo_tbl.owner tbl ord < 0 then
-              Some (Par.Memo_tbl.value tbl ord)
-            else None);
-  }
-
-let sharded_memo tbl =
-  {
-    probe =
-      (fun b ~owner ->
-        Par.Sharded_tbl.find_or_claim_slice tbl (Key.data b)
-          ~len:(Key.length b) ~owner);
-    resolve = Par.Sharded_tbl.resolve tbl;
-    get = Par.Sharded_tbl.get tbl;
   }
 
 let store_memo st =
@@ -215,51 +167,35 @@ let store_memo st =
         Store.Memo.find_or_claim_slice st (Key.data b) ~len:(Key.length b)
           ~owner);
     resolve = Store.Memo.resolve st;
-    get = Store.Memo.get st;
   }
 
 (* ---- work counters -------------------------------------------------------
 
-   One record per participant in a solve: the sequential solver is
-   worker 0, and a parallel solve runs [jobs] fresh ones over a shared
-   backend, merged into the sequential record when the region joins.
-   [wid] is the owner id the participant claims under; [keybuf] its
-   private encode buffer; [abort] the region's shared failure flag.
-   Progress ticks fire every [progress_interval] misses — workers use
-   [max_int], so they never fire off the calling domain. [domain] is the
-   runtime domain that ran a worker's loop (1:1 per solve — a
-   domain may run several workers' loops, but only one after another). *)
+   One record per solver instance: [keybuf] is its reusable encode
+   buffer, and progress ticks fire every [progress_interval] misses. *)
 type counters = {
-  wid : int;
   keybuf : Key.buf;
-  abort : bool Atomic.t;
-  mutable domain : int;
   mutable hits : int;
   mutable misses : int;
   mutable states : int;  (* states resolved with a final value *)
   mutable max_depth : int;
   mutable prune_cuts : int;  (* subtrees cut off against the bound 1 *)
-  mutable claim_misses : int;
   mutable progress_hook : (progress -> unit) option;
   mutable progress_interval : int;
   mutable solve_start : float;
   mutable solve_base_misses : int;  (* misses when the root call began *)
 }
 
-let make_counters ~wid ~abort ~progress_interval =
+let make_counters () =
   {
-    wid;
     keybuf = Key.create ();
-    abort;
-    domain = -1;
     hits = 0;
     misses = 0;
     states = 0;
     max_depth = 0;
     prune_cuts = 0;
-    claim_misses = 0;
     progress_hook = None;
-    progress_interval;
+    progress_interval = default_progress_interval;
     solve_start = Obs.Span.now_us ();
     solve_base_misses = 0;
   }
@@ -295,14 +231,6 @@ let publish_delta (before : stats) (after : stats) =
   Obs.Metrics.add M.memo_misses (after.memo_misses - before.memo_misses);
   Obs.Metrics.add M.states (after.states - before.states)
 
-(* Internal unwind used when another worker already failed: the real
-   exception is kept aside and re-raised by [value_par]; workers seeing
-   the abort flag just leave quietly (their claims stay unresolved,
-   which is fine — the whole solve is being thrown away). Without it, a
-   worker spin-waiting on a claim whose owner died (say, of [Cyclic])
-   would wait forever. *)
-exception Abort
-
 module Make (G : GAME) = struct
   (* The module-level memo and counters behind the [value]/[stats] API:
      the in-RAM table, or the store once a memo budget arms it. The table
@@ -313,9 +241,7 @@ module Make (G : GAME) = struct
   let ram_m = ram_memo ram
   let store : Store.Memo.t option ref = ref None
 
-  let main =
-    make_counters ~wid:0 ~abort:(Atomic.make false)
-      ~progress_interval:default_progress_interval
+  let main = make_counters ()
 
   let set_progress ?(interval_states = default_progress_interval) hook =
     main.progress_interval <- max 1 interval_states;
@@ -440,29 +366,24 @@ module Make (G : GAME) = struct
     go neg_infinity ms
 
   (* The one recursion, for every engine. The state is encoded into the
-     participant's reusable buffer and the memo probed on the slice: a
-     resolved value is a hit; re-entering one's own claim is a cycle
-     (sequentially every live claim is owner 0's, so there it is the
-     only outcome of [`Busy]); another owner's claim is helped, below;
-     a fresh claim is evaluated by [fold_value] and resolved. The buffer
-     is dead the moment the probe returns — children clobber it freely.
-     Claim, resolve and count happen at the same points for every
-     backend, so hit, miss and state counts and every value are
-     bit-identical across them. *)
+     instance's reusable buffer and the memo probed on the slice: a
+     resolved value is a hit; a live claim can only be one the recursion
+     itself holds further up, so re-entering it is a cycle; a fresh
+     claim is evaluated by [fold_value] and resolved. The buffer is dead
+     the moment the probe returns — children clobber it freely. Claim,
+     resolve and count happen at the same points for every backend, so
+     hit, miss and state counts and every value are bit-identical across
+     them. *)
   let rec solve_at ~prune m c depth s =
     if depth > c.max_depth then c.max_depth <- depth;
     let b = c.keybuf in
     Key.reset b;
     G.encode_into s b;
-    match m.probe b ~owner:c.wid with
+    match m.probe b ~owner:0 with
     | `Value v ->
         c.hits <- c.hits + 1;
         v
-    | `Busy o when o = c.wid -> raise Cyclic
-    | `Busy _ ->
-        c.claim_misses <- c.claim_misses + 1;
-        (* the await needs the key after the buffer has been clobbered *)
-        help ~prune m c depth s (Key.contents b)
+    | `Busy _ -> raise Cyclic
     | `Claimed token ->
         c.misses <- c.misses + 1;
         progress_tick c;
@@ -479,61 +400,15 @@ module Make (G : GAME) = struct
         c.states <- c.states + 1;
         v
 
-  (* Another worker owns the claim on [s]. Evaluate [s]'s children
-     through the shared memo — the claim protocol hands each to exactly
-     one worker, so this is the owner's own pending work, not a
-     duplicate — then wait for the owner's exact value. Note the helper
-     never computes a value for [s] itself: [s]'s value must come from
-     the owner's single [fold_value], or prune-cut folds could disagree
-     with it. *)
-  and help ~prune m c depth s key =
-    let child s' = ignore (solve_at ~prune m c (depth + 1) s') in
-    List.iter
-      (fun mv ->
-        match G.apply s mv with
-        | G.Det s' -> child s'
-        | G.Chance dist -> List.iter (fun (_, s') -> child s') dist)
-      (G.moves s);
-    let rec await probes =
-      match m.get key with
-      | Some v -> v
-      | None ->
-          if Atomic.get c.abort then raise Abort;
-          (* short spins first: with a core per domain the owner is
-             folding over children that are all resolved now, so the
-             wait is brief. If the value still hasn't appeared after
-             ~256 probes the owner is likely preempted (more domains
-             than cores) — sleep so it can actually run; cpu_relax
-             never releases the core and would burn the owner's whole
-             timeslice. *)
-          if probes < 256 then
-            for _ = 1 to 32 do
-              Domain.cpu_relax ()
-            done
-          else Unix.sleepf 0.0002;
-          await (probes + 1)
-    in
-    await 0
-
-  (* a sequential solve: worker 0 over the armed backend *)
+  (* a solve over the armed backend *)
   let solve ~prune depth s =
     match !store with
     | None -> solve_at ~prune ram_m main depth s
     | Some st -> solve_at ~prune (store_memo st) main depth s
 
-  (* The cross-domain telemetry of the most recent [value_par]. Computed
-     eagerly at the end of the parallel region and cleared at the start
-     of EVERY root solve — a reused solver must never report a previous
-     run's telemetry after a sequential solve overwrote the work it
-     describes. *)
-  let last_par : par_stats option ref = ref None
-
-  let last_par_stats () = !last_par
-
   (* Root-call bracketing: arm the per-solve telemetry baselines, then land
      the counter deltas in the process-wide registry once, at the end. *)
   let root_call f =
-    last_par := None;
     main.solve_start <- Obs.Span.now_us ();
     main.solve_base_misses <- main.misses;
     let before = stats_of main in
@@ -549,7 +424,7 @@ module Make (G : GAME) = struct
     root_call (fun () -> solve ~prune 0 s)
 
   (* Live out-of-core telemetry: cumulative since the store was armed
-     (parallel and sequential budgeted solves share the store), [None]
+     (every budgeted solve shares the store), [None]
      while no budget has armed it. *)
   let store_stats () = Option.map Store.Memo.stats !store
 
@@ -583,7 +458,6 @@ module Make (G : GAME) = struct
   let pruned_subtrees () = main.prune_cuts
 
   let reset () =
-    last_par := None;
     Par.Memo_tbl.clear ram;
     Option.iter Store.Memo.close !store;
     store := None;
@@ -597,202 +471,4 @@ module Make (G : GAME) = struct
        start time or cumulative miss count *)
     main.solve_start <- Obs.Span.now_us ();
     main.solve_base_misses <- 0
-
-  (* ---- parallel solving ------------------------------------------------
-
-     One work cursor over a shared memo. [frontier] walks the game a few
-     plies down (without evaluating) and collects the distinct states at
-     the cut; [jobs] workers take them one at a time from a shared atomic
-     cursor, in descending first-visit order. Every worker runs [solve_at]
-     over one shared backend whose find-or-claim guarantees exactly one
-     worker evaluates each state (so no work is duplicated: summed worker
-     misses equal the states resolved), and the claim protocol doubles as
-     cycle detection (re-entering your own claim is exactly the
-     sequential re-entry). Once the region joins, a root pass — [solve_at]
-     from the root on the calling domain, over the same memo — finds
-     every frontier state resolved and folds the plies above them, so the
-     memo ends up holding exactly the states a sequential solve holds.
-
-     A worker probing another worker's live claim does not idle: it
-     HELPS (see [help]). Waits only ever follow game-DAG edges downward
-     — a worker holding a claim is executing inside that state's
-     subtree, so every wait chain descends strictly and bottoms out at a
-     worker that is not waiting; on a cyclic game some worker re-enters
-     its own claim and [Cyclic] propagates, as sequentially.
-
-     Values are bit-identical to the sequential solve at every job count
-     because each state is evaluated exactly once, by [fold_value]'s
-     sequential arithmetic, from child values that are themselves unique;
-     induction over the (acyclic) state graph closes the argument. *)
-
-  (* The distinct non-terminal states [limit] plies below [s], in
-     first-visit order, and the number of paths reaching them. *)
-  let frontier_at limit s =
-    let seen = Hashtbl.create 64 and leaves = ref [] and paths = ref 0 in
-    let rec walk depth s =
-      match G.moves s with
-      | [] -> ()
-      | _ when depth >= limit ->
-          incr paths;
-          let key = G.encode s in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            leaves := s :: !leaves
-          end
-      | ms ->
-          List.iter
-            (fun m ->
-              match G.apply s m with
-              | G.Det s' -> walk (depth + 1) s'
-              | G.Chance dist ->
-                  List.iter (fun (_, s') -> walk (depth + 1) s') dist)
-            ms
-    in
-    walk 0 s;
-    (!paths, Array.of_list (List.rev !leaves))
-
-  (* Deepen until the frontier offers real parallel slack, stops
-     growing, or lies 16 plies down. Returns its depth and states. *)
-  let frontier ~jobs s =
-    let rec go limit prev =
-      let paths, leaves = frontier_at limit s in
-      if paths >= jobs * 8 || paths <= prev || limit >= 16 then (limit, leaves)
-      else go (limit + 2) paths
-    in
-    go 2 (-1)
-
-  let merge_by_domain workers =
-    let tbl : (int, stats) Hashtbl.t = Hashtbl.create 8 in
-    Array.iter
-      (fun w ->
-        let s =
-          Option.value
-            ~default:{ states = 0; memo_hits = 0; memo_misses = 0; max_depth = 0 }
-            (Hashtbl.find_opt tbl w.domain)
-        in
-        Hashtbl.replace tbl w.domain
-          {
-            states = s.states + w.misses;
-            memo_hits = s.memo_hits + w.hits;
-            memo_misses = s.memo_misses + w.misses;
-            max_depth = max s.max_depth w.max_depth;
-          })
-      workers;
-    Hashtbl.fold (fun domain_id stats acc -> { domain_id; stats } :: acc) tbl []
-    |> List.sort (fun a b -> compare a.domain_id b.domain_id)
-
-  (* Run [jobs] workers over the shared memo [m] until every frontier
-     state (at tree depth [depth]) is resolved; returns their counters. *)
-  let run_workers ?pool ~prune ~jobs m depth leaves =
-    let n = Array.length leaves in
-    let next = Atomic.make 0 in
-    let abort = Atomic.make false in
-    let workers =
-      Array.init jobs (fun wid ->
-          make_counters ~wid ~abort ~progress_interval:max_int)
-    in
-    let first_error : exn option Atomic.t = Atomic.make None in
-    let worker_loop wid =
-      let w = workers.(wid) in
-      w.domain <- (Domain.self () :> int);
-      (* take leaves from the shared cursor, last-visited first: the
-         frontier is fixed before the region opens, so a cursor past
-         [n] means no work will ever appear again. The order is
-         measured, not derived: ascending doubled the claim misses and
-         cost about 40% more wall time at k=2 (DESIGN.md section 8) *)
-      let rec go () =
-        if not (Atomic.get abort) then begin
-          let k = Atomic.fetch_and_add next 1 in
-          if k < n then begin
-            ignore (solve_at ~prune m w depth leaves.(n - 1 - k));
-            go ()
-          end
-        end
-      in
-      (* a worker that fails publishes the exception and trips the abort
-         flag so the others stop waiting on its claims; workers
-         themselves always return normally, and the caller re-raises the
-         first real error after the region joins *)
-      try go () with
-      | Abort -> ()
-      | e ->
-          ignore (Atomic.compare_and_set first_error None (Some e));
-          Atomic.set abort true
-    in
-    (match pool with
-    | Some pool -> Par.Pool.scatter pool ~n:jobs worker_loop
-    | None ->
-        Par.Pool.with_pool ~jobs (fun pool ->
-            Par.Pool.scatter pool ~n:jobs worker_loop));
-    Option.iter raise (Atomic.get first_error);
-    workers
-
-  (* The region (when there is one), then the root pass, over [m]; then a
-     deterministic merge of every participant's counters into [main].
-     Each state is evaluated exactly once, so the summed misses equal
-     [distinct ()], the states the solve resolved in [m], and [stats ()]
-     reports the explored figure of a sequential solve of the same root. *)
-  let solve_par ?pool ~prune ~jobs m ~distinct ~region depth leaves s =
-    let workers =
-      if region then run_workers ?pool ~prune ~jobs m depth leaves else [||]
-    in
-    let top =
-      make_counters ~wid:jobs ~abort:(Atomic.make false)
-        ~progress_interval:max_int
-    in
-    top.domain <- (Domain.self () :> int);
-    let v = solve_at ~prune m top 0 s in
-    let all = Array.append workers [| top |] in
-    let distinct = distinct () in
-    let sum f = Array.fold_left (fun a w -> a + f w) 0 all in
-    Array.iter
-      (fun w ->
-        main.hits <- main.hits + w.hits;
-        main.misses <- main.misses + w.misses;
-        main.max_depth <- max main.max_depth w.max_depth;
-        main.prune_cuts <- main.prune_cuts + w.prune_cuts)
-      all;
-    main.states <- main.states + distinct;
-    let claim_misses = sum (fun w -> w.claim_misses) in
-    Obs.Metrics.add M.claim_misses claim_misses;
-    last_par :=
-      Some
-        {
-          domains = merge_by_domain all;
-          distinct_keys = distinct;
-          claim_hits = sum (fun w -> w.hits);
-          claim_misses;
-          pruned_subtrees = sum (fun w -> w.prune_cuts);
-        };
-    v
-
-  (* A budgeted solve runs over the instance's persistent store, where
-     the region's states are the resolved-count delta. Otherwise the memo
-     is fresh: a [Par.Sharded_tbl] for the workers, or — when the
-     frontier has fewer states than [jobs], so a region would cost more
-     in domains and claim traffic than the whole solve — no region and a
-     plain [Par.Memo_tbl] for the root pass alone. *)
-  let value_par ?pool ?memo_budget ?(prune = false) ~jobs s =
-    if jobs <= 1 then value ?memo_budget ~prune s
-    else
-      root_call @@ fun () ->
-      arm_store memo_budget;
-      let depth, leaves = frontier ~jobs s in
-      let region = Array.length leaves >= jobs in
-      Log.info (fun f ->
-          f "value_par: %d frontier states on %d jobs" (Array.length leaves)
-            jobs);
-      let run m distinct =
-        solve_par ?pool ~prune ~jobs m ~distinct ~region depth leaves s
-      in
-      match !store with
-      | Some st ->
-          let base = Store.Memo.resolved st in
-          run (store_memo st) (fun () -> Store.Memo.resolved st - base)
-      | None when region ->
-          let tbl = Par.Sharded_tbl.create () in
-          run (sharded_memo tbl) (fun () -> Par.Sharded_tbl.resolved tbl)
-      | None ->
-          let tbl = Par.Memo_tbl.create () in
-          run (ram_memo tbl) (fun () -> Par.Memo_tbl.resolved tbl)
 end

@@ -10,13 +10,13 @@
     programming with memoization (the model must be acyclic, which holds for
     terminating programs; a cycle raises [Cyclic]).
 
-    Every engine — sequential or parallel, pruned or not, in RAM or under
-    a memo budget — runs one recursion over one find-or-claim memo
-    interface, backed by {!Par.Memo_tbl} (one participant, in RAM),
-    {!Par.Sharded_tbl} (parallel workers, in RAM) or {!Store.Memo}
-    (budgeted).
+    Every engine — pruned or not, in RAM or under a memo budget — runs
+    one sequential recursion over one find-or-claim memo interface,
+    backed by {!Par.Memo_tbl} (in RAM) or {!Store.Memo} (budgeted).
     Each state is evaluated once, by the same fold, so values are
-    bit-identical across engines. *)
+    bit-identical across engines. There is no parallel exact solve: the
+    one that shared a sharded memo between domains was slower than this
+    recursion at every job count measured (DESIGN.md section 8). *)
 
 (** A game model. States must be pure data; memoization keys them by the
     canonical [encode] string. *)
@@ -67,9 +67,8 @@ exception Prune_unsound of string
 (** Counters describing one solver instance's work since its last [reset]:
     distinct states memoized, memo-table hits/misses, and the deepest
     recursion reached. Aggregates across all instances also land in
-    [Obs.Metrics] under the [mdp.] prefix — published at the end of each
-    root solve from the calling domain, so parallel workers never touch
-    the registry. *)
+    [Obs.Metrics] under the [mdp.] prefix, published at the end of each
+    root solve. *)
 type stats = {
   states : int;
   memo_hits : int;
@@ -88,35 +87,6 @@ val pp_stats : Format.formatter -> stats -> unit
     mark as of its last major cycle, so 0.0 before the first), as in
     [summary: 106263 states, 152000 states/s, 74.2% hit rate, 61.3 MB peak heap]. *)
 val pp_summary : wall_s:float -> Format.formatter -> stats -> unit
-
-(** One parallel participant's work, keyed by its runtime domain id (the
-    id {!Par.Pool.domain_ids} and trace dumps use). Under the shared-memo
-    solver a participant's [states] and [memo_misses] both count the
-    states it won the claim for and evaluated; [memo_hits] counts its
-    probes answered by an already-resolved entry. *)
-type domain_stats = { domain_id : int; stats : stats }
-
-(** Cross-domain telemetry of the most recent [value_par]. Its
-    participants are the workers and the root pass (on the calling
-    domain; merged into that domain's entry when it also ran a worker).
-    [distinct_keys] is the number of distinct state keys the solve
-    resolved in its memo — equal to the sequential solve's state count
-    for the same root (unpruned). The claim protocol evaluates every key
-    exactly once, so the domains' summed [memo_misses] equal
-    [distinct_keys].
-    [claim_hits]/[claim_misses] count the shared-memo probes answered by
-    a resolved value / by another worker's live claim (the helping
-    protocol), and [pruned_subtrees] the cutoffs against the bound 1
-    taken (0 unless [~prune:true]). All exact; trace rings carry none of these counts. *)
-type par_stats = {
-  domains : domain_stats list;  (** sorted by domain id *)
-  distinct_keys : int;
-  claim_hits : int;
-  claim_misses : int;
-  pruned_subtrees : int;
-}
-
-val pp_par_stats : Format.formatter -> par_stats -> unit
 
 (** A progress report from inside a running solve: the instance's stats so
     far, wall time since the root [value]/[best_move] call, and the
@@ -150,7 +120,7 @@ val log_src : Logs.src
 
 (** [parse_memo_budget s] parses a byte count with an optional K/M/G
     (binary) suffix, as accepted by [--memo-budget]. [Ok 0] means "no
-    budget". *)
+    budget". A size past [max_int] bytes is an [Error]. *)
 val parse_memo_budget : string -> (int, string) result
 
 module Make (G : GAME) : sig
@@ -169,62 +139,6 @@ module Make (G : GAME) : sig
       [?memo_budget] runs the memo out-of-core — see the "Out-of-core memo budget" section above;
       values and counts stay bit-identical. *)
   val value : ?memo_budget:int -> ?prune:bool -> G.state -> float
-
-  (** [value_par ?pool ?prune ~jobs s] is [value s] computed by [jobs]
-      cooperating workers over one shared sharded memo
-      ({!Par.Sharded_tbl}): the game is walked a few plies down to a
-      frontier of distinct states, which the workers take one at a time
-      from a shared atomic cursor (last-visited first) until it runs
-      out. Every state evaluation claims its key in the shared table
-      first, so each state is evaluated by exactly one worker — no
-      duplicated work — and a worker probing another's live claim helps
-      by evaluating that state's children before waiting for the owner's
-      value. When the workers are done, a root pass on
-      the calling domain runs the sequential recursion from [s] over the
-      same memo: the frontier states are hits, and it evaluates only the
-      states above them. The result is bit-identical to [value s] at
-      every job count, and (unpruned) the memo ends up holding exactly
-      the sequential solve's states.
-
-      A game whose frontier has fewer distinct states than [jobs] runs no
-      workers: the root pass alone solves it, on a fresh {!Par.Memo_tbl}.
-      [jobs <= 1] is exactly [value ?prune s]. With [pool] the caller's
-      pool is reused ([pool] must have at least [jobs] slots to run all
-      workers concurrently; fewer slots still terminate — a participant
-      finishing one worker loop picks up the next — but with reduced
-      parallelism), otherwise a fresh pool is created for the call.
-
-      Work counters merge into this instance's [stats]: states/misses
-      gain the distinct-state count, hits the shared-memo probe hits.
-      Cycle detection is preserved — a worker or the root pass
-      re-entering its own claim raises [Cyclic], exactly as a sequential
-      solve re-entering a state. Progress hooks do not fire during
-      [value_par].
-
-      When {!Obs.Ring} tracing is enabled, each worker loop shows as one
-      pool task slice in its domain's ring; memo probes are counted in
-      [last_par_stats], not traced.
-
-      With a memo budget armed, the workers and the root pass share the
-      instance's spillable {!Store.Memo} instead of a fresh in-RAM table — same
-      claim protocol, same bit-identical result; each sorted run the
-      store writes additionally lands in the rings as a [Store_spill]
-      event. *)
-  val value_par :
-    ?pool:Par.Pool.t ->
-    ?memo_budget:int ->
-    ?prune:bool ->
-    jobs:int ->
-    G.state ->
-    float
-
-  (** [last_par_stats ()] is the cross-domain telemetry of the most recent
-      [value_par] on this instance — [None] before the first, after
-      [reset], and after any subsequent root solve ([value], [best_move]
-      or [value_par] itself clear it on entry, so the report can never
-      describe work an intervening solve overwrote). Computed eagerly
-      when [value_par] returns; calling this costs nothing. *)
-  val last_par_stats : unit -> par_stats option
 
   (** [best_move s] is a move achieving [value s]; [None] at terminals. *)
   val best_move : G.state -> G.move option
@@ -261,7 +175,7 @@ module Make (G : GAME) : sig
   val set_prune_audit : bool -> unit
 
   (** [pruned_subtrees ()] is the number of cutoffs taken since the
-      last [reset] (sequential and parallel solves combined). *)
+      last [reset]. *)
   val pruned_subtrees : unit -> int
 
   (** [set_progress ?interval_states hook] installs (or, with [None],
@@ -273,7 +187,7 @@ module Make (G : GAME) : sig
   val set_progress : ?interval_states:int -> (progress -> unit) option -> unit
 
   (** [reset ()] clears the memo table, zeroes [stats] (including the
-      pruned-subtree count), clears [last_par_stats], and re-arms the
+      pruned-subtree count), and re-arms the
       per-solve telemetry baselines (solve start time and the per-solve
       miss base), so a reused instance reports sane [elapsed_s] and
       [states_per_sec] on its next solve. *)

@@ -32,10 +32,8 @@ val init : k:int -> Game.state
     scans as single steps). *)
 val atomic_bad_probability : unit -> float
 
-(** Adversary-optimal bad probability with [Afek Snapshot^k]. [jobs]
-    (default 1) solves the root frontier on that many domains. *)
-val afek_bad_probability :
-  ?pool:Par.Pool.t -> ?memo_budget:int -> ?jobs:int -> k:int -> unit -> float
+(** Adversary-optimal bad probability with [Afek Snapshot^k]. *)
+val afek_bad_probability : ?memo_budget:int -> k:int -> unit -> float
 
 (** [store_stats ()] — out-of-core memo telemetry once a [memo_budget]
     armed it (see {!Mdp.Solver.Make.store_stats}). *)

@@ -165,8 +165,7 @@ let init ~k =
   base ~afek:true ~k
 
 let atomic_bad_probability () = S.value (base ~afek:false ~k:1)
-let afek_bad_probability ?pool ?memo_budget ?(jobs = 1) ~k () =
-  S.value_par ?pool ?memo_budget ~jobs (init ~k)
+let afek_bad_probability ?memo_budget ~k () = S.value ?memo_budget (init ~k)
 let store_stats () = S.store_stats ()
 let explored_states () = S.explored ()
 let reset () = S.reset ()

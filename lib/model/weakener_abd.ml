@@ -513,14 +513,13 @@ let init ?(atomic_c = true) ?(servers = 3) ~k () : Game.state =
   Bytes.set b (o + 12) '\000';
   Bytes.unsafe_to_string b
 
-let bad_probability ?pool ?memo_budget ?(atomic_c = true) ?(servers = 3)
-    ?(jobs = 1) ?(prune = false) ~k () =
-  S.value_par ?pool ?memo_budget ~prune ~jobs (init ~atomic_c ~servers ~k ())
+let bad_probability ?memo_budget ?(atomic_c = true) ?(servers = 3)
+    ?(prune = false) ~k () =
+  S.value ?memo_budget ~prune (init ~atomic_c ~servers ~k ())
 let best_move = S.best_move
 let store_stats () = S.store_stats ()
 let explored_states () = S.explored ()
 let pruned_subtrees () = S.pruned_subtrees ()
 let reset () = S.reset ()
 let solver_stats () = S.stats ()
-let last_par_stats () = S.last_par_stats ()
 let set_progress = S.set_progress

@@ -78,14 +78,12 @@ module Game : Mdp.Solver.GAME
     [servers] exceeds 134 (see the state layout). *)
 val init : ?atomic_c:bool -> ?servers:int -> k:k -> unit -> Game.state
 
-(** [bad_probability ?atomic_c ?jobs ~k ()] solves the game for [ABD^k]:
+(** [bad_probability ?atomic_c ~k ()] solves the game for [ABD^k]:
     the exact adversary-optimal probability that [p2] loops forever.
     Exponential in [k]: in RAM on one domain of a 2-vCPU host, ABD{^5}
     (3,331,745 states) solves in about 10 s and C-as-ABD{^3} (4,610,294
     states) in about 16 s (EXPERIMENTS.md, "Packed ABD state").
-    [jobs] (default 1) solves the root frontier on that many domains via
-    {!Mdp.Solver.Make.value_par}; the value is bit-identical
-    at every job count. [prune] (default [false]) enables the cutoffs
+    [prune] (default [false]) enables the cutoffs
     against the a-priori bound 1 on every game value
     ({!Mdp.Solver.Make.value}'s [~prune]); the value is unchanged, the
     explored set only shrinks.
@@ -93,11 +91,9 @@ val init : ?atomic_c:bool -> ?servers:int -> k:k -> unit -> Game.state
     spilling resolved states to disk past it — values and counts stay
     bit-identical (see the solver's out-of-core section). *)
 val bad_probability :
-  ?pool:Par.Pool.t ->
   ?memo_budget:int ->
   ?atomic_c:bool ->
   ?servers:int ->
-  ?jobs:int ->
   ?prune:bool ->
   k:k ->
   unit ->
@@ -129,13 +125,6 @@ val solver_stats : unit -> Mdp.Solver.stats
     [memo_budget] armed it — [None] on purely in-RAM solves (see
     {!Mdp.Solver.Make.store_stats}). *)
 val store_stats : unit -> Store.Memo.stats option
-
-(** [last_par_stats ()] is the per-domain and cross-domain telemetry of
-    the most recent parallel [bad_probability] (see
-    {!Mdp.Solver.Make.last_par_stats}): per-domain memo hits and misses,
-    the distinct-state count and the claim counters the bench PAR
-    section publishes. *)
-val last_par_stats : unit -> Mdp.Solver.par_stats option
 
 (** [set_progress ?interval_states hook] installs a live progress hook on
     the underlying solver (see {!Mdp.Solver.Make.set_progress}) — the

@@ -212,8 +212,7 @@ let init ~k : Game.state =
     cread = None;
   }
 
-let bad_probability ?pool ?memo_budget ?(jobs = 1) ~k () =
-  S.value_par ?pool ?memo_budget ~jobs (init ~k)
+let bad_probability ?memo_budget ~k () = S.value ?memo_budget (init ~k)
 
 let store_stats () = S.store_stats ()
 let explored_states () = S.explored ()

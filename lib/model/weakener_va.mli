@@ -22,13 +22,9 @@ module Game : Mdp.Solver.GAME
 (** [init ~k] — requires [k >= 1]. *)
 val init : k:int -> Game.state
 
-(** [bad_probability ?jobs ~k ()] is the exact adversary-optimal
-    probability that [p2] loops forever with [VA^k] registers. [jobs]
-    (default 1) solves the root frontier on that many domains via
-    {!Mdp.Solver.Make.value_par}; the value is bit-identical at every job
-    count. *)
-val bad_probability :
-  ?pool:Par.Pool.t -> ?memo_budget:int -> ?jobs:int -> k:int -> unit -> float
+(** [bad_probability ~k ()] is the exact adversary-optimal
+    probability that [p2] loops forever with [VA^k] registers. *)
+val bad_probability : ?memo_budget:int -> k:int -> unit -> float
 
 (** [store_stats ()] — the out-of-core memo's telemetry when a
     [memo_budget] armed it. *)

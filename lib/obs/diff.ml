@@ -10,9 +10,9 @@ type finding = {
   detail : string;
 }
 
-type config = { min_speedup : float option; max_alloc_ratio : float option }
+type config = { max_alloc_ratio : float option }
 
-let default_config = { min_speedup = None; max_alloc_ratio = None }
+let default_config = { max_alloc_ratio = None }
 
 (* Every experiment here is deterministic: [abs_tol] (paper vs
    measured) absorbs only float printing noise, [rel_tol] (run vs
@@ -34,31 +34,12 @@ let exit_code r = if failures r = [] then 0 else 1
 
 let ( let* ) = Result.bind
 
-(* The metrics not compared against the baseline, with the section
-   they are exempt in ([None]: every section). Everything else in a
+(* The metrics not compared against the baseline. Everything else in a
    results document is deterministic (seeded RNGs, exact game values)
    and diffs tightly, so a new machine-dependent metric fails loudly
-   until it is added here. The first four are the figures the opt-in
-   gates below read: allocation and parallel wall time move with the
-   compiler and the machine. The last two move with the worker schedule
-   of PAR's parallel solve: a worker that finds another's live claim
-   helps by probing that state's children, so its memo hits and claim
-   misses vary from run to run, while its memo misses, one per state,
-   do not. *)
-let exempt_keys =
-  [
-    (None, "gc.minor_words");
-    (Some "PAR", "solve_seq_seconds");
-    (Some "PAR", "solve_par_seconds");
-    (Some "PAR", "recommended_domain_count");
-    (Some "PAR", "counters.mdp.memo_hits");
-    (Some "PAR", "counters.mdp.claim_misses");
-  ]
-
-let exempt ~section_id key =
-  List.exists
-    (fun (sec, k) -> k = key && (sec = None || sec = Some section_id))
-    exempt_keys
+   until it is added here. [gc.minor_words] moves with the compiler; the
+   opt-in allocation gate below reads it. *)
+let exempt_keys = [ "gc.minor_words" ]
 
 let rel_drift ~from ~to_ =
   if from = to_ then 0.0
@@ -212,7 +193,7 @@ let compare_metrics ~section_id base cur =
               }
         | Some to_
           when Float.is_finite from && Float.is_finite to_
-               && not (exempt ~section_id key) ->
+               && not (List.mem key exempt_keys) ->
             incr compared;
             drift_finding ~section:(Some section_id) ~subject ~from ~to_
         | Some _ -> None)
@@ -220,67 +201,14 @@ let compare_metrics ~section_id base cur =
   in
   (!compared, findings)
 
-(* The --min-speedup gate judges only the CURRENT document: parallel wall
-   time is machine-bound so baselines have nothing to add, and the check
-   must fail loudly (not soften to a Warn) when the PAR section or its
-   timing metrics are missing — a gated CI leg that silently skipped
-   would defeat its purpose. A run with more jobs than the host's
-   recommended domain count measures oversubscription, not the solver,
-   so it fails too, as does a run that did not record that count. *)
-let speedup_findings cfg csec =
-  match cfg.min_speedup with
-  | None -> []
-  | Some floor -> (
-      let fail detail =
-        [ { severity = Fail; section = Some "PAR"; subject = "solve_speedup"; detail } ]
-      in
-      match List.assoc_opt "PAR" csec with
-      | None -> fail "min-speedup check requested but current run has no PAR section"
-      | Some s -> (
-          let metrics = metrics_of s in
-          let metric k = List.assoc_opt k metrics in
-          match (metric "solve_seq_seconds", metric "solve_par_seconds") with
-          | Some seq, Some par when Float.is_finite seq && Float.is_finite par && par > 0.0
-            -> (
-              match (metric "jobs", metric "recommended_domain_count") with
-              | Some jobs, Some domains when domains >= jobs ->
-                  let speedup = seq /. par in
-                  if speedup < floor then
-                    fail
-                      (Fmt.str
-                         "parallel solve %.3fs vs sequential %.3fs: %.2fx < required %.2fx"
-                         par seq speedup floor)
-                  else
-                    [
-                      {
-                        severity = Info;
-                        section = Some "PAR";
-                        subject = "solve_speedup";
-                        detail =
-                          Fmt.str "%.2fx (seq %.3fs / par %.3fs) >= required %.2fx"
-                            speedup seq par floor;
-                      };
-                    ]
-              | jobs, domains ->
-                  let show = function Some v -> Fmt.str "%a" pp_num v | None -> "none" in
-                  fail
-                    (Fmt.str
-                       "PAR ran %s jobs on a host with recommended_domain_count %s \
-                        — an oversubscribed run cannot show a speedup"
-                       (show jobs) (show domains)))
-          | _ ->
-              fail
-                "min-speedup check requested but PAR metrics lack \
-                 solve_seq_seconds/solve_par_seconds"))
-
 (* The --max-alloc-ratio gate compares allocation pressure section by
    section against the BASELINE: minor words normalized per simulator
    step when the section counted steps (so trial-count changes don't
    masquerade as allocation changes), raw minor words otherwise.
    Allocation counts are deterministic per workload on a given
    compiler, unlike wall time, so a hard gate is sound here.
-   Like --min-speedup, the check fails loudly when it finds nothing to
-   compare: a gated CI leg that silently skipped would defeat its
+   The check fails loudly when it finds nothing to compare: a gated CI
+   leg that silently skipped would defeat its
    purpose. Sections present only in the CURRENT document (added after
    the baseline was recorded, like a new store section) get a Warn, not
    a Fail — there is nothing to compare them against, and they count as
@@ -399,7 +327,6 @@ let diff ?(config = default_config) ~baseline ~current () =
   List.iter
     (fun (id, s) -> add (paper_findings ~section_id:id (rows_of s)))
     csec;
-  add (speedup_findings config csec);
   add (alloc_findings config bsec csec);
   List.iter
     (fun (id, bs) ->

@@ -12,18 +12,13 @@
       game values, seeded Monte-Carlo), so any drift is a real regression.
     - {b run-vs-baseline drift} (hard): every measured row value and
       every per-section metric (values, state counts, counter deltas)
-      must agree to a relative 1e-9, except an explicit list of
-      machine- and schedule-dependent keys: [gc.minor_words], PAR's
-      [solve_seq_seconds], [solve_par_seconds] and
-      [recommended_domain_count], which only the gates below read, and
-      PAR's [counters.mdp.memo_hits] and [counters.mdp.claim_misses],
-      which the parallel solve's helping makes schedule-dependent.
+      must agree to a relative 1e-9, except [gc.minor_words], which
+      moves with the compiler and which only the gate below reads.
 
-    Two opt-in hard gates read the machine-dependent figures that matter:
-    [min_speedup] and [max_alloc_ratio]. Missing sections, rows or
-    metrics degrade to warnings (subset runs via [--only] are routine);
-    new sections and rows are informational. Both documents must be
-    schema v8. *)
+    The opt-in hard gate [max_alloc_ratio] reads the allocation figures.
+    Missing sections, rows or metrics degrade to warnings (subset runs
+    via [--only] are routine); new sections and rows are informational.
+    Both documents must be schema v8. *)
 
 type severity = Info | Warn | Fail
 
@@ -35,16 +30,6 @@ type finding = {
 }
 
 type config = {
-  min_speedup : float option;
-      (** when set, the {e current} document's PAR section must show
-          [solve_seq_seconds / solve_par_seconds >= f] — a hard [Fail]
-          below the floor, and a hard [Fail] if the PAR section or either
-          timing metric is missing (a speedup gate that silently skipped
-          would defeat its purpose), or if the section's
-          [recommended_domain_count] is absent or below its [jobs] (an
-          oversubscribed run measures the host). Default [None] (no
-          check): parallel wall time is machine-bound, so the gate is
-          opt-in for CI legs that know their runner's core count. *)
   max_alloc_ratio : float option;
       (** when set, every section present in both documents with a
           [gc.minor_words] metric must show

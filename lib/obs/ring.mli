@@ -14,8 +14,8 @@
     task and idle slices, GC phases, domain lifecycle and store spills —
     9 tags. Per-probe memo traffic and per-step simulator events are
     deliberately not traced: they would evict everything else from the
-    ring, and their counts are kept exactly by [Mdp.Solver.stats] /
-    [last_par_stats], [Store.Memo.stats] and the [sim.*] counters.
+    ring, and their counts are kept exactly by [Mdp.Solver.stats],
+    [Store.Memo.stats] and the [sim.*] counters.
 
     Recording is globally flag-gated ({!set_enabled}); the disabled path
     is a single atomic load and branch, so the permanently-instrumented

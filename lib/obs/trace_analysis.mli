@@ -8,8 +8,8 @@
     ({!to_json}) — the payloads of [blunting trace analyze].
 
     Memo traffic (hits, misses, claims, block-cache probes, evictions) is
-    not in the ring; its exact counts are [Mdp.Solver.stats],
-    [last_par_stats] and [Store.Memo.stats], printed by every solve and
+    not in the ring; its exact counts are [Mdp.Solver.stats] and
+    [Store.Memo.stats], printed by every solve and
     stored in the results document. Adversary decisions are not in the
     ring either: [blunting fuzz --replay] attributes them from the
     replayed schedule itself. *)

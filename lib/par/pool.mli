@@ -67,8 +67,7 @@ val map : t -> n:int -> (int -> 'a) -> 'a array
 (** [scatter t ~n f] runs [f 0 .. f (n-1)] across the pool with no index
     evaluated before the region opens — unlike [map], which computes
     [f 0] inline on the caller to seed its result array. Use it when the
-    indices are long-running cooperative loops (the solver's per-worker
-    loops over its shared frontier cursor) rather than small
+    indices are long-running cooperative loops rather than small
     data-parallel items: under [map], the first loop would run to
     completion before any worker started. Each index is handed out
     exactly once; [min (jobs t) n] participants run concurrently (the

@@ -1,5 +1,6 @@
 (** A sharded concurrent [float]-valued table with a find-or-claim
-    protocol: the shared memo of a parallel solve.
+    protocol. No solver uses it: it was the shared memo of the deleted
+    parallel exact solve, and perf's probe replay still measures it.
 
     Keys hash to one of 128 independent shards, each a {!Memo_tbl} behind
     its own mutex — the bucket-ownership idiom: a key belongs to exactly

@@ -178,8 +178,8 @@ let spill sh =
 
 (* Every shard operation runs under [Mutex.protect]: a probe or spill
    that raises (a truncated segment, a failed write) releases the lock,
-   so the other domains of a parallel solve fail too instead of
-   blocking on it. *)
+   so any other domain probing the store fails too instead of blocking
+   on it. *)
 let find_or_claim_slice t data ~len ~owner =
   let hash = Par.Slice_tbl.hash_slice data len in
   let sh = shard_of_hash t hash in

@@ -1,7 +1,7 @@
 (** The out-of-core memo: a spillable, sharded computation cache with
-    the same find-or-claim protocol as {!Par.Sharded_tbl}, backed by
-    {!Segment} files through per-shard {!Block_cache}s once the in-RAM
-    tier exceeds its budget.
+    the solver's find-or-claim protocol, backed by {!Segment} files
+    through per-shard {!Block_cache}s once the in-RAM tier exceeds its
+    budget.
 
     Keys are canonical state encodings (the {!Mdp.Key} byte packing);
     values are floats, stored as IEEE-754 bits so budgeted and in-RAM
@@ -10,8 +10,8 @@
     recently resolved values behind its own mutex, plus one segment
     file.
 
-    The exactly-once discipline is {!Par.Sharded_tbl}'s: per key, one
-    caller is told [`Claimed] and must {!resolve}; everyone else gets
+    The exactly-once discipline: per key, one caller is told
+    [`Claimed] and must {!resolve}; everyone else gets
     the value or the claim's owner id. Sequential solvers use owner 0 —
     [`Busy 0] on re-entry is the cycle signal. Because a key is claimed
     once, resolved once, and spilled at most once, budgeted and in-RAM

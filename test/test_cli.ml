@@ -17,6 +17,12 @@ let run ?(exe = cli) args =
       In_channel.with_open_text out In_channel.input_all
       |> String.split_on_char '\n' |> List.map String.trim)
 
+(* [exe]'s exit code on [args], its output discarded. *)
+let exit_code ?(exe = cli) args =
+  Sys.command
+    (Filename.quote_command exe args ~stdout:Filename.null
+       ~stderr:Filename.null)
+
 let line_with prefix lines =
   match List.find_opt (String.starts_with ~prefix) lines with
   | Some l -> l
@@ -118,8 +124,26 @@ let test_bench_section_allocation () =
       | Some words -> Alcotest.(check bool) "E8 minor words > 0" true (words > 0.0)
       | None -> Alcotest.fail "E8 has no numeric gc.minor_words")
 
+(* A job count below 1 is a usage error (cmdliner's 124) before any
+   work starts, on every command that takes --jobs. *)
+let test_jobs_must_be_positive () =
+  List.iter
+    (fun args ->
+      Alcotest.(check int) (String.concat " " args ^ ": exit 124") 124
+        (exit_code args))
+    [
+      [ "fuzz"; "--budget"; "1"; "--jobs"; "0" ];
+      [ "mc"; "--trials"; "1"; "--jobs"; "0" ];
+      [ "mc"; "--trials"; "1"; "--jobs=-3" ];
+      [ "mc"; "--trials"; "1"; "-j"; "two" ];
+    ];
+  Alcotest.(check int) "mc --jobs 2: exit 0" 0
+    (exit_code [ "mc"; "--trials"; "4"; "--jobs"; "2" ])
+
 let tests =
   [
+    Alcotest.test_case "--jobs below 1 is a usage error" `Quick
+      test_jobs_must_be_positive;
     Alcotest.test_case "solve prints a one-line summary" `Quick test_solve_summary;
     Alcotest.test_case "metrics --json prints counters only" `Quick
       test_metrics_counters_only;

@@ -1,6 +1,6 @@
 (* Tests for the regression-diff layer: Obs.Diff severity policy,
-   tolerances and opt-in gates, invalid documents, and the committed
-   baselines. *)
+   tolerances and the opt-in allocation gate, invalid documents, and the
+   committed baselines. *)
 
 (* Build a results document programmatically; [rows] are
    (quantity, paper_value option, measured_value) triples and [metrics]
@@ -64,64 +64,41 @@ let test_measured_drift_fails_hard () =
   Alcotest.(check int) "deterministic drift is Fail" 1 (count Obs.Diff.Fail r);
   Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r)
 
-(* PAR's memo hits and claim misses move with the worker schedule; its
-   memo misses and every other section's hits stay hard. *)
-let test_par_memo_hits_not_compared () =
-  let doc ?(claim_misses = 0.0) ~id ~hits ~misses () =
-    make_doc ~id
+(* Only [gc.minor_words] is exempt: a 10x allocation change is no
+   finding at all (the opt-in gate reads it), while every other key in
+   the same section, a timing or a memo-hit count included, fails hard
+   on drift. *)
+let test_only_minor_words_exempt () =
+  let doc ?(words = 1000.0) ?(seconds = 1.0) ?(hits = 10.0) () =
+    make_doc ~id:"PAR"
       ~metrics:
         [
+          ("gc.minor_words", words);
+          ("solve_seq_seconds", seconds);
           ("counters.mdp.memo_hits", hits);
-          ("counters.mdp.memo_misses", misses);
-          ("counters.mdp.claim_misses", claim_misses);
         ]
       ()
   in
-  let r =
-    run_diff ~baseline:(doc ~id:"PAR" ~hits:2_624_828.0 ~misses:637_840.0 ())
-      ~current:
-        (doc ~claim_misses:41.0 ~id:"PAR" ~hits:2_804_192.0 ~misses:637_840.0 ())
-      ()
-  in
-  Alcotest.(check int) "PAR hits drift is no finding" 0 (List.length r.findings);
-  Alcotest.(check int) "only PAR memo misses compared" 1 r.metrics_compared;
-  let r =
-    run_diff ~baseline:(doc ~id:"PAR" ~hits:1.0 ~misses:637_840.0 ())
-      ~current:(doc ~id:"PAR" ~hits:1.0 ~misses:637_796.0 ())
-      ()
-  in
-  Alcotest.(check int) "PAR misses drift fails" 1 (count Obs.Diff.Fail r);
-  let r =
-    run_diff ~baseline:(doc ~id:"E5" ~hits:10.0 ~misses:5.0 ())
-      ~current:(doc ~id:"E5" ~hits:11.0 ~misses:5.0 ())
-      ()
-  in
-  Alcotest.(check int) "hits drift elsewhere fails" 1 (count Obs.Diff.Fail r)
-
-let test_timing_keys_not_compared () =
-  (* a 10x change in a gate's wall time is no finding at all: perf/ judges
-     time *)
-  let doc ~seconds ~states =
-    make_doc ~id:"PAR" ~metrics:[ ("solve_seq_seconds", seconds); ("states", states) ] ()
-  in
-  let baseline = doc ~seconds:1.0 ~states:1000.0 in
-  let r = run_diff ~baseline ~current:(doc ~seconds:10.0 ~states:1000.0) () in
-  Alcotest.(check int) "no findings" 0 (List.length r.findings);
+  let baseline = doc () in
+  let r = run_diff ~baseline ~current:(doc ~words:10_000.0 ()) () in
+  Alcotest.(check int) "minor words drift is no finding" 0
+    (List.length r.findings);
   Alcotest.(check int) "exit 0" 0 (Obs.Diff.exit_code r);
-  Alcotest.(check int) "only the hard key compared" 1 r.metrics_compared;
-  (* ... while a hard key in the same document still fails *)
-  let r = run_diff ~baseline ~current:(doc ~seconds:10.0 ~states:1001.0) () in
-  (match r.findings with
-  | [ f ] ->
-      Alcotest.(check string) "the hard key fails" "metrics.states" f.subject;
-      Alcotest.(check bool) "as a Fail" true (f.severity = Obs.Diff.Fail)
-  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
-  Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r);
-  (* the exemption is by exact key, not by name: a timing key off the
-     list fails loudly instead of slipping past *)
-  let doc seconds = make_doc ~id:"PAR" ~metrics:[ ("mc_seq_seconds", seconds) ] () in
-  let r = run_diff ~baseline:(doc 1.0) ~current:(doc 10.0) () in
-  Alcotest.(check int) "unlisted timing key fails" 1 (count Obs.Diff.Fail r)
+  Alcotest.(check int) "the other two keys compared" 2 r.metrics_compared;
+  List.iter
+    (fun (key, current) ->
+      let r = run_diff ~baseline ~current () in
+      match r.findings with
+      | [ f ] ->
+          Alcotest.(check string) (key ^ " fails") ("metrics." ^ key) f.subject;
+          Alcotest.(check bool) (key ^ ": as a Fail") true
+            (f.severity = Obs.Diff.Fail)
+      | fs ->
+          Alcotest.failf "%s: expected 1 finding, got %d" key (List.length fs))
+    [
+      ("solve_seq_seconds", doc ~seconds:10.0 ());
+      ("counters.mdp.memo_hits", doc ~hits:11.0 ());
+    ]
 
 let test_missing_section_warns () =
   let baseline =
@@ -230,69 +207,6 @@ let test_nested_metrics_and_report_render () =
       Alcotest.(check bool) (Fmt.str "report mentions %S" needle) true has)
     [ "REGRESSION"; "FAIL"; "q" ]
 
-(* The --min-speedup gate reads only the CURRENT document's PAR section:
-   at or above the floor it passes with an Info; below the floor, with
-   the section or a timing metric missing, or on a run with more jobs
-   than the host's recommended domain count, it fails hard. *)
-let test_min_speedup_gate () =
-  let gated floor = { Obs.Diff.default_config with min_speedup = Some floor } in
-  let par ?(jobs = 4.0) ?(domains = Some 4.0) ?(seq = Some 2.0) ?(par = Some 1.0) () =
-    let opt k = function Some v -> [ (k, v) ] | None -> [] in
-    make_doc ~id:"PAR" ~title:"parallel engine"
-      ~metrics:
-        ([ ("jobs", jobs) ]
-        @ opt "recommended_domain_count" domains
-        @ opt "solve_seq_seconds" seq
-        @ opt "solve_par_seconds" par)
-      ()
-  in
-  let speedup_findings (r : Obs.Diff.report) =
-    List.filter (fun (f : Obs.Diff.finding) -> f.subject = "solve_speedup") r.findings
-  in
-  let verdict ~floor doc =
-    let r = run_diff ~config:(gated floor) ~baseline:doc ~current:doc () in
-    match speedup_findings r with
-    | [ f ] -> (f, Obs.Diff.exit_code r)
-    | fs -> Alcotest.failf "expected 1 speedup finding, got %d" (List.length fs)
-  in
-  let mentions needle (f : Obs.Diff.finding) =
-    let n = String.length needle and m = String.length f.detail in
-    let rec go i = i + n <= m && (String.sub f.detail i n = needle || go (i + 1)) in
-    go 0
-  in
-  let passes name ~floor doc =
-    let f, rc = verdict ~floor doc in
-    Alcotest.(check bool) (name ^ ": Info") true (f.severity = Obs.Diff.Info);
-    Alcotest.(check int) (name ^ ": exit 0") 0 rc
-  in
-  let fails name ~floor doc =
-    let f, rc = verdict ~floor doc in
-    Alcotest.(check bool) (name ^ ": Fail") true (f.severity = Obs.Diff.Fail);
-    Alcotest.(check int) (name ^ ": exit 1") 1 rc;
-    f
-  in
-  passes "2x over a 1.5x floor" ~floor:1.5 (par ());
-  passes "exactly at the floor" ~floor:2.0 (par ());
-  ignore (fails "below the floor" ~floor:2.5 (par ()));
-  ignore (fails "no sequential timing" ~floor:1.0 (par ~seq:None ()));
-  ignore (fails "no parallel timing" ~floor:1.0 (par ~par:None ()));
-  let f = fails "no PAR section" ~floor:1.0 (make_doc ~id:"E1" ()) in
-  Alcotest.(check bool) "names the section" true (mentions "PAR" f);
-  (* a one-domain host running 4 jobs: the ratio measures the host *)
-  let f =
-    fails "oversubscribed" ~floor:1.0 (par ~domains:(Some 1.0) ~seq:(Some 9.0) ())
-  in
-  Alcotest.(check bool) "names the job count" true (mentions "4 jobs" f);
-  Alcotest.(check bool) "names the domain count" true
-    (mentions "recommended_domain_count 1" f);
-  let f = fails "domain count absent" ~floor:1.0 (par ~domains:None ()) in
-  Alcotest.(check bool) "names the missing count" true
-    (mentions "recommended_domain_count" f);
-  (* ungated, none of this is compared *)
-  let r = run_diff ~baseline:(par ()) ~current:(par ~domains:(Some 1.0) ()) () in
-  Alcotest.(check int) "ungated: no speedup finding" 0
-    (List.length (speedup_findings r))
-
 (* The --max-alloc-ratio gate: per-step allocation past the ceiling is a
    hard Fail, within it an Info; steps normalize away trial-count
    changes; a gated run with no GC data anywhere fails loudly. *)
@@ -308,7 +222,7 @@ let alloc_doc ?steps ~minor_words () =
   Obs.Results.to_json doc
 
 let test_max_alloc_ratio_gate () =
-  let gated ratio = { Obs.Diff.default_config with max_alloc_ratio = Some ratio } in
+  let gated ratio = { Obs.Diff.max_alloc_ratio = Some ratio } in
   let alloc_findings (r : Obs.Diff.report) =
     List.filter (fun (f : Obs.Diff.finding) -> f.subject = "alloc_ratio") r.findings
   in
@@ -374,7 +288,6 @@ let test_committed_baselines () =
       Alcotest.(check bool) (gated ^ " is committed") true (List.mem gated baselines))
     [
       "BENCH_2026-08-08b.json";
-      "BENCH_2026-08-08b-par4.json";
       "BENCH_2026-08-08-store.json";
     ];
   List.iter
@@ -395,10 +308,8 @@ let tests =
     Alcotest.test_case "diff: paper drift fails hard" `Quick test_paper_drift_fails;
     Alcotest.test_case "diff: measured drift fails hard" `Quick
       test_measured_drift_fails_hard;
-    Alcotest.test_case "diff: timing keys are not compared" `Quick
-      test_timing_keys_not_compared;
-    Alcotest.test_case "diff: PAR memo hits are not compared" `Quick
-      test_par_memo_hits_not_compared;
+    Alcotest.test_case "diff: only gc.minor_words is exempt" `Quick
+      test_only_minor_words_exempt;
     Alcotest.test_case "diff: missing/new sections" `Quick test_missing_section_warns;
     Alcotest.test_case "diff: added/removed rows" `Quick test_row_set_changes;
     Alcotest.test_case "diff: missing metrics warn" `Quick test_missing_metric_warns;
@@ -406,7 +317,6 @@ let tests =
       test_invalid_documents_rejected;
     Alcotest.test_case "diff: nested metrics, rendering" `Quick
       test_nested_metrics_and_report_render;
-    Alcotest.test_case "diff: min-speedup gate" `Quick test_min_speedup_gate;
     Alcotest.test_case "diff: max-alloc-ratio gate" `Quick test_max_alloc_ratio_gate;
     Alcotest.test_case "diff: committed baselines load and self-diff" `Quick
       test_committed_baselines;

@@ -1,7 +1,7 @@
-(* The parallel engine's determinism contract: Monte-Carlo tallies and
-   solver values must be bit-identical at every job count, and the
-   canonical state keys the parallel memo tables rely on must agree with
-   structural equality on reachable states. *)
+(* The parallel engine's determinism contract: Monte-Carlo tallies must
+   be bit-identical at every job count; and the canonical state keys the
+   memo tables rely on must agree with structural equality on reachable
+   states. *)
 
 let exact = Alcotest.(check (float 0.0))
 
@@ -27,32 +27,6 @@ let test_mc_parallel_identical () =
     "atomic weakener";
   check_mc_identical ~seed:20260 ~trials:40 Programs.Weakener.abd_config
     "ABD weakener"
-
-(* ---- solver: frontier parallel value = sequential value -------------- *)
-
-module Atomic_solver = Mdp.Solver.Make (Model.Weakener_atomic.Game)
-module Abd_solver = Mdp.Solver.Make (Model.Weakener_abd.Game)
-
-let test_par_solver_atomic () =
-  let seq = Atomic_solver.value Model.Weakener_atomic.init in
-  exact "atomic sequential value" 0.5 seq;
-  List.iter
-    (fun jobs ->
-      exact
-        (Fmt.str "atomic value_par jobs=%d" jobs)
-        seq
-        (Atomic_solver.value_par ~jobs Model.Weakener_atomic.init))
-    [ 1; 2; 4 ]
-
-let test_par_solver_abd1 () =
-  let s = Model.Weakener_abd.init ~k:1 () in
-  let seq = Abd_solver.value s in
-  exact "ABD^1 sequential value" 1.0 seq;
-  List.iter
-    (fun jobs ->
-      exact (Fmt.str "ABD^1 value_par jobs=%d" jobs) seq
-        (Abd_solver.value_par ~jobs s))
-    [ 2; 4 ]
 
 (* ---- canonical keys ------------------------------------------------- *)
 
@@ -286,44 +260,6 @@ let test_pool_domain_ids () =
   Par.Pool.with_pool ~jobs:1 (fun pool ->
       Alcotest.(check (list int)) "jobs=1 lists no workers" [] (Par.Pool.domain_ids pool))
 
-(* ---- per-domain telemetry of the last value_par ----------------------- *)
-
-let test_last_par_stats () =
-  Atomic_solver.reset ();
-  Alcotest.(check bool)
-    "no telemetry before any value_par" true
-    (Atomic_solver.last_par_stats () = None);
-  (* sequential state count: the yardstick the distinct-key count is
-     measured against *)
-  let _ = Atomic_solver.value Model.Weakener_atomic.init in
-  let seq_states = Atomic_solver.explored () in
-  Atomic_solver.reset ();
-  let _ = Atomic_solver.value_par ~jobs:2 Model.Weakener_atomic.init in
-  (match Atomic_solver.last_par_stats () with
-  | None -> Alcotest.fail "value_par left no telemetry"
-  | Some p ->
-      Alcotest.(check bool) "at least one participant" true (p.domains <> []);
-      let ids = List.map (fun (d : Mdp.Solver.domain_stats) -> d.domain_id) p.domains in
-      Alcotest.(check (list int)) "participants sorted by domain id" (List.sort compare ids) ids;
-      let summed =
-        List.fold_left
-          (fun acc (d : Mdp.Solver.domain_stats) -> acc + d.stats.memo_misses)
-          0 p.domains
-      in
-      Alcotest.(check bool) "some states evaluated on workers" true (summed > 0);
-      Alcotest.(check bool)
-        "distinct <= total evaluated" true
-        (p.distinct_keys <= summed && p.distinct_keys > 0);
-      Alcotest.(check int)
-        "distinct keys = sequential states" seq_states p.distinct_keys;
-      Alcotest.(check int)
-        "each distinct key evaluated once" p.distinct_keys summed);
-  (* reset discards the retained tables along with the memo *)
-  Atomic_solver.reset ();
-  Alcotest.(check bool)
-    "reset clears telemetry" true
-    (Atomic_solver.last_par_stats () = None)
-
 let test_rng_stream_pure () =
   (* streams are pure functions of (seed, index): re-derivation agrees,
      and distinct indices give distinct streams *)
@@ -344,9 +280,6 @@ let tests =
   [
     Alcotest.test_case "MC tallies identical at jobs 1/2/4" `Quick
       test_mc_parallel_identical;
-    Alcotest.test_case "value_par = value (atomic game)" `Quick
-      test_par_solver_atomic;
-    Alcotest.test_case "value_par = value (ABD^1)" `Slow test_par_solver_abd1;
     Alcotest.test_case "encode agrees with structural equality" `Quick
       test_encode_canonical;
     Alcotest.test_case "encode_into = encode under buffer reuse" `Quick
@@ -362,8 +295,6 @@ let tests =
     Alcotest.test_case "pool re-raises worker exceptions" `Quick
       test_pool_propagates_exception;
     Alcotest.test_case "pool reports worker domain ids" `Quick test_pool_domain_ids;
-    Alcotest.test_case "value_par leaves per-domain telemetry" `Quick
-      test_last_par_stats;
     Alcotest.test_case "Rng.stream is pure in (seed, index)" `Quick
       test_rng_stream_pure;
   ]

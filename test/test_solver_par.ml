@@ -1,8 +1,8 @@
-(* The parallel solver's soundness battery: the claim tables uphold
-   their exactly-once contracts under concurrency, value_par is bit-identical to the sequential solve at
-   every job count with and without pruning, pruning only ever shrinks
-   the explored set while preserving values, and the parallel telemetry
-   is fresh (never describes work an intervening solve overwrote). *)
+(* The solver's soundness battery: the claim tables uphold their
+   exactly-once contracts (the sharded one under concurrency), every
+   engine is bit-identical to the sequential in-RAM solve with and
+   without pruning and under a memo budget, and pruning only ever
+   shrinks the explored set while preserving values. *)
 
 let exact = Alcotest.(check (float 0.0))
 
@@ -289,10 +289,8 @@ let test_scatter_exactly_once () =
 
 type 'a harness = {
   value : ?memo_budget:int -> ?prune:bool -> 'a -> float;
-  value_par : ?memo_budget:int -> ?prune:bool -> jobs:int -> 'a -> float;
   stats : unit -> Mdp.Solver.stats;
   pruned : unit -> int;
-  last : unit -> Mdp.Solver.par_stats option;
   set_prune_audit : bool -> unit;
   reset : unit -> unit;
 }
@@ -305,12 +303,8 @@ module Harness (G : Mdp.Solver.GAME) = struct
   let h =
     {
       value = (fun ?memo_budget ?prune s -> value ?memo_budget ?prune s);
-      value_par =
-        (fun ?memo_budget ?prune ~jobs s ->
-          value_par ?memo_budget ?prune ~jobs s);
       stats;
       pruned = pruned_subtrees;
-      last = last_par_stats;
       set_prune_audit;
       reset;
     }
@@ -321,11 +315,9 @@ module Abd_s = Harness (Model.Weakener_abd.Game)
 module Va_s = Harness (Model.Weakener_va.Game)
 module Ghw_s = Harness (Model.Ghw_snapshot_game.Game)
 
-(* One memo backend's leg of the matrix: the sequential solve, then
-   [value_par] at each job count with pruning off and on, then a pruned
-   sequential solve. Returns the pruned solve's states and cuts. *)
-let check_leg h name init jobs_list ~seq ~(st_seq : Mdp.Solver.stats)
-    memo_budget =
+(* One memo backend's leg of the matrix: the unpruned solve, then a
+   pruned one. Returns the pruned solve's states and cuts. *)
+let check_leg h name init ~seq ~(st_seq : Mdp.Solver.stats) memo_budget =
   let name =
     Fmt.str "%s budget=%a" name Fmt.(option ~none:(any "none") int) memo_budget
   in
@@ -337,34 +329,6 @@ let check_leg h name init jobs_list ~seq ~(st_seq : Mdp.Solver.stats)
     (Fmt.str "%s: seq states/hits/misses" name)
     [ st_seq.states; st_seq.memo_hits; st_seq.memo_misses ]
     [ st.states; st.memo_hits; st.memo_misses ];
-  List.iter
-    (fun jobs ->
-      List.iter
-        (fun prune ->
-          h.reset ();
-          let v = h.value_par ?memo_budget ~prune ~jobs init in
-          exact (Fmt.str "%s: value_par jobs=%d prune=%b" name jobs prune) seq v;
-          if (not prune) && jobs > 1 then
-            match h.last () with
-            | None -> Alcotest.failf "%s: jobs=%d left no telemetry" name jobs
-            | Some p ->
-                Alcotest.(check int)
-                  (Fmt.str "%s: jobs=%d distinct keys = sequential states" name
-                     jobs)
-                  n_seq p.distinct_keys;
-                let summed =
-                  List.fold_left
-                    (fun acc (d : Mdp.Solver.domain_stats) ->
-                      acc + d.stats.memo_misses)
-                    0 p.domains
-                in
-                Alcotest.(check int)
-                  (Fmt.str "%s: jobs=%d each distinct key evaluated once" name
-                     jobs)
-                  p.distinct_keys summed)
-        [ false; true ])
-    jobs_list;
-  (* pruning is sound and monotone sequentially too *)
   h.reset ();
   exact (Fmt.str "%s: pruned seq value" name) seq
     (h.value ?memo_budget ~prune:true init);
@@ -376,20 +340,15 @@ let check_leg h name init jobs_list ~seq ~(st_seq : Mdp.Solver.stats)
   h.reset ();
   (n_pruned, cuts)
 
-(* Every engine combination — sequential or [value_par] at each job
-   count, pruned or not, in RAM or under a memo budget — runs the same
-   recursion and must return the sequential in-RAM value bit for bit.
-   A budget of 1 byte is clamped to the store's 64 KiB floor, so the
-   larger games spill. The budgeted sequential solve keeps the in-RAM
-   solve's states, hits and misses, and the pruned solve's states and
-   cuts agree across backends. Unpruned parallel solves evaluate each
-   state exactly once: the distinct key count equals the sequential
-   state count, and summed participant misses equal it. With [~audit]
-   every pruned solve re-evaluates its cuts and raises on one that
-   changed a value. Returns the unpruned sequential stats and the
-   pruned solve's states and cuts. *)
-let check_matrix ?(audit = false) ?(budgets = [ None; Some 1 ]) h name init
-    jobs_list =
+(* Every engine combination — pruned or not, in RAM or under a memo
+   budget — runs the same recursion and must return the in-RAM value bit
+   for bit. A budget of 1 byte is clamped to the store's 64 KiB floor, so
+   the larger games spill. The budgeted solve keeps the in-RAM solve's
+   states, hits and misses, and the pruned solve's states and cuts agree
+   across backends. With [~audit] every pruned solve re-evaluates its
+   cuts and raises on one that changed a value. Returns the unpruned
+   stats and the pruned solve's states and cuts. *)
+let check_matrix ?(audit = false) ?(budgets = [ None; Some 1 ]) h name init =
   h.reset ();
   let seq = h.value init in
   let st_seq = h.stats () in
@@ -397,8 +356,7 @@ let check_matrix ?(audit = false) ?(budgets = [ None; Some 1 ]) h name init
   let legs =
     Fun.protect
       ~finally:(fun () -> h.set_prune_audit false)
-      (fun () ->
-        List.map (check_leg h name init jobs_list ~seq ~st_seq) budgets)
+      (fun () -> List.map (check_leg h name init ~seq ~st_seq) budgets)
   in
   let ram = List.hd legs in
   List.iter
@@ -409,17 +367,14 @@ let check_matrix ?(audit = false) ?(budgets = [ None; Some 1 ]) h name init
   (st_seq, ram)
 
 let test_matrix_atomic () =
-  ignore
-    (check_matrix Atomic_s.h "atomic" Model.Weakener_atomic.init [ 1; 2; 4; 8 ])
+  ignore (check_matrix Atomic_s.h "atomic" Model.Weakener_atomic.init)
 
-(* ABD^1's 106k states spill at the 64 KiB floor for tens of seconds at
-   8 jobs, so its budgeted leg runs the store unspilled; test_store.ml
-   spills ABD^1 at jobs 1 and 4. *)
+(* Its budgeted leg runs the store unspilled; test_store.ml spills
+   ABD^1. *)
 let test_matrix_abd () =
   let st_seq, (n_pruned, cuts) =
     check_matrix ~budgets:[ None; Some (64 lsl 20) ] Abd_s.h "ABD^1"
       (Model.Weakener_abd.init ~k:1 ())
-      [ 2; 4; 8 ]
   in
   (* ABD^1's value is 1.0, so max cuts must actually fire: pruning
      strictly reduces the explored set here, not just weakly *)
@@ -431,11 +386,10 @@ let test_matrix_abd () =
   Alcotest.(check bool) "ABD^1: cuts were taken" true (cuts > 0)
 
 let test_matrix_va () =
-  ignore (check_matrix Va_s.h "VA^1" (Model.Weakener_va.init ~k:1) [ 2; 8 ])
+  ignore (check_matrix Va_s.h "VA^1" (Model.Weakener_va.init ~k:1))
 
 let test_matrix_ghw () =
-  ignore
-    (check_matrix Ghw_s.h "ghw^1" (Model.Ghw_snapshot_game.init ~k:1) [ 2; 8 ])
+  ignore (check_matrix Ghw_s.h "ghw^1" (Model.Ghw_snapshot_game.init ~k:1))
 
 (* Chance steps at 1/3, under audit: the iteration choices of VA^3 and
    ghw^3 are not powers of two, so the cuts' soundness rests on the
@@ -443,7 +397,7 @@ let test_matrix_ghw () =
    "Interval pruning"). The audit re-checks every cut taken; a plain
    pruned solve then pins the state and cut counts. *)
 let check_audited h name init ~states ~cuts =
-  let st_seq, _ = check_matrix ~audit:true h name init [ 2; 8 ] in
+  let st_seq, _ = check_matrix ~audit:true h name init in
   Alcotest.(check int) (name ^ ": states") states st_seq.states;
   ignore (h.value ~prune:true init);
   Alcotest.(check int) (name ^ ": cuts") cuts (h.pruned ());
@@ -469,152 +423,6 @@ let test_prune_audit_clean () =
   in
   exact "audited pruned value" 0.5 v;
   Atomic_s.reset ()
-
-(* ---- telemetry freshness (the staleness regression) ------------------ *)
-
-let test_par_stats_freshness () =
-  Atomic_s.reset ();
-  let _ = Atomic_s.value_par ~jobs:2 Model.Weakener_atomic.init in
-  Alcotest.(check bool)
-    "value_par leaves telemetry" true
-    (Atomic_s.last_par_stats () <> None);
-  (* any subsequent root solve overwrites the memo the report described:
-     the report must be cleared, not left stale *)
-  let _ = Atomic_s.value Model.Weakener_atomic.init in
-  Alcotest.(check bool)
-    "sequential solve clears stale telemetry" true
-    (Atomic_s.last_par_stats () = None);
-  let _ = Atomic_s.value_par ~jobs:2 Model.Weakener_atomic.init in
-  let _ = Atomic_s.value_par ~jobs:1 Model.Weakener_atomic.init in
-  Alcotest.(check bool)
-    "jobs=1 value_par (sequential path) clears telemetry too" true
-    (Atomic_s.last_par_stats () = None);
-  Atomic_s.reset ();
-  Alcotest.(check bool)
-    "reset clears telemetry" true
-    (Atomic_s.last_par_stats () = None)
-
-(* claim counters are schedule-dependent, but their invariants are
-   not: non-negative, and claim hits equal the summed domain hits *)
-let test_par_stats_counters () =
-  Atomic_s.reset ();
-  let _ = Atomic_s.value_par ~jobs:4 Model.Weakener_atomic.init in
-  (match Atomic_s.last_par_stats () with
-  | None -> Alcotest.fail "no telemetry"
-  | Some p ->
-      Alcotest.(check bool) "claim_misses >= 0" true (p.claim_misses >= 0);
-      Alcotest.(check int) "no cuts without ~prune" 0 p.pruned_subtrees;
-      let summed_hits =
-        List.fold_left
-          (fun acc (d : Mdp.Solver.domain_stats) -> acc + d.stats.memo_hits)
-          0 p.domains
-      in
-      Alcotest.(check int) "claim_hits = summed domain hits" summed_hits
-        p.claim_hits);
-  Atomic_s.reset ()
-
-(* ---- a worker failing inside a parallel region ---------------------- *)
-
-(* Sixteen frontier leaves two plies below the root (enough paths that
-   [value_par ~jobs:2] stops deepening there and opens a region), each of
-   which can either stop at [End n] or go on to the one [Shared] state
-   every leaf reaches. [Shared] leads to [Bad]. While [armed], the first
-   [apply] on [Bad] waits until a second worker is helping it (or a few
-   seconds pass), then raises [Boom]; the helper's own [apply] on [Bad]
-   succeeds, so it ends up waiting on the dead owner's claim and must
-   leave through the abort flag. *)
-module Failing = struct
-  type state = Root | Mid of int | Leaf of int | End of int | Shared | Bad | Done
-  type move = Pick of int | Go | Stop
-
-  type transition = Det of state | Chance of (float * state) list
-
-  exception Boom
-
-  let armed = Atomic.make false
-  let fired = Atomic.make false
-  let helped = Atomic.make false
-
-  let moves = function
-    | Root | Mid _ -> List.init 4 (fun i -> Pick i)
-    | Leaf _ -> [ Go; Stop ]
-    | Shared | Bad -> [ Go ]
-    | End _ | Done -> []
-
-  let apply s m =
-    match (s, m) with
-    | Root, Pick i -> Det (Mid i)
-    | Mid i, Pick j -> Det (Leaf ((4 * i) + j))
-    | Leaf _, Go -> Det Shared
-    | Leaf n, Stop -> Det (End n)
-    | Shared, Go -> Det Bad
-    | Bad, Go ->
-        if Atomic.get armed && Atomic.compare_and_set fired false true then begin
-          let deadline = Unix.gettimeofday () +. 5.0 in
-          while (not (Atomic.get helped)) && Unix.gettimeofday () < deadline do
-            Domain.cpu_relax ()
-          done;
-          raise Boom
-        end
-        else begin
-          if Atomic.get armed then Atomic.set helped true;
-          Det Done
-        end
-    | _ -> invalid_arg "Failing.apply"
-
-  let terminal_value = function
-    | End n -> float_of_int n /. 32.0
-    | Done -> 0.75
-    | _ -> 0.0
-
-  let encode = function
-    | Root -> "r"
-    | Mid i -> "m" ^ string_of_int i
-    | Leaf n -> "l" ^ string_of_int n
-    | End n -> "e" ^ string_of_int n
-    | Shared -> "s"
-    | Bad -> "b"
-    | Done -> "d"
-
-  let encode_into s b = Mdp.Key.raw b (encode s)
-  let pp_move ppf _ = Fmt.string ppf "move"
-end
-
-module Failing_s = Mdp.Solver.Make (Failing)
-
-let test_worker_failure () =
-  Failing_s.reset ();
-  let seq = Failing_s.value Failing.Root in
-  let seq_states = Failing_s.explored () in
-  exact "sequential value" 0.75 seq;
-  Failing_s.reset ();
-  Atomic.set Failing.fired false;
-  Atomic.set Failing.helped false;
-  Atomic.set Failing.armed true;
-  let raised =
-    Fun.protect
-      ~finally:(fun () -> Atomic.set Failing.armed false)
-      (fun () ->
-        match Failing_s.value_par ~jobs:2 Failing.Root with
-        | _ -> None
-        | exception e -> Some e)
-  in
-  Alcotest.(check bool) "the worker's exception is re-raised" true
-    (raised = Some Failing.Boom);
-  Alcotest.(check bool) "a second worker was helping the failed state" true
-    (Atomic.get Failing.helped);
-  Alcotest.(check int) "every worker domain joined" 0
-    (Par.Pool.spawned_domains ());
-  Alcotest.(check bool) "no telemetry from the failed solve" true
-    (Failing_s.last_par_stats () = None);
-  Failing_s.reset ();
-  exact "value_par after reset" seq (Failing_s.value_par ~jobs:2 Failing.Root);
-  (match Failing_s.last_par_stats () with
-  | Some p ->
-      Alcotest.(check int) "distinct keys = sequential states" seq_states
-        p.distinct_keys
-  | None -> Alcotest.fail "the re-solve opened no parallel region");
-  Failing_s.reset ()
 
 let tests =
   [
@@ -642,21 +450,15 @@ let tests =
       test_tbl_concurrent_claims;
     Alcotest.test_case "pool scatter runs each index once" `Quick
       test_scatter_exactly_once;
-    Alcotest.test_case "matrix: atomic, jobs 1/2/4/8 x prune" `Quick
+    Alcotest.test_case "matrix: atomic, prune x budget" `Quick
       test_matrix_atomic;
-    Alcotest.test_case "matrix: ABD^1, jobs 2/4/8 x prune + strict cuts" `Slow
+    Alcotest.test_case "matrix: ABD^1, prune x budget, strict cuts" `Slow
       test_matrix_abd;
-    Alcotest.test_case "matrix: VA^1, jobs 2/8 x prune" `Quick test_matrix_va;
-    Alcotest.test_case "matrix: ghw^1, jobs 2/8 x prune" `Quick test_matrix_ghw;
+    Alcotest.test_case "matrix: VA^1, prune x budget" `Quick test_matrix_va;
+    Alcotest.test_case "matrix: ghw^1, prune x budget" `Quick test_matrix_ghw;
     Alcotest.test_case "matrix: VA^3 (1/3 chance), audited" `Quick
       test_matrix_va3;
     Alcotest.test_case "matrix: ghw^3 (1/3 chance), audited" `Quick
       test_matrix_ghw3;
     Alcotest.test_case "prune audit mode is clean" `Quick test_prune_audit_clean;
-    Alcotest.test_case "par telemetry is never stale" `Quick
-      test_par_stats_freshness;
-    Alcotest.test_case "par telemetry counter invariants" `Quick
-      test_par_stats_counters;
-    Alcotest.test_case "worker failure in a region re-raises and recovers"
-      `Quick test_worker_failure;
   ]

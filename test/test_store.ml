@@ -5,7 +5,7 @@
    claim protocol across spills, a budgeted solve with no usable temp
    dir raises, and — the property the whole engine exists for —
    budgeted solves are bit-identical to in-RAM solves (values AND
-   distinct-state counts) for every model game at jobs 1 and 4. *)
+   distinct-state counts) for every model game. *)
 
 let exact = Alcotest.(check (float 0.0))
 
@@ -293,64 +293,54 @@ let check_spilled label (ss : Store.Memo.stats option) =
         (s.Store.Memo.spilled_entries > 0)
 
 (* Solve twice — in-RAM, then under a spill-forcing budget — and demand
-   bit-identical values and distinct-state counts. The exactly-once claim
-   protocol makes both deterministic even at jobs > 1 (memo hit counts
-   are schedule-dependent there, so only jobs = 1 compares them). *)
-let game_determinism ~label ~jobs ~expect_spill ~reset ~states ~store_stats
-    solve =
+   bit-identical values and distinct-state counts. *)
+let game_determinism ~label ~expect_spill ~reset ~states ~store_stats solve =
   reset ();
-  let v_ram = solve ~memo_budget:None ~jobs in
+  let v_ram = solve ~memo_budget:None in
   let st_ram = states () in
   reset ();
-  let v_sp = solve ~memo_budget:(Some tiny_budget) ~jobs in
+  let v_sp = solve ~memo_budget:(Some tiny_budget) in
   let st_sp = states () in
   exact (label ^ ": value bit-identical") v_ram v_sp;
   Alcotest.(check int) (label ^ ": distinct states identical") st_ram st_sp;
   if expect_spill then check_spilled label (store_stats ());
   reset ()
 
-let test_games_deterministic ~jobs () =
-  game_determinism
-    ~label:(Printf.sprintf "abd k=1 jobs=%d" jobs)
-    ~jobs ~expect_spill:true ~reset:Model.Weakener_abd.reset
+let test_games_deterministic () =
+  game_determinism ~label:"abd k=1" ~expect_spill:true
+    ~reset:Model.Weakener_abd.reset
     ~states:(fun () -> Model.Weakener_abd.explored_states ())
     ~store_stats:Model.Weakener_abd.store_stats
-    (fun ~memo_budget ~jobs ->
-      Model.Weakener_abd.bad_probability ?memo_budget ~jobs ~k:1 ());
-  game_determinism
-    ~label:(Printf.sprintf "va k=1 jobs=%d" jobs)
-    ~jobs ~expect_spill:true ~reset:Model.Weakener_va.reset
+    (fun ~memo_budget ->
+      Model.Weakener_abd.bad_probability ?memo_budget ~k:1 ());
+  game_determinism ~label:"va k=1" ~expect_spill:true
+    ~reset:Model.Weakener_va.reset
     ~states:(fun () -> (Model.Weakener_va.solver_stats ()).Mdp.Solver.states)
     ~store_stats:Model.Weakener_va.store_stats
-    (fun ~memo_budget ~jobs ->
-      Model.Weakener_va.bad_probability ?memo_budget ~jobs ~k:1 ());
-  game_determinism
-    ~label:(Printf.sprintf "ghw-snapshot k=1 jobs=%d" jobs)
-    ~jobs
+    (fun ~memo_budget ->
+      Model.Weakener_va.bad_probability ?memo_budget ~k:1 ());
+  game_determinism ~label:"ghw-snapshot k=1"
       (* ~260 states sit under even the clamped budget's watermark *)
     ~expect_spill:false ~reset:Model.Ghw_snapshot_game.reset
     ~states:(fun () -> Model.Ghw_snapshot_game.explored_states ())
     ~store_stats:Model.Ghw_snapshot_game.store_stats
-    (fun ~memo_budget ~jobs ->
-      Model.Ghw_snapshot_game.afek_bad_probability ?memo_budget ~jobs ~k:1 ());
-  game_determinism
-    ~label:(Printf.sprintf "ghw-multi k=1 jobs=%d" jobs)
-    ~jobs ~expect_spill:true ~reset:Model.Ghw_multi_game.reset
+    (fun ~memo_budget ->
+      Model.Ghw_snapshot_game.afek_bad_probability ?memo_budget ~k:1 ());
+  game_determinism ~label:"ghw-multi k=1" ~expect_spill:true
+    ~reset:Model.Ghw_multi_game.reset
     ~states:(fun () -> Model.Ghw_multi_game.explored_states ())
     ~store_stats:Model.Ghw_multi_game.store_stats
-    (fun ~memo_budget ~jobs ->
-      Model.Ghw_multi_game.afek_bad_probability ?memo_budget ~jobs ~k:1 ());
-  (* the atomic weakener is sequential-only: cover it on the jobs=1 leg *)
-  if jobs = 1 then
-    game_determinism ~label:"atomic jobs=1" ~jobs ~expect_spill:false
-      ~reset:Atomic_solver.reset
-      ~states:(fun () -> Atomic_solver.explored ())
-      ~store_stats:Atomic_solver.store_stats
-      (fun ~memo_budget ~jobs:_ ->
-        Atomic_solver.value ?memo_budget Model.Weakener_atomic.init)
+    (fun ~memo_budget ->
+      Model.Ghw_multi_game.afek_bad_probability ?memo_budget ~k:1 ());
+  game_determinism ~label:"atomic" ~expect_spill:false
+    ~reset:Atomic_solver.reset
+    ~states:(fun () -> Atomic_solver.explored ())
+    ~store_stats:Atomic_solver.store_stats
+    (fun ~memo_budget ->
+      Atomic_solver.value ?memo_budget Model.Weakener_atomic.init)
 
-(* At jobs = 1 the solve order is fixed, so the budgeted run must also
-   reproduce the exact memo hit/miss split and recursion depth. *)
+(* The solve order is fixed, so the budgeted run must also reproduce the
+   exact memo hit/miss split and recursion depth. *)
 let test_full_stats_identical_seq () =
   Model.Weakener_abd.reset ();
   let _ = Model.Weakener_abd.bad_probability ~k:1 () in
@@ -399,7 +389,22 @@ let test_budget_parse () =
       match Mdp.Solver.parse_memo_budget s with
       | Ok n -> Alcotest.failf "%S parsed to %d, expected an error" s n
       | Error _ -> ())
-    [ ""; "-1"; "12Q"; "K"; "1.5M"; "abc" ]
+    [ ""; "-1"; "12Q"; "K"; "1.5M"; "abc" ];
+  (* n * multiplier past max_int is an error, not a wrapped size: 2^33 G
+     wraps to 0 and 2^33 + 1 G to 1 G *)
+  let g = 1024 * 1024 * 1024 in
+  ok (string_of_int (max_int / g) ^ "G") (max_int / g * g);
+  List.iter
+    (fun s ->
+      match Mdp.Solver.parse_memo_budget s with
+      | Ok n -> Alcotest.failf "%S wrapped to %d, expected an error" s n
+      | Error _ -> ())
+    [
+      "8589934592G";
+      "8589934593G";
+      string_of_int ((max_int / g) + 1) ^ "G";
+      string_of_int ((max_int / 1024) + 1) ^ "K";
+    ]
 
 let tests =
   [
@@ -417,10 +422,8 @@ let tests =
     Alcotest.test_case "memo budget parsing" `Quick test_budget_parse;
     Alcotest.test_case "budgeted solve without a temp dir raises" `Quick
       test_missing_temp_dir;
-    Alcotest.test_case "all games bit-identical when spilled (jobs 1)" `Quick
-      (test_games_deterministic ~jobs:1);
-    Alcotest.test_case "all games bit-identical when spilled (jobs 4)" `Slow
-      (test_games_deterministic ~jobs:4);
+    Alcotest.test_case "all games bit-identical when spilled" `Quick
+      test_games_deterministic;
     Alcotest.test_case "full solver stats identical at jobs 1" `Slow
       test_full_stats_identical_seq;
   ]
