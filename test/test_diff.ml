@@ -65,18 +65,12 @@ let test_measured_drift_fails_hard () =
   Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r)
 
 (* Only [gc.minor_words] is exempt: a 10x allocation change is no
-   finding at all (the opt-in gate reads it), while every other key in
-   the same section, a timing or a memo-hit count included, fails hard
-   on drift. *)
+   finding at all (the opt-in gate reads it), while a timing key in the
+   same section fails hard on drift. *)
 let test_only_minor_words_exempt () =
-  let doc ?(words = 1000.0) ?(seconds = 1.0) ?(hits = 10.0) () =
+  let doc ?(words = 1000.0) ?(seconds = 1.0) () =
     make_doc ~id:"PAR"
-      ~metrics:
-        [
-          ("gc.minor_words", words);
-          ("solve_seq_seconds", seconds);
-          ("counters.mdp.memo_hits", hits);
-        ]
+      ~metrics:[ ("gc.minor_words", words); ("solve_seq_seconds", seconds) ]
       ()
   in
   let baseline = doc () in
@@ -84,21 +78,38 @@ let test_only_minor_words_exempt () =
   Alcotest.(check int) "minor words drift is no finding" 0
     (List.length r.findings);
   Alcotest.(check int) "exit 0" 0 (Obs.Diff.exit_code r);
-  Alcotest.(check int) "the other two keys compared" 2 r.metrics_compared;
+  Alcotest.(check int) "the timing key compared" 1 r.metrics_compared;
+  let r = run_diff ~baseline ~current:(doc ~seconds:10.0 ()) () in
+  (match r.findings with
+  | [ f ] ->
+      Alcotest.(check string) "the timing key fails" "metrics.solve_seq_seconds"
+        f.subject;
+      Alcotest.(check bool) "as a Fail" true (f.severity = Obs.Diff.Fail)
+  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
+  Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r)
+
+(* PAR's memo counters no longer move with a worker schedule: its memo
+   hits fail hard on drift like every other section's. *)
+let test_par_memo_hits_compared () =
+  let doc ~id ~hits ~misses =
+    make_doc ~id
+      ~metrics:
+        [ ("counters.mdp.memo_hits", hits); ("counters.mdp.memo_misses", misses) ]
+      ()
+  in
   List.iter
-    (fun (key, current) ->
-      let r = run_diff ~baseline ~current () in
+    (fun id ->
+      let baseline = doc ~id ~hits:10.0 ~misses:5.0 in
+      let r = run_diff ~baseline ~current:baseline () in
+      Alcotest.(check int) (id ^ ": both counters compared") 2 r.metrics_compared;
+      let r = run_diff ~baseline ~current:(doc ~id ~hits:11.0 ~misses:5.0) () in
       match r.findings with
       | [ f ] ->
-          Alcotest.(check string) (key ^ " fails") ("metrics." ^ key) f.subject;
-          Alcotest.(check bool) (key ^ ": as a Fail") true
-            (f.severity = Obs.Diff.Fail)
-      | fs ->
-          Alcotest.failf "%s: expected 1 finding, got %d" key (List.length fs))
-    [
-      ("solve_seq_seconds", doc ~seconds:10.0 ());
-      ("counters.mdp.memo_hits", doc ~hits:11.0 ());
-    ]
+          Alcotest.(check string) (id ^ ": hits fail") "metrics.counters.mdp.memo_hits"
+            f.subject;
+          Alcotest.(check bool) (id ^ ": as a Fail") true (f.severity = Obs.Diff.Fail)
+      | fs -> Alcotest.failf "%s: expected 1 finding, got %d" id (List.length fs))
+    [ "PAR"; "E5" ]
 
 let test_missing_section_warns () =
   let baseline =
@@ -310,6 +321,8 @@ let tests =
       test_measured_drift_fails_hard;
     Alcotest.test_case "diff: only gc.minor_words is exempt" `Quick
       test_only_minor_words_exempt;
+    Alcotest.test_case "diff: PAR memo hits are compared" `Quick
+      test_par_memo_hits_compared;
     Alcotest.test_case "diff: missing/new sections" `Quick test_missing_section_warns;
     Alcotest.test_case "diff: added/removed rows" `Quick test_row_set_changes;
     Alcotest.test_case "diff: missing metrics warn" `Quick test_missing_metric_warns;
