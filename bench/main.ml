@@ -385,7 +385,7 @@ let e5_convergence () =
 let run_random_config ?(max_steps = 1_000_000) ~seed config =
   let rng = Rng.of_int seed in
   let t = Sim.Runtime.create config (Sim.Runtime.Gen (Rng.split rng)) in
-  match Sim.Runtime.run t ~max_steps (fun _ evs -> Rng.pick rng evs) with
+  match Sim.Runtime.run t ~max_steps (Adversary.Schedulers.uniform rng) with
   | Sim.Runtime.Completed -> t
   | _ -> failwith "bench run did not complete"
 
@@ -644,7 +644,7 @@ let e9_round_based () =
       Sim.Runtime.create ~trace_level:Sim.Trace.History config
         (Sim.Runtime.Gen (Rng.split rng))
     in
-    match Sim.Runtime.run t ~max_steps:10_000_000 (fun _ evs -> Rng.pick rng evs) with
+    match Sim.Runtime.run t ~max_steps:10_000_000 (Adversary.Schedulers.uniform rng) with
     | Sim.Runtime.Completed ->
         Programs.Round_based.agreed_round_of_trace (Sim.Runtime.trace t) ~n ~max_rounds
     | _ -> None

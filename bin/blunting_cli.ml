@@ -349,7 +349,7 @@ let lin_sweep_cmd =
       in
       let rng = Rng.of_int seed in
       let t = Sim.Runtime.create config (Sim.Runtime.Gen (Rng.split rng)) in
-      (match Sim.Runtime.run t ~max_steps:1_000_000 (fun _ evs -> Rng.pick rng evs) with
+      (match Sim.Runtime.run t ~max_steps:1_000_000 (Adversary.Schedulers.uniform rng) with
       | Sim.Runtime.Completed ->
           if Lin.Check.check spec (Sim.Runtime.history t) then incr ok
       | _ -> ())
@@ -411,7 +411,7 @@ let trace_cmd =
     let t = Sim.Runtime.create config (Sim.Runtime.Gen (Rng.split rng)) in
     let scheduler =
       match sched with
-      | `Uniform -> fun _st evs -> Rng.pick rng evs
+      | `Uniform -> Adversary.Schedulers.uniform rng
       | `Eager -> Adversary.Schedulers.eager_delivery
     in
     let result = Sim.Runtime.run t ~max_steps:2_000_000 scheduler in

@@ -28,10 +28,7 @@ let run ~seed ~inputs ~crash =
       done;
       if Runtime.is_active t p then Runtime.step t (Runtime.Crash p)
   | None -> ());
-  let sched _t evs =
-    let no_crash = List.filter (function Runtime.Crash _ -> false | _ -> true) evs in
-    Rng.pick rng (if no_crash = [] then evs else no_crash)
-  in
+  let sched = Adversary.Schedulers.uniform_no_crash rng in
   match Runtime.run t ~max_steps:2_000_000 sched with
   | Runtime.Completed -> Some t
   | _ -> None

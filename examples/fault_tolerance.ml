@@ -31,11 +31,7 @@ let run_with_crashes crashed =
   let t = Runtime.create (make_config ()) (Runtime.Gen (Rng.of_int 99)) in
   List.iter (fun p -> Runtime.step t (Runtime.Crash p)) crashed;
   let rng = Rng.of_int 100 in
-  let scheduler _t evs =
-    (* never crash anyone else; otherwise fair *)
-    let evs' = List.filter (function Runtime.Crash _ -> false | _ -> true) evs in
-    Rng.pick rng (if evs' = [] then evs else evs')
-  in
+  let scheduler = Adversary.Schedulers.uniform_no_crash rng in
   Runtime.run t ~max_steps:100_000 scheduler |> fun result -> (t, result)
 
 let () =

@@ -167,7 +167,7 @@ let run ~coin =
      complete (Section 2.4 assumes complete schedules) *)
   let rng = Util.Rng.of_int 0xF16 in
   (match
-     Runtime.run t ~max_steps:100_000 (fun _t evs -> Util.Rng.pick rng evs)
+     Runtime.run t ~max_steps:100_000 (fun _t n -> Util.Rng.index rng n)
    with
   | Runtime.Completed -> ()
   | Runtime.Deadlocked -> failwith "figure1: deadlock during mop-up"

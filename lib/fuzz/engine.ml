@@ -220,7 +220,7 @@ let pp_decisions ppf ds =
    chose at each decision point of the (shrunk) schedule. *)
 let replay_entry (e : Corpus.t) =
   let decisions = ref [] in
-  let observe evs chosen = decisions := (List.length evs, chosen) :: !decisions in
+  let observe n chosen = decisions := (n, chosen) :: !decisions in
   let failure_detail =
     match (e.oracle, e.case) with
     | "lin", Some case -> (

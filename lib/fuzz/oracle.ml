@@ -56,14 +56,14 @@ let replay ?(observe = fun _ _ -> ()) ~seed ~iter case codes =
       (Sim.Runtime.Gen (tape_stream ~seed ~iter))
   in
   let pos = ref 0 in
-  let guide _t evs =
+  let guide t n =
     if !pos >= Array.length codes then None
     else begin
       let code = codes.(!pos) in
       incr pos;
-      let e = List.nth evs (abs code mod List.length evs) in
-      observe evs e;
-      Some e
+      let i = abs code mod n in
+      observe n (Sim.Runtime.enabled_nth t i);
+      Some i
     end
   in
   ignore (Sim.Runtime.run_guided t ~max_steps:(Array.length codes) guide);
@@ -186,7 +186,7 @@ let model_lockstep ~seed ~iter =
         (* Mop up the simulator's trailing return/label micro-steps, then
            compare terminal classifications. *)
         (match
-           Sim.Runtime.run t ~max_steps:1_000 (fun _t evs -> List.hd evs)
+           Sim.Runtime.run t ~max_steps:1_000 (fun _t _n -> 0)
          with
         | Sim.Runtime.Completed -> ()
         | r ->

@@ -56,10 +56,11 @@ val run_recorded :
 
 (** [replay ~seed ~iter case codes] re-executes exactly the schedule
     prefix [codes] (same RNG streams as [run_recorded]) and returns the
-    runtime for inspection. [observe evs e] (default: nothing) sees every
-    decision along the way: the enabled set [evs] and the chosen [e]. *)
+    runtime for inspection. [observe n e] (default: nothing) sees every
+    decision along the way: the number [n] of enabled events and the
+    chosen [e]. *)
 val replay :
-  ?observe:(Sim.Runtime.event list -> Sim.Runtime.event -> unit) ->
+  ?observe:(int -> Sim.Runtime.event -> unit) ->
   seed:int ->
   iter:int ->
   Case.t ->

@@ -67,10 +67,14 @@ let is_ack ~name sn (m : Message.t) =
   | Value.(Pair (Str tag, _)) when not (String.equal tag "ack") -> false
   | body -> Message.tag_of body = "ack" && Value.to_int (Message.payload_of body) = sn
 
+(* The [Recv] descriptions of the two phases, built once per object
+   rather than on every phase. *)
+let reply_descr name = name ^ ".reply"
+let ack_descr name = name ^ ".ack"
+
 (* Lines 5-10: broadcast a query, await a majority of matching replies, and
    return the (value, timestamp) pair with the largest timestamp. *)
-let query_phase ~name ~n =
-  let descr = name ^ ".reply" in
+let query_phase ~name ~descr ~n =
   let* sn = Proc.fresh in
   let* () =
     Proc.broadcast (Message.make ~obj_name:name (Message.tagged "query" (Value.int sn)))
@@ -89,8 +93,7 @@ let query_phase ~name ~n =
   collect 0 Value.none (Value.ts (-1) (-1))
 
 (* Lines 13-16: broadcast the update and await a majority of acks. *)
-let update_phase ~name ~n v ts =
-  let descr = name ^ ".ack" in
+let update_phase ~name ~descr ~n v ts =
   let* sn = Proc.fresh in
   let* () =
     Proc.broadcast
@@ -107,8 +110,9 @@ let update_phase ~name ~n v ts =
   collect 0
 
 let split ~name ~n : Transform.split =
+  let reply = reply_descr name and ack = ack_descr name in
   {
-    preamble = (fun ~self:_ ~meth:_ ~arg:_ -> query_phase ~name ~n);
+    preamble = (fun ~self:_ ~meth:_ ~arg:_ -> query_phase ~name ~descr:reply ~n);
     tail =
       (fun ~self ~meth ~arg locals ->
         let v, ts = Value.to_pair locals in
@@ -116,14 +120,14 @@ let split ~name ~n : Transform.split =
         | "read" ->
             (* write-back, then return the value read (lines 22-24) *)
             let* () = Proc.note "adopted" (Value.pair v ts) in
-            let* () = update_phase ~name ~n v ts in
+            let* () = update_phase ~name ~descr:ack ~n v ts in
             Proc.return v
         | "write" ->
             (* bump the integer part, tag with own id (lines 26-28) *)
             let t, _ = Value.to_pair ts in
             let ts' = Value.ts (Value.to_int t + 1) self in
             let* () = Proc.note "adopted" (Value.pair arg ts') in
-            let* () = update_phase ~name ~n arg ts' in
+            let* () = update_phase ~name ~descr:ack ~n arg ts' in
             Proc.return Value.unit
         | _ -> Fmt.invalid_arg "ABD %s: unknown method %s" name meth);
   }
@@ -148,7 +152,7 @@ let make_k ~k ~name ~n ~init =
    hence increasing at the writer). Its preamble is empty; the read is as in
    the multi-writer version. *)
 let sw_split ~name ~n ~writer : Transform.split =
-  let mw = split ~name ~n in
+  let mw = split ~name ~n and ack = ack_descr name in
   {
     preamble =
       (fun ~self ~meth ~arg ->
@@ -162,7 +166,7 @@ let sw_split ~name ~n ~writer : Transform.split =
             if self <> writer then
               Fmt.invalid_arg "ABD(sw) %s: process %d is not the writer" name self;
             let* seq = Proc.fresh in
-            let* () = update_phase ~name ~n arg (Value.ts (seq + 1) writer) in
+            let* () = update_phase ~name ~descr:ack ~n arg (Value.ts (seq + 1) writer) in
             Proc.return Value.unit
         | _ -> mw.tail ~self ~meth ~arg locals);
   }

@@ -12,7 +12,14 @@ type split = {
 }
 
 let preamble_end_label = "preamble_end"
-let iter_label i = Printf.sprintf "preamble_%d_end" i
+
+(* formatted once, not on every preamble iteration of every call *)
+let iter_labels = Array.init 32 (fun i -> Printf.sprintf "preamble_%d_end" (i + 1))
+
+let iter_label i =
+  if i >= 1 && i <= Array.length iter_labels then iter_labels.(i - 1)
+  else Printf.sprintf "preamble_%d_end" i
+
 let chosen_label = "chosen_preamble"
 
 let base_invoke split ~self ~meth ~arg =

@@ -175,31 +175,9 @@ let map t ~n f =
     results
   end
 
-(* Unlike [map], no index is evaluated inline before the region opens:
-   [map] computes [f 0] on the caller to seed the result array, which is
-   harmless for small per-index tasks but serializes a region of [n]
-   long-running cooperative loops (the first loop would run to completion
-   before any worker started). [scatter] enqueues first, then joins the
-   region, so all [min jobs n] participants run concurrently from the
-   start. Chunk size is pinned to 1: each index is one long-lived task. *)
-let scatter t ~n (f : int -> unit) =
-  check_args "scatter" t n;
-  if t.jobs = 1 || n <= 1 then
-    for i = 0 to n - 1 do
-      f i
-    done
-  else
-    run_region t ~participants:(min t.jobs n) ~chunk:1 ~first:0
-      (Array.make n ()) f
-
 let env_jobs () =
   match Sys.getenv_opt "BLUNTING_JOBS" with
   | None -> None
   | Some s -> ( match int_of_string_opt (String.trim s) with
     | Some j when j >= 1 -> Some j
     | _ -> None)
-
-let default_jobs () =
-  match env_jobs () with
-  | Some j -> j
-  | None -> Domain.recommended_domain_count ()

@@ -99,12 +99,6 @@ type t = {
   mutable tr_src : int array;
   mutable tr_msg : Message.t array;
   mutable tr_len : int;
-  (* interned event values: [enabled] conses cached events instead of
-     allocating fresh ones each step (structural equality is what the
-     schedulers use, so sharing is invisible to them) *)
-  step_evs : event array;
-  crash_evs : event array;
-  mutable deliver_evs : event array;  (* indexed by msg id *)
   objs : Obj_impl.t array;  (* [config.objects], by ordinal *)
   (* [servers.(o).(p)]: object [o]'s server state at process [p]; [||]
      for an object without a server role *)
@@ -123,16 +117,22 @@ type t = {
 (* slot filler for vacated message cells, so removal drops the reference *)
 let no_msg = Message.make ~obj_name:"" Value.unit
 
+(* The hot-path helpers below are top-level functions rather than local
+   closures: without flambda a local closure is allocated on every call. *)
+
+(* the index of the OLDEST message in [mb] from [i] on that satisfies
+   [pred], or -1: arrival order ascending, so the first match wins *)
+let rec first_match pred mb i =
+  if i >= mb.mb_len then -1 else if pred mb.mb_msgs.(i) then i
+  else first_match pred mb (i + 1)
+
 (* [p]'s ready bit, recomputed from its status: at creation and after
    p's own step (the only places a [Recv] becomes p's next operation),
    by one scan of the mailbox *)
 let refresh_ready t p =
   let ready =
     match t.procs.(p) with
-    | Active (Proc.Recv (_, pred), _, _) ->
-        let mb = t.mailboxes.(p) in
-        let rec scan i = i < mb.mb_len && (pred mb.mb_msgs.(i) || scan (i + 1)) in
-        scan 0
+    | Active (Proc.Recv (_, pred), _, _) -> first_match pred t.mailboxes.(p) 0 >= 0
     | Active _ | At_ret -> true
     | Terminated | Crashed_p -> false
   in
@@ -171,9 +171,6 @@ let create ?trace_level config rand =
       tr_src = Array.make 16 0;
       tr_msg = Array.make 16 no_msg;
       tr_len = 0;
-      step_evs = Array.init config.n (fun p -> Step p);
-      crash_evs = Array.init config.n (fun p -> Crash p);
-      deliver_evs = Array.make 16 (Deliver 0);
       objs;
       servers;
       inv_objs = Array.make 16 "";
@@ -226,14 +223,13 @@ let read_register t rid = Base_reg.read t.store rid ~reader:(-1)
 
 let random_results t = Trace.random_draws t.trace
 
-(* the ordinal of the object named [name], or -1 *)
-let obj_index t name =
-  let rec go i =
-    if i = Array.length t.objs then -1
-    else if String.equal t.objs.(i).Obj_impl.name name then i
-    else go (i + 1)
-  in
-  go 0
+(* the ordinal of the object named [name] from [i] on, or -1 *)
+let rec obj_index_from objs name i =
+  if i = Array.length objs then -1
+  else if String.equal objs.(i).Obj_impl.name name then i
+  else obj_index_from objs name (i + 1)
+
+let obj_index t name = obj_index_from t.objs name 0
 
 let server_state t ~obj_name ~proc =
   let o = obj_index t obj_name in
@@ -262,25 +258,71 @@ let next_op_descr t p =
       | Proc.Call_marker { obj_name; meth; _ } -> Fmt.str "call:%s.%s" obj_name meth
       | Proc.Ret_marker _ -> "ret_marker")
 
-(* The enabled set, rebuilt every step of every run: steps in process
-   order, then delivers in send order, then crashes in process order,
-   built back to front. It reads only the bitsets and the in-transit
-   array — no predicate runs here — and allocates only the result's cons
-   cells (the event values themselves are interned). *)
-let enabled t =
-  let acc = ref [] in
-  if t.config.enable_crashes && t.crashes < t.config.max_crashes then
-    for p = t.config.n - 1 downto 0 do
-      if t.active land (1 lsl p) <> 0 then acc := t.crash_evs.(p) :: !acc
-    done;
-  for i = t.tr_len - 1 downto 0 do
-    if t.crashed land (1 lsl t.tr_dst.(i)) = 0 then
-      acc := t.deliver_evs.(t.tr_ids.(i)) :: !acc
-  done;
-  for p = t.config.n - 1 downto 0 do
-    if t.ready land (1 lsl p) <> 0 then acc := t.step_evs.(p) :: !acc
-  done;
-  !acc
+(* The enabled set, by position: steps in process order (the set bits
+   of [ready]), then deliveries in send order (the in-transit slots whose
+   destination has not crashed), then crashes in process order. The
+   schedulers index into exactly this order, so it lives here alone:
+   [enabled_count] sizes it, [enabled_nth] and [step_nth] decode an index
+   into it, and [enabled] lists it. None of them runs a predicate or
+   allocates, except [enabled_nth]'s and [enabled]'s results. *)
+
+let rec popcount_from x acc = if x = 0 then acc else popcount_from (x land (x - 1)) (acc + 1)
+let popcount x = popcount_from x 0
+
+(* the position of the [i]-th set bit of [x] (lowest first) at or above
+   bit [p]; [x] has more than [i] such bits *)
+let rec nth_bit x i p =
+  if x land (1 lsl p) = 0 then nth_bit x i (p + 1)
+  else if i = 0 then p
+  else nth_bit x (i - 1) (p + 1)
+
+let crashes_allowed t = t.config.enable_crashes && t.crashes < t.config.max_crashes
+
+let rec deliverable_from t i acc =
+  if i >= t.tr_len then acc
+  else
+    deliverable_from t (i + 1)
+      (if t.crashed land (1 lsl t.tr_dst.(i)) = 0 then acc + 1 else acc)
+
+(* the in-transit messages whose destination has not crashed *)
+let deliverable t = if t.crashed = 0 then t.tr_len else deliverable_from t 0 0
+
+(* the in-transit slot of the [j]-th deliverable message at or after
+   slot [i] *)
+let rec deliverable_slot t j i =
+  if t.crashed land (1 lsl t.tr_dst.(i)) <> 0 then deliverable_slot t j (i + 1)
+  else if j = 0 then i
+  else deliverable_slot t (j - 1) (i + 1)
+
+let enabled_steps t = popcount t.ready
+
+let enabled_count t =
+  popcount t.ready + deliverable t
+  + if crashes_allowed t then popcount t.active else 0
+
+(* Position [i] of the enabled set, [0 <= i < enabled_count t], decoded
+   into one int, [(x lsl 2) lor kind]: kind 0 steps process [x], 1
+   delivers in-transit slot [x], 2 crashes process [x]. [enabled_nth]
+   and [step_nth] both decode through here. *)
+let locate t i =
+  let steps = popcount t.ready in
+  if i < steps then nth_bit t.ready i 0 lsl 2
+  else
+    let i = i - steps and d = deliverable t in
+    if i < d then ((if t.crashed = 0 then i else deliverable_slot t i 0) lsl 2) lor 1
+    else (nth_bit t.active (i - d) 0 lsl 2) lor 2
+
+let enabled_nth t i =
+  let n = enabled_count t in
+  if i < 0 || i >= n then
+    Fmt.invalid_arg "Runtime.enabled_nth: index %d of %d enabled events" i n;
+  let x = locate t i in
+  match x land 3 with
+  | 0 -> Step (x lsr 2)
+  | 1 -> Deliver t.tr_ids.(x lsr 2)
+  | _ -> Crash (x lsr 2)
+
+let enabled t = List.init (enabled_count t) (enabled_nth t)
 
 exception Not_enabled of event
 
@@ -319,14 +361,6 @@ let enqueue_message t ~src ~dst msg =
   t.tr_src.(t.tr_len) <- src;
   t.tr_msg.(t.tr_len) <- msg;
   t.tr_len <- t.tr_len + 1;
-  (* intern the event now; [enabled] will cons it every step the message
-     stays in transit *)
-  if msg_id >= Array.length t.deliver_evs then begin
-    let evs = Array.make (2 * Array.length t.deliver_evs) (Deliver 0) in
-    Array.blit t.deliver_evs 0 evs 0 (Array.length t.deliver_evs);
-    t.deliver_evs <- evs
-  end;
-  t.deliver_evs.(msg_id) <- Deliver msg_id;
   Obs.Metrics.incr M.messages_sent;
   if Trace.full t.trace then
     Trace.add t.trace
@@ -334,15 +368,18 @@ let enqueue_message t ~src ~dst msg =
   else Trace.bump_sent t.trace;
   msg_id
 
-let deliver t msg_id =
-  let rec find i =
-    if i >= t.tr_len then raise (Not_enabled (Deliver msg_id))
-    else if t.tr_ids.(i) = msg_id then i
-    else find (i + 1)
-  in
-  let i = find 0 in
+(* a server handler's replies, sent from [src] in order *)
+let rec send_all t ~src obj_name = function
+  | [] -> ()
+  | (dst, body) :: rest ->
+      ignore (enqueue_message t ~src ~dst (Message.make ~obj_name body));
+      send_all t ~src obj_name rest
+
+(* Deliver the message in in-transit slot [i]; its destination has not
+   crashed. *)
+let deliver_slot t i =
+  let msg_id = t.tr_ids.(i) in
   let src = t.tr_src.(i) and dst = t.tr_dst.(i) and msg = t.tr_msg.(i) in
-  if is_crashed t dst then raise (Not_enabled (Deliver msg_id));
   let tail = t.tr_len - i - 1 in
   Array.blit t.tr_ids (i + 1) t.tr_ids i tail;
   Array.blit t.tr_dst (i + 1) t.tr_dst i tail;
@@ -360,15 +397,7 @@ let deliver t msg_id =
         match handler ~self:dst ~state:states.(dst) ~src ~body:msg.Message.body with
         | Some { state = state'; out } ->
             states.(dst) <- state';
-            let rec send = function
-              | [] -> ()
-              | (dst', body) :: rest ->
-                  ignore
-                    (enqueue_message t ~src:dst ~dst:dst'
-                       (Message.make ~obj_name:obj.name body));
-                  send rest
-            in
-            send out;
+            send_all t ~src:dst obj.name out;
             true
         | None -> false)
     | _ -> false
@@ -394,14 +423,17 @@ let deliver t msg_id =
     Trace.add t.trace (Trace.Delivered { msg_id; src; dst; msg; handled })
   else Trace.bump t.trace
 
-(* the index of the OLDEST matching message, or -1: arrival order
-   ascending, so the first match wins *)
-let find_matching t p pred =
-  let mb = t.mailboxes.(p) in
-  let rec find i =
-    if i >= mb.mb_len then -1 else if pred mb.mb_msgs.(i) then i else find (i + 1)
-  in
-  find 0
+(* the in-transit slot holding message [msg_id] at or after slot [i],
+   or -1 *)
+let rec transit_slot t msg_id i =
+  if i >= t.tr_len then -1
+  else if t.tr_ids.(i) = msg_id then i
+  else transit_slot t msg_id (i + 1)
+
+let deliver t msg_id =
+  let i = transit_slot t msg_id 0 in
+  if i < 0 || is_crashed t t.tr_dst.(i) then raise (Not_enabled (Deliver msg_id));
+  deliver_slot t i
 
 let remove_mail mb i =
   let tail = mb.mb_len - i - 1 in
@@ -410,6 +442,9 @@ let remove_mail mb i =
   mb.mb_len <- mb.mb_len - 1;
   mb.mb_msgs.(mb.mb_len) <- no_msg
 
+(* feed [v] to [p]'s pending continuation [k] over the stack [s] *)
+let continue t p k s v = t.procs.(p) <- settle (k v) s
+
 let step_process t p =
   (match t.procs.(p) with
   | Terminated | Crashed_p -> raise (Not_enabled (Step p))
@@ -417,27 +452,26 @@ let step_process t p =
       t.procs.(p) <- Terminated;
       t.active <- t.active land lnot (1 lsl p)
   | Active (op, k, s) -> (
-      let continue v = t.procs.(p) <- settle (k v) s in
       match op with
       | Proc.Broadcast msg ->
           for dst = 0 to t.config.n - 1 do
             ignore (enqueue_message t ~src:p ~dst msg)
           done;
-          continue ()
+          continue t p k s ()
       | Proc.Send (dst, msg) ->
           ignore (enqueue_message t ~src:p ~dst msg);
-          continue ()
+          continue t p k s ()
       | Proc.Recv (_descr, pred) ->
-          let i = find_matching t p pred in
-          if i < 0 then raise (Not_enabled (Step p));
           let mb = t.mailboxes.(p) in
+          let i = first_match pred mb 0 in
+          if i < 0 then raise (Not_enabled (Step p));
           let msg_id = mb.mb_ids.(i) and msg = mb.mb_msgs.(i) in
           remove_mail mb i;
           if Trace.full t.trace then
             Trace.add t.trace
               (Trace.Received { msg_id; proc = p; msg; inv = current_inv t p })
           else Trace.bump t.trace;
-          continue msg
+          continue t p k s msg
       | Proc.Read_reg r ->
           let value = Base_reg.read t.store r ~reader:p in
           Obs.Metrics.incr M.reg_reads;
@@ -445,7 +479,7 @@ let step_process t p =
             Trace.add t.trace
               (Trace.Reg_read { proc = p; reg = r; value; inv = current_inv t p })
           else Trace.bump t.trace;
-          continue value
+          continue t p k s value
       | Proc.Write_reg (r, value) ->
           Base_reg.write t.store r ~writer:p value;
           Obs.Metrics.incr M.reg_writes;
@@ -453,7 +487,7 @@ let step_process t p =
             Trace.add t.trace
               (Trace.Reg_write { proc = p; reg = r; value; inv = current_inv t p })
           else Trace.bump t.trace;
-          continue ()
+          continue t p k s ()
       | Proc.Rmw_reg (r, f) ->
           let cur = Base_reg.read t.store r ~reader:p in
           let stored, result = f cur in
@@ -464,7 +498,7 @@ let step_process t p =
               (Trace.Reg_write
                  { proc = p; reg = r; value = stored; inv = current_inv t p })
           else Trace.bump t.trace;
-          continue result
+          continue t p k s result
       | Proc.Random (bound, kind) ->
           let result = draw_random t bound in
           Obs.Metrics.incr M.coin_flips;
@@ -480,18 +514,18 @@ let step_process t p =
               (Trace.Randomized
                  { proc = p; kind; bound; result; inv = current_inv t p })
           else Trace.bump t.trace;
-          continue result
+          continue t p k s result
       | Proc.Fresh ->
           let v = t.next_nonce in
           t.next_nonce <- v + 1;
-          continue v
+          continue t p k s v
       | Proc.Label name ->
           Trace.add t.trace (Trace.Labeled { proc = p; name; inv = current_inv t p });
-          continue ()
+          continue t p k s ()
       | Proc.Note (name, value) ->
           Trace.add t.trace
             (Trace.Noted { proc = p; name; value; inv = current_inv t p });
-          continue ()
+          continue t p k s ()
       | Proc.Call_marker { obj_name; meth; arg; tag } ->
           let i = t.next_inv in
           t.next_inv <- i + 1;
@@ -505,7 +539,7 @@ let step_process t p =
           Trace.add t.trace
             (Trace.Action
                (History.Action.Call { obj_name; meth; arg; inv = i; proc = p; tag }));
-          continue i
+          continue t p k s i
       | Proc.Ret_marker { inv = i; value } ->
           (match t.inv_stacks.(p) with
           | top :: rest when top = i -> t.inv_stacks.(p) <- rest
@@ -513,7 +547,7 @@ let step_process t p =
           let obj_name = t.inv_objs.(i) in
           Trace.add t.trace
             (Trace.Action (History.Action.Ret { inv = i; value; proc = p; obj_name }));
-          continue ()));
+          continue t p k s ()));
   refresh_ready t p
 
 let pp_event ppf = function
@@ -521,25 +555,37 @@ let pp_event ppf = function
   | Deliver id -> Fmt.pf ppf "deliver(m%d)" id
   | Crash p -> Fmt.pf ppf "crash(p%d)" p
 
+let crash t p =
+  t.procs.(p) <- Crashed_p;
+  t.active <- t.active land lnot (1 lsl p);
+  t.ready <- t.ready land lnot (1 lsl p);
+  t.crashed <- t.crashed lor (1 lsl p);
+  t.crashes <- t.crashes + 1;
+  Obs.Metrics.incr M.crashes;
+  Trace.add t.trace (Trace.Crashed p)
+
 let step t e =
   Obs.Metrics.incr M.steps;
   if debug_on () then Log.debug (fun m -> m "%a" pp_event e);
   match e with
   | Step p -> step_process t p
   | Deliver id -> deliver t id
-  | Crash p ->
-      if (not t.config.enable_crashes) || t.crashes >= t.config.max_crashes then
-        raise (Not_enabled e);
-      (match t.procs.(p) with
-      | Active _ | At_ret ->
-          t.procs.(p) <- Crashed_p;
-          t.active <- t.active land lnot (1 lsl p);
-          t.ready <- t.ready land lnot (1 lsl p);
-          t.crashed <- t.crashed lor (1 lsl p);
-          t.crashes <- t.crashes + 1;
-          Obs.Metrics.incr M.crashes;
-          Trace.add t.trace (Trace.Crashed p)
+  | Crash p -> (
+      if not (crashes_allowed t) then raise (Not_enabled e);
+      match t.procs.(p) with
+      | Active _ | At_ret -> crash t p
       | Terminated | Crashed_p -> raise (Not_enabled e))
+
+(* [step] by position, for the run loops: the index decodes straight to a
+   process or an in-transit slot, so no event is built or searched for *)
+let step_nth t i =
+  Obs.Metrics.incr M.steps;
+  if debug_on () then Log.debug (fun m -> m "%a" pp_event (enabled_nth t i));
+  let x = locate t i in
+  match x land 3 with
+  | 0 -> step_process t (x lsr 2)
+  | 1 -> deliver_slot t (x lsr 2)
+  | _ -> crash t (x lsr 2)
 
 let finished t = t.active = 0
 
@@ -550,19 +596,26 @@ let pp_run_result ppf = function
   | Deadlocked -> Fmt.string ppf "deadlocked"
   | Step_limit_reached -> Fmt.string ppf "step limit reached"
 
+let check_choice i n =
+  if i < 0 || i >= n then
+    Fmt.invalid_arg "Runtime: chose index %d of %d enabled events" i n
+
+let rec run_loop t choose remaining =
+  if finished t then Completed
+  else if remaining = 0 then Step_limit_reached
+  else
+    let n = enabled_count t in
+    if n = 0 then Deadlocked
+    else begin
+      let i = choose t n in
+      check_choice i n;
+      step_nth t i;
+      run_loop t choose (remaining - 1)
+    end
+
 let run t ~max_steps choose =
   Obs.Metrics.incr M.runs;
-  let rec go remaining =
-    if finished t then Completed
-    else if remaining = 0 then Step_limit_reached
-    else
-      match enabled t with
-      | [] -> Deadlocked
-      | evs ->
-          step t (choose t evs);
-          go (remaining - 1)
-  in
-  let result = go max_steps in
+  let result = run_loop t choose max_steps in
   Log.info (fun m ->
       m "run %a after %d steps (%d msgs)" pp_run_result result
         (Trace.count_steps t.trace)
@@ -573,22 +626,23 @@ let run_schedule t events = List.iter (step t) events
 
 type guided_result = Finished of run_result | Guide_stopped
 
+let rec guided_loop t guide remaining =
+  if finished t then Finished Completed
+  else if remaining = 0 then Finished Step_limit_reached
+  else
+    let n = enabled_count t in
+    if n = 0 then Finished Deadlocked
+    else
+      match guide t n with
+      | None -> Guide_stopped
+      | Some i ->
+          check_choice i n;
+          step_nth t i;
+          guided_loop t guide (remaining - 1)
+
 let run_guided t ~max_steps guide =
   Obs.Metrics.incr M.runs;
-  let rec go remaining =
-    if finished t then Finished Completed
-    else if remaining = 0 then Finished Step_limit_reached
-    else
-      match enabled t with
-      | [] -> Finished Deadlocked
-      | evs -> (
-          match guide t evs with
-          | None -> Guide_stopped
-          | Some e ->
-              step t e;
-              go (remaining - 1))
-  in
-  let result = go max_steps in
+  let result = guided_loop t guide max_steps in
   Log.info (fun m ->
       m "guided run %s after %d steps"
         (match result with

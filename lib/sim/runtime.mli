@@ -46,8 +46,28 @@ val create : ?trace_level:Trace.level -> config -> rand_source -> t
 
 (** {1 Stepping} *)
 
-(** [enabled t] lists the events the adversary may choose from, in a
-    deterministic order. *)
+(** The events the adversary may choose from, in one fixed order: [Step]
+    events by process, then [Deliver] events in send order (messages to a
+    crashed process excluded), then [Crash] events by process (while
+    crashes are allowed). Schedulers choose by position in this order,
+    and recorded choice codes index into it. *)
+
+(** [enabled_count t] is the number of enabled events. It reads the
+    runtime's bitsets and counters and allocates nothing. *)
+val enabled_count : t -> int
+
+(** [enabled_steps t] is the number of enabled [Step] events: positions
+    [0 .. enabled_steps t - 1]. *)
+val enabled_steps : t -> int
+
+(** [enabled_nth t i] is the event at position [i], for
+    [0 <= i < enabled_count t]; otherwise it raises [Invalid_argument]. *)
+val enabled_nth : t -> int -> event
+
+(** [enabled t] lists the enabled events in order:
+    [List.init (enabled_count t) (enabled_nth t)]. An observer for
+    scripted adversaries, enumerators and tests; the run loops do not
+    build it. *)
 val enabled : t -> event list
 
 exception Not_enabled of event
@@ -62,9 +82,13 @@ val finished : t -> bool
 type run_result = Completed | Deadlocked | Step_limit_reached
 
 (** [run t ~max_steps choose] repeatedly asks [choose] for the next event.
-    [choose] receives the full runtime (strong adversary: it observes
-    everything, including past random results) and the enabled events. *)
-val run : t -> max_steps:int -> (t -> event list -> event) -> run_result
+    [choose t n] receives the full runtime (strong adversary: it observes
+    everything, including past random results) and the number [n >= 1] of
+    enabled events, and returns the position of its choice in the
+    {!enabled} order ([enabled_nth] reads any of them). The runtime steps
+    that position directly: a step builds no event list. A position
+    outside [0 .. n-1] raises [Invalid_argument]. *)
+val run : t -> max_steps:int -> (t -> int -> int) -> run_result
 
 (** [run_schedule t events] replays an explicit schedule; raises
     [Not_enabled] on a mismatch. *)
@@ -79,7 +103,7 @@ type guided_result = Finished of run_result | Guide_stopped
     a failing schedule must remain runnable and checkable even though the
     program has not finished. *)
 val run_guided :
-  t -> max_steps:int -> (t -> event list -> event option) -> guided_result
+  t -> max_steps:int -> (t -> int -> int option) -> guided_result
 
 (** {1 Observation (for adversaries, checkers and reports)} *)
 

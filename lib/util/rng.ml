@@ -64,12 +64,13 @@ let float t =
   let v = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float v *. (1.0 /. 9007199254740992.0)
 
+(* at n = 1 [int_below] still consumes one draw, so the stream advances
+   the same whatever the range *)
+let index = int
+
 let pick t xs =
   match xs with
   | [] -> invalid_arg "Rng.pick: empty list"
-  | [ x ] ->
-      ignore (bits62 t);  (* keep the stream in lockstep with the n>1 case *)
-      x
   | _ -> List.nth xs (int_below t (List.length xs))
 
 let shuffle t xs =

@@ -45,11 +45,15 @@ val bool : t -> bool
 (** [float t] draws uniformly from [0, 1). *)
 val float : t -> float
 
+(** [index t n] is [int t n], read as a position: the index {!pick}
+    draws for an [n]-element list, with the same stream. At [n = 1] it
+    still consumes one draw (and returns 0), so the stream advances as
+    for larger ranges. *)
+val index : t -> int -> int
+
 (** [pick t xs] draws a uniformly random element of the non-empty list:
-    [List.nth xs (int t (List.length xs))], so it walks the list about
-    one and a half times and allocates nothing. A singleton still
-    consumes one 64-bit draw, so the stream advances as for longer
-    lists. *)
+    [List.nth xs (index t (List.length xs))], so it walks the list about
+    one and a half times and allocates nothing. *)
 val pick : t -> 'a list -> 'a
 
 (** [shuffle t xs] is a uniformly random permutation of [xs]. *)

@@ -1,23 +1,14 @@
-(* Shared scheduling helpers for the test suites. *)
+(* A shared run helper for the test suites. *)
 
 open Sim
 
-(* Uniformly random choice among enabled events: a probabilistically fair
-   scheduler, adequate for termination of quorum-based algorithms. *)
-let random_scheduler rng _t evs = Util.Rng.pick rng evs
-
-(* Run a configuration to completion under a random schedule and return the
-   runtime. *)
+(* Run a configuration to completion under a uniformly random schedule (a
+   probabilistically fair scheduler, adequate for termination of
+   quorum-based algorithms) and return the runtime. *)
 let run_random ?(seed = 42) ?(max_steps = 100_000) config =
   let rng = Util.Rng.of_int seed in
   let t = Runtime.create config (Runtime.Gen (Util.Rng.split rng)) in
-  match Runtime.run t ~max_steps (random_scheduler rng) with
+  match Runtime.run t ~max_steps (Adversary.Schedulers.uniform rng) with
   | Runtime.Completed -> t
   | Runtime.Deadlocked -> Alcotest.fail "run_random: deadlock"
   | Runtime.Step_limit_reached -> Alcotest.fail "run_random: step limit"
-
-(* Deliver-eagerly scheduler: prefers message deliveries, else steps the
-   lowest-id runnable process. Produces sequential-looking executions. *)
-let eager_scheduler _t evs =
-  let delivery = List.find_opt (function Runtime.Deliver _ -> true | _ -> false) evs in
-  match delivery with Some e -> e | None -> List.hd evs

@@ -148,6 +148,57 @@ let test_prefer_process () =
   Alcotest.(check bool) "R linearizable" true
     (Lin.Check.check spec (History.Hist.project_obj (Runtime.history t) "R"))
 
+(* Every scheduler's choices, pinned. Each policy runs under [recording]
+   (which logs the index of each choice among the enabled events) on 12
+   seeded runs of three configurations, and the recorded indices plus
+   each run's end go into one MD5. A runtime or scheduler change that
+   moves any choice, or the enabled order it indexes, moves the digest. *)
+let test_scheduler_choices_pinned () =
+  let module S = Adversary.Schedulers in
+  let configs =
+    [
+      (fun () -> Programs.Weakener.abd_k_config ~k:2);
+      (fun () -> Programs.Ben_or.config ~n:3 ~f:1 ~inputs:[ 0; 1; 1 ] ~max_rounds:4);
+      (fun () ->
+        Fuzz.Case.config (Fuzz.Case.Registers { impl = Fuzz.Case.Va_k 2; n = 3 }));
+    ]
+  in
+  let policies () =
+    let rr = S.round_robin () in
+    [
+      ("round_robin", fun _ -> rr);
+      ("eager_delivery", fun _ -> S.eager_delivery);
+      ("prefer_process", fun rng -> S.prefer_process 1 (S.uniform rng));
+      ("lazy_delivery", S.lazy_delivery);
+      ("uniform", S.uniform);
+    ]
+  in
+  let buf = Buffer.create 4096 in
+  List.iteri
+    (fun c mk ->
+      for i = 0 to 11 do
+        List.iter
+          (fun (name, policy) ->
+            let t =
+              Runtime.create (mk ())
+                (Runtime.Gen (Util.Rng.stream ~seed:(100 + c) ~index:((2 * i) + 1)))
+            in
+            let recorded = ref [] in
+            let sched =
+              S.recording policy (Util.Rng.stream ~seed:(100 + c) ~index:(2 * i)) recorded
+            in
+            let r = Runtime.run t ~max_steps:20_000 sched in
+            Buffer.add_string buf name;
+            List.iter
+              (fun j -> Buffer.add_string buf (string_of_int j); Buffer.add_char buf ',')
+              (List.rev !recorded);
+            Buffer.add_string buf (Fmt.str "%a;" Runtime.pp_run_result r))
+          (policies ())
+      done)
+    configs;
+  Alcotest.(check string) "pinned digest" "88d66b87defe8f1759d206e1acb95c54"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let tests =
   [
     Alcotest.test_case "Figure 1 adversary wins for both coins" `Quick
@@ -169,4 +220,5 @@ let tests =
     Alcotest.test_case "round-robin scheduler" `Quick test_round_robin_scheduler_completes;
     Alcotest.test_case "eager-delivery scheduler" `Quick test_eager_delivery_completes;
     Alcotest.test_case "prefer-process scheduler" `Quick test_prefer_process;
+    Alcotest.test_case "scheduler choices pinned" `Quick test_scheduler_choices_pinned;
   ]

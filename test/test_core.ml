@@ -92,7 +92,7 @@ let test_round_based_fallback_abd () =
       (Runtime.Gen (Util.Rng.of_int 3))
   in
   let rng = Util.Rng.of_int 4 in
-  (match Runtime.run t ~max_steps:100_000 (fun _ evs -> Util.Rng.pick rng evs) with
+  (match Runtime.run t ~max_steps:100_000 (Adversary.Schedulers.uniform rng) with
   | Runtime.Completed -> ()
   | _ -> Alcotest.fail "did not complete");
   (match !got with

@@ -398,7 +398,7 @@ let test_locality_on_weakener () =
     let config = Programs.Weakener.abd_config () in
     let rng = Rng.of_int seed in
     let t = Sim.Runtime.create config (Sim.Runtime.Gen (Rng.split rng)) in
-    (match Sim.Runtime.run t ~max_steps:1_000_000 (fun _ evs -> Rng.pick rng evs) with
+    (match Sim.Runtime.run t ~max_steps:1_000_000 (Adversary.Schedulers.uniform rng) with
     | Sim.Runtime.Completed -> ()
     | _ -> Alcotest.fail "weakener run incomplete");
     let h = Sim.Runtime.history t in

@@ -199,7 +199,7 @@ let test_snapshot_sees_own_update () =
       { Runtime.n = 2; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
       (Runtime.Gen (Rng.of_int 1))
   in
-  (match Runtime.run t ~max_steps:10_000 (fun _ evs -> List.hd evs) with
+  (match Runtime.run t ~max_steps:10_000 (fun _ _ -> 0) with
   | Runtime.Completed -> ()
   | _ -> Alcotest.fail "did not complete");
   Alcotest.(check bool)
@@ -232,7 +232,7 @@ let test_abd_k_equivalent_sequential () =
         }
         (Runtime.Gen (Rng.of_int 5))
     in
-    (match Runtime.run t ~max_steps:100_000 Scheds.eager_scheduler with
+    (match Runtime.run t ~max_steps:100_000 Adversary.Schedulers.eager_delivery with
     | Runtime.Completed -> ()
     | _ -> Alcotest.fail "sequential run incomplete");
     !results
@@ -268,7 +268,7 @@ let test_abd_k_message_count () =
           { Runtime.n = n; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
           (Runtime.Gen (Rng.of_int 2))
       in
-      (match Runtime.run t ~max_steps:100_000 Scheds.eager_scheduler with
+      (match Runtime.run t ~max_steps:100_000 Adversary.Schedulers.eager_delivery with
       | Runtime.Completed -> ()
       | _ -> Alcotest.fail "incomplete");
       let sends =
@@ -303,12 +303,7 @@ let test_abd_tolerates_minority_crash () =
   let t = Runtime.create config (Runtime.Gen (Rng.split rng)) in
   (* crash p0 immediately, then schedule fairly at random *)
   Runtime.step t (Runtime.Crash 0);
-  let choose _t evs =
-    let no_crash =
-      List.filter (function Runtime.Crash _ -> false | _ -> true) evs
-    in
-    Rng.pick rng (if no_crash = [] then evs else no_crash)
-  in
+  let choose = Adversary.Schedulers.uniform_no_crash rng in
   (match Runtime.run t ~max_steps:100_000 choose with
   | Runtime.Completed -> ()
   | Runtime.Deadlocked -> Alcotest.fail "deadlocked despite quorum alive"
@@ -335,12 +330,7 @@ let test_abd_blocks_without_quorum () =
   Runtime.step t (Runtime.Crash 0);
   Runtime.step t (Runtime.Crash 1);
   let rng = Rng.of_int 13 in
-  let choose _t evs =
-    let no_crash =
-      List.filter (function Runtime.Crash _ -> false | _ -> true) evs
-    in
-    Rng.pick rng (if no_crash = [] then evs else no_crash)
-  in
+  let choose = Adversary.Schedulers.uniform_no_crash rng in
   (match Runtime.run t ~max_steps:5_000 choose with
   | Runtime.Completed -> Alcotest.fail "should not complete without a quorum"
   | Runtime.Deadlocked | Runtime.Step_limit_reached -> ());
@@ -449,7 +439,7 @@ let test_max_register_sequential () =
       { Runtime.n = 1; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
       (Runtime.Gen (Rng.of_int 1))
   in
-  (match Runtime.run t ~max_steps:1000 (fun _ evs -> List.hd evs) with
+  (match Runtime.run t ~max_steps:1000 (fun _ _ -> 0) with
   | Runtime.Completed -> ()
   | _ -> Alcotest.fail "did not complete");
   Alcotest.(check bool) "max semantics: 5 then still 5" true
@@ -619,7 +609,7 @@ let run_probe ~k ~tape =
       { Runtime.n = 1; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
       (Runtime.Tape tape)
   in
-  (match Runtime.run t ~max_steps:1000 (fun _ evs -> List.hd evs) with
+  (match Runtime.run t ~max_steps:1000 (fun _ _ -> 0) with
   | Runtime.Completed -> ()
   | _ -> Alcotest.fail "probe run incomplete");
   Runtime.trace t

@@ -7,7 +7,7 @@ open Sim
 let run_random ?(seed = 1) ?(max_steps = 2_000_000) config =
   let rng = Rng.of_int seed in
   let t = Runtime.create config (Runtime.Gen (Rng.split rng)) in
-  match Runtime.run t ~max_steps (fun _ evs -> Rng.pick rng evs) with
+  match Runtime.run t ~max_steps (Adversary.Schedulers.uniform rng) with
   | Runtime.Completed -> t
   | Runtime.Deadlocked -> Alcotest.fail "deadlock"
   | Runtime.Step_limit_reached -> Alcotest.fail "step limit"
@@ -163,10 +163,7 @@ let run_ben_or ?(crash = None) ~seed ~inputs () =
       done;
       if Runtime.is_active t p then Runtime.step t (Runtime.Crash p)
   | None -> ());
-  let sched _t evs =
-    let no_crash = List.filter (function Runtime.Crash _ -> false | _ -> true) evs in
-    Rng.pick rng (if no_crash = [] then evs else no_crash)
-  in
+  let sched = Adversary.Schedulers.uniform_no_crash rng in
   match Runtime.run t ~max_steps:2_000_000 sched with
   | Runtime.Completed -> t
   | Runtime.Deadlocked -> Alcotest.fail "ben-or deadlock"

@@ -37,10 +37,10 @@ let test_determinism_same_schedule () =
   let rng = Rng.of_int 7 in
   let t1 = Runtime.create (trivial_config ()) (Runtime.Gen (Rng.copy rng)) in
   let sched = ref [] in
-  let choose _t evs =
-    let e = Rng.pick rng evs in
-    sched := e :: !sched;
-    e
+  let choose t n =
+    let i = Rng.index rng n in
+    sched := Runtime.enabled_nth t i :: !sched;
+    i
   in
   (match Runtime.run t1 ~max_steps:10_000 choose with
   | Runtime.Completed -> ()
@@ -89,19 +89,7 @@ let test_mailbox_fifo () =
   in
   let t = Runtime.create config (Runtime.Gen (Rng.of_int 1)) in
   (* deliver in send order, then let p1 drain *)
-  let choose _t evs =
-    match
-      List.find_opt (function Runtime.Deliver _ -> true | _ -> false) evs
-    with
-    | Some e -> e
-    | None -> (
-        match
-          List.find_opt (function Runtime.Step 0 -> true | _ -> false) evs
-        with
-        | Some e -> e
-        | None -> List.hd evs)
-  in
-  (match Runtime.run t ~max_steps:1000 choose with
+  (match Runtime.run t ~max_steps:1000 Adversary.Schedulers.eager_delivery with
   | Runtime.Completed -> ()
   | _ -> Alcotest.fail "did not complete");
   Alcotest.(check (list int)) "fifo order" [ 1; 2; 3 ] (List.rev !got)
@@ -195,7 +183,7 @@ let test_tape_randomness () =
     }
   in
   let t = Runtime.create config (Runtime.Tape [| 7; 6 |]) in
-  (match Runtime.run t ~max_steps:100 (fun _ evs -> List.hd evs) with
+  (match Runtime.run t ~max_steps:100 (fun _ _ -> 0) with
   | Runtime.Completed -> ()
   | _ -> Alcotest.fail "did not complete");
   Alcotest.(check (list int)) "tape respected (6 mod 4 = 2)" [ 7; 2 ] !drawn
@@ -339,17 +327,17 @@ let decision_digest ~level =
             (Runtime.Gen (Rng.stream ~seed:2026 ~index:((2 * i) + 1)))
         in
         let pick = Adversary.Schedulers.uniform (Rng.stream ~seed:2026 ~index:(2 * i)) in
-        let choose t evs =
-          List.iter add_event evs;
+        let choose t n =
+          List.iter add_event (Runtime.enabled t);
           Buffer.add_char buf '|';
           for p = 0 to Runtime.n t - 1 do
             Buffer.add_char buf (if Runtime.blocked t p then 'b' else '-')
           done;
-          let e = pick t evs in
-          add_event e;
+          let i = pick t n in
+          add_event (Runtime.enabled_nth t i);
           Buffer.add_char buf ';';
           incr chosen;
-          e
+          i
         in
         Buffer.add_string buf
           (Fmt.str "%a" Runtime.pp_run_result (Runtime.run t ~max_steps choose));
@@ -367,9 +355,75 @@ let test_decisions_pinned () =
   Alcotest.(check (pair string int)) "pinned digest and sim.steps"
     ("5b033c53111d4595daad994bf5e6fd8e", 140_347) full
 
+(* The positional enabled set against the enabled set rebuilt from the
+   observers: ready processes in order, then in-transit messages to live
+   processes in send order, then every active process while crashes are
+   allowed. At every step of 30 seeded uniform trials of each
+   configuration of [decision_cases] (Ben-Or chooses crashes among them),
+   [enabled], [enabled_count], [enabled_steps] and every [enabled_nth]
+   agree with it, and positions outside it raise. *)
+let test_enabled_positions () =
+  let check (config : Runtime.config) t =
+    let procs = List.init (Runtime.n t) Fun.id in
+    let steps =
+      List.filter_map
+        (fun p ->
+          if Runtime.is_active t p && not (Runtime.blocked t p) then Some (Runtime.Step p)
+          else None)
+        procs
+    in
+    let delivers =
+      List.filter_map
+        (fun (m : Runtime.in_transit) ->
+          if Runtime.is_crashed t m.dst then None else Some (Runtime.Deliver m.msg_id))
+        (Runtime.in_transit t)
+    in
+    let crashed = List.length (List.filter (Runtime.is_crashed t) procs) in
+    let crashes =
+      if config.enable_crashes && crashed < config.max_crashes then
+        List.filter_map
+          (fun p -> if Runtime.is_active t p then Some (Runtime.Crash p) else None)
+          procs
+      else []
+    in
+    let expected = steps @ delivers @ crashes in
+    let n = List.length expected in
+    if Runtime.enabled t <> expected then Alcotest.fail "enabled differs";
+    Alcotest.(check int) "enabled_count" n (Runtime.enabled_count t);
+    Alcotest.(check int) "enabled_steps" (List.length steps) (Runtime.enabled_steps t);
+    List.iteri
+      (fun i e -> if Runtime.enabled_nth t i <> e then Alcotest.failf "enabled_nth %d" i)
+      expected;
+    List.iter
+      (fun i ->
+        match Runtime.enabled_nth t i with
+        | _ -> Alcotest.failf "enabled_nth %d of %d did not raise" i n
+        | exception Invalid_argument _ -> ())
+      [ -1; n ];
+    n
+  in
+  let crashes = ref 0 in
+  List.iter
+    (fun (_, (mk, max_steps)) ->
+      for i = 0 to 29 do
+        let config = mk () in
+        let t = Runtime.create config (Runtime.Gen (Rng.stream ~seed:7 ~index:((2 * i) + 1))) in
+        let pick = Adversary.Schedulers.uniform (Rng.stream ~seed:7 ~index:(2 * i)) in
+        let choose t n =
+          Alcotest.(check int) "run's count" (check config t) n;
+          let i = pick t n in
+          (match Runtime.enabled_nth t i with Runtime.Crash _ -> incr crashes | _ -> ());
+          i
+        in
+        ignore (Runtime.run t ~max_steps choose);
+        ignore (check config t)
+      done)
+    (decision_cases ());
+  if !crashes = 0 then Alcotest.fail "no trial chose a crash"
+
 (* Allocation guard, of the same form as memo_tbl's words-per-binding
    test: 500 ABD^2 weakener trials at History level (the Monte-Carlo
-   path) must allocate at most 80 minor words per simulator step. *)
+   path) must allocate at most 40 minor words per simulator step. *)
 let test_words_per_step () =
   let steps = Obs.Metrics.counter "sim.steps" in
   let s0 = Obs.Metrics.counter_value steps in
@@ -383,7 +437,7 @@ let test_words_per_step () =
   let n = Obs.Metrics.counter_value steps - s0 in
   Alcotest.(check int) "all trials complete" 0 (r.Adversary.Monte_carlo.deadlocks + r.step_limited);
   let per = words /. float_of_int n in
-  if per > 80.0 then Alcotest.failf "%.1f words per step (at most 80)" per
+  if per > 40.0 then Alcotest.failf "%.1f words per step (at most 40)" per
 
 (* [server_state] reads each replica of an ABD object: after a run that
    delivers every message eagerly, all three servers hold the last
@@ -440,6 +494,7 @@ let tests =
     Alcotest.test_case "trace History level" `Quick test_trace_history_level;
     Alcotest.test_case "value option roundtrip" `Quick value_roundtrip;
     Alcotest.test_case "scheduling decisions pinned" `Quick test_decisions_pinned;
-    Alcotest.test_case "sim: at most 80 words per step" `Quick test_words_per_step;
+    Alcotest.test_case "sim: at most 40 words per step" `Quick test_words_per_step;
     Alcotest.test_case "server_state reads ABD replicas" `Quick test_server_state;
+    Alcotest.test_case "enabled positions match the observers" `Quick test_enabled_positions;
   ]

@@ -267,24 +267,6 @@ let test_tbl_concurrent_claims () =
         mine)
     by_wid
 
-(* ---- Par.Pool.scatter ------------------------------------------------ *)
-
-let test_scatter_exactly_once () =
-  Par.Pool.with_pool ~jobs:4 (fun pool ->
-      let n = 64 in
-      let counts = Array.init n (fun _ -> Atomic.make 0) in
-      Par.Pool.scatter pool ~n (fun i -> Atomic.incr counts.(i));
-      Array.iteri
-        (fun i c ->
-          if Atomic.get c <> 1 then
-            Alcotest.failf "index %d ran %d times" i (Atomic.get c))
-        counts);
-  (* the sequential jobs=1 path *)
-  Par.Pool.with_pool ~jobs:1 (fun pool ->
-      let hit = ref 0 in
-      Par.Pool.scatter pool ~n:5 (fun _ -> incr hit);
-      Alcotest.(check int) "jobs=1 runs every index" 5 !hit)
-
 (* ---- determinism battery: every engine combination ------------------ *)
 
 type 'a harness = {
@@ -448,8 +430,6 @@ let tests =
       test_tbl_double_resolve;
     Alcotest.test_case "sharded_tbl: concurrent claims partition" `Quick
       test_tbl_concurrent_claims;
-    Alcotest.test_case "pool scatter runs each index once" `Quick
-      test_scatter_exactly_once;
     Alcotest.test_case "matrix: atomic, prune x budget" `Quick
       test_matrix_atomic;
     Alcotest.test_case "matrix: ABD^1, prune x budget, strict cuts" `Slow
