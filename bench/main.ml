@@ -31,7 +31,6 @@ open Util
 
 type options = {
   json_path : string option;
-  trace_out : string option;
   only : string list option;  (* uppercased section ids *)
   progress : bool;
   jobs : int;
@@ -39,7 +38,6 @@ type options = {
 
 let options =
   let json_path = ref None
-  and trace_out = ref None
   and only = ref None
   and progress = ref false
   (* default 1, not the core count: see the header on what --jobs runs
@@ -47,7 +45,7 @@ let options =
   and jobs = ref (Option.value (Par.Pool.env_jobs ()) ~default:1) in
   let usage () =
     Fmt.epr
-      "usage: main.exe [--json PATH] [--trace-out PATH] [--only E1,E2,...] \
+      "usage: main.exe [--json PATH] [--only E1,E2,...] \
        [--progress] [--jobs N] [--verbosity LEVEL]@.";
     exit 2
   in
@@ -55,9 +53,6 @@ let options =
     | [] -> ()
     | "--json" :: path :: rest ->
         json_path := Some path;
-        parse rest
-    | "--trace-out" :: path :: rest ->
-        trace_out := Some path;
         parse rest
     | "--only" :: ids :: rest ->
         only :=
@@ -91,7 +86,6 @@ let options =
   parse (List.tl (Array.to_list Sys.argv));
   {
     json_path = !json_path;
-    trace_out = !trace_out;
     only = !only;
     progress = !progress;
     jobs = !jobs;
@@ -927,25 +921,12 @@ let () =
   in
   (* All sections share one pool (installed in [pool]); with_pool joins
      its domains even if a section raises mid-run. *)
-  let run_sections () =
-    let run () = List.iter (fun (id, f) -> if runs id then f ()) sections in
-    if options.jobs > 1 then
-      Par.Pool.with_pool ~jobs:options.jobs (fun p ->
-          pool := Some p;
-          Fun.protect ~finally:(fun () -> pool := None) run)
-    else run ()
-  in
-  (match options.trace_out with
-  | Some path ->
-      let (), d = Obs.Ring.capture path run_sections in
-      let events =
-        List.fold_left (fun acc (dd : Obs.Ring.domain_dump) ->
-            acc + List.length dd.events)
-          0 (d.domains @ d.runtime)
-      in
-      Fmt.pr "@.trace: %d events across %d domain ring(s) -> %s@." events
-        (List.length d.domains) path
-  | None -> run_sections ());
+  let run () = List.iter (fun (id, f) -> if runs id then f ()) sections in
+  if options.jobs > 1 then
+    Par.Pool.with_pool ~jobs:options.jobs (fun p ->
+        pool := Some p;
+        Fun.protect ~finally:(fun () -> pool := None) run)
+  else run ();
   (match options.json_path with
   | Some path -> Report.write_json ~path
   | None -> ());

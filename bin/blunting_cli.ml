@@ -7,8 +7,6 @@
      blunting mc --registers abd -k 2 --trials 1000
      blunting lin-sweep --object abd --trials 50
      blunting trace --registers abd -o weakener.trace.json
-     blunting trace analyze ring_dump.json --chrome lanes.json
-     blunting solve -k 1 --memo-budget 1M --trace-out ring_dump.json
      blunting metrics --workload mc --json
      blunting bench-diff BASELINE.json CURRENT.json
      blunting fuzz --seed 42 --budget 10000 --jobs 4
@@ -138,18 +136,7 @@ let solve_cmd =
              even if each were worth 1. The reported probability is \
              bit-identical; only the explored state count shrinks.")
   in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"PATH"
-          ~doc:
-            "Record the solve's timeline (GC cycles from runtime events, \
-             and store spills under $(b,--memo-budget)) on one clock and \
-             write the dump to $(docv); analyze it with $(b,blunting trace \
-             analyze).")
-  in
-  let run () k atomic servers abd_c prune progress trace_out memo_budget =
+  let run () k atomic servers abd_c prune progress memo_budget =
     if progress then
       Model.Weakener_abd.set_progress
         (Some (fun p -> Fmt.epr "  [mdp] %a@." Mdp.Solver.pp_progress p));
@@ -158,49 +145,42 @@ let solve_cmd =
       let v = f () in
       (v, (Obs.Span.now_us () -. t0) /. 1e6)
     in
-    let solve () =
-      if atomic then begin
-        let v, wall_s =
-          timed (fun () -> Model.Weakener_atomic.bad_probability ?memo_budget ())
-        in
-        Fmt.pr "weakener with atomic registers:@.";
-        Fmt.pr "  adversary-optimal Prob[p2 loops forever] = %.6f@." v;
-        Fmt.pr "  guaranteed termination probability      = %.6f@." (1.0 -. v);
-        Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s)
-          (Model.Weakener_atomic.solver_stats ());
-        pp_store_stats_opt Fmt.stdout (Model.Weakener_atomic.store_stats ())
-      end
-      else begin
-        let v, wall_s =
-          timed (fun () ->
-              Model.Weakener_abd.bad_probability ?memo_budget ~atomic_c:(not abd_c)
-                ~servers ~prune ~k ())
-        in
-        let st = Model.Weakener_abd.solver_stats () in
-        Fmt.pr "weakener with ABD^%d registers (%d replicas%s):@." k servers
-          (if abd_c then ", C as ABD too" else "");
-        Fmt.pr "  adversary-optimal Prob[p2 loops forever] = %.6f@." v;
-        Fmt.pr "  guaranteed termination probability      = %.6f@." (1.0 -. v);
-        Fmt.pr "  Theorem 4.2 upper bound on the former   = %.6f@."
-          (Core.Bound.weakener_instance ~k);
-        Fmt.pr "  solver: %a@." Mdp.Solver.pp_stats st;
-        Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s) st;
-        if prune then
-          Fmt.pr "  pruned subtrees: %d@." (Model.Weakener_abd.pruned_subtrees ());
-        pp_store_stats_opt Fmt.stdout (Model.Weakener_abd.store_stats ())
-      end
-    in
-    match trace_out with
-    | Some path ->
-        ignore (Obs.Ring.capture path solve);
-        Fmt.pr "  trace dump -> %s@." path
-    | None -> solve ()
+    if atomic then begin
+      let v, wall_s =
+        timed (fun () -> Model.Weakener_atomic.bad_probability ?memo_budget ())
+      in
+      Fmt.pr "weakener with atomic registers:@.";
+      Fmt.pr "  adversary-optimal Prob[p2 loops forever] = %.6f@." v;
+      Fmt.pr "  guaranteed termination probability      = %.6f@." (1.0 -. v);
+      Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s)
+        (Model.Weakener_atomic.solver_stats ());
+      pp_store_stats_opt Fmt.stdout (Model.Weakener_atomic.store_stats ())
+    end
+    else begin
+      let v, wall_s =
+        timed (fun () ->
+            Model.Weakener_abd.bad_probability ?memo_budget ~atomic_c:(not abd_c)
+              ~servers ~prune ~k ())
+      in
+      let st = Model.Weakener_abd.solver_stats () in
+      Fmt.pr "weakener with ABD^%d registers (%d replicas%s):@." k servers
+        (if abd_c then ", C as ABD too" else "");
+      Fmt.pr "  adversary-optimal Prob[p2 loops forever] = %.6f@." v;
+      Fmt.pr "  guaranteed termination probability      = %.6f@." (1.0 -. v);
+      Fmt.pr "  Theorem 4.2 upper bound on the former   = %.6f@."
+        (Core.Bound.weakener_instance ~k);
+      Fmt.pr "  solver: %a@." Mdp.Solver.pp_stats st;
+      Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s) st;
+      if prune then
+        Fmt.pr "  pruned subtrees: %d@." (Model.Weakener_abd.pruned_subtrees ());
+      pp_store_stats_opt Fmt.stdout (Model.Weakener_abd.store_stats ())
+    end
   in
   let doc = "Solve the exact adversary-vs-coin game of the weakener program." in
   Cmd.v (Cmd.info "solve" ~doc)
     Term.(
       const run $ verbosity_term $ k_arg $ atomic_arg $ servers_arg $ abd_c_arg
-      $ prune_arg $ progress_arg $ trace_out_arg $ memo_budget_term)
+      $ prune_arg $ progress_arg $ memo_budget_term)
 
 (* ---- figure1 -------------------------------------------------------- *)
 
@@ -433,85 +413,14 @@ let trace_cmd =
         Fmt.pr "open it at https://ui.perfetto.dev or chrome://tracing@."
     | `Jsonl -> ()
   in
-  (* `blunting trace analyze` — the offline side of the ring-buffer
-     tracing: read a dump written by --trace-out (solve or bench) and
-     render the per-domain busy/idle, spill and adversary-decision
-     report, optionally with machine JSON and a Chrome/Perfetto export. *)
-  let analyze_cmd =
-    let trace_arg =
-      Arg.(
-        required
-        & pos 0 (some file) None
-        & info [] ~docv:"TRACE"
-            ~doc:"Ring dump written by $(b,--trace-out) (blunting-trace/1).")
-    in
-    let json_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "json" ] ~docv:"PATH"
-            ~doc:"Also write the report as machine-readable JSON to $(docv).")
-    in
-    let chrome_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "chrome" ] ~docv:"PATH"
-            ~doc:
-              "Also export the dump as a Chrome/Perfetto trace with one lane \
-               per domain to $(docv).")
-    in
-    let buckets_arg =
-      Arg.(
-        value & opt int 20
-        & info [ "buckets" ] ~docv:"N"
-            ~doc:"Utilization timeline resolution (default 20).")
-    in
-    let run () trace json chrome buckets =
-      if buckets < 1 then begin
-        Fmt.epr "--buckets expects a positive integer@.";
-        exit 2
-      end;
-      match Obs.Ring.load_file trace with
-      | Error e ->
-          Fmt.epr "%s: %s@." trace e;
-          exit 1
-      | Ok dump -> (
-          let report = Obs.Trace_analysis.analyze ~buckets dump in
-          Fmt.pr "%a@." Obs.Trace_analysis.pp report;
-          (match json with
-          | Some p ->
-              Obs.Json.write_file p (Obs.Trace_analysis.to_json report);
-              Fmt.pr "report -> %s@." p
-          | None -> ());
-          match chrome with
-          | Some p ->
-              Obs.Chrome_trace.write_file p (Obs.Ring.chrome_events dump);
-              Fmt.pr "chrome trace -> %s (open at https://ui.perfetto.dev)@." p
-          | None -> ())
-    in
-    let doc =
-      "Analyze a per-domain ring-buffer trace dump: per-domain busy and idle \
-       time, store spills, runtime events kept and lost, and a utilization \
-       timeline. Memo hit/miss counts and adversary decisions are not \
-       traced; every solve prints the former exactly, and $(b,fuzz \
-       --replay) attributes the latter."
-    in
-    Cmd.v (Cmd.info "analyze" ~doc)
-      Term.(
-        const run $ verbosity_term $ trace_arg $ json_arg $ chrome_arg
-        $ buckets_arg)
-  in
   let doc =
     "Run the weakener once and export the execution as a structured trace \
-     (Chrome/Perfetto or JSONL); $(b,trace analyze) reads ring dumps instead."
+     (Chrome/Perfetto or JSONL)."
   in
-  Cmd.group
-    ~default:
-      Term.(
-        const run $ verbosity_term $ registers_arg $ k_arg $ seed_arg
-        $ sched_arg $ out_arg $ format_arg)
-    (Cmd.info "trace" ~doc) [ analyze_cmd ]
+  Cmd.v (Cmd.info "trace" ~doc)
+    Term.(
+      const run $ verbosity_term $ registers_arg $ k_arg $ seed_arg $ sched_arg
+      $ out_arg $ format_arg)
 
 (* ---- metrics -------------------------------------------------------- *)
 

@@ -1,5 +1,5 @@
-(** The process clock shared by the trace ring, the solver's progress
-    telemetry and the harnesses' wall-time helpers.
+(** The process clock shared by the solver's progress telemetry and the
+    harnesses' wall-time helpers.
 
     The clock is [Unix.gettimeofday] — the only portable sub-millisecond
     clock available without extra dependencies; runs are far longer than

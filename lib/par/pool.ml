@@ -20,14 +20,9 @@ let jobs t = t.jobs
 let worker_loop t =
   let rec loop () =
     Mutex.lock t.mutex;
-    if Queue.is_empty t.queue && not t.stopping then begin
-      (* traced as an idle slice only when the worker actually blocks *)
-      Obs.Ring.record Obs.Ring.Pool_idle_start 0 0;
-      while Queue.is_empty t.queue && not t.stopping do
-        Condition.wait t.work t.mutex
-      done;
-      Obs.Ring.record Obs.Ring.Pool_idle_stop 0 0
-    end;
+    while Queue.is_empty t.queue && not t.stopping do
+      Condition.wait t.work t.mutex
+    done;
     if Queue.is_empty t.queue && t.stopping then Mutex.unlock t.mutex
     else begin
       let task = Queue.pop t.queue in
@@ -105,11 +100,9 @@ let chunk_loop r =
        if lo < r.n && (Mutex.lock r.done_mutex; let e = r.error in Mutex.unlock r.done_mutex; e = None)
        then begin
          let hi = min r.n (lo + r.chunk) in
-         Obs.Ring.record Obs.Ring.Pool_task_start lo hi;
          for i = lo to hi - 1 do
            r.results.(i) <- r.f i
          done;
-         Obs.Ring.record Obs.Ring.Pool_task_stop lo hi;
          go ()
        end
      in

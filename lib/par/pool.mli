@@ -1,5 +1,5 @@
 (** A domain pool for data-parallel sections (no dependencies beyond the
-    tracing hooks of {!Obs.Ring}).
+    standard library).
 
     OCaml 5 domains are expensive to spawn (~hundreds of microseconds) and
     the runtime caps their total count, so parallel workloads share a pool:
@@ -15,13 +15,7 @@
     deterministic (derive per-index RNG streams from the index, merge
     results positionally). Everything in this module is safe to call from
     the domain that created the pool; pools must not be shared across
-    domains or nested inside a running region.
-
-    When {!Obs.Ring} tracing is enabled, workers record task slices (one
-    per chunk grabbed from the region cursor) and idle slices (blocking
-    on the task queue) into their per-domain rings — the raw material for
-    the per-domain utilization timeline of [blunting trace analyze].
-    Disabled, the hooks are single atomic loads. *)
+    domains or nested inside a running region. *)
 
 type t
 

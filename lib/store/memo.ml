@@ -160,7 +160,6 @@ let spill sh =
   sh.s_runs <- sh.s_runs + 1;
   sh.s_bytes_spilled <- sh.s_bytes_spilled + bytes;
   sh.s_payload <- sh.s_payload + payload;
-  Obs.Ring.record Obs.Ring.Store_spill sh.ram_done bytes;
   Log.debug (fun f ->
       f "shard %d: spilled %d entries (%d bytes, %d claims stay)" sh.id
         sh.ram_done bytes

@@ -21,7 +21,6 @@ let () =
       ("solver-par", Test_solver_par.tests);
       ("store", Test_store.tests);
       ("obs", Test_obs.tests);
-      ("obs-ring", Test_ring.tests);
       ("obs-diff", Test_diff.tests);
       ("programs", Test_programs.tests);
       ("programs-benor", Test_programs.ben_or_tests);

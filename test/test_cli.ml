@@ -140,6 +140,25 @@ let test_jobs_must_be_positive () =
   Alcotest.(check int) "mc --jobs 2: exit 0" 0
     (exit_code [ "mc"; "--trials"; "4"; "--jobs"; "2" ])
 
+(* [trace] is a plain command: its options export the schedule. *)
+let test_trace_exports_chrome () =
+  let path = Filename.temp_file "blunting_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      ignore (run [ "trace"; "--registers"; "abd"; "-o"; path ]);
+      match Obs.Json.read_file path with
+      | Error e -> Alcotest.failf "%s is not JSON: %s" path e
+      | Ok j -> (
+          match Obs.Chrome_trace.of_json j with
+          | Error e -> Alcotest.failf "%s is not a Chrome trace: %s" path e
+          | Ok events ->
+              Alcotest.(check bool) "at least one non-metadata event" true
+                (List.exists
+                   (fun (e : Obs.Chrome_trace.event) ->
+                     e.phase <> Obs.Chrome_trace.Metadata)
+                   events)))
+
 let tests =
   [
     Alcotest.test_case "--jobs below 1 is a usage error" `Quick
@@ -149,4 +168,6 @@ let tests =
       test_metrics_counters_only;
     Alcotest.test_case "bench section minor words are exact" `Quick
       test_bench_section_allocation;
+    Alcotest.test_case "trace -o writes a Chrome trace" `Quick
+      test_trace_exports_chrome;
   ]

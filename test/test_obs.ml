@@ -156,8 +156,23 @@ let test_jsonl_round_trip () =
 
 let test_chrome_round_trip () =
   let tr = weakener_trace () in
-  let events = Sim.Trace_export.chrome_events tr in
+  (* perf's span export emits complete slices and instants, which the
+     simulator's export may not: add one of each on p0's lane *)
+  let mk = Obs.Chrome_trace.event ~cat:"span" ~pid:0 ~tid:0 in
+  let events =
+    Sim.Trace_export.chrome_events tr
+    @ [
+        mk ~args:[ ("n", Obs.Json.Int 3) ] ~name:"solve" ~ts:1.5
+          (Obs.Chrome_trace.Complete 2.25);
+        mk ~name:"mark" ~ts:4.0 Obs.Chrome_trace.Instant;
+      ]
+  in
   let doc = Obs.Chrome_trace.to_json events in
+  (* the reader perf's smoke check uses gives back exactly what was written *)
+  (match Obs.Chrome_trace.of_json doc with
+  | Error e -> Alcotest.failf "chrome doc did not parse back: %s" e
+  | Ok events' ->
+      Alcotest.(check bool) "of_json (to_json events) = events" true (events = events'));
   (* the document survives our own parser *)
   (match Obs.Json.of_string (Obs.Json.to_string doc) with
   | Error e -> Alcotest.failf "chrome doc invalid: %s" e
