@@ -21,7 +21,7 @@
    The --json document follows the Obs.Results schema (see
    lib/obs/results.mli and EXPERIMENTS.md): per-section paper-vs-measured
    rows and section metrics (solver statistics, Monte-Carlo tallies, and
-   the counter deltas and exact minor words allocated by the section).
+   the section's counter deltas), every one deterministic.
    `blunting bench-diff BASELINE CURRENT` compares it against a committed
    BENCH_*.json. *)
 

@@ -7,13 +7,10 @@
    cells are not (quantity, paper, measured) comparisons — those sections
    publish their machine-readable content via [metrics] instead.
 
-   [section] additionally snapshots the process-wide counter registry and
-   the domain's allocated minor words, and [finish] lands the deltas in
-   the section's metrics — so a section's "counters"/"gc" objects
-   describe that section's work, not cumulative totals since process
-   start. [Gc.minor_words] is exact (it counts the live minor-heap
-   pointer), unlike [Gc.quick_stat]'s [minor_words], which advances only
-   at a minor collection. *)
+   [section] additionally snapshots the process-wide counter registry,
+   and [finish] lands the deltas in the section's metrics — so a
+   section's "counters" object describes that section's work, not
+   cumulative totals since process start. *)
 
 open Util
 
@@ -23,7 +20,6 @@ type t = {
   table : Table.t;
   section : Obs.Results.section;
   counters0 : (string * int) list;
-  minor_words0 : float;
 }
 
 let section ?(headers = [ "quantity"; "paper"; "measured" ]) ~id ~title () =
@@ -32,7 +28,6 @@ let section ?(headers = [ "quantity"; "paper"; "measured" ]) ~id ~title () =
     table = Table.create headers;
     section = Obs.Results.section doc ~id ~title;
     counters0 = Obs.Metrics.counters ();
-    minor_words0 = Gc.minor_words ();
   }
 
 (* A comparison row: stdout table + JSON. *)
@@ -82,13 +77,6 @@ let finish t =
   if counter_deltas <> [] then
     Obs.Results.add_section_metrics t.section
       [ ("counters", Obs.Json.Obj counter_deltas) ];
-  Obs.Results.add_section_metrics t.section
-    [
-      ( "gc",
-        Obs.Json.Obj
-          [ ("minor_words", Obs.Json.Float (Gc.minor_words () -. t.minor_words0)) ]
-      );
-    ];
   if not (Table.is_empty t.table) then Table.print t.table
 
 let write_json ~path =

@@ -471,20 +471,8 @@ let bench_diff_cmd =
       & pos 1 (some file) None
       & info [] ~docv:"CURRENT" ~doc:"Current results document to compare.")
   in
-  let max_alloc_ratio_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-alloc-ratio" ] ~docv:"F"
-          ~doc:
-            "Require every section's allocation (gc.minor_words, per \
-             simulator step where the section counts steps) to stay within \
-             $(docv) times the baseline's (hard failure past the ceiling, \
-             or when no section pair carries GC data).")
-  in
-  let run () baseline current max_alloc_ratio =
-    let config = { Obs.Diff.max_alloc_ratio } in
-    match Obs.Diff.run_files ~config ~baseline ~current Fmt.stdout with
+  let run () baseline current =
+    match Obs.Diff.run_files ~baseline ~current Fmt.stdout with
     | Ok rc -> exit rc
     | Error e ->
         Fmt.epr "%s@." e;
@@ -492,15 +480,12 @@ let bench_diff_cmd =
   in
   let doc =
     "Diff two bench results documents: paper-vs-measured drift in CURRENT is \
-     a hard failure, and so is CURRENT-vs-BASELINE drift on a deterministic \
-     quantity; a fixed list of timing, GC and schedule-dependent figures \
-     is not compared. Exits 1 on hard failures, 2 on unreadable or \
-     schema-invalid input."
+     a hard failure, and so is CURRENT-vs-BASELINE drift on any row value \
+     or section metric (every one is deterministic). Exits 1 on hard \
+     failures, 2 on unreadable or schema-invalid input."
   in
   Cmd.v (Cmd.info "bench-diff" ~doc)
-    Term.(
-      const run $ verbosity_term $ baseline_arg $ current_arg
-      $ max_alloc_ratio_arg)
+    Term.(const run $ verbosity_term $ baseline_arg $ current_arg)
 
 (* ---- fuzz ----------------------------------------------------------- *)
 

@@ -55,18 +55,15 @@ let replay ?(observe = fun _ _ -> ()) ~seed ~iter case codes =
     Sim.Runtime.create (Case.config case)
       (Sim.Runtime.Gen (tape_stream ~seed ~iter))
   in
+  (* [max_steps] stops the run before the codes run out *)
   let pos = ref 0 in
   let guide t n =
-    if !pos >= Array.length codes then None
-    else begin
-      let code = codes.(!pos) in
-      incr pos;
-      let i = abs code mod n in
-      observe n (Sim.Runtime.enabled_nth t i);
-      Some i
-    end
+    let i = abs codes.(!pos) mod n in
+    incr pos;
+    observe n (Sim.Runtime.enabled_nth t i);
+    i
   in
-  ignore (Sim.Runtime.run_guided t ~max_steps:(Array.length codes) guide);
+  ignore (Sim.Runtime.run t ~max_steps:(Array.length codes) guide);
   t
 
 (* ---- oracle 1: linearizability -------------------------------------- *)

@@ -10,10 +10,6 @@ type finding = {
   detail : string;
 }
 
-type config = { max_alloc_ratio : float option }
-
-let default_config = { max_alloc_ratio = None }
-
 (* Every experiment here is deterministic: [abs_tol] (paper vs
    measured) absorbs only float printing noise, [rel_tol] (run vs
    baseline) a last-digit difference. *)
@@ -33,13 +29,6 @@ let exit_code r = if failures r = [] then 0 else 1
 (* ---- helpers --------------------------------------------------------- *)
 
 let ( let* ) = Result.bind
-
-(* The metrics not compared against the baseline. Everything else in a
-   results document is deterministic (seeded RNGs, exact game values)
-   and diffs tightly, so a new machine-dependent metric fails loudly
-   until it is added here. [gc.minor_words] moves with the compiler; the
-   opt-in allocation gate below reads it. *)
-let exempt_keys = [ "gc.minor_words" ]
 
 let rel_drift ~from ~to_ =
   if from = to_ then 0.0
@@ -73,8 +62,8 @@ let rows_of section =
         l
   | _ -> []
 
-(* Section metrics, flattened one level so nested "gc"/"counters" objects
-   compare per leaf ("gc.minor_words", "counters.sim.steps", ...). *)
+(* Section metrics, flattened one level so a nested "counters" object
+   compares per leaf ("counters.sim.steps", ...). *)
 let metrics_of section =
   match Json.member "metrics" section with
   | Some (Json.Obj kvs) ->
@@ -191,9 +180,7 @@ let compare_metrics ~section_id base cur =
                 subject;
                 detail = "metric present in baseline but missing in current run";
               }
-        | Some to_
-          when Float.is_finite from && Float.is_finite to_
-               && not (List.mem key exempt_keys) ->
+        | Some to_ when Float.is_finite from && Float.is_finite to_ ->
             incr compared;
             drift_finding ~section:(Some section_id) ~subject ~from ~to_
         | Some _ -> None)
@@ -201,118 +188,7 @@ let compare_metrics ~section_id base cur =
   in
   (!compared, findings)
 
-(* The --max-alloc-ratio gate compares allocation pressure section by
-   section against the BASELINE: minor words normalized per simulator
-   step when the section counted steps (so trial-count changes don't
-   masquerade as allocation changes), raw minor words otherwise.
-   Allocation counts are deterministic per workload on a given
-   compiler, unlike wall time, so a hard gate is sound here.
-   The check fails loudly when it finds nothing to compare: a gated CI
-   leg that silently skipped would defeat its
-   purpose. Sections present only in the CURRENT document (added after
-   the baseline was recorded, like a new store section) get a Warn, not
-   a Fail — there is nothing to compare them against, and they count as
-   the gate having engaged, so they don't trip the nothing-compared
-   failure either. *)
-let alloc_findings cfg bsec csec =
-  match cfg.max_alloc_ratio with
-  | None -> []
-  | Some ceiling ->
-      let words_per_unit s =
-        let metrics = metrics_of s in
-        match List.assoc_opt "gc.minor_words" metrics with
-        | Some words when Float.is_finite words -> (
-            match List.assoc_opt "counters.sim.steps" metrics with
-            | Some steps when steps > 0.0 -> Some (words /. steps, "minor words/step")
-            | _ -> Some (words, "minor words"))
-        | _ -> None
-      in
-      let compared = ref 0 in
-      let findings =
-        List.filter_map
-          (fun (id, bs) ->
-            match Option.bind (List.assoc_opt id csec) words_per_unit with
-            | None -> None
-            | Some (to_, unit_) -> (
-                match words_per_unit bs with
-                | None -> None
-                | Some (from, _) when from > 0.0 ->
-                    incr compared;
-                    let ratio = to_ /. from in
-                    if ratio > ceiling then
-                      Some
-                        {
-                          severity = Fail;
-                          section = Some id;
-                          subject = "alloc_ratio";
-                          detail =
-                            Fmt.str
-                              "%s %a -> %a: %.2fx baseline > allowed %.2fx"
-                              unit_ pp_num from pp_num to_ ratio ceiling;
-                        }
-                    else
-                      Some
-                        {
-                          severity = Info;
-                          section = Some id;
-                          subject = "alloc_ratio";
-                          detail =
-                            Fmt.str "%s %a -> %a (%.2fx <= %.2fx)" unit_
-                              pp_num from pp_num to_ ratio ceiling;
-                        }
-                | Some _ ->
-                    (* zero-allocation baseline: any current allocation is
-                       a regression past every finite ratio *)
-                    incr compared;
-                    if to_ > 0.0 then
-                      Some
-                        {
-                          severity = Fail;
-                          section = Some id;
-                          subject = "alloc_ratio";
-                          detail =
-                            Fmt.str
-                              "baseline allocated nothing, current %s %a"
-                              unit_ pp_num to_;
-                        }
-                    else None))
-          bsec
-      in
-      let new_section_findings =
-        List.filter_map
-          (fun (id, cs) ->
-            if List.mem_assoc id bsec then None
-            else
-              match words_per_unit cs with
-              | None -> None
-              | Some (to_, unit_) ->
-                  Some
-                    {
-                      severity = Warn;
-                      section = Some id;
-                      subject = "alloc_ratio";
-                      detail =
-                        Fmt.str
-                          "section absent from baseline — %s %a not gated \
-                           (re-record the baseline to cover it)"
-                          unit_ pp_num to_;
-                    })
-          csec
-      in
-      if !compared = 0 && new_section_findings = [] then
-        [
-          {
-            severity = Fail;
-            section = None;
-            subject = "alloc_ratio";
-            detail =
-              "max-alloc-ratio check requested but no section carries \
-               gc.minor_words in both documents";
-          };
-        ]
-      else findings @ new_section_findings
-
-let diff ?(config = default_config) ~baseline ~current () =
+let diff ~baseline ~current =
   let* () =
     Result.map_error (fun e -> "baseline: " ^ e) (Results.validate baseline)
   in
@@ -327,7 +203,6 @@ let diff ?(config = default_config) ~baseline ~current () =
   List.iter
     (fun (id, s) -> add (paper_findings ~section_id:id (rows_of s)))
     csec;
-  add (alloc_findings config bsec csec);
   List.iter
     (fun (id, bs) ->
       match List.assoc_opt id csec with
@@ -414,14 +289,14 @@ let pp_report ppf r =
 
 (* ---- file plumbing --------------------------------------------------- *)
 
-let run_files ?config ~baseline ~current ppf =
+let run_files ~baseline ~current ppf =
   match Json.read_file baseline with
   | Error e -> Error e
   | Ok b -> (
       match Json.read_file current with
       | Error e -> Error e
       | Ok c -> (
-          match diff ?config ~baseline:b ~current:c () with
+          match diff ~baseline:b ~current:c with
           | Error e -> Error e
           | Ok report ->
               Fmt.pf ppf "%s -> %s@.@[<v>%a@]@." baseline current pp_report report;

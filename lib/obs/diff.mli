@@ -12,10 +12,10 @@
       game values, seeded Monte-Carlo), so any drift is a real regression.
     - {b run-vs-baseline drift} (hard): every measured row value and
       every per-section metric (values, state counts, counter deltas)
-      must agree to a relative 1e-9, except [gc.minor_words], which
-      moves with the compiler and which only the gate below reads.
+      must agree to a relative 1e-9. No metric is exempt: a document
+      holds only deterministic figures. Allocation is bounded by the
+      test suite's words-per-step lines, not here.
 
-    The opt-in hard gate [max_alloc_ratio] reads the allocation figures.
     Missing sections, rows or metrics degrade to warnings (subset runs
     via [--only] are routine); new sections and rows are informational.
     Both documents must be schema v8. *)
@@ -29,22 +29,6 @@ type finding = {
   detail : string;
 }
 
-type config = {
-  max_alloc_ratio : float option;
-      (** when set, every section present in both documents with a
-          [gc.minor_words] metric must show
-          [current / baseline <= f] — normalized per simulator step
-          ([counters.sim.steps]) when the section counted steps, so
-          trial-count changes don't read as allocation changes. A hard
-          [Fail] past the ceiling, and a hard [Fail] when {e no} section
-          pair carries GC data (a silently skipped allocation gate would
-          defeat its purpose). Allocation counts are deterministic per
-          workload on a given compiler — unlike wall time — so this is a
-          hard gate, not a warning. Default [None]. *)
-}
-
-val default_config : config
-
 type report = {
   findings : finding list;  (** sorted [Fail], [Warn], [Info] *)
   sections_compared : int;
@@ -52,11 +36,11 @@ type report = {
   metrics_compared : int;
 }
 
-(** [diff ?config ~baseline ~current ()] validates both documents
+(** [diff ~baseline ~current] validates both documents
     ({!Results.validate}) and compares them.
     [Error] means a document is unloadable or fails validation — distinct
     from a clean report with [Fail] findings. *)
-val diff : ?config:config -> baseline:Json.t -> current:Json.t -> unit -> (report, string) result
+val diff : baseline:Json.t -> current:Json.t -> (report, string) result
 
 val failures : report -> finding list
 
@@ -67,8 +51,8 @@ val exit_code : report -> int
     OK/REGRESSION verdict. *)
 val pp_report : Format.formatter -> report -> unit
 
-(** [run_files ?config ~baseline ~current ppf] loads both paths, diffs,
+(** [run_files ~baseline ~current ppf] loads both paths, diffs,
     prints the report to [ppf] and returns the intended process exit code;
     [Error] for load/validation problems (callers conventionally exit 2). *)
 val run_files :
-  ?config:config -> baseline:string -> current:string -> Format.formatter -> (int, string) result
+  baseline:string -> current:string -> Format.formatter -> (int, string) result

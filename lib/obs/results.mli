@@ -6,8 +6,7 @@
     [BENCH_*.json] baseline. The document carries, per experiment section, the
     (quantity, paper, measured) rows — with optional numeric fields when
     the cell has a canonical number — plus free-form section metrics
-    (solver statistics, the section's counter deltas and the minor words
-    it allocated).
+    (solver statistics and the section's counter deltas).
 
     Schema (version {!schema_version}):
     {v
@@ -20,13 +19,11 @@
                       "paper_value"?: <number|null>,
                       "measured_value"?: <number|null> } ],
           "metrics": { "counters"?: { "<counter>": <int>, ... },
-                       "gc": { "minor_words": <number> },
                        "<key>": <number>, ... } } ] }
     v}
     [null] stands for a non-finite number. The producer (the bench
-    harness) writes only metrics some gate of {!Diff} reads; {!Diff}
-    compares every one of them against a baseline except the few it
-    names as machine- or schedule-dependent. [validate] accepts v8 only
+    harness) writes only deterministic metrics, and {!Diff} compares
+    every one of them against a baseline. [validate] accepts v8 only
     and is shared by the differ and the test suite, so the schema cannot
     silently drift from its validator. *)
 

@@ -247,8 +247,6 @@ let find_hashed t ~hash data ~len =
     let tag = hash land hash_mask in
     find_walk t tag data len (tag land t.mask)
 
-let find t data ~len = find_hashed t ~hash:(hash_slice data len) data ~len
-
 (* ---- bindings --------------------------------------------------------- *)
 
 let[@inline] check_ord t ord fn =

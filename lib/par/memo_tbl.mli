@@ -48,9 +48,6 @@ val find_or_claim : t -> Bytes.t -> len:int -> owner:int -> int
     claimed a fresh binding. *)
 val last_was_new : t -> bool
 
-(** [find t data ~len] is the ordinal of the key's binding, or [-1]. *)
-val find : t -> Bytes.t -> len:int -> int
-
 (** [owner t ord] is the claimant of binding [ord], or [-1] once it is
     resolved. *)
 val owner : t -> int -> int
@@ -84,8 +81,9 @@ val clear : t -> unit
     pick an index slot; {!Sharded_tbl} routes on bits far above them. *)
 val hash_slice : Bytes.t -> int -> int
 
-(** {!find_or_claim} and {!find} for a caller that already holds
-    [hash = hash_slice data len]. *)
+(** {!find_or_claim} for a caller that already holds
+    [hash = hash_slice data len]; [find_hashed] is the ordinal of the
+    key's binding, or [-1], without claiming. *)
 val find_or_claim_hashed :
   t -> hash:int -> Bytes.t -> len:int -> owner:int -> int
 

@@ -15,8 +15,6 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-let jobs t = t.jobs
-
 let worker_loop t =
   let rec loop () =
     Mutex.lock t.mutex;
@@ -40,8 +38,6 @@ let worker_loop t =
 let spawned = Atomic.make 0
 
 let spawned_domains () = Atomic.get spawned
-
-let domain_ids t = List.map (fun d -> (Domain.get_id d :> int)) t.workers
 
 let create ~jobs =
   if jobs < 1 then invalid_arg "Par.Pool.create: jobs must be >= 1";

@@ -24,9 +24,6 @@ type t
     Raises [Invalid_argument] when [jobs < 1]. *)
 val create : jobs:int -> t
 
-(** [jobs t] is the configured concurrency (including the caller). *)
-val jobs : t -> int
-
 (** [shutdown t] joins the worker domains. Idempotent; the pool is
     unusable afterwards. *)
 val shutdown : t -> unit
@@ -42,13 +39,6 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
     every [with_pool] has unwound — normally or exceptionally — this is
     0; the test suite asserts it. *)
 val spawned_domains : unit -> int
-
-(** [domain_ids t] is the runtime {!Domain.id} of each spawned worker, in
-    spawn order ([jobs - 1] entries — the caller participates in regions
-    under its own id, which is not listed). Stable for the pool's
-    lifetime; the bench harness records them in the results document so
-    traces can be joined to the PAR section. *)
-val domain_ids : t -> int list
 
 (** [map t ~n f] is [Array.init n f] with the index space partitioned
     into chunks executed across the pool. [f] runs concurrently on

@@ -623,30 +623,3 @@ let run t ~max_steps choose =
   result
 
 let run_schedule t events = List.iter (step t) events
-
-type guided_result = Finished of run_result | Guide_stopped
-
-let rec guided_loop t guide remaining =
-  if finished t then Finished Completed
-  else if remaining = 0 then Finished Step_limit_reached
-  else
-    let n = enabled_count t in
-    if n = 0 then Finished Deadlocked
-    else
-      match guide t n with
-      | None -> Guide_stopped
-      | Some i ->
-          check_choice i n;
-          step_nth t i;
-          guided_loop t guide (remaining - 1)
-
-let run_guided t ~max_steps guide =
-  Obs.Metrics.incr M.runs;
-  let result = guided_loop t guide max_steps in
-  Log.info (fun m ->
-      m "guided run %s after %d steps"
-        (match result with
-        | Finished r -> Fmt.str "%a" pp_run_result r
-        | Guide_stopped -> "stopped by guide")
-        (Trace.count_steps t.trace));
-  result

@@ -94,17 +94,6 @@ val run : t -> max_steps:int -> (t -> int -> int) -> run_result
     [Not_enabled] on a mismatch. *)
 val run_schedule : t -> event list -> unit
 
-type guided_result = Finished of run_result | Guide_stopped
-
-(** [run_guided t ~max_steps guide] is {!run} for partial schedules: the
-    guide may return [None] to stop the execution mid-run, leaving the
-    runtime inspectable (pending invocations stay pending in the history).
-    The fuzzer replays shrunk schedule {e prefixes} this way — a prefix of
-    a failing schedule must remain runnable and checkable even though the
-    program has not finished. *)
-val run_guided :
-  t -> max_steps:int -> (t -> int -> int option) -> guided_result
-
 (** {1 Observation (for adversaries, checkers and reports)} *)
 
 val n : t -> int

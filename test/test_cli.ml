@@ -87,13 +87,11 @@ let test_metrics_counters_only () =
   Alcotest.(check (option int)) "ABD^1 states explored" (Some 106_263)
     (int_at [ "counters"; "mdp.states_explored" ] j)
 
-(* A section's metrics describe that section's work alone. Its
-   [gc.minor_words] is the exact allocation inside it: a [Gc.quick_stat]
-   delta would read 0 for a section that runs between two minor
-   collections, as E8 does. Its counters are deltas: E4 is pure math, so
-   counters accumulated since process start would leak E1's simulator
-   and solver work into it. *)
-let test_bench_section_allocation () =
+(* A section's metrics describe that section's work alone: its counters
+   are deltas. E4 is pure math, so counters accumulated since process
+   start would leak E1's simulator and solver work into it. No section
+   carries a [gc] object: a document holds only deterministic figures. *)
+let test_bench_section_counters () =
   let path = Filename.temp_file "blunting_bench" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -115,14 +113,13 @@ let test_bench_section_allocation () =
       (match at [ "metrics"; "counters" ] (section "E4") with
       | None -> ()
       | Some c -> Alcotest.failf "E4 has counter deltas %s" (Obs.Json.to_string c));
-      let e8 = section "E8" in
       Alcotest.(check (option int)) "E8 sim.steps" (Some 2_142)
-        (int_at [ "metrics"; "counters"; "sim.steps" ] e8);
-      match
-        Option.bind (at [ "metrics"; "gc"; "minor_words" ] e8) Obs.Json.to_number_opt
-      with
-      | Some words -> Alcotest.(check bool) "E8 minor words > 0" true (words > 0.0)
-      | None -> Alcotest.fail "E8 has no numeric gc.minor_words")
+        (int_at [ "metrics"; "counters"; "sim.steps" ] (section "E8"));
+      List.iter
+        (fun id ->
+          if at [ "metrics"; "gc" ] (section id) <> None then
+            Alcotest.failf "%s has a gc object" id)
+        [ "E1"; "E4"; "E8" ])
 
 (* A job count below 1 is a usage error (cmdliner's 124) before any
    work starts, on every command that takes --jobs. *)
@@ -166,8 +163,8 @@ let tests =
     Alcotest.test_case "solve prints a one-line summary" `Quick test_solve_summary;
     Alcotest.test_case "metrics --json prints counters only" `Quick
       test_metrics_counters_only;
-    Alcotest.test_case "bench section minor words are exact" `Quick
-      test_bench_section_allocation;
+    Alcotest.test_case "bench counters are per-section" `Quick
+      test_bench_section_counters;
     Alcotest.test_case "trace -o writes a Chrome trace" `Quick
       test_trace_exports_chrome;
   ]

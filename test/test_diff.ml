@@ -1,6 +1,5 @@
 (* Tests for the regression-diff layer: Obs.Diff severity policy,
-   tolerances and the opt-in allocation gate, invalid documents, and the
-   committed baselines. *)
+   tolerances, invalid documents, and the committed baselines. *)
 
 (* Build a results document programmatically; [rows] are
    (quantity, paper_value option, measured_value) triples and [metrics]
@@ -20,8 +19,8 @@ let make_doc ?(id = "E1") ?(title = "test section") ?(rows = []) ?(metrics = [])
       (List.map (fun (k, v) -> (k, Obs.Json.Float v)) metrics);
   Obs.Results.to_json doc
 
-let run_diff ?config ~baseline ~current () =
-  match Obs.Diff.diff ?config ~baseline ~current () with
+let run_diff ~baseline ~current =
+  match Obs.Diff.diff ~baseline ~current with
   | Ok r -> r
   | Error e -> Alcotest.failf "diff errored: %s" e
 
@@ -37,56 +36,57 @@ let test_self_diff_clean () =
       ~metrics:[ ("states", 106_000.0); ("solve_seconds_k1", 2.5) ]
       ()
   in
-  let r = run_diff ~baseline:doc ~current:doc () in
+  let r = run_diff ~baseline:doc ~current:doc in
   Alcotest.(check int) "no findings" 0 (List.length r.findings);
   Alcotest.(check int) "exit 0" 0 (Obs.Diff.exit_code r);
   Alcotest.(check int) "rows compared" 2 r.rows_compared;
-  (* only the explicit list is exempt, so a timing key named like
-     solve_seconds_k1 is compared too *)
+  (* no metric is exempt, so a key named like a timing, such as
+     solve_seconds_k1, is compared too *)
   Alcotest.(check int) "metrics compared" 2 r.metrics_compared;
   Alcotest.(check int) "sections compared" 1 r.sections_compared
 
 let test_paper_drift_fails () =
   (* paper drift is detected within the CURRENT document alone *)
   let bad = make_doc ~rows:[ ("exact value", Some 0.5, 0.5002) ] () in
-  let r = run_diff ~baseline:bad ~current:bad () in
+  let r = run_diff ~baseline:bad ~current:bad in
   Alcotest.(check int) "one hard failure" 1 (count Obs.Diff.Fail r);
   Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r);
   (* ... and tolerance is respected on both sides of the edge *)
   let within = make_doc ~rows:[ ("exact value", Some 0.5, 0.5 +. 5e-7) ] () in
-  let r = run_diff ~baseline:within ~current:within () in
+  let r = run_diff ~baseline:within ~current:within in
   Alcotest.(check int) "within tolerance" 0 (count Obs.Diff.Fail r)
 
 let test_measured_drift_fails_hard () =
   let baseline = make_doc ~rows:[ ("exact value", None, 0.625) ] () in
   let current = make_doc ~rows:[ ("exact value", None, 0.6250001) ] () in
-  let r = run_diff ~baseline ~current () in
+  let r = run_diff ~baseline ~current in
   Alcotest.(check int) "deterministic drift is Fail" 1 (count Obs.Diff.Fail r);
   Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r)
 
-(* Only [gc.minor_words] is exempt: a 10x allocation change is no
-   finding at all (the opt-in gate reads it), while a timing key in the
-   same section fails hard on drift. *)
-let test_only_minor_words_exempt () =
+(* No metric is exempt: a results document holds only deterministic
+   figures, so a minor-words drift fails hard, as a timing drift does. *)
+let test_no_metric_exempt () =
   let doc ?(words = 1000.0) ?(seconds = 1.0) () =
     make_doc ~id:"PAR"
       ~metrics:[ ("gc.minor_words", words); ("solve_seq_seconds", seconds) ]
       ()
   in
   let baseline = doc () in
-  let r = run_diff ~baseline ~current:(doc ~words:10_000.0 ()) () in
-  Alcotest.(check int) "minor words drift is no finding" 0
-    (List.length r.findings);
-  Alcotest.(check int) "exit 0" 0 (Obs.Diff.exit_code r);
-  Alcotest.(check int) "the timing key compared" 1 r.metrics_compared;
-  let r = run_diff ~baseline ~current:(doc ~seconds:10.0 ()) () in
-  (match r.findings with
-  | [ f ] ->
-      Alcotest.(check string) "the timing key fails" "metrics.solve_seq_seconds"
-        f.subject;
-      Alcotest.(check bool) "as a Fail" true (f.severity = Obs.Diff.Fail)
-  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
-  Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r)
+  let r = run_diff ~baseline ~current:baseline in
+  Alcotest.(check int) "both keys compared" 2 r.metrics_compared;
+  List.iter
+    (fun (key, current) ->
+      let r = run_diff ~baseline ~current in
+      (match r.findings with
+      | [ f ] ->
+          Alcotest.(check string) (key ^ " fails") ("metrics." ^ key) f.subject;
+          Alcotest.(check bool) (key ^ ": as a Fail") true (f.severity = Obs.Diff.Fail)
+      | fs -> Alcotest.failf "%s: expected 1 finding, got %d" key (List.length fs));
+      Alcotest.(check int) (key ^ ": exit 1") 1 (Obs.Diff.exit_code r))
+    [
+      ("gc.minor_words", doc ~words:10_000.0 ());
+      ("solve_seq_seconds", doc ~seconds:10.0 ());
+    ]
 
 (* PAR's memo counters no longer move with a worker schedule: its memo
    hits fail hard on drift like every other section's. *)
@@ -100,9 +100,9 @@ let test_par_memo_hits_compared () =
   List.iter
     (fun id ->
       let baseline = doc ~id ~hits:10.0 ~misses:5.0 in
-      let r = run_diff ~baseline ~current:baseline () in
+      let r = run_diff ~baseline ~current:baseline in
       Alcotest.(check int) (id ^ ": both counters compared") 2 r.metrics_compared;
-      let r = run_diff ~baseline ~current:(doc ~id ~hits:11.0 ~misses:5.0) () in
+      let r = run_diff ~baseline ~current:(doc ~id ~hits:11.0 ~misses:5.0) in
       match r.findings with
       | [ f ] ->
           Alcotest.(check string) (id ^ ": hits fail") "metrics.counters.mdp.memo_hits"
@@ -134,11 +134,11 @@ let test_missing_section_warns () =
       | _ -> Alcotest.fail "doc is not an object")
   in
   let current = make_doc ~id:"E1" () in
-  let r = run_diff ~baseline ~current () in
+  let r = run_diff ~baseline ~current in
   Alcotest.(check int) "missing section is Warn" 1 (count Obs.Diff.Warn r);
   Alcotest.(check int) "not a failure" 0 (Obs.Diff.exit_code r);
   (* the reverse direction: a section the baseline has never seen is Info *)
-  let r = run_diff ~baseline:current ~current:baseline () in
+  let r = run_diff ~baseline:current ~current:baseline in
   Alcotest.(check int) "new section is Info" 1 (count Obs.Diff.Info r);
   Alcotest.(check int) "no warnings" 0 (count Obs.Diff.Warn r)
 
@@ -147,7 +147,7 @@ let test_row_set_changes () =
     make_doc ~rows:[ ("kept", None, 1.0); ("removed", None, 2.0) ] ()
   in
   let current = make_doc ~rows:[ ("kept", None, 1.0); ("added", None, 3.0) ] () in
-  let r = run_diff ~baseline ~current () in
+  let r = run_diff ~baseline ~current in
   let subjects sev =
     List.filter_map
       (fun (f : Obs.Diff.finding) ->
@@ -165,7 +165,7 @@ let test_row_set_changes () =
 let test_missing_metric_warns () =
   let baseline = make_doc ~metrics:[ ("states", 10.0); ("removed", 2.0) ] () in
   let current = make_doc ~metrics:[ ("states", 10.0); ("added", 3.0) ] () in
-  let r = run_diff ~baseline ~current () in
+  let r = run_diff ~baseline ~current in
   (match r.findings with
   | [ f ] ->
       Alcotest.(check string) "names the metric" "metrics.removed" f.subject;
@@ -177,36 +177,39 @@ let test_missing_metric_warns () =
 let test_invalid_documents_rejected () =
   let good = make_doc () in
   let bogus = Obs.Json.Obj [ ("schema_version", Obs.Json.Int 999) ] in
-  (match Obs.Diff.diff ~baseline:bogus ~current:good () with
+  (match Obs.Diff.diff ~baseline:bogus ~current:good with
   | Error e ->
       Alcotest.(check bool) "names the baseline" true
         (String.length e > 9 && String.sub e 0 9 = "baseline:")
   | Ok _ -> Alcotest.fail "unversioned baseline accepted");
-  match Obs.Diff.diff ~baseline:good ~current:Obs.Json.Null () with
+  match Obs.Diff.diff ~baseline:good ~current:Obs.Json.Null with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "null current accepted"
 
 let test_nested_metrics_and_report_render () =
-  (* nested gc/counters objects compare per leaf, and the renderer names
+  (* a nested counters object compares per leaf, and the renderer names
      hard failures *)
-  let with_gc words =
+  let with_counters steps =
     let doc = Obs.Results.create ~generated_by:"test suite" () in
     let s = Obs.Results.section doc ~id:"E1" ~title:"t" in
     Obs.Results.add_section_metrics s
       [
         ( "counters",
-          Obs.Json.Obj [ ("sim.steps", Obs.Json.Int 100) ] );
-        ("gc", Obs.Json.Obj [ ("minor_words", Obs.Json.Float words) ]);
+          Obs.Json.Obj
+            [ ("sim.steps", Obs.Json.Int steps); ("sim.runs", Obs.Json.Int 5) ] );
       ];
     Obs.Results.to_json doc
   in
-  let r = run_diff ~baseline:(with_gc 1e6) ~current:(with_gc 1e8) () in
-  (* gc.minor_words is machine-dependent: a 100x change is not compared,
-     while the counters.sim.steps leaf is *)
-  Alcotest.(check int) "gc drift is no finding" 0 (List.length r.findings);
-  Alcotest.(check int) "only the counter leaf compared" 1 r.metrics_compared;
+  let r = run_diff ~baseline:(with_counters 100) ~current:(with_counters 101) in
+  Alcotest.(check int) "both counter leaves compared" 2 r.metrics_compared;
+  (match r.findings with
+  | [ f ] ->
+      Alcotest.(check string) "the drifted leaf fails" "metrics.counters.sim.steps"
+        f.subject;
+      Alcotest.(check bool) "as a Fail" true (f.severity = Obs.Diff.Fail)
+  | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
   let bad = make_doc ~rows:[ ("q", Some 0.5, 0.75) ] () in
-  let r = run_diff ~baseline:bad ~current:bad () in
+  let r = run_diff ~baseline:bad ~current:bad in
   let rendered = Fmt.str "@[<v>%a@]" Obs.Diff.pp_report r in
   List.iter
     (fun needle ->
@@ -217,67 +220,6 @@ let test_nested_metrics_and_report_render () =
       in
       Alcotest.(check bool) (Fmt.str "report mentions %S" needle) true has)
     [ "REGRESSION"; "FAIL"; "q" ]
-
-(* The --max-alloc-ratio gate: per-step allocation past the ceiling is a
-   hard Fail, within it an Info; steps normalize away trial-count
-   changes; a gated run with no GC data anywhere fails loudly. *)
-let alloc_doc ?steps ~minor_words () =
-  let doc = Obs.Results.create ~generated_by:"test suite" () in
-  let s = Obs.Results.section doc ~id:"E9" ~title:"rounds" in
-  Obs.Results.add_section_metrics s
-    ([ ("gc", Obs.Json.Obj [ ("minor_words", Obs.Json.Float minor_words) ]) ]
-    @
-    match steps with
-    | Some n -> [ ("counters", Obs.Json.Obj [ ("sim.steps", Obs.Json.Int n) ]) ]
-    | None -> []);
-  Obs.Results.to_json doc
-
-let test_max_alloc_ratio_gate () =
-  let gated ratio = { Obs.Diff.max_alloc_ratio = Some ratio } in
-  let alloc_findings (r : Obs.Diff.report) =
-    List.filter (fun (f : Obs.Diff.finding) -> f.subject = "alloc_ratio") r.findings
-  in
-  (* 1000 -> 900 words over the same steps: well within 1.5x, Info only *)
-  let baseline = alloc_doc ~steps:50 ~minor_words:1000.0 () in
-  let better = alloc_doc ~steps:50 ~minor_words:900.0 () in
-  let r = run_diff ~config:(gated 1.5) ~baseline ~current:better () in
-  (match alloc_findings r with
-  | [ f ] -> Alcotest.(check bool) "within ceiling is Info" true (f.severity = Obs.Diff.Info)
-  | fs -> Alcotest.failf "expected 1 alloc finding, got %d" (List.length fs));
-  Alcotest.(check int) "exit 0" 0 (Obs.Diff.exit_code r);
-  (* 2x the per-step allocation: Fail past a 1.5x ceiling *)
-  let worse = alloc_doc ~steps:50 ~minor_words:2000.0 () in
-  let r = run_diff ~config:(gated 1.5) ~baseline ~current:worse () in
-  (match alloc_findings r with
-  | [ f ] -> Alcotest.(check bool) "past ceiling is Fail" true (f.severity = Obs.Diff.Fail)
-  | fs -> Alcotest.failf "expected 1 alloc finding, got %d" (List.length fs));
-  Alcotest.(check int) "exit 1" 1 (Obs.Diff.exit_code r);
-  (* same total words over 2x the steps: per-step allocation halved, so a
-     trial-count change does not read as an allocation change *)
-  let more_steps = alloc_doc ~steps:100 ~minor_words:1000.0 () in
-  let r = run_diff ~config:(gated 1.01) ~baseline ~current:more_steps () in
-  (* (the sim.steps metric itself drifts hard here — only the gate's own
-     verdict is under test) *)
-  Alcotest.(check int) "per-step normalization passes" 0
-    (List.length
-       (List.filter (fun (f : Obs.Diff.finding) -> f.severity = Obs.Diff.Fail)
-          (alloc_findings r)));
-  (* no steps counter on either side: raw minor words compare *)
-  let raw_base = alloc_doc ~minor_words:1000.0 () in
-  let raw_worse = alloc_doc ~minor_words:1600.0 () in
-  let r = run_diff ~config:(gated 1.5) ~baseline:raw_base ~current:raw_worse () in
-  Alcotest.(check int) "raw-words fallback fails past ceiling" 1 (count Obs.Diff.Fail r);
-  (* ungated, the same drift is not compared *)
-  let r = run_diff ~baseline ~current:worse () in
-  Alcotest.(check int) "ungated drift is no finding" 0 (List.length r.findings);
-  (* a gated run with no GC data anywhere fails loudly instead of
-     silently skipping *)
-  let dry = make_doc ~metrics:[ ("states", 10.0) ] () in
-  let r = run_diff ~config:(gated 1.5) ~baseline:dry ~current:dry () in
-  (match alloc_findings r with
-  | [ f ] -> Alcotest.(check bool) "missing GC data is Fail" true (f.severity = Obs.Diff.Fail)
-  | fs -> Alcotest.failf "expected 1 alloc finding, got %d" (List.length fs));
-  Alcotest.(check int) "exit 1 on missing data" 1 (Obs.Diff.exit_code r)
 
 (* ---- committed baselines ------------------------------------------ *)
 
@@ -309,7 +251,7 @@ let test_committed_baselines () =
           (match Obs.Results.validate doc with
           | Ok () -> ()
           | Error e -> Alcotest.failf "%s invalid: %s" f e);
-          let r = run_diff ~baseline:doc ~current:doc () in
+          let r = run_diff ~baseline:doc ~current:doc in
           Alcotest.(check int) (f ^ ": self-diff has no Fail") 0 (count Obs.Diff.Fail r))
     baselines
 
@@ -319,8 +261,7 @@ let tests =
     Alcotest.test_case "diff: paper drift fails hard" `Quick test_paper_drift_fails;
     Alcotest.test_case "diff: measured drift fails hard" `Quick
       test_measured_drift_fails_hard;
-    Alcotest.test_case "diff: only gc.minor_words is exempt" `Quick
-      test_only_minor_words_exempt;
+    Alcotest.test_case "diff: no metric is exempt" `Quick test_no_metric_exempt;
     Alcotest.test_case "diff: PAR memo hits are compared" `Quick
       test_par_memo_hits_compared;
     Alcotest.test_case "diff: missing/new sections" `Quick test_missing_section_warns;
@@ -330,7 +271,6 @@ let tests =
       test_invalid_documents_rejected;
     Alcotest.test_case "diff: nested metrics, rendering" `Quick
       test_nested_metrics_and_report_render;
-    Alcotest.test_case "diff: max-alloc-ratio gate" `Quick test_max_alloc_ratio_gate;
     Alcotest.test_case "diff: committed baselines load and self-diff" `Quick
       test_committed_baselines;
   ]

@@ -13,7 +13,8 @@ let memo_claim t key ~owner =
     ~len:(String.length key) ~owner
 
 let memo_find t key =
-  Par.Memo_tbl.find t (Bytes.unsafe_of_string key) ~len:(String.length key)
+  let b = Bytes.unsafe_of_string key and len = String.length key in
+  Par.Memo_tbl.find_hashed t ~hash:(Par.Memo_tbl.hash_slice b len) b ~len
 
 let test_memo_claim_protocol () =
   let t = Par.Memo_tbl.create () in
