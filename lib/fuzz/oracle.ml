@@ -28,11 +28,15 @@ let sched_stream ~seed ~iter = Rng.stream ~seed ~index:((4 * iter) + 1)
 let tape_stream ~seed ~iter = Rng.stream ~seed ~index:((4 * iter) + 2)
 let lockstep_stream ~seed ~iter = Rng.stream ~seed ~index:((4 * iter) + 3)
 
+(* The lin oracle reads only the history, so recorded runs and replays
+   keep a [History] trace: actions, labels, notes and crashes, with exact
+   step counts. *)
+let create_runtime ~seed ~iter case =
+  Sim.Runtime.create ~trace_level:Sim.Trace.History (Case.config case)
+    (Sim.Runtime.Gen (tape_stream ~seed ~iter))
+
 let run_recorded ~seed ~iter case =
-  let t =
-    Sim.Runtime.create (Case.config case)
-      (Sim.Runtime.Gen (tape_stream ~seed ~iter))
-  in
+  let t = create_runtime ~seed ~iter case in
   let recorded = ref [] in
   let rng = sched_stream ~seed ~iter in
   (* Half the runs schedule uniformly, half procrastinate deliveries —
@@ -51,10 +55,7 @@ let run_recorded ~seed ~iter case =
   (t, Array.of_list (List.rev !recorded))
 
 let replay ?(observe = fun _ _ -> ()) ~seed ~iter case codes =
-  let t =
-    Sim.Runtime.create (Case.config case)
-      (Sim.Runtime.Gen (tape_stream ~seed ~iter))
-  in
+  let t = create_runtime ~seed ~iter case in
   (* [max_steps] stops the run before the codes run out *)
   let pos = ref 0 in
   let guide t n =
@@ -93,71 +94,66 @@ let rid_c = Sim.Base_reg.id ~obj_name:"C" "cell"
 
 let value_to_model = function Value.Int i -> i | _ -> -1
 
-let significant_count t p =
-  List.fold_left
-    (fun acc e ->
-      match e with
-      | Sim.Trace.Reg_read { proc; _ }
-      | Sim.Trace.Reg_write { proc; _ }
-      | Sim.Trace.Randomized { proc; _ }
-        when proc = p ->
-          acc + 1
-      | _ -> acc)
-    0
-    (Sim.Trace.entries (Sim.Runtime.trace t))
+(* What the abstraction reads of the trace, folded from the entries each
+   step adds: per-process register accesses and coin flips (a process's
+   program counter in the game), process 1's coin, and process 2's first
+   two reads of R and first read of C. *)
+type observed = {
+  sig_count : int array;
+  mutable seen : int;  (* [Trace.count_steps] already folded *)
+  mutable coin : int option;
+  mutable u1 : int option;
+  mutable u2 : int option;
+  mutable cread : int option;
+}
+
+let observe_new t o =
+  let trace = Sim.Runtime.trace t in
+  let total = Sim.Trace.count_steps trace in
+  let count p = o.sig_count.(p) <- o.sig_count.(p) + 1 in
+  List.iter
+    (function
+      | Sim.Trace.Reg_read { proc; reg; value; _ } ->
+          count proc;
+          if proc = 2 then begin
+            let v = Some (value_to_model value) in
+            if reg = rid_r then begin
+              if o.u1 = None then o.u1 <- v
+              else if o.u2 = None then o.u2 <- v
+            end
+            else if reg = rid_c && o.cread = None then o.cread <- v
+          end
+      | Sim.Trace.Reg_write { proc; _ } -> count proc
+      | Sim.Trace.Randomized { proc; result; _ } ->
+          count proc;
+          if proc = 1 && o.coin = None then o.coin <- Some result
+      | _ -> ())
+    (Sim.Trace.newest trace (total - o.seen));
+  o.seen <- total
 
 (* Advance process [p] through marker/label micro-steps until it performs
    its next register access or coin flip. *)
-let advance_significant t p =
-  let before = significant_count t p in
+let advance_significant t o p =
+  let before = o.sig_count.(p) in
   let budget = ref 64 in
-  while significant_count t p = before do
+  while o.sig_count.(p) = before do
     decr budget;
     if !budget < 0 then failwith "lockstep: process stuck without access";
-    Sim.Runtime.step t (Sim.Runtime.Step p)
+    Sim.Runtime.step t (Sim.Runtime.Step p);
+    observe_new t o
   done
 
-let abstract t : G.state =
-  let entries = Sim.Trace.entries (Sim.Runtime.trace t) in
-  let p2_reads =
-    List.filter_map
-      (function
-        | Sim.Trace.Reg_read { proc = 2; reg; value; _ } -> Some (reg, value)
-        | _ -> None)
-      entries
-  in
-  let r_reads =
-    List.filter_map
-      (fun (reg, v) -> if reg = rid_r then Some (value_to_model v) else None)
-      p2_reads
-  in
-  let c_reads =
-    List.filter_map
-      (fun (reg, v) -> if reg = rid_c then Some (value_to_model v) else None)
-      p2_reads
-  in
-  let nth_opt xs i = List.nth_opt xs i in
-  let coin =
-    match
-      List.find_map
-        (function
-          | Sim.Trace.Randomized { proc = 1; result; _ } -> Some result
-          | _ -> None)
-        entries
-    with
-    | Some c -> c
-    | None -> -1
-  in
+let abstract t o : G.state =
   {
     G.r = value_to_model (Sim.Runtime.read_register t rid_r);
     c = value_to_model (Sim.Runtime.read_register t rid_c);
-    pc0 = significant_count t 0;
-    pc1 = significant_count t 1;
-    pc2 = significant_count t 2;
-    coin;
-    u1 = nth_opt r_reads 0;
-    u2 = nth_opt r_reads 1;
-    cread = nth_opt c_reads 0;
+    pc0 = o.sig_count.(0);
+    pc1 = o.sig_count.(1);
+    pc2 = o.sig_count.(2);
+    coin = Option.value o.coin ~default:(-1);
+    u1 = o.u1;
+    u2 = o.u2;
+    cread = o.cread;
   }
 
 let hex s =
@@ -172,6 +168,16 @@ let model_lockstep ~seed ~iter =
     Sim.Runtime.create
       (Programs.Weakener.atomic_config ())
       (Sim.Runtime.Tape [| coin |])
+  in
+  let o =
+    {
+      sig_count = Array.make (Sim.Runtime.n t) 0;
+      seen = 0;
+      coin = None;
+      u1 = None;
+      u2 = None;
+      cread = None;
+    }
   in
   let fail detail =
     Some
@@ -210,13 +216,13 @@ let model_lockstep ~seed ~iter =
                   Fmt.invalid_arg "lockstep: no chance branch with coin %d"
                     coin)
         in
-        match advance_significant t p with
+        match advance_significant t o p with
         | exception e ->
             fail
               (Fmt.str "move %d (%a): simulator exception %s" step G.pp_move
                  move (Printexc.to_string e))
         | () ->
-            let sim_key = G.encode (abstract t) in
+            let sim_key = G.encode (abstract t o) in
             let model_key = G.encode s' in
             if not (String.equal sim_key model_key) then
               fail

@@ -49,16 +49,20 @@ val pp_failure : Format.formatter -> failure -> unit
 val case_stream : seed:int -> iter:int -> Util.Rng.t
 
 (** [run_recorded ~seed ~iter case] runs [case] to completion (or its
-    step budget) under the uniform recording scheduler and returns the
-    runtime plus the recorded choice codes. *)
+    step budget) under a recording scheduler and returns the runtime plus
+    the recorded choice codes. The scheduler stream picks the policy:
+    half the runs schedule uniformly, half with
+    {!Adversary.Schedulers.lazy_delivery}; the codes replay under either.
+    The runtime keeps a {!Sim.Trace.History} trace, which is all the lin
+    oracle reads. *)
 val run_recorded :
   seed:int -> iter:int -> Case.t -> Sim.Runtime.t * int array
 
 (** [replay ~seed ~iter case codes] re-executes exactly the schedule
-    prefix [codes] (same RNG streams as [run_recorded]) and returns the
-    runtime for inspection. [observe n e] (default: nothing) sees every
-    decision along the way: the number [n] of enabled events and the
-    chosen [e]. *)
+    prefix [codes] (same RNG streams and trace level as [run_recorded])
+    and returns the runtime for inspection. [observe n e] (default:
+    nothing) sees every decision along the way: the number [n] of enabled
+    events and the chosen [e]. *)
 val replay :
   ?observe:(int -> Sim.Runtime.event -> unit) ->
   seed:int ->

@@ -18,50 +18,86 @@ let pp_step ppf s =
 let pp_linearization ppf l =
   Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any "; ") pp_step) l
 
-(* An operation may be linearized next only when every operation that
-   returned before its call is already linearized. *)
-let is_minimal (ops : Hist.op list) chosen (o : Hist.op) =
-  List.for_all
-    (fun (o' : Hist.op) ->
-      List.mem o'.call.inv chosen
-      || not (match o'.ret_index with Some r -> r < o.call_index | None -> false))
-    ops
+(* The operation table: [Hist.ops] as an array, built once per check.
+   Operation [i] is the history's [i]-th call; [ret_index.(i)] is the
+   position of its return, [max_int] while it is pending. *)
+type table = { ops : Hist.op array; ret_index : int array }
 
-let key chosen state = (List.sort compare chosen, state)
+let table h =
+  let ops = Array.of_list (Hist.ops h) in
+  let ret_index =
+    Array.map
+      (fun (o : Hist.op) -> Option.value o.ret_index ~default:max_int)
+      ops
+  in
+  { ops; ret_index }
 
-(* Generic DFS. [emit] is called with (reversed steps, chosen, state) whenever
-   all completed operations are linearized; it returns [true] to stop. *)
-let search (spec : Spec.t) (h : Hist.t) ~init_steps ~init_chosen ~init_state ~emit =
-  let ops = Hist.ops h in
-  let completed = List.filter (fun (o : Hist.op) -> o.ret <> None) ops in
+(* A chosen set is a bitset over table positions, one bit per operation. *)
+let empty_set tbl = Bytes.make ((Array.length tbl.ops + 7) / 8) '\000'
+let bit i = 1 lsl (i land 7)
+let mem set i = Char.code (Bytes.get set (i lsr 3)) land bit i <> 0
+
+let flip set i =
+  let b = i lsr 3 in
+  Bytes.set set b (Char.chr (Char.code (Bytes.get set b) lxor bit i))
+
+(* The earliest return among the completed operations not yet chosen,
+   [max_int] when every completed operation is chosen. Operation [i] may
+   be linearized next iff [call_index i] is below it: no unchosen
+   operation returned before [i] was called. *)
+let min_ret tbl set =
+  let m = ref max_int in
+  Array.iteri
+    (fun i r -> if r < !m && not (mem set i) then m := r)
+    tbl.ret_index;
+  !m
+
+(* Linearize operation [i] at [state]: its step and the successor state,
+   if the specification accepts the call and agrees with the recorded
+   return. *)
+let apply (spec : Spec.t) tbl state i =
+  let o = tbl.ops.(i) in
+  match spec.apply state ~meth:o.call.meth ~arg:o.call.arg with
+  | None -> None
+  | Some (state', ret) -> (
+      match o.ret with
+      | Some expected when not (Value.equal expected ret) -> None
+      | _ ->
+          let step =
+            { inv = o.call.inv; meth = o.call.meth; arg = o.call.arg; ret }
+          in
+          Some (step, state'))
+
+(* Depth-first search for a witness, trying operations in call order. The
+   chosen set is flipped in place and restored on backtrack; exhausted
+   (chosen set, state) pairs are memoized. *)
+let search (spec : Spec.t) tbl =
+  let n = Array.length tbl.ops in
+  let set = empty_set tbl in
   let failed = Hashtbl.create 97 in
-  let rec dfs steps chosen state =
+  let rec dfs steps state =
     Obs.Metrics.incr M.nodes;
-    let all_done =
-      List.for_all (fun (o : Hist.op) -> List.mem o.call.inv chosen) completed
-    in
-    if all_done && emit (steps, chosen, state) then true
+    let bound = min_ret tbl set in
+    if bound = max_int then Some (List.rev steps)
     else begin
-      let k = key chosen state in
-      if Hashtbl.mem failed k then false
+      let k = (Bytes.to_string set, state) in
+      if Hashtbl.mem failed k then None
       else begin
-        let try_op (o : Hist.op) =
-          (not (List.mem o.call.inv chosen))
-          && is_minimal ops chosen o
-          &&
-          match spec.apply state ~meth:o.call.meth ~arg:o.call.arg with
-          | None -> false
-          | Some (state', ret) -> (
-              match o.ret with
-              | Some expected when not (Value.equal expected ret) -> false
-              | _ ->
-                  let step =
-                    { inv = o.call.inv; meth = o.call.meth; arg = o.call.arg; ret }
-                  in
-                  dfs (step :: steps) (o.call.inv :: chosen) state')
+        let rec try_from i =
+          if i >= n then None
+          else if mem set i || tbl.ops.(i).call_index > bound then
+            try_from (i + 1)
+          else
+            match apply spec tbl state i with
+            | None -> try_from (i + 1)
+            | Some (step, state') -> (
+                flip set i;
+                let found = dfs (step :: steps) state' in
+                flip set i;
+                match found with Some _ -> found | None -> try_from (i + 1))
         in
-        let found = List.exists try_op ops in
-        if not found then begin
+        let found = try_from 0 in
+        if Option.is_none found then begin
           Obs.Metrics.incr M.backtracks;
           Hashtbl.replace failed k ()
         end;
@@ -70,92 +106,75 @@ let search (spec : Spec.t) (h : Hist.t) ~init_steps ~init_chosen ~init_state ~em
     end
   in
   Obs.Metrics.incr M.checks;
-  dfs init_steps init_chosen init_state
+  dfs [] spec.init
 
-let find spec h =
-  let witness = ref None in
-  let emit (steps, _chosen, _state) =
-    witness := Some (List.rev steps);
-    true
+let find spec h = search spec (table h)
+let check spec h = Option.is_some (find spec h)
+
+(* Replay a proposed prefix, checking feasibility. Returns the chosen set
+   and resulting state, or None. *)
+let replay_prefix (spec : Spec.t) tbl prefix =
+  let set = empty_set tbl in
+  let n = Array.length tbl.ops in
+  let rec index inv i =
+    if i >= n then None
+    else if tbl.ops.(i).call.inv = inv then Some i
+    else index inv (i + 1)
   in
-  if search spec h ~init_steps:[] ~init_chosen:[] ~init_state:spec.init ~emit then
-    !witness
-  else None
-
-let check spec h = find spec h <> None
-
-(* Replay a proposed prefix, checking feasibility. Returns the chosen
-   invocations and resulting state, or None. *)
-let replay_prefix (spec : Spec.t) (h : Hist.t) prefix =
-  let ops = Hist.ops h in
-  let find_op inv = List.find_opt (fun (o : Hist.op) -> o.call.inv = inv) ops in
-  let step acc (s : lin_step) =
-    match acc with
-    | None -> None
-    | Some (chosen, state) -> (
-        match find_op s.inv with
+  let rec go state = function
+    | [] -> Some (set, state)
+    | (s : lin_step) :: rest -> (
+        match index s.inv 0 with
         | None -> None
-        | Some o ->
-            if List.mem s.inv chosen then None
-            else if o.call.meth <> s.meth || not (Value.equal o.call.arg s.arg) then
-              None
-            else if not (is_minimal ops chosen o) then None
+        | Some i -> (
+            let o = tbl.ops.(i) in
+            if
+              mem set i || o.call.meth <> s.meth
+              || (not (Value.equal o.call.arg s.arg))
+              || o.call_index > min_ret tbl set
+            then None
             else
-              (match spec.apply state ~meth:s.meth ~arg:s.arg with
-              | None -> None
-              | Some (state', ret) ->
-                  if not (Value.equal ret s.ret) then None
-                  else
-                    (match o.ret with
-                    | Some expected when not (Value.equal expected ret) -> None
-                    | _ -> Some (s.inv :: chosen, state'))))
+              match apply spec tbl state i with
+              | Some (step, state') when Value.equal step.ret s.ret ->
+                  flip set i;
+                  go state' rest
+              | _ -> None))
   in
-  List.fold_left step (Some ([], spec.init)) prefix
+  go spec.init prefix
 
 let validate spec h lin =
-  match replay_prefix spec h lin with
+  let tbl = table h in
+  match replay_prefix spec tbl lin with
   | None -> false
-  | Some (chosen, _) ->
-      let completed = List.filter (fun (o : Hist.op) -> o.ret <> None) (Hist.ops h) in
-      List.for_all (fun (o : Hist.op) -> List.mem o.call.inv chosen) completed
+  | Some (set, _) -> min_ret tbl set = max_int
 
 let linearizations_extending (spec : Spec.t) (h : Hist.t) prefix : linearization Seq.t =
-  match replay_prefix spec h prefix with
+  let tbl = table h in
+  match replay_prefix spec tbl prefix with
   | None -> Seq.empty
-  | Some (chosen0, state0) ->
-      let ops = Hist.ops h in
-      let completed = List.filter (fun (o : Hist.op) -> o.ret <> None) ops in
-      (* lazy DFS producing every valid extension of the prefix *)
-      let rec gen steps chosen state () =
+  | Some (set0, state0) ->
+      let n = Array.length tbl.ops in
+      (* lazy DFS producing every valid extension of the prefix; a branch
+         is forced after its siblings were generated, so each owns a copy
+         of its chosen set *)
+      let rec gen steps set state () =
+        let bound = min_ret tbl set in
         let here =
-          if
-            List.for_all (fun (o : Hist.op) -> List.mem o.call.inv chosen) completed
-          then Seq.return (prefix @ List.rev steps)
+          if bound = max_int then Seq.return (prefix @ List.rev steps)
           else Seq.empty
         in
         let deeper =
-          List.to_seq ops
-          |> Seq.concat_map (fun (o : Hist.op) ->
-                 if List.mem o.call.inv chosen then Seq.empty
-                 else if not (is_minimal ops chosen o) then Seq.empty
+          Seq.init n Fun.id
+          |> Seq.concat_map (fun i ->
+                 if mem set i || tbl.ops.(i).call_index > bound then Seq.empty
                  else
-                   match spec.apply state ~meth:o.call.meth ~arg:o.call.arg with
+                   match apply spec tbl state i with
                    | None -> Seq.empty
-                   | Some (state', ret) -> (
-                       match o.ret with
-                       | Some expected when not (Value.equal expected ret) ->
-                           Seq.empty
-                       | _ ->
-                           let step =
-                             {
-                               inv = o.call.inv;
-                               meth = o.call.meth;
-                               arg = o.call.arg;
-                               ret;
-                             }
-                           in
-                           gen (step :: steps) (o.call.inv :: chosen) state'))
+                   | Some (step, state') ->
+                       let set' = Bytes.copy set in
+                       flip set' i;
+                       gen (step :: steps) set' state')
         in
         Seq.append here deeper ()
       in
-      gen [] chosen0 state0
+      gen [] set0 state0

@@ -8,7 +8,16 @@
 
     The checker is a depth-first search over partial linearizations with
     memoization on (set of linearized invocations, abstract state) — the
-    standard Wing–Gong/Lowe algorithm. *)
+    standard Wing–Gong/Lowe algorithm. Each check builds one operation
+    table, the history's operations in call order as an array. The set of
+    linearized operations is a bitset over table positions (one bit per
+    operation, so any history length works), flipped in place as the
+    search descends and restored on backtrack; the memo key is the
+    bitset's bytes paired with the state. Real-time order is one rule per
+    node: an operation may be linearized next iff it was called before
+    the earliest return among the completed operations not yet
+    linearized. When no such return is left, every completed operation
+    is linearized and the search has a witness. *)
 
 (** One step of a linearization: an invocation and the return value the
     specification assigns to it (for pending invocations, the value their

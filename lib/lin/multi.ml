@@ -1,24 +1,20 @@
 open Util
 open History
 
-let known specs h =
-  List.for_all
-    (fun (o : Hist.op) -> List.mem_assoc o.call.obj_name specs)
-    (Hist.ops h)
+(* The first object called in [h] that [specs] does not specify. *)
+let unknown specs h =
+  List.find_map
+    (function
+      | Action.Call c when not (List.mem_assoc c.obj_name specs) ->
+          Some c.obj_name
+      | _ -> None)
+    h
 
-let check_local specs h =
-  known specs h
-  && List.for_all
-       (fun (name, spec) -> Check.check spec (Hist.project_obj h name))
-       specs
+let known specs h = Option.is_none (unknown specs h)
 
 let check_local_result specs h =
-  match
-    List.find_opt
-      (fun (o : Hist.op) -> not (List.mem_assoc o.call.obj_name specs))
-      (Hist.ops h)
-  with
-  | Some o -> Error (Fmt.str "object %s has no specification" o.call.obj_name)
+  match unknown specs h with
+  | Some name -> Error (Fmt.str "object %s has no specification" name)
   | None -> (
       match
         List.find_opt
@@ -28,6 +24,8 @@ let check_local_result specs h =
       | Some (name, _) ->
           Error (Fmt.str "history of object %s is not linearizable" name)
       | None -> Ok ())
+
+let check_local specs h = Result.is_ok (check_local_result specs h)
 
 (* The product specification: abstract state is the list of component
    states in [specs] order; methods are dispatched by prefixing the object

@@ -52,6 +52,13 @@ let entries t =
       t.forward <- Some l;
       l
 
+let newest t k =
+  let rec take acc k = function
+    | e :: rest when k > 0 -> take (e :: acc) (k - 1) rest
+    | _ -> acc
+  in
+  take [] k t.rev_entries
+
 (* Selective projections fold over [rev_entries] directly: consing onto the
    accumulator while walking newest-to-oldest yields temporal order without
    materializing (or invalidating) the forward list. *)

@@ -32,8 +32,10 @@ type t
     the hot per-event ones, so outcome extraction ([history]) and label
     queries still work while a long simulation allocates nothing per
     register/message/coin event. [count_steps] and [count_messages]
-    stay exact at either level; the linearizability checkers and replay
-    tooling need [Full]. *)
+    stay exact at either level. The history linearizability checker
+    reads only [history] and works at either level; the checkers and
+    exporters that read register, message or coin entries need
+    [Full]. *)
 type level = Full | History
 
 val create : ?level:level -> unit -> t
@@ -78,6 +80,13 @@ val count_messages : t -> int
 
 (** [count_steps t] is the total number of entries. *)
 val count_steps : t -> int
+
+(** [newest t k] is the [k] most recent recorded entries, in temporal
+    order. It walks only those [k]: at [Full], the entries one step added
+    are [newest t d] with [d] the step's [count_steps] delta, so an
+    observer that folds each step's new entries stays linear in the
+    run's length. *)
+val newest : t -> int -> entry list
 
 val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

@@ -7,6 +7,7 @@ let () =
       ("lin", Test_lin.tests);
       ("lin-more", Test_lin.more_tests);
       ("lin-locality", Test_lin.locality_tests);
+      ("lin-table", Test_lin.table_tests);
       ("objects", Test_objects.tests);
       ("objects-more", Test_objects.more_tests);
       ("transform", Test_objects.transform_tests);

@@ -437,3 +437,288 @@ let locality_tests =
       test_locality_rejects_cross_object_nonsense;
     Alcotest.test_case "locality with unknown object" `Quick test_locality_unknown_object;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* The operation table: the checker against a brute-force reference,
+   histories whose chosen set spans several bytes, and a pin of the
+   search's node and backtrack counts. *)
+
+(* Reference validity of a sequence of distinct operation positions:
+   every completed operation occurs, no operation occurs after one that
+   was called after it returned, and the sequence replays through [spec]
+   with the recorded returns. Returns the specification's return values. *)
+let reference_replay (spec : Spec.t) (ops : Hist.op array) seq =
+  let precedes (a : Hist.op) (b : Hist.op) =
+    match a.ret_index with Some r -> r < b.call_index | None -> false
+  in
+  let rec in_order = function
+    | [] -> true
+    | i :: later ->
+        List.for_all (fun j -> not (precedes ops.(j) ops.(i))) later
+        && in_order later
+  in
+  let covers =
+    Array.for_all Fun.id
+      (Array.mapi (fun i (o : Hist.op) -> o.ret = None || List.mem i seq) ops)
+  in
+  let rec replay state acc = function
+    | [] -> Some (List.rev acc)
+    | i :: rest -> (
+        let o = ops.(i) in
+        match spec.apply state ~meth:o.call.meth ~arg:o.call.arg with
+        | None -> None
+        | Some (state', ret) -> (
+            match o.ret with
+            | Some expected when not (Value.equal expected ret) -> None
+            | _ -> replay state' (ret :: acc) rest))
+  in
+  if covers && in_order seq then replay spec.init [] seq else None
+
+(* Brute force: some permutation of all operations has a prefix that is a
+   valid sequence. *)
+let reference_linearizable spec ops =
+  let n = Array.length ops in
+  let rec permutations = function
+    | [] -> [ [] ]
+    | xs ->
+        List.concat_map
+          (fun x -> List.map (List.cons x) (permutations (List.filter (( <> ) x) xs)))
+          xs
+  in
+  List.exists
+    (fun perm ->
+      List.exists
+        (fun k ->
+          let prefix = List.filteri (fun i _ -> i < k) perm in
+          reference_replay spec ops prefix <> None)
+        (List.init (n + 1) Fun.id))
+    (permutations (List.init n Fun.id))
+
+(* A witness is valid for the reference when it names distinct operations
+   with their calls and the returns the reference replay computes. *)
+let reference_witness_ok spec (ops : Hist.op array) (lin : Check.linearization) =
+  let position (s : Check.lin_step) =
+    let rec go i =
+      if i >= Array.length ops then None
+      else if ops.(i).call.inv = s.inv then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let seq = List.filter_map position lin in
+  List.length seq = List.length lin
+  && List.length (List.sort_uniq compare seq) = List.length seq
+  && List.for_all2
+       (fun (s : Check.lin_step) i ->
+         s.meth = ops.(i).call.meth && Value.equal s.arg ops.(i).call.arg)
+       lin seq
+  &&
+  match reference_replay spec ops seq with
+  | None -> false
+  | Some rets ->
+      List.for_all2 (fun (s : Check.lin_step) r -> Value.equal s.ret r) lin rets
+
+type kind = Reg | Max | Snap
+
+let kind_spec = function
+  | Reg -> spec_reg
+  | Max -> Spec.max_register
+  | Snap -> Spec.snapshot ~n:2 ~init:(Value.int 0)
+
+let random_call rng kind =
+  let v () = Value.int (1 + Rng.int rng 3) in
+  match (kind, Rng.bool rng) with
+  | (Reg | Max), true -> ("read", Value.unit)
+  | (Reg | Max), false -> ("write", v ())
+  | Snap, true -> ("scan", Value.unit)
+  | Snap, false -> ("update", Value.pair (Value.int (Rng.int rng 2)) (v ()))
+
+(* A random well-formed history of at most [max_ops] operations over
+   [procs] processes. Each operation takes effect on an atomic copy of
+   the object at a random point between its call and its return, so the
+   history is linearizable; a process may stop with its operation
+   pending, before or after that point. *)
+let random_history rng kind ~procs ~max_ops =
+  let spec = kind_spec kind in
+  let state = ref spec.init in
+  (* per process: [`Idle], [`Called (inv, meth, arg)], [`Done (inv, ret)]
+     after the effect, or [`Stopped] *)
+  let st = Array.make procs `Idle in
+  let issued = ref 0 and actions = ref [] in
+  let emit a = actions := a :: !actions in
+  let active p =
+    match st.(p) with
+    | `Idle -> !issued < max_ops
+    | `Called _ | `Done _ -> true
+    | `Stopped -> false
+  in
+  let rec loop () =
+    match List.filter active (List.init procs Fun.id) with
+    | [] -> ()
+    | ps ->
+        let p = Rng.pick rng ps in
+        (match st.(p) with
+        | (`Called _ | `Done _) when Rng.int rng 8 = 0 -> st.(p) <- `Stopped
+        | `Idle ->
+            let meth, arg = random_call rng kind in
+            emit (call ~proc:p !issued meth arg);
+            st.(p) <- `Called (!issued, meth, arg);
+            incr issued
+        | `Called (inv, meth, arg) -> (
+            match spec.apply !state ~meth ~arg with
+            | Some (s', r) ->
+                state := s';
+                st.(p) <- `Done (inv, r)
+            | None -> assert false)
+        | `Done (inv, r) ->
+            emit (ret ~proc:p inv r);
+            st.(p) <- `Idle
+        | `Stopped -> ());
+        loop ()
+  in
+  loop ();
+  List.rev !actions
+
+(* Replace one read's or scan's return with a random value, which may or
+   may not keep the history linearizable. *)
+let mutate_return rng kind h =
+  let reads =
+    List.filter_map
+      (function
+        | Action.Ret r when not (Value.equal r.value Value.unit) -> Some r.inv
+        | _ -> None)
+      h
+  in
+  match reads with
+  | [] -> h
+  | _ ->
+      let target = Rng.pick rng reads in
+      let v () = Value.int (Rng.int rng 4) in
+      let value =
+        match kind with Snap -> Value.list [ v (); v () ] | Reg | Max -> v ()
+      in
+      List.map
+        (function
+          | Action.Ret r when r.inv = target -> Action.Ret { r with value } | a -> a)
+        h
+
+let test_check_matches_brute_force () =
+  let rng = Rng.of_int 2024 in
+  let accepted = ref 0 and rejected = ref 0 and with_pending = ref 0 in
+  List.iter
+    (fun kind ->
+      let spec = kind_spec kind in
+      for i = 1 to 150 do
+        let procs = 2 + Rng.int rng 2 and max_ops = 1 + Rng.int rng 7 in
+        let h = random_history rng kind ~procs ~max_ops in
+        let h = if Rng.bool rng then mutate_return rng kind h else h in
+        let ops = Array.of_list (Hist.ops h) in
+        if Array.exists (fun (o : Hist.op) -> o.ret = None) ops then incr with_pending;
+        let expected = reference_linearizable spec ops in
+        let ctx = Fmt.str "%s history %d: %a" spec.name i Hist.pp h in
+        Alcotest.(check bool) (ctx ^ " check") expected (Check.check spec h);
+        match Check.find spec h with
+        | None ->
+            Alcotest.(check bool) (ctx ^ " no witness") false expected;
+            incr rejected
+        | Some lin ->
+            Alcotest.(check bool)
+              (ctx ^ " witness validates") true (Check.validate spec h lin);
+            Alcotest.(check bool)
+              (ctx ^ " witness valid for the reference") true
+              (reference_witness_ok spec ops lin);
+            incr accepted
+      done)
+    [ Reg; Max; Snap ];
+  (* the sample exercises both verdicts and pending calls *)
+  Alcotest.(check bool) "some accepted" true (!accepted > 50);
+  Alcotest.(check bool) "some rejected" true (!rejected > 50);
+  Alcotest.(check bool) "some with pending calls" true (!with_pending > 50)
+
+let test_long_sequential_history () =
+  (* 72 operations: write i then read i, so the chosen set spans 9 bytes *)
+  let h =
+    List.concat
+      (List.init 36 (fun i ->
+           [
+             call (2 * i) "write" (Value.int i);
+             ret (2 * i) Value.unit;
+             call ((2 * i) + 1) "read" Value.unit;
+             ret ((2 * i) + 1) (Value.int i);
+           ]))
+  in
+  (match Check.find spec_reg h with
+  | None -> Alcotest.fail "sequential history rejected"
+  | Some lin ->
+      Alcotest.(check int) "every operation linearized" 72 (List.length lin);
+      Alcotest.(check (list int))
+        "in history order" (List.init 72 Fun.id)
+        (List.map (fun (s : Check.lin_step) -> s.inv) lin);
+      Alcotest.(check bool) "witness validates" true (Check.validate spec_reg h lin));
+  (* the last read returning the previous write's value is stale *)
+  let stale =
+    List.map
+      (function Action.Ret r when r.inv = 71 -> ret 71 (Value.int 34) | a -> a)
+      h
+  in
+  Alcotest.(check bool) "stale last read rejected" false (Check.check spec_reg stale)
+
+let test_long_concurrent_history () =
+  let rng = Rng.of_int 7 in
+  let rec draw attempts =
+    let h = random_history rng Reg ~procs:3 ~max_ops:24 in
+    let ops = Hist.ops h in
+    if List.length ops >= 20 && List.exists (fun (o : Hist.op) -> o.ret = None) ops then h
+    else if attempts = 0 then Alcotest.fail "no long history with pending calls drawn"
+    else draw (attempts - 1)
+  in
+  let h = draw 100 in
+  (match Check.find spec_reg h with
+  | None -> Alcotest.fail "concurrent history rejected"
+  | Some lin ->
+      Alcotest.(check bool)
+        "witness validates" true (Check.validate spec_reg h lin));
+  (* a final read of a value nobody wrote, after one more completed write *)
+  let n = List.length (Hist.ops h) in
+  let bad =
+    h
+    @ [
+        call ~proc:3 n "write" (Value.int 9);
+        ret ~proc:3 n Value.unit;
+        call ~proc:3 (n + 1) "read" Value.unit;
+        ret ~proc:3 (n + 1) (Value.int 77);
+      ]
+  in
+  Alcotest.(check bool) "unwritten value rejected" false (Check.check spec_reg bad)
+
+(* Totals over the lin oracle of a fixed fuzz slice (seed 1, iterations
+   0–999), recorded before the checker moved to the operation table: the
+   same search visits the same nodes. *)
+let test_fuzz_slice_counts_pinned () =
+  let nodes = Obs.Metrics.counter "lin.nodes_visited" in
+  let backtracks = Obs.Metrics.counter "lin.backtracks" in
+  let n0 = Obs.Metrics.counter_value nodes in
+  let b0 = Obs.Metrics.counter_value backtracks in
+  let seed = 1 in
+  for iter = 0 to 999 do
+    let case =
+      Fuzz.Case.generate ~planted:false (Fuzz.Oracle.case_stream ~seed ~iter)
+    in
+    let t, _codes = Fuzz.Oracle.run_recorded ~seed ~iter case in
+    Alcotest.(check bool)
+      (Fmt.str "iteration %d linearizable" iter)
+      true
+      (Result.is_ok (Fuzz.Oracle.lin_check case t))
+  done;
+  Alcotest.(check int) "nodes visited" 13_733 (Obs.Metrics.counter_value nodes - n0);
+  Alcotest.(check int) "backtracks" 4_487 (Obs.Metrics.counter_value backtracks - b0)
+
+let table_tests =
+  [
+    Alcotest.test_case "check and find match brute force" `Quick
+      test_check_matches_brute_force;
+    Alcotest.test_case "72-operation sequential history" `Quick test_long_sequential_history;
+    Alcotest.test_case "long concurrent history with pending calls" `Quick
+      test_long_concurrent_history;
+    Alcotest.test_case "fuzz slice search counts pinned" `Quick test_fuzz_slice_counts_pinned;
+  ]
