@@ -397,7 +397,6 @@ let rw_config obj =
     Sim.Runtime.n = 3;
     objects = [ obj ];
     program;
-    enable_crashes = false;
     max_crashes = 0;
   }
 
@@ -433,7 +432,6 @@ let e6_linearizability () =
       Sim.Runtime.n = 3;
       objects = [ obj ];
       program;
-      enable_crashes = false;
       max_crashes = 0;
     }
   in
@@ -539,7 +537,7 @@ let e7_tail_strong () =
         let* _ = Sim.Obj_impl.call obj ~self ~tag:"r" ~meth:"read" ~arg:Value.unit in
         Sim.Proc.return ()
     in
-    { Sim.Runtime.n = 3; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+    { Sim.Runtime.n = 3; objects = [ obj ]; program; max_crashes = 0 }
   in
   add "Vitanyi-Awerbuch (Sec 5.3)" (check_obj va_config "R" 25);
   add "Israeli-Li (Sec 5.4)" (check_obj il_config "R" 25);
@@ -561,7 +559,6 @@ let e7_tail_strong () =
       Sim.Runtime.n = 2;
       objects = [ reg ];
       program;
-      enable_crashes = false;
       max_crashes = 0;
     }
   in

@@ -323,7 +323,6 @@ let lin_sweep_cmd =
           Sim.Runtime.n = 3;
           objects = [ o ];
           program;
-          enable_crashes = false;
           max_crashes = 0;
         }
       in

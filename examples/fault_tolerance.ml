@@ -25,7 +25,7 @@ let make_config () =
     end
     else Proc.return ()
   in
-  { Runtime.n; objects = [ reg ]; program; enable_crashes = true; max_crashes = 3 }
+  { Runtime.n; objects = [ reg ]; program; max_crashes = 3 }
 
 let run_with_crashes crashed =
   let t = Runtime.create (make_config ()) (Runtime.Gen (Rng.of_int 99)) in

@@ -24,7 +24,7 @@ let () =
       if not quiet then Fmt.pr "p%d second read: %a@." self Value.pp v2;
       Proc.return ()
     in
-    { Runtime.n; objects = [ reg ]; program; enable_crashes = false; max_crashes = 0 }
+    { Runtime.n; objects = [ reg ]; program; max_crashes = 0 }
   in
 
   (* The shared object: a multi-writer ABD register (Algorithm 3 of the

@@ -35,7 +35,7 @@ let run_workload ~make_snapshot ~seed =
           Proc.return ())
   in
   let config =
-    { Runtime.n; objects = [ snap ]; program; enable_crashes = false; max_crashes = 0 }
+    { Runtime.n; objects = [ snap ]; program; max_crashes = 0 }
   in
   let rng = Rng.of_int seed in
   let t = Runtime.create config (Runtime.Gen (Rng.split rng)) in

@@ -97,7 +97,6 @@ let config = function
         Sim.Runtime.n;
         objects = [ o ];
         program;
-        enable_crashes = false;
         max_crashes = 0;
       }
   | Snapshots { k; n } ->
@@ -119,7 +118,6 @@ let config = function
         Sim.Runtime.n;
         objects = [ o ];
         program;
-        enable_crashes = false;
         max_crashes = 0;
       }
 

@@ -4,36 +4,41 @@ type op = {
   call : Action.call;
   ret : Util.Value.t option;
   call_index : int;
-  ret_index : int option;
+  ret_index : int;
 }
 
+(* One pass: a call appends an operation to a growing array; a return
+   completes the latest operation of its invocation, found by scanning
+   back from the newest call. *)
 let ops h =
-  let rets = Hashtbl.create 16 in
+  let buf = ref [||] and n = ref 0 in
   List.iteri
     (fun i a ->
       match a with
-      | Action.Ret r -> Hashtbl.replace rets r.inv (r.value, i)
-      | Action.Call _ -> ())
+      | Action.Call c ->
+          let o =
+            { call = c; ret = None; call_index = i; ret_index = max_int }
+          in
+          if !n = Array.length !buf then
+            buf := Array.append !buf (Array.make (max 8 !n) o);
+          !buf.(!n) <- o;
+          incr n
+      | Action.Ret r ->
+          let rec finish j =
+            if j >= 0 then
+              let o = !buf.(j) in
+              if o.call.inv = r.inv then
+                !buf.(j) <- { o with ret = Some r.value; ret_index = i }
+              else finish (j - 1)
+          in
+          finish (!n - 1))
     h;
-  let collect i a acc =
-    match a with
-    | Action.Call c ->
-        let ret, ret_index =
-          match Hashtbl.find_opt rets c.inv with
-          | Some (v, j) -> (Some v, Some j)
-          | None -> (None, None)
-        in
-        { call = c; ret; call_index = i; ret_index } :: acc
-    | Action.Ret _ -> acc
-  in
-  List.rev (List.fold_left (fun (i, acc) a -> (i + 1, collect i a acc)) (0, []) h |> snd)
+  Array.sub !buf 0 !n
 
-let pending h = List.filter (fun o -> o.ret = None) (ops h)
+let pending h = List.filter (fun o -> o.ret = None) (Array.to_list (ops h))
 
 let complete h =
-  let pending_invs =
-    List.filter_map (fun o -> if o.ret = None then Some o.call.inv else None) (ops h)
-  in
+  let pending_invs = List.map (fun o -> o.call.inv) (pending h) in
   List.filter
     (fun a ->
       match a with
@@ -78,7 +83,6 @@ let is_sequential h =
   in
   go h
 
-let precedes _h a b =
-  match a.ret_index with Some i -> i < b.call_index | None -> false
+let precedes _h a b = a.ret_index < b.call_index
 
 let pp ppf h = Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Action.pp) h

@@ -8,11 +8,17 @@ type op = {
   call : Action.call;
   ret : Util.Value.t option;  (** [None] when the invocation is pending *)
   call_index : int;  (** position of the call action in the history *)
-  ret_index : int option;  (** position of the return action, if any *)
+  ret_index : int;
+      (** position of the return action; [max_int] while pending, so
+          [a.ret_index < b.call_index] is the real-time order *)
 }
 
-(** [ops h] lists the operations of [h] in call order. *)
-val ops : t -> op list
+(** [ops h] is the operation table of [h]: its operations in call order,
+    built in one pass. A return completes the latest earlier call of its
+    invocation. Every linearizability check reads this table; a slice of
+    it (say, one object's operations) keeps the history's positions, so
+    real-time order within the slice is unchanged. *)
+val ops : t -> op array
 
 (** [pending h] lists the operations without a matching return. *)
 val pending : t -> op list

@@ -1,95 +1,86 @@
 open Util
 
-type op_info = {
-  inv : int;
-  meth : string;
-  arg : Value.t;
-  value : Value.t;
-  ts : Value.t;
-  returned : bool;
+(* An invocation of the object, from its call on: the value and timestamp
+   of its first "adopted" note, and whether it has returned. *)
+type inv_state = {
+  call : History.Action.call;
+  mutable adopted : (Value.t * Value.t) option;
+  mutable returned : bool;
 }
 
-let calls_of ~obj_name entries =
-  List.filter_map
-    (function
-      | Sim.Trace.Action (History.Action.Call c) when c.obj_name = obj_name ->
-          Some c
-      | _ -> None)
-    entries
+(* f of the invocations seen so far (newest first): the adopted ones
+   whose timestamp is at most the greatest returned one, sorted by
+   (timestamp, writes before reads, invocation id). *)
+let f invs =
+  let adopted =
+    List.filter_map
+      (fun o -> Option.map (fun (value, ts) -> (o, value, ts)) o.adopted)
+      invs
+  in
+  let returned_ts =
+    List.filter_map
+      (fun (o, _, ts) -> if o.returned then Some ts else None)
+      adopted
+  in
+  match List.sort (Fun.flip Value.ts_compare) returned_ts with
+  | [] -> []
+  | max_ts :: _ ->
+      let kind o = if o.call.meth = "write" then 0 else 1 in
+      let order (a, _, ta) (b, _, tb) =
+        let c = Value.ts_compare ta tb in
+        if c <> 0 then c else compare (kind a, a.call.inv) (kind b, b.call.inv)
+      in
+      List.filter (fun (_, _, ts) -> Value.ts_compare ts max_ts <= 0) adopted
+      |> List.sort order
+      |> List.map (fun (o, value, _) ->
+             {
+               Check.inv = o.call.inv;
+               meth = o.call.meth;
+               arg = o.call.arg;
+               ret = (if o.call.meth = "read" then value else Value.unit);
+             })
 
-let ops_of_entries ~obj_name entries =
-  let returned inv =
-    List.exists
-      (function
-        | Sim.Trace.Action (History.Action.Ret r) -> r.inv = inv
+(* Fold the trace entries in order, tracking each invocation of
+   [obj_name]. After every entry that changes the tracking and leaves the
+   prefix Π-complete (every invocation called so far has adopted a
+   timestamp), [at_complete] gets the invocations; [false] stops the
+   fold with [None]. A prefix ending in an entry that changes nothing
+   has the same f as the prefix before it, so it is skipped. Returns the
+   invocations at the end, newest first. *)
+let track ~obj_name ~at_complete entries =
+  let invs = ref [] and unadopted = ref 0 in
+  let find inv = List.find_opt (fun o -> o.call.inv = inv) !invs in
+  let changed = function
+    | Sim.Trace.Action (History.Action.Call c) when c.obj_name = obj_name ->
+        invs := { call = c; adopted = None; returned = false } :: !invs;
+        incr unadopted;
+        true
+    | Sim.Trace.Action (History.Action.Ret r) -> (
+        match find r.inv with
+        | Some o when not o.returned ->
+            o.returned <- true;
+            true
         | _ -> false)
-      entries
+    | Sim.Trace.Noted { name = "adopted"; value; inv = Some i; _ } -> (
+        match find i with
+        | Some o when o.adopted = None ->
+            o.adopted <- Some (Value.to_pair value);
+            decr unadopted;
+            true
+        | _ -> false)
+    | _ -> false
   in
-  let adopted inv =
-    List.find_map
-      (function
-        | Sim.Trace.Noted { name = "adopted"; value; inv = Some i; _ } when i = inv
-          ->
-            Some (Value.to_pair value)
-        | _ -> None)
-      entries
+  let rec go = function
+    | [] -> Some !invs
+    | e :: rest ->
+        if changed e && !unadopted = 0 && not (at_complete !invs) then None
+        else go rest
   in
-  List.filter_map
-    (fun (c : History.Action.call) ->
-      match adopted c.inv with
-      | None -> None
-      | Some (value, ts) ->
-          Some
-            {
-              inv = c.inv;
-              meth = c.meth;
-              arg = c.arg;
-              value;
-              ts;
-              returned = returned c.inv;
-            })
-    (calls_of ~obj_name entries)
-
-let complete ~obj_name entries =
-  let with_ts = ops_of_entries ~obj_name entries in
-  List.for_all
-    (fun (c : History.Action.call) -> List.exists (fun o -> o.inv = c.inv) with_ts)
-    (calls_of ~obj_name entries)
-
-let logically_completed ops =
-  let max_returned_ts =
-    List.fold_left
-      (fun acc o ->
-        if o.returned then
-          match acc with
-          | None -> Some o.ts
-          | Some t -> if Value.ts_compare o.ts t > 0 then Some o.ts else acc
-        else acc)
-      None ops
-  in
-  match max_returned_ts with
-  | None -> []
-  | Some t -> List.filter (fun o -> Value.ts_compare o.ts t <= 0) ops
-
-let order a b =
-  let c = Value.ts_compare a.ts b.ts in
-  if c <> 0 then c
-  else
-    let kind o = if o.meth = "write" then 0 else 1 in
-    let c = compare (kind a) (kind b) in
-    if c <> 0 then c else compare a.inv b.inv
+  go entries
 
 let linearize ~obj_name entries : Check.linearization =
-  let ops = logically_completed (ops_of_entries ~obj_name entries) in
-  List.map
-    (fun o ->
-      {
-        Check.inv = o.inv;
-        meth = o.meth;
-        arg = o.arg;
-        ret = (if o.meth = "read" then o.value else Value.unit);
-      })
-    (List.sort order ops)
+  Option.fold ~none:[] ~some:f
+    (track ~obj_name ~at_complete:(fun _ -> true) entries)
 
 let is_prefix_of short long =
   let rec go = function
@@ -101,18 +92,14 @@ let is_prefix_of short long =
   go (short, long)
 
 let prefix_preserving ~obj_name trace =
-  let entries = Sim.Trace.entries trace in
-  let len = List.length entries in
-  let prefix i = List.filteri (fun j _ -> j < i) entries in
-  let complete_prefixes =
-    List.filter_map
-      (fun i ->
-        let p = prefix i in
-        if complete ~obj_name p then Some (linearize ~obj_name p) else None)
-      (List.init (len + 1) Fun.id)
+  (* the empty prefix is complete, with f = [] *)
+  let last = ref [] in
+  let at_complete invs =
+    let lin = f invs in
+    is_prefix_of !last lin
+    && begin
+         last := lin;
+         true
+       end
   in
-  let rec chain = function
-    | a :: (b :: _ as rest) -> is_prefix_of a b && chain rest
-    | [ _ ] | [] -> true
-  in
-  chain complete_prefixes
+  Option.is_some (track ~obj_name ~at_complete (Sim.Trace.entries trace))

@@ -11,28 +11,15 @@
 
     Timestamps are read off the ["adopted"] trace notes our ABD emits as the
     first tail step (one local step after the paper's Π point; no effectful
-    step separates them, so the prefix-preservation property is the same). *)
+    step separates them, so the prefix-preservation property is the same).
+    An execution prefix is Π-complete when every invocation of the object
+    called in it has adopted a timestamp (up to that one-step shift). Both
+    functions below make one pass over the trace entries, tracking each
+    invocation's call, first ["adopted"] note and return. *)
 
-type op_info = {
-  inv : int;
-  meth : string;
-  arg : Util.Value.t;
-  value : Util.Value.t;  (** the value read (Read) or written (Write) *)
-  ts : Util.Value.t;  (** the adopted timestamp *)
-  returned : bool;
-}
-
-(** [ops_of_entries ~obj_name entries] extracts, from a trace-entry prefix,
-    every invocation of [obj_name] that adopted a timestamp. *)
-val ops_of_entries : obj_name:string -> Sim.Trace.entry list -> op_info list
-
-(** [complete ~obj_name entries] holds when every invocation of [obj_name]
-    called in the prefix has adopted a timestamp (the Π_ABD-completeness of
-    the prefix, up to the one-local-step shift described above). *)
-val complete : obj_name:string -> Sim.Trace.entry list -> bool
-
-(** [linearize ~obj_name entries] is f(e): the logically-completed
-    invocations in timestamp order, as checker linearization steps. *)
+(** [linearize ~obj_name entries] is f(e) for the execution whose trace
+    entries are [entries]: the logically-completed invocations of
+    [obj_name] in timestamp order, as checker linearization steps. *)
 val linearize : obj_name:string -> Sim.Trace.entry list -> Check.linearization
 
 (** [prefix_preserving ~obj_name trace] checks Theorem 5.1 on one execution:

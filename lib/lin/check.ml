@@ -18,22 +18,12 @@ let pp_step ppf s =
 let pp_linearization ppf l =
   Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any "; ") pp_step) l
 
-(* The operation table: [Hist.ops] as an array, built once per check.
-   Operation [i] is the history's [i]-th call; [ret_index.(i)] is the
-   position of its return, [max_int] while it is pending. *)
-type table = { ops : Hist.op array; ret_index : int array }
+(* Every function below reads an operation table ([Hist.ops] or a
+   slice of it). A chosen set is a bitset over table positions, one bit
+   per operation. *)
+let empty_set (ops : Hist.op array) =
+  Bytes.make ((Array.length ops + 7) / 8) '\000'
 
-let table h =
-  let ops = Array.of_list (Hist.ops h) in
-  let ret_index =
-    Array.map
-      (fun (o : Hist.op) -> Option.value o.ret_index ~default:max_int)
-      ops
-  in
-  { ops; ret_index }
-
-(* A chosen set is a bitset over table positions, one bit per operation. *)
-let empty_set tbl = Bytes.make ((Array.length tbl.ops + 7) / 8) '\000'
 let bit i = 1 lsl (i land 7)
 let mem set i = Char.code (Bytes.get set (i lsr 3)) land bit i <> 0
 
@@ -42,21 +32,23 @@ let flip set i =
   Bytes.set set b (Char.chr (Char.code (Bytes.get set b) lxor bit i))
 
 (* The earliest return among the completed operations not yet chosen,
-   [max_int] when every completed operation is chosen. Operation [i] may
-   be linearized next iff [call_index i] is below it: no unchosen
-   operation returned before [i] was called. *)
-let min_ret tbl set =
+   [max_int] when every completed operation is chosen (a pending
+   operation's [ret_index] is [max_int]). Operation [i] may be linearized
+   next iff [call_index i] is below it: no unchosen operation returned
+   before [i] was called. *)
+let min_ret (ops : Hist.op array) set =
   let m = ref max_int in
   Array.iteri
-    (fun i r -> if r < !m && not (mem set i) then m := r)
-    tbl.ret_index;
+    (fun i (o : Hist.op) ->
+      if o.ret_index < !m && not (mem set i) then m := o.ret_index)
+    ops;
   !m
 
 (* Linearize operation [i] at [state]: its step and the successor state,
    if the specification accepts the call and agrees with the recorded
    return. *)
-let apply (spec : Spec.t) tbl state i =
-  let o = tbl.ops.(i) in
+let apply (spec : Spec.t) (ops : Hist.op array) state i =
+  let o = ops.(i) in
   match spec.apply state ~meth:o.call.meth ~arg:o.call.arg with
   | None -> None
   | Some (state', ret) -> (
@@ -71,13 +63,13 @@ let apply (spec : Spec.t) tbl state i =
 (* Depth-first search for a witness, trying operations in call order. The
    chosen set is flipped in place and restored on backtrack; exhausted
    (chosen set, state) pairs are memoized. *)
-let search (spec : Spec.t) tbl =
-  let n = Array.length tbl.ops in
-  let set = empty_set tbl in
+let search (spec : Spec.t) ops =
+  let n = Array.length ops in
+  let set = empty_set ops in
   let failed = Hashtbl.create 97 in
   let rec dfs steps state =
     Obs.Metrics.incr M.nodes;
-    let bound = min_ret tbl set in
+    let bound = min_ret ops set in
     if bound = max_int then Some (List.rev steps)
     else begin
       let k = (Bytes.to_string set, state) in
@@ -85,10 +77,10 @@ let search (spec : Spec.t) tbl =
       else begin
         let rec try_from i =
           if i >= n then None
-          else if mem set i || tbl.ops.(i).call_index > bound then
+          else if mem set i || ops.(i).call_index > bound then
             try_from (i + 1)
           else
-            match apply spec tbl state i with
+            match apply spec ops state i with
             | None -> try_from (i + 1)
             | Some (step, state') -> (
                 flip set i;
@@ -108,33 +100,30 @@ let search (spec : Spec.t) tbl =
   Obs.Metrics.incr M.checks;
   dfs [] spec.init
 
-let find spec h = search spec (table h)
-let check spec h = Option.is_some (find spec h)
+let find spec h = search spec (Hist.ops h)
+let check_ops spec ops = Option.is_some (search spec ops)
+let check spec h = check_ops spec (Hist.ops h)
 
 (* Replay a proposed prefix, checking feasibility. Returns the chosen set
    and resulting state, or None. *)
-let replay_prefix (spec : Spec.t) tbl prefix =
-  let set = empty_set tbl in
-  let n = Array.length tbl.ops in
-  let rec index inv i =
-    if i >= n then None
-    else if tbl.ops.(i).call.inv = inv then Some i
-    else index inv (i + 1)
-  in
+let replay_prefix (spec : Spec.t) ops prefix =
+  let set = empty_set ops in
   let rec go state = function
     | [] -> Some (set, state)
     | (s : lin_step) :: rest -> (
-        match index s.inv 0 with
+        match
+          Array.find_index (fun (o : Hist.op) -> o.call.inv = s.inv) ops
+        with
         | None -> None
         | Some i -> (
-            let o = tbl.ops.(i) in
+            let o = ops.(i) in
             if
               mem set i || o.call.meth <> s.meth
               || (not (Value.equal o.call.arg s.arg))
-              || o.call_index > min_ret tbl set
+              || o.call_index > min_ret ops set
             then None
             else
-              match apply spec tbl state i with
+              match apply spec ops state i with
               | Some (step, state') when Value.equal step.ret s.ret ->
                   flip set i;
                   go state' rest
@@ -143,22 +132,22 @@ let replay_prefix (spec : Spec.t) tbl prefix =
   go spec.init prefix
 
 let validate spec h lin =
-  let tbl = table h in
-  match replay_prefix spec tbl lin with
+  let ops = Hist.ops h in
+  match replay_prefix spec ops lin with
   | None -> false
-  | Some (set, _) -> min_ret tbl set = max_int
+  | Some (set, _) -> min_ret ops set = max_int
 
 let linearizations_extending (spec : Spec.t) (h : Hist.t) prefix : linearization Seq.t =
-  let tbl = table h in
-  match replay_prefix spec tbl prefix with
+  let ops = Hist.ops h in
+  match replay_prefix spec ops prefix with
   | None -> Seq.empty
   | Some (set0, state0) ->
-      let n = Array.length tbl.ops in
+      let n = Array.length ops in
       (* lazy DFS producing every valid extension of the prefix; a branch
          is forced after its siblings were generated, so each owns a copy
          of its chosen set *)
       let rec gen steps set state () =
-        let bound = min_ret tbl set in
+        let bound = min_ret ops set in
         let here =
           if bound = max_int then Seq.return (prefix @ List.rev steps)
           else Seq.empty
@@ -166,9 +155,9 @@ let linearizations_extending (spec : Spec.t) (h : Hist.t) prefix : linearization
         let deeper =
           Seq.init n Fun.id
           |> Seq.concat_map (fun i ->
-                 if mem set i || tbl.ops.(i).call_index > bound then Seq.empty
+                 if mem set i || ops.(i).call_index > bound then Seq.empty
                  else
-                   match apply spec tbl state i with
+                   match apply spec ops state i with
                    | None -> Seq.empty
                    | Some (step, state') ->
                        let set' = Bytes.copy set in

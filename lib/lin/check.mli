@@ -8,8 +8,10 @@
 
     The checker is a depth-first search over partial linearizations with
     memoization on (set of linearized invocations, abstract state) — the
-    standard Wing–Gong/Lowe algorithm. Each check builds one operation
-    table, the history's operations in call order as an array. The set of
+    standard Wing–Gong/Lowe algorithm. It searches an operation table
+    ({!History.Hist.ops}: the history's operations in call order, each
+    with its call and return positions), built once per history; a
+    slice of it checks one object (see {!check_ops}). The set of
     linearized operations is a bitset over table positions (one bit per
     operation, so any history length works), flipped in place as the
     search descends and restored on backtrack; the memo key is the
@@ -29,6 +31,12 @@ type linearization = lin_step list
 (** [check spec h] decides whether [h] is linearizable w.r.t. [spec].
     [h] must be well-formed. *)
 val check : History.Spec.t -> History.Hist.t -> bool
+
+(** [check_ops spec ops] is [check] on an operation table: [check spec h]
+    is [check_ops spec (Hist.ops h)]. [ops] may be any subsequence of a
+    history's table, such as the operations on one object (the positions
+    are the history's, so real-time order is the history's). *)
+val check_ops : History.Spec.t -> History.Hist.op array -> bool
 
 (** [find spec h] additionally produces a witness linearization. *)
 val find : History.Spec.t -> History.Hist.t -> linearization option

@@ -1,27 +1,33 @@
 open Util
 open History
 
-(* The first object called in [h] that [specs] does not specify. *)
-let unknown specs h =
-  List.find_map
-    (function
-      | Action.Call c when not (List.mem_assoc c.obj_name specs) ->
-          Some c.obj_name
-      | _ -> None)
-    h
-
-let known specs h = Option.is_none (unknown specs h)
-
 let check_local_result specs h =
-  match unknown specs h with
+  (* one pass over the table from the back: each operation joins its
+     object's slice (so every slice stays in call order), and the last
+     unknown object met is the first called *)
+  let slices = List.map (fun (name, spec) -> (name, spec, ref [])) specs in
+  let unknown =
+    Array.fold_right
+      (fun (o : Hist.op) unknown ->
+        match
+          List.find_opt (fun (name, _, _) -> name = o.call.obj_name) slices
+        with
+        | Some (_, _, slice) ->
+            slice := o :: !slice;
+            unknown
+        | None -> Some o.call.obj_name)
+      (Hist.ops h) None
+  in
+  match unknown with
   | Some name -> Error (Fmt.str "object %s has no specification" name)
   | None -> (
       match
         List.find_opt
-          (fun (name, spec) -> not (Check.check spec (Hist.project_obj h name)))
-          specs
+          (fun (_, spec, slice) ->
+            not (Check.check_ops spec (Array.of_list !slice)))
+          slices
       with
-      | Some (name, _) ->
+      | Some (name, _, _) ->
           Error (Fmt.str "history of object %s is not linearizable" name)
       | None -> Ok ())
 
@@ -29,9 +35,10 @@ let check_local specs h = Result.is_ok (check_local_result specs h)
 
 (* The product specification: abstract state is the list of component
    states in [specs] order; methods are dispatched by prefixing the object
-   name, which we encode by rewriting the history's method names. *)
+   name, which we encode by rewriting the table's method names. *)
 let check_monolithic specs h =
-  known specs h
+  let ops = Hist.ops h in
+  Array.for_all (fun (o : Hist.op) -> List.mem_assoc o.call.obj_name specs) ops
   &&
   let product : Spec.t =
     {
@@ -64,11 +71,10 @@ let check_monolithic specs h =
     }
   in
   let tagged =
-    List.map
-      (fun a ->
-        match a with
-        | Action.Call c -> Action.Call { c with meth = c.obj_name ^ "/" ^ c.meth }
-        | Action.Ret _ -> a)
-      h
+    Array.map
+      (fun (o : Hist.op) ->
+        let meth = o.call.obj_name ^ "/" ^ o.call.meth in
+        { o with call = { o.call with meth } })
+      ops
   in
-  Check.check product tagged
+  Check.check_ops product tagged

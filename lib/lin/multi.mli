@@ -6,10 +6,11 @@
     (Theorem 3.1) to reason about programs using several objects (the
     weakener uses two registers).
 
-    This module offers both sides: the compositional check (project and
-    check each object) and a direct monolithic check against the product
-    specification, so the test suite can confirm their agreement on real
-    program histories. *)
+    This module offers both sides: the compositional check (each object's
+    slice of the history's operation table, {!History.Hist.ops}, checked
+    on its own) and a direct monolithic check of the whole table against
+    the product specification, so the test suite can confirm their
+    agreement on real program histories. Both build the table once. *)
 
 (** [check_local specs h] checks each object's projection against its
     specification; [specs] maps object names to specifications. Objects

@@ -90,7 +90,7 @@ let config ~n ~f ~inputs ~max_rounds : Runtime.config =
     in
     round 0 (List.nth inputs self)
   in
-  { n; objects = [ channel ]; program; enable_crashes = true; max_crashes = f }
+  { n; objects = [ channel ]; program; max_crashes = f }
 
 let decisions trace ~n =
   let noted =

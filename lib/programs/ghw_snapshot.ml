@@ -37,7 +37,6 @@ let config ~(snapshot : Obj_impl.t) ~(c : Obj_impl.t) : Runtime.config =
     n = 3;
     objects = [ snapshot; c ];
     program;
-    enable_crashes = false;
     max_crashes = 0;
   }
 

@@ -67,7 +67,7 @@ let config ~n ~rounds_before_fallback ~max_rounds ~k : Runtime.config =
     in
     round 0 []
   in
-  { n; objects = regs; program; enable_crashes = false; max_crashes = 0 }
+  { n; objects = regs; program; max_crashes = 0 }
 
 let agreed_round_of_trace trace ~n ~max_rounds =
   let labels =

@@ -42,7 +42,6 @@ let config ~(r : Obj_impl.t) ~(c : Obj_impl.t) : Runtime.config =
     n = n_processes;
     objects = [ r; c ];
     program;
-    enable_crashes = false;
     max_crashes = 0;
   }
 

@@ -29,7 +29,6 @@ type config = {
   n : int;
   objects : Obj_impl.t list;
   program : self:int -> unit Proc.t;
-  enable_crashes : bool;
   max_crashes : int;
 }
 
@@ -276,7 +275,7 @@ let rec nth_bit x i p =
   else if i = 0 then p
   else nth_bit x (i - 1) (p + 1)
 
-let crashes_allowed t = t.config.enable_crashes && t.crashes < t.config.max_crashes
+let crashes_allowed t = t.crashes < t.config.max_crashes
 
 let rec deliverable_from t i acc =
   if i >= t.tr_len then acc

@@ -15,8 +15,8 @@ type config = {
   n : int;  (** number of processes, ids [0 .. n-1] *)
   objects : Obj_impl.t list;
   program : self:int -> unit Proc.t;  (** per-process top-level code *)
-  enable_crashes : bool;
   max_crashes : int;
+      (** crash events allowed over the run; [0] enables none *)
 }
 
 (** Where random steps draw their results from. *)
@@ -110,9 +110,6 @@ val is_crashed : t -> int -> bool
     each process's readiness current as messages land and steps run
     (which is why [Recv] predicates must be pure, see {!Proc}). *)
 val blocked : t -> int -> bool
-
-(** [current_inv t p] is the innermost open invocation of process [p]. *)
-val current_inv : t -> int -> int option
 
 (** [read_register t rid] peeks at a base register without discipline checks
     (observation only). *)

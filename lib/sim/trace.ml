@@ -68,12 +68,6 @@ let rev_fold_filter f t =
 
 let history t = rev_fold_filter (function Action a -> Some a | _ -> None) t
 
-let labels_of_inv t inv =
-  rev_fold_filter
-    (function
-      | Labeled { name; inv = Some i; _ } when i = inv -> Some name | _ -> None)
-    t
-
 let passed t ~inv ~lbl =
   List.exists
     (function

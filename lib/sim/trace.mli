@@ -63,10 +63,6 @@ val entries : t -> entry list
 (** [history t] is the projection on call/return actions. *)
 val history : t -> History.Hist.t
 
-(** [labels_of_inv t inv] lists the control points passed by invocation
-    [inv], in order. *)
-val labels_of_inv : t -> int -> string list
-
 (** [passed t ~inv ~lbl] holds when the invocation took a step at control
     point [lbl] (the paper's "passed" predicate, Section 3). *)
 val passed : t -> inv:int -> lbl:string -> bool

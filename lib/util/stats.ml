@@ -9,8 +9,6 @@ let variance = function
       let n = float_of_int (List.length xs) in
       List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs /. (n -. 1.0)
 
-let stddev xs = sqrt (variance xs)
-
 let binomial_ci ~successes ~trials =
   if trials = 0 then (0.0, 1.0)
   else begin

@@ -6,9 +6,6 @@ val mean : float list -> float
 (** [variance xs] is the unbiased sample variance; 0 for fewer than 2 points. *)
 val variance : float list -> float
 
-(** [stddev xs] is [sqrt (variance xs)]. *)
-val stddev : float list -> float
-
 (** [binomial_ci ~successes ~trials] is the 95% Wilson score interval for a
     Bernoulli success probability. Returns [(lo, hi)]. *)
 val binomial_ci : successes:int -> trials:int -> float * float

@@ -88,7 +88,6 @@ let test_monte_carlo_counts_deadlocks () =
       Runtime.n = 2;
       objects = [];
       program;
-      enable_crashes = false;
       max_crashes = 0;
     }
   in

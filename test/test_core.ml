@@ -88,7 +88,7 @@ let test_round_based_fallback_abd () =
   in
   let t =
     Runtime.create
-      { Runtime.n = 3; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+      { Runtime.n = 3; objects = [ obj ]; program; max_crashes = 0 }
       (Runtime.Gen (Util.Rng.of_int 3))
   in
   let rng = Util.Rng.of_int 4 in

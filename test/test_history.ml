@@ -46,7 +46,7 @@ let test_ops_extraction () =
     ]
   in
   let ops = Hist.ops h in
-  Alcotest.(check int) "two ops" 2 (List.length ops);
+  Alcotest.(check int) "two ops" 2 (Array.length ops);
   let pending = Hist.pending h in
   Alcotest.(check int) "one pending" 1 (List.length pending);
   Alcotest.(check int) "pending is the write" 0 (List.hd pending).call.inv
@@ -97,7 +97,7 @@ let test_precedes () =
     ]
   in
   match Hist.ops h with
-  | [ w; r ] ->
+  | [| w; r |] ->
       Alcotest.(check bool) "w < r" true (Hist.precedes h w r);
       Alcotest.(check bool) "not r < w" false (Hist.precedes h r w)
   | _ -> Alcotest.fail "expected two ops"
@@ -216,7 +216,7 @@ let prop_dropping_pending_preserves_lin =
         Proc.return ()
       in
       let config =
-        { Runtime.n = 3; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+        { Runtime.n = 3; objects = [ obj ]; program; max_crashes = 0 }
       in
       let rng = Rng.of_int (seed + 1) in
       let t = Runtime.create config (Runtime.Gen (Rng.split rng)) in

@@ -226,7 +226,6 @@ let atomic_pair_config () =
     Sim.Runtime.n = 2;
     objects = [ reg ];
     program;
-    enable_crashes = false;
     max_crashes = 0;
   }
 
@@ -267,7 +266,6 @@ let abd_client_config ~k () =
     Sim.Runtime.n = n;
     objects = [ r ];
     program;
-    enable_crashes = false;
     max_crashes = 0;
   }
 
@@ -301,6 +299,72 @@ let test_abd_linearization_validates () =
       (Check.validate spec_reg h f_e)
   done
 
+(* A hand-built trace of object R: calls, first "adopted" notes
+   (value, timestamp) and returns. *)
+let abd_trace entries =
+  let t = Sim.Trace.create () in
+  List.iter (Sim.Trace.add t) entries;
+  t
+
+let abd_call inv meth arg =
+  Sim.Trace.Action
+    (Action.Call { obj_name = "R"; meth; arg; inv; proc = inv; tag = "t" })
+
+let abd_adopt inv v ts =
+  Sim.Trace.Noted
+    { proc = inv; name = "adopted"; value = Value.pair (Value.int v) ts; inv = Some inv }
+
+let abd_ret inv value =
+  Sim.Trace.Action (Action.Ret { inv; value; proc = inv; obj_name = "R" })
+
+let test_abd_lin_negative_control () =
+  (* the first complete prefix linearizes write 0 (timestamp (2,0)); write
+     1 then adopts a timestamp below it, so the next complete prefix
+     linearizes write 1 first: f is not prefix-preserving *)
+  let writes ts1 =
+    [
+      abd_call 0 "write" (Value.int 1);
+      abd_adopt 0 1 (Value.ts 2 0);
+      abd_ret 0 Value.unit;
+      abd_call 1 "write" (Value.int 2);
+      abd_adopt 1 2 ts1;
+      abd_ret 1 Value.unit;
+    ]
+  in
+  Alcotest.(check bool)
+    "reordering rejected" false
+    (Lin.Abd_lin.prefix_preserving ~obj_name:"R" (abd_trace (writes (Value.ts 1 0))));
+  Alcotest.(check bool)
+    "later timestamp accepted" true
+    (Lin.Abd_lin.prefix_preserving ~obj_name:"R" (abd_trace (writes (Value.ts 3 0))));
+  (* f's order: timestamp, then writes before reads, then invocation id;
+     pending write 3 is logically completed (its timestamp is below a
+     returned one), pending write 4 is not, and call 5 never adopted *)
+  let entries =
+    [
+      abd_call 0 "read" Value.unit;
+      abd_call 1 "write" (Value.int 7);
+      abd_call 2 "read" Value.unit;
+      abd_call 3 "write" (Value.int 9);
+      abd_call 4 "write" (Value.int 4);
+      abd_adopt 0 5 (Value.ts 1 0);
+      abd_adopt 1 7 (Value.ts 1 0);
+      abd_adopt 2 5 (Value.ts 1 0);
+      abd_adopt 3 9 (Value.ts 0 1);
+      abd_adopt 4 4 (Value.ts 2 0);
+      abd_ret 0 (Value.int 5);
+      abd_ret 1 Value.unit;
+      abd_ret 2 (Value.int 5);
+      abd_call 5 "read" Value.unit;
+    ]
+  in
+  Alcotest.(check (list (pair int string)))
+    "f's order"
+    [ (3, "()"); (1, "()"); (0, "5"); (2, "5") ]
+    (List.map
+       (fun (s : Check.lin_step) -> (s.inv, Fmt.str "%a" Value.pp s.ret))
+       (Lin.Abd_lin.linearize ~obj_name:"R" entries))
+
 let tests =
   [
     Alcotest.test_case "sequential history ok" `Quick test_sequential_ok;
@@ -324,6 +388,8 @@ let tests =
     Alcotest.test_case "Thm 5.1: ABD^2 f prefix-preserving" `Slow
       test_abd_k_prefix_preserving;
     Alcotest.test_case "Thm 5.1: f(e) validates" `Slow test_abd_linearization_validates;
+    Alcotest.test_case "Thm 5.1: f rejects a reordering" `Quick
+      test_abd_lin_negative_control;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -342,7 +408,7 @@ let va_client_config () =
     let* _ = Sim.Obj_impl.call r ~self ~tag:"r" ~meth:"read" ~arg:Value.unit in
     Sim.Proc.return ()
   in
-  { Sim.Runtime.n; objects = [ r ]; program; enable_crashes = false; max_crashes = 0 }
+  { Sim.Runtime.n; objects = [ r ]; program; max_crashes = 0 }
 
 let test_va_prefix_preserving () =
   for seed = 1 to 20 do
@@ -367,7 +433,7 @@ let il_client_config () =
       let* _ = Sim.Obj_impl.call r ~self ~tag:"r2" ~meth:"read" ~arg:Value.unit in
       Sim.Proc.return ()
   in
-  { Sim.Runtime.n; objects = [ r ]; program; enable_crashes = false; max_crashes = 0 }
+  { Sim.Runtime.n; objects = [ r ]; program; max_crashes = 0 }
 
 let test_il_prefix_preserving () =
   for seed = 1 to 20 do
@@ -448,9 +514,7 @@ let locality_tests =
    was called after it returned, and the sequence replays through [spec]
    with the recorded returns. Returns the specification's return values. *)
 let reference_replay (spec : Spec.t) (ops : Hist.op array) seq =
-  let precedes (a : Hist.op) (b : Hist.op) =
-    match a.ret_index with Some r -> r < b.call_index | None -> false
-  in
+  let precedes (a : Hist.op) (b : Hist.op) = a.ret_index < b.call_index in
   let rec in_order = function
     | [] -> true
     | i :: later ->
@@ -612,7 +676,7 @@ let test_check_matches_brute_force () =
         let procs = 2 + Rng.int rng 2 and max_ops = 1 + Rng.int rng 7 in
         let h = random_history rng kind ~procs ~max_ops in
         let h = if Rng.bool rng then mutate_return rng kind h else h in
-        let ops = Array.of_list (Hist.ops h) in
+        let ops = Hist.ops h in
         if Array.exists (fun (o : Hist.op) -> o.ret = None) ops then incr with_pending;
         let expected = reference_linearizable spec ops in
         let ctx = Fmt.str "%s history %d: %a" spec.name i Hist.pp h in
@@ -668,7 +732,7 @@ let test_long_concurrent_history () =
   let rec draw attempts =
     let h = random_history rng Reg ~procs:3 ~max_ops:24 in
     let ops = Hist.ops h in
-    if List.length ops >= 20 && List.exists (fun (o : Hist.op) -> o.ret = None) ops then h
+    if Array.length ops >= 20 && Array.exists (fun (o : Hist.op) -> o.ret = None) ops then h
     else if attempts = 0 then Alcotest.fail "no long history with pending calls drawn"
     else draw (attempts - 1)
   in
@@ -679,7 +743,7 @@ let test_long_concurrent_history () =
       Alcotest.(check bool)
         "witness validates" true (Check.validate spec_reg h lin));
   (* a final read of a value nobody wrote, after one more completed write *)
-  let n = List.length (Hist.ops h) in
+  let n = Array.length (Hist.ops h) in
   let bad =
     h
     @ [

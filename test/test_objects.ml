@@ -23,7 +23,7 @@ let rw_client obj ~self =
 
 let config_of_obj ?(n = 3) obj program =
   ignore obj;
-  { Runtime.n; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+  { Runtime.n; objects = [ obj ]; program; max_crashes = 0 }
 
 let check_linearizable ?(n = 3) ~make_obj ~seeds () =
   List.iter
@@ -196,7 +196,7 @@ let test_snapshot_sees_own_update () =
   in
   let t =
     Runtime.create
-      { Runtime.n = 2; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+      { Runtime.n = 2; objects = [ obj ]; program; max_crashes = 0 }
       (Runtime.Gen (Rng.of_int 1))
   in
   (match Runtime.run t ~max_steps:10_000 (fun _ _ -> 0) with
@@ -227,7 +227,6 @@ let test_abd_k_equivalent_sequential () =
           Runtime.n = 3;
           objects = [ obj ];
           program;
-          enable_crashes = false;
           max_crashes = 0;
         }
         (Runtime.Gen (Rng.of_int 5))
@@ -265,7 +264,7 @@ let test_abd_k_message_count () =
       in
       let t =
         Runtime.create
-          { Runtime.n = n; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+          { Runtime.n = n; objects = [ obj ]; program; max_crashes = 0 }
           (Runtime.Gen (Rng.of_int 2))
       in
       (match Runtime.run t ~max_steps:100_000 Adversary.Schedulers.eager_delivery with
@@ -297,7 +296,7 @@ let test_abd_tolerates_minority_crash () =
     if self = 2 then rw_client obj ~self else Proc.return ()
   in
   let config =
-    { Runtime.n; objects = [ obj ]; program; enable_crashes = true; max_crashes = 1 }
+    { Runtime.n; objects = [ obj ]; program; max_crashes = 1 }
   in
   let rng = Rng.of_int 11 in
   let t = Runtime.create config (Runtime.Gen (Rng.split rng)) in
@@ -324,7 +323,7 @@ let test_abd_blocks_without_quorum () =
     else Proc.return ()
   in
   let config =
-    { Runtime.n; objects = [ obj ]; program; enable_crashes = true; max_crashes = 2 }
+    { Runtime.n; objects = [ obj ]; program; max_crashes = 2 }
   in
   let t = Runtime.create config (Runtime.Gen (Rng.of_int 3)) in
   Runtime.step t (Runtime.Crash 0);
@@ -412,7 +411,7 @@ let test_max_register_linearizable () =
       in
       let t =
         Scheds.run_random ~seed
-          { Runtime.n = 3; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+          { Runtime.n = 3; objects = [ obj ]; program; max_crashes = 0 }
       in
       if not (Lin.Check.check max_spec (Runtime.history t)) then
         Alcotest.failf "seed %d: max register not linearizable:@.%a" seed
@@ -436,7 +435,7 @@ let test_max_register_sequential () =
   in
   let t =
     Runtime.create
-      { Runtime.n = 1; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+      { Runtime.n = 1; objects = [ obj ]; program; max_crashes = 0 }
       (Runtime.Gen (Rng.of_int 1))
   in
   (match Runtime.run t ~max_steps:1000 (fun _ _ -> 0) with
@@ -455,7 +454,7 @@ let test_max_register_bounds () =
   in
   let t =
     Runtime.create
-      { Runtime.n = 1; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+      { Runtime.n = 1; objects = [ obj ]; program; max_crashes = 0 }
       (Runtime.Gen (Rng.of_int 1))
   in
   (* the out-of-bounds write must fault when its step executes *)
@@ -487,7 +486,7 @@ let test_no_writeback_inversion_detected () =
   in
   let t =
     Runtime.create
-      { Runtime.n = n; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+      { Runtime.n = n; objects = [ obj ]; program; max_crashes = 0 }
       (Runtime.Gen (Rng.of_int 1))
   in
   let run_to_block p =
@@ -550,7 +549,7 @@ let test_writeback_prevents_inversion () =
     in
     let t =
       Scheds.run_random ~seed
-        { Runtime.n = 3; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+        { Runtime.n = 3; objects = [ obj ]; program; max_crashes = 0 }
     in
     Alcotest.(check bool)
       (Fmt.str "linearizable (seed %d)" seed)
@@ -606,7 +605,7 @@ let run_probe ~k ~tape =
   in
   let t =
     Runtime.create
-      { Runtime.n = 1; objects = [ obj ]; program; enable_crashes = false; max_crashes = 0 }
+      { Runtime.n = 1; objects = [ obj ]; program; max_crashes = 0 }
       (Runtime.Tape tape)
   in
   (match Runtime.run t ~max_steps:1000 (fun _ _ -> 0) with

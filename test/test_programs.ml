@@ -146,7 +146,7 @@ let run_ben_or ?(crash = None) ~seed ~inputs () =
   let n = List.length inputs in
   let config = Programs.Ben_or.config ~n ~f:1 ~inputs ~max_rounds:60 in
   let config =
-    if crash = None then { config with Runtime.enable_crashes = false } else config
+    if crash = None then { config with Runtime.max_crashes = 0 } else config
   in
   let rng = Rng.of_int seed in
   let t = Runtime.create config (Runtime.Gen (Rng.split rng)) in

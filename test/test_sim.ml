@@ -22,7 +22,6 @@ let trivial_config () =
     Runtime.n = 3;
     objects = [ reg ];
     program;
-    enable_crashes = false;
     max_crashes = 0;
   }
 
@@ -30,7 +29,7 @@ let test_trivial_completes () =
   let t = Scheds.run_random (trivial_config ()) in
   Alcotest.(check bool) "finished" true (Runtime.finished t);
   let h = Runtime.history t in
-  Alcotest.(check int) "six operations" 6 (List.length (History.Hist.ops h))
+  Alcotest.(check int) "six operations" 6 (Array.length (History.Hist.ops h))
 
 let test_determinism_same_schedule () =
   (* record the schedule of one run, replay it, compare traces *)
@@ -83,7 +82,6 @@ let test_mailbox_fifo () =
       Runtime.n = 2;
       objects = [ dummy ];
       program;
-      enable_crashes = false;
       max_crashes = 0;
     }
   in
@@ -116,7 +114,6 @@ let test_recv_blocks () =
       Runtime.n = 1;
       objects = [ dummy ];
       program;
-      enable_crashes = false;
       max_crashes = 0;
     }
   in
@@ -147,7 +144,6 @@ let test_register_discipline () =
       Runtime.n = 2;
       objects = [ obj ];
       program;
-      enable_crashes = false;
       max_crashes = 0;
     }
   in
@@ -178,7 +174,6 @@ let test_tape_randomness () =
       Runtime.n = 1;
       objects = [ dummy ];
       program;
-      enable_crashes = false;
       max_crashes = 0;
     }
   in
@@ -207,7 +202,6 @@ let test_tape_exhaustion () =
       Runtime.n = 1;
       objects = [ dummy ];
       program;
-      enable_crashes = false;
       max_crashes = 0;
     }
   in
@@ -216,7 +210,7 @@ let test_tape_exhaustion () =
       Runtime.step t (Runtime.Step 0))
 
 let test_crash_event () =
-  let config = { (trivial_config ()) with enable_crashes = true; max_crashes = 1 } in
+  let config = { (trivial_config ()) with max_crashes = 1 } in
   let t = Runtime.create config (Runtime.Gen (Rng.of_int 1)) in
   Runtime.step t (Runtime.Crash 2);
   Alcotest.(check bool) "p2 crashed" true (Runtime.is_crashed t 2);
@@ -380,7 +374,7 @@ let test_enabled_positions () =
     in
     let crashed = List.length (List.filter (Runtime.is_crashed t) procs) in
     let crashes =
-      if config.enable_crashes && crashed < config.max_crashes then
+      if crashed < config.max_crashes then
         List.filter_map
           (fun p -> if Runtime.is_active t p then Some (Runtime.Crash p) else None)
           procs
@@ -513,8 +507,7 @@ let test_server_state () =
     Proc.return ()
   in
   let config =
-    { Runtime.n = 3; objects = [ abd; reg ]; program; enable_crashes = false;
-      max_crashes = 0 }
+    { Runtime.n = 3; objects = [ abd; reg ]; program; max_crashes = 0 }
   in
   let t = Runtime.create config (Runtime.Gen (Rng.of_int 3)) in
   (match Runtime.run t ~max_steps:10_000 Adversary.Schedulers.eager_delivery with
