@@ -13,10 +13,19 @@ exception Discipline_violation of string
 
 type cell = { decl : decl; mutable value : Value.t }
 
+(* the order polymorphic [compare] gives [id] (fields in declaration
+   order), without its C call *)
+let compare_id a b =
+  let c = String.compare a.obj_name b.obj_name in
+  if c <> 0 then c
+  else
+    let c = String.compare a.reg b.reg in
+    if c <> 0 then c else List.compare Int.compare a.index b.index
+
 module IdMap = Map.Make (struct
   type t = id
 
-  let compare = compare
+  let compare = compare_id
 end)
 
 type store = { mutable cells : cell IdMap.t }
@@ -46,7 +55,7 @@ let check_allowed kind allowed proc rid =
   match allowed with
   | None -> ()
   | Some procs ->
-      if not (List.mem proc procs) then
+      if not (List.exists (Int.equal proc) procs) then
         raise
           (Discipline_violation
              (Fmt.str "process %d may not %s %a" proc kind pp_id rid))

@@ -22,11 +22,14 @@ type _ op =
 
 type 'a t =
   | Ret : 'a -> 'a t
+  | Do : 'a op -> 'a t
   | Op : 'b op * ('b -> 'a t) -> 'a t
   | Bind : 'b t * ('b -> 'a t) -> 'a t
 
 let return x = Ret x
-let bind m f = match m with Ret x -> f x | Op _ | Bind _ -> Bind (m, f)
+
+let bind m f =
+  match m with Ret x -> f x | Do o -> Op (o, f) | Op _ | Bind _ -> Bind (m, f)
 
 let map f m = bind m (fun x -> Ret (f x))
 
@@ -35,7 +38,7 @@ module Syntax = struct
   let ( let+ ) m f = map f m
 end
 
-let op o = Op (o, return)
+let op o = Do o
 let broadcast m = op (Broadcast m)
 let send dst m = op (Send (dst, m))
 let recv ~descr pred = op (Recv (descr, pred))

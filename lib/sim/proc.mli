@@ -14,6 +14,8 @@
     A sequence of binds is a tree of [Bind] nodes, not a chain of
     re-wrapped [Op]s: the runtime keeps each process's pending
     continuations on a stack, so a step costs the same at any call depth.
+    Binding a smart constructor's result ([let* x = read_reg r in ...])
+    builds one [Op] node and no [Bind] (see [Do]).
 
     [Recv] predicates must be pure: their answer on a message may depend
     only on that message (and on values fixed when the predicate was
@@ -58,6 +60,13 @@ type _ op =
 
 type 'a t =
   | Ret : 'a -> 'a t
+  | Do : 'a op -> 'a t
+      (** the operation alone, its result the code's value: what the
+          smart constructors build. [Do o] means [Op (o, return)], so by
+          the left-identity law [bind (Do o) f] is
+          [Op (o, fun x -> bind (return x) f) = Op (o, f)]: {!bind} builds
+          that node directly, and [let* x = Proc.read_reg r in ...] costs
+          no [Bind] node *)
   | Op : 'b op * ('b -> 'a t) -> 'a t
   | Bind : 'b t * ('b -> 'a t) -> 'a t
       (** [m] then the continuation: {!bind}'s node, so binding is O(1)
@@ -66,8 +75,8 @@ type 'a t =
 
 val return : 'a -> 'a t
 
-(** [bind m f] is [f x] when [m] is [Ret x], else one [Bind] node: it
-    never walks or re-wraps [m]. *)
+(** [bind m f] is [f x] when [m] is [Ret x], [Op (o, f)] when [m] is
+    [Do o], else one [Bind] node: it never walks or re-wraps [m]. *)
 val bind : 'a t -> ('a -> 'b t) -> 'b t
 val map : ('a -> 'b) -> 'a t -> 'b t
 

@@ -11,7 +11,10 @@ let debug_on () =
 
 (* Process-wide instrumentation (see lib/obs): counters aggregate across
    every runtime instance created in the process; per-run figures come from
-   the trace ([Trace.count_steps] etc.), these feed the registry snapshot. *)
+   the trace ([Trace.count_steps] etc.), these feed the registry snapshot.
+   The per-event counters are tallied in the runtime and published by
+   [publish] when [run] or [step] returns or raises, so an event pays no
+   atomic read-modify-write. *)
 module M = struct
   open Obs.Metrics
 
@@ -62,13 +65,14 @@ type pstatus =
 let rec settle : type a. a Proc.t -> (a, unit) kont -> pstatus =
  fun m s ->
   match m with
+  | Proc.Do op -> Active (op, Proc.return, s)
   | Proc.Op (op, k) -> Active (op, k, s)
   | Proc.Bind (m, f) -> settle m (Push (f, s))
   | Proc.Ret x -> ( match s with Done -> At_ret | Push (f, s) -> settle (f x) s)
 
 (* A mailbox, flattened: ids and messages in parallel arrays, ARRIVAL
    order ascending, so an oldest-first scan touches no allocator and
-   removal is a blit. *)
+   removal shifts the tail down in place. *)
 type mbox = {
   mutable mb_ids : int array;
   mutable mb_msgs : Message.t array;
@@ -92,10 +96,13 @@ type t = {
   mutable ready : int;
   mailboxes : mbox array;
   (* the in-transit multiset, flattened likewise: SEND order ascending,
-     so the enabled scan needs no reversal. Delivery removes by blit. *)
+     so the enabled scan needs no reversal. Delivery shifts the tail down
+     in place. [tr_obj] is each message's object ordinal, looked up once
+     when it is sent. *)
   mutable tr_ids : int array;
   mutable tr_dst : int array;
   mutable tr_src : int array;
+  mutable tr_obj : int array;
   mutable tr_msg : Message.t array;
   mutable tr_len : int;
   objs : Obj_impl.t array;  (* [config.objects], by ordinal *)
@@ -111,6 +118,13 @@ type t = {
   mutable rand_pos : int;
   mutable crashes : int;
   rand : rand_source;
+  (* unpublished tallies of the [M] counters of the same names *)
+  mutable n_steps : int;
+  mutable n_sent : int;
+  mutable n_delivered : int;
+  mutable n_reads : int;
+  mutable n_writes : int;
+  mutable n_flips : int;
 }
 
 (* slot filler for vacated message cells, so removal drops the reference *)
@@ -168,6 +182,7 @@ let create ?trace_level config rand =
       tr_ids = Array.make 16 0;
       tr_dst = Array.make 16 0;
       tr_src = Array.make 16 0;
+      tr_obj = Array.make 16 0;
       tr_msg = Array.make 16 no_msg;
       tr_len = 0;
       objs;
@@ -181,6 +196,12 @@ let create ?trace_level config rand =
       rand_pos = 0;
       crashes = 0;
       rand;
+      n_steps = 0;
+      n_sent = 0;
+      n_delivered = 0;
+      n_reads = 0;
+      n_writes = 0;
+      n_flips = 0;
     }
   in
   for p = 0 to config.n - 1 do
@@ -265,8 +286,13 @@ let next_op_descr t p =
    into it, and [enabled] lists it. None of them runs a predicate or
    allocates, except [enabled_nth]'s and [enabled]'s results. *)
 
-let rec popcount_from x acc = if x = 0 then acc else popcount_from (x land (x - 1)) (acc + 1)
-let popcount x = popcount_from x 0
+(* the number of set bits of [x >= 0], by the usual SWAR sums: pairs,
+   nibbles, bytes, then one multiply gathers the bytes into the top one *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 (* the position of the [i]-th set bit of [x] (lowest first) at or above
    bit [p]; [x] has more than [i] such bits *)
@@ -346,48 +372,68 @@ let grow_msgs a =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let enqueue_message t ~src ~dst msg =
+(* the ordinal of the object [msg] is addressed to; a message for an
+   object the configuration does not declare never enters transit *)
+let msg_obj t (msg : Message.t) =
+  let o = obj_index t msg.obj_name in
+  if o < 0 then Fmt.invalid_arg "unknown object %s" msg.obj_name;
+  o
+
+(* send [msg], addressed to object ordinal [o], from [src] to [dst] *)
+let enqueue_message t ~src ~dst o msg =
   let msg_id = t.next_msg in
   t.next_msg <- msg_id + 1;
   if t.tr_len = Array.length t.tr_ids then begin
     t.tr_ids <- grow_ints t.tr_ids;
     t.tr_dst <- grow_ints t.tr_dst;
     t.tr_src <- grow_ints t.tr_src;
+    t.tr_obj <- grow_ints t.tr_obj;
     t.tr_msg <- grow_msgs t.tr_msg
   end;
   t.tr_ids.(t.tr_len) <- msg_id;
   t.tr_dst.(t.tr_len) <- dst;
   t.tr_src.(t.tr_len) <- src;
+  t.tr_obj.(t.tr_len) <- o;
   t.tr_msg.(t.tr_len) <- msg;
   t.tr_len <- t.tr_len + 1;
-  Obs.Metrics.incr M.messages_sent;
+  t.n_sent <- t.n_sent + 1;
   if Trace.full t.trace then
     Trace.add t.trace
       (Trace.Sent { msg_id; src; dst; msg; inv = current_inv t src })
-  else Trace.bump_sent t.trace;
-  msg_id
+  else Trace.bump_sent t.trace
 
-(* a server handler's replies, sent from [src] in order *)
-let rec send_all t ~src obj_name = function
+(* a server handler's replies, sent from [src] in order for object
+   ordinal [o], the handling object *)
+let rec send_all t ~src o obj_name = function
   | [] -> ()
   | (dst, body) :: rest ->
-      ignore (enqueue_message t ~src ~dst (Message.make ~obj_name body));
-      send_all t ~src obj_name rest
+      enqueue_message t ~src ~dst o (Message.make ~obj_name body);
+      send_all t ~src o obj_name rest
+
+(* close the gap at in-transit slot [i] by shifting slots [i+1 ..] down
+   one; an OCaml loop, which for these short arrays beats [Array.blit]'s
+   C call *)
+let remove_transit t i =
+  let last = t.tr_len - 1 in
+  let ids = t.tr_ids and dsts = t.tr_dst and srcs = t.tr_src
+  and objs = t.tr_obj and msgs = t.tr_msg in
+  for j = i to last - 1 do
+    ids.(j) <- ids.(j + 1);
+    dsts.(j) <- dsts.(j + 1);
+    srcs.(j) <- srcs.(j + 1);
+    objs.(j) <- objs.(j + 1);
+    msgs.(j) <- msgs.(j + 1)
+  done;
+  msgs.(last) <- no_msg;
+  t.tr_len <- last
 
 (* Deliver the message in in-transit slot [i]; its destination has not
    crashed. *)
 let deliver_slot t i =
   let msg_id = t.tr_ids.(i) in
-  let src = t.tr_src.(i) and dst = t.tr_dst.(i) and msg = t.tr_msg.(i) in
-  let tail = t.tr_len - i - 1 in
-  Array.blit t.tr_ids (i + 1) t.tr_ids i tail;
-  Array.blit t.tr_dst (i + 1) t.tr_dst i tail;
-  Array.blit t.tr_src (i + 1) t.tr_src i tail;
-  Array.blit t.tr_msg (i + 1) t.tr_msg i tail;
-  t.tr_len <- t.tr_len - 1;
-  t.tr_msg.(t.tr_len) <- no_msg;
-  let o = obj_index t msg.Message.obj_name in
-  if o < 0 then Fmt.invalid_arg "unknown object %s" msg.Message.obj_name;
+  let src = t.tr_src.(i) and dst = t.tr_dst.(i) and o = t.tr_obj.(i)
+  and msg = t.tr_msg.(i) in
+  remove_transit t i;
   let obj = t.objs.(o) in
   let handled =
     match obj.on_message with
@@ -396,7 +442,7 @@ let deliver_slot t i =
         match handler ~self:dst ~state:states.(dst) ~src ~body:msg.Message.body with
         | Some { state = state'; out } ->
             states.(dst) <- state';
-            send_all t ~src:dst obj.name out;
+            send_all t ~src:dst o obj.name out;
             true
         | None -> false)
     | _ -> false
@@ -417,7 +463,7 @@ let deliver_slot t i =
           t.ready <- t.ready lor (1 lsl dst)
       | _ -> ()
   end;
-  Obs.Metrics.incr M.messages_delivered;
+  t.n_delivered <- t.n_delivered + 1;
   if Trace.full t.trace then
     Trace.add t.trace (Trace.Delivered { msg_id; src; dst; msg; handled })
   else Trace.bump t.trace
@@ -434,12 +480,16 @@ let deliver t msg_id =
   if i < 0 || is_crashed t t.tr_dst.(i) then raise (Not_enabled (Deliver msg_id));
   deliver_slot t i
 
+(* close the gap at mailbox slot [i], as [remove_transit] does *)
 let remove_mail mb i =
-  let tail = mb.mb_len - i - 1 in
-  Array.blit mb.mb_ids (i + 1) mb.mb_ids i tail;
-  Array.blit mb.mb_msgs (i + 1) mb.mb_msgs i tail;
-  mb.mb_len <- mb.mb_len - 1;
-  mb.mb_msgs.(mb.mb_len) <- no_msg
+  let last = mb.mb_len - 1 in
+  let ids = mb.mb_ids and msgs = mb.mb_msgs in
+  for j = i to last - 1 do
+    ids.(j) <- ids.(j + 1);
+    msgs.(j) <- msgs.(j + 1)
+  done;
+  msgs.(last) <- no_msg;
+  mb.mb_len <- last
 
 (* feed [v] to [p]'s pending continuation [k] over the stack [s] *)
 let continue t p k s v = t.procs.(p) <- settle (k v) s
@@ -453,12 +503,13 @@ let step_process t p =
   | Active (op, k, s) -> (
       match op with
       | Proc.Broadcast msg ->
+          let o = msg_obj t msg in
           for dst = 0 to t.config.n - 1 do
-            ignore (enqueue_message t ~src:p ~dst msg)
+            enqueue_message t ~src:p ~dst o msg
           done;
           continue t p k s ()
       | Proc.Send (dst, msg) ->
-          ignore (enqueue_message t ~src:p ~dst msg);
+          enqueue_message t ~src:p ~dst (msg_obj t msg) msg;
           continue t p k s ()
       | Proc.Recv (_descr, pred) ->
           let mb = t.mailboxes.(p) in
@@ -473,7 +524,7 @@ let step_process t p =
           continue t p k s msg
       | Proc.Read_reg r ->
           let value = Base_reg.read t.store r ~reader:p in
-          Obs.Metrics.incr M.reg_reads;
+          t.n_reads <- t.n_reads + 1;
           if Trace.full t.trace then
             Trace.add t.trace
               (Trace.Reg_read { proc = p; reg = r; value; inv = current_inv t p })
@@ -481,7 +532,7 @@ let step_process t p =
           continue t p k s value
       | Proc.Write_reg (r, value) ->
           Base_reg.write t.store r ~writer:p value;
-          Obs.Metrics.incr M.reg_writes;
+          t.n_writes <- t.n_writes + 1;
           if Trace.full t.trace then
             Trace.add t.trace
               (Trace.Reg_write { proc = p; reg = r; value; inv = current_inv t p })
@@ -491,7 +542,7 @@ let step_process t p =
           let cur = Base_reg.read t.store r ~reader:p in
           let stored, result = f cur in
           Base_reg.write t.store r ~writer:p stored;
-          Obs.Metrics.incr M.reg_writes;
+          t.n_writes <- t.n_writes + 1;
           if Trace.full t.trace then
             Trace.add t.trace
               (Trace.Reg_write
@@ -500,7 +551,7 @@ let step_process t p =
           continue t p k s result
       | Proc.Random (bound, kind) ->
           let result = draw_random t bound in
-          Obs.Metrics.incr M.coin_flips;
+          t.n_flips <- t.n_flips + 1;
           if debug_on () then
             Log.debug (fun m ->
                 m "p%d %s-random(%d) = %d" p
@@ -563,8 +614,30 @@ let crash t p =
   Obs.Metrics.incr M.crashes;
   Trace.add t.trace (Trace.Crashed p)
 
-let step t e =
-  Obs.Metrics.incr M.steps;
+(* add the tallies to the process-wide counters and zero them *)
+let publish t =
+  let flush c n = if n <> 0 then Obs.Metrics.add c n in
+  flush M.steps t.n_steps;
+  flush M.messages_sent t.n_sent;
+  flush M.messages_delivered t.n_delivered;
+  flush M.reg_reads t.n_reads;
+  flush M.reg_writes t.n_writes;
+  flush M.coin_flips t.n_flips;
+  t.n_steps <- 0;
+  t.n_sent <- 0;
+  t.n_delivered <- 0;
+  t.n_reads <- 0;
+  t.n_writes <- 0;
+  t.n_flips <- 0
+
+(* [publish], then re-raise [e] with its backtrace *)
+let publish_raise t e =
+  let bt = Printexc.get_raw_backtrace () in
+  publish t;
+  Printexc.raise_with_backtrace e bt
+
+let step_event t e =
+  t.n_steps <- t.n_steps + 1;
   if debug_on () then Log.debug (fun m -> m "%a" pp_event e);
   match e with
   | Step p -> step_process t p
@@ -575,10 +648,13 @@ let step t e =
       | Active _ | At_ret -> crash t p
       | Terminated | Crashed_p -> raise (Not_enabled e))
 
+let step t e =
+  match step_event t e with () -> publish t | exception ex -> publish_raise t ex
+
 (* [step] by position, for the run loops: the index decodes straight to a
    process or an in-transit slot, so no event is built or searched for *)
 let step_nth t i =
-  Obs.Metrics.incr M.steps;
+  t.n_steps <- t.n_steps + 1;
   if debug_on () then Log.debug (fun m -> m "%a" pp_event (enabled_nth t i));
   let x = locate t i in
   match x land 3 with
@@ -614,7 +690,11 @@ let rec run_loop t choose remaining =
 
 let run t ~max_steps choose =
   Obs.Metrics.incr M.runs;
-  let result = run_loop t choose max_steps in
+  let result =
+    match run_loop t choose max_steps with
+    | r -> publish t; r
+    | exception ex -> publish_raise t ex
+  in
   Log.info (fun m ->
       m "run %a after %d steps (%d msgs)" pp_run_result result
         (Trace.count_steps t.trace)

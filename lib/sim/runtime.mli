@@ -73,7 +73,9 @@ val enabled : t -> event list
 exception Not_enabled of event
 
 (** [step t e] applies one event. Raises [Not_enabled] if [e] is not
-    currently enabled. *)
+    currently enabled, and [Invalid_argument] if [e] steps a [Broadcast]
+    or [Send] of a message for an object the configuration does not
+    declare (nothing enters transit then). *)
 val step : t -> event -> unit
 
 (** [finished t] holds when every process has terminated or crashed. *)
@@ -134,5 +136,9 @@ val pp_run_result : Format.formatter -> run_result -> unit
 (** The simulator's [Logs] source, [blunting.sim]; step-level events log at
     debug, run completions at info. Counters land in [Obs.Metrics] under
     the [sim.] prefix (steps, messages sent/delivered, register
-    reads/writes, coin flips, crashes). *)
+    reads/writes, coin flips, crashes, runs). Steps, messages, register
+    accesses and coin flips are tallied in the runtime and published,
+    one [Obs.Metrics.add] each, when {!run} or {!step} returns or
+    raises, not per event: read them between calls, not from inside a
+    scheduler. The totals are exact wherever a run stops. *)
 val log_src : Logs.src

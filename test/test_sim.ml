@@ -415,6 +415,133 @@ let test_enabled_positions () =
     (decision_cases ());
   if !crashes = 0 then Alcotest.fail "no trial chose a crash"
 
+(* A message for an object the configuration does not declare fails
+   the [Send] or [Broadcast] step that makes it, before it enters
+   transit. *)
+let test_unknown_object () =
+  let chan : Obj_impl.t =
+    {
+      name = "chan";
+      invoke = (fun ~self:_ ~meth:_ ~arg:_ -> Proc.return Value.unit);
+      on_message = None;
+      init_server = None;
+      registers = (fun ~n:_ -> []);
+    }
+  in
+  let program ~self =
+    let m = Message.make ~obj_name:"nope" (Value.int self) in
+    if self = 0 then Proc.send 1 m else Proc.broadcast m
+  in
+  let config = { Runtime.n = 2; objects = [ chan ]; program; max_crashes = 0 } in
+  List.iter
+    (fun p ->
+      let t = Runtime.create config (Runtime.Gen (Rng.of_int 1)) in
+      Alcotest.check_raises "unknown object" (Invalid_argument "unknown object nope")
+        (fun () -> Runtime.step t (Runtime.Step p));
+      Alcotest.(check int) "nothing in transit" 0 (List.length (Runtime.in_transit t));
+      Alcotest.(check int) "nothing sent" 0 (Trace.count_messages (Runtime.trace t)))
+    [ 0; 1 ]
+
+(* The [sim.*] counters are tallied per runtime and published when [run]
+   or [step] returns or raises. Wherever a run stops, their deltas must
+   equal what the Full trace recorded: [sim.messages_sent] its
+   [count_messages], deliveries, register reads and writes and coin flips
+   its entries of each kind, and [sim.steps] the events stepped. *)
+let sim_counters =
+  List.map Obs.Metrics.counter
+    [
+      "sim.steps"; "sim.messages_sent"; "sim.messages_delivered";
+      "sim.register_reads"; "sim.register_writes"; "sim.coin_flips";
+    ]
+
+let read_counters () = List.map Obs.Metrics.counter_value sim_counters
+
+let check_counters ~what c0 ~stepped t =
+  let tr = Runtime.trace t in
+  let count f = List.length (List.filter f (Trace.entries tr)) in
+  let expected =
+    [
+      stepped;
+      Trace.count_messages tr;
+      count (function Trace.Delivered _ -> true | _ -> false);
+      count (function Trace.Reg_read _ -> true | _ -> false);
+      count (function Trace.Reg_write _ -> true | _ -> false);
+      count (function Trace.Randomized _ -> true | _ -> false);
+    ]
+  in
+  Alcotest.(check (list int))
+    (what ^ ": steps, sent, delivered, reads, writes, flips")
+    expected
+    (List.map2 ( - ) (read_counters ()) c0)
+
+(* one Full-trace uniform run of each pinned configuration to its end *)
+let test_counters_completed_run () =
+  List.iteri
+    (fun i (name, (mk, max_steps)) ->
+      let t = Runtime.create (mk ()) (Runtime.Gen (Rng.stream ~seed:5 ~index:((2 * i) + 1))) in
+      let pick = Adversary.Schedulers.uniform (Rng.stream ~seed:5 ~index:(2 * i)) in
+      let stepped = ref 0 in
+      let c0 = read_counters () in
+      (match Runtime.run t ~max_steps (fun t n -> incr stepped; pick t n) with
+      | Runtime.Completed -> ()
+      | r -> Alcotest.failf "%s: run %a" name Runtime.pp_run_result r);
+      check_counters ~what:name c0 ~stepped:!stepped t)
+    (decision_cases ())
+
+(* ABD^2's weakener draws seven times per trial; a three-draw tape cuts
+   the run mid-way, after messages have moved *)
+let test_counters_tape_exhausted () =
+  let t =
+    Runtime.create (Programs.Weakener.abd_k_config ~k:2) (Runtime.Tape [| 1; 0; 1 |])
+  in
+  let pick = Adversary.Schedulers.uniform (Rng.of_int 3) in
+  let stepped = ref 0 in
+  let c0 = read_counters () in
+  Alcotest.check_raises "tape runs out" Runtime.Tape_exhausted (fun () ->
+      ignore (Runtime.run t ~max_steps:1_000_000 (fun t n -> incr stepped; pick t n)));
+  if Trace.count_messages (Runtime.trace t) = 0 then Alcotest.fail "no message was sent";
+  check_counters ~what:"cut run" c0 ~stepped:!stepped t
+
+(* [Runtime.step] publishes per call, the raising step included *)
+let test_counters_single_steps () =
+  let t =
+    Runtime.create (Programs.Weakener.abd_k_config ~k:2) (Runtime.Tape [| 0; 1; 1; 0 |])
+  in
+  let rng = Rng.of_int 9 in
+  let c0 = read_counters () in
+  let rec go stepped =
+    let evs = Runtime.enabled t in
+    match Runtime.step t (List.nth evs (Rng.index rng (List.length evs))) with
+    | () ->
+        check_counters ~what:(Fmt.str "step %d" stepped) c0 ~stepped t;
+        go (stepped + 1)
+    | exception Runtime.Tape_exhausted -> stepped
+  in
+  let stepped = go 1 in
+  if stepped < 20 then Alcotest.failf "tape ran out after %d steps" stepped;
+  check_counters ~what:"raising step" c0 ~stepped t
+
+(* Seed 1, 5,000 ABD^2 trials under the uniform scheduler, recorded on
+   the runtime that bumped the process-wide counters per event: the
+   tallies published per run must add up to the same totals, and to the
+   same at 4 jobs as at 1. *)
+let test_mc_tallies_pinned () =
+  let steps = Obs.Metrics.counter "sim.steps"
+  and sent = Obs.Metrics.counter "sim.messages_sent" in
+  let at jobs =
+    let s0 = Obs.Metrics.counter_value steps and m0 = Obs.Metrics.counter_value sent in
+    let r =
+      Adversary.Monte_carlo.estimate ~jobs ~trials:5_000 ~seed:1
+        ~scheduler:Adversary.Schedulers.uniform ~bad:Programs.Weakener.bad (fun () ->
+          Programs.Weakener.abd_k_config ~k:2)
+    in
+    (r.bad, Obs.Metrics.counter_value steps - s0, Obs.Metrics.counter_value sent - m0)
+  in
+  let pinned = (19, 1_134_502, 539_911) in
+  let t3 = Alcotest.(triple int int int) in
+  Alcotest.check t3 "1 job: bad, sim.steps, sim.messages_sent" pinned (at 1);
+  Alcotest.check t3 "4 jobs: bad, sim.steps, sim.messages_sent" pinned (at 4)
+
 (* Allocation guard: minor words per simulator step ([Gc.minor_words]
    over the [sim.steps] counter) for each simulator workload of the bench
    harness. Each row is (workload, words per step measured under OCaml
@@ -467,12 +594,12 @@ let alloc_workloads =
       [ (k, window); (1, 0) ]
   in
   [
-    ( "ABD^2 Monte-Carlo, 500 trials", 28.0, 40.0,
+    ( "ABD^2 Monte-Carlo, 500 trials", 25.5, 38.0,
       mc ~trials:500 ~seed:1 (fun () -> Programs.Weakener.abd_k_config ~k:2) );
-    ( "E1 atomic Monte-Carlo, 2,000 trials", 60.3, 90.0,
+    ( "E1 atomic Monte-Carlo, 2,000 trials", 59.5, 89.0,
       mc ~trials:2_000 ~seed:101 Programs.Weakener.atomic_config );
-    ("E8 eager ABD^k runs", 26.3, 40.0, eager_abd_k);
-    ("E9 round-based runs", 31.4, 45.0, round_based);
+    ("E8 eager ABD^k runs", 23.7, 35.0, eager_abd_k);
+    ("E9 round-based runs", 28.8, 43.0, round_based);
   ]
 
 let test_words_per_step () =
@@ -551,4 +678,11 @@ let tests =
     Alcotest.test_case "sim: words per step bounded" `Quick test_words_per_step;
     Alcotest.test_case "server_state reads ABD replicas" `Quick test_server_state;
     Alcotest.test_case "enabled positions match the observers" `Quick test_enabled_positions;
+    Alcotest.test_case "unknown objects fail at send" `Quick test_unknown_object;
+    Alcotest.test_case "counters match a completed run" `Quick test_counters_completed_run;
+    Alcotest.test_case "counters match a run cut by Tape_exhausted" `Quick
+      test_counters_tape_exhausted;
+    Alcotest.test_case "counters match single steps" `Quick test_counters_single_steps;
+    Alcotest.test_case "Monte-Carlo tallies pinned at 1 and 4 jobs" `Quick
+      test_mc_tallies_pinned;
   ]
