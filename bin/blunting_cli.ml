@@ -564,7 +564,7 @@ let fuzz_cmd =
     "Fuzz the simulator against its five oracles: per-object \
      linearizability of every generated history, lockstep conformance with \
      the weakener game model, ABD-vs-ABD$(b,^k) outcome-distribution \
-     compatibility (Theorem 4.1), Monte-Carlo tally identity at 1 vs 4 \
+     compatibility (Theorem 4.1), Monte-Carlo tally identity at 1 vs 2 \
      jobs and pruning soundness on random layered games. Failures are \
      shrunk to a minimal schedule prefix and written as replayable corpus \
      files. Exits 1 if any oracle failed."

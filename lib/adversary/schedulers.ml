@@ -2,7 +2,10 @@ open Sim
 
 type t = Runtime.t -> int -> int
 
-let uniform rng _t n = Util.Rng.index rng n
+(* [uniform] and [lazy_delivery] return two-argument closures, so the
+   run loop's [choose t n] calls them directly rather than through a
+   partial application *)
+let uniform rng = fun _t n -> Util.Rng.index rng n
 
 (* The enabled order puts steps first, then deliveries, then crashes
    (Runtime.enabled), so a step's or the oldest delivery's position is
@@ -54,7 +57,8 @@ let uniform_no_crash rng t n =
   let m = crash_free t n in
   Util.Rng.index rng (if m = 0 then n else m)
 
-let lazy_delivery rng t n =
+let lazy_delivery rng =
+ fun t n ->
   let s = Runtime.enabled_steps t in
   Util.Rng.index rng (if s = 0 then n else s)
 

@@ -17,7 +17,7 @@
       statistically compatible (Theorem 4.1 as a property test; Wilson
       intervals from {!Util.Stats}).
     - {b par} (per session): Monte-Carlo tallies are bit-identical at
-      [--jobs 1] and [--jobs 4] ({!Par.Pool}).
+      [--jobs 1] and [--jobs 2] ({!Par.Pool}).
     - {b prune} (per session): on randomly generated layered-DAG games,
       solves with the cutoffs against the a-priori bound 1 return bitwise
       the exact optimal value while exploring no more states, every
@@ -92,8 +92,8 @@ val model_lockstep : seed:int -> iter:int -> failure option
 val dist : ?pool:Par.Pool.t -> seed:int -> trials:int -> k:int -> unit -> failure option
 
 (** [par_identity ~seed ~trials ()] checks seq-vs-par identity of
-    Monte-Carlo tallies at jobs 1 vs 4. Spawns (and always joins) its own
-    4-domain pool. *)
+    Monte-Carlo tallies at jobs 1 vs 2. Spawns (and always joins) its own
+    2-domain pool. *)
 val par_identity : seed:int -> trials:int -> unit -> failure option
 
 (** [prune_vs_exact ?configs ~seed ()] checks pruning soundness on

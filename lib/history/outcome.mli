@@ -19,7 +19,10 @@ val find : t -> tag:string -> occurrence:int -> Util.Value.t option
 val find1 : t -> string -> Util.Value.t option
 
 (** [of_history h] builds an outcome from the completed operations of a
-    history, using each call's [tag] and counting repeated tags. *)
+    history, using each call's [tag] and counting repeated tags. One pass
+    over [h] indexes the returns by invocation id in an array, so ids
+    must be non-negative (the runtime numbers them from 0); a negative
+    id raises [Invalid_argument]. *)
 val of_history : Hist.t -> t
 
 val bindings : t -> ((string * int) * Util.Value.t) list

@@ -43,11 +43,15 @@ let handler ~self:_ ~state ~src ~body : Obj_impl.handler_result option =
       ignore (Message.tag_of body);
       None
 
+(* [m] is for object [name]: the object's messages share its name
+   physically, so the string compare runs only for a foreign message *)
+let for_obj name (m : Message.t) = m.obj_name == name || String.equal m.obj_name name
+
 (* A reply to query [sn] of object [name]: [Pair ("reply", (v, ts, sn))].
    Well-formed bodies are matched by constructor; anything else takes the
    checked path, which raises [Type_error] on a malformed reply. *)
 let is_reply ~name sn (m : Message.t) =
-  String.equal m.obj_name name
+  for_obj name m
   &&
   match m.body with
   | Value.(Pair (Str "reply", Pair (_, Pair (_, Int sn')))) -> sn' = sn
@@ -60,7 +64,7 @@ let is_reply ~name sn (m : Message.t) =
 
 (* An ack of update [sn] of object [name]: [Pair ("ack", sn)]. *)
 let is_ack ~name sn (m : Message.t) =
-  String.equal m.obj_name name
+  for_obj name m
   &&
   match m.body with
   | Value.(Pair (Str "ack", Int sn')) -> sn' = sn

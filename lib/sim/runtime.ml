@@ -70,14 +70,10 @@ let rec settle : type a. a Proc.t -> (a, unit) kont -> pstatus =
   | Proc.Bind (m, f) -> settle m (Push (f, s))
   | Proc.Ret x -> ( match s with Done -> At_ret | Push (f, s) -> settle (f x) s)
 
-(* A mailbox, flattened: ids and messages in parallel arrays, ARRIVAL
-   order ascending, so an oldest-first scan touches no allocator and
-   removal shifts the tail down in place. *)
-type mbox = {
-  mutable mb_ids : int array;
-  mutable mb_msgs : Message.t array;
-  mutable mb_len : int;
-}
+(* A mailbox: the message-store slots of its messages, ARRIVAL order
+   ascending, so an oldest-first scan touches no allocator and removal
+   shifts ints down in place. *)
+type mbox = { mutable mb_slots : int array; mutable mb_len : int }
 
 type t = {
   config : config;
@@ -95,15 +91,24 @@ type t = {
      every blocked process's predicate over its mailbox. *)
   mutable ready : int;
   mailboxes : mbox array;
-  (* the in-transit multiset, flattened likewise: SEND order ascending,
-     so the enabled scan needs no reversal. Delivery shifts the tail down
-     in place. [tr_obj] is each message's object ordinal, looked up once
-     when it is sent. *)
-  mutable tr_ids : int array;
-  mutable tr_dst : int array;
-  mutable tr_src : int array;
-  mutable tr_obj : int array;
-  mutable tr_msg : Message.t array;
+  (* [scan.(p)], while p's next operation is a [Recv]: how many leading
+     messages of p's mailbox are known not to match its predicate. The
+     message at [scan.(p)], if any, is the oldest match, so p is ready
+     exactly when [scan.(p) < mb_len]. *)
+  scan : int array;
+  (* The message store: each message sent is held once, in a slot with
+     its id and its route (ends and object ordinal, see [route]), from
+     its send until a server handles it or a [Recv] consumes it. Freed
+     slots are reused, last freed first: they form a list through
+     [sl_id], from [free] to -1. *)
+  mutable sl_msg : Message.t array;
+  mutable sl_id : int array;
+  mutable sl_route : int array;
+  mutable n_slots : int;  (* slots ever handed out *)
+  mutable free : int;
+  (* the in-transit multiset: slots in SEND order ascending, so the
+     enabled scan needs no reversal. Delivery shifts ints down in place. *)
+  mutable transit : int array;
   mutable tr_len : int;
   objs : Obj_impl.t array;  (* [config.objects], by ordinal *)
   (* [servers.(o).(p)]: object [o]'s server state at process [p]; [||]
@@ -112,6 +117,8 @@ type t = {
   mutable inv_objs : string array;  (* inv id -> obj name, for returns *)
   inv_stacks : int list array;
   trace : Trace.t;
+  full : bool;  (* [Trace.full trace], fixed at creation *)
+  mutable debug : bool;  (* [debug_on ()], read when [run] or [step] starts *)
   mutable next_msg : int;
   mutable next_inv : int;
   mutable next_nonce : int;
@@ -127,30 +134,46 @@ type t = {
   mutable n_flips : int;
 }
 
-(* slot filler for vacated message cells, so removal drops the reference *)
+(* A message's route, packed in one int: destination in bits 0-5, source
+   in bits 6-11 ([n] is below 64, see [create]), and from bit 12 the
+   ordinal of the object it is addressed to, looked up once when it is
+   sent. *)
+let route ~src ~dst o = (o lsl 12) lor (src lsl 6) lor dst
+let route_dst r = r land 63
+let route_src r = (r lsr 6) land 63
+let route_obj r = r lsr 12
+
+(* slot filler for freed message slots, so freeing drops the reference *)
 let no_msg = Message.make ~obj_name:"" Value.unit
 
 (* The hot-path helpers below are top-level functions rather than local
    closures: without flambda a local closure is allocated on every call. *)
 
 (* the index of the OLDEST message in [mb] from [i] on that satisfies
-   [pred], or -1: arrival order ascending, so the first match wins *)
-let rec first_match pred mb i =
-  if i >= mb.mb_len then -1 else if pred mb.mb_msgs.(i) then i
-  else first_match pred mb (i + 1)
+   [pred], or [mb_len]: arrival order ascending, so the first match wins *)
+let rec first_match t pred mb i =
+  if i >= mb.mb_len || pred t.sl_msg.(mb.mb_slots.(i)) then i
+  else first_match t pred mb (i + 1)
 
-(* [p]'s ready bit, recomputed from its status: at creation and after
-   p's own step (the only places a [Recv] becomes p's next operation),
-   by one scan of the mailbox *)
-let refresh_ready t p =
-  let ready =
-    match t.procs.(p) with
-    | Active (Proc.Recv (_, pred), _, _) -> first_match pred t.mailboxes.(p) 0 >= 0
-    | Active _ | At_ret -> true
-    | Terminated | Crashed_p -> false
-  in
-  if ready then t.ready <- t.ready lor (1 lsl p)
-  else t.ready <- t.ready land lnot (1 lsl p)
+(* the predicate of no [Recv]: [refresh_ready]'s [prev] after a step that
+   was not a receive *)
+let no_pred : Message.t -> bool = fun _ -> false
+
+(* [p]'s ready bit and receive cursor, recomputed from its status: at
+   creation and after p's own step (the only places a [Recv] becomes p's
+   next operation). A [Recv] scans the mailbox once, from [from] if its
+   predicate is [prev] (the one p just received with, whose first
+   [from] messages did not match: predicates are pure), else from 0. *)
+let refresh_ready t p prev from =
+  match t.procs.(p) with
+  | Active (Proc.Recv (_, pred), _, _) ->
+      let mb = t.mailboxes.(p) in
+      let i = first_match t pred mb (if pred == prev then from else 0) in
+      t.scan.(p) <- i;
+      if i < mb.mb_len then t.ready <- t.ready lor (1 lsl p)
+      else t.ready <- t.ready land lnot (1 lsl p)
+  | Active _ | At_ret -> t.ready <- t.ready lor (1 lsl p)
+  | Terminated | Crashed_p -> t.ready <- t.ready land lnot (1 lsl p)
 
 let create ?trace_level config rand =
   if config.n > Sys.int_size - 2 then
@@ -168,6 +191,7 @@ let create ?trace_level config rand =
         | Some init -> Array.init config.n (fun p -> init ~n:config.n ~self:p))
       objs
   in
+  let trace = Trace.create ?level:trace_level () in
   let t =
     {
       config;
@@ -177,19 +201,22 @@ let create ?trace_level config rand =
       crashed = 0;
       ready = 0;
       mailboxes =
-        Array.init config.n (fun _ ->
-            { mb_ids = Array.make 8 0; mb_msgs = Array.make 8 no_msg; mb_len = 0 });
-      tr_ids = Array.make 16 0;
-      tr_dst = Array.make 16 0;
-      tr_src = Array.make 16 0;
-      tr_obj = Array.make 16 0;
-      tr_msg = Array.make 16 no_msg;
+        Array.init config.n (fun _ -> { mb_slots = Array.make 8 0; mb_len = 0 });
+      scan = Array.make config.n 0;
+      sl_msg = Array.make 32 no_msg;
+      sl_id = Array.make 32 0;
+      sl_route = Array.make 32 0;
+      n_slots = 0;
+      free = -1;
+      transit = Array.make 16 0;
       tr_len = 0;
       objs;
       servers;
       inv_objs = Array.make 16 "";
       inv_stacks = Array.make config.n [];
-      trace = Trace.create ?level:trace_level ();
+      trace;
+      full = Trace.full trace;
+      debug = false;
       next_msg = 0;
       next_inv = 0;
       next_nonce = 0;
@@ -205,7 +232,7 @@ let create ?trace_level config rand =
     }
   in
   for p = 0 to config.n - 1 do
-    refresh_ready t p
+    refresh_ready t p no_pred 0
   done;
   t
 
@@ -220,9 +247,11 @@ let in_transit t =
   let rec go i acc =
     if i < 0 then acc
     else
+      let s = t.transit.(i) in
+      let r = t.sl_route.(s) in
       go (i - 1)
-        ({ msg_id = t.tr_ids.(i); src = t.tr_src.(i); dst = t.tr_dst.(i);
-           msg = t.tr_msg.(i) }
+        ({ msg_id = t.sl_id.(s); src = route_src r; dst = route_dst r;
+           msg = t.sl_msg.(s) }
         :: acc)
   in
   go (t.tr_len - 1) []
@@ -231,7 +260,9 @@ let mailbox t p =
   let mb = t.mailboxes.(p) in
   let rec go i acc =
     if i < 0 then acc
-    else go (i - 1) ((mb.mb_ids.(i), mb.mb_msgs.(i)) :: acc)
+    else
+      let s = mb.mb_slots.(i) in
+      go (i - 1) ((t.sl_id.(s), t.sl_msg.(s)) :: acc)
   in
   go (mb.mb_len - 1) []
 
@@ -243,11 +274,14 @@ let read_register t rid = Base_reg.read t.store rid ~reader:(-1)
 
 let random_results t = Trace.random_draws t.trace
 
-(* the ordinal of the object named [name] from [i] on, or -1 *)
+(* the ordinal of the object named [name] from [i] on, or -1; an
+   object's messages usually carry its own name string, so [==] settles
+   most tests *)
 let rec obj_index_from objs name i =
   if i = Array.length objs then -1
-  else if String.equal objs.(i).Obj_impl.name name then i
-  else obj_index_from objs name (i + 1)
+  else
+    let o = objs.(i).Obj_impl.name in
+    if o == name || String.equal o name then i else obj_index_from objs name (i + 1)
 
 let obj_index t name = obj_index_from t.objs name 0
 
@@ -282,9 +316,10 @@ let next_op_descr t p =
    of [ready]), then deliveries in send order (the in-transit slots whose
    destination has not crashed), then crashes in process order. The
    schedulers index into exactly this order, so it lives here alone:
-   [enabled_count] sizes it, [enabled_nth] and [step_nth] decode an index
-   into it, and [enabled] lists it. None of them runs a predicate or
-   allocates, except [enabled_nth]'s and [enabled]'s results. *)
+   [enabled_count] sizes it, [locate] decodes an index into it (for
+   [enabled_nth] and [run_loop]), and [enabled] lists it. None of them
+   runs a predicate or allocates, except [enabled_nth]'s and [enabled]'s
+   results. *)
 
 (* the number of set bits of [x >= 0], by the usual SWAR sums: pairs,
    nibbles, bytes, then one multiply gathers the bytes into the top one *)
@@ -307,44 +342,45 @@ let rec deliverable_from t i acc =
   if i >= t.tr_len then acc
   else
     deliverable_from t (i + 1)
-      (if t.crashed land (1 lsl t.tr_dst.(i)) = 0 then acc + 1 else acc)
+      (if t.crashed land (1 lsl route_dst t.sl_route.(t.transit.(i))) = 0 then acc + 1
+       else acc)
 
 (* the in-transit messages whose destination has not crashed *)
 let deliverable t = if t.crashed = 0 then t.tr_len else deliverable_from t 0 0
 
-(* the in-transit slot of the [j]-th deliverable message at or after
-   slot [i] *)
-let rec deliverable_slot t j i =
-  if t.crashed land (1 lsl t.tr_dst.(i)) <> 0 then deliverable_slot t j (i + 1)
+(* the in-transit position of the [j]-th deliverable message at or after
+   position [i] *)
+let rec deliverable_pos_from t j i =
+  if t.crashed land (1 lsl route_dst t.sl_route.(t.transit.(i))) <> 0 then
+    deliverable_pos_from t j (i + 1)
   else if j = 0 then i
-  else deliverable_slot t (j - 1) (i + 1)
+  else deliverable_pos_from t (j - 1) (i + 1)
+
+let deliverable_pos t j = if t.crashed = 0 then j else deliverable_pos_from t j 0
 
 let enabled_steps t = popcount t.ready
 
-let enabled_count t =
-  popcount t.ready + deliverable t
-  + if crashes_allowed t then popcount t.active else 0
+let crashable t = if crashes_allowed t then popcount t.active else 0
+let enabled_count t = popcount t.ready + deliverable t + crashable t
 
-(* Position [i] of the enabled set, [0 <= i < enabled_count t], decoded
-   into one int, [(x lsl 2) lor kind]: kind 0 steps process [x], 1
-   delivers in-transit slot [x], 2 crashes process [x]. [enabled_nth]
-   and [step_nth] both decode through here. *)
-let locate t i =
-  let steps = popcount t.ready in
+(* Position [i] of the enabled set, given its [steps] steps and [d]
+   deliveries, decoded into one int, [(x lsl 2) lor kind]: kind 0 steps
+   process [x], 1 delivers in-transit position [x], 2 crashes process
+   [x]. The caller has checked [i]. *)
+let locate t ~steps ~d i =
   if i < steps then nth_bit t.ready i 0 lsl 2
-  else
-    let i = i - steps and d = deliverable t in
-    if i < d then ((if t.crashed = 0 then i else deliverable_slot t i 0) lsl 2) lor 1
-    else (nth_bit t.active (i - d) 0 lsl 2) lor 2
+  else if i - steps < d then (deliverable_pos t (i - steps) lsl 2) lor 1
+  else (nth_bit t.active (i - steps - d) 0 lsl 2) lor 2
 
 let enabled_nth t i =
-  let n = enabled_count t in
+  let steps = popcount t.ready and d = deliverable t in
+  let n = steps + d + crashable t in
   if i < 0 || i >= n then
     Fmt.invalid_arg "Runtime.enabled_nth: index %d of %d enabled events" i n;
-  let x = locate t i in
+  let x = locate t ~steps ~d i in
   match x land 3 with
   | 0 -> Step (x lsr 2)
-  | 1 -> Deliver t.tr_ids.(x lsr 2)
+  | 1 -> Deliver t.sl_id.(t.transit.(x lsr 2))
   | _ -> Crash (x lsr 2)
 
 let enabled t = List.init (enabled_count t) (enabled_nth t)
@@ -367,10 +403,34 @@ let grow_ints a =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let grow_msgs a =
-  let b = Array.make (2 * Array.length a) no_msg in
-  Array.blit a 0 b 0 (Array.length a);
-  b
+(* a free message slot holding [msg]: the last freed one, else a new one *)
+let alloc_slot t msg =
+  let s =
+    if t.free >= 0 then begin
+      let s = t.free in
+      t.free <- t.sl_id.(s);
+      s
+    end
+    else begin
+      let s = t.n_slots in
+      if s = Array.length t.sl_id then begin
+        let m = Array.make (2 * s) no_msg in
+        Array.blit t.sl_msg 0 m 0 s;
+        t.sl_msg <- m;
+        t.sl_id <- grow_ints t.sl_id;
+        t.sl_route <- grow_ints t.sl_route
+      end;
+      t.n_slots <- s + 1;
+      s
+    end
+  in
+  t.sl_msg.(s) <- msg;
+  s
+
+let free_slot t s =
+  t.sl_msg.(s) <- no_msg;
+  t.sl_id.(s) <- t.free;
+  t.free <- s
 
 (* the ordinal of the object [msg] is addressed to; a message for an
    object the configuration does not declare never enters transit *)
@@ -383,21 +443,14 @@ let msg_obj t (msg : Message.t) =
 let enqueue_message t ~src ~dst o msg =
   let msg_id = t.next_msg in
   t.next_msg <- msg_id + 1;
-  if t.tr_len = Array.length t.tr_ids then begin
-    t.tr_ids <- grow_ints t.tr_ids;
-    t.tr_dst <- grow_ints t.tr_dst;
-    t.tr_src <- grow_ints t.tr_src;
-    t.tr_obj <- grow_ints t.tr_obj;
-    t.tr_msg <- grow_msgs t.tr_msg
-  end;
-  t.tr_ids.(t.tr_len) <- msg_id;
-  t.tr_dst.(t.tr_len) <- dst;
-  t.tr_src.(t.tr_len) <- src;
-  t.tr_obj.(t.tr_len) <- o;
-  t.tr_msg.(t.tr_len) <- msg;
+  let s = alloc_slot t msg in
+  t.sl_id.(s) <- msg_id;
+  t.sl_route.(s) <- route ~src ~dst o;
+  if t.tr_len = Array.length t.transit then t.transit <- grow_ints t.transit;
+  t.transit.(t.tr_len) <- s;
   t.tr_len <- t.tr_len + 1;
   t.n_sent <- t.n_sent + 1;
-  if Trace.full t.trace then
+  if t.full then
     Trace.add t.trace
       (Trace.Sent { msg_id; src; dst; msg; inv = current_inv t src })
   else Trace.bump_sent t.trace
@@ -410,30 +463,24 @@ let rec send_all t ~src o obj_name = function
       enqueue_message t ~src ~dst o (Message.make ~obj_name body);
       send_all t ~src o obj_name rest
 
-(* close the gap at in-transit slot [i] by shifting slots [i+1 ..] down
-   one; an OCaml loop, which for these short arrays beats [Array.blit]'s
-   C call *)
+(* close the gap at in-transit position [i] by shifting positions
+   [i+1 ..] down one; an OCaml loop over ints, which for these short
+   arrays beats [Array.blit]'s C call *)
 let remove_transit t i =
-  let last = t.tr_len - 1 in
-  let ids = t.tr_ids and dsts = t.tr_dst and srcs = t.tr_src
-  and objs = t.tr_obj and msgs = t.tr_msg in
+  let last = t.tr_len - 1 and tr = t.transit in
   for j = i to last - 1 do
-    ids.(j) <- ids.(j + 1);
-    dsts.(j) <- dsts.(j + 1);
-    srcs.(j) <- srcs.(j + 1);
-    objs.(j) <- objs.(j + 1);
-    msgs.(j) <- msgs.(j + 1)
+    tr.(j) <- tr.(j + 1)
   done;
-  msgs.(last) <- no_msg;
   t.tr_len <- last
 
-(* Deliver the message in in-transit slot [i]; its destination has not
-   crashed. *)
-let deliver_slot t i =
-  let msg_id = t.tr_ids.(i) in
-  let src = t.tr_src.(i) and dst = t.tr_dst.(i) and o = t.tr_obj.(i)
-  and msg = t.tr_msg.(i) in
+(* Deliver the message at in-transit position [i]; its destination has
+   not crashed. *)
+let deliver_at t i =
+  let s = t.transit.(i) in
   remove_transit t i;
+  let r = t.sl_route.(s) in
+  let msg_id = t.sl_id.(s) and src = route_src r and dst = route_dst r
+  and o = route_obj r and msg = t.sl_msg.(s) in
   let obj = t.objs.(o) in
   let handled =
     match obj.on_message with
@@ -441,6 +488,7 @@ let deliver_slot t i =
         let states = t.servers.(o) in
         match handler ~self:dst ~state:states.(dst) ~src ~body:msg.Message.body with
         | Some { state = state'; out } ->
+            free_slot t s;
             states.(dst) <- state';
             send_all t ~src:dst o obj.name out;
             true
@@ -449,59 +497,79 @@ let deliver_slot t i =
   in
   if not handled then begin
     let mb = t.mailboxes.(dst) in
-    if mb.mb_len = Array.length mb.mb_ids then begin
-      mb.mb_ids <- grow_ints mb.mb_ids;
-      mb.mb_msgs <- grow_msgs mb.mb_msgs
-    end;
-    mb.mb_ids.(mb.mb_len) <- msg_id;
-    mb.mb_msgs.(mb.mb_len) <- msg;
-    mb.mb_len <- mb.mb_len + 1;
-    (* the one new message is the only thing that can unblock [dst] *)
+    let len = mb.mb_len in
+    if len = Array.length mb.mb_slots then mb.mb_slots <- grow_ints mb.mb_slots;
+    mb.mb_slots.(len) <- s;
+    mb.mb_len <- len + 1;
+    (* the one new message is the only thing that can unblock [dst]; a
+       blocked [Recv]'s cursor is at [len], past every older message *)
     if t.ready land (1 lsl dst) = 0 then
       match t.procs.(dst) with
-      | Active (Proc.Recv (_, pred), _, _) when pred msg ->
-          t.ready <- t.ready lor (1 lsl dst)
+      | Active (Proc.Recv (_, pred), _, _) ->
+          if pred msg then t.ready <- t.ready lor (1 lsl dst)
+          else t.scan.(dst) <- len + 1
       | _ -> ()
   end;
   t.n_delivered <- t.n_delivered + 1;
-  if Trace.full t.trace then
+  if t.full then
     Trace.add t.trace (Trace.Delivered { msg_id; src; dst; msg; handled })
   else Trace.bump t.trace
 
-(* the in-transit slot holding message [msg_id] at or after slot [i],
+(* the in-transit position of message [msg_id] at or after position [i],
    or -1 *)
-let rec transit_slot t msg_id i =
+let rec transit_pos t msg_id i =
   if i >= t.tr_len then -1
-  else if t.tr_ids.(i) = msg_id then i
-  else transit_slot t msg_id (i + 1)
+  else if t.sl_id.(t.transit.(i)) = msg_id then i
+  else transit_pos t msg_id (i + 1)
 
 let deliver t msg_id =
-  let i = transit_slot t msg_id 0 in
-  if i < 0 || is_crashed t t.tr_dst.(i) then raise (Not_enabled (Deliver msg_id));
-  deliver_slot t i
+  let i = transit_pos t msg_id 0 in
+  if i < 0 || is_crashed t (route_dst t.sl_route.(t.transit.(i))) then
+    raise (Not_enabled (Deliver msg_id));
+  deliver_at t i
 
-(* close the gap at mailbox slot [i], as [remove_transit] does *)
+(* close the gap at mailbox position [i], as [remove_transit] does *)
 let remove_mail mb i =
-  let last = mb.mb_len - 1 in
-  let ids = mb.mb_ids and msgs = mb.mb_msgs in
+  let last = mb.mb_len - 1 and slots = mb.mb_slots in
   for j = i to last - 1 do
-    ids.(j) <- ids.(j + 1);
-    msgs.(j) <- msgs.(j + 1)
+    slots.(j) <- slots.(j + 1)
   done;
-  msgs.(last) <- no_msg;
   mb.mb_len <- last
 
-(* feed [v] to [p]'s pending continuation [k] over the stack [s] *)
-let continue t p k s v = t.procs.(p) <- settle (k v) s
+(* feed [v] to [p]'s pending continuation [k] over the stack [s], and
+   refresh p's ready bit for its next operation *)
+let continue t p k s v =
+  t.procs.(p) <- settle (k v) s;
+  refresh_ready t p no_pred 0
+
+(* [p]'s [Recv] with predicate [pred]: consume the message at p's
+   cursor, the oldest match. A next [Recv] with the same predicate
+   resumes the scan there. *)
+let receive t p pred k s =
+  let mb = t.mailboxes.(p) in
+  let i = t.scan.(p) in
+  if i >= mb.mb_len then raise (Not_enabled (Step p));
+  let sl = mb.mb_slots.(i) in
+  let msg = t.sl_msg.(sl) in
+  remove_mail mb i;
+  if t.full then
+    Trace.add t.trace
+      (Trace.Received { msg_id = t.sl_id.(sl); proc = p; msg; inv = current_inv t p })
+  else Trace.bump t.trace;
+  free_slot t sl;
+  t.procs.(p) <- settle (k msg) s;
+  refresh_ready t p pred i
 
 let step_process t p =
-  (match t.procs.(p) with
+  match t.procs.(p) with
   | Terminated | Crashed_p -> raise (Not_enabled (Step p))
   | At_ret ->
       t.procs.(p) <- Terminated;
-      t.active <- t.active land lnot (1 lsl p)
+      t.active <- t.active land lnot (1 lsl p);
+      t.ready <- t.ready land lnot (1 lsl p)
   | Active (op, k, s) -> (
       match op with
+      | Proc.Recv (_, pred) -> receive t p pred k s
       | Proc.Broadcast msg ->
           let o = msg_obj t msg in
           for dst = 0 to t.config.n - 1 do
@@ -511,21 +579,10 @@ let step_process t p =
       | Proc.Send (dst, msg) ->
           enqueue_message t ~src:p ~dst (msg_obj t msg) msg;
           continue t p k s ()
-      | Proc.Recv (_descr, pred) ->
-          let mb = t.mailboxes.(p) in
-          let i = first_match pred mb 0 in
-          if i < 0 then raise (Not_enabled (Step p));
-          let msg_id = mb.mb_ids.(i) and msg = mb.mb_msgs.(i) in
-          remove_mail mb i;
-          if Trace.full t.trace then
-            Trace.add t.trace
-              (Trace.Received { msg_id; proc = p; msg; inv = current_inv t p })
-          else Trace.bump t.trace;
-          continue t p k s msg
       | Proc.Read_reg r ->
           let value = Base_reg.read t.store r ~reader:p in
           t.n_reads <- t.n_reads + 1;
-          if Trace.full t.trace then
+          if t.full then
             Trace.add t.trace
               (Trace.Reg_read { proc = p; reg = r; value; inv = current_inv t p })
           else Trace.bump t.trace;
@@ -533,7 +590,7 @@ let step_process t p =
       | Proc.Write_reg (r, value) ->
           Base_reg.write t.store r ~writer:p value;
           t.n_writes <- t.n_writes + 1;
-          if Trace.full t.trace then
+          if t.full then
             Trace.add t.trace
               (Trace.Reg_write { proc = p; reg = r; value; inv = current_inv t p })
           else Trace.bump t.trace;
@@ -543,7 +600,7 @@ let step_process t p =
           let stored, result = f cur in
           Base_reg.write t.store r ~writer:p stored;
           t.n_writes <- t.n_writes + 1;
-          if Trace.full t.trace then
+          if t.full then
             Trace.add t.trace
               (Trace.Reg_write
                  { proc = p; reg = r; value = stored; inv = current_inv t p })
@@ -552,14 +609,14 @@ let step_process t p =
       | Proc.Random (bound, kind) ->
           let result = draw_random t bound in
           t.n_flips <- t.n_flips + 1;
-          if debug_on () then
+          if t.debug then
             Log.debug (fun m ->
                 m "p%d %s-random(%d) = %d" p
                   (match kind with
                   | Proc.Program_random -> "program"
                   | Proc.Object_random -> "object")
                   bound result);
-          if Trace.full t.trace then
+          if t.full then
             Trace.add t.trace
               (Trace.Randomized
                  { proc = p; kind; bound; result; inv = current_inv t p })
@@ -597,8 +654,7 @@ let step_process t p =
           let obj_name = t.inv_objs.(i) in
           Trace.add t.trace
             (Trace.Action (History.Action.Ret { inv = i; value; proc = p; obj_name }));
-          continue t p k s ()));
-  refresh_ready t p
+          continue t p k s ())
 
 let pp_event ppf = function
   | Step p -> Fmt.pf ppf "step(p%d)" p
@@ -638,7 +694,7 @@ let publish_raise t e =
 
 let step_event t e =
   t.n_steps <- t.n_steps + 1;
-  if debug_on () then Log.debug (fun m -> m "%a" pp_event e);
+  if t.debug then Log.debug (fun m -> m "%a" pp_event e);
   match e with
   | Step p -> step_process t p
   | Deliver id -> deliver t id
@@ -649,18 +705,8 @@ let step_event t e =
       | Terminated | Crashed_p -> raise (Not_enabled e))
 
 let step t e =
+  t.debug <- debug_on ();
   match step_event t e with () -> publish t | exception ex -> publish_raise t ex
-
-(* [step] by position, for the run loops: the index decodes straight to a
-   process or an in-transit slot, so no event is built or searched for *)
-let step_nth t i =
-  t.n_steps <- t.n_steps + 1;
-  if debug_on () then Log.debug (fun m -> m "%a" pp_event (enabled_nth t i));
-  let x = locate t i in
-  match x land 3 with
-  | 0 -> step_process t (x lsr 2)
-  | 1 -> deliver_slot t (x lsr 2)
-  | _ -> crash t (x lsr 2)
 
 let finished t = t.active = 0
 
@@ -671,25 +717,36 @@ let pp_run_result ppf = function
   | Deadlocked -> Fmt.string ppf "deadlocked"
   | Step_limit_reached -> Fmt.string ppf "step limit reached"
 
-let check_choice i n =
-  if i < 0 || i >= n then
-    Fmt.invalid_arg "Runtime: chose index %d of %d enabled events" i n
+let bad_choice i n =
+  Fmt.invalid_arg "Runtime: chose index %d of %d enabled events" i n
 
+(* One decode per step: the step and delivery counts that size the
+   enabled set also go to [locate], and the chosen index goes straight
+   to the process, in-transit position or crash it names; no event is
+   built. *)
 let rec run_loop t choose remaining =
   if finished t then Completed
   else if remaining = 0 then Step_limit_reached
   else
-    let n = enabled_count t in
+    let steps = popcount t.ready and d = deliverable t in
+    let n = steps + d + crashable t in
     if n = 0 then Deadlocked
     else begin
       let i = choose t n in
-      check_choice i n;
-      step_nth t i;
+      if i < 0 || i >= n then bad_choice i n;
+      t.n_steps <- t.n_steps + 1;
+      if t.debug then Log.debug (fun m -> m "%a" pp_event (enabled_nth t i));
+      let x = locate t ~steps ~d i in
+      (match x land 3 with
+      | 0 -> step_process t (x lsr 2)
+      | 1 -> deliver_at t (x lsr 2)
+      | _ -> crash t (x lsr 2));
       run_loop t choose (remaining - 1)
     end
 
 let run t ~max_steps choose =
   Obs.Metrics.incr M.runs;
+  t.debug <- debug_on ();
   let result =
     match run_loop t choose max_steps with
     | r -> publish t; r

@@ -9,7 +9,19 @@
     next, optionally which process crashes).
 
     Executions are deterministic: the same configuration, random tape and
-    event sequence yield the same trace — the paper's [e\[P(O), v, s\]]. *)
+    event sequence yield the same trace — the paper's [e\[P(O), v, s\]].
+
+    Inside, each message is held once, in a slot of a message store
+    (value, id, and route: ends and object ordinal), from its send until
+    a server handles it or a [Recv] consumes it; freed slots are reused.
+    The in-transit multiset and each mailbox are int arrays of slots, so
+    moving or removing a message writes no pointer. {!in_transit},
+    {!mailbox} and the trace entries read the store and show the same
+    ids, ends and messages as if each queue held the messages
+    themselves. While a process awaits a [Recv], a receive cursor
+    counts the leading messages of its mailbox known not to match: the
+    message at the cursor is the oldest match, which the [Recv] step
+    consumes (see {!blocked}). *)
 
 type config = {
   n : int;  (** number of processes, ids [0 .. n-1] *)
@@ -88,8 +100,11 @@ type run_result = Completed | Deadlocked | Step_limit_reached
     everything, including past random results) and the number [n >= 1] of
     enabled events, and returns the position of its choice in the
     {!enabled} order ([enabled_nth] reads any of them). The runtime steps
-    that position directly: a step builds no event list. A position
-    outside [0 .. n-1] raises [Invalid_argument]. *)
+    that position directly: the process, delivery and crash counts that
+    size the enabled set once per step also decode [choose]'s answer,
+    and a step builds no event list. A position outside [0 .. n-1]
+    raises [Invalid_argument]. [choose] observes the runtime; it must
+    not step it. *)
 val run : t -> max_steps:int -> (t -> int -> int) -> run_result
 
 (** [run_schedule t events] replays an explicit schedule; raises
@@ -110,7 +125,12 @@ val is_crashed : t -> int -> bool
 (** [blocked t p] holds when [p] is active but its next operation is a [Recv]
     with no matching mailbox message. It is a bit test: the runtime keeps
     each process's readiness current as messages land and steps run
-    (which is why [Recv] predicates must be pure, see {!Proc}). *)
+    (which is why [Recv] predicates must be pure, see {!Proc}). A
+    process's receive cursor makes that cheap: the scan when the [Recv]
+    becomes p's next operation sets it (resuming where the last [Recv]
+    stopped when both share one predicate closure), each message landing
+    while p is blocked is tested once and moves it on, and the [Recv]
+    step consumes the message at the cursor without testing again. *)
 val blocked : t -> int -> bool
 
 (** [read_register t rid] peeks at a base register without discipline checks

@@ -349,6 +349,136 @@ let test_decisions_pinned () =
   Alcotest.(check (pair string int)) "pinned digest and sim.steps"
     ("5b033c53111d4595daad994bf5e6fd8e", 140_347) full
 
+(* The message state, pinned: before every choice and at the end of 60
+   seeded uniform trials each of ABD^2, VA and Ben-Or with crashes, the
+   in-transit multiset ([msg_id], ends and message, in order) and every
+   process's mailbox (ids and messages, oldest first) go into an MD5
+   chained per trial, as [decision_digest] does. A change to how the
+   runtime stores messages must leave every observed queue as it was. *)
+let message_state_digest () =
+  let buf = Buffer.create 4096 in
+  let add_state t =
+    List.iter
+      (fun (m : Runtime.in_transit) ->
+        Buffer.add_string buf
+          (Fmt.str "t%d:%d>%d:%a," m.msg_id m.src m.dst Message.pp m.msg))
+      (Runtime.in_transit t);
+    for p = 0 to Runtime.n t - 1 do
+      Buffer.add_char buf '|';
+      List.iter
+        (fun (id, m) -> Buffer.add_string buf (Fmt.str "%d:%a," id Message.pp m))
+        (Runtime.mailbox t p)
+    done;
+    Buffer.add_char buf ';'
+  in
+  let digest = ref (Digest.string "") in
+  List.iter
+    (fun name ->
+      let mk, max_steps = List.assoc name (decision_cases ()) in
+      for i = 0 to 59 do
+        Buffer.clear buf;
+        let t =
+          Runtime.create ~trace_level:Trace.History (mk ())
+            (Runtime.Gen (Rng.stream ~seed:36 ~index:((2 * i) + 1)))
+        in
+        let pick = Adversary.Schedulers.uniform (Rng.stream ~seed:36 ~index:(2 * i)) in
+        let result = Runtime.run t ~max_steps (fun t n -> add_state t; pick t n) in
+        add_state t;
+        Buffer.add_string buf (Fmt.str "%a" Runtime.pp_run_result result);
+        digest := Digest.string (!digest ^ Buffer.contents buf)
+      done)
+    [ "ABD^2 weakener"; "VA registers"; "Ben-Or with crashes" ];
+  Digest.to_hex !digest
+
+(* The receive cursor. p1 sends p0, in order: a message for another
+   object, two stale ones, the first match, another non-match and a
+   second match (ids 0-5). p0 receives twice with one predicate (as an
+   ABD phase does) and then once with a predicate only a stale message
+   meets. At every decision [blocked t 0] must be exactly "p0 awaits a
+   [Recv] and no mailbox message matches it", so it flips when the match
+   lands and not before; the [Recv]s must consume the oldest match each
+   time: ids 3, 5, then 1. Checked through [run] (eager delivery) and
+   through the public [step], delivering all six before p0 moves. *)
+let cursor_config () =
+  let chan name : Obj_impl.t =
+    {
+      name;
+      invoke = (fun ~self:_ ~meth:_ ~arg:_ -> Proc.return Value.unit);
+      on_message = None;
+      init_server = None;
+      registers = (fun ~n:_ -> []);
+    }
+  in
+  let matches sn (m : Message.t) =
+    String.equal m.obj_name "X" && match m.body with Value.Int v -> v = sn | _ -> false
+  in
+  let program ~self =
+    if self = 1 then
+      Proc.iter [ ("Y", 5); ("X", 3); ("X", 4); ("X", 5); ("X", 6); ("X", 5) ]
+        (fun (obj_name, v) -> Proc.send 0 (Message.make ~obj_name (Value.int v)))
+    else
+      let want5 = matches 5 in
+      let* _ = Proc.recv ~descr:"5" want5 in
+      let* _ = Proc.recv ~descr:"5" want5 in
+      let* _ = Proc.recv ~descr:"3" (matches 3) in
+      Proc.return ()
+  in
+  ( { Runtime.n = 2; objects = [ chan "X"; chan "Y" ]; program; max_crashes = 0 },
+    fun descr -> matches (int_of_string descr) )
+
+let consumed t =
+  List.filter_map
+    (function Trace.Received { msg_id; _ } -> Some msg_id | _ -> None)
+    (Trace.entries (Runtime.trace t))
+
+let check_blocked pred_of t =
+  let prefix = "recv:" in
+  let awaited =
+    let d = Runtime.next_op_descr t 0 in
+    if String.starts_with ~prefix d then
+      let pred = pred_of (String.sub d 5 (String.length d - 5)) in
+      not (List.exists (fun (_, m) -> pred m) (Runtime.mailbox t 0))
+    else false
+  in
+  Alcotest.(check bool) "blocked iff no mailbox message matches" awaited (Runtime.blocked t 0)
+
+let test_receive_cursor () =
+  let config, pred_of = cursor_config () in
+  let t = Runtime.create config (Runtime.Gen (Rng.of_int 1)) in
+  let decisions = ref 0 in
+  let choose t n =
+    check_blocked pred_of t;
+    incr decisions;
+    Adversary.Schedulers.eager_delivery t n
+  in
+  (match Runtime.run t ~max_steps:100 choose with
+  | Runtime.Completed -> ()
+  | r -> Alcotest.failf "run %a" Runtime.pp_run_result r);
+  Alcotest.(check (list int)) "run: oldest match first" [ 3; 5; 1 ] (consumed t);
+  let t = Runtime.create config (Runtime.Gen (Rng.of_int 1)) in
+  for _ = 1 to 6 do
+    Runtime.step t (Runtime.Step 1)
+  done;
+  List.iter
+    (fun (id, blocked) ->
+      Runtime.step t (Runtime.Deliver id);
+      check_blocked pred_of t;
+      Alcotest.(check bool) (Fmt.str "blocked after m%d" id) blocked (Runtime.blocked t 0))
+    [ (0, true); (1, true); (2, true); (3, false); (4, false); (5, false) ];
+  for _ = 1 to 3 do
+    Runtime.step t (Runtime.Step 0);
+    check_blocked pred_of t
+  done;
+  Alcotest.(check (list int)) "step: oldest match first" [ 3; 5; 1 ] (consumed t);
+  Alcotest.check_raises "a blocked Recv is not enabled"
+    (Runtime.Not_enabled (Runtime.Step 0)) (fun () ->
+      let config, _ = cursor_config () in
+      Runtime.step (Runtime.create config (Runtime.Gen (Rng.of_int 1))) (Runtime.Step 0))
+
+let test_message_state_pinned () =
+  Alcotest.(check string) "pinned in-transit and mailbox digest"
+    "32b729149d1353330686608a2cd5102d" (message_state_digest ())
+
 (* The positional enabled set against the enabled set rebuilt from the
    observers: ready processes in order, then in-transit messages to live
    processes in send order, then every active process while crashes are
@@ -594,12 +724,12 @@ let alloc_workloads =
       [ (k, window); (1, 0) ]
   in
   [
-    ( "ABD^2 Monte-Carlo, 500 trials", 25.5, 38.0,
+    ( "ABD^2 Monte-Carlo, 500 trials", 25.3, 37.0,
       mc ~trials:500 ~seed:1 (fun () -> Programs.Weakener.abd_k_config ~k:2) );
-    ( "E1 atomic Monte-Carlo, 2,000 trials", 59.5, 89.0,
+    ( "E1 atomic Monte-Carlo, 2,000 trials", 58.1, 87.0,
       mc ~trials:2_000 ~seed:101 Programs.Weakener.atomic_config );
-    ("E8 eager ABD^k runs", 23.7, 35.0, eager_abd_k);
-    ("E9 round-based runs", 28.8, 43.0, round_based);
+    ("E8 eager ABD^k runs", 23.8, 35.0, eager_abd_k);
+    ("E9 round-based runs", 28.9, 43.0, round_based);
   ]
 
 let test_words_per_step () =
@@ -685,4 +815,6 @@ let tests =
     Alcotest.test_case "counters match single steps" `Quick test_counters_single_steps;
     Alcotest.test_case "Monte-Carlo tallies pinned at 1 and 4 jobs" `Quick
       test_mc_tallies_pinned;
+    Alcotest.test_case "message state pinned" `Quick test_message_state_pinned;
+    Alcotest.test_case "receive cursor finds the oldest match" `Quick test_receive_cursor;
   ]
