@@ -126,13 +126,13 @@ let hi = 1.0
    claim, or a claim installed for the caller, who must later [resolve]
    its token. The backends:
    - the unlocked {!Par.Memo_tbl}, for sequential solves in RAM: a flat
-     table whose values sit unboxed in an 8-byte arena cell in front of
-     their key, so a hit allocates only its [`Value v] result (5 words;
-     [G.apply] allocates ~80 per call). A binding costs 24 bytes of
-     arrays per slot of capacity (index and location words) plus that
-     cell, where per-ordinal hash, value and owner arrays made it 48.
-     The token is the binding's ordinal, which [resolve] writes in place
-     (no second lookup);
+     table whose values sit unboxed in an 8-byte arena cell beside their
+     key, so a hit allocates only its [`Value v] result (5 words; perf
+     reads 18.5 words per [G.apply]). A binding costs one 8-byte index
+     word at a load of at most 7/8 and a record of 12 bytes (header and
+     cell) plus its key. The token is the binding's handle, its
+     record's arena offset, which [resolve] writes in place (no second
+     lookup);
    - {!Store.Memo}, the spillable store a memo budget arms.
    One participant claims, so every live claim is its own.
    A record of closures instead of a functor keeps the recursion
@@ -149,13 +149,13 @@ let ram_memo tbl =
   {
     probe =
       (fun b ~owner ->
-        let ord =
+        let h =
           Par.Memo_tbl.find_or_claim tbl (Key.data b) ~len:(Key.length b) ~owner
         in
-        if Par.Memo_tbl.last_was_new tbl then `Claimed ord
+        if Par.Memo_tbl.last_was_new tbl then `Claimed h
         else
-          match Par.Memo_tbl.owner tbl ord with
-          | -1 -> `Value (Par.Memo_tbl.value tbl ord)
+          match Par.Memo_tbl.owner tbl h with
+          | -1 -> `Value (Par.Memo_tbl.value tbl h)
           | o -> `Busy o);
     resolve = Par.Memo_tbl.resolve tbl;
   }
@@ -234,7 +234,8 @@ let publish_delta (before : stats) (after : stats) =
 module Make (G : GAME) = struct
   (* The module-level memo and counters behind the [value]/[stats] API:
      the in-RAM table, or the store once a memo budget arms it. The table
-     starts small (1,024 index slots) and doubles as it fills: every
+     starts small (an 8 KiB index with room for 895 bindings, no arena)
+     and its index doubles whenever a claim fills 7/8 of it: every
      functor application pays its creation at program start, and most
      processes never solve with most of their games. *)
   let ram = Par.Memo_tbl.create ()

@@ -20,7 +20,7 @@ type t
 (** [create ()] makes an empty table. *)
 val create : unit -> t
 
-(** A claim token: the binding's {!Memo_tbl} ordinal in its shard, with
+(** A claim token: the binding's {!Memo_tbl} handle in its shard, with
     the shard index packed into the low bits. *)
 type token
 

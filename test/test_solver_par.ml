@@ -18,57 +18,89 @@ let memo_find t key =
 
 let test_memo_claim_protocol () =
   let t = Par.Memo_tbl.create () in
-  let ord = memo_claim t "k" ~owner:3 in
+  let h = memo_claim t "k" ~owner:3 in
   Alcotest.(check bool) "first probe claims" true (Par.Memo_tbl.last_was_new t);
-  Alcotest.(check int) "claimant recorded" 3 (Par.Memo_tbl.owner t ord);
-  Alcotest.(check int) "re-probe finds the claim" ord (memo_claim t "k" ~owner:5);
+  Alcotest.(check int) "claimant recorded" 3 (Par.Memo_tbl.owner t h);
+  Alcotest.(check int) "re-probe finds the claim" h (memo_claim t "k" ~owner:5);
   Alcotest.(check bool) "re-probe does not claim" false
     (Par.Memo_tbl.last_was_new t);
   Alcotest.(check int) "other owner sees the claimant (Busy 3)" 3
-    (Par.Memo_tbl.owner t ord);
+    (Par.Memo_tbl.owner t h);
   Alcotest.(check int) "length counts claims" 1 (Par.Memo_tbl.length t);
   Alcotest.(check int) "resolved excludes claims" 0 (Par.Memo_tbl.resolved t);
-  Par.Memo_tbl.resolve t ord 0.25;
-  Alcotest.(check int) "resolved has no owner" (-1) (Par.Memo_tbl.owner t ord);
-  Alcotest.(check (float 0.0)) "value" 0.25 (Par.Memo_tbl.value t ord);
+  Par.Memo_tbl.resolve t h 0.25;
+  Alcotest.(check int) "resolved has no owner" (-1) (Par.Memo_tbl.owner t h);
+  Alcotest.(check (float 0.0)) "value" 0.25 (Par.Memo_tbl.value t h);
   Alcotest.(check int) "resolved" 1 (Par.Memo_tbl.resolved t);
-  Alcotest.(check string) "key copied out" "k" (Par.Memo_tbl.key t ord);
+  Alcotest.(check string) "key copied out" "k" (Par.Memo_tbl.key t h);
   Alcotest.(check int) "absent key" (-1) (memo_find t "j");
-  (match Par.Memo_tbl.resolve t ord 0.5 with
+  (match Par.Memo_tbl.resolve t h 0.5 with
   | () -> Alcotest.fail "double resolve must raise"
   | exception Invalid_argument _ -> ());
-  Alcotest.(check (float 0.0)) "first value kept" 0.25 (Par.Memo_tbl.value t ord);
+  Alcotest.(check (float 0.0)) "first value kept" 0.25 (Par.Memo_tbl.value t h);
   let seen = ref [] in
   Par.Memo_tbl.iter_resolved t (fun k v -> seen := (k, v) :: !seen);
   Alcotest.(check (list (pair string (float 0.0))))
     "iter_resolved" [ ("k", 0.25) ] !seen
 
-(* Claims hand out ordinals 0, 1, 2, ... that the solver holds as
-   tokens while the index doubles under it, from 16 slots to 4M. *)
+(* Claims hand out handles that the solver holds as tokens while the
+   index doubles under it, from 16 slots to 4M: a find returns the handle
+   its claim returned, and key and value round-trip through it. *)
 let test_memo_growth () =
   let t = Par.Memo_tbl.create ~size:8 () in
   let n = 2_000_000 in
   let key i = "key:" ^ string_of_int i in
-  for i = 0 to n - 1 do
-    let ord = memo_claim t (key i) ~owner:0 in
-    if ord <> i || not (Par.Memo_tbl.last_was_new t) then
-      Alcotest.failf "claim %d got ordinal %d" i ord
-  done;
-  for i = 0 to n - 1 do
-    Par.Memo_tbl.resolve t i (float_of_int i)
-  done;
+  let handles =
+    Array.init n (fun i ->
+        let h = memo_claim t (key i) ~owner:0 in
+        if not (Par.Memo_tbl.last_was_new t) then
+          Alcotest.failf "claim %d found a binding" i;
+        h)
+  in
+  Array.iteri (fun i h -> Par.Memo_tbl.resolve t h (float_of_int i)) handles;
   Alcotest.(check int) "length" n (Par.Memo_tbl.length t);
   Alcotest.(check int) "resolved" n (Par.Memo_tbl.resolved t);
   for i = 0 to n - 1 do
-    let ord = memo_find t (key i) in
-    if ord <> i || Par.Memo_tbl.value t ord <> float_of_int i then
-      Alcotest.failf "key %d found at %d" i ord
+    let h = memo_find t (key i) in
+    if h <> handles.(i) || Par.Memo_tbl.value t h <> float_of_int i then
+      Alcotest.failf "key %d found at %d, claimed at %d" i h handles.(i)
   done;
-  Alcotest.(check string) "early ordinal's key" (key 17) (Par.Memo_tbl.key t 17)
+  Alcotest.(check string) "early handle's key" (key 17)
+    (Par.Memo_tbl.key t handles.(17))
 
-(* Records (an 8-byte cell, then the key) that end exactly at a chunk
-   boundary (1016-byte keys), and records that would straddle one and so
-   start the next chunk, are stored whole. *)
+(* Claim to the 7/8 load that grows the index, and one past it: at
+   every size the handles from before, at and after the growth still
+   find their keys with their values and owners. [size] is the most a
+   [2^j]-slot index holds below 7/8. *)
+let test_memo_growth_boundary () =
+  List.iter
+    (fun slots ->
+      let size = (slots / 8 * 7) - 1 in
+      let t = Par.Memo_tbl.create ~size () in
+      let key i = Printf.sprintf "%d/%d" slots i in
+      let n = size + 2 in
+      let handles = Array.init n (fun i -> memo_claim t (key i) ~owner:i) in
+      Array.iteri
+        (fun i h -> if i mod 2 = 0 then Par.Memo_tbl.resolve t h (float_of_int i))
+        handles;
+      Array.iteri
+        (fun i h ->
+          if memo_find t (key i) <> h || memo_claim t (key i) ~owner:0 <> h then
+            Alcotest.failf "%d slots: key %d lost its handle" slots i;
+          let o = Par.Memo_tbl.owner t h in
+          if i mod 2 = 0 then begin
+            if o <> -1 || Par.Memo_tbl.value t h <> float_of_int i then
+              Alcotest.failf "%d slots: key %d lost its value" slots i
+          end
+          else if o <> i then Alcotest.failf "%d slots: key %d lost its owner" slots i)
+        handles;
+      Alcotest.(check int) "length" n (Par.Memo_tbl.length t))
+    [ 16; 1024; 65_536 ]
+
+(* Records (a 4-byte header and an 8-byte cell, then the key) that tile
+   chunks exactly (1012-byte keys), that leave a 1-byte tail (1013), and
+   that would straddle a boundary and so start the next chunk, are
+   stored whole and walked in claim order. *)
 let test_memo_chunk_boundary () =
   let chunk = 1 lsl 20 in
   List.iter
@@ -80,79 +112,131 @@ let test_memo_chunk_boundary () =
         Bytes.unsafe_to_string b
       in
       let n = (3 * chunk / len) + 7 in
-      for i = 0 to n - 1 do
-        ignore (memo_claim t (key i) ~owner:0)
-      done;
-      for i = 0 to n - 1 do
-        let ord = memo_find t (key i) in
-        if ord <> i then Alcotest.failf "len %d: key %d found at %d" len i ord;
-        if not (String.equal (Par.Memo_tbl.key t ord) (key i)) then
-          Alcotest.failf "len %d: key %d corrupted" len i
-      done)
-    [ 1016; 1024; 1000; 65_535 ]
+      let handles = Array.init n (fun i -> memo_claim t (key i) ~owner:0) in
+      (* A handle is [chunk lsl 20 lor position]: 1024-byte records sit
+         back to back, each new chunk opening with one. *)
+      if len = 1012 then
+        Array.iteri
+          (fun i h ->
+            let p = if i = 0 then -1024 else handles.(i - 1) in
+            if h <> p + 1024 && h <> ((p lsr 20) + 1) lsl 20 then
+              Alcotest.failf "1024-byte record %d at %d after %d" i h p)
+          handles;
+      Array.iteri
+        (fun i h ->
+          if memo_find t (key i) <> h then
+            Alcotest.failf "len %d: key %d not at its handle" len i;
+          if not (String.equal (Par.Memo_tbl.key t h) (key i)) then
+            Alcotest.failf "len %d: key %d corrupted" len i;
+          Par.Memo_tbl.resolve t h (float_of_int i))
+        handles;
+      let next = ref 0 in
+      Par.Memo_tbl.iter_resolved t (fun k v ->
+          if v <> float_of_int !next || not (String.equal k (key !next)) then
+            Alcotest.failf "len %d: iter_resolved out of order at %d" len !next;
+          incr next);
+      Alcotest.(check int) "iter_resolved visits all" n !next)
+    [ 1012; 1013; 1024; 1000; 65_535 ]
 
 let test_memo_key_limit () =
   let t = Par.Memo_tbl.create () in
   let ok = String.make Par.Memo_tbl.max_key_length 'x' in
-  ignore (memo_claim t ok ~owner:0);
-  Alcotest.(check int) "longest key stored" 0 (memo_find t ok);
-  Alcotest.(check string) "longest key intact" ok (Par.Memo_tbl.key t 0);
+  let h = memo_claim t ok ~owner:0 in
+  Alcotest.(check int) "longest key stored" h (memo_find t ok);
+  Alcotest.(check string) "longest key intact" ok (Par.Memo_tbl.key t h);
   match memo_claim t (ok ^ "x") ~owner:0 with
   | _ -> Alcotest.fail "a 64 KiB key must raise, not be truncated"
-  | exception Invalid_argument _ -> (
-      Alcotest.(check int) "nothing claimed" 1 (Par.Memo_tbl.length t);
-      match Par.Memo_tbl.create ~size:((1 lsl 31) + 1) () with
-      | _ -> Alcotest.fail "an index over 2^32 slots must raise"
-      | exception Invalid_argument _ -> ())
+  | exception Invalid_argument _ ->
+      Alcotest.(check int) "nothing claimed" 1 (Par.Memo_tbl.length t)
 
+(* An index over 2^28 slots raises before anything is allocated, and a
+   handle outside the arena raises in every accessor, also once [clear]
+   has emptied it. *)
+let test_memo_limits () =
+  let before = Gc.allocated_bytes () in
+  List.iter
+    (fun size ->
+      match Par.Memo_tbl.create ~size () with
+      | _ -> Alcotest.failf "size %d must raise" size
+      | exception Invalid_argument _ -> ())
+    [ 1 lsl 28; (1 lsl 31) + 1; max_int ];
+  let spent = Gc.allocated_bytes () -. before in
+  if spent > 65_536. then Alcotest.failf "%.0f bytes allocated" spent;
+  let t = Par.Memo_tbl.create () in
+  let h = memo_claim t "k" ~owner:0 in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s must raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  let all_raise bad =
+    raises "owner" (fun () -> ignore (Par.Memo_tbl.owner t bad));
+    raises "value" (fun () -> ignore (Par.Memo_tbl.value t bad));
+    raises "resolve" (fun () -> Par.Memo_tbl.resolve t bad 1.0);
+    raises "key" (fun () -> ignore (Par.Memo_tbl.key t bad))
+  in
+  List.iter all_raise [ -1; h + 13; 1 lsl 40; max_int ];
+  Alcotest.(check int) "claim untouched" 0 (Par.Memo_tbl.owner t h);
+  Par.Memo_tbl.clear t;
+  all_raise h
+
+(* After [clear] the kept chunks are refilled; a record that does not
+   fit the rest of the first chunk moves to the next, and [iter_resolved]
+   must not read the stale records it leaves behind. *)
 let test_memo_clear () =
   let t = Par.Memo_tbl.create ~size:16 () in
-  for i = 0 to 99 do
-    let ord = memo_claim t (string_of_int i) ~owner:0 in
-    Par.Memo_tbl.resolve t ord 1.0
+  for i = 0 to 999 do
+    let h = memo_claim t (string_of_int i) ~owner:0 in
+    Par.Memo_tbl.resolve t h 1.0
   done;
   Par.Memo_tbl.clear t;
   Alcotest.(check int) "empty" 0 (Par.Memo_tbl.length t);
   Alcotest.(check int) "none resolved" 0 (Par.Memo_tbl.resolved t);
   Alcotest.(check int) "old key gone" (-1) (memo_find t "42");
-  let ord = memo_claim t "42" ~owner:1 in
-  Alcotest.(check int) "ordinals restart" 0 ord;
+  let h = memo_claim t "42" ~owner:1 in
+  Alcotest.(check int) "arena refilled from its start" 0 h;
   Alcotest.(check bool) "fresh claim" true (Par.Memo_tbl.last_was_new t);
-  Alcotest.(check int) "claimed, not resolved" 1 (Par.Memo_tbl.owner t ord);
-  Par.Memo_tbl.resolve t ord 2.0;
-  Alcotest.(check (float 0.0)) "reused value" 2.0 (Par.Memo_tbl.value t ord)
+  Alcotest.(check int) "claimed, not resolved" 1 (Par.Memo_tbl.owner t h);
+  Par.Memo_tbl.resolve t h 2.0;
+  Alcotest.(check (float 0.0)) "reused value" 2.0 (Par.Memo_tbl.value t h);
+  let big = String.make 6000 'b' in
+  Par.Memo_tbl.resolve t (memo_claim t big ~owner:1) 3.0;
+  let seen = ref [] in
+  Par.Memo_tbl.iter_resolved t (fun k v -> seen := (k, v) :: !seen);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "only the new bindings" [ ("42", 2.0); (big, 3.0) ] (List.rev !seen)
 
-(* A binding costs one index slot, one [locs] word and an 8-byte cell in
-   front of its key: at 100,000 resolved 16-byte keys the whole table
-   (index at load 0.38, arena chunks included) stays under 8.5 words a
-   binding. Four per-ordinal arrays cost 10.5. *)
+(* A binding costs one index slot and a record of a 4-byte header and an
+   8-byte cell in front of its key: at 100,000 resolved 16-byte keys the
+   whole table (index at load 0.76, arena chunks included) measures 5.24
+   words a binding and stays under 5.7. *)
 let test_memo_footprint () =
   let t = Par.Memo_tbl.create () in
   let n = 100_000 in
   let b = Bytes.make 16 'k' in
   for i = 0 to n - 1 do
     Bytes.set_int64_le b 0 (Int64.of_int i);
-    let ord = Par.Memo_tbl.find_or_claim t b ~len:16 ~owner:0 in
-    Par.Memo_tbl.resolve t ord 0.5
+    let h = Par.Memo_tbl.find_or_claim t b ~len:16 ~owner:0 in
+    Par.Memo_tbl.resolve t h 0.5
   done;
   let per = float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int n in
-  if per > 8.5 then Alcotest.failf "%.2f words per binding (at most 8.5)" per
+  if per > 5.7 then Alcotest.failf "%.2f words per binding (at most 5.7)" per
 
 (* The claimant lives in the binding's arena cell, which growth does not
    move: live claims keep their owners while the index doubles twice
-   (16 -> 32 -> 64 bindings of room). *)
+   (32 -> 64 -> 128 slots, at 28 and 56 bindings). *)
 let test_memo_owners_across_growth () =
   let t = Par.Memo_tbl.create ~size:16 () in
   let owners = [| 0; 7; 1000 |] in
   let name i = "claim" ^ string_of_int i in
   let claimed = Array.mapi (fun i o -> memo_claim t (name i) ~owner:o) owners in
-  for i = 0 to 39 do
-    let ord = memo_claim t ("fill" ^ string_of_int i) ~owner:1 in
-    Par.Memo_tbl.resolve t ord 1.0
+  for i = 0 to 59 do
+    let h = memo_claim t ("fill" ^ string_of_int i) ~owner:1 in
+    Par.Memo_tbl.resolve t h 1.0
   done;
   Array.iteri
     (fun i o ->
-      Alcotest.(check int) "ordinal kept" claimed.(i)
+      Alcotest.(check int) "handle kept" claimed.(i)
         (memo_claim t (name i) ~owner:5);
       Alcotest.(check bool) "still claimed" false (Par.Memo_tbl.last_was_new t);
       Alcotest.(check int) "owner kept" o (Par.Memo_tbl.owner t claimed.(i)))
@@ -161,8 +245,8 @@ let test_memo_owners_across_growth () =
 let test_memo_iter_skips_claims () =
   let t = Par.Memo_tbl.create ~size:16 () in
   for i = 0 to 99 do
-    let ord = memo_claim t (string_of_int i) ~owner:i in
-    if i mod 3 <> 0 then Par.Memo_tbl.resolve t ord (float_of_int i)
+    let h = memo_claim t (string_of_int i) ~owner:i in
+    if i mod 3 <> 0 then Par.Memo_tbl.resolve t h (float_of_int i)
   done;
   let seen = ref [] in
   Par.Memo_tbl.iter_resolved t (fun k v -> seen := (k, v) :: !seen);
@@ -180,10 +264,10 @@ let test_memo_value_bits () =
   let t = Par.Memo_tbl.create () in
   List.iteri
     (fun i v ->
-      let ord = memo_claim t (string_of_int i) ~owner:0 in
-      Par.Memo_tbl.resolve t ord v;
+      let h = memo_claim t (string_of_int i) ~owner:0 in
+      Par.Memo_tbl.resolve t h v;
       Alcotest.(check int64) (Printf.sprintf "%h" v) (Int64.bits_of_float v)
-        (Int64.bits_of_float (Par.Memo_tbl.value t ord)))
+        (Int64.bits_of_float (Par.Memo_tbl.value t h)))
     [ -0.0; 1.0 /. 3.0; Float.min_float *. epsilon_float; Float.nan ]
 
 (* ---- Par.Sharded_tbl ------------------------------------------------- *)
@@ -410,14 +494,18 @@ let test_prune_audit_clean () =
 let tests =
   [
     Alcotest.test_case "memo_tbl: claim protocol" `Quick test_memo_claim_protocol;
-    Alcotest.test_case "memo_tbl: ordinals stable across growth" `Quick
+    Alcotest.test_case "memo_tbl: handles stable across growth" `Quick
       test_memo_growth;
+    Alcotest.test_case "memo_tbl: growth at 7/8 keeps every handle" `Quick
+      test_memo_growth_boundary;
     Alcotest.test_case "memo_tbl: keys at chunk boundaries" `Quick
       test_memo_chunk_boundary;
     Alcotest.test_case "memo_tbl: over-long key raises" `Quick
       test_memo_key_limit;
+    Alcotest.test_case "memo_tbl: size and handle limits raise" `Quick
+      test_memo_limits;
     Alcotest.test_case "memo_tbl: clear then reuse" `Quick test_memo_clear;
-    Alcotest.test_case "memo_tbl: at most 8.5 words per binding" `Quick
+    Alcotest.test_case "memo_tbl: at most 5.7 words per binding" `Quick
       test_memo_footprint;
     Alcotest.test_case "memo_tbl: live owners survive growth" `Quick
       test_memo_owners_across_growth;
