@@ -65,3 +65,52 @@ val contents : buf -> string
     the key as a string. Thread-safe: every call uses a fresh buffer, so
     [encode] may run concurrently on several domains. *)
 val run : (buf -> unit) -> string
+
+(** {2 The memo form}
+
+    The solver stores and probes keys in a packed form. Each byte of
+    an encoded key carries little information: flags and option tags
+    are [0]/[1] and the models' small ints are [v + 120] for [v] near
+    0. So a key whose every byte lies in the 16-symbol alphabet
+    [{0, 1, 119..132}] (flag bytes plus the ints [-1..12]) is stored as
+    two 4-bit symbols per byte, about half its length.
+
+    {b Layout.} A memo form is one tag byte, then:
+    - tag [1] (even length) or [2] (odd length): the key's symbols, two
+      per byte. The bytes [119..132] are the symbols [0..13], and [0]
+      and [1] are [14] and [15]. Each full block of 16 key bytes becomes
+      8 bytes, byte [j] holding key byte [j]'s symbol in its low nibble
+      and key byte [j + 8]'s in its high one. The last [r < 16] key
+      bytes become [ceil (r/2)] bytes the same way, with the first
+      [ceil (r/2)] of them low and the rest high; when [r] is odd, the
+      last high nibble is the pad symbol [14].
+    - tag [0]: the key's bytes verbatim. Every key with a byte outside
+      the alphabet takes this form: a wide-int escape ([255]), a field
+      of 13 or more (the 5-replica ABD game reaches 16).
+
+    {b Injectivity.} [unpack] inverts [pack]: the tag byte says which
+    form follows. A raw form's key is the rest of the bytes. A packed
+    form of [m] bytes holds a key of [n = 16 b + r] bytes with
+    [m - 1 = 8 b + ceil (r/2)] and [r < 16]; for even [r] that is
+    [b = (m - 1) / 8] and [r = 2 ((m - 1) mod 8)], for odd [r] it is
+    [b = (m - 2) / 8] and [r = 2 (m - 1 - 8 b) - 1], so the tag and the
+    length fix [b], [r] and the position of every symbol, and each
+    symbol names exactly one byte. A function with a left inverse is
+    injective, so distinct keys never pack equal; and since the form
+    is a function of the key, equal keys always pack equal. The memo
+    may therefore key on the memo form alone. A raw form is one byte
+    longer than its key, so it must still fit the memo's length limit
+    ({!Par.Memo_tbl.max_key_length}). *)
+
+(** [pack src dst] overwrites [dst] with the memo form of [src]'s
+    key: [1 + ceil (n / 2)] bytes for an [n]-byte key in the alphabet,
+    [1 + n] otherwise. [src] is unchanged. It reads 16 key bytes a step
+    as two unchecked 8-byte loads and numbers 8 bytes at once with word
+    arithmetic, no table. *)
+val pack : buf -> buf -> unit
+
+(** [unpack p] is the key whose memo form is [p]: [unpack] of [pack]'s
+    output is the input key. Raises [Invalid_argument] on a string no
+    [pack] can produce from its tag and length. For tests and
+    diagnostics; the solver never decodes a key. *)
+val unpack : string -> string

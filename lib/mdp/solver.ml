@@ -119,8 +119,10 @@ let hi = 1.0
 
    States are keyed by their canonical [G.encode] bytes: a probe hashes
    a flat short key instead of walking a deep model state. The key is
-   encoded into the caller's reusable buffer and every backend is probed
-   on the (buffer, length) slice, so only a fresh claim copies the key.
+   encoded into one reusable buffer and [Key.pack]ed into another, and
+   every backend is probed on the packed (buffer, length) slice, so only
+   a fresh claim copies a key, and both backends store the memo form:
+   about half the bytes of the encoding (ABD^3: 42 bytes against 82).
 
    [probe] is find-or-claim: the resolved value, the owner of a live
    claim, or a claim installed for the caller, who must later [resolve]
@@ -130,7 +132,7 @@ let hi = 1.0
      key, so a hit allocates only its [`Value v] result (5 words; perf
      reads 18.5 words per [G.apply]). A binding costs one 8-byte index
      word at a load of at most 7/8 and a record of 12 bytes (header and
-     cell) plus its key. The token is the binding's handle, its
+     cell) plus its packed key. The token is the binding's handle, its
      record's arena offset, which [resolve] writes in place (no second
      lookup);
    - {!Store.Memo}, the spillable store a memo budget arms.
@@ -171,9 +173,11 @@ let store_memo st =
 
 (* ---- work counters -------------------------------------------------------
 
-   One record per solver instance: [keybuf] is its reusable encode
-   buffer, and progress ticks fire every [progress_interval] misses. *)
+   One record per solver instance: [rawbuf] is its reusable encode
+   buffer and [keybuf] the memo form packed from it, and progress ticks
+   fire every [progress_interval] misses. *)
 type counters = {
+  rawbuf : Key.buf;
   keybuf : Key.buf;
   mutable hits : int;
   mutable misses : int;
@@ -188,6 +192,7 @@ type counters = {
 
 let make_counters () =
   {
+    rawbuf = Key.create ();
     keybuf = Key.create ();
     hits = 0;
     misses = 0;
@@ -254,7 +259,8 @@ module Make (G : GAME) = struct
      into the store (a reused solver keeps its cross-solve memoization
      through the backend switch) by the store's own claim-then-resolve
      protocol; claims cannot exist outside a running solve, so only
-     final values move, and each claim is fresh. Once armed the solver stays on
+     final values move, and each claim is fresh. Keys move in their packed
+     memo form, which both backends store. Once armed the solver stays on
      the store until [reset] — mixing backends within one memo would
      split the key space. A budget <= 0 arms nothing. *)
   let arm_store budget =
@@ -367,19 +373,20 @@ module Make (G : GAME) = struct
     go neg_infinity ms
 
   (* The one recursion, for every engine. The state is encoded into the
-     instance's reusable buffer and the memo probed on the slice: a
-     resolved value is a hit; a live claim can only be one the recursion
-     itself holds further up, so re-entering it is a cycle; a fresh
-     claim is evaluated by [fold_value] and resolved. The buffer is dead
-     the moment the probe returns — children clobber it freely. Claim,
-     resolve and count happen at the same points for every backend, so
-     hit, miss and state counts and every value are bit-identical across
-     them. *)
+     instance's reusable buffer, packed into the other, and the memo
+     probed on the packed slice: a resolved value is a hit; a live claim
+     can only be one the recursion itself holds further up, so
+     re-entering it is a cycle; a fresh claim is evaluated by
+     [fold_value] and resolved. The buffers are dead the moment the
+     probe returns — children clobber them freely. Claim, resolve and
+     count happen at the same points for every backend, so hit, miss and
+     state counts and every value are bit-identical across them. *)
   let rec solve_at ~prune m c depth s =
     if depth > c.max_depth then c.max_depth <- depth;
-    let b = c.keybuf in
-    Key.reset b;
-    G.encode_into s b;
+    let raw = c.rawbuf and b = c.keybuf in
+    Key.reset raw;
+    G.encode_into s raw;
+    Key.pack raw b;
     match m.probe b ~owner:0 with
     | `Value v ->
         c.hits <- c.hits + 1;

@@ -62,7 +62,15 @@
     their fields: the sorted lists stay sorted under a byte-wise merge.
     No reachable state needs more than one byte: over all 803,390
     ABD{^3} states and all 471,166 ABD{^1} states with [C] as ABD, the
-    largest value any field holds is 11. *)
+    largest value any field holds is 11; the 5-replica game at [k = 1]
+    reaches 16.
+
+    The solver's memo stores each key in its memo form
+    ({!Mdp.Key.pack}): two fields per byte when every field is a flag
+    or an int in [-1 .. 12], else the raw bytes. Counted over whole
+    solves, every state of ABD{^1} to ABD{^6}, of C-as-ABD{^1} and of
+    C-as-ABD{^3} packs; at 5 replicas and [k = 1], the states with a
+    field of 13 to 16 take the raw form: 32,197 of 5,344,268 (0.60%). *)
 
 type k = int
 
@@ -81,8 +89,9 @@ val init : ?atomic_c:bool -> ?servers:int -> k:k -> unit -> Game.state
 (** [bad_probability ?atomic_c ~k ()] solves the game for [ABD^k]:
     the exact adversary-optimal probability that [p2] loops forever.
     Exponential in [k]: in RAM on one domain of a 2-vCPU host, ABD{^5}
-    (3,331,745 states) solves in about 10 s and C-as-ABD{^3} (4,610,294
-    states) in about 16 s (EXPERIMENTS.md, "Packed ABD state").
+    (3,331,745 states) solves in 7 to 12 s and peaks at 250 MB RSS, and
+    C-as-ABD{^3} (4,610,294 states) in 13 to 21 s at 380 MB (EXPERIMENTS.md,
+    "Nibble-packed memo keys"; the spread is the shared host's).
     [prune] (default [false]) enables the cutoffs
     against the a-priori bound 1 on every game value
     ({!Mdp.Solver.Make.value}'s [~prune]); the value is unchanged, the

@@ -86,10 +86,23 @@ let[@inline] fmix h =
   let h = (h lxor (h lsr 33)) * k2 in
   h lxor (h lsr 33)
 
+(* Unchecked loads: a caller checks [len <= Bytes.length data] once
+   ([check_slice]), and a stored key lies inside its chunk by
+   construction, so no load needs its own bounds check. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+let[@inline] check_slice fn data len =
+  if len > Bytes.length data then
+    invalid_arg
+      (Printf.sprintf "Par.Memo_tbl.%s: len %d past a %d-byte buffer" fn len
+         (Bytes.length data))
+
 let hash_slice data len =
+  check_slice "hash_slice" data len;
   let h = ref (len * k2) and i = ref 0 in
   while !i + 8 <= len do
-    let w = Bytes.get_int64_le data !i in
+    let w = get64u data !i in
     h :=
       (!h lxor Int64.to_int w) * k1
       lxor Int64.to_int (Int64.shift_right_logical w 56);
@@ -115,7 +128,7 @@ let[@inline] cell t off =
    the [int64] annotations keep the loads unboxed. *)
 let rec words_eq chunk pos data len i =
   if i + 8 <= len then
-    (Bytes.get_int64_le chunk (pos + i) : int64) = Bytes.get_int64_le data i
+    (get64u chunk (pos + i) : int64) = get64u data i
     && words_eq chunk pos data len (i + 8)
   else bytes_eq chunk pos data len i
 
@@ -124,9 +137,11 @@ and bytes_eq chunk pos data len i =
   || Bytes.unsafe_get chunk (pos + i) = Bytes.unsafe_get data i
      && bytes_eq chunk pos data len (i + 1)
 
+(* [off] comes from the index, so it opens a record inside its chunk. *)
 let[@inline] matches t off data len =
-  header t off lsr 1 = len
-  && words_eq (chunk_of t off) ((off land pos_mask) + key_at) data len 0
+  let chunk = chunk_of t off and pos = off land pos_mask in
+  Int32.to_int (get32u chunk pos) lsr 1 = len
+  && words_eq chunk (pos + key_at) data len 0
 
 (* Chunks double from 4 KiB up to 1 MiB, so a small table (a shard of
    [Sharded_tbl], a test game's memo) does not pin a megabyte. A chunk
@@ -217,6 +232,7 @@ let rec claim_walk t tag data len owner i =
     else claim_walk t tag data len owner ((i + 1) land t.mask)
 
 let find_or_claim_hashed t ~hash data ~len ~owner =
+  check_slice "find_or_claim" data len;
   if len > max_key_length then
     invalid_arg (Printf.sprintf "Par.Memo_tbl: key of %d bytes too long" len);
   let tag = hash land tag_mask in
@@ -234,6 +250,7 @@ let rec find_walk t tag data len i =
     else find_walk t tag data len ((i + 1) land t.mask)
 
 let find_hashed t ~hash data ~len =
+  check_slice "find_hashed" data len;
   if len > max_key_length then -1
   else
     let tag = hash land tag_mask in

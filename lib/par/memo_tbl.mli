@@ -48,8 +48,9 @@ val max_key_length : int
     the key [Bytes.sub_string data 0 len]. If there was none, it claims
     one for [owner] (copying the key) and {!last_was_new} becomes
     [true]. The binding's state is then read with {!owner} and {!value}.
-    Raises [Invalid_argument] if [len > max_key_length] or, on a fresh
-    claim, if [owner < 0] or the table is full (see the limits above). *)
+    Raises [Invalid_argument] if [len > max_key_length], if [len]
+    exceeds [Bytes.length data] or, on a fresh claim, if [owner < 0] or
+    the table is full (see the limits above). *)
 val find_or_claim : t -> Bytes.t -> len:int -> owner:int -> int
 
 (** [last_was_new t] is [true] iff the most recent {!find_or_claim}
@@ -85,12 +86,16 @@ val iter_resolved : t -> (string -> float -> unit) -> unit
 val clear : t -> unit
 
 (** [hash_slice data len] is the table's hash of the slice. The low bits
-    pick an index slot; {!Sharded_tbl} routes on bits far above them. *)
+    pick an index slot; {!Sharded_tbl} routes on bits far above them.
+    One check of [len] against [Bytes.length data] (which raises
+    [Invalid_argument]) covers every load, so the loop's loads are
+    unchecked. *)
 val hash_slice : Bytes.t -> int -> int
 
 (** {!find_or_claim} for a caller that already holds
     [hash = hash_slice data len]; [find_hashed] is the handle of the
-    key's binding, or [-1], without claiming. *)
+    key's binding, or [-1], without claiming. Both raise
+    [Invalid_argument] if [len] exceeds [Bytes.length data]. *)
 val find_or_claim_hashed :
   t -> hash:int -> Bytes.t -> len:int -> owner:int -> int
 

@@ -63,13 +63,13 @@ let test_solve_summary () =
     states
 
 (* The memo's footprint, from a fresh process: ABD^2's solve peaks at
-   35.3 MB of major heap, each binding one index word (load <= 7/8) and
-   an arena record. *)
+   24.3 MB of major heap, each binding one index word (load <= 7/8) and
+   an arena record holding the key's packed memo form. *)
 let test_solve_peak_heap () =
   let ((states, _, _, heap) as s) = summary (run [ "solve"; "-k"; "2" ]) in
   check_fields ~heap_floor:1.0 "ABD^2" s;
   Alcotest.(check int) "ABD^2: the committed count" 318_920 states;
-  if heap > 40.0 then Alcotest.failf "ABD^2: %.1f MB peak heap (at most 40)" heap
+  if heap > 30.0 then Alcotest.failf "ABD^2: %.1f MB peak heap (at most 30)" heap
 
 let parse_json what text =
   match Obs.Json.of_string text with
@@ -170,7 +170,7 @@ let tests =
     Alcotest.test_case "--jobs below 1 is a usage error" `Quick
       test_jobs_must_be_positive;
     Alcotest.test_case "solve prints a one-line summary" `Quick test_solve_summary;
-    Alcotest.test_case "solve -k 2 peaks under 40 MB of heap" `Quick
+    Alcotest.test_case "solve -k 2 peaks under 30 MB of heap" `Quick
       test_solve_peak_heap;
     Alcotest.test_case "metrics --json prints counters only" `Quick
       test_metrics_counters_only;

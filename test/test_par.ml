@@ -225,6 +225,160 @@ let check_transitions ~atomic_c ~states ~expected () =
   Alcotest.(check int) (name ^ ": reachable states") states n;
   Alcotest.(check string) (name ^ ": MD5 of the transition stream") expected d
 
+(* ---- the memo form of a key ------------------------------------------ *)
+
+let pack_string k =
+  let src = Mdp.Key.create () and dst = Mdp.Key.create () in
+  Mdp.Key.raw src k;
+  Mdp.Key.pack src dst;
+  Mdp.Key.contents dst
+
+(* [unpack] inverts [pack] on every key the model games reach, through
+   one reused pair of buffers, as in the solver. *)
+let test_pack_roundtrip () =
+  let src = Mdp.Key.create ~size:8 () and dst = Mdp.Key.create ~size:8 () in
+  List.iter
+    (fun (Game (g, init, cap, name)) ->
+      let module G = (val g) in
+      ignore
+        (iter_reachable (module G) ~init ~cap (fun s ->
+             Mdp.Key.reset src;
+             G.encode_into s src;
+             Mdp.Key.pack src dst;
+             let k = G.encode s and p = Mdp.Key.contents dst in
+             if not (String.equal (Mdp.Key.unpack p) k) then
+               Alcotest.failf "%s: unpack (pack k) <> k" name;
+             if not (String.equal (Mdp.Key.contents src) k) then
+               Alcotest.failf "%s: pack changed its source" name)))
+    games
+
+let test_pack_edges () =
+  let form k = Char.code (pack_string k).[0] in
+  let check name k ~tag ~len =
+    let p = pack_string k in
+    Alcotest.(check int) (name ^ ": tag") tag (Char.code p.[0]);
+    Alcotest.(check int) (name ^ ": length") len (String.length p);
+    Alcotest.(check string) (name ^ ": round trip") k (Mdp.Key.unpack p)
+  in
+  check "empty" "" ~tag:1 ~len:1;
+  check "one byte" "\000" ~tag:2 ~len:2;
+  check "odd, 17 bytes" (String.make 17 '\132') ~tag:2 ~len:10;
+  check "even, 16 bytes" (String.init 16 (fun i -> Char.chr (119 + (i mod 14))))
+    ~tag:1 ~len:9;
+  (* every alphabet byte at every position of a 24-byte key *)
+  let alphabet = List.init 14 (fun i -> 119 + i) @ [ 0; 1 ] in
+  List.iter
+    (fun b ->
+      for pos = 0 to 23 do
+        let k = String.init 24 (fun i -> if i = pos then Char.chr b else '\120') in
+        check (Fmt.str "byte %d at %d" b pos) k ~tag:1 ~len:13
+      done)
+    alphabet;
+  (* a byte outside the alphabet, at any position, takes the raw form *)
+  List.iter
+    (fun b ->
+      for len = 1 to 20 do
+        for pos = 0 to len - 1 do
+          let k = String.init len (fun i -> if i = pos then Char.chr b else '\001') in
+          check (Fmt.str "byte %d at %d of %d" b pos len) k ~tag:0 ~len:(len + 1)
+        done
+      done)
+    [ 2; 118; 133; 134; 247; 255 ];
+  Alcotest.(check int) "a wide-int escape is raw" 0
+    (form (Mdp.Key.run (fun b -> Mdp.Key.int b 1000)));
+  Alcotest.(check int) "a 133 byte is raw" 0
+    (form (Mdp.Key.run (fun b -> Mdp.Key.int b 13)));
+  Alcotest.(check int) "ints -1..12 pack" 1
+    (form (Mdp.Key.run (fun b -> for v = -1 to 12 do Mdp.Key.int b v done)));
+  List.iter
+    (fun p ->
+      match Mdp.Key.unpack p with
+      | _ -> Alcotest.failf "unpack %S must raise" p
+      | exception Invalid_argument _ -> ())
+    [ ""; "\003"; "\002"; "\002\255" ]
+
+(* A one-state game over a given key, to drive the solver's memo. *)
+module Const_game = struct
+  type state = string
+  type move = unit
+  type transition = Det of state | Chance of (float * state) list
+
+  let moves _ = []
+  let apply s () = Det s
+  let terminal_value _ = 0.25
+  let encode s = s
+  let encode_into s b = Mdp.Key.raw b s
+  let pp_move ppf () = Fmt.string ppf "()"
+end
+
+module Const_solver = Mdp.Solver.Make (Const_game)
+
+(* The memo's key limit holds for the memo form: a key of
+   [max_key_length] bytes in the alphabet packs to half that, but one
+   outside it is raw, one byte longer, and the solver raises as for any
+   over-long key. *)
+let test_pack_key_limit () =
+  let n = Par.Memo_tbl.max_key_length in
+  Const_solver.reset ();
+  exact "longest packable key" 0.25 (Const_solver.value (String.make n '\001'));
+  exact "longest raw key that fits" 0.25
+    (Const_solver.value (String.make (n - 1) '\255'));
+  (match Const_solver.value (String.make n '\255') with
+  | _ -> Alcotest.fail "a raw key past the memo's limit must raise"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing claimed by the over-long key" 2
+    (Const_solver.stats ()).states;
+  Const_solver.reset ()
+
+(* Injectivity on the pinned key sets: the first 4,000 BFS states of
+   the three pinned ABD games, distinct keys and distinct memo forms. *)
+let test_pack_distinct () =
+  List.iter
+    (fun (k, servers, atomic_c) ->
+      let seen = Hashtbl.create 4096 in
+      ignore
+        (iter_reachable
+           (module Model.Weakener_abd.Game)
+           ~init:(Model.Weakener_abd.init ~k ~servers ~atomic_c ())
+           ~cap:4_000
+           (fun s ->
+             let key = Model.Weakener_abd.Game.encode s in
+             let p = pack_string key in
+             match Hashtbl.find_opt seen p with
+             | Some key' when not (String.equal key key') ->
+                 Alcotest.failf "ABD^%d, %d servers: two keys pack equal" k
+                   servers
+             | _ -> Hashtbl.replace seen p key));
+      Alcotest.(check int)
+        (Fmt.str "ABD^%d, %d servers: 4,000 memo forms" k servers)
+        4_000 (Hashtbl.length seen))
+    [ (1, 3, true); (1, 5, false); (2, 3, false) ]
+
+(* Every ABD^3 state's key takes the packed form: a solve whose every
+   probe key is packed on the side and its tag counted. *)
+let raw_forms = ref 0
+
+module Abd_counted = struct
+  include Model.Weakener_abd.Game
+
+  let side = Mdp.Key.create ()
+
+  let encode_into s b =
+    Model.Weakener_abd.Game.encode_into s b;
+    Mdp.Key.pack b side;
+    if Bytes.get (Mdp.Key.data side) 0 = '\000' then incr raw_forms
+end
+
+module Abd_counted_solver = Mdp.Solver.Make (Abd_counted)
+
+let test_abd3_all_packed () =
+  raw_forms := 0;
+  Abd_counted_solver.reset ();
+  ignore (Abd_counted_solver.value (Model.Weakener_abd.init ~k:3 ()));
+  Alcotest.(check int) "ABD^3: states" 803_390 (Abd_counted_solver.stats ()).states;
+  Abd_counted_solver.reset ();
+  Alcotest.(check int) "ABD^3: keys in the raw form" 0 !raw_forms
+
 (* ---- the pool itself ------------------------------------------------- *)
 
 let test_pool_map_positional () =
@@ -281,6 +435,16 @@ let tests =
     Alcotest.test_case "ABD^1 transitions are pinned (C as ABD)" `Slow
       (check_transitions ~atomic_c:false ~states:471_166
          ~expected:"bee36fe5c4f05857097f7f100cde6c36");
+    Alcotest.test_case "unpack (pack k) = k on every game" `Quick
+      test_pack_roundtrip;
+    Alcotest.test_case "pack: empty, odd, escapes, raw form" `Quick
+      test_pack_edges;
+    Alcotest.test_case "pack: the memo's key limit still raises" `Quick
+      test_pack_key_limit;
+    Alcotest.test_case "pack: pinned ABD key sets stay distinct" `Quick
+      test_pack_distinct;
+    Alcotest.test_case "pack: every ABD^3 key is packed" `Quick
+      test_abd3_all_packed;
     Alcotest.test_case "pool map is positional" `Quick test_pool_map_positional;
     Alcotest.test_case "pool re-raises worker exceptions" `Quick
       test_pool_propagates_exception;

@@ -149,6 +149,31 @@ let test_memo_key_limit () =
   | exception Invalid_argument _ ->
       Alcotest.(check int) "nothing claimed" 1 (Par.Memo_tbl.length t)
 
+(* A [len] past the buffer raises [Invalid_argument] at every entry
+   point: the one check per call is what keeps the unchecked loads of
+   the hash and the key comparison inside the buffer. *)
+let test_memo_slice_bounds () =
+  let t = Par.Memo_tbl.create () in
+  let b = Bytes.make 16 'k' in
+  ignore (memo_claim t "kkkkkkkkkkkkkkkk" ~owner:0);
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: len past the buffer must raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun len ->
+      raises "hash_slice" (fun () -> Par.Memo_tbl.hash_slice b len);
+      raises "find_or_claim" (fun () ->
+          Par.Memo_tbl.find_or_claim t b ~len ~owner:0);
+      raises "find_or_claim_hashed" (fun () ->
+          Par.Memo_tbl.find_or_claim_hashed t ~hash:0 b ~len ~owner:0);
+      raises "find_hashed" (fun () -> Par.Memo_tbl.find_hashed t ~hash:0 b ~len))
+    [ 17; 19; 24; 1 lsl 20 ];
+  Alcotest.(check int) "nothing claimed" 1 (Par.Memo_tbl.length t);
+  Alcotest.(check int) "the whole buffer still probes" 0
+    (memo_find t "kkkkkkkkkkkkkkkk")
+
 (* An index over 2^28 slots raises before anything is allocated, and a
    handle outside the arena raises in every accessor, also once [clear]
    has emptied it. *)
@@ -502,6 +527,8 @@ let tests =
       test_memo_chunk_boundary;
     Alcotest.test_case "memo_tbl: over-long key raises" `Quick
       test_memo_key_limit;
+    Alcotest.test_case "memo_tbl: len past the buffer raises" `Quick
+      test_memo_slice_bounds;
     Alcotest.test_case "memo_tbl: size and handle limits raise" `Quick
       test_memo_limits;
     Alcotest.test_case "memo_tbl: clear then reuse" `Quick test_memo_clear;
