@@ -40,9 +40,9 @@ let options =
   let json_path = ref None
   and only = ref None
   and progress = ref false
-  (* default 1, not the core count: see the header on what --jobs runs
-     in parallel *)
-  and jobs = ref (Option.value (Par.Pool.env_jobs ()) ~default:1) in
+  (* default BLUNTING_JOBS, else 1 — not the core count: see the header
+     on what --jobs runs in parallel *)
+  and jobs = ref None in
   let usage () =
     Fmt.epr
       "usage: main.exe [--json PATH] [--only E1,E2,...] \
@@ -67,7 +67,7 @@ let options =
         parse rest
     | "--jobs" :: n :: rest ->
         (match int_of_string_opt n with
-        | Some j when j >= 1 -> jobs := j
+        | Some j when j >= 1 -> jobs := Some j
         | _ ->
             Fmt.epr "--jobs expects a positive integer@.";
             exit 2);
@@ -88,7 +88,15 @@ let options =
     json_path = !json_path;
     only = !only;
     progress = !progress;
-    jobs = !jobs;
+    jobs =
+      (match !jobs with
+      | Some j -> j
+      | None -> (
+          match Par.Pool.env_jobs () with
+          | Ok j -> j
+          | Error e ->
+              Fmt.epr "%s@." e;
+              exit 2));
   }
 
 (* One shared domain pool for the whole bench run, installed (and always
@@ -108,10 +116,17 @@ let time f =
   let v = f () in
   (v, (Obs.Span.now_us () -. t0) /. 1e6)
 
+(* BLUNTING_KMAX caps the exact solver's k (default 4); a value that is
+   not a positive integer is a usage error, not the default. *)
 let kmax =
   match Sys.getenv_opt "BLUNTING_KMAX" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 4)
   | None -> 4
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some k when k >= 1 -> k
+      | _ ->
+          Fmt.epr "BLUNTING_KMAX expects a positive integer, got %S@." s;
+          exit 2)
 
 (* Per-solve solver work: the stats delta around [f]. *)
 let stats_delta (b : Mdp.Solver.stats) (a : Mdp.Solver.stats) : Mdp.Solver.stats =
@@ -810,86 +825,6 @@ let par_speedup () =
     (Domain.recommended_domain_count ())
     (if Domain.recommended_domain_count () = 1 then "" else "s")
 
-(* ------------------------------------------------------------------ *)
-(* Out-of-core memo: the same E3-class solve twice, in-RAM and under a
-   deliberately tiny memo budget that forces spilling and block-cache
-   eviction. The claim/resolve protocol makes the spilled solve's value
-   and distinct-state count bit-identical to the in-RAM one — the
-   comparison rows below assert exactly that as paper-vs-measured rows,
-   which bench-diff fails on; a third row fails when the budget did not
-   force both a spill and an eviction, which would leave the first two
-   vacuous. The store's telemetry is printed, not written to the
-   document: spill counts and cache traffic move with the budget and
-   the worker schedule, and no gate reads them. *)
-
-let store_spill () =
-  (* small enough that even the BLUNTING_KMAX=1 smoke solve (~106k
-     states, ~9 MB resident) spills heavily *)
-  let budget = 1 lsl 20 in
-  let solve_k = min 2 kmax in
-  let r =
-    Report.section ~id:"STORE"
-      ~title:
-        (Fmt.str "Out-of-core memo — ABD^%d spilled under a %d-byte budget"
-           solve_k budget)
-      ()
-  in
-  Model.Weakener_abd.reset ();
-  let v_ram, t_ram, st_ram =
-    timed_solve (fun () ->
-        Model.Weakener_abd.bad_probability ~k:solve_k ())
-  in
-  Model.Weakener_abd.reset ();
-  let v_sp, t_sp, st_sp =
-    timed_solve (fun () ->
-        Model.Weakener_abd.bad_probability ~memo_budget:budget ~k:solve_k ())
-  in
-  let ss =
-    match Model.Weakener_abd.store_stats () with
-    | Some s -> s
-    | None -> failwith "STORE: the budgeted solve armed no store"
-  in
-  let value_same = Float.equal v_ram v_sp in
-  let states_same = st_ram.Mdp.Solver.states = st_sp.Mdp.Solver.states in
-  let spilled = ss.Store.Memo.spilled_entries > 0 && ss.Store.Memo.evictions > 0 in
-  Report.row r ~quantity:"spilled value identical to in-RAM"
-    ~paper:"bit-identical at any budget" ~paper_value:1.0
-    ~measured_value:(if value_same then 1.0 else 0.0)
-    ~measured:(Fmt.str "%b (%.6f vs %.6f)" value_same v_ram v_sp)
-    ();
-  Report.row r ~quantity:"spilled distinct-state count identical to in-RAM"
-    ~paper:"exactly-once claim protocol" ~paper_value:1.0
-    ~measured_value:(if states_same then 1.0 else 0.0)
-    ~measured:
-      (Fmt.str "%b (%d vs %d states)" states_same st_ram.Mdp.Solver.states
-         st_sp.Mdp.Solver.states)
-    ();
-  Report.row r ~quantity:"budget forced spilling and cache eviction"
-    ~paper:"spilled_entries > 0 and evictions > 0" ~paper_value:1.0
-    ~measured_value:(if spilled then 1.0 else 0.0)
-    ~measured:
-      (Fmt.str "%b (%d entries in %d runs, %d evictions)" spilled
-         ss.Store.Memo.spilled_entries ss.Store.Memo.spill_runs
-         ss.Store.Memo.evictions)
-    ();
-  Report.table_row r
-    [
-      "out-of-core cost";
-      "(not in paper)";
-      Fmt.str "%.2fs vs %.2fs in-RAM (%.2fx), cache hit rate %.1f%%, read amp \
-               %.2f, write amp %.2f"
-        t_sp t_ram
-        (if t_ram > 0.0 then t_sp /. t_ram else 1.0)
-        (100.0 *. Store.Memo.cache_hit_rate ss)
-        (Store.Memo.read_amplification ss)
-        (Store.Memo.write_amplification ss);
-    ];
-  Report.metrics r [ ("states", Obs.Json.Int st_sp.Mdp.Solver.states) ];
-  (* release the segment files before the next section *)
-  Model.Weakener_abd.reset ();
-  Report.finish r;
-  Fmt.pr "@.  store: %a@." Store.Memo.pp_stats ss
-
 let () =
   Fmt.pr
     "Blunting an Adversary Against Randomized Concurrent Programs@.\
@@ -913,7 +848,6 @@ let () =
       ("E10", e10_snapshot_game);
       ("E11", e11_va_weakener);
       ("PAR", par_speedup);
-      ("STORE", store_spill);
     ]
   in
   (* All sections share one pool (installed in [pool]); with_pool joins

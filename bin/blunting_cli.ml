@@ -45,7 +45,8 @@ let verbosity_term =
 (* Shared --jobs flag of the Monte-Carlo and fuzz commands: BLUNTING_JOBS
    sets the default, 1 otherwise. Tallies and oracle verdicts are
    bit-identical at every job count; only wall time changes. A count
-   below 1 is a usage error. *)
+   below 1 is a usage error; so is a BLUNTING_JOBS that is set but not a
+   positive integer (exit 2), when no --jobs overrides it. *)
 let jobs_term =
   let positive =
     Arg.conv
@@ -57,41 +58,25 @@ let jobs_term =
                 (`Msg (Printf.sprintf "expected a positive integer, got %S" s))),
         Fmt.int )
   in
-  Arg.(
-    value
-    & opt positive (Option.value (Par.Pool.env_jobs ()) ~default:1)
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Run on $(docv) domains (default: $(b,BLUNTING_JOBS) or 1). \
-           Results are bit-identical at every job count.")
-
-(* Shared --memo-budget flag: a byte count with an optional K/M/G
-   suffix; 0 disables. Budgeted solves spill resolved memo entries to temporary segment files once
-   RAM passes the budget — values and state counts are bit-identical,
-   only peak memory and wall time change. *)
-let memo_budget_term =
-  let bytes_conv =
-    Arg.conv
-      ( (fun s ->
-          match Mdp.Solver.parse_memo_budget s with
-          | Ok n -> Ok n
-          | Error e -> Error (`Msg e)),
-        fun ppf n -> Fmt.pf ppf "%d" n )
+  let arg =
+    Arg.(
+      value
+      & opt (some positive) None
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Run on $(docv) domains (default: $(b,BLUNTING_JOBS) or 1). \
+             Results are bit-identical at every job count.")
   in
-  Arg.(
-    value
-    & opt (some bytes_conv) None
-    & info [ "memo-budget" ] ~docv:"BYTES"
-        ~doc:
-          "Cap the solver memo's RAM at $(docv) (accepts K/M/G suffixes, \
-           e.g. $(b,64M)); resolved states past the budget spill to \
-           temporary segment files and are probed back through a block \
-           cache. Values are bit-identical to the in-RAM solve. Default: \
-           unbounded; $(b,0) disables.")
-
-let pp_store_stats_opt ppf = function
-  | Some st -> Fmt.pf ppf "  store: %a@." Store.Memo.pp_stats st
-  | None -> ()
+  let resolve = function
+    | Some j -> j
+    | None -> (
+        match Par.Pool.env_jobs () with
+        | Ok j -> j
+        | Error e ->
+            Fmt.epr "%s@." e;
+            exit 2)
+  in
+  Term.(const resolve $ arg)
 
 let registers_enum =
   Arg.enum [ ("atomic", `Atomic); ("abd", `Abd); ("abd-k", `Abd_k) ]
@@ -136,7 +121,7 @@ let solve_cmd =
              even if each were worth 1. The reported probability is \
              bit-identical; only the explored state count shrinks.")
   in
-  let run () k atomic servers abd_c prune progress memo_budget =
+  let run () k atomic servers abd_c prune progress =
     if progress then
       Model.Weakener_abd.set_progress
         (Some (fun p -> Fmt.epr "  [mdp] %a@." Mdp.Solver.pp_progress p));
@@ -147,20 +132,19 @@ let solve_cmd =
     in
     if atomic then begin
       let v, wall_s =
-        timed (fun () -> Model.Weakener_atomic.bad_probability ?memo_budget ())
+        timed (fun () -> Model.Weakener_atomic.bad_probability ())
       in
       Fmt.pr "weakener with atomic registers:@.";
       Fmt.pr "  adversary-optimal Prob[p2 loops forever] = %.6f@." v;
       Fmt.pr "  guaranteed termination probability      = %.6f@." (1.0 -. v);
       Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s)
-        (Model.Weakener_atomic.solver_stats ());
-      pp_store_stats_opt Fmt.stdout (Model.Weakener_atomic.store_stats ())
+        (Model.Weakener_atomic.solver_stats ())
     end
     else begin
       let v, wall_s =
         timed (fun () ->
-            Model.Weakener_abd.bad_probability ?memo_budget ~atomic_c:(not abd_c)
-              ~servers ~prune ~k ())
+            Model.Weakener_abd.bad_probability ~atomic_c:(not abd_c) ~servers
+              ~prune ~k ())
       in
       let st = Model.Weakener_abd.solver_stats () in
       Fmt.pr "weakener with ABD^%d registers (%d replicas%s):@." k servers
@@ -172,15 +156,14 @@ let solve_cmd =
       Fmt.pr "  solver: %a@." Mdp.Solver.pp_stats st;
       Fmt.pr "  %a@." (Mdp.Solver.pp_summary ~wall_s) st;
       if prune then
-        Fmt.pr "  pruned subtrees: %d@." (Model.Weakener_abd.pruned_subtrees ());
-      pp_store_stats_opt Fmt.stdout (Model.Weakener_abd.store_stats ())
+        Fmt.pr "  pruned subtrees: %d@." (Model.Weakener_abd.pruned_subtrees ())
     end
   in
   let doc = "Solve the exact adversary-vs-coin game of the weakener program." in
   Cmd.v (Cmd.info "solve" ~doc)
     Term.(
       const run $ verbosity_term $ k_arg $ atomic_arg $ servers_arg $ abd_c_arg
-      $ prune_arg $ progress_arg $ memo_budget_term)
+      $ prune_arg $ progress_arg)
 
 (* ---- figure1 -------------------------------------------------------- *)
 
@@ -345,17 +328,16 @@ let ghw_cmd =
   let k_arg =
     Arg.(value & opt int 1 & info [ "k" ] ~doc:"Preamble iterations for Snapshot^k.")
   in
-  let run () k memo_budget =
+  let run () k =
     Fmt.pr "snapshot weakener, adversary-optimal Prob[bad]:@.";
     Fmt.pr "  atomic snapshot:  %.6f@."
       (Model.Ghw_snapshot_game.atomic_bad_probability ());
     Fmt.pr "  Afek snapshot^%d:  %.6f@." k
-      (Model.Ghw_snapshot_game.afek_bad_probability ?memo_budget ~k ());
-    pp_store_stats_opt Fmt.stdout (Model.Ghw_snapshot_game.store_stats ())
+      (Model.Ghw_snapshot_game.afek_bad_probability ~k ())
   in
   let doc = "Solve the exact snapshot-weakener game (atomic vs Afek^k)." in
   Cmd.v (Cmd.info "ghw" ~doc)
-    Term.(const run $ verbosity_term $ k_arg $ memo_budget_term)
+    Term.(const run $ verbosity_term $ k_arg)
 
 (* ---- trace ---------------------------------------------------------- *)
 

@@ -72,32 +72,6 @@ let pp_progress ppf p =
 
 let default_progress_interval = 50_000
 
-(* ---- out-of-core memo budget ------------------------------------------
-
-   The switch for the second memo backend: a solve given a budget routes
-   its memo through {!Store.Memo} — an in-RAM tier that spills resolved
-   entries to sorted-run segment files once its byte estimate passes the
-   budget. No budget (the default) keeps the plain in-RAM tables and
-   costs nothing. *)
-
-let parse_memo_budget s =
-  let s = String.trim s in
-  let len = String.length s in
-  if len = 0 then Error "empty size"
-  else
-    let mult, ndigits =
-      match Char.uppercase_ascii s.[len - 1] with
-      | 'K' -> (1024, len - 1)
-      | 'M' -> (1024 * 1024, len - 1)
-      | 'G' -> (1024 * 1024 * 1024, len - 1)
-      | _ -> (1, len)
-    in
-    match int_of_string_opt (String.sub s 0 ndigits) with
-    | Some n when n >= 0 && n <= max_int / mult -> Ok (n * mult)
-    | _ ->
-        Error
-          (Printf.sprintf "invalid size %S (bytes, or a K/M/G suffix)" s)
-
 (* ---- the admissible value bound ----------------------------------------
 
    The [~prune] cutoffs need an a-priori upper bound on every reachable
@@ -255,27 +229,20 @@ module Make (G : GAME) = struct
 
   let stats () = stats_of main
 
-  (* Arm the spillable backend. Entries already memoized in RAM migrate
-     into the store (a reused solver keeps its cross-solve memoization
-     through the backend switch) by the store's own claim-then-resolve
-     protocol; claims cannot exist outside a running solve, so only
-     final values move, and each claim is fresh. Keys move in their packed
-     memo form, which both backends store. Once armed the solver stays on
-     the store until [reset] — mixing backends within one memo would
-     split the key space. A budget <= 0 arms nothing. *)
+  (* Arm the spillable backend: a budget > 0 on an instance still in
+     RAM switches its memo to a fresh store, where it stays until
+     [reset] (mixing backends within one memo would split the key
+     space). The RAM table must be empty: a budget reaching an instance
+     that already holds states raises rather than copy them across. A
+     budget <= 0, or one on an armed instance, changes nothing. *)
   let arm_store budget =
     match (!store, budget) with
     | None, Some b when b > 0 ->
-        let st = Store.Memo.create ~budget:b () in
-        Par.Memo_tbl.iter_resolved ram (fun key v ->
-            match
-              Store.Memo.find_or_claim_slice st (Bytes.unsafe_of_string key)
-                ~len:(String.length key) ~owner:0
-            with
-            | `Claimed key -> Store.Memo.resolve st key v
-            | `Value _ | `Busy _ -> assert false);
-        Par.Memo_tbl.clear ram;
-        store := Some st
+        if Par.Memo_tbl.length ram > 0 then
+          invalid_arg
+            "Mdp.Solver.value: ~memo_budget on a solver that already holds \
+             states (reset it first)";
+        store := Some (Store.Memo.create ~budget:b ())
     | _ -> ()
 
   (* [prune_audit] re-evaluates every would-be cut and raises

@@ -16,7 +16,13 @@
     Each state is evaluated once, by the same fold, so values are
     bit-identical across engines. There is no parallel exact solve: the
     one that shared a sharded memo between domains was slower than this
-    recursion at every job count measured (DESIGN.md section 8). *)
+    recursion at every job count measured (DESIGN.md section 8).
+
+    Every game of the paper solves in RAM. The one route into the
+    out-of-core store is [Make.value ?memo_budget] (and
+    [Model.Weakener_abd]'s wrapper of it), which perf's [solve-spill]
+    workload drives; neither the CLI nor the bench harness offers a
+    budget. *)
 
 (** A game model. States must be pure data; memoization keys them by the
     canonical [encode] string. *)
@@ -114,14 +120,10 @@ val log_src : Logs.src
     mirrors the in-RAM memo's exactly, so budgeted solves return
     bit-identical values and identical hit/miss/state counts — only
     peak memory and wall time change. Games that fit in budget never
-    touch the disk (no file is even created). Once armed, an instance
-    stays on the store — accumulating cross-solve memoization like the
-    in-RAM table — until its [reset]. *)
-
-(** [parse_memo_budget s] parses a byte count with an optional K/M/G
-    (binary) suffix, as accepted by [--memo-budget]. [Ok 0] means "no
-    budget". A size past [max_int] bytes is an [Error]. *)
-val parse_memo_budget : string -> (int, string) result
+    touch the disk (no file is even created). A budget arms the store
+    only on an instance whose memo is empty (fresh or just [reset]);
+    once armed, an instance stays on the store — accumulating
+    cross-solve memoization like the in-RAM table — until its [reset]. *)
 
 module Make (G : GAME) : sig
   (** [value ?prune s] is the optimal (adversary-maximal) probability from
@@ -136,8 +138,10 @@ module Make (G : GAME) : sig
       enter the memo, so pruned and unpruned solves may share an
       instance.
 
-      [?memo_budget] runs the memo out-of-core — see the "Out-of-core memo budget" section above;
-      values and counts stay bit-identical. *)
+      [?memo_budget] runs the memo out-of-core — see the "Out-of-core
+      memo budget" section above; values and counts stay bit-identical.
+      Raises [Invalid_argument] when a budget > 0 reaches an instance
+      that is still in RAM but already holds states. *)
   val value : ?memo_budget:int -> ?prune:bool -> G.state -> float
 
   (** [best_move s] is a move achieving [value s]; [None] at terminals. *)

@@ -33,11 +33,7 @@ val init : k:int -> Game.state
 val atomic_bad_probability : unit -> float
 
 (** Adversary-optimal bad probability with [Afek Snapshot^k]. *)
-val afek_bad_probability : ?memo_budget:int -> k:int -> unit -> float
-
-(** [store_stats ()] — out-of-core memo telemetry once a [memo_budget]
-    armed it (see {!Mdp.Solver.Make.store_stats}). *)
-val store_stats : unit -> Store.Memo.stats option
+val afek_bad_probability : k:int -> unit -> float
 
 val explored_states : unit -> int
 val reset : unit -> unit

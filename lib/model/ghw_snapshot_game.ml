@@ -165,7 +165,6 @@ let init ~k =
   base ~afek:true ~k
 
 let atomic_bad_probability () = S.value (base ~afek:false ~k:1)
-let afek_bad_probability ?memo_budget ~k () = S.value ?memo_budget (init ~k)
-let store_stats () = S.store_stats ()
+let afek_bad_probability ~k () = S.value (init ~k)
 let explored_states () = S.explored ()
 let reset () = S.reset ()

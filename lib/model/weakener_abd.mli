@@ -98,7 +98,9 @@ val init : ?atomic_c:bool -> ?servers:int -> k:k -> unit -> Game.state
     explored set only shrinks.
     [memo_budget] caps the memo's RAM,
     spilling resolved states to disk past it — values and counts stay
-    bit-identical (see the solver's out-of-core section). *)
+    bit-identical (see the solver's out-of-core section). It is perf's
+    [solve-spill] route into the store; a budget on a solver that
+    already holds states raises [Invalid_argument], so [reset] first. *)
 val bad_probability :
   ?memo_budget:int ->
   ?atomic_c:bool ->
@@ -132,7 +134,7 @@ val solver_stats : unit -> Mdp.Solver.stats
 
 (** [store_stats ()] is the out-of-core memo's telemetry once a
     [memo_budget] armed it — [None] on purely in-RAM solves (see
-    {!Mdp.Solver.Make.store_stats}). *)
+    {!Mdp.Solver.Make.store_stats}). perf's [solve-spill] reads it. *)
 val store_stats : unit -> Store.Memo.stats option
 
 (** [set_progress ?interval_states hook] installs a live progress hook on

@@ -82,7 +82,6 @@ let init : Game.state =
     cread = None;
   }
 
-let bad_probability ?memo_budget () = S.value ?memo_budget init
-let store_stats () = S.store_stats ()
+let bad_probability () = S.value init
 let explored_states () = S.explored ()
 let solver_stats () = S.stats ()

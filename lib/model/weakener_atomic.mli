@@ -40,11 +40,7 @@ val init : Game.state
 
 (** [bad_probability ()] solves the game: the adversary-optimal probability
     that [p2] loops forever. The paper's claim is that this equals 1/2. *)
-val bad_probability : ?memo_budget:int -> unit -> float
-
-(** [store_stats ()] — out-of-core memo telemetry once a [memo_budget]
-    armed it (see {!Mdp.Solver.Make.store_stats}). *)
-val store_stats : unit -> Store.Memo.stats option
+val bad_probability : unit -> float
 
 (** [explored_states ()] after solving. *)
 val explored_states : unit -> int

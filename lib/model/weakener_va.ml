@@ -212,9 +212,7 @@ let init ~k : Game.state =
     cread = None;
   }
 
-let bad_probability ?memo_budget ~k () = S.value ?memo_budget (init ~k)
-
-let store_stats () = S.store_stats ()
+let bad_probability ~k () = S.value (init ~k)
 let explored_states () = S.explored ()
 let reset () = S.reset ()
 let solver_stats () = S.stats ()

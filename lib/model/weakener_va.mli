@@ -24,11 +24,7 @@ val init : k:int -> Game.state
 
 (** [bad_probability ~k ()] is the exact adversary-optimal
     probability that [p2] loops forever with [VA^k] registers. *)
-val bad_probability : ?memo_budget:int -> k:int -> unit -> float
-
-(** [store_stats ()] — the out-of-core memo's telemetry when a
-    [memo_budget] armed it. *)
-val store_stats : unit -> Store.Memo.stats option
+val bad_probability : k:int -> unit -> float
 
 val explored_states : unit -> int
 val reset : unit -> unit

@@ -166,7 +166,11 @@ let map t ~n f =
 
 let env_jobs () =
   match Sys.getenv_opt "BLUNTING_JOBS" with
-  | None -> None
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some j when j >= 1 -> Some j
-    | _ -> None)
+  | None -> Ok 1
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some j when j >= 1 -> Ok j
+      | _ ->
+          Error
+            (Printf.sprintf "BLUNTING_JOBS expects a positive integer, got %S"
+               s))

@@ -48,5 +48,8 @@ val spawned_domains : unit -> int
     region quiesces); remaining indices may or may not have run. *)
 val map : t -> n:int -> (int -> 'a) -> 'a array
 
-(** [env_jobs ()] is [BLUNTING_JOBS] if set and positive. *)
-val env_jobs : unit -> int option
+(** [env_jobs ()] is the default job count: [Ok j] when [BLUNTING_JOBS]
+    is the positive integer [j], [Ok 1] when it is unset, and an [Error]
+    naming the variable and its value otherwise ([0], [-1], [abc], the
+    empty string), which callers report as a usage error. *)
+val env_jobs : unit -> (int, string) result

@@ -8,8 +8,9 @@
     already-present key allocates nothing. The solver's own RAM memo is
     the flat, float-valued {!Memo_tbl}, which {!Sharded_tbl} shards too;
     this table stays for the store, whose entries hold a claim-or-value
-    variant and whose segment format and counters are pinned by its
-    gate. Not thread-safe — callers shard and lock, or keep one table
+    variant, until the store is retired (perf's [solve-spill] and its
+    [par.slice_tbl.*] probe replay are its last users). Not
+    thread-safe — callers shard and lock, or keep one table
     per domain. *)
 
 (** A binding. [value] is mutable so a caller can probe once and later

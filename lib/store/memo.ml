@@ -296,14 +296,3 @@ let read_amplification s =
 let write_amplification s =
   if s.payload_bytes = 0 then 0.0
   else float_of_int s.bytes_written /. float_of_int s.payload_bytes
-
-let pp_stats ppf s =
-  Fmt.pf ppf
-    "budget %d B, resident %d B, spilled %d entries in %d runs (%d B), %d \
-     disk hits, cache %d/%d hits (%.1f%%), %d evictions, read amp %.2f, \
-     write amp %.2f"
-    s.budget_bytes s.resident_bytes s.spilled_entries s.spill_runs
-    s.bytes_spilled s.disk_hits s.cache_hits
-    (s.cache_hits + s.cache_misses)
-    (100.0 *. cache_hit_rate s)
-    s.evictions (read_amplification s) (write_amplification s)

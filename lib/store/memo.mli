@@ -83,12 +83,11 @@ val stats : t -> stats
 
 (** [cache_hit_rate s] / [read_amplification s] (bytes read per spilled
     byte) / [write_amplification s] (file bytes per payload byte) —
-    derived figures used by the v6 telemetry block. *)
+    derived figures perf's [solve-spill] workload reports. *)
 val cache_hit_rate : stats -> float
 
 val read_amplification : stats -> float
 val write_amplification : stats -> float
-val pp_stats : Format.formatter -> stats -> unit
 
 (** [close t] closes and deletes every segment file and the store's own
     temp directory (idempotent; automatic at process exit). *)

@@ -17,10 +17,14 @@ let run ?(exe = cli) args =
       In_channel.with_open_text out In_channel.input_all
       |> String.split_on_char '\n' |> List.map String.trim)
 
-(* [exe]'s exit code on [args], its output discarded. *)
-let exit_code ?(exe = cli) args =
+(* [exe]'s exit code on [args] with the [env] bindings ("NAME=value")
+   added to its environment, its output discarded. *)
+let exit_code ?(env = []) ?(exe = cli) args =
+  let cmd, args =
+    if env = [] then (exe, args) else ("env", env @ (exe :: args))
+  in
   Sys.command
-    (Filename.quote_command exe args ~stdout:Filename.null
+    (Filename.quote_command cmd args ~stdout:Filename.null
        ~stderr:Filename.null)
 
 let line_with prefix lines =
@@ -146,6 +150,40 @@ let test_jobs_must_be_positive () =
   Alcotest.(check int) "mc --jobs 2: exit 0" 0
     (exit_code [ "mc"; "--trials"; "4"; "--jobs"; "2" ])
 
+(* An environment variable that is set but not a positive integer is a
+   usage error (exit 2), never a silent default: BLUNTING_JOBS on the
+   CLI's --jobs commands and in bench, BLUNTING_KMAX in bench. An
+   explicit --jobs means the variable is not read. *)
+let test_bad_env_is_a_usage_error () =
+  let mc = [ "mc"; "--trials"; "1" ] and bench_args = [ "--only"; "E4" ] in
+  List.iter
+    (fun (env, exe, args) ->
+      Alcotest.(check int)
+        (String.concat " " (env @ args) ^ ": exit 2")
+        2
+        (exit_code ~env ~exe args))
+    [
+      ([ "BLUNTING_JOBS=abc" ], cli, mc);
+      ([ "BLUNTING_JOBS=0" ], cli, mc);
+      ([ "BLUNTING_JOBS=" ], cli, [ "fuzz"; "--budget"; "1" ]);
+      ([ "BLUNTING_JOBS=abc" ], bench, bench_args);
+      ([ "BLUNTING_JOBS=-1" ], bench, bench_args);
+      ([ "BLUNTING_KMAX=abc" ], bench, bench_args);
+      ([ "BLUNTING_KMAX=0" ], bench, bench_args);
+    ];
+  List.iter
+    (fun (env, exe, args) ->
+      Alcotest.(check int)
+        (String.concat " " (env @ args) ^ ": exit 0")
+        0
+        (exit_code ~env ~exe args))
+    [
+      ([ "BLUNTING_JOBS=2" ], cli, mc);
+      ([ "BLUNTING_JOBS=abc" ], cli, mc @ [ "--jobs"; "1" ]);
+      ([ "BLUNTING_JOBS=abc" ], cli, [ "solve"; "--atomic" ]);
+      ([ "BLUNTING_KMAX=1"; "BLUNTING_JOBS=1" ], bench, bench_args);
+    ]
+
 (* [trace] is a plain command: its options export the schedule. *)
 let test_trace_exports_chrome () =
   let path = Filename.temp_file "blunting_trace" ".json" in
@@ -178,4 +216,6 @@ let tests =
       test_bench_section_counters;
     Alcotest.test_case "trace -o writes a Chrome trace" `Quick
       test_trace_exports_chrome;
+    Alcotest.test_case "bad BLUNTING_JOBS or BLUNTING_KMAX is a usage error"
+      `Quick test_bad_env_is_a_usage_error;
   ]

@@ -239,10 +239,7 @@ let test_committed_baselines () =
   List.iter
     (fun gated ->
       Alcotest.(check bool) (gated ^ " is committed") true (List.mem gated baselines))
-    [
-      "BENCH_2026-08-08b.json";
-      "BENCH_2026-08-08-store.json";
-    ];
+    [ "BENCH_2026-08-08b.json" ];
   List.iter
     (fun f ->
       match Obs.Json.read_file (Filename.concat dir f) with

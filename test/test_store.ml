@@ -3,7 +3,8 @@
    segment truncated under the store fails the next probe loudly, the
    block cache evicts in LRU order, the memo upholds the exactly-once
    claim protocol across spills, a budgeted solve with no usable temp
-   dir raises, and — the property the whole engine exists for —
+   dir raises, so does a budget on a solver that already holds states,
+   and — the property the whole engine exists for —
    budgeted solves are bit-identical to in-RAM solves (values AND
    distinct-state counts) for every model game. *)
 
@@ -279,22 +280,32 @@ let test_memo_stats_shape () =
 
 (* ---- budgeted solves are bit-identical to in-RAM solves --------------- *)
 
-(* Weakener_atomic exposes no [reset]; a private functor instantiation
-   gives this test its own memo table. *)
+(* Only [Model.Weakener_abd]'s wrapper takes a memo budget; every other
+   game is solved on a private functor instantiation, which gives the
+   test its own memo table too. *)
 module Atomic_solver = Mdp.Solver.Make (Model.Weakener_atomic.Game)
+module Va_solver = Mdp.Solver.Make (Model.Weakener_va.Game)
+module Snapshot_solver = Mdp.Solver.Make (Model.Ghw_snapshot_game.Game)
+module Multi_solver = Mdp.Solver.Make (Model.Ghw_multi_game.Game)
 
-let check_spilled label (ss : Store.Memo.stats option) =
+let check_spilled label ~evictions (ss : Store.Memo.stats option) =
   match ss with
   | None -> Alcotest.failf "%s: budgeted solve armed no store" label
   | Some s ->
       Alcotest.(check bool)
         (label ^ ": budget forced spilling")
         true
-        (s.Store.Memo.spilled_entries > 0)
+        (s.Store.Memo.spilled_entries > 0);
+      if evictions then
+        Alcotest.(check bool)
+          (label ^ ": budget forced block-cache evictions")
+          true
+          (s.Store.Memo.evictions > 0)
 
 (* Solve twice — in-RAM, then under a spill-forcing budget — and demand
    bit-identical values and distinct-state counts. *)
-let game_determinism ~label ~expect_spill ~reset ~states ~store_stats solve =
+let game_determinism ~label ~expect_spill ?(expect_evictions = false) ~reset
+    ~states ~store_stats solve =
   reset ();
   let v_ram = solve ~memo_budget:None in
   let st_ram = states () in
@@ -303,41 +314,66 @@ let game_determinism ~label ~expect_spill ~reset ~states ~store_stats solve =
   let st_sp = states () in
   exact (label ^ ": value bit-identical") v_ram v_sp;
   Alcotest.(check int) (label ^ ": distinct states identical") st_ram st_sp;
-  if expect_spill then check_spilled label (store_stats ());
+  if expect_spill then
+    check_spilled label ~evictions:expect_evictions (store_stats ());
   reset ()
 
 let test_games_deterministic () =
-  game_determinism ~label:"abd k=1" ~expect_spill:true
+  game_determinism ~label:"abd k=1" ~expect_spill:true ~expect_evictions:true
     ~reset:Model.Weakener_abd.reset
     ~states:(fun () -> Model.Weakener_abd.explored_states ())
     ~store_stats:Model.Weakener_abd.store_stats
     (fun ~memo_budget ->
       Model.Weakener_abd.bad_probability ?memo_budget ~k:1 ());
-  game_determinism ~label:"va k=1" ~expect_spill:true
-    ~reset:Model.Weakener_va.reset
-    ~states:(fun () -> (Model.Weakener_va.solver_stats ()).Mdp.Solver.states)
-    ~store_stats:Model.Weakener_va.store_stats
+  game_determinism ~label:"va k=1" ~expect_spill:true ~reset:Va_solver.reset
+    ~states:Va_solver.explored ~store_stats:Va_solver.store_stats
     (fun ~memo_budget ->
-      Model.Weakener_va.bad_probability ?memo_budget ~k:1 ());
+      Va_solver.value ?memo_budget (Model.Weakener_va.init ~k:1));
   game_determinism ~label:"ghw-snapshot k=1"
       (* ~260 states sit under even the clamped budget's watermark *)
-    ~expect_spill:false ~reset:Model.Ghw_snapshot_game.reset
-    ~states:(fun () -> Model.Ghw_snapshot_game.explored_states ())
-    ~store_stats:Model.Ghw_snapshot_game.store_stats
+    ~expect_spill:false ~reset:Snapshot_solver.reset
+    ~states:Snapshot_solver.explored ~store_stats:Snapshot_solver.store_stats
     (fun ~memo_budget ->
-      Model.Ghw_snapshot_game.afek_bad_probability ?memo_budget ~k:1 ());
+      Snapshot_solver.value ?memo_budget (Model.Ghw_snapshot_game.init ~k:1));
   game_determinism ~label:"ghw-multi k=1" ~expect_spill:true
-    ~reset:Model.Ghw_multi_game.reset
-    ~states:(fun () -> Model.Ghw_multi_game.explored_states ())
-    ~store_stats:Model.Ghw_multi_game.store_stats
+    ~reset:Multi_solver.reset ~states:Multi_solver.explored
+    ~store_stats:Multi_solver.store_stats
     (fun ~memo_budget ->
-      Model.Ghw_multi_game.afek_bad_probability ?memo_budget ~k:1 ());
+      Multi_solver.value ?memo_budget (Model.Ghw_multi_game.init ~k:1));
   game_determinism ~label:"atomic" ~expect_spill:false
     ~reset:Atomic_solver.reset
     ~states:(fun () -> Atomic_solver.explored ())
     ~store_stats:Atomic_solver.store_stats
     (fun ~memo_budget ->
       Atomic_solver.value ?memo_budget Model.Weakener_atomic.init)
+
+(* A budget arms the store only on an empty memo: one reaching an
+   instance that already holds states raises and leaves the RAM memo as
+   it was; a budget of 0 arms nothing; after [reset] the budget arms,
+   and on an armed instance a budget changes nothing. *)
+let test_budget_on_held_states_raises () =
+  let solve ?memo_budget () =
+    Atomic_solver.value ?memo_budget Model.Weakener_atomic.init
+  in
+  Atomic_solver.reset ();
+  Fun.protect ~finally:Atomic_solver.reset @@ fun () ->
+  let v = solve () in
+  let held = Atomic_solver.explored () in
+  (match solve ~memo_budget:tiny_budget () with
+  | exception Invalid_argument _ -> ()
+  | v -> Alcotest.failf "budget on a solver holding states returned %g" v);
+  Alcotest.(check bool)
+    "still in RAM" true
+    (Atomic_solver.store_stats () = None);
+  Alcotest.(check int) "states kept" held (Atomic_solver.explored ());
+  exact "budget 0 arms nothing" v (solve ~memo_budget:0 ());
+  Alcotest.(check bool) "budget 0: still in RAM" true
+    (Atomic_solver.store_stats () = None);
+  Atomic_solver.reset ();
+  exact "budget after reset" v (solve ~memo_budget:tiny_budget ());
+  Alcotest.(check bool) "armed after reset" true
+    (Atomic_solver.store_stats () <> None);
+  exact "budget on an armed solver" v (solve ~memo_budget:tiny_budget ())
 
 (* The solve order is fixed, so the budgeted run must also reproduce the
    exact memo hit/miss split and recursion depth. *)
@@ -358,8 +394,10 @@ let test_full_stats_identical_seq () =
     st_sp.Mdp.Solver.max_depth
 
 (* No usable temp dir: the budgeted solve must raise, not fall back to
-   RAM or return a value. *)
+   RAM or return a value. It starts from an empty memo, as a budget
+   requires: earlier suites leave this game's solver holding states. *)
 let test_missing_temp_dir () =
+  Model.Weakener_abd.reset ();
   with_scratch @@ fun dir ->
   let saved = Filename.get_temp_dir_name () in
   Filename.set_temp_dir_name (Filename.concat dir "missing");
@@ -371,40 +409,6 @@ let test_missing_temp_dir () =
   match Model.Weakener_abd.bad_probability ~memo_budget:tiny_budget ~k:1 () with
   | exception Sys_error _ -> ()
   | v -> Alcotest.failf "budgeted solve returned %g with no temp dir" v
-
-let test_budget_parse () =
-  let ok s = function
-    | exp -> (
-        match Mdp.Solver.parse_memo_budget s with
-        | Ok n -> Alcotest.(check int) s exp n
-        | Error e -> Alcotest.failf "%s: %s" s e)
-  in
-  ok "0" 0;
-  ok "1024" 1024;
-  ok "64K" (64 * 1024);
-  ok "2M" (2 * 1024 * 1024);
-  ok "1G" (1024 * 1024 * 1024);
-  List.iter
-    (fun s ->
-      match Mdp.Solver.parse_memo_budget s with
-      | Ok n -> Alcotest.failf "%S parsed to %d, expected an error" s n
-      | Error _ -> ())
-    [ ""; "-1"; "12Q"; "K"; "1.5M"; "abc" ];
-  (* n * multiplier past max_int is an error, not a wrapped size: 2^33 G
-     wraps to 0 and 2^33 + 1 G to 1 G *)
-  let g = 1024 * 1024 * 1024 in
-  ok (string_of_int (max_int / g) ^ "G") (max_int / g * g);
-  List.iter
-    (fun s ->
-      match Mdp.Solver.parse_memo_budget s with
-      | Ok n -> Alcotest.failf "%S wrapped to %d, expected an error" s n
-      | Error _ -> ())
-    [
-      "8589934592G";
-      "8589934593G";
-      string_of_int ((max_int / g) + 1) ^ "G";
-      string_of_int ((max_int / 1024) + 1) ^ "K";
-    ]
 
 let tests =
   [
@@ -419,11 +423,12 @@ let tests =
     Alcotest.test_case "memo stats shape" `Quick test_memo_stats_shape;
     Alcotest.test_case "memo probes of truncated segments raise" `Quick
       test_memo_truncated_segments;
-    Alcotest.test_case "memo budget parsing" `Quick test_budget_parse;
     Alcotest.test_case "budgeted solve without a temp dir raises" `Quick
       test_missing_temp_dir;
     Alcotest.test_case "all games bit-identical when spilled" `Quick
       test_games_deterministic;
+    Alcotest.test_case "a budget on a solver holding states raises" `Quick
+      test_budget_on_held_states_raises;
     Alcotest.test_case "full solver stats identical at jobs 1" `Slow
       test_full_stats_identical_seq;
   ]
