@@ -8,15 +8,17 @@
      dune exec bench/main.exe                    # all experiments
      dune exec bench/main.exe -- --json out.json # also write the results document
      dune exec bench/main.exe -- --only E1,E4    # run a subset
-     dune exec bench/main.exe -- --progress      # live solver telemetry
+     dune exec bench/main.exe -- --progress      # solver progress lines on stderr
      dune exec bench/main.exe -- --verbosity info
      dune exec bench/main.exe -- --jobs 4        # parallel Monte-Carlo; PAR at 4 jobs
      BLUNTING_KMAX=3 dune exec bench/main.exe    # cap the exact solver's k
-     BLUNTING_JOBS=4 dune exec bench/main.exe    # default for --jobs
 
-   Exact solves are sequential. --jobs parallelises the Monte-Carlo
-   sections, whose tallies are bit-identical at any job count, and sets
-   PAR's job count.
+   Exact solves are sequential. --jobs (default 1) parallelises the
+   Monte-Carlo sections, whose tallies are bit-identical at any job
+   count, and sets PAR's job count. Logs go to stderr at --verbosity
+   (default warning); --progress raises the blunting.mdp source to info,
+   whose progress line a running solve logs every 50,000 states. An
+   --only id that names no section is a usage error (exit 2).
 
    The --json document follows the Obs.Results schema (see
    lib/obs/results.mli and EXPERIMENTS.md): per-section paper-vs-measured
@@ -32,7 +34,6 @@ open Util
 type options = {
   json_path : string option;
   only : string list option;  (* uppercased section ids *)
-  progress : bool;
   jobs : int;
 }
 
@@ -40,9 +41,10 @@ let options =
   let json_path = ref None
   and only = ref None
   and progress = ref false
-  (* default BLUNTING_JOBS, else 1 — not the core count: see the header
-     on what --jobs runs in parallel *)
-  and jobs = ref None in
+  (* 1, not the core count: see the header on what --jobs runs in
+     parallel *)
+  and jobs = ref 1
+  and verbosity = ref "warning" in
   let usage () =
     Fmt.epr
       "usage: main.exe [--json PATH] [--only E1,E2,...] \
@@ -67,43 +69,30 @@ let options =
         parse rest
     | "--jobs" :: n :: rest ->
         (match int_of_string_opt n with
-        | Some j when j >= 1 -> jobs := Some j
+        | Some j when j >= 1 -> jobs := j
         | _ ->
             Fmt.epr "--jobs expects a positive integer@.";
             exit 2);
         parse rest
     | "--verbosity" :: v :: rest ->
-        (match Obs.Log.set_verbosity v with
-        | Ok () -> ()
-        | Error e ->
-            Fmt.epr "%s@." e;
-            exit 2);
+        verbosity := v;
         parse rest
     | arg :: _ ->
         Fmt.epr "unknown argument %s@." arg;
         usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  {
-    json_path = !json_path;
-    only = !only;
-    progress = !progress;
-    jobs =
-      (match !jobs with
-      | Some j -> j
-      | None -> (
-          match Par.Pool.env_jobs () with
-          | Ok j -> j
-          | Error e ->
-              Fmt.epr "%s@." e;
-              exit 2));
-  }
-
-(* One shared domain pool for the whole bench run, installed (and always
-   joined, even when a section raises) by [Par.Pool.with_pool] in the
-   main entry below. [None] at jobs 1: everything runs sequentially and
-   no domain is ever spawned. *)
-let pool : Par.Pool.t option ref = ref None
+  (* the CLI's reporter and default level; --progress raises the
+     solver's source to info, never lowers it below --verbosity *)
+  (match Obs.Log.set_verbosity !verbosity with
+  | Ok () -> ()
+  | Error e ->
+      Fmt.epr "%s@." e;
+      exit 2);
+  if !progress then
+    Logs.Src.set_level Mdp.Solver.log_src
+      (max (Some Logs.Info) (Logs.Src.level Mdp.Solver.log_src));
+  { json_path = !json_path; only = !only; jobs = !jobs }
 
 let runs id =
   match options.only with
@@ -151,7 +140,7 @@ let e1_atomic () =
   let r = Report.section ~id:"E1" ~title:"Appendix A.1 — weakener with atomic registers" () in
   let v, dt = time Model.Weakener_atomic.bad_probability in
   let mc =
-    Adversary.Monte_carlo.estimate ?pool:!pool ~jobs:options.jobs ~trials:2_000 ~seed:101
+    Adversary.Monte_carlo.estimate ~jobs:options.jobs ~trials:2_000 ~seed:101
       ~scheduler:Adversary.Schedulers.uniform ~bad:Programs.Weakener.bad
       Programs.Weakener.atomic_config
   in
@@ -380,16 +369,7 @@ let e5_convergence () =
     (List.rev !summaries);
   Fmt.pr
     "@.The exact optimum follows (k^2+1)/(2k^2) on this instance — strictly@.\
-     inside the paper's worst-case bound and converging to the atomic 1/2.@.";
-  if Sys.getenv_opt "BLUNTING_SERVERS5" <> None then begin
-    Fmt.pr "@.Replica-count robustness (BLUNTING_SERVERS5 set; ~4 min):@.";
-    let v, dt =
-      time (fun () ->
-          Model.Weakener_abd.bad_probability ~servers:5 ~k:1 ())
-    in
-    Fmt.pr "  5 replicas, k = 1: exact Prob[bad] = %.6f (%.0fs) — the@." v dt;
-    Fmt.pr "  Figure 1 attack is independent of the replica count.@."
-  end
+     inside the paper's worst-case bound and converging to the atomic 1/2.@."
 
 let run_random_config ?(max_steps = 1_000_000) ~seed config =
   let rng = Rng.of_int seed in
@@ -773,24 +753,20 @@ let par_speedup () =
       ~title:(Fmt.str "Monte-Carlo, sequential vs %d jobs" jobs)
       ~headers:[ "workload"; "seq"; "par"; "speedup"; "identical" ] ()
   in
-  let mc ?pool j =
-    Adversary.Monte_carlo.estimate ?pool ~jobs:j ~trials:4_000 ~seed:2026
+  (* Worker domains are only observable while [estimate]'s pool is
+     alive, so the trials' configuration builder counts them: every trial
+     of a parallel estimate sees the same [jobs - 1]. *)
+  let spawned = Atomic.make 0 in
+  let mc j =
+    Adversary.Monte_carlo.estimate ~jobs:j ~trials:4_000 ~seed:2026
       ~scheduler:Adversary.Schedulers.uniform ~bad:Programs.Weakener.bad
-      Programs.Weakener.atomic_config
+      (fun () ->
+        Atomic.set spawned (Par.Pool.spawned_domains ());
+        Programs.Weakener.atomic_config ())
   in
   let seq, t_seq = time (fun () -> mc 1) in
-  (* The parallel leg runs on its own [with_pool]-scoped pool: this
-     section may use more domains than the session-wide --jobs pool.
-     Worker domains are only observable while the pool is alive, so they
-     are counted inside it. *)
-  let spawned = ref 0 in
-  let par, t_par =
-    time (fun () ->
-        Par.Pool.with_pool ~jobs (fun pool ->
-            let r = mc ~pool jobs in
-            spawned := Par.Pool.spawned_domains ();
-            r))
-  in
+  let par, t_par = time (fun () -> mc jobs) in
+  let spawned = Atomic.get spawned in
   let same = seq = par in
   let speedup = if t_par > 0.0 then t_seq /. t_par else 1.0 in
   let name = "Monte-Carlo, 4000 trials" in
@@ -811,11 +787,11 @@ let par_speedup () =
     ();
   (* without worker domains the row above would compare the sequential
      estimate with itself *)
-  let ran_par = !spawned >= 1 in
+  let ran_par = spawned >= 1 in
   Report.json_row r ~quantity:"Monte-Carlo ran on worker domains"
     ~paper:">= 1 spawned domain" ~paper_value:1.0
     ~measured_value:(flag ran_par)
-    ~measured:(Fmt.str "%b (%d spawned)" ran_par !spawned)
+    ~measured:(Fmt.str "%b (%d spawned)" ran_par spawned)
     ();
   Report.metrics r [ ("jobs", Obs.Json.Int jobs) ];
   Report.finish r;
@@ -826,14 +802,6 @@ let par_speedup () =
     (if Domain.recommended_domain_count () = 1 then "" else "s")
 
 let () =
-  Fmt.pr
-    "Blunting an Adversary Against Randomized Concurrent Programs@.\
-     — experiment harness (PODC 2022 reproduction)@.";
-  if options.progress then begin
-    let hook = Some (fun p -> Fmt.epr "  [mdp] %a@." Mdp.Solver.pp_progress p) in
-    Model.Weakener_abd.set_progress hook;
-    Model.Weakener_va.set_progress hook
-  end;
   let sections =
     [
       ("E1", e1_atomic);
@@ -850,14 +818,19 @@ let () =
       ("PAR", par_speedup);
     ]
   in
-  (* All sections share one pool (installed in [pool]); with_pool joins
-     its domains even if a section raises mid-run. *)
-  let run () = List.iter (fun (id, f) -> if runs id then f ()) sections in
-  if options.jobs > 1 then
-    Par.Pool.with_pool ~jobs:options.jobs (fun p ->
-        pool := Some p;
-        Fun.protect ~finally:(fun () -> pool := None) run)
-  else run ();
+  (* a typo in --only must not pass as a run that checked nothing *)
+  Option.iter
+    (List.iter (fun id ->
+         if not (List.mem_assoc id sections) then begin
+           Fmt.epr "--only: no experiment %s (known: %s)@." id
+             (String.concat ", " (List.map fst sections));
+           exit 2
+         end))
+    options.only;
+  Fmt.pr
+    "Blunting an Adversary Against Randomized Concurrent Programs@.\
+     — experiment harness (PODC 2022 reproduction)@.";
+  List.iter (fun (id, f) -> if runs id then f ()) sections;
   (match options.json_path with
   | Some path -> Report.write_json ~path
   | None -> ());

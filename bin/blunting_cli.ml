@@ -42,41 +42,30 @@ let verbosity_term =
   in
   Term.(const setup $ arg)
 
-(* Shared --jobs flag of the Monte-Carlo and fuzz commands: BLUNTING_JOBS
-   sets the default, 1 otherwise. Tallies and oracle verdicts are
-   bit-identical at every job count; only wall time changes. A count
-   below 1 is a usage error; so is a BLUNTING_JOBS that is set but not a
-   positive integer (exit 2), when no --jobs overrides it. *)
+(* Counts that must be at least [lo]: anything else is a usage error
+   (cmdliner's exit 124) before any work starts, not an exception out of
+   the library. *)
+let int_at_least lo =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some j when j >= lo -> Ok j
+        | _ ->
+            Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))),
+      Fmt.int )
+
+let positive = int_at_least 1
+
+(* Shared --jobs flag of the Monte-Carlo and fuzz commands. Tallies and
+   oracle verdicts are bit-identical at every job count; only wall time
+   changes. *)
 let jobs_term =
-  let positive =
-    Arg.conv
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some j when j >= 1 -> Ok j
-          | _ ->
-              Error
-                (`Msg (Printf.sprintf "expected a positive integer, got %S" s))),
-        Fmt.int )
-  in
-  let arg =
-    Arg.(
-      value
-      & opt (some positive) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Run on $(docv) domains (default: $(b,BLUNTING_JOBS) or 1). \
-             Results are bit-identical at every job count.")
-  in
-  let resolve = function
-    | Some j -> j
-    | None -> (
-        match Par.Pool.env_jobs () with
-        | Ok j -> j
-        | Error e ->
-            Fmt.epr "%s@." e;
-            exit 2)
-  in
-  Term.(const resolve $ arg)
+  Arg.(
+    value & opt positive 1
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Run on $(docv) domains (default 1). Results are bit-identical at \
+           every job count.")
 
 let registers_enum =
   Arg.enum [ ("atomic", `Atomic); ("abd", `Abd); ("abd-k", `Abd_k) ]
@@ -91,13 +80,13 @@ let weakener_config registers k =
 
 let solve_cmd =
   let k_arg =
-    Arg.(value & opt int 1 & info [ "k" ] ~doc:"Preamble iterations for ABD\\$(b,^k)." ~docv:"K")
+    Arg.(value & opt positive 1 & info [ "k" ] ~doc:"Preamble iterations for ABD\\$(b,^k)." ~docv:"K")
   in
   let atomic_arg =
     Arg.(value & flag & info [ "atomic" ] ~doc:"Solve the atomic-register game instead.")
   in
   let servers_arg =
-    Arg.(value & opt int 3 & info [ "s"; "servers" ] ~doc:"Number of ABD replicas (>= 3).")
+    Arg.(value & opt (int_at_least 3) 3 & info [ "s"; "servers" ] ~doc:"Number of ABD replicas (>= 3).")
   in
   let abd_c_arg =
     Arg.(value & flag & info [ "abd-c" ] ~doc:"Model register C as ABD too (validates the atomic-C reduction).")
@@ -107,8 +96,9 @@ let solve_cmd =
       value & flag
       & info [ "progress" ]
           ~doc:
-            "Emit live solver progress to stderr (memoized states, hit rate, \
-             states/sec) every 50k states explored.")
+            "Log live solver progress to stderr (memoized states, hit rate, \
+             states/sec) every 50k states explored: the $(b,blunting.mdp) \
+             source's info lines, whatever $(b,--verbosity) says.")
   in
   let prune_arg =
     Arg.(
@@ -122,9 +112,10 @@ let solve_cmd =
              bit-identical; only the explored state count shrinks.")
   in
   let run () k atomic servers abd_c prune progress =
+    (* raise the source to info, never lower it below --verbosity *)
     if progress then
-      Model.Weakener_abd.set_progress
-        (Some (fun p -> Fmt.epr "  [mdp] %a@." Mdp.Solver.pp_progress p));
+      Logs.Src.set_level Mdp.Solver.log_src
+        (max (Some Logs.Info) (Logs.Src.level Mdp.Solver.log_src));
     let timed f =
       let t0 = Obs.Span.now_us () in
       let v = f () in
@@ -196,9 +187,9 @@ let figure1_cmd =
 (* ---- bound ---------------------------------------------------------- *)
 
 let bound_cmd =
-  let n_arg = Arg.(value & opt int 3 & info [ "n" ] ~doc:"Number of processes.") in
-  let r_arg = Arg.(value & opt int 1 & info [ "r" ] ~doc:"Program random steps.") in
-  let k_arg = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Preamble iterations.") in
+  let n_arg = Arg.(value & opt positive 3 & info [ "n" ] ~doc:"Number of processes.") in
+  let r_arg = Arg.(value & opt positive 1 & info [ "r" ] ~doc:"Program random steps.") in
+  let k_arg = Arg.(value & opt positive 2 & info [ "k" ] ~doc:"Preamble iterations.") in
   let pa_arg =
     Arg.(value & opt float 0.5 & info [ "prob-atomic" ] ~doc:"Prob[O_a].")
   in
@@ -220,8 +211,8 @@ let mc_cmd =
     Arg.(value & opt registers_enum `Abd
          & info [ "registers" ] ~doc:"Register implementation." ~docv:"atomic|abd|abd-k")
   in
-  let k_arg = Arg.(value & opt int 2 & info [ "k" ] ~doc:"k for abd-k.") in
-  let trials_arg = Arg.(value & opt int 1000 & info [ "trials" ] ~doc:"Trials.") in
+  let k_arg = Arg.(value & opt positive 2 & info [ "k" ] ~doc:"k for abd-k.") in
+  let trials_arg = Arg.(value & opt positive 1000 & info [ "trials" ] ~doc:"Trials.") in
   let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Seed.") in
   let run () registers k trials seed jobs =
     let config () = weakener_config registers k in
@@ -253,8 +244,8 @@ let lin_sweep_cmd =
     in
     Arg.(value & opt impl `Abd & info [ "object" ] ~doc:"Which implementation." ~docv:"OBJ")
   in
-  let k_arg = Arg.(value & opt int 2 & info [ "k" ] ~doc:"k for abd-k.") in
-  let trials_arg = Arg.(value & opt int 50 & info [ "trials" ] ~doc:"Random schedules.") in
+  let k_arg = Arg.(value & opt positive 2 & info [ "k" ] ~doc:"k for abd-k.") in
+  let trials_arg = Arg.(value & opt positive 50 & info [ "trials" ] ~doc:"Random schedules.") in
   let run () obj k trials =
     let open Sim.Proc.Syntax in
     let reg_spec = History.Spec.register ~init:(Value.int 0) in
@@ -326,7 +317,7 @@ let lin_sweep_cmd =
 
 let ghw_cmd =
   let k_arg =
-    Arg.(value & opt int 1 & info [ "k" ] ~doc:"Preamble iterations for Snapshot^k.")
+    Arg.(value & opt positive 1 & info [ "k" ] ~doc:"Preamble iterations for Snapshot^k.")
   in
   let run () k =
     Fmt.pr "snapshot weakener, adversary-optimal Prob[bad]:@.";
@@ -346,7 +337,7 @@ let trace_cmd =
     Arg.(value & opt registers_enum `Abd
          & info [ "registers" ] ~doc:"Register implementation." ~docv:"atomic|abd|abd-k")
   in
-  let k_arg = Arg.(value & opt int 2 & info [ "k" ] ~doc:"k for abd-k.") in
+  let k_arg = Arg.(value & opt positive 2 & info [ "k" ] ~doc:"k for abd-k.") in
   let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Scheduling seed.") in
   let sched_arg =
     let s = Arg.enum [ ("uniform", `Uniform); ("eager", `Eager) ] in
@@ -413,8 +404,8 @@ let metrics_cmd =
              ~doc:"Workload to run before dumping the metrics registry."
              ~docv:"mc|solve|figure1")
   in
-  let k_arg = Arg.(value & opt int 1 & info [ "k" ] ~doc:"k for the workload.") in
-  let trials_arg = Arg.(value & opt int 200 & info [ "trials" ] ~doc:"MC trials.") in
+  let k_arg = Arg.(value & opt positive 1 & info [ "k" ] ~doc:"k for the workload.") in
+  let trials_arg = Arg.(value & opt positive 200 & info [ "trials" ] ~doc:"MC trials.") in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Dump the snapshot as JSON instead of a table.")
   in
@@ -513,13 +504,7 @@ let fuzz_cmd =
             "Plant a known linearizability bug (ABD without read write-back) \
              in every case; used to exercise the shrinker and corpus paths.")
   in
-  let dist_trials_arg =
-    Arg.(
-      value & opt int 400
-      & info [ "dist-trials" ] ~docv:"N"
-          ~doc:"Monte-Carlo trials per side for the distribution oracle.")
-  in
-  let run () seed budget corpus_dir replay planted dist_trials jobs =
+  let run () seed budget corpus_dir replay planted jobs =
     match replay with
     | Some path -> (
         match Fuzz.Engine.replay_file path with
@@ -536,8 +521,7 @@ let fuzz_cmd =
             exit 2
         | Ok budget ->
             let summary =
-              Fuzz.Engine.run ~jobs ?corpus_dir ~planted ~dist_trials ~seed
-                ~budget ()
+              Fuzz.Engine.run ~jobs ?corpus_dir ~planted ~seed ~budget ()
             in
             Fmt.pr "%a" Fuzz.Engine.pp_summary summary;
             exit (if Fuzz.Engine.has_failures summary then 1 else 0))
@@ -554,7 +538,7 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
       const run $ verbosity_term $ seed_arg $ budget_arg $ corpus_arg
-      $ replay_arg $ planted_arg $ dist_trials_arg $ jobs_term)
+      $ replay_arg $ planted_arg $ jobs_term)
 
 (* ---- main ----------------------------------------------------------- *)
 

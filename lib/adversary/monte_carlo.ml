@@ -46,15 +46,12 @@ let run_trial ~max_steps ~seed ~scheduler ~bad mk_config i =
   in
   { outcome; is_bad }
 
-let estimate ?(max_steps = 1_000_000) ?pool ?(jobs = 1) ~trials ~seed
-    ~scheduler ~bad mk_config =
+let estimate ?(max_steps = 1_000_000) ?(jobs = 1) ~trials ~seed ~scheduler
+    ~bad mk_config =
   let run = run_trial ~max_steps ~seed ~scheduler ~bad mk_config in
   let results =
-    if jobs <= 1 && pool = None then Array.init trials run
-    else
-      match pool with
-      | Some p -> Par.Pool.map p ~n:trials run
-      | None -> Par.Pool.with_pool ~jobs (fun p -> Par.Pool.map p ~n:trials run)
+    if jobs <= 1 then Array.init trials run
+    else Par.Pool.with_pool ~jobs (fun p -> Par.Pool.map p ~n:trials run)
   in
   (* merge on the calling domain, in trial order: counters, metrics and
      logging all stay single-domain *)

@@ -10,19 +10,19 @@ type result = {
   ci_high : float;
 }
 
-(** [estimate ?max_steps ?pool ?jobs ~trials ~seed ~scheduler ~bad
-    mk_config] runs [trials] independent executions of freshly built
-    configurations (so object state never leaks between trials) under the
-    given scheduler factory, and counts outcomes satisfying [bad].
+(** [estimate ?max_steps ?jobs ~trials ~seed ~scheduler ~bad mk_config]
+    runs [trials] independent executions of freshly built configurations
+    (so object state never leaks between trials) under the given
+    scheduler factory, and counts outcomes satisfying [bad].
 
     Trial [i] draws its scheduler and tape randomness from
     [Rng.stream ~seed ~index:(2i)] and [Rng.stream ~seed ~index:(2i+1)] —
     pure functions of [(seed, i)], not splits of a shared master — so
-    trials are embarrassingly parallel: with [jobs > 1] (or an explicit
-    [pool]) they run across that many domains and the merged tallies,
-    metrics and result are bit-identical at every job count. Counting,
-    [Obs] metrics and logging all happen on the calling domain after the
-    trials return.
+    trials are embarrassingly parallel: with [jobs > 1] they run across
+    that many domains, on a pool this call spawns and joins before it
+    returns, and the merged tallies, metrics and result are bit-identical
+    at every job count. Counting, [Obs] metrics and logging all happen on
+    the calling domain after the trials return.
 
     Abnormal terminations do not raise: trials that deadlock or hit
     [max_steps] (default 1,000,000) are counted in the corresponding
@@ -34,7 +34,6 @@ type result = {
     [blunting.adversary] source; a warning summarizes abnormal trials. *)
 val estimate :
   ?max_steps:int ->
-  ?pool:Par.Pool.t ->
   ?jobs:int ->
   trials:int ->
   seed:int ->

@@ -143,12 +143,11 @@ let run ?(jobs = 1) ?corpus_dir ?(planted = false) ?(dist_trials = 400)
     if !nfailures >= max_failures then stop := true
   done;
   (* Session oracles: distribution compatibility (Theorem 4.1),
-     seq-vs-par identity and pruning soundness. Run on the calling
-     domain, after the sweep, so the first's Monte-Carlo batches can
-     reuse the pool; the par oracle spawns a private pool and the prune
-     oracle runs on the calling domain, keeping their verdicts (and the
-     printed summary) independent of --jobs. *)
-  let dist_failure = Oracle.dist ~pool ~seed ~trials:dist_trials ~k:2 () in
+     seq-vs-par identity and pruning soundness, after the sweep. The dist
+     and prune oracles run on the calling domain and the par oracle
+     spawns a private pool, keeping their verdicts (and the printed
+     summary) independent of --jobs. *)
+  let dist_failure = Oracle.dist ~seed ~trials:dist_trials ~k:2 () in
   let par_failure = Oracle.par_identity ~seed ~trials:200 () in
   let prune_failure = Oracle.prune_vs_exact ~seed () in
   List.iter

@@ -251,9 +251,9 @@ let model_lockstep ~seed ~iter =
 
 (* ---- oracle 2: O^k vs O outcome distributions ----------------------- *)
 
-let dist ?pool ~seed ~trials ~k () =
+let dist ~seed ~trials ~k () =
   let estimate ~seed config =
-    Adversary.Monte_carlo.estimate ?pool ~trials ~seed
+    Adversary.Monte_carlo.estimate ~trials ~seed
       ~scheduler:Adversary.Schedulers.uniform ~bad:Programs.Weakener.bad
       config
   in
@@ -416,16 +416,13 @@ let prune_vs_exact ?(configs = 4) ~seed () =
 let par_jobs = 2
 
 let par_identity ~seed ~trials () =
-  let estimate ?pool ~jobs () =
-    Adversary.Monte_carlo.estimate ?pool ~jobs ~trials ~seed
+  let estimate ~jobs =
+    Adversary.Monte_carlo.estimate ~jobs ~trials ~seed
       ~scheduler:Adversary.Schedulers.uniform ~bad:Programs.Weakener.bad
       Programs.Weakener.abd_config
   in
-  let seq = estimate ~jobs:1 () in
-  let par =
-    Par.Pool.with_pool ~jobs:par_jobs (fun pool ->
-        estimate ~pool ~jobs:par_jobs ())
-  in
+  let seq = estimate ~jobs:1 in
+  let par = estimate ~jobs:par_jobs in
   let fail detail =
     Some
       { oracle = "par"; seed; iter = 0; case = None; schedule = [||]; detail }

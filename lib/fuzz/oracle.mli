@@ -87,9 +87,10 @@ val lin_fails : seed:int -> iter:int -> Case.t -> int array -> bool
     encode keys after every move. *)
 val model_lockstep : seed:int -> iter:int -> failure option
 
-(** [dist ?pool ~seed ~trials ~k ()] compares the weakener's bad-outcome
-    frequency over ABD vs ABD^k ([trials] runs each). *)
-val dist : ?pool:Par.Pool.t -> seed:int -> trials:int -> k:int -> unit -> failure option
+(** [dist ~seed ~trials ~k ()] compares the weakener's bad-outcome
+    frequency over ABD vs ABD^k ([trials] runs each), on the calling
+    domain. *)
+val dist : seed:int -> trials:int -> k:int -> unit -> failure option
 
 (** [par_identity ~seed ~trials ()] checks seq-vs-par identity of
     Monte-Carlo tallies at jobs 1 vs 2. Spawns (and always joins) its own

@@ -62,16 +62,6 @@ let pp_summary ~wall_s ppf s =
     (100.0 *. hit_rate s)
     peak_mb
 
-type progress = { stats : stats; elapsed_s : float; states_per_sec : float }
-
-let pp_progress ppf p =
-  Fmt.pf ppf "%d states, %.1f%% hit rate, depth %d, %.1fs elapsed, %.0f states/s"
-    p.stats.states
-    (100.0 *. hit_rate p.stats)
-    p.stats.max_depth p.elapsed_s p.states_per_sec
-
-let default_progress_interval = 50_000
-
 (* ---- the admissible value bound ----------------------------------------
 
    The [~prune] cutoffs need an a-priori upper bound on every reachable
@@ -148,8 +138,7 @@ let store_memo st =
 (* ---- work counters -------------------------------------------------------
 
    One record per solver instance: [rawbuf] is its reusable encode
-   buffer and [keybuf] the memo form packed from it, and progress ticks
-   fire every [progress_interval] misses. *)
+   buffer and [keybuf] the memo form packed from it. *)
 type counters = {
   rawbuf : Key.buf;
   keybuf : Key.buf;
@@ -158,8 +147,6 @@ type counters = {
   mutable states : int;  (* states resolved with a final value *)
   mutable max_depth : int;
   mutable prune_cuts : int;  (* subtrees cut off against the bound 1 *)
-  mutable progress_hook : (progress -> unit) option;
-  mutable progress_interval : int;
   mutable solve_start : float;
   mutable solve_base_misses : int;  (* misses when the root call began *)
 }
@@ -173,8 +160,6 @@ let make_counters () =
     states = 0;
     max_depth = 0;
     prune_cuts = 0;
-    progress_hook = None;
-    progress_interval = default_progress_interval;
     solve_start = Obs.Span.now_us ();
     solve_base_misses = 0;
   }
@@ -183,27 +168,26 @@ let stats_of c =
   { states = c.states; memo_hits = c.hits; memo_misses = c.misses;
     max_depth = c.max_depth }
 
-let progress_of c =
-  let elapsed_s = (Obs.Span.now_us () -. c.solve_start) /. 1e6 in
-  {
-    stats = stats_of c;
-    elapsed_s;
-    states_per_sec =
-      (if elapsed_s > 0.0 then
-         float_of_int (c.misses - c.solve_base_misses) /. elapsed_s
-       else 0.0);
-  }
-
 (* Progress telemetry: long solves (minutes at k >= 3) otherwise give no
-   output until they return. The hook fires from inside the recursion,
-   every [interval] newly memoized states — so never after [value] has
-   returned — alongside an info log on the blunting.mdp source. *)
+   output until they return. An info line on the blunting.mdp source
+   every 50,000 newly memoized states, logged from inside the recursion,
+   so never after [value] has returned. The rate counts this solve's
+   misses only: a reused instance does not count earlier solves' work. *)
+let progress_interval = 50_000
+
 let progress_tick c =
-  if c.misses mod c.progress_interval = 0 then begin
-    let p = progress_of c in
-    Log.info (fun f -> f "progress: %a" pp_progress p);
-    match c.progress_hook with None -> () | Some hook -> hook p
-  end
+  if c.misses mod progress_interval = 0 then
+    Log.info (fun f ->
+        let elapsed_s = (Obs.Span.now_us () -. c.solve_start) /. 1e6 in
+        let rate =
+          if elapsed_s > 0.0 then
+            float_of_int (c.misses - c.solve_base_misses) /. elapsed_s
+          else 0.0
+        in
+        let st = stats_of c in
+        f "progress: %d states, %.1f%% hit rate, depth %d, %.1fs elapsed, \
+           %.0f states/s"
+          st.states (100.0 *. hit_rate st) st.max_depth elapsed_s rate)
 
 let publish_delta (before : stats) (after : stats) =
   Obs.Metrics.add M.memo_hits (after.memo_hits - before.memo_hits);
@@ -222,10 +206,6 @@ module Make (G : GAME) = struct
   let store : Store.Memo.t option ref = ref None
 
   let main = make_counters ()
-
-  let set_progress ?(interval_states = default_progress_interval) hook =
-    main.progress_interval <- max 1 interval_states;
-    main.progress_hook <- hook
 
   let stats () = stats_of main
 

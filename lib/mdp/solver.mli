@@ -94,20 +94,13 @@ val pp_stats : Format.formatter -> stats -> unit
     [summary: 106263 states, 152000 states/s, 74.2% hit rate, 61.3 MB peak heap]. *)
 val pp_summary : wall_s:float -> Format.formatter -> stats -> unit
 
-(** A progress report from inside a running solve: the instance's stats so
-    far, wall time since the root [value]/[best_move] call, and the
-    evaluation rate (memo misses {e of this solve} per second — a reused
-    instance does not count earlier solves' work in its rate). *)
-type progress = { stats : stats; elapsed_s : float; states_per_sec : float }
-
-val pp_progress : Format.formatter -> progress -> unit
-
-(** How often progress fires when [set_progress] does not say: every 50 000
-    memoized states (about twice during the 106 k-state E2 solve). *)
-val default_progress_interval : int
-
-(** The solver's [Logs] source, [blunting.mdp]; [best_move] logs candidate
-    values and the chosen move (via the game's [pp_move]) at debug. *)
+(** The solver's [Logs] source, [blunting.mdp]. Every 50,000 newly
+    memoized states a running solve logs a progress line at info
+    (memoized states, hit rate, depth, wall time since the root
+    [value]/[best_move] call, and this solve's memo misses per second),
+    about twice during the 106 k-state E2 solve; the line is never
+    logged after [value] returns. [best_move] logs candidate values and
+    the chosen move (via the game's [pp_move]) at debug. *)
 val log_src : Logs.src
 
 (** {2 Out-of-core memo budget}
@@ -182,18 +175,10 @@ module Make (G : GAME) : sig
       last [reset]. *)
   val pruned_subtrees : unit -> int
 
-  (** [set_progress ?interval_states hook] installs (or, with [None],
-      removes) a progress hook for this instance. It fires synchronously
-      from inside the recursion every [interval_states] newly memoized
-      states — long solves report live, and the hook can never fire after
-      [value] returns. Each tick is also logged at info level on the
-      [blunting.mdp] source, hook or not. *)
-  val set_progress : ?interval_states:int -> (progress -> unit) option -> unit
-
   (** [reset ()] clears the memo table, zeroes [stats] (including the
-      pruned-subtree count), and re-arms the
-      per-solve telemetry baselines (solve start time and the per-solve
-      miss base), so a reused instance reports sane [elapsed_s] and
-      [states_per_sec] on its next solve. *)
+      pruned-subtree count), and re-arms the per-solve telemetry
+      baselines (solve start time and the per-solve miss base), so a
+      reused instance's progress lines report a sane elapsed time and
+      rate on its next solve. *)
   val reset : unit -> unit
 end

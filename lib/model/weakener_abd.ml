@@ -522,4 +522,3 @@ let explored_states () = S.explored ()
 let pruned_subtrees () = S.pruned_subtrees ()
 let reset () = S.reset ()
 let solver_stats () = S.stats ()
-let set_progress = S.set_progress

@@ -136,9 +136,3 @@ val solver_stats : unit -> Mdp.Solver.stats
     [memo_budget] armed it — [None] on purely in-RAM solves (see
     {!Mdp.Solver.Make.store_stats}). perf's [solve-spill] reads it. *)
 val store_stats : unit -> Store.Memo.stats option
-
-(** [set_progress ?interval_states hook] installs a live progress hook on
-    the underlying solver (see {!Mdp.Solver.Make.set_progress}) — the
-    multi-minute solves at [k >= 3] otherwise emit nothing until done. *)
-val set_progress :
-  ?interval_states:int -> (Mdp.Solver.progress -> unit) option -> unit

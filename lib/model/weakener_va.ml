@@ -216,4 +216,3 @@ let bad_probability ~k () = S.value (init ~k)
 let explored_states () = S.explored ()
 let reset () = S.reset ()
 let solver_stats () = S.stats ()
-let set_progress = S.set_progress

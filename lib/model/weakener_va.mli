@@ -32,8 +32,3 @@ val reset : unit -> unit
 (** [solver_stats ()] is the underlying solver instance's work counters
     since the last [reset]. *)
 val solver_stats : unit -> Mdp.Solver.stats
-
-(** [set_progress ?interval_states hook] installs a live progress hook on
-    the underlying solver (see {!Mdp.Solver.Make.set_progress}). *)
-val set_progress :
-  ?interval_states:int -> (Mdp.Solver.progress -> unit) option -> unit

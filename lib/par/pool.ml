@@ -164,13 +164,3 @@ let map t ~n f =
     results
   end
 
-let env_jobs () =
-  match Sys.getenv_opt "BLUNTING_JOBS" with
-  | None -> Ok 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> Ok j
-      | _ ->
-          Error
-            (Printf.sprintf "BLUNTING_JOBS expects a positive integer, got %S"
-               s))

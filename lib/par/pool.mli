@@ -3,7 +3,7 @@
 
     OCaml 5 domains are expensive to spawn (~hundreds of microseconds) and
     the runtime caps their total count, so parallel workloads share a pool:
-    [create ~jobs] spawns [jobs - 1] worker domains that block on a
+    [with_pool ~jobs] spawns [jobs - 1] worker domains that block on a
     mutex/condition-protected task queue, and the submitting domain itself
     participates in every parallel region (so [jobs = 1] means "fully
     sequential, zero domains spawned" and a pool never deadlocks on a
@@ -19,19 +19,11 @@
 
 type t
 
-(** [create ~jobs] builds a pool running at most [jobs] tasks
-    concurrently ([jobs - 1] spawned worker domains plus the caller).
-    Raises [Invalid_argument] when [jobs < 1]. *)
-val create : jobs:int -> t
-
-(** [shutdown t] joins the worker domains. Idempotent; the pool is
-    unusable afterwards. *)
-val shutdown : t -> unit
-
-(** [with_pool ~jobs f] runs [f] with a fresh pool and always shuts it
-    down, including on exceptions — the exception-safe entry point the
-    fuzzer, the bench harness and the CLI use, so a raised oracle failure
-    never leaves a worker domain alive. *)
+(** [with_pool ~jobs f] runs [f] with a fresh pool running at most
+    [jobs] tasks concurrently ([jobs - 1] spawned worker domains plus the
+    caller) and always joins its workers, including on exceptions — the
+    only way to get a pool, so a raised oracle failure never leaves a
+    worker domain alive. Raises [Invalid_argument] when [jobs < 1]. *)
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 
 (** [spawned_domains ()] is the process-wide number of currently live
@@ -48,8 +40,3 @@ val spawned_domains : unit -> int
     region quiesces); remaining indices may or may not have run. *)
 val map : t -> n:int -> (int -> 'a) -> 'a array
 
-(** [env_jobs ()] is the default job count: [Ok j] when [BLUNTING_JOBS]
-    is the positive integer [j], [Ok 1] when it is unset, and an [Error]
-    naming the variable and its value otherwise ([0], [-1], [abc], the
-    empty string), which callers report as a usage error. *)
-val env_jobs : unit -> (int, string) result

@@ -75,6 +75,31 @@ let test_solve_peak_heap () =
   Alcotest.(check int) "ABD^2: the committed count" 318_920 states;
   if heap > 30.0 then Alcotest.failf "ABD^2: %.1f MB peak heap (at most 30)" heap
 
+(* [--progress] turns on the solver's info line and nothing else: the
+   106,263-state ABD^1 solve logs it at 50,000 and 100,000 misses. *)
+let test_solve_progress_lines () =
+  let err = Filename.temp_file "blunting_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let args = [ "solve"; "-k"; "1"; "--progress" ] in
+      let code =
+        Sys.command
+          (Filename.quote_command cli args ~stdout:Filename.null ~stderr:err)
+      in
+      Alcotest.(check int) "solve -k 1 --progress: exit 0" 0 code;
+      let lines =
+        In_channel.with_open_text err In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      List.iter
+        (fun l ->
+          if not (String.starts_with ~prefix:"[INFO] blunting.mdp: progress: " l)
+          then Alcotest.failf "stderr line is not a progress line: %S" l)
+        lines;
+      Alcotest.(check int) "progress lines on stderr" 2 (List.length lines))
+
 let parse_json what text =
   match Obs.Json.of_string text with
   | Ok j -> j
@@ -135,7 +160,8 @@ let test_bench_section_counters () =
         [ "E1"; "E4"; "E8" ])
 
 (* A job count below 1 is a usage error (cmdliner's 124) before any
-   work starts, on every command that takes --jobs. *)
+   work starts, on every command that takes --jobs; so is every other
+   count below 1 and a replica count below 3. *)
 let test_jobs_must_be_positive () =
   List.iter
     (fun args ->
@@ -146,43 +172,42 @@ let test_jobs_must_be_positive () =
       [ "mc"; "--trials"; "1"; "--jobs"; "0" ];
       [ "mc"; "--trials"; "1"; "--jobs=-3" ];
       [ "mc"; "--trials"; "1"; "-j"; "two" ];
+      [ "mc"; "--trials"; "0" ];
+      [ "mc"; "--trials"; "1"; "-k"; "0" ];
+      [ "solve"; "-k"; "0" ];
+      [ "solve"; "-s"; "2" ];
+      [ "ghw"; "-k"; "0" ];
+      [ "bound"; "-n"; "0" ];
+      [ "bound"; "-r"; "0" ];
+      [ "bound"; "-k"; "0" ];
+      [ "trace"; "-k"; "0"; "-o"; Filename.null ];
+      [ "metrics"; "-k"; "0" ];
+      [ "metrics"; "--trials"; "0" ];
+      [ "lin-sweep"; "-k"; "0" ];
+      [ "lin-sweep"; "--trials"; "0" ];
     ];
   Alcotest.(check int) "mc --jobs 2: exit 0" 0
     (exit_code [ "mc"; "--trials"; "4"; "--jobs"; "2" ])
 
-(* An environment variable that is set but not a positive integer is a
-   usage error (exit 2), never a silent default: BLUNTING_JOBS on the
-   CLI's --jobs commands and in bench, BLUNTING_KMAX in bench. An
-   explicit --jobs means the variable is not read. *)
-let test_bad_env_is_a_usage_error () =
-  let mc = [ "mc"; "--trials"; "1" ] and bench_args = [ "--only"; "E4" ] in
+(* Bench's usage errors exit 2, never a silent default or an empty run:
+   a BLUNTING_KMAX that is set but not a positive integer, and an --only
+   id that names no experiment. *)
+let test_bench_usage_errors () =
+  let only_e4 = [ "--only"; "E4" ] in
   List.iter
-    (fun (env, exe, args) ->
+    (fun (env, args) ->
       Alcotest.(check int)
         (String.concat " " (env @ args) ^ ": exit 2")
         2
-        (exit_code ~env ~exe args))
+        (exit_code ~env ~exe:bench args))
     [
-      ([ "BLUNTING_JOBS=abc" ], cli, mc);
-      ([ "BLUNTING_JOBS=0" ], cli, mc);
-      ([ "BLUNTING_JOBS=" ], cli, [ "fuzz"; "--budget"; "1" ]);
-      ([ "BLUNTING_JOBS=abc" ], bench, bench_args);
-      ([ "BLUNTING_JOBS=-1" ], bench, bench_args);
-      ([ "BLUNTING_KMAX=abc" ], bench, bench_args);
-      ([ "BLUNTING_KMAX=0" ], bench, bench_args);
+      ([ "BLUNTING_KMAX=abc" ], only_e4);
+      ([ "BLUNTING_KMAX=0" ], only_e4);
+      ([], [ "--only"; "E99" ]);
+      ([], [ "--only"; "E4,E99" ]);
     ];
-  List.iter
-    (fun (env, exe, args) ->
-      Alcotest.(check int)
-        (String.concat " " (env @ args) ^ ": exit 0")
-        0
-        (exit_code ~env ~exe args))
-    [
-      ([ "BLUNTING_JOBS=2" ], cli, mc);
-      ([ "BLUNTING_JOBS=abc" ], cli, mc @ [ "--jobs"; "1" ]);
-      ([ "BLUNTING_JOBS=abc" ], cli, [ "solve"; "--atomic" ]);
-      ([ "BLUNTING_KMAX=1"; "BLUNTING_JOBS=1" ], bench, bench_args);
-    ]
+  Alcotest.(check int) "BLUNTING_KMAX=1 --only E4: exit 0" 0
+    (exit_code ~env:[ "BLUNTING_KMAX=1" ] ~exe:bench only_e4)
 
 (* [trace] is a plain command: its options export the schedule. *)
 let test_trace_exports_chrome () =
@@ -216,6 +241,8 @@ let tests =
       test_bench_section_counters;
     Alcotest.test_case "trace -o writes a Chrome trace" `Quick
       test_trace_exports_chrome;
-    Alcotest.test_case "bad BLUNTING_JOBS or BLUNTING_KMAX is a usage error"
-      `Quick test_bad_env_is_a_usage_error;
+    Alcotest.test_case "bad BLUNTING_KMAX or --only id is a usage error"
+      `Quick test_bench_usage_errors;
+    Alcotest.test_case "solve --progress logs two lines at k = 1" `Quick
+      test_solve_progress_lines;
   ]

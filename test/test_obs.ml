@@ -277,38 +277,76 @@ let test_solver_stats_memoization () =
   Alcotest.(check int) "reset zeroes stats" 0
     (s3.states + s3.memo_hits + s3.memo_misses + s3.max_depth)
 
-let test_solver_progress_hook () =
+(* The lines [f] logs on the solver's source with that source at
+   [level], captured by a reporter installed for the call. *)
+let mdp_log_lines ~level f =
+  let lines = ref [] in
+  let report src _ ~over k msgf =
+    if Logs.Src.equal src Mdp.Solver.log_src then
+      msgf (fun ?header:_ ?tags:_ fmt ->
+          Format.kasprintf
+            (fun l ->
+              lines := l :: !lines;
+              over ();
+              k ())
+            fmt)
+    else begin
+      over ();
+      k ()
+    end
+  in
+  let reporter = Logs.reporter () and saved = Logs.Src.level Mdp.Solver.log_src in
+  Logs.set_reporter { Logs.report };
+  Logs.Src.set_level Mdp.Solver.log_src level;
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.Src.set_level Mdp.Solver.log_src saved)
+    (fun () ->
+      f ();
+      List.rev !lines)
+
+let test_solver_progress_log () =
   Tiny_solver.reset ();
-  let ticks : Mdp.Solver.progress list ref = ref [] in
-  Tiny_solver.set_progress ~interval_states:3 (Some (fun p -> ticks := p :: !ticks));
-  let _ = Tiny_solver.value 20 in
-  let ticks_during = List.rev !ticks in
-  (* 21 distinct states (20..0), one miss each: the hook fires at every
-     multiple of 3 misses — seven times, from inside the recursion *)
-  Alcotest.(check int) "fires every interval" 7 (List.length ticks_during);
+  (* 120,001 distinct states (120,000..0), one miss each, the m-th at
+     depth m - 1: a line at misses 50,000 and 100,000, from inside the
+     recursion *)
+  let n = 120_000 in
+  let lines =
+    mdp_log_lines ~level:(Some Logs.Info) (fun () -> ignore (Tiny_solver.value n))
+  in
+  Alcotest.(check int) "one line per 50,000 misses" 2 (List.length lines);
   List.iteri
-    (fun i (p : Mdp.Solver.progress) ->
-      Alcotest.(check int)
-        (Fmt.str "tick %d at a 3-state boundary" i)
-        (3 * (i + 1))
-        p.stats.memo_misses;
-      Alcotest.(check bool) "elapsed non-negative" true (p.elapsed_s >= 0.0);
-      Alcotest.(check bool)
-        "rate consistent with elapsed" true
-        (p.states_per_sec >= 0.0 && Float.is_finite p.states_per_sec))
-    ticks_during;
-  (* progress never fires outside a solve: re-solving the memoized root is
-     pure hits, and stats/best_move queries do not tick *)
-  let n = List.length !ticks in
-  let _ = Tiny_solver.value 20 in
-  let _ = Tiny_solver.best_move 5 in
-  let _ = Tiny_solver.stats () in
-  Alcotest.(check int) "no ticks after the solve" n (List.length !ticks);
-  (* None uninstalls the hook *)
-  Tiny_solver.set_progress None;
+    (fun i l ->
+      match
+        Scanf.sscanf l "progress: %d states, %f%% hit rate, depth %d, %fs elapsed, %f states/s%!"
+          (fun _ _ depth elapsed rate -> (depth, elapsed, rate))
+      with
+      | depth, elapsed, rate ->
+          Alcotest.(check int)
+            (Fmt.str "line %d at a 50,000-miss boundary" i)
+            ((50_000 * (i + 1)) - 1)
+            depth;
+          Alcotest.(check bool) "elapsed and rate non-negative" true
+            (elapsed >= 0.0 && rate >= 0.0)
+      | exception (Scanf.Scan_failure _ | End_of_file | Failure _) ->
+          Alcotest.failf "malformed progress line: %S" l)
+    lines;
+  (* nothing after the solve: re-solving the memoized root is one hit,
+     and stats/best_move queries do not tick *)
+  let after =
+    mdp_log_lines ~level:(Some Logs.Info) (fun () ->
+        ignore (Tiny_solver.value n);
+        ignore (Tiny_solver.best_move 5);
+        ignore (Tiny_solver.stats ()))
+  in
+  Alcotest.(check (list string)) "no lines after value returns" [] after;
+  (* below info the source is silent *)
   Tiny_solver.reset ();
-  let _ = Tiny_solver.value 9 in
-  Alcotest.(check int) "uninstalled hook is silent" n (List.length !ticks);
+  let quiet =
+    mdp_log_lines ~level:(Some Logs.Warning) (fun () -> ignore (Tiny_solver.value n))
+  in
+  Alcotest.(check (list string)) "no lines below info" [] quiet;
   Tiny_solver.reset ()
 
 (* ---- results document ----------------------------------------------- *)
@@ -416,7 +454,7 @@ let tests =
     Alcotest.test_case "trace: cached accessors" `Quick test_trace_accessors_cached;
     Alcotest.test_case "solver: memo-hit statistics" `Quick
       test_solver_stats_memoization;
-    Alcotest.test_case "solver: progress hook" `Quick test_solver_progress_hook;
+    Alcotest.test_case "solver: progress log lines" `Quick test_solver_progress_log;
     Alcotest.test_case "results: schema round-trip" `Quick test_results_schema;
     Alcotest.test_case "results: only v8 valid" `Quick test_schema_version_v8_only;
     Alcotest.test_case "log: verbosity levels" `Quick test_log_levels;

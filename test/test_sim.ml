@@ -654,7 +654,8 @@ let test_counters_single_steps () =
 (* Seed 1, 5,000 ABD^2 trials under the uniform scheduler, recorded on
    the runtime that bumped the process-wide counters per event: the
    tallies published per run must add up to the same totals, and to the
-   same at 4 jobs as at 1. *)
+   same at 4 jobs as at 1. The 4-job estimate owns its pool and joins
+   its workers before it returns. *)
 let test_mc_tallies_pinned () =
   let steps = Obs.Metrics.counter "sim.steps"
   and sent = Obs.Metrics.counter "sim.messages_sent" in
@@ -670,7 +671,9 @@ let test_mc_tallies_pinned () =
   let pinned = (19, 1_134_502, 539_911) in
   let t3 = Alcotest.(triple int int int) in
   Alcotest.check t3 "1 job: bad, sim.steps, sim.messages_sent" pinned (at 1);
-  Alcotest.check t3 "4 jobs: bad, sim.steps, sim.messages_sent" pinned (at 4)
+  Alcotest.check t3 "4 jobs: bad, sim.steps, sim.messages_sent" pinned (at 4);
+  Alcotest.(check int) "no worker domain outlives the estimate" 0
+    (Par.Pool.spawned_domains ())
 
 (* Allocation guard: minor words per simulator step ([Gc.minor_words]
    over the [sim.steps] counter) for each simulator workload of the bench
